@@ -36,15 +36,14 @@ from .planner import (
 )
 from .agents import (
     AgentState,
-    AgentView,
     Decision,
     Perception,
     Status,
     act,
+    candidates,
     react_driver,
     react_walker,
     sense,
-    view_of,
 )
 from .engine import (
     Event,

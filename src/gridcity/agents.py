@@ -52,38 +52,49 @@ class AgentState:
 
 
 @dataclass(frozen=True)
-class AgentView:
-    """Read-only snapshot of another agent, as exposed to sensing."""
-
-    id: int
-    kind: str
-    position: tuple[float, float]
-    speed: float
-    active: bool
-    cell: Coord
-
-
-def view_of(agent: AgentState) -> AgentView:
-    return AgentView(
-        id=agent.id,
-        kind=agent.kind,
-        position=agent.position,
-        speed=agent.speed,
-        active=agent.status is Status.ACTIVE,
-        cell=agent.cell(),
-    )
-
-
-@dataclass(frozen=True)
 class Perception:
     """What one agent saw this step within its sensing window."""
 
-    nearby: tuple  # AgentView entries within the window
+    nearby: tuple  # AgentState entries within the window
     vehicle_conflict: bool  # an active driver is inside the window
-    agent_ahead: bool  # any active agent is inside the window
     conflict_index: int | None  # window slot (0 = next cell) of the nearest active agent
     pedestrian_near_zebra: bool  # walker within yield radius of an upcoming zebra
     blocked_cells: frozenset  # upcoming plan cells occupied by inactive agents
+
+
+_NOTHING_SEEN = Perception((), False, None, False, frozenset())
+
+
+def _window(agent: AgentState, lookahead: int) -> list[Coord]:
+    """The agent's next ``lookahead`` plan cells."""
+    if agent.plan is None:
+        return []
+    return [s.cell for s in agent.plan.steps[agent.cursor:agent.cursor + lookahead]]
+
+
+def candidates(index: dict, agent: AgentState, lookahead: int, reach: float) -> list:
+    """Agents of the cell ``index`` that ``sense`` can see with radii up to
+    ``reach``: those on cells within ``ceil(reach)`` of the bounding box of
+    the agent's next ``lookahead`` plan cells.
+
+    The bound is exact for any lane offset in [0, 1): a point closer than
+    ``r`` to ``c + offset`` lies on a cell within ``c +- ceil(r)``.
+    """
+    window = _window(agent, lookahead)
+    if not window:
+        return []
+    r = math.ceil(reach)
+    xs = [c[0] for c in window]
+    ys = [c[1] for c in window]
+    y_range = range(min(ys) - r, max(ys) + r + 1)
+    get = index.get
+    found = []
+    for x in range(min(xs) - r, max(xs) + r + 1):
+        for y in y_range:
+            on_cell = get((x, y))
+            if on_cell:
+                found += on_cell
+    return found
 
 
 def sense(
@@ -96,75 +107,64 @@ def sense(
 ) -> Perception:
     """Perceive agents near the next ``lookahead`` plan cells.
 
-    An entity belongs to the window when its distance to some upcoming route
-    cell center is strictly below ``radius``.  Zebra yield checks scan all
-    active walkers (sidewalk-adjacent ones included) within ``yield_radius``
-    of an upcoming zebra cell.
+    ``others`` holds pre-step agent states; any superset of the agents within
+    reach gives the same perception, so the engine passes ``candidates``.  An
+    agent belongs to the window when its distance to some upcoming route cell
+    center is strictly below ``radius``.  A driver also looks for active
+    walkers (sidewalk-adjacent ones included) within ``yield_radius`` of an
+    upcoming zebra cell center.
     """
-    window_cells: list[Coord] = []
-    if agent.plan is not None:
-        steps = agent.plan.steps
-        window_cells = [
-            steps[i].cell for i in range(agent.cursor, min(agent.cursor + lookahead, len(steps)))
-        ]
-    centers = [grid.center(c) for c in window_cells]
-    window_set = frozenset(window_cells)
+    window = _window(agent, lookahead)
+    if not window:
+        return _NOTHING_SEEN
+    centers = []
+    zebra_centers = []
+    check_zebras = agent.kind == "driver"
+    for c in window:
+        center = grid.center(c)
+        centers.append(center)
+        if check_zebras and grid.ground_at(c) is GroundType.ZEBRA:
+            zebra_centers.append(center)
     r2 = radius * radius
+    y2 = yield_radius * yield_radius
 
     nearby = []
     blocked = set()
     conflict_index: int | None = None
-    if centers:
-        # cheap bounding-box rejection before per-cell distance checks; the
-        # margin keeps any agent standing on a window cell inside the box
-        margin = radius if radius > 1.0 else 1.0
-        min_x = min(c[0] for c in centers) - margin
-        max_x = max(c[0] for c in centers) + margin
-        min_y = min(c[1] for c in centers) - margin
-        max_y = max(c[1] for c in centers) + margin
-        my_id = agent.id
-        for other in others:
-            ox, oy = other.position
-            if ox < min_x or ox > max_x or oy < min_y or oy > max_y:
-                continue
-            if other.id == my_id:
-                continue
-            for slot, (cx, cy) in enumerate(centers):
-                dx, dy = ox - cx, oy - cy
-                if dx * dx + dy * dy < r2:
-                    nearby.append(other)
-                    if other.active and (conflict_index is None or slot < conflict_index):
-                        conflict_index = slot
-                    break
-            if not other.active and other.cell in window_set:
-                blocked.add(other.cell)
-
-    vehicle_conflict = any(v.kind == "driver" and v.active for v in nearby)
-    agent_ahead = any(v.active for v in nearby)
-
+    vehicle_conflict = False
     pedestrian_near_zebra = False
-    if agent.kind == "driver":
-        y2 = yield_radius * yield_radius
-        zebra_centers = [
-            grid.center(c) for c in window_cells if grid.ground_at(c) is GroundType.ZEBRA
-        ]
-        if zebra_centers:
-            for other in others:
-                if other.kind != "walker" or not other.active or other.id == agent.id:
-                    continue
-                ox, oy = other.position
-                for cx, cy in zebra_centers:
-                    dx, dy = ox - cx, oy - cy
-                    if dx * dx + dy * dy < y2:
-                        pedestrian_near_zebra = True
-                        break
-                if pedestrian_near_zebra:
+    my_id = agent.id
+    for other in others:
+        if other.id == my_id:
+            continue
+        active = other.status is Status.ACTIVE
+        ox, oy = other.position
+        for slot, (cx, cy) in enumerate(centers):
+            dx, dy = ox - cx, oy - cy
+            if dx * dx + dy * dy < r2:
+                nearby.append(other)
+                if active:
+                    if conflict_index is None or slot < conflict_index:
+                        conflict_index = slot
+                    if other.kind == "driver":
+                        vehicle_conflict = True
+                break
+        if not active:
+            cell = other.cell()
+            if cell in window:
+                blocked.add(cell)
+        elif zebra_centers and not pedestrian_near_zebra and other.kind == "walker":
+            for cx, cy in zebra_centers:
+                dx, dy = ox - cx, oy - cy
+                if dx * dx + dy * dy < y2:
+                    pedestrian_near_zebra = True
                     break
 
+    if not (nearby or blocked or pedestrian_near_zebra):
+        return _NOTHING_SEEN
     return Perception(
         nearby=tuple(nearby),
         vehicle_conflict=vehicle_conflict,
-        agent_ahead=agent_ahead,
         conflict_index=conflict_index,
         pedestrian_near_zebra=pedestrian_near_zebra,
         blocked_cells=frozenset(blocked),

@@ -19,10 +19,10 @@ from .agents import (
     Decision,
     Status,
     act,
+    candidates,
     react_driver,
     react_walker,
     sense,
-    view_of,
 )
 from .environment import Coord, GridMap, GroundType, place_obstacles
 from .planner import BehaviorProfile, default_heading, plan
@@ -195,6 +195,8 @@ class World:
             grid = place_obstacles(grid, config.obstruction, random.Random(obstacle_seed))
         self.grid = grid
         self.config = config
+        self._walker_sites = [c for c in grid.walker_spawns if c not in grid.obstacles]
+        self._driver_goals = list(grid.driver_exits) + list(grid.parking_cells)
         self.agents: dict[int, AgentState] = {}
         self.step_count = 0
         self.warnings: list[str] = []
@@ -223,9 +225,6 @@ class World:
             a.cell() for a in self.agents.values() if a.status is not Status.ACTIVE
         )
 
-    def _occupied_vehicle_cells(self) -> set:
-        return {a.cell() for a in self.agents.values() if a.kind == "driver"}
-
     def _sample_profile(self, kind: str) -> BehaviorProfile:
         cfg = self.config
         rng = self.spawn_rng
@@ -242,7 +241,7 @@ class World:
         return BehaviorProfile(kind=kind, w=float(w), alpha=alpha, max_speed=speed)
 
     def _spawn_walker(self, statics: frozenset) -> AgentState | None:
-        sites = [c for c in self.grid.walker_spawns if c not in self.grid.obstacles]
+        sites = self._walker_sites
         if len(sites) < 2:
             return None
         rng = self.spawn_rng
@@ -270,10 +269,10 @@ class World:
             return agent
         return None
 
-    def _spawn_driver(self, statics: frozenset) -> AgentState | None:
-        occupied = self._occupied_vehicle_cells()
+    def _spawn_driver(self, statics: frozenset, occupied: set) -> AgentState | None:
+        """Spawn a driver on a site whose cell no driver in ``occupied`` holds."""
         sites = [s for s in self.grid.driver_spawns if s[0] not in occupied]
-        goals = list(self.grid.driver_exits) + list(self.grid.parking_cells)
+        goals = self._driver_goals
         if not sites or not goals:
             return None
         rng = self.spawn_rng
@@ -306,6 +305,7 @@ class World:
     def _spawn_phase(self, events: list, step: int) -> int:
         cfg = self.config
         statics = self._static_cells()
+        occupied = {a.cell() for a in self.agents.values() if a.kind == "driver"}
         created = 0
         if cfg.spawn_mode == "replenish":
             walkers, drivers = self._active_counts()
@@ -320,7 +320,7 @@ class World:
                 agent = (
                     self._spawn_walker(statics)
                     if kind == "walker"
-                    else self._spawn_driver(statics)
+                    else self._spawn_driver(statics, occupied)
                 )
                 if agent is None:
                     self.warnings.append(
@@ -328,6 +328,8 @@ class World:
                     )
                     continue
                 self.agents[agent.id] = agent
+                if kind == "driver":
+                    occupied.add(agent.cell())
                 events.append(Event(step, "spawn", (agent.id,), *agent.position))
                 created += 1
         return created
@@ -377,26 +379,34 @@ class World:
         removed = 0
 
         ordered = list(self.agents.values())
-        views = [view_of(a) for a in ordered]
-        pre_cells = {a.id: a.cell() for a in ordered}
+        pre_cells = {}
+        index: dict[Coord, list[AgentState]] = {}  # cell -> agents on it
+        statics = set()
+        for a in ordered:
+            cell = a.cell()
+            pre_cells[a.id] = cell
+            index.setdefault(cell, []).append(a)
+            if a.status is not Status.ACTIVE:
+                statics.add(cell)
 
-        # sense + react against the pre-step snapshot
+        # sense + react: nobody moves until everyone has sensed, so the agent
+        # states are the pre-step snapshot
+        driver_reach = max(cfg.sense_radius, cfg.yield_radius)
         decisions: dict[int, Decision] = {}
         for a in ordered:
             if a.status is not Status.ACTIVE:
                 continue
+            is_walker = a.kind == "walker"
+            reach = cfg.sense_radius if is_walker else driver_reach
             p = sense(
-                a, views, grid,
+                a, candidates(index, a, cfg.lookahead, reach), grid,
                 lookahead=cfg.lookahead,
                 radius=cfg.sense_radius,
                 yield_radius=cfg.yield_radius,
             )
-            decisions[a.id] = (
-                react_walker(a, p, grid) if a.kind == "walker" else react_driver(a, p)
-            )
+            decisions[a.id] = react_walker(a, p, grid) if is_walker else react_driver(a, p)
 
         # act
-        statics = frozenset(v.cell for v in views if not v.active)
         for a in ordered:
             if a.status is not Status.ACTIVE:
                 continue
@@ -445,7 +455,7 @@ class World:
 
         # iterate: optional random reactivation of parked drivers
         if cfg.reactivation_prob > 0:
-            goals = list(grid.driver_exits) + list(grid.parking_cells)
+            goals = self._driver_goals
             for a in list(self.agents.values()):
                 if a.status is Status.PARKED and goals:
                     if self.react_rng.random() < cfg.reactivation_prob:

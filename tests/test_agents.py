@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +9,13 @@ from gridcity.agents import (
     Decision,
     Status,
     act,
+    candidates,
     react_driver,
     react_walker,
     sense,
-    view_of,
 )
-from gridcity.environment import Direction
-from helpers import grid_of, make_agent, straight_plan
+from gridcity.environment import CellCode, Direction, GridMap, GroundType
+from helpers import grid_of, make_agent, random_grid, straight_plan
 
 N, E = Direction.NORTH, Direction.EAST
 
@@ -46,7 +47,7 @@ def test_sense_empty_world():
     p = sense(walker, [], grid)
     assert p.nearby == ()
     assert not p.vehicle_conflict
-    assert not p.agent_ahead
+    assert p.conflict_index is None
     assert p.blocked_cells == frozenset()
 
 
@@ -57,8 +58,8 @@ def test_sense_head_on_vehicles_both_in_conflict():
         2, "driver", (1.4, 0.5),
         straight_plan([(1, 0), (0, 0)], "driver"), heading=Direction.WEST,
     )
-    pa = sense(a, [view_of(b)], grid)
-    pb = sense(b, [view_of(a)], grid)
+    pa = sense(a, [b], grid)
+    pb = sense(b, [a], grid)
     assert pa.vehicle_conflict and pb.vehicle_conflict
     assert math.dist(a.position, b.position) == pytest.approx(0.9)
 
@@ -68,9 +69,9 @@ def test_sense_off_route_pedestrian_not_perceived():
     walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(8)]))
     # 3 cells off the route with lookahead 4 and radius 1
     bystander = make_agent(2, "walker", (2.5, 3.5), None)
-    p = sense(walker, [view_of(bystander)], grid, lookahead=4, radius=1.0)
+    p = sense(walker, [bystander], grid, lookahead=4, radius=1.0)
     assert p.nearby == ()
-    assert not p.agent_ahead
+    assert p.conflict_index is None
 
 
 def test_sense_blocked_cells_lists_inactive_agents_on_route():
@@ -79,7 +80,7 @@ def test_sense_blocked_cells_lists_inactive_agents_on_route():
     wreck = make_agent(2, "driver", (2.5, 0.5), None, status=Status.COLLIDED)
     parked = make_agent(3, "driver", (3.5, 0.5), None, status=Status.PARKED)
     far = make_agent(4, "driver", (8.5, 0.5), None, status=Status.PARKED)
-    p = sense(driver, [view_of(wreck), view_of(parked), view_of(far)], grid, lookahead=4)
+    p = sense(driver, [wreck, parked, far], grid, lookahead=4)
     assert p.blocked_cells == frozenset({(2, 0), (3, 0)})
 
 
@@ -87,8 +88,67 @@ def test_sense_window_respects_lookahead():
     grid = road_strip()
     driver = eastbound_driver(1, 0, grid)
     ahead = make_agent(2, "driver", (6.5, 0.5), None, speed=0.0)
-    assert not sense(driver, [view_of(ahead)], grid, lookahead=4).agent_ahead
-    assert sense(driver, [view_of(ahead)], grid, lookahead=7).agent_ahead
+    assert sense(driver, [ahead], grid, lookahead=4).conflict_index is None
+    assert sense(driver, [ahead], grid, lookahead=7).conflict_index is not None
+
+
+def _random_population(rng: random.Random, grid: GridMap) -> list:
+    """Walkers and drivers, active or not, half of them on lane centres, each
+    with a random-walk plan and cursor."""
+    moves = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    agents = []
+    for agent_id in range(1, rng.randint(2, 30)):
+        cell = (rng.randrange(grid.width), rng.randrange(grid.height))
+        if rng.random() < 0.5:
+            position = grid.center(cell)
+        else:
+            position = (rng.uniform(0, grid.width), rng.uniform(0, grid.height))
+        cells = [cell]
+        for _ in range(rng.randint(0, 7)):
+            dx, dy = rng.choice(moves)
+            x, y = cells[-1]
+            cells.append((min(max(x + dx, 0), grid.width - 1),
+                          min(max(y + dy, 0), grid.height - 1)))
+        status = rng.choice([Status.ACTIVE] * 3 + [Status.PARKED, Status.COLLIDED])
+        agents.append(make_agent(
+            agent_id, rng.choice(["walker", "driver"]), position,
+            straight_plan(cells), cursor=rng.randint(0, len(cells)), status=status,
+        ))
+    return agents
+
+
+def _seen(p):
+    return (p.conflict_index, p.vehicle_conflict, p.pedestrian_near_zebra,
+            p.blocked_cells, {a.id for a in p.nearby})
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    offsets=st.tuples(*[st.floats(min_value=0.0, max_value=1.0, exclude_max=True)] * 2),
+    radius=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
+    yield_radius=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
+    lookahead=st.integers(min_value=1, max_value=6),
+)
+def test_candidates_sense_the_same_as_the_full_population(
+    seed, offsets, radius, yield_radius, lookahead
+):
+    rng = random.Random(seed)
+    zebra = CellCode(GroundType.ZEBRA, frozenset({N}))
+    rows = [
+        [zebra if rng.random() < 0.3 else c for c in row]
+        for row in random_grid(rng, rng.randint(2, 9), rng.randint(2, 9)).cells
+    ]
+    grid = GridMap.build(rows, lane_offsets=offsets)
+    agents = _random_population(rng, grid)
+    index = {}
+    for a in agents:
+        index.setdefault(a.cell(), []).append(a)
+    for a in agents:
+        reach = radius if a.kind == "walker" else max(radius, yield_radius)
+        near = candidates(index, a, lookahead, reach)
+        args = dict(lookahead=lookahead, radius=radius, yield_radius=yield_radius)
+        assert _seen(sense(a, near, grid, **args)) == _seen(sense(a, agents, grid, **args))
 
 
 # -- walker reactions ------------------------------------------------------------
@@ -98,7 +158,7 @@ def test_walker_stops_for_active_vehicle_on_road():
     grid = grid_of("s-- rN- s--")
     walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)]))
     vehicle = make_agent(2, "driver", (1.5, 0.5), None, heading=N, speed=1.0)
-    p = sense(walker, [view_of(vehicle)], grid)
+    p = sense(walker, [vehicle], grid)
     assert p.vehicle_conflict
     assert react_walker(walker, p, grid) is Decision.STOP
 
@@ -107,7 +167,7 @@ def test_walker_proceeds_on_zebra_despite_vehicle():
     grid = grid_of("s-- zN- rN- s--")
     walker = make_agent(1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)]))
     vehicle = make_agent(2, "driver", (2.5, 0.5), None, heading=N, speed=1.0)
-    p = sense(walker, [view_of(vehicle)], grid)
+    p = sense(walker, [vehicle], grid)
     assert p.vehicle_conflict
     assert react_walker(walker, p, grid) is Decision.PROCEED
 
@@ -116,7 +176,7 @@ def test_walker_on_zebra_replans_around_static_obstacle():
     grid = grid_of("s-- zN- zN- s--")
     walker = make_agent(1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)]))
     wreck = make_agent(2, "driver", (2.5, 0.5), None, status=Status.COLLIDED)
-    p = sense(walker, [view_of(wreck)], grid)
+    p = sense(walker, [wreck], grid)
     assert react_walker(walker, p, grid) is Decision.REPLAN
 
 
@@ -124,7 +184,7 @@ def test_walker_replans_for_parked_vehicle_on_route():
     grid = grid_of("s-- s-- pN- s--")
     walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0)]))
     parked = make_agent(2, "driver", (2.5, 0.5), None, status=Status.PARKED)
-    p = sense(walker, [view_of(parked)], grid)
+    p = sense(walker, [parked], grid)
     assert react_walker(walker, p, grid) is Decision.REPLAN
 
 
@@ -141,7 +201,7 @@ def test_driver_yields_for_pedestrian_on_upcoming_zebra():
     grid = grid_of("rE- rE- zE- rE-")
     driver = eastbound_driver(1, 0, grid)
     walker = make_agent(2, "walker", (2.5, 0.5), None, max_speed=1.0)
-    p = sense(driver, [view_of(walker)], grid)
+    p = sense(driver, [walker], grid)
     assert p.pedestrian_near_zebra
     assert react_driver(driver, p) is Decision.YIELD
 
@@ -151,7 +211,7 @@ def test_driver_yields_for_sidewalk_pedestrian_near_zebra():
     driver = eastbound_driver(1, 0, grid, length=4)
     # on the sidewalk one cell south of the zebra: distance 1.0 < 1.5
     walker = make_agent(2, "walker", (2.5, 1.5), None, max_speed=1.0)
-    p = sense(driver, [view_of(walker)], grid)
+    p = sense(driver, [walker], grid)
     assert p.pedestrian_near_zebra
     assert react_driver(driver, p) is Decision.YIELD
 
@@ -160,8 +220,8 @@ def test_driver_decelerates_behind_agent():
     grid = road_strip()
     driver = eastbound_driver(1, 0, grid, speed=2.0)
     leader = make_agent(2, "driver", (2.5, 0.5), None, speed=1.0)
-    p = sense(driver, [view_of(leader)], grid)
-    assert p.agent_ahead and not p.pedestrian_near_zebra
+    p = sense(driver, [leader], grid)
+    assert p.conflict_index is not None and not p.pedestrian_near_zebra
     assert react_driver(driver, p) is Decision.DECELERATE
 
 
@@ -169,8 +229,8 @@ def test_driver_replans_for_inactive_blocker():
     grid = road_strip()
     driver = eastbound_driver(1, 0, grid)
     wreck = make_agent(2, "driver", (3.5, 0.5), None, status=Status.COLLIDED)
-    p = sense(driver, [view_of(wreck)], grid)
-    assert not p.agent_ahead
+    p = sense(driver, [wreck], grid)
+    assert p.conflict_index is None
     assert react_driver(driver, p) is Decision.REPLAN
 
 
@@ -187,8 +247,8 @@ def test_zebra_right_of_way_pairing():
     walker = make_agent(
         2, "walker", (2.5, 0.5), straight_plan([(2, 0), (2, 1)]), max_speed=1.0
     )
-    dp = sense(driver, [view_of(walker)], grid)
-    wp = sense(walker, [view_of(driver)], grid)
+    dp = sense(driver, [walker], grid)
+    wp = sense(walker, [driver], grid)
     assert react_driver(driver, dp) in (Decision.YIELD, Decision.DECELERATE)
     assert react_walker(walker, wp, grid) is Decision.PROCEED
 
