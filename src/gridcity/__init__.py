@@ -31,7 +31,6 @@ from .planner import (
     driver_risk,
     manhattan,
     plan,
-    replan,
     walker_risk,
 )
 from .agents import (
@@ -47,7 +46,6 @@ from .agents import (
 )
 from .engine import (
     Event,
-    CollisionEvent,
     RUNOVER_DIST,
     SimConfig,
     SimulationResult,
@@ -60,12 +58,10 @@ from .engine import (
     run,
 )
 from .metrics import (
-    HeatmapLayer,
     HeatmapSet,
     MetricsFrame,
     accumulate_heatmaps,
     build_frame,
-    cell_of,
     export_run,
 )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .environment import Coord, Direction, DIRECTION_ORDER, GridMap, GroundType
-from .planner import BehaviorProfile, Plan, replan
+from .planner import BehaviorProfile, Plan, plan
 
 
 class Status(Enum):
@@ -228,12 +228,12 @@ def act(
     elif decision is Decision.REPLAN:
         new_plan = None
         if agent.goal is not None:
-            new_plan = replan(
+            new_plan = plan(
                 grid,
                 agent.cell(),
                 agent.goal,
                 agent.profile,
-                blocked=frozenset(blocked) - {agent.cell()},
+                blocked=blocked,
                 heading=agent.heading,
             )
         if new_plan is None:

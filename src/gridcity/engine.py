@@ -109,10 +109,6 @@ class Event:
     y: float
 
 
-# Collision records are plain events carrying both participant ids.
-CollisionEvent = Event
-
-
 @dataclass
 class StepRecord:
     step: int
@@ -129,8 +125,6 @@ def detect_collisions(agents, step: int = 0) -> list[Event]:
     below 0.45; walker pairs never collide.  Only active agents participate
     and each unordered pair is reported at most once.
     """
-    if hasattr(agents, "values"):
-        agents = list(agents.values())
     active = sorted(
         (a for a in agents if a.status is Status.ACTIVE),
         key=lambda a: a.position[0],
@@ -195,7 +189,11 @@ class World:
             grid = place_obstacles(grid, config.obstruction, random.Random(obstacle_seed))
         self.grid = grid
         self.config = config
-        self._walker_sites = [c for c in grid.walker_spawns if c not in grid.obstacles]
+        self._walker_goals = [c for c in grid.walker_spawns if c not in grid.obstacles]
+        # a lone site has no distinct goal to pair with: spawn no walkers
+        # rather than draw for one in vain
+        walker_sites = [(c, None) for c in self._walker_goals]
+        self._walker_sites = walker_sites if len(walker_sites) > 1 else []
         self._driver_goals = list(grid.driver_exits) + list(grid.parking_cells)
         self.agents: dict[int, AgentState] = {}
         self.step_count = 0
@@ -204,9 +202,8 @@ class World:
         self._next_id = 1
         self._loose_events: list[Event] = []
         self.initial_events: list[Event] = []
-        self.initial_created = 0
         if config.spawn_mode == "replenish":
-            self.initial_created = self._spawn_phase(self.initial_events, 0)
+            self._spawn_phase(self.initial_events, 0)
 
     # -- population ---------------------------------------------------------
 
@@ -240,39 +237,9 @@ class World:
             speed = cfg.driver_max_speed
         return BehaviorProfile(kind=kind, w=float(w), alpha=alpha, max_speed=speed)
 
-    def _spawn_walker(self, statics: frozenset) -> AgentState | None:
-        sites = self._walker_sites
-        if len(sites) < 2:
-            return None
-        rng = self.spawn_rng
-        for _ in range(10):
-            start = rng.choice(sites)
-            goal = rng.choice(sites)
-            if goal == start:
-                continue
-            profile = self._sample_profile("walker")
-            route = plan(self.grid, start, goal, profile, blocked=statics)
-            if route is None:
-                continue
-            agent = AgentState(
-                id=self._next_id,
-                kind="walker",
-                profile=profile,
-                position=self.grid.center(start),
-                heading=None,
-                speed=0.0,
-                plan=route,
-                cursor=1 if len(route) > 1 else len(route),
-                goal=goal,
-            )
-            self._next_id += 1
-            return agent
-        return None
-
-    def _spawn_driver(self, statics: frozenset, occupied: set) -> AgentState | None:
-        """Spawn a driver on a site whose cell no driver in ``occupied`` holds."""
-        sites = [s for s in self.grid.driver_spawns if s[0] not in occupied]
-        goals = self._driver_goals
+    def _spawn(self, kind: str, sites: list, goals: list, statics) -> AgentState | None:
+        """Spawn a ``kind`` agent on a random ``(cell, heading)`` site with a
+        route to a random goal; None when 10 draws find no route."""
         if not sites or not goals:
             return None
         rng = self.spawn_rng
@@ -281,7 +248,7 @@ class World:
             goal = rng.choice(goals)
             if goal == start:
                 continue
-            profile = self._sample_profile("driver")
+            profile = self._sample_profile(kind)
             route = plan(
                 self.grid, start, goal, profile, blocked=statics, heading=heading
             )
@@ -289,7 +256,7 @@ class World:
                 continue
             agent = AgentState(
                 id=self._next_id,
-                kind="driver",
+                kind=kind,
                 profile=profile,
                 position=self.grid.center(start),
                 heading=heading,
@@ -317,11 +284,13 @@ class World:
             ]
         for kind, count in wanted:
             for _ in range(max(0, count)):
-                agent = (
-                    self._spawn_walker(statics)
-                    if kind == "walker"
-                    else self._spawn_driver(statics, occupied)
-                )
+                if kind == "walker":
+                    sites, goals = self._walker_sites, self._walker_goals
+                else:
+                    # a driver spawns only on a cell that no driver holds
+                    sites = [s for s in self.grid.driver_spawns if s[0] not in occupied]
+                    goals = self._driver_goals
+                agent = self._spawn(kind, sites, goals, statics)
                 if agent is None:
                     self.warnings.append(
                         f"step {step}: could not spawn a {kind} (sites exhausted)"
@@ -348,7 +317,7 @@ class World:
             start,
             new_goal,
             agent.profile,
-            blocked=self._static_cells() - {start},
+            blocked=self._static_cells(),
             heading=heading,
         )
         if route is None:
@@ -425,7 +394,7 @@ class World:
                     removed += 1
 
         # iterate: detect new collisions on post-move positions
-        collision_events = detect_collisions(self.agents, t)
+        collision_events = detect_collisions(self.agents.values(), t)
         events.extend(collision_events)
         hit_ids = {i for e in collision_events for i in e.agents}
         for agent_id in sorted(hit_ids):
@@ -486,7 +455,6 @@ class SimulationResult:
     frames: list
     events: list
     heatmaps: metrics_mod.HeatmapSet
-    records: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
     @property
@@ -510,10 +478,10 @@ class SimulationResult:
     @property
     def mean_driver_speed(self) -> float | None:
         """Run-level mean over every active-driver observation."""
-        count = int(self.heatmaps.driver_speed.counts.sum())
+        count = int(self.heatmaps.driver_occupancy.sum())
         if count == 0:
             return None
-        return float(self.heatmaps.driver_speed.sums.sum() / count)
+        return float(self.heatmaps.driver_speed_sum.sum() / count)
 
 
 def run(config: SimConfig, grid: GridMap) -> SimulationResult:
@@ -521,7 +489,6 @@ def run(config: SimConfig, grid: GridMap) -> SimulationResult:
 
     The same (config, grid) pair always produces bitwise identical results.
     """
-    config.validate()
     world = World(grid, config)
     records = [world.step() for _ in range(config.steps)]
     events = list(world.initial_events)
@@ -533,6 +500,5 @@ def run(config: SimConfig, grid: GridMap) -> SimulationResult:
         frames=[r.frame for r in records],
         events=events,
         heatmaps=world.heatmaps,
-        records=records,
         warnings=world.warnings,
     )

@@ -48,10 +48,6 @@ class Direction(Enum):
     def clockwise(self) -> "Direction":
         return _CLOCKWISE[self]
 
-    @property
-    def counter_clockwise(self) -> "Direction":
-        return _CLOCKWISE[_CLOCKWISE[_CLOCKWISE[self]]]
-
     @classmethod
     def from_char(cls, ch: str) -> "Direction":
         try:
@@ -561,7 +557,7 @@ def generate_layout(spec: LayoutSpec) -> GridMap:
     return grid
 
 
-def place_obstacles(grid: GridMap, fraction: float, rng) -> GridMap:
+def place_obstacles(grid: GridMap, fraction: float, rng: random.Random) -> GridMap:
     """Obstruct round(fraction * sidewalk cells) sidewalk cells, uniformly.
 
     Sampling is without replacement among not-yet-obstructed sidewalk cells;
@@ -569,8 +565,6 @@ def place_obstacles(grid: GridMap, fraction: float, rng) -> GridMap:
     """
     if not 0 <= fraction <= 1:
         raise ValueError("obstruction fraction must lie in [0, 1]")
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     sidewalks = sorted(
         (x, y)
         for y in range(grid.height)

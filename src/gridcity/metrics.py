@@ -7,14 +7,13 @@ cells; zebras and parking lots are lawful pedestrian area.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .agents import Status
-from .environment import Coord, GridMap, ROAD_FAMILY
+from .environment import GridMap, ROAD_FAMILY
 
 METRICS_COLUMNS = (
     "step",
@@ -28,12 +27,6 @@ METRICS_COLUMNS = (
 )
 
 EVENT_COLUMNS = ("step", "event_type", "agent_a", "agent_b", "x", "y")
-
-HEATMAP_KINDS = ("driver_occupancy", "driver_speed", "walker_occupancy", "jaywalk")
-
-
-def cell_of(position: tuple[float, float]) -> Coord:
-    return (int(math.floor(position[0])), int(math.floor(position[1])))
 
 
 @dataclass(frozen=True)
@@ -50,71 +43,28 @@ class MetricsFrame:
     runovers: int
 
 
-class HeatmapLayer:
-    """Per-cell accumulator for one spatial metric.
-
-    The driver-speed layer keeps (sum, count) pairs so the per-cell mean is
-    exact; all other layers are plain counts.
-    """
-
-    def __init__(self, kind: str, width: int, height: int):
-        if kind not in HEATMAP_KINDS:
-            raise ValueError(f"unknown heatmap kind {kind!r}")
-        self.kind = kind
-        self.width = width
-        self.height = height
-        if kind == "driver_speed":
-            self.sums = np.zeros((height, width), dtype=np.float64)
-            self.counts = np.zeros((height, width), dtype=np.int64)
-        else:
-            self.counts = np.zeros((height, width), dtype=np.int64)
-            self.sums = None
-
-    def add(self, cell: Coord, value: float = 1.0) -> None:
-        x, y = cell
-        if self.sums is not None:
-            self.sums[y, x] += value
-            self.counts[y, x] += 1
-        else:
-            self.counts[y, x] += int(value)
-
-    def value_at(self, cell: Coord) -> float:
-        x, y = cell
-        if self.sums is not None:
-            n = self.counts[y, x]
-            return float(self.sums[y, x] / n) if n else 0.0
-        return float(self.counts[y, x])
-
-    def total(self) -> float:
-        if self.sums is not None:
-            return float(self.sums.sum())
-        return float(self.counts.sum())
-
-
 @dataclass
 class HeatmapSet:
-    driver_occupancy: HeatmapLayer
-    driver_speed: HeatmapLayer
-    walker_occupancy: HeatmapLayer
-    jaywalk: HeatmapLayer
+    """Per-cell ``[y, x]`` accumulators over active agent-steps.
+
+    The driver-speed mean is ``driver_speed_sum / driver_occupancy``, since
+    both tables gain one sample per active driver per step.
+    """
+
+    driver_occupancy: np.ndarray
+    driver_speed_sum: np.ndarray
+    walker_occupancy: np.ndarray
+    jaywalk: np.ndarray
 
     @classmethod
     def create(cls, grid: GridMap) -> "HeatmapSet":
-        w, h = grid.width, grid.height
+        shape = (grid.height, grid.width)
         return cls(
-            driver_occupancy=HeatmapLayer("driver_occupancy", w, h),
-            driver_speed=HeatmapLayer("driver_speed", w, h),
-            walker_occupancy=HeatmapLayer("walker_occupancy", w, h),
-            jaywalk=HeatmapLayer("jaywalk", w, h),
+            driver_occupancy=np.zeros(shape, dtype=np.int64),
+            driver_speed_sum=np.zeros(shape, dtype=np.float64),
+            walker_occupancy=np.zeros(shape, dtype=np.int64),
+            jaywalk=np.zeros(shape, dtype=np.int64),
         )
-
-    def layers(self) -> dict:
-        return {
-            "driver_occupancy": self.driver_occupancy,
-            "driver_speed": self.driver_speed,
-            "walker_occupancy": self.walker_occupancy,
-            "jaywalk": self.jaywalk,
-        }
 
 
 def build_frame(step, agents, pre_cells, events, grid) -> tuple[MetricsFrame, list[int]]:
@@ -155,26 +105,26 @@ def build_frame(step, agents, pre_cells, events, grid) -> tuple[MetricsFrame, li
     return frame, entries
 
 
-def accumulate_heatmaps(layers: HeatmapSet, agents, grid: GridMap) -> HeatmapSet:
-    """Add one step's active-agent occupancy and speed samples to the layers."""
-    for layer in layers.layers().values():
-        if layer.width != grid.width or layer.height != grid.height:
-            raise ValueError(
-                f"heatmap layer {layer.kind} is {layer.width}x{layer.height}, "
-                f"grid is {grid.width}x{grid.height}"
-            )
+def accumulate_heatmaps(heatmaps: HeatmapSet, agents, grid: GridMap) -> HeatmapSet:
+    """Add one step's active-agent occupancy and speed samples to the tables."""
+    shape = heatmaps.driver_occupancy.shape
+    if shape != (grid.height, grid.width):
+        raise ValueError(
+            f"heatmap layers are {shape[1]}x{shape[0]}, "
+            f"grid is {grid.width}x{grid.height}"
+        )
     for agent in agents.values():
         if agent.status is not Status.ACTIVE:
             continue
-        cell = agent.cell()
+        x, y = agent.cell()
         if agent.kind == "driver":
-            layers.driver_occupancy.add(cell)
-            layers.driver_speed.add(cell, agent.speed)
+            heatmaps.driver_occupancy[y, x] += 1
+            heatmaps.driver_speed_sum[y, x] += agent.speed
         else:
-            layers.walker_occupancy.add(cell)
-            if grid.ground_at(cell) in ROAD_FAMILY:
-                layers.jaywalk.add(cell)
-    return layers
+            heatmaps.walker_occupancy[y, x] += 1
+            if grid.ground_at((x, y)) in ROAD_FAMILY:
+                heatmaps.jaywalk[y, x] += 1
+    return heatmaps
 
 
 def _fmt(value) -> str:
@@ -215,16 +165,14 @@ def render_events_csv(events) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_heatmap_csv(layer: HeatmapLayer) -> str:
+def render_heatmap_csv(table: np.ndarray) -> str:
+    """One ``x,y,value`` row per cell of a ``[y, x]`` table: integer tables
+    print as integers, float tables as the ``repr`` of each float."""
+    fmt = repr if table.dtype.kind == "f" else str
     lines = ["x,y,value"]
-    for y in range(layer.height):
-        for x in range(layer.width):
-            if layer.sums is not None:
-                n = layer.counts[y, x]
-                value = repr(float(layer.sums[y, x] / n)) if n else "0.0"
-            else:
-                value = str(int(layer.counts[y, x]))
-            lines.append(f"{x},{y},{value}")
+    for y, row in enumerate(table.tolist()):
+        for x, value in enumerate(row):
+            lines.append(f"{x},{y},{fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -251,6 +199,17 @@ def export_run(result, out_dir) -> list[Path]:
 
     write("metrics.csv", render_metrics_csv(result.frames))
     write("events.csv", render_events_csv(result.events))
-    for kind, layer in result.heatmaps.layers().items():
-        write(f"heatmap_{kind}.csv", render_heatmap_csv(layer))
+    heat = result.heatmaps
+    occupancy = heat.driver_occupancy
+    speed_mean = np.divide(
+        heat.driver_speed_sum, occupancy,
+        out=np.zeros(occupancy.shape), where=occupancy > 0,
+    )
+    for kind, table in (
+        ("driver_occupancy", occupancy),
+        ("driver_speed", speed_mean),
+        ("walker_occupancy", heat.walker_occupancy),
+        ("jaywalk", heat.jaywalk),
+    ):
+        write(f"heatmap_{kind}.csv", render_heatmap_csv(table))
     return paths

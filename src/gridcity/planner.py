@@ -47,22 +47,12 @@ _ACTIONS = (
 )
 _RISKS = (0.0, 1.0, 2.0, 3.0, 5.0, 20.0, 0.0)
 
-DRIVER_RISKS = {
-    Action.FORWARD: 0.0,
-    Action.RIGHT_TURN: 1.0,
-    Action.LEFT_TURN: 2.0,
-    Action.LANE_CHANGE: 3.0,
-    Action.INVALID_TURN: 5.0,
-    Action.BACKWARD: 20.0,
-}
-
 
 def driver_risk(action: Action) -> float:
     """Risk of a driver maneuver (Forward 0 ... Backward 20)."""
-    try:
-        return DRIVER_RISKS[action]
-    except KeyError:
-        raise ValueError(f"{action} is not a driver action") from None
+    if action is Action.STEP:
+        raise ValueError(f"{action} is not a driver action")
+    return _RISKS[_ACTIONS.index(action)]
 
 
 def walker_risk(action: Action) -> float:
@@ -108,7 +98,6 @@ class Plan:
 
     steps: tuple
     total_cost: float  # accumulated g at extraction (== f, since h(goal) = 0)
-    cell_cost: float
     risk_total: float  # unscaled sum of action risks along the route
     expansions: int
 
@@ -271,7 +260,8 @@ def plan(
     """Weighted A* route for one agent; None when no route exists.
 
     ``blocked`` marks temporary dynamic obstacles (damaged or parked agents)
-    treated as infinite-cost cells.  ``trace``, when given a list, receives
+    treated as infinite-cost cells; the start cell is never blocked, so callers
+    may pass a set that holds it.  ``trace``, when given a list, receives
     one (step, x, y, g, h, r, f) tuple per node expansion.
     """
     nav = _nav(grid)
@@ -295,18 +285,6 @@ def plan(
         nav, grid, si, gi, profile.w, profile.alpha,
         _INDEX_BY_DIR[heading], blocked_idx, trace,
     )
-
-
-def replan(
-    grid: GridMap,
-    current: Coord,
-    goal: Coord,
-    profile: BehaviorProfile,
-    blocked: frozenset | set = frozenset(),
-    heading: Direction | None = None,
-) -> Plan | None:
-    """Re-plan from the agent's present cell around dynamic blockers."""
-    return plan(grid, current, goal, profile, blocked=blocked, heading=heading)
 
 
 def _search_walker(nav, grid, si, gi, w, blocked_idx, trace):
@@ -359,11 +337,9 @@ def _extract_walker(nav, grid, came, si, gi, total, expansions):
         idxs.append(came[idxs[-1]])
     idxs.reverse()
     steps = [PlanStep((si % width, si // width), None)]
-    cell_cost = 0.0
     for idx in idxs[1:]:
         steps.append(PlanStep((idx % width, idx // width), Action.STEP))
-        cell_cost += nav.wcost[idx]
-    return Plan(tuple(steps), total, cell_cost, 0.0, expansions)
+    return Plan(tuple(steps), total, 0.0, expansions)
 
 
 def _search_driver(nav, grid, si, gi, w, alpha, heading, blocked_idx, trace):
@@ -398,8 +374,7 @@ def _search_driver(nav, grid, si, gi, w, alpha, heading, blocked_idx, trace):
         expansions += 1
         if idx == gi:
             return _extract_driver(
-                nav, grid, came, act_in, s0, state, gval, risk_acc[state], alpha,
-                expansions,
+                nav, grid, came, act_in, s0, state, gval, risk_acc[state], expansions,
             )
         nbase = idx * 4
         ebase = state * 4
@@ -426,7 +401,7 @@ def _search_driver(nav, grid, si, gi, w, alpha, heading, blocked_idx, trace):
 
 
 def _extract_driver(nav, grid, came, act_in, s0, goal_state, total, risk_total,
-                    alpha, expansions):
+                    expansions):
     width = nav.width
     states = [goal_state]
     while states[-1] != s0:
@@ -437,5 +412,4 @@ def _extract_driver(nav, grid, came, act_in, s0, goal_state, total, risk_total,
         idx = state >> 2
         action = _ACTIONS[act_in[state]] if i > 0 else None
         steps.append(PlanStep((idx % width, idx // width), action))
-    cell_cost = total - alpha * risk_total
-    return Plan(tuple(steps), total, cell_cost, risk_total, expansions)
+    return Plan(tuple(steps), total, risk_total, expansions)

@@ -82,7 +82,7 @@ def straight_plan(cells, kind: str = "walker") -> Plan:
     action = Action.STEP if kind == "walker" else Action.FORWARD
     steps = [PlanStep(cells[0], None)]
     steps += [PlanStep(c, action) for c in cells[1:]]
-    return Plan(tuple(steps), 0.0, 0.0, 0.0, 0)
+    return Plan(tuple(steps), 0.0, 0.0, 0)
 
 
 def make_agent(

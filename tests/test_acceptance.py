@@ -307,14 +307,14 @@ def test_09_conservation_invariants():
     world = World(grid, cfg)
     violations = 0
     for _ in range(200):
-        walkers_before = world.heatmaps.walker_occupancy.total()
-        drivers_before = world.heatmaps.driver_occupancy.total()
+        walkers_before = world.heatmaps.walker_occupancy.sum()
+        drivers_before = world.heatmaps.driver_occupancy.sum()
         present_before = len(world.agents)
         record = world.step()
         frame = record.frame
-        if world.heatmaps.walker_occupancy.total() - walkers_before != frame.active_walkers:
+        if world.heatmaps.walker_occupancy.sum() - walkers_before != frame.active_walkers:
             violations += 1
-        if world.heatmaps.driver_occupancy.total() - drivers_before != frame.active_drivers:
+        if world.heatmaps.driver_occupancy.sum() - drivers_before != frame.active_drivers:
             violations += 1
         if len(world.agents) - present_before != record.created - record.removed:
             violations += 1
@@ -375,17 +375,18 @@ def test_10_heatmap_layer_semantics():
             seed=seed,
         )
         result = run(cfg, scene)
-        speed = result.heatmaps.driver_speed
+        speed_sum = result.heatmaps.driver_speed_sum
+        occupancy = result.heatmaps.driver_occupancy
         for x, y in obstructed_region:
-            sums["obstructed"] += speed.sums[y, x]
-            counts["obstructed"] += speed.counts[y, x]
+            sums["obstructed"] += speed_sum[y, x]
+            counts["obstructed"] += occupancy[y, x]
         for x, y in clear_region:
-            sums["clear"] += speed.sums[y, x]
-            counts["clear"] += speed.counts[y, x]
+            sums["clear"] += speed_sum[y, x]
+            counts["clear"] += occupancy[y, x]
         jay = result.heatmaps.jaywalk
         for y in range(grid.height):
             for x in range(grid.width):
-                if jay.counts[y, x] and scene.ground_at((x, y)) not in ROAD_FAMILY:
+                if jay[y, x] and scene.ground_at((x, y)) not in ROAD_FAMILY:
                     jaywalk_clean = False
     obstructed_mean = sums["obstructed"] / counts["obstructed"]
     clear_mean = sums["clear"] / counts["clear"]

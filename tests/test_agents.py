@@ -20,6 +20,11 @@ from helpers import grid_of, make_agent, random_grid, straight_plan
 N, E = Direction.NORTH, Direction.EAST
 
 
+def test_agent_cell_floors_positions():
+    assert make_agent(1, "walker", (3.9, 0.1)).cell() == (3, 0)
+    assert make_agent(1, "walker", (0.0, 2.0)).cell() == (0, 2)
+
+
 def road_strip(length=10, token="rE-"):
     return grid_of(" ".join([token] * length))
 

@@ -6,19 +6,12 @@ from gridcity.agents import Status
 from gridcity.engine import Event, SimConfig, World, run
 from gridcity.environment import LayoutSpec, ROAD_FAMILY, generate_layout
 from gridcity.metrics import (
-    HeatmapLayer,
     HeatmapSet,
     accumulate_heatmaps,
     build_frame,
-    cell_of,
     export_run,
 )
 from helpers import grid_of, make_agent
-
-
-def test_cell_of_floors_positions():
-    assert cell_of((3.9, 0.1)) == (3, 0)
-    assert cell_of((0.0, 2.0)) == (0, 2)
 
 
 # -- frame aggregation ----------------------------------------------------------
@@ -80,23 +73,23 @@ def test_collision_counts_copied_from_events():
 
 def test_stationary_driver_accumulates_speed_mean():
     grid = grid_of("rE- rE-")
-    layers = HeatmapSet.create(grid)
+    heat = HeatmapSet.create(grid)
     driver = make_agent(1, "driver", (0.5, 0.5), None, speed=1.5)
     for _ in range(10):
-        accumulate_heatmaps(layers, {1: driver}, grid)
-    assert layers.driver_occupancy.value_at((0, 0)) == 10
-    assert layers.driver_speed.value_at((0, 0)) == 1.5
-    assert layers.driver_speed.counts[0, 0] == 10
+        accumulate_heatmaps(heat, {1: driver}, grid)
+    assert heat.driver_occupancy[0, 0] == 10
+    assert heat.driver_speed_sum[0, 0] / heat.driver_occupancy[0, 0] == 1.5
+    assert heat.driver_occupancy[0, 1] == 0
 
 
 def test_speed_mean_is_exact_over_mixed_samples():
     grid = grid_of("rE-")
-    layers = HeatmapSet.create(grid)
+    heat = HeatmapSet.create(grid)
     driver = make_agent(1, "driver", (0.5, 0.5), None, speed=1.0)
-    accumulate_heatmaps(layers, {1: driver}, grid)
+    accumulate_heatmaps(heat, {1: driver}, grid)
     driver.speed = 2.0
-    accumulate_heatmaps(layers, {1: driver}, grid)
-    assert layers.driver_speed.value_at((0, 0)) == 1.5
+    accumulate_heatmaps(heat, {1: driver}, grid)
+    assert heat.driver_speed_sum[0, 0] / heat.driver_occupancy[0, 0] == 1.5
 
 
 def test_occupancy_conservation_and_jaywalk_consistency():
@@ -105,20 +98,20 @@ def test_occupancy_conservation_and_jaywalk_consistency():
                     walker_w=(3, 3), seed=17)
     world = World(grid, cfg)
     for _ in range(50):
-        walkers_before = world.heatmaps.walker_occupancy.total()
-        drivers_before = world.heatmaps.driver_occupancy.total()
-        jaywalk_before = world.heatmaps.jaywalk.total()
+        walkers_before = world.heatmaps.walker_occupancy.sum()
+        drivers_before = world.heatmaps.driver_occupancy.sum()
+        jaywalk_before = world.heatmaps.jaywalk.sum()
         record = world.step()
         assert (
-            world.heatmaps.walker_occupancy.total() - walkers_before
+            world.heatmaps.walker_occupancy.sum() - walkers_before
             == record.frame.active_walkers
         )
         assert (
-            world.heatmaps.driver_occupancy.total() - drivers_before
+            world.heatmaps.driver_occupancy.sum() - drivers_before
             == record.frame.active_drivers
         )
         assert (
-            world.heatmaps.jaywalk.total() - jaywalk_before
+            world.heatmaps.jaywalk.sum() - jaywalk_before
             == record.frame.walkers_on_road
         )
 
@@ -128,10 +121,10 @@ def test_jaywalk_layer_nonzero_only_on_road_family():
     cfg = SimConfig(steps=80, walkers=15, obstruction=0.1, walker_w=(4, 4), seed=23)
     result = run(cfg, grid)
     layer = result.heatmaps.jaywalk
-    assert layer.total() > 0
+    assert layer.sum() > 0
     for y in range(grid.height):
         for x in range(grid.width):
-            if layer.counts[y, x]:
+            if layer[y, x]:
                 assert grid.ground_at((x, y)) in ROAD_FAMILY
 
 
@@ -143,20 +136,26 @@ def test_accumulate_rejects_dimension_mismatch():
         accumulate_heatmaps(layers, {}, grid)
 
 
-def test_heatmap_layer_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        HeatmapLayer("velocity", 2, 2)
+def test_heatmap_set_tables_have_grid_shape():
+    grid = grid_of("rE- rE- rE-", "rE- rE- rE-")
+    heat = HeatmapSet.create(grid)
+    tables = (heat.driver_occupancy, heat.driver_speed_sum, heat.walker_occupancy,
+              heat.jaywalk)
+    for table in tables:
+        assert table.shape == (2, 3)
+        assert not table.any()
 
 
 def test_monotone_accumulators():
     grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
     cfg = SimConfig(steps=30, walkers=5, drivers=3, seed=2)
     world = World(grid, cfg)
-    last = {k: 0.0 for k in world.heatmaps.layers()}
+    kinds = ("driver_occupancy", "driver_speed_sum", "walker_occupancy", "jaywalk")
+    last = dict.fromkeys(kinds, 0.0)
     for _ in range(30):
         world.step()
-        for kind, layer in world.heatmaps.layers().items():
-            total = layer.total()
+        for kind in kinds:
+            total = getattr(world.heatmaps, kind).sum()
             assert total >= last[kind]
             last[kind] = total
 

@@ -19,7 +19,6 @@ from gridcity.planner import (
     driver_risk,
     manhattan,
     plan,
-    replan,
     walker_risk,
 )
 from helpers import grid_of, random_instance
@@ -359,7 +358,7 @@ def test_replan_without_blockers_matches_plan():
     grid = uniform_sidewalk(8)
     profile = BehaviorProfile(kind="walker")
     assert (
-        replan(grid, (0, 0), (5, 5), profile).cells
+        plan(grid, (0, 0), (5, 5), profile, blocked=frozenset()).cells
         == plan(grid, (0, 0), (5, 5), profile).cells
     )
 
@@ -375,17 +374,28 @@ def test_replan_avoids_blocked_cells_or_fails():
     base = plan(grid, (0, 0), (4, 0), profile)
     assert base.cells == ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
     blocked = {(1, 0), (2, 0), (3, 0)}
-    detour = replan(grid, (0, 0), (4, 0), profile, blocked=blocked)
+    detour = plan(grid, (0, 0), (4, 0), profile, blocked=blocked)
     assert detour is not None
     assert not blocked & set(detour.cells)
     # blocking both corridors leaves no route
-    assert replan(grid, (0, 0), (4, 0), profile, blocked=blocked | {(1, 2)}) is None
+    assert plan(grid, (0, 0), (4, 0), profile, blocked=blocked | {(1, 2)}) is None
 
 
 def test_replan_blocked_goal_fails():
     grid = uniform_sidewalk(5)
     profile = BehaviorProfile(kind="walker")
-    assert replan(grid, (0, 0), (4, 4), profile, blocked={(4, 4)}) is None
+    assert plan(grid, (0, 0), (4, 4), profile, blocked={(4, 4)}) is None
+
+
+def test_plan_ignores_blocked_start():
+    # agents re-plan around the cells of every inactive agent, which may hold
+    # their own; a driver facing away from its goal loops around the ring of
+    # turn cells and back through its start rather than reverse
+    ring = grid_of("s-- rN-", "tN- tSN", "tE- tW-")
+    driver = BehaviorProfile(kind="driver", alpha=5.0)
+    route = ((1, 1), (1, 2), (0, 2), (0, 1), (1, 1), (1, 0))
+    assert plan(ring, (1, 1), (1, 0), driver, heading=S).cells == route
+    assert plan(ring, (1, 1), (1, 0), driver, blocked={(1, 1)}, heading=S).cells == route
 
 
 # -- debug trace -----------------------------------------------------------------
