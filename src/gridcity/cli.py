@@ -69,6 +69,14 @@ def _as_range(value, name: str) -> tuple:
     raise ConfigError(f"{name}: expected a number or a [low, high] pair")
 
 
+def _number(value, name: str, cast):
+    """``cast(value)``, or a ConfigError naming the field when that fails."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected a number, got {value!r}") from None
+
+
 def load_config(path) -> Scenario:
     """Load and validate a scenario file, applying documented defaults."""
     path = Path(path)
@@ -89,18 +97,20 @@ def load_config(path) -> Scenario:
     kwargs: dict = {}
     for name in ("steps", "walkers", "drivers", "collision_countdown", "seed"):
         if name in raw:
-            kwargs[name] = int(raw[name])
+            kwargs[name] = _number(raw[name], name, int)
     for name in (
         "obstruction", "walker_rate", "driver_rate", "accel", "decel",
         "reactivation_prob",
     ):
         if name in raw:
-            kwargs[name] = float(raw[name])
+            kwargs[name] = _number(raw[name], name, float)
     if "spawn_mode" in raw:
         kwargs["spawn_mode"] = str(raw["spawn_mode"])
     if "walker_speed_cap" in raw:
         cap = raw["walker_speed_cap"]
-        kwargs["walker_speed_cap"] = None if cap is None else float(cap)
+        kwargs["walker_speed_cap"] = (
+            None if cap is None else _number(cap, "walker_speed_cap", float)
+        )
 
     profiles = raw.get("profiles", {}) or {}
     if not isinstance(profiles, dict):
@@ -109,17 +119,20 @@ def load_config(path) -> Scenario:
         if kind not in ("walker", "driver"):
             raise ConfigError(f"profiles: unknown agent kind {kind!r}")
         section = profiles[kind] or {}
+        if not isinstance(section, dict):
+            raise ConfigError(f"profiles.{kind}: expected a mapping")
         for key in section:
             if key not in _PROFILE_KEYS:
                 raise ConfigError(f"profiles.{kind}: unknown field {key!r}")
-        if "w" in section:
-            lo, hi = _as_range(section["w"], f"profiles.{kind}.w")
-            kwargs[f"{kind}_w"] = (int(lo), int(hi))
-        if "alpha" in section:
-            lo, hi = _as_range(section["alpha"], f"profiles.{kind}.alpha")
-            kwargs[f"{kind}_alpha"] = (float(lo), float(hi))
+        for key, cast in (("w", int), ("alpha", float)):
+            if key in section:
+                name = f"profiles.{kind}.{key}"
+                lo, hi = _as_range(section[key], name)
+                kwargs[f"{kind}_{key}"] = (_number(lo, name, cast), _number(hi, name, cast))
         if "max_speed" in section:
-            kwargs[f"{kind}_max_speed"] = float(section["max_speed"])
+            kwargs[f"{kind}_max_speed"] = _number(
+                section["max_speed"], f"profiles.{kind}.max_speed", float
+            )
 
     sensing = raw.get("sensing", {}) or {}
     if not isinstance(sensing, dict):
@@ -127,12 +140,13 @@ def load_config(path) -> Scenario:
     for key in sensing:
         if key not in _SENSING_KEYS:
             raise ConfigError(f"sensing: unknown field {key!r}")
-    if "lookahead" in sensing:
-        kwargs["lookahead"] = int(sensing["lookahead"])
-    if "radius" in sensing:
-        kwargs["sense_radius"] = float(sensing["radius"])
-    if "yield_radius" in sensing:
-        kwargs["yield_radius"] = float(sensing["yield_radius"])
+    for key, name, cast in (
+        ("lookahead", "lookahead", int),
+        ("radius", "sense_radius", float),
+        ("yield_radius", "yield_radius", float),
+    ):
+        if key in sensing:
+            kwargs[name] = _number(sensing[key], f"sensing.{key}", cast)
 
     try:
         sim = SimConfig(**kwargs)
@@ -163,7 +177,7 @@ def load_config(path) -> Scenario:
                 lanes_per_direction=int(section.get("lanes_per_direction", 2)),
             )
             layout.validate()
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"layout: {exc}") from None
         if "obstacles" in raw:
             raise ConfigError("'obstacles' requires a 'grid' file, not a layout")
@@ -568,7 +582,11 @@ def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
         if len(parts) != 2:
             click.echo(f"config error: {name} must be 'x,y'", err=True)
             sys.exit(2)
-        return (int(parts[0]), int(parts[1]))
+        try:
+            return (int(parts[0]), int(parts[1]))
+        except ValueError:
+            click.echo(f"config error: {name} must be 'x,y'", err=True)
+            sys.exit(2)
 
     start = parse_coord(start_s, "--start")
     goal = parse_coord(goal_s, "--goal")

@@ -3,9 +3,10 @@
 The search expands 4-neighbors best-first by f = g + w*h + alpha*r, where g
 accumulates per-cell ground costs plus alpha-scaled action risk, h is the
 Manhattan distance to the goal, and r prices driver maneuvers (forward, turns,
-lane changes, wrong-way moves).  Walkers plan over plain cells with a single
-zero-risk step action; drivers plan over (cell, heading) states so turn risk
-is well-defined.
+lane changes, wrong-way moves).  One search serves both kinds over integer
+states ``cell << shift``: walkers plan over plain cells (shift 0) with a single
+zero-risk step action; drivers plan over (cell, heading) states (shift 2, the
+heading in the two low bits) so turn risk is well-defined.
 """
 from __future__ import annotations
 
@@ -115,7 +116,6 @@ _DX = (0, 1, 0, -1)
 _DY = (-1, 0, 1, 0)
 _OPP = (_S, _W, _N, _E)
 _CW = (_E, _S, _W, _N)
-_DIR_BY_INDEX = DIRECTION_ORDER
 _INDEX_BY_DIR = {d: i for i, d in enumerate(DIRECTION_ORDER)}
 
 
@@ -124,7 +124,7 @@ class _Nav:
 
     __slots__ = (
         "width", "height", "size", "ground", "flow", "wcost", "dcost",
-        "turnspot", "nbr", "edge_act",
+        "turnspot", "nbr", "tables",
     )
 
     def __init__(self, grid: GridMap):
@@ -168,26 +168,46 @@ class _Nav:
                     nx, ny = x + _DX[k], y + _DY[k]
                     if 0 <= nx < w and 0 <= ny < h:
                         self.nbr[i4 + k] = ny * w + nx
-        self.edge_act = None  # driver action table, built on demand
+        self.tables = {}  # per-kind search tables, built on demand
 
-    def edge_actions(self):
-        """Action code for every (cell, heading, move direction) triple.
+    def moves(self, kind: str):
+        """Search tables ``(shift, succ, cost, risk)`` for one agent kind.
 
-        Index layout: (cell_index * 4 + heading) * 4 + direction.  Built once
-        per grid; off-grid moves keep a harmless placeholder since searches
-        never follow them.
+        States are ``cell << shift``: shift 0 for walkers, shift 2 for
+        drivers, whose two low bits hold the heading.  ``succ[cell*4 + k]`` is
+        the state a move in direction k enters, -1 when the move leaves the
+        grid or enters ground impassable to the kind.  ``cost[state]`` is the
+        ground cost of entering the state's cell, and ``risk[state*4 + k]``
+        the move's unscaled risk: all zeros for walkers, and for drivers
+        filled only from driver-passable cells, since no search expands
+        another.  Built once per grid and kind.
         """
-        if self.edge_act is None:
-            table = [_INVALID] * (self.size * 16)
-            for i in range(self.size):
-                base = i * 16
-                for hd in range(4):
+        tables = self.tables.get(kind)
+        if tables is None:
+            size, nbr = self.size, self.nbr
+            if kind == "walker":
+                cell_cost = self.wcost
+                succ = [n if n >= 0 and cell_cost[n] != math.inf else -1 for n in nbr]
+                tables = (0, succ, cell_cost, [0.0] * (size * 4))
+            else:
+                cell_cost = self.dcost
+                succ = [
+                    (n << 2) | (e & 3) if n >= 0 and cell_cost[n] != math.inf else -1
+                    for e, n in enumerate(nbr)
+                ]
+                cost = [c for c in cell_cost for _ in range(4)]
+                risk = [0.0] * (size * 16)
+                for i in range(size):
+                    if cell_cost[i] == math.inf:
+                        continue
                     for k in range(4):
-                        ti = self.nbr[i * 4 + k]
-                        if ti >= 0:
-                            table[base + hd * 4 + k] = _classify(self, i, ti, k, hd)
-            self.edge_act = table
-        return self.edge_act
+                        if succ[i * 4 + k] >= 0:
+                            ti = nbr[i * 4 + k]
+                            for hd in range(4):
+                                risk[(i * 4 + hd) * 4 + k] = _RISKS[_classify(self, i, ti, k, hd)]
+                tables = (2, succ, cost, risk)
+            self.tables[kind] = tables
+        return tables
 
 
 def _nav(grid: GridMap) -> _Nav:
@@ -277,85 +297,26 @@ def plan(
     blocked_idx = {c[1] * nav.width + c[0] for c in blocked if grid.in_bounds(c)}
     blocked_idx.discard(si)
 
-    if profile.kind == "walker":
-        return _search_walker(nav, grid, si, gi, profile.w, blocked_idx, trace)
+    if profile.kind == "walker":  # no walker move carries risk, whatever alpha
+        return _search(nav, "walker", si, gi, profile.w, 0.0, blocked_idx, trace)
     if heading is None:
         heading = default_heading(grid, start)
-    return _search_driver(
-        nav, grid, si, gi, profile.w, profile.alpha,
-        _INDEX_BY_DIR[heading], blocked_idx, trace,
+    blocked_states = {(b << 2) | hd for b in blocked_idx for hd in range(4)}
+    return _search(
+        nav, "driver", (si << 2) | _INDEX_BY_DIR[heading], gi,
+        profile.w, profile.alpha, blocked_states, trace,
     )
 
 
-def _search_walker(nav, grid, si, gi, w, blocked_idx, trace):
+def _search(nav, kind, s0, gi, w, alpha, blocked, trace):
+    """Weighted A* from state ``s0`` to any state on cell ``gi``."""
+    shift, succ, cost, risk = nav.moves(kind)
     width = nav.width
-    size = nav.size
-    cost = nav.wcost
-    nbr = nav.nbr
+    si = s0 >> shift
     inf = math.inf
     gx, gy = gi % width, gi // width
-    g = [inf] * size
-    came = [-1] * size
-    g[si] = 0.0
-    h0 = abs(si % width - gx) + abs(si // width - gy)
-    heap = [(w * h0, h0, 0, si, 0.0)]
-    counter = 1
-    expansions = 0
-    push = heappush
-    pop = heappop
-    while heap:
-        f, h, _, idx, gval = pop(heap)
-        if gval > g[idx]:
-            continue
-        if trace is not None:
-            trace.append((expansions, idx % width, idx // width, gval, h, 0.0, f))
-        expansions += 1
-        if idx == gi:
-            return _extract_walker(nav, grid, came, si, gi, gval, expansions)
-        base = idx * 4
-        for k in range(4):
-            nidx = nbr[base + k]
-            if nidx < 0:
-                continue
-            c = cost[nidx]
-            if c == inf or nidx in blocked_idx:
-                continue
-            ng = gval + c
-            if ng < g[nidx]:
-                g[nidx] = ng
-                came[nidx] = idx
-                nh = abs(nidx % width - gx) + abs(nidx // width - gy)
-                push(heap, (ng + w * nh, nh, counter, nidx, ng))
-                counter += 1
-    return None
-
-
-def _extract_walker(nav, grid, came, si, gi, total, expansions):
-    width = nav.width
-    idxs = [gi]
-    while idxs[-1] != si:
-        idxs.append(came[idxs[-1]])
-    idxs.reverse()
-    steps = [PlanStep((si % width, si // width), None)]
-    for idx in idxs[1:]:
-        steps.append(PlanStep((idx % width, idx // width), Action.STEP))
-    return Plan(tuple(steps), total, 0.0, expansions)
-
-
-def _search_driver(nav, grid, si, gi, w, alpha, heading, blocked_idx, trace):
-    width = nav.width
-    size4 = nav.size * 4
-    cost = nav.dcost
-    nbr = nav.nbr
-    edge_act = nav.edge_actions()
-    risks = _RISKS
-    inf = math.inf
-    gx, gy = gi % width, gi // width
-    g = [inf] * size4
-    risk_acc = [0.0] * size4
-    came = [-1] * size4
-    act_in = [_FORWARD] * size4
-    s0 = si * 4 + heading
+    g = [inf] * len(cost)
+    came = [-1] * len(cost)
     g[s0] = 0.0
     h0 = abs(si % width - gx) + abs(si // width - gy)
     heap = [(w * h0, h0, 0, s0, 0.0)]
@@ -367,49 +328,47 @@ def _search_driver(nav, grid, si, gi, w, alpha, heading, blocked_idx, trace):
         f, h, _, state, gval = pop(heap)
         if gval > g[state]:
             continue
-        idx = state >> 2
+        idx = state >> shift
         if trace is not None:
-            r_in = _RISKS[act_in[state]] if came[state] >= 0 else 0.0
+            prev = came[state]
+            r_in = risk[prev * 4 + (state & 3)] if prev >= 0 else 0.0
             trace.append((expansions, idx % width, idx // width, gval, h, r_in, f))
         expansions += 1
         if idx == gi:
-            return _extract_driver(
-                nav, grid, came, act_in, s0, state, gval, risk_acc[state], expansions,
-            )
+            return _extract(nav, shift, came, s0, state, gval, expansions)
         nbase = idx * 4
         ebase = state * 4
         for k in range(4):
-            nidx = nbr[nbase + k]
-            if nidx < 0:
+            nstate = succ[nbase + k]
+            if nstate < 0 or nstate in blocked:
                 continue
-            c = cost[nidx]
-            if c == inf or nidx in blocked_idx:
-                continue
-            a = edge_act[ebase + k]
-            r = risks[a]
-            ng = gval + c + alpha * r
-            nstate = nidx * 4 + k
+            ng = gval + cost[nstate] + alpha * risk[ebase + k]
             if ng < g[nstate]:
                 g[nstate] = ng
-                risk_acc[nstate] = risk_acc[state] + r
                 came[nstate] = state
-                act_in[nstate] = a
+                nidx = nstate >> shift
                 nh = abs(nidx % width - gx) + abs(nidx // width - gy)
                 push(heap, (ng + w * nh, nh, counter, nstate, ng))
                 counter += 1
     return None
 
 
-def _extract_driver(nav, grid, came, act_in, s0, goal_state, total, risk_total,
-                    expansions):
+def _extract(nav, shift, came, s0, goal_state, total, expansions):
     width = nav.width
     states = [goal_state]
     while states[-1] != s0:
         states.append(came[states[-1]])
     states.reverse()
-    steps = []
-    for i, state in enumerate(states):
-        idx = state >> 2
-        action = _ACTIONS[act_in[state]] if i > 0 else None
+    si = s0 >> shift
+    steps = [PlanStep((si % width, si // width), None)]
+    risk_total = 0.0
+    for prev, state in zip(states, states[1:]):
+        idx = state >> shift
+        if shift:  # a driver: the move's direction and the heading before it
+            a = _classify(nav, prev >> 2, idx, state & 3, prev & 3)
+            risk_total += _RISKS[a]
+            action = _ACTIONS[a]
+        else:
+            action = Action.STEP
         steps.append(PlanStep((idx % width, idx // width), action))
     return Plan(tuple(steps), total, risk_total, expansions)

@@ -72,6 +72,22 @@ def test_invalid_value_is_reported(tmp_path):
         load_config(write_config(tmp_path, doc))
 
 
+@pytest.mark.parametrize("patch, field", [
+    ({"steps": "abc"}, "steps"),
+    ({"profiles": {"walker": {"w": [1, "x"]}}}, "profiles.walker.w"),
+    ({"sensing": {"radius": "far"}}, "sensing.radius"),
+    ({"profiles": {"driver": 3}}, "profiles.driver"),
+    ({"layout": {"blocks_x": [1]}}, "layout"),
+])
+def test_non_numeric_value_is_config_error(tmp_path, patch, field):
+    config = write_config(tmp_path, dict(MINIMAL, **patch))
+    with pytest.raises(ConfigError, match=field):
+        load_config(config)
+    result = CliRunner().invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 2
+    assert f"config error: {field}" in result.output
+
+
 def test_sweep_lists_must_be_nonempty(tmp_path):
     doc = dict(MINIMAL, sweep={"walkers": []})
     with pytest.raises(ConfigError, match="sweep.walkers"):
@@ -344,6 +360,19 @@ def test_plan_debug_trace_file_and_route_summary(tmp_path):
     assert result.exit_code == 0, result.output
     assert trace_file.read_text().startswith("step,x,y,g,h,r,f")
     assert "route: 4 cells" in result.output
+
+
+@pytest.mark.parametrize("start", ["a,1", "1,2,3"])
+def test_plan_debug_rejects_malformed_coordinates(tmp_path, start):
+    grid_file = tmp_path / "strip.grid"
+    grid_file.write_text("2 1\ns-- s--\n")
+    result = CliRunner().invoke(
+        main,
+        ["plan-debug", "--grid", str(grid_file), "--kind", "walker",
+         "--start", start, "--goal", "1,0"],
+    )
+    assert result.exit_code == 2
+    assert "config error: --start must be 'x,y'" in result.output
 
 
 def test_plan_debug_requires_exactly_one_source(tmp_path):

@@ -401,19 +401,57 @@ def test_plan_ignores_blocked_start():
 # -- debug trace -----------------------------------------------------------------
 
 
-def test_plan_trace_records_expansions():
-    grid = uniform_sidewalk(6)
+def _trace_cases():
+    # a walker on uniform sidewalk, and a driver crossing a 2x2-block city
+    # whose route turns both ways and changes lane, and whose search expands
+    # states entered by every driver action
+    yield uniform_sidewalk(6), (0, 0), (3, 3), BehaviorProfile(kind="walker"), None
+    city = generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
+    driver = BehaviorProfile(kind="driver", w=3.0, alpha=0.37)
+    yield city, (10, 1), (30, 21), driver, W
+
+
+@pytest.mark.parametrize("case", list(_trace_cases()), ids=["walker", "driver"])
+def test_plan_trace_records_expansions(case):
+    grid, start, goal, profile, heading = case
     trace = []
-    route = plan(grid, (0, 0), (3, 3), BehaviorProfile(kind="walker"), trace=trace)
+    route = plan(grid, start, goal, profile, heading=heading, trace=trace)
     assert len(trace) == route.expansions
     steps = [row[0] for row in trace]
     assert steps == list(range(len(trace)))
     first = trace[0]
-    assert (first[1], first[2]) == (0, 0)
+    assert (first[1], first[2]) == start
     assert first[3] == 0.0  # g at the start
+    assert first[5] == 0.0  # no action entered the start
     # f column is g + w*h throughout
     for _, x, y, g, h, r, f in trace:
-        assert f == pytest.approx(g + 1.0 * h)
+        assert f == pytest.approx(g + profile.w * h)
+    # each later expansion was entered from an earlier one on a neighbouring
+    # cell: r is the unscaled risk of that move's action (classified with the
+    # earlier state's heading) and g the earlier g plus cost and alpha * r
+    if profile.kind == "walker":
+        risk_of, cost_at = walker_risk, grid.walker_cost_at
+    else:
+        risk_of, cost_at = driver_risk, grid.driver_cost_at
+    headings = [{heading}]
+    for j, (_, x, y, g, _, r, _) in enumerate(trace[1:], 1):
+        entered = set()
+        for i, (_, px, py, pg, _, _, _) in enumerate(trace[:j]):
+            for d in Direction:
+                if (px + d.dx, py + d.dy) != (x, y):
+                    continue
+                for hd in headings[i]:
+                    if profile.kind == "walker":
+                        action = Action.STEP
+                    else:
+                        action = classify_action(grid, (px, py), (x, y), hd)
+                    if r == risk_of(action) and g == pg + cost_at((x, y)) + profile.alpha * r:
+                        entered.add(d)
+        assert entered, trace[j]
+        headings.append(entered)
+    if profile.kind == "driver":
+        assert {Action.RIGHT_TURN, Action.LEFT_TURN} <= {s.action for s in route.steps}
+        assert {row[5] for row in trace} == {0.0, 1.0, 2.0, 3.0, 5.0, 20.0}
 
 
 def test_default_heading_prefers_canonical_order():
