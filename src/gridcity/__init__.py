@@ -60,7 +60,6 @@ from .engine import (
 from .metrics import (
     HeatmapSet,
     MetricsFrame,
-    accumulate_heatmaps,
     build_frame,
     export_run,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import multiprocessing
+import random
 import shutil
 import statistics
 import sys
@@ -28,6 +29,7 @@ from .environment import (
     generate_layout,
     parse_grid,
     parse_obstacle_list,
+    place_obstacles,
     serialize_grid,
     serialize_obstacle_list,
 )
@@ -35,16 +37,6 @@ from .metrics import export_run
 from .planner import BehaviorProfile, plan as plan_route
 
 SWEEPABLE = ("walkers", "drivers", "obstruction")
-
-_SCENARIO_KEYS = {
-    "steps", "walkers", "drivers", "obstruction", "spawn_mode",
-    "walker_rate", "driver_rate", "profiles", "walker_speed_cap",
-    "collision_countdown", "sensing", "accel", "decel", "reactivation_prob",
-    "seed", "layout", "grid", "obstacles", "sweep", "seeds",
-}
-_PROFILE_KEYS = {"w", "alpha", "max_speed"}
-_SENSING_KEYS = {"lookahead", "radius", "yield_radius"}
-_LAYOUT_KEYS = {"blocks_x", "blocks_y", "block_side", "building_side", "lanes_per_direction"}
 
 
 class ConfigError(ValueError):
@@ -61,20 +53,94 @@ class Scenario:
     seeds: list = field(default_factory=list)
 
 
-def _as_range(value, name: str) -> tuple:
-    if isinstance(value, (int, float)):
-        return (value, value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return (value[0], value[1])
-    raise ConfigError(f"{name}: expected a number or a [low, high] pair")
-
-
 def _number(value, name: str, cast):
     """``cast(value)``, or a ConfigError naming the field when that fails."""
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name}: expected a number, got {value!r}") from None
+
+
+def _scalar(cast):
+    return lambda value, name: _number(value, name, cast)
+
+
+def _pair(cast):
+    """A ``[low, high]`` range; a single number ``v`` reads as ``[v, v]``."""
+
+    def convert(value, name):
+        if isinstance(value, (int, float)):
+            value = (value, value)
+        if not isinstance(value, (list, tuple)) or len(value) != 2:
+            raise ConfigError(f"{name}: expected a number or a [low, high] pair")
+        return (_number(value[0], name, cast), _number(value[1], name, cast))
+
+    return convert
+
+
+def _optional_float(value, name):
+    return None if value is None else _number(value, name, float)
+
+
+# The scenario format: (YAML path, SimConfig field, conversion of the YAML
+# value).  load_config reads every SimConfig field through this table and
+# effective_config_dict writes every one back through it.
+_SIM_FIELDS = (
+    ("steps", "steps", _scalar(int)),
+    ("walkers", "walkers", _scalar(int)),
+    ("drivers", "drivers", _scalar(int)),
+    ("obstruction", "obstruction", _scalar(float)),
+    ("spawn_mode", "spawn_mode", _scalar(str)),
+    ("walker_rate", "walker_rate", _scalar(float)),
+    ("driver_rate", "driver_rate", _scalar(float)),
+    ("profiles.walker.w", "walker_w", _pair(int)),
+    ("profiles.walker.alpha", "walker_alpha", _pair(float)),
+    ("profiles.walker.max_speed", "walker_max_speed", _scalar(float)),
+    ("profiles.driver.w", "driver_w", _pair(int)),
+    ("profiles.driver.alpha", "driver_alpha", _pair(float)),
+    ("profiles.driver.max_speed", "driver_max_speed", _scalar(float)),
+    ("walker_speed_cap", "walker_speed_cap", _optional_float),
+    ("collision_countdown", "collision_countdown", _scalar(int)),
+    ("sensing.lookahead", "lookahead", _scalar(int)),
+    ("sensing.radius", "sense_radius", _scalar(float)),
+    ("sensing.yield_radius", "yield_radius", _scalar(float)),
+    ("accel", "accel", _scalar(float)),
+    ("decel", "decel", _scalar(float)),
+    ("reactivation_prob", "reactivation_prob", _scalar(float)),
+    ("seed", "seed", _scalar(int)),
+)
+
+
+def _put(tree: dict, path: str, value) -> None:
+    """Set ``tree[a][b][c] = value`` for the dotted ``path`` ``a.b.c``."""
+    *sections, leaf = path.split(".")
+    for name in sections:
+        tree = tree.setdefault(name, {})
+    tree[leaf] = value
+
+
+def _mapping(section, keys, where: str) -> dict:
+    """``section`` checked to be a mapping over ``keys``; None reads as empty."""
+    if section is None:
+        return {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected a mapping")
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{where}: unknown field {key!r}")
+    return section
+
+
+def _leaves(section, tree: dict, prefix: str) -> dict:
+    """``{dotted path: value}`` of every leaf of ``section`` that ``tree`` allows."""
+    found = {}
+    for key, value in _mapping(section, tree, prefix or "scenario").items():
+        path = f"{prefix}.{key}" if prefix else key
+        if tree[key] is None:
+            found[path] = value
+        else:
+            found.update(_leaves(value, tree[key], path))
+    return found
 
 
 def load_config(path) -> Scenario:
@@ -86,68 +152,17 @@ def load_config(path) -> Scenario:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
         raise ConfigError(f"invalid YAML in {path}: {exc}") from None
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("scenario file must be a mapping")
-    for key in raw:
-        if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"unknown scenario field {key!r}")
+    # every key a scenario may hold: the _SIM_FIELDS paths and five more
+    tree: dict = dict.fromkeys(("layout", "grid", "obstacles", "sweep", "seeds"))
+    for key, _, _ in _SIM_FIELDS:
+        _put(tree, key, None)
+    raw = _leaves(raw, tree, "")
 
-    kwargs: dict = {}
-    for name in ("steps", "walkers", "drivers", "collision_countdown", "seed"):
-        if name in raw:
-            kwargs[name] = _number(raw[name], name, int)
-    for name in (
-        "obstruction", "walker_rate", "driver_rate", "accel", "decel",
-        "reactivation_prob",
-    ):
-        if name in raw:
-            kwargs[name] = _number(raw[name], name, float)
-    if "spawn_mode" in raw:
-        kwargs["spawn_mode"] = str(raw["spawn_mode"])
-    if "walker_speed_cap" in raw:
-        cap = raw["walker_speed_cap"]
-        kwargs["walker_speed_cap"] = (
-            None if cap is None else _number(cap, "walker_speed_cap", float)
-        )
-
-    profiles = raw.get("profiles", {}) or {}
-    if not isinstance(profiles, dict):
-        raise ConfigError("profiles: expected a mapping")
-    for kind in profiles:
-        if kind not in ("walker", "driver"):
-            raise ConfigError(f"profiles: unknown agent kind {kind!r}")
-        section = profiles[kind] or {}
-        if not isinstance(section, dict):
-            raise ConfigError(f"profiles.{kind}: expected a mapping")
-        for key in section:
-            if key not in _PROFILE_KEYS:
-                raise ConfigError(f"profiles.{kind}: unknown field {key!r}")
-        for key, cast in (("w", int), ("alpha", float)):
-            if key in section:
-                name = f"profiles.{kind}.{key}"
-                lo, hi = _as_range(section[key], name)
-                kwargs[f"{kind}_{key}"] = (_number(lo, name, cast), _number(hi, name, cast))
-        if "max_speed" in section:
-            kwargs[f"{kind}_max_speed"] = _number(
-                section["max_speed"], f"profiles.{kind}.max_speed", float
-            )
-
-    sensing = raw.get("sensing", {}) or {}
-    if not isinstance(sensing, dict):
-        raise ConfigError("sensing: expected a mapping")
-    for key in sensing:
-        if key not in _SENSING_KEYS:
-            raise ConfigError(f"sensing: unknown field {key!r}")
-    for key, name, cast in (
-        ("lookahead", "lookahead", int),
-        ("radius", "sense_radius", float),
-        ("yield_radius", "yield_radius", float),
-    ):
-        if key in sensing:
-            kwargs[name] = _number(sensing[key], f"sensing.{key}", cast)
-
+    kwargs = {
+        name: convert(raw[key], key)
+        for key, name, convert in _SIM_FIELDS
+        if key in raw
+    }
     try:
         sim = SimConfig(**kwargs)
         sim.validate()
@@ -162,20 +177,14 @@ def load_config(path) -> Scenario:
     grid_path = None
     obstacles_path = None
     if has_layout:
-        section = raw["layout"] or {}
-        if not isinstance(section, dict):
-            raise ConfigError("layout: expected a mapping")
-        for key in section:
-            if key not in _LAYOUT_KEYS:
-                raise ConfigError(f"layout: unknown field {key!r}")
+        fields = {f.name for f in dataclasses.fields(LayoutSpec)}
+        section = _mapping(raw["layout"], fields, "layout")
         try:
-            layout = LayoutSpec(
-                blocks_x=int(section.get("blocks_x", 1)),
-                blocks_y=int(section.get("blocks_y", 1)),
-                block_side=int(section.get("block_side", 15)),
-                building_side=int(section.get("building_side", 13)),
-                lanes_per_direction=int(section.get("lanes_per_direction", 2)),
-            )
+            layout = LayoutSpec(**{
+                "blocks_x": 1,
+                "blocks_y": 1,
+                **{key: int(value) for key, value in section.items()},
+            })
             layout.validate()
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"layout: {exc}") from None
@@ -190,12 +199,8 @@ def load_config(path) -> Scenario:
             if not obstacles_path.is_file():
                 raise ConfigError(f"obstacle list not found: {obstacles_path}")
 
-    sweep = raw.get("sweep", {}) or {}
-    if not isinstance(sweep, dict):
-        raise ConfigError("sweep: expected a mapping")
+    sweep = _mapping(raw.get("sweep"), SWEEPABLE, "sweep")
     for key, values in sweep.items():
-        if key not in SWEEPABLE:
-            raise ConfigError(f"sweep: unknown parameter {key!r}")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{key}: expected a non-empty list")
 
@@ -226,46 +231,12 @@ def build_grid(scenario: Scenario) -> GridMap:
 
 def effective_config_dict(scenario: Scenario, sim: SimConfig) -> dict:
     """Fully resolved single-run scenario, reloadable by load_config."""
-    doc = {
-        "steps": sim.steps,
-        "walkers": sim.walkers,
-        "drivers": sim.drivers,
-        "obstruction": sim.obstruction,
-        "spawn_mode": sim.spawn_mode,
-        "walker_rate": sim.walker_rate,
-        "driver_rate": sim.driver_rate,
-        "profiles": {
-            "walker": {
-                "w": list(sim.walker_w),
-                "alpha": list(sim.walker_alpha),
-                "max_speed": sim.walker_max_speed,
-            },
-            "driver": {
-                "w": list(sim.driver_w),
-                "alpha": list(sim.driver_alpha),
-                "max_speed": sim.driver_max_speed,
-            },
-        },
-        "walker_speed_cap": sim.walker_speed_cap,
-        "collision_countdown": sim.collision_countdown,
-        "sensing": {
-            "lookahead": sim.lookahead,
-            "radius": sim.sense_radius,
-            "yield_radius": sim.yield_radius,
-        },
-        "accel": sim.accel,
-        "decel": sim.decel,
-        "reactivation_prob": sim.reactivation_prob,
-        "seed": sim.seed,
-    }
+    doc: dict = {}
+    for key, name, _ in _SIM_FIELDS:
+        value = getattr(sim, name)
+        _put(doc, key, list(value) if isinstance(value, tuple) else value)
     if scenario.layout is not None:
-        doc["layout"] = {
-            "blocks_x": scenario.layout.blocks_x,
-            "blocks_y": scenario.layout.blocks_y,
-            "block_side": scenario.layout.block_side,
-            "building_side": scenario.layout.building_side,
-            "lanes_per_direction": scenario.layout.lanes_per_direction,
-        }
+        doc["layout"] = dataclasses.asdict(scenario.layout)
     else:
         doc["grid"] = "map.grid"
         if scenario.obstacles_path is not None:
@@ -312,11 +283,9 @@ def execute_run(
 
 
 def point_label(point: dict, sim: SimConfig) -> str:
-    walkers = point.get("walkers", sim.walkers)
-    drivers = point.get("drivers", sim.drivers)
-    obstruction = point.get("obstruction", sim.obstruction)
-    pct = format(obstruction * 100, "g")
-    return f"w{walkers}_d{drivers}_o{pct}"
+    sim = dataclasses.replace(sim, **point)
+    pct = format(sim.obstruction * 100, "g")
+    return f"w{sim.walkers}_d{sim.drivers}_o{pct}"
 
 
 def sweep_points(scenario: Scenario) -> list[dict]:
@@ -389,12 +358,9 @@ def render_summary_csv(scenario: Scenario, points: list, outcomes: list) -> str:
         "runovers_mean,runovers_std"
     )
     lines = [header]
-    sim = scenario.sim
     for point in points:
         ok_runs = [o for o in outcomes if o.point == point and o.ok]
-        walkers = point.get("walkers", sim.walkers)
-        drivers = point.get("drivers", sim.drivers)
-        obstruction = point.get("obstruction", sim.obstruction)
+        sim = dataclasses.replace(scenario.sim, **point)
         speed_m, speed_s = _mean_std(
             [o.mean_driver_speed for o in ok_runs if o.mean_driver_speed is not None]
         )
@@ -402,7 +368,7 @@ def render_summary_csv(scenario: Scenario, points: list, outcomes: list) -> str:
         col_m, col_s = _mean_std([float(o.collisions_vv) for o in ok_runs])
         run_m, run_s = _mean_std([float(o.runovers) for o in ok_runs])
         lines.append(
-            f"{walkers},{drivers},{format(obstruction, 'g')},{len(ok_runs)},"
+            f"{sim.walkers},{sim.drivers},{format(sim.obstruction, 'g')},{len(ok_runs)},"
             f"{speed_m},{speed_s},{jay_m},{jay_s},{col_m},{col_s},{run_m},{run_s}"
         )
     return "\n".join(lines) + "\n"
@@ -524,18 +490,20 @@ def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
 @click.option("--out", "out_path", required=True, type=click.Path())
 def gen_map_command(blocks_x, blocks_y, block_side, building_side, lanes,
                     obstruction, seed, out_path):
-    """Generate a block layout and write it as a grid file."""
+    """Generate a block layout and write it as a grid file.
+
+    ``--obstruction`` obstructs that fraction of the sidewalk cells, drawn with
+    ``--seed``; the obstacles go to a ``.obstacles`` sidecar file.
+    """
     spec = LayoutSpec(
         blocks_x=blocks_x,
         blocks_y=blocks_y,
         block_side=block_side,
         building_side=building_side,
         lanes_per_direction=lanes,
-        obstruction_fraction=obstruction,
-        seed=seed,
     )
     try:
-        grid = generate_layout(spec)
+        grid = place_obstacles(generate_layout(spec), obstruction, random.Random(seed))
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(2)
@@ -590,9 +558,9 @@ def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
 
     start = parse_coord(start_s, "--start")
     goal = parse_coord(goal_s, "--goal")
-    profile = BehaviorProfile(kind=kind, w=weight, alpha=alpha)
     trace: list = []
     try:
+        profile = BehaviorProfile(kind=kind, w=weight, alpha=alpha)
         route = plan_route(grid, start, goal, profile, trace=trace)
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import metrics as metrics_mod
 from .agents import (
@@ -62,6 +62,11 @@ class SimConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.steps <= 0:
             raise ValueError("steps must be positive")
         if self.walkers < 0 or self.drivers < 0:
@@ -89,6 +94,8 @@ class SimConfig:
             raise ValueError("walker_speed_cap must be positive or None")
         if self.collision_countdown < 1:
             raise ValueError("collision_countdown must be >= 1")
+        if self.accel <= 0 or self.decel <= 0:
+            raise ValueError("accel and decel must be positive")
         if self.lookahead < 1:
             raise ValueError("lookahead must be >= 1")
         if self.sense_radius <= 0 or self.yield_radius <= 0:
@@ -207,21 +214,6 @@ class World:
 
     # -- population ---------------------------------------------------------
 
-    def _active_counts(self) -> tuple[int, int]:
-        walkers = drivers = 0
-        for a in self.agents.values():
-            if a.status is Status.ACTIVE:
-                if a.kind == "walker":
-                    walkers += 1
-                else:
-                    drivers += 1
-        return walkers, drivers
-
-    def _static_cells(self) -> frozenset:
-        return frozenset(
-            a.cell() for a in self.agents.values() if a.status is not Status.ACTIVE
-        )
-
     def _sample_profile(self, kind: str) -> BehaviorProfile:
         cfg = self.config
         rng = self.spawn_rng
@@ -271,12 +263,23 @@ class World:
 
     def _spawn_phase(self, events: list, step: int) -> int:
         cfg = self.config
-        statics = self._static_cells()
-        occupied = {a.cell() for a in self.agents.values() if a.kind == "driver"}
+        statics = set()  # cells of inactive agents
+        occupied = set()  # cells that hold a driver
+        active = {"walker": 0, "driver": 0}
+        for a in self.agents.values():
+            cell = a.cell()
+            if a.status is Status.ACTIVE:
+                active[a.kind] += 1
+            else:
+                statics.add(cell)
+            if a.kind == "driver":
+                occupied.add(cell)
         created = 0
         if cfg.spawn_mode == "replenish":
-            walkers, drivers = self._active_counts()
-            wanted = [("walker", cfg.walkers - walkers), ("driver", cfg.drivers - drivers)]
+            wanted = [
+                ("walker", cfg.walkers - active["walker"]),
+                ("driver", cfg.drivers - active["driver"]),
+            ]
         else:
             wanted = [
                 ("walker", _poisson(cfg.walker_rate, self.spawn_rng)),
@@ -312,13 +315,11 @@ class World:
             raise ValueError(f"agent {driver_id} is not a parked driver")
         start = agent.cell()
         heading = default_heading(self.grid, start)
+        statics = {
+            a.cell() for a in self.agents.values() if a.status is not Status.ACTIVE
+        }
         route = plan(
-            self.grid,
-            start,
-            new_goal,
-            agent.profile,
-            blocked=self._static_cells(),
-            heading=heading,
+            self.grid, start, new_goal, agent.profile, blocked=statics, heading=heading
         )
         if route is None:
             return False
@@ -438,11 +439,12 @@ class World:
         # iterate: replace departed agents
         created += self._spawn_phase(events, t)
 
-        frame, entry_ids = metrics_mod.build_frame(t, self.agents, pre_cells, events, grid)
+        frame, entry_ids = metrics_mod.build_frame(
+            t, self.agents, pre_cells, events, grid, self.heatmaps
+        )
         for walker_id in entry_ids:
             a = self.agents[walker_id]
             events.append(Event(t, "jaywalk_entry", (walker_id,), *a.position))
-        metrics_mod.accumulate_heatmaps(self.heatmaps, self.agents, grid)
         return StepRecord(t, events, frame, created, removed)
 
 

@@ -463,8 +463,6 @@ class LayoutSpec:
     block_side: int = 15
     building_side: int = 13
     lanes_per_direction: int = 2
-    obstruction_fraction: float = 0.0
-    seed: int = 0
 
     def validate(self) -> None:
         if self.blocks_x < 1 or self.blocks_y < 1:
@@ -478,8 +476,6 @@ class LayoutSpec:
             )
         if self.lanes_per_direction < 1:
             raise LayoutError("lanes_per_direction must be at least 1")
-        if not 0 <= self.obstruction_fraction <= 1:
-            raise LayoutError("obstruction_fraction must lie in [0, 1]")
 
 
 def generate_layout(spec: LayoutSpec) -> GridMap:
@@ -549,12 +545,7 @@ def generate_layout(spec: LayoutSpec) -> GridMap:
                 assert cell.ground is GroundType.ROAD
                 rows[y][x] = CellCode(GroundType.ZEBRA, cell.flow)
 
-    grid = GridMap.build(rows)
-    if spec.obstruction_fraction > 0:
-        grid = place_obstacles(
-            grid, spec.obstruction_fraction, random.Random(spec.seed)
-        )
-    return grid
+    return GridMap.build(rows)
 
 
 def place_obstacles(grid: GridMap, fraction: float, rng: random.Random) -> GridMap:

@@ -67,9 +67,12 @@ class HeatmapSet:
         )
 
 
-def build_frame(step, agents, pre_cells, events, grid) -> tuple[MetricsFrame, list[int]]:
-    """Aggregate one step; also returns the ids of walkers that entered road
-    ground this step (for event logging)."""
+def build_frame(
+    step, agents, pre_cells, events, grid, heatmaps: HeatmapSet
+) -> tuple[MetricsFrame, list[int]]:
+    """Aggregate one step and add its active-agent occupancy and speed samples
+    to ``heatmaps``; also returns the ids of walkers that entered road ground
+    this step (for event logging)."""
     active_walkers = 0
     active_drivers = 0
     speed_sum = 0.0
@@ -78,15 +81,19 @@ def build_frame(step, agents, pre_cells, events, grid) -> tuple[MetricsFrame, li
     for agent in agents.values():
         if agent.status is not Status.ACTIVE:
             continue
+        cell = agent.cell()
+        x, y = cell
         if agent.kind == "driver":
             active_drivers += 1
             speed_sum += agent.speed
+            heatmaps.driver_occupancy[y, x] += 1
+            heatmaps.driver_speed_sum[y, x] += agent.speed
             continue
         active_walkers += 1
-        now = agent.cell()
-        now_road = grid.ground_at(now) in ROAD_FAMILY
-        if now_road:
+        heatmaps.walker_occupancy[y, x] += 1
+        if grid.ground_at(cell) in ROAD_FAMILY:
             on_road += 1
+            heatmaps.jaywalk[y, x] += 1
             before = pre_cells.get(agent.id)
             if before is not None and grid.ground_at(before) not in ROAD_FAMILY:
                 entries.append(agent.id)
@@ -103,28 +110,6 @@ def build_frame(step, agents, pre_cells, events, grid) -> tuple[MetricsFrame, li
         runovers=runovers,
     )
     return frame, entries
-
-
-def accumulate_heatmaps(heatmaps: HeatmapSet, agents, grid: GridMap) -> HeatmapSet:
-    """Add one step's active-agent occupancy and speed samples to the tables."""
-    shape = heatmaps.driver_occupancy.shape
-    if shape != (grid.height, grid.width):
-        raise ValueError(
-            f"heatmap layers are {shape[1]}x{shape[0]}, "
-            f"grid is {grid.width}x{grid.height}"
-        )
-    for agent in agents.values():
-        if agent.status is not Status.ACTIVE:
-            continue
-        x, y = agent.cell()
-        if agent.kind == "driver":
-            heatmaps.driver_occupancy[y, x] += 1
-            heatmaps.driver_speed_sum[y, x] += agent.speed
-        else:
-            heatmaps.walker_occupancy[y, x] += 1
-            if grid.ground_at((x, y)) in ROAD_FAMILY:
-                heatmaps.jaywalk[y, x] += 1
-    return heatmaps
 
 
 def _fmt(value) -> str:

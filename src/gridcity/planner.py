@@ -79,6 +79,8 @@ class BehaviorProfile:
     def __post_init__(self):
         if self.kind not in ("walker", "driver"):
             raise ValueError(f"unknown agent kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.w, self.alpha, self.max_speed)):
+            raise ValueError("w, alpha and max_speed must be finite")
         if self.w < 1:
             raise ValueError("heuristic weight w must be >= 1")
         if self.alpha < 0:

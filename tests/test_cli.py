@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import pytest
@@ -5,6 +6,7 @@ import yaml
 from click.testing import CliRunner
 
 from gridcity.cli import (
+    _SIM_FIELDS,
     ConfigError,
     build_grid,
     execute_run,
@@ -14,6 +16,7 @@ from gridcity.cli import (
     point_label,
     sweep_points,
 )
+from gridcity.engine import SimConfig
 from gridcity.environment import parse_grid
 
 
@@ -125,6 +128,50 @@ def test_full_experiment_grid_shape(tmp_path):
     scenario = load_config(write_config(tmp_path, doc))
     points = sweep_points(scenario)
     assert len(points) == 9 * 5 * 3
+
+
+# -- the scenario format ----------------------------------------------------------
+
+# Every SimConfig field away from its default, with scalar and pair ranges.
+EVERY_FIELD = {
+    "steps": 3, "walkers": 4, "drivers": 2, "obstruction": 0.05,
+    "spawn_mode": "poisson", "walker_rate": 0.5, "driver_rate": 0.25,
+    "profiles": {
+        "walker": {"w": 2, "alpha": [0.5, 1.5], "max_speed": 0.75},
+        "driver": {"w": [2, 4], "alpha": 2, "max_speed": 3.0},
+    },
+    "walker_speed_cap": None, "collision_countdown": 7,
+    "sensing": {"lookahead": 3, "radius": 1.25, "yield_radius": 2.0},
+    "accel": 0.5, "decel": 1.5, "reactivation_prob": 0.1, "seed": 5,
+    "layout": {"blocks_x": 2, "blocks_y": 1, "block_side": 11,
+               "building_side": 9, "lanes_per_direction": 1},
+}
+
+
+def test_sim_fields_name_every_simconfig_field_once():
+    names = [name for _, name, _ in _SIM_FIELDS]
+    assert sorted(names) == sorted(f.name for f in dataclasses.fields(SimConfig))
+    paths = [path for path, _, _ in _SIM_FIELDS]
+    assert len(set(paths)) == len(paths)
+
+
+@pytest.mark.parametrize("doc, digest", [
+    (EVERY_FIELD, "d1e7d0b49c6fb0d461030aec9a0005c97645f875c5a023783554f57ec90db263"),
+    ({"steps": 2, "grid": "map.grid", "obstacles": "obs.txt"},
+     "d2b6b23ab4590a7be036d117f5c72d23295b3b834a67f997a1255f928597f8fe"),
+], ids=["every_field", "grid_file"])
+def test_echoed_config_bytes_are_pinned(tmp_path, doc, digest):
+    (tmp_path / "map.grid").write_text("3 1\ns-- rE- rE-\n")
+    (tmp_path / "obs.txt").write_text("0 0\n")
+    scenario = load_config(write_config(tmp_path, doc))
+    if doc is EVERY_FIELD:
+        defaults = SimConfig()
+        for f in dataclasses.fields(SimConfig):
+            assert getattr(scenario.sim, f.name) != getattr(defaults, f.name), f.name
+    execute_run(scenario, tmp_path / "out")
+    echoed = tmp_path / "out" / "config.yaml"
+    assert hashlib.sha256(echoed.read_bytes()).hexdigest() == digest
+    assert load_config(echoed).sim == scenario.sim
 
 
 # -- single run -------------------------------------------------------------------
@@ -326,6 +373,19 @@ def test_gen_map_obstacle_sidecar(tmp_path):
     sidecar = tmp_path / "obstructed.grid.obstacles"
     assert sidecar.is_file()
     assert len(sidecar.read_text().splitlines()) == round(0.1 * 56)
+    digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
+    assert digest(out) == "86079cedf52db46177d8d34f25ccdc0a973e00955a16f11aac6e7446d809a933"
+    assert digest(sidecar) == "7c647bf5f0d2279e133bce1b179e839fd854214ea139a493b7bf65dc01e2b612"
+
+
+def test_gen_map_rejects_bad_obstruction(tmp_path):
+    result = CliRunner().invoke(
+        main,
+        ["gen-map", "--blocks-x", "1", "--blocks-y", "1", "--obstruction", "1.5",
+         "--out", str(tmp_path / "x.grid")],
+    )
+    assert result.exit_code == 2
+    assert "config error: obstruction fraction" in result.output
 
 
 # -- plan-debug -----------------------------------------------------------------------
@@ -373,6 +433,19 @@ def test_plan_debug_rejects_malformed_coordinates(tmp_path, start):
     )
     assert result.exit_code == 2
     assert "config error: --start must be 'x,y'" in result.output
+
+
+@pytest.mark.parametrize("option", [["-w", "0.5"], ["--alpha", "-1"], ["--alpha", "inf"]])
+def test_plan_debug_rejects_bad_profile(tmp_path, option):
+    grid_file = tmp_path / "strip.grid"
+    grid_file.write_text("4 1\nrE- rE- rE- rE-\n")
+    result = CliRunner().invoke(
+        main,
+        ["plan-debug", "--grid", str(grid_file), "--kind", "driver",
+         "--start", "0,0", "--goal", "3,0", *option],
+    )
+    assert result.exit_code == 2
+    assert result.output.startswith("config error: ")
 
 
 def test_plan_debug_requires_exactly_one_source(tmp_path):

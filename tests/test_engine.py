@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -96,6 +97,13 @@ def test_detection_invariant_under_permutation():
         {"driver_alpha": (2.0, 1.0)},
         {"collision_countdown": 0},
         {"walker_max_speed": 0},
+        {"spawn_mode": "poisson", "walker_rate": math.nan},
+        {"driver_alpha": (math.nan, math.nan)},
+        {"driver_alpha": (math.inf, math.inf)},
+        {"sense_radius": math.inf},
+        {"accel": -1.0},
+        {"decel": 0.0},
+        {"walker_speed_cap": math.inf},
     ],
 )
 def test_config_rejected(kwargs):
@@ -202,12 +210,17 @@ def test_collision_countdown_removes_after_exact_delay():
 def test_replenish_keeps_population_at_target():
     cfg = SimConfig(steps=30, walkers=8, drivers=5, seed=11)
     world = World(small_grid(), cfg)
+
+    def active_counts():
+        active = [a.kind for a in world.agents.values() if a.status is Status.ACTIVE]
+        return active.count("walker"), active.count("driver")
+
     for _ in range(30):
         world.step()
-        walkers, drivers = world._active_counts()
+        walkers, drivers = active_counts()
         assert walkers <= 8
         assert drivers <= 5
-    assert world._active_counts() == (8, 5)
+    assert active_counts() == (8, 5)
 
 
 def test_poisson_mode_rate_zero_spawns_nothing():

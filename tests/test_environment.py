@@ -209,7 +209,6 @@ def test_layout_turn_cells_advertise_both_lane_directions():
         {"blocks_x": 0, "blocks_y": 1},
         {"blocks_x": 1, "blocks_y": 1, "block_side": 15, "building_side": 14},
         {"blocks_x": 1, "blocks_y": 1, "lanes_per_direction": 0},
-        {"blocks_x": 1, "blocks_y": 1, "obstruction_fraction": 1.5},
     ],
 )
 def test_layout_rejects_bad_spec(kwargs):

@@ -7,7 +7,6 @@ from gridcity.engine import Event, SimConfig, World, run
 from gridcity.environment import LayoutSpec, ROAD_FAMILY, generate_layout
 from gridcity.metrics import (
     HeatmapSet,
-    accumulate_heatmaps,
     build_frame,
     export_run,
 )
@@ -17,8 +16,11 @@ from helpers import grid_of, make_agent
 # -- frame aggregation ----------------------------------------------------------
 
 
-def frame_for(grid, agents, pre_cells, events=()):
-    return build_frame(1, {a.id: a for a in agents}, pre_cells, list(events), grid)
+def frame_for(grid, agents, pre_cells, events=(), heatmaps=None):
+    heatmaps = heatmaps or HeatmapSet.create(grid)
+    return build_frame(
+        1, {a.id: a for a in agents}, pre_cells, list(events), grid, heatmaps
+    )
 
 
 def test_sidewalk_to_road_counts_one_entry():
@@ -76,7 +78,7 @@ def test_stationary_driver_accumulates_speed_mean():
     heat = HeatmapSet.create(grid)
     driver = make_agent(1, "driver", (0.5, 0.5), None, speed=1.5)
     for _ in range(10):
-        accumulate_heatmaps(heat, {1: driver}, grid)
+        frame_for(grid, [driver], {1: (0, 0)}, heatmaps=heat)
     assert heat.driver_occupancy[0, 0] == 10
     assert heat.driver_speed_sum[0, 0] / heat.driver_occupancy[0, 0] == 1.5
     assert heat.driver_occupancy[0, 1] == 0
@@ -86,9 +88,9 @@ def test_speed_mean_is_exact_over_mixed_samples():
     grid = grid_of("rE-")
     heat = HeatmapSet.create(grid)
     driver = make_agent(1, "driver", (0.5, 0.5), None, speed=1.0)
-    accumulate_heatmaps(heat, {1: driver}, grid)
+    frame_for(grid, [driver], {1: (0, 0)}, heatmaps=heat)
     driver.speed = 2.0
-    accumulate_heatmaps(heat, {1: driver}, grid)
+    frame_for(grid, [driver], {1: (0, 0)}, heatmaps=heat)
     assert heat.driver_speed_sum[0, 0] / heat.driver_occupancy[0, 0] == 1.5
 
 
@@ -126,14 +128,6 @@ def test_jaywalk_layer_nonzero_only_on_road_family():
         for x in range(grid.width):
             if layer[y, x]:
                 assert grid.ground_at((x, y)) in ROAD_FAMILY
-
-
-def test_accumulate_rejects_dimension_mismatch():
-    grid = grid_of("rE- rE-")
-    other = grid_of("rE- rE- rE-")
-    layers = HeatmapSet.create(other)
-    with pytest.raises(ValueError, match="heatmap layer"):
-        accumulate_heatmaps(layers, {}, grid)
 
 
 def test_heatmap_set_tables_have_grid_shape():

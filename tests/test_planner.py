@@ -75,6 +75,10 @@ def test_profile_validation():
         BehaviorProfile(kind="driver", max_speed=0)
     with pytest.raises(ValueError):
         BehaviorProfile(kind="cyclist")
+    for bad in ({"w": math.nan}, {"alpha": math.nan}, {"alpha": math.inf},
+                {"max_speed": math.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            BehaviorProfile(kind="driver", **bad)
 
 
 # -- driver action classification ----------------------------------------------
