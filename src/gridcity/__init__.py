@@ -12,14 +12,12 @@ from .environment import (
     LayoutError,
     LayoutSpec,
     ROAD_FAMILY,
-    driver_cost,
     generate_layout,
     parse_grid,
     parse_obstacle_list,
     place_obstacles,
     serialize_grid,
     serialize_obstacle_list,
-    walker_cost,
 )
 from .planner import (
     Action,

@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .environment import Coord, Direction, DIRECTION_ORDER, GridMap, GroundType
+from .environment import (
+    Coord, Direction, DIRECTION_ORDER, DIRECTION_TABLE, GridMap, GroundType,
+)
 from .planner import BehaviorProfile, Plan, plan
 
 
@@ -251,9 +253,9 @@ def act(
 
 
 def _direction_between(a: Coord, b: Coord) -> Direction | None:
-    dx, dy = b[0] - a[0], b[1] - a[1]
-    for d in DIRECTION_ORDER:
-        if (d.dx, d.dy) == (dx, dy):
+    delta = (b[0] - a[0], b[1] - a[1])
+    for d, row in zip(DIRECTION_ORDER, DIRECTION_TABLE):
+        if row[:2] == delta:
             return d
     return None
 

@@ -33,20 +33,24 @@ class Direction(Enum):
     WEST = "W"
 
     @property
+    def _row(self) -> tuple[int, int, int, int]:
+        return DIRECTION_TABLE[DIRECTION_ORDER.index(self)]
+
+    @property
     def dx(self) -> int:
-        return _DELTAS[self][0]
+        return self._row[0]
 
     @property
     def dy(self) -> int:
-        return _DELTAS[self][1]
+        return self._row[1]
 
     @property
     def opposite(self) -> "Direction":
-        return _OPPOSITES[self]
+        return DIRECTION_ORDER[self._row[2]]
 
     @property
     def clockwise(self) -> "Direction":
-        return _CLOCKWISE[self]
+        return DIRECTION_ORDER[self._row[3]]
 
     @classmethod
     def from_char(cls, ch: str) -> "Direction":
@@ -56,26 +60,6 @@ class Direction(Enum):
             raise GridParseError(f"unknown direction character {ch!r}") from None
 
 
-# y grows downward (text rows), so NORTH points toward row 0.
-_DELTAS = {
-    Direction.NORTH: (0, -1),
-    Direction.EAST: (1, 0),
-    Direction.SOUTH: (0, 1),
-    Direction.WEST: (-1, 0),
-}
-_OPPOSITES = {
-    Direction.NORTH: Direction.SOUTH,
-    Direction.SOUTH: Direction.NORTH,
-    Direction.EAST: Direction.WEST,
-    Direction.WEST: Direction.EAST,
-}
-_CLOCKWISE = {
-    Direction.NORTH: Direction.EAST,
-    Direction.EAST: Direction.SOUTH,
-    Direction.SOUTH: Direction.WEST,
-    Direction.WEST: Direction.NORTH,
-}
-
 #: Canonical ordering for serialization and neighbor expansion.
 DIRECTION_ORDER: tuple[Direction, ...] = (
     Direction.NORTH,
@@ -83,6 +67,23 @@ DIRECTION_ORDER: tuple[Direction, ...] = (
     Direction.SOUTH,
     Direction.WEST,
 )
+
+#: One row per direction of DIRECTION_ORDER: ``(dx, dy, opposite, clockwise)``,
+#: the last two as indices into DIRECTION_ORDER.  y grows downward (text
+#: rows), so NORTH points toward row 0.
+DIRECTION_TABLE: tuple[tuple[int, int, int, int], ...] = (
+    (0, -1, 2, 1),
+    (1, 0, 3, 2),
+    (0, 1, 0, 3),
+    (-1, 0, 1, 0),
+)
+
+#: Flow direction set per NESW bit mask (bit k stands for DIRECTION_ORDER[k]).
+_FLOW_SETS = tuple(
+    frozenset(d for k, d in enumerate(DIRECTION_ORDER) if mask >> k & 1)
+    for mask in range(16)
+)
+_FLOW_MASKS = {dirs: mask for mask, dirs in enumerate(_FLOW_SETS)}
 
 
 class GroundType(Enum):
@@ -195,31 +196,25 @@ class CellCode:
             raise GridParseError(f"token {token!r}: {exc}") from None
 
 
-def walker_cost(cell: CellCode) -> float:
-    """Pedestrian traversal cost for one cell; infinite on impassable ground."""
-    return _WALKER_COSTS[cell.ground]
-
-
-def driver_cost(cell: CellCode) -> float:
-    """Vehicle traversal cost for one cell; infinite on impassable ground."""
-    return _DRIVER_COSTS[cell.ground]
-
-
 @dataclass(frozen=True)
 class GridMap:
-    """Immutable city grid: cells, obstacle overlay, and spawn/goal sites.
+    """Immutable city grid: flat per-cell arrays, obstacle overlay, and sites.
 
-    ``cells`` is indexed ``[y][x]``.  Obstacles are an overlay on top of the
-    ground type so the underlying cell stays inspectable.  Spawn sites are
-    computed once at construction: walker sites are building-adjacent sidewalk
-    cells, driver sites are road cells where an inbound lane enters the map
-    (paired with the inbound heading), driver exits are boundary cells whose
-    flow points off the map.
+    ``ground`` and ``flow`` hold one entry per cell, indexed ``y * width + x``:
+    the cell's GroundType and its permitted vehicular flow directions as a
+    NESW bit mask (bit k stands for ``DIRECTION_ORDER[k]``).  Obstacles are an
+    overlay on top of the ground type so the underlying cell stays
+    inspectable; they enter the per-kind cost lists of ``costs``.  Spawn sites
+    are computed once at construction: walker sites are building-adjacent
+    sidewalk cells, driver sites are road cells where an inbound lane enters
+    the map (paired with the inbound heading), driver exits are boundary cells
+    whose flow points off the map.
     """
 
     width: int
     height: int
-    cells: tuple
+    ground: tuple
+    flow: tuple
     obstacles: frozenset = frozenset()
     walker_spawns: tuple = ()
     driver_spawns: tuple = ()
@@ -232,7 +227,6 @@ class GridMap:
     def build(
         cls,
         rows: Sequence[Sequence[CellCode]],
-        obstacles: Iterable[Coord] = (),
         lane_offsets: tuple[float, float] = (0.5, 0.5),
     ) -> "GridMap":
         if not rows or not rows[0]:
@@ -242,25 +236,23 @@ class GridMap:
             if len(row) != width:
                 raise ValueError(f"row {y} has {len(row)} cells, expected {width}")
         height = len(rows)
-        cells = tuple(tuple(row) for row in rows)
-        obstacles = frozenset(obstacles)
-        _check_obstacles(cells, width, height, obstacles)
         if not (0 <= lane_offsets[0] < 1 and 0 <= lane_offsets[1] < 1):
             raise ValueError("lane offsets must lie in [0, 1)")
+        ground = tuple(cell.ground for row in rows for cell in row)
+        flow = tuple(_FLOW_MASKS[cell.flow] for row in rows for cell in row)
         return cls(
             width=width,
             height=height,
-            cells=cells,
-            obstacles=obstacles,
-            walker_spawns=_walker_spawn_sites(cells, width, height),
-            driver_spawns=_driver_spawn_sites(cells, width, height),
-            driver_exits=_driver_exit_sites(cells, width, height),
+            ground=ground,
+            flow=flow,
+            walker_spawns=_walker_spawn_sites(ground, width, height),
+            driver_spawns=_driver_spawn_sites(ground, flow, width, height),
+            driver_exits=_driver_exit_sites(ground, flow, width, height),
             parking_cells=tuple(
                 sorted(
-                    (x, y)
-                    for y in range(height)
-                    for x in range(width)
-                    if cells[y][x].ground is GroundType.PARKING
+                    (i % width, i // width)
+                    for i, g in enumerate(ground)
+                    if g is GroundType.PARKING
                 )
             ),
             lane_offsets=lane_offsets,
@@ -271,24 +263,33 @@ class GridMap:
         return 0 <= x < self.width and 0 <= y < self.height
 
     def cell_at(self, coord: Coord) -> CellCode:
-        x, y = coord
-        return self.cells[y][x]
+        i = coord[1] * self.width + coord[0]
+        return CellCode(self.ground[i], _FLOW_SETS[self.flow[i]])
 
     def ground_at(self, coord: Coord) -> GroundType:
-        return self.cell_at(coord).ground
+        return self.ground[coord[1] * self.width + coord[0]]
 
     def flow_at(self, coord: Coord) -> frozenset:
-        return self.cell_at(coord).flow
+        return _FLOW_SETS[self.flow[coord[1] * self.width + coord[0]]]
+
+    def costs(self, kind: str) -> list:
+        """Traversal cost per cell for a 'walker' or a 'driver', indexed
+        ``y * width + x``: infinite on impassable ground and on obstacles.
+        Built once per grid and kind."""
+        costs = self._cache.get(kind)
+        if costs is None:
+            table = _WALKER_COSTS if kind == "walker" else _DRIVER_COSTS
+            costs = [table[g] for g in self.ground]
+            for x, y in self.obstacles:
+                costs[y * self.width + x] = math.inf
+            self._cache[kind] = costs
+        return costs
 
     def walker_cost_at(self, coord: Coord) -> float:
-        if coord in self.obstacles:
-            return math.inf
-        return _WALKER_COSTS[self.cell_at(coord).ground]
+        return self.costs("walker")[coord[1] * self.width + coord[0]]
 
     def driver_cost_at(self, coord: Coord) -> float:
-        if coord in self.obstacles:
-            return math.inf
-        return _DRIVER_COSTS[self.cell_at(coord).ground]
+        return self.costs("driver")[coord[1] * self.width + coord[0]]
 
     def center(self, coord: Coord) -> tuple[float, float]:
         """Continuous lane-center point of a cell."""
@@ -297,54 +298,50 @@ class GridMap:
     def with_obstacles(self, obstacles: Iterable[Coord]) -> "GridMap":
         """New map with the given obstacle overlay (spawn sites unchanged)."""
         obstacles = frozenset(obstacles)
-        _check_obstacles(self.cells, self.width, self.height, obstacles)
+        for x, y in obstacles:
+            if not self.in_bounds((x, y)):
+                raise ValueError(f"obstacle ({x}, {y}) outside the grid")
+            if self.ground[y * self.width + x] is GroundType.BUILDING:
+                raise ValueError(f"obstacle ({x}, {y}) placed on a building cell")
         return dataclasses.replace(self, obstacles=obstacles, _cache={})
 
     def ground_counts(self) -> dict:
         counts: dict = {g: 0 for g in GroundType}
-        for row in self.cells:
-            for cell in row:
-                counts[cell.ground] += 1
+        for g in self.ground:
+            counts[g] += 1
         return counts
 
 
-def _check_obstacles(cells, width, height, obstacles: frozenset) -> None:
-    for x, y in obstacles:
-        if not (0 <= x < width and 0 <= y < height):
-            raise ValueError(f"obstacle ({x}, {y}) outside the grid")
-        if cells[y][x].ground is GroundType.BUILDING:
-            raise ValueError(f"obstacle ({x}, {y}) placed on a building cell")
-
-
-def _walker_spawn_sites(cells, width, height) -> tuple:
+def _walker_spawn_sites(ground, width, height) -> tuple:
     sites = []
     for y in range(height):
         for x in range(width):
-            if cells[y][x].ground is not GroundType.SIDEWALK:
+            if ground[y * width + x] is not GroundType.SIDEWALK:
                 continue
-            for d in DIRECTION_ORDER:
-                nx, ny = x + d.dx, y + d.dy
+            for dx, dy, _, _ in DIRECTION_TABLE:
+                nx, ny = x + dx, y + dy
                 if 0 <= nx < width and 0 <= ny < height:
-                    if cells[ny][nx].ground is GroundType.BUILDING:
+                    if ground[ny * width + nx] is GroundType.BUILDING:
                         sites.append((x, y))
                         break
     return tuple(sorted(sites))
 
 
-def _inward_dirs(x: int, y: int, width: int, height: int) -> list[Direction]:
+def _inward_dirs(x: int, y: int, width: int, height: int) -> list[int]:
+    """Indices into DIRECTION_ORDER of the directions pointing into the map."""
     dirs = []
     if y == 0:
-        dirs.append(Direction.SOUTH)
+        dirs.append(2)  # SOUTH
     if y == height - 1:
-        dirs.append(Direction.NORTH)
+        dirs.append(0)  # NORTH
     if x == 0:
-        dirs.append(Direction.EAST)
+        dirs.append(1)  # EAST
     if x == width - 1:
-        dirs.append(Direction.WEST)
+        dirs.append(3)  # WEST
     return dirs
 
 
-def _driver_spawn_sites(cells, width, height) -> tuple:
+def _driver_spawn_sites(ground, flow, width, height) -> tuple:
     # Entry lanes are traced inward from the boundary until a plain road cell:
     # spawn sites must sit on Road ground even when the lane enters the map
     # through an intersection or a crossing band.
@@ -353,35 +350,35 @@ def _driver_spawn_sites(cells, width, height) -> tuple:
         for x in range(width):
             if x not in (0, width - 1) and y not in (0, height - 1):
                 continue
-            cell = cells[y][x]
-            for d in _inward_dirs(x, y, width, height):
-                if d not in cell.flow:
+            for k in _inward_dirs(x, y, width, height):
+                if not flow[y * width + x] >> k & 1:
                     continue
+                dx, dy, _, _ = DIRECTION_TABLE[k]
                 px, py = x, y
                 for _ in range(max(width, height)):
-                    c = cells[py][px]
-                    if _DRIVER_COSTS[c.ground] == math.inf or d not in c.flow:
+                    i = py * width + px
+                    if _DRIVER_COSTS[ground[i]] == math.inf or not flow[i] >> k & 1:
                         break
-                    if c.ground is GroundType.ROAD:
-                        sites.add(((px, py), d))
+                    if ground[i] is GroundType.ROAD:
+                        sites.add(((px, py), DIRECTION_ORDER[k]))
                         break
-                    px, py = px + d.dx, py + d.dy
+                    px, py = px + dx, py + dy
                     if not (0 <= px < width and 0 <= py < height):
                         break
     return tuple(sorted(sites, key=lambda s: (s[0], s[1].value)))
 
 
-def _driver_exit_sites(cells, width, height) -> tuple:
+def _driver_exit_sites(ground, flow, width, height) -> tuple:
     sites = set()
     for y in range(height):
         for x in range(width):
             if x not in (0, width - 1) and y not in (0, height - 1):
                 continue
-            cell = cells[y][x]
-            if _DRIVER_COSTS[cell.ground] == math.inf:
+            i = y * width + x
+            if _DRIVER_COSTS[ground[i]] == math.inf:
                 continue
-            for d in _inward_dirs(x, y, width, height):
-                if d.opposite in cell.flow:
+            for k in _inward_dirs(x, y, width, height):
+                if flow[i] >> DIRECTION_TABLE[k][2] & 1:
                     sites.add((x, y))
     return tuple(sorted(sites))
 
@@ -428,8 +425,8 @@ def parse_grid(text: str) -> GridMap:
 def serialize_grid(grid: GridMap) -> str:
     """Canonical text form of a grid; parse_grid inverts it exactly."""
     lines = [f"{grid.width} {grid.height}"]
-    for row in grid.cells:
-        lines.append(" ".join(cell.token() for cell in row))
+    for y in range(grid.height):
+        lines.append(" ".join(grid.cell_at((x, y)).token() for x in range(grid.width)))
     return "\n".join(lines) + "\n"
 
 
@@ -557,10 +554,9 @@ def place_obstacles(grid: GridMap, fraction: float, rng: random.Random) -> GridM
     if not 0 <= fraction <= 1:
         raise ValueError("obstruction fraction must lie in [0, 1]")
     sidewalks = sorted(
-        (x, y)
-        for y in range(grid.height)
-        for x in range(grid.width)
-        if grid.cells[y][x].ground is GroundType.SIDEWALK
+        (i % grid.width, i // grid.width)
+        for i, g in enumerate(grid.ground)
+        if g is GroundType.SIDEWALK
     )
     target = round(fraction * len(sidewalks))
     if target == 0:

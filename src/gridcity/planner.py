@@ -19,6 +19,7 @@ from .environment import (
     Coord,
     Direction,
     DIRECTION_ORDER,
+    DIRECTION_TABLE,
     FLOW_GROUNDS,
     GridMap,
     GroundType,
@@ -112,129 +113,93 @@ class Plan:
         return len(self.steps)
 
 
-# Direction indices in N, E, S, W order.
-_N, _E, _S, _W = range(4)
-_DX = (0, 1, 0, -1)
-_DY = (-1, 0, 1, 0)
-_OPP = (_S, _W, _N, _E)
-_CW = (_E, _S, _W, _N)
-_INDEX_BY_DIR = {d: i for i, d in enumerate(DIRECTION_ORDER)}
+def _moves(grid: GridMap, kind: str):
+    """Search tables ``(shift, succ, cost, risk)`` for one agent kind.
 
-
-class _Nav:
-    """Flat precomputed arrays for one grid, cached on the grid."""
-
-    __slots__ = (
-        "width", "height", "size", "ground", "flow", "wcost", "dcost",
-        "turnspot", "nbr", "tables",
-    )
-
-    def __init__(self, grid: GridMap):
-        w, h = grid.width, grid.height
-        self.width, self.height, self.size = w, h, w * h
-        self.ground = [GroundType.ROAD] * self.size
-        self.flow = [0] * self.size
-        self.wcost = [0.0] * self.size
-        self.dcost = [0.0] * self.size
-        self.turnspot = [False] * self.size
-        for y in range(h):
-            for x in range(w):
-                i = y * w + x
-                cell = grid.cells[y][x]
-                self.ground[i] = cell.ground
-                mask = 0
-                for d in cell.flow:
-                    mask |= 1 << _INDEX_BY_DIR[d]
-                self.flow[i] = mask
-                self.wcost[i] = grid.walker_cost_at((x, y))
-                self.dcost[i] = grid.driver_cost_at((x, y))
-        for y in range(h):
-            for x in range(w):
-                i = y * w + x
-                g = self.ground[i]
-                if g in (GroundType.TURN, GroundType.LEFT_TURN):
-                    self.turnspot[i] = True
-                elif g in FLOW_GROUNDS:
-                    for k in range(4):
-                        nx, ny = x + _DX[k], y + _DY[k]
-                        if 0 <= nx < w and 0 <= ny < h:
-                            if self.ground[ny * w + nx] is GroundType.ZEBRA:
-                                self.turnspot[i] = True
-                                break
-        # 4-neighbor index per cell and direction, -1 when off-grid
-        self.nbr = [-1] * (self.size * 4)
-        for y in range(h):
-            for x in range(w):
-                i4 = (y * w + x) * 4
+    States are ``cell << shift``: shift 0 for walkers, shift 2 for drivers,
+    whose two low bits hold the heading.  ``succ[cell*4 + k]`` is the state a
+    move in direction k (``DIRECTION_ORDER[k]``) enters, -1 when the move
+    leaves the grid or enters ground impassable to the kind.  ``cost[state]``
+    is the ground cost of entering the state's cell, and ``risk[state*4 + k]``
+    the move's unscaled risk: all zeros for walkers, and for drivers filled
+    only from driver-passable cells, since no search expands another.  Built
+    once per grid and kind, in the grid's cache.
+    """
+    key = ("moves", kind)
+    tables = grid._cache.get(key)
+    if tables is None:
+        width, height = grid.width, grid.height
+        size = width * height
+        cell_cost = grid.costs(kind)
+        shift, heading_bits = (0, 0) if kind == "walker" else (2, 3)
+        succ = [-1] * (size * 4)
+        for y in range(height):
+            for x in range(width):
+                i4 = (y * width + x) * 4
+                for k, (dx, dy, _, _) in enumerate(DIRECTION_TABLE):
+                    nx, ny = x + dx, y + dy
+                    if 0 <= nx < width and 0 <= ny < height:
+                        n = ny * width + nx
+                        if cell_cost[n] != math.inf:
+                            succ[i4 + k] = (n << shift) | (k & heading_bits)
+        if kind == "walker":
+            tables = (0, succ, cell_cost, [0.0] * (size * 4))
+        else:
+            cost = [c for c in cell_cost for _ in range(4)]
+            risk = [0.0] * (size * 16)
+            for i in range(size):
+                if cell_cost[i] == math.inf:
+                    continue
+                turnspot = _turnspot(grid, i)
                 for k in range(4):
-                    nx, ny = x + _DX[k], y + _DY[k]
-                    if 0 <= nx < w and 0 <= ny < h:
-                        self.nbr[i4 + k] = ny * w + nx
-        self.tables = {}  # per-kind search tables, built on demand
-
-    def moves(self, kind: str):
-        """Search tables ``(shift, succ, cost, risk)`` for one agent kind.
-
-        States are ``cell << shift``: shift 0 for walkers, shift 2 for
-        drivers, whose two low bits hold the heading.  ``succ[cell*4 + k]`` is
-        the state a move in direction k enters, -1 when the move leaves the
-        grid or enters ground impassable to the kind.  ``cost[state]`` is the
-        ground cost of entering the state's cell, and ``risk[state*4 + k]``
-        the move's unscaled risk: all zeros for walkers, and for drivers
-        filled only from driver-passable cells, since no search expands
-        another.  Built once per grid and kind.
-        """
-        tables = self.tables.get(kind)
-        if tables is None:
-            size, nbr = self.size, self.nbr
-            if kind == "walker":
-                cell_cost = self.wcost
-                succ = [n if n >= 0 and cell_cost[n] != math.inf else -1 for n in nbr]
-                tables = (0, succ, cell_cost, [0.0] * (size * 4))
-            else:
-                cell_cost = self.dcost
-                succ = [
-                    (n << 2) | (e & 3) if n >= 0 and cell_cost[n] != math.inf else -1
-                    for e, n in enumerate(nbr)
-                ]
-                cost = [c for c in cell_cost for _ in range(4)]
-                risk = [0.0] * (size * 16)
-                for i in range(size):
-                    if cell_cost[i] == math.inf:
-                        continue
-                    for k in range(4):
-                        if succ[i * 4 + k] >= 0:
-                            ti = nbr[i * 4 + k]
-                            for hd in range(4):
-                                risk[(i * 4 + hd) * 4 + k] = _RISKS[_classify(self, i, ti, k, hd)]
-                tables = (2, succ, cost, risk)
-            self.tables[kind] = tables
-        return tables
+                    n = succ[i * 4 + k]
+                    if n >= 0:
+                        for hd, a in enumerate(_classify(grid, i, n >> 2, k, turnspot)):
+                            risk[(i * 4 + hd) * 4 + k] = _RISKS[a]
+            tables = (2, succ, cost, risk)
+        grid._cache[key] = tables
+    return tables
 
 
-def _nav(grid: GridMap) -> _Nav:
-    nav = grid._cache.get("nav")
-    if nav is None:
-        nav = _Nav(grid)
-        grid._cache["nav"] = nav
-    return nav
+def _turnspot(grid: GridMap, i: int) -> bool:
+    """Whether a driver may turn when leaving cell i: a turn cell, or a flow
+    cell beside a zebra."""
+    ground = grid.ground
+    if ground[i] is GroundType.TURN or ground[i] is GroundType.LEFT_TURN:
+        return True
+    if ground[i] not in FLOW_GROUNDS:
+        return False
+    width = grid.width
+    x, y = i % width, i // width
+    for dx, dy, _, _ in DIRECTION_TABLE:
+        nx, ny = x + dx, y + dy
+        if 0 <= nx < width and 0 <= ny < grid.height:
+            if ground[ny * width + nx] is GroundType.ZEBRA:
+                return True
+    return False
 
 
-def _classify(nav: _Nav, fi: int, ti: int, d: int, heading: int) -> int:
-    fm = nav.flow[fi]
-    if fm == 1 << _OPP[d]:
-        return _BACKWARD  # against the only permitted direction
-    if d == heading:
-        return _FORWARD if fm & (1 << d) else _BACKWARD
-    if d == _OPP[heading]:
-        return _BACKWARD
-    # perpendicular move
-    tf = nav.flow[ti]
-    if nav.ground[ti] is GroundType.ROAD and fm != 0 and tf == fm:
-        return _LANE
-    if nav.turnspot[fi] and tf & (1 << d):
-        return _RIGHT if _CW[heading] == d else _LEFT
-    return _INVALID
+def _classify(grid: GridMap, fi: int, ti: int, d: int, turnspot: bool) -> list:
+    """Action codes of a driver move from cell fi in direction d into its
+    neighbour ti, one per heading held before the move (NESW order)."""
+    _, _, back, clockwise = DIRECTION_TABLE[d]
+    fm = grid.flow[fi]
+    if fm == 1 << back:
+        return [_BACKWARD] * 4  # against the only permitted direction
+    tf = grid.flow[ti]
+    if grid.ground[ti] is GroundType.ROAD and fm != 0 and tf == fm:
+        right = left = _LANE
+    elif turnspot and tf & (1 << d):
+        right, left = _RIGHT, _LEFT
+    else:
+        right = left = _INVALID
+    codes = [_BACKWARD] * 4  # reversing: heading opposite to d
+    codes[d] = _FORWARD if fm & (1 << d) else _BACKWARD
+    # from the heading counter-clockwise of d (clockwise of its opposite) the
+    # move turns right; from the heading clockwise of d it turns left
+    codes[DIRECTION_TABLE[back][3]] = right
+    codes[clockwise] = left
+    return codes
 
 
 def classify_action(
@@ -250,15 +215,12 @@ def classify_action(
     """
     if manhattan(frm, to) != 1:
         raise ValueError(f"cells {frm} and {to} are not 4-adjacent")
-    nav = _nav(grid)
-    dx, dy = to[0] - frm[0], to[1] - frm[1]
-    for k in range(4):
-        if (_DX[k], _DY[k]) == (dx, dy):
-            d = k
-            break
-    fi = frm[1] * nav.width + frm[0]
-    ti = to[1] * nav.width + to[0]
-    return _ACTIONS[_classify(nav, fi, ti, d, _INDEX_BY_DIR[heading])]
+    delta = (to[0] - frm[0], to[1] - frm[1])
+    d = next(k for k, row in enumerate(DIRECTION_TABLE) if row[:2] == delta)
+    fi = frm[1] * grid.width + frm[0]
+    ti = to[1] * grid.width + to[0]
+    hd = DIRECTION_ORDER.index(heading)
+    return _ACTIONS[_classify(grid, fi, ti, d, _turnspot(grid, fi))[hd]]
 
 
 def default_heading(grid: GridMap, cell: Coord) -> Direction:
@@ -286,34 +248,34 @@ def plan(
     may pass a set that holds it.  ``trace``, when given a list, receives
     one (step, x, y, g, h, r, f) tuple per node expansion.
     """
-    nav = _nav(grid)
     if not grid.in_bounds(start) or not grid.in_bounds(goal):
         raise ValueError("start and goal must lie inside the grid")
-    cost_arr = nav.wcost if profile.kind == "walker" else nav.dcost
-    si = start[1] * nav.width + start[0]
-    gi = goal[1] * nav.width + goal[0]
+    width = grid.width
+    cost_arr = grid.costs(profile.kind)
+    si = start[1] * width + start[0]
+    gi = goal[1] * width + goal[0]
     if cost_arr[si] == math.inf:
         raise ValueError(f"start {start} is not traversable for a {profile.kind}")
     if cost_arr[gi] == math.inf:
         raise ValueError(f"goal {goal} is not traversable for a {profile.kind}")
-    blocked_idx = {c[1] * nav.width + c[0] for c in blocked if grid.in_bounds(c)}
+    blocked_idx = {c[1] * width + c[0] for c in blocked if grid.in_bounds(c)}
     blocked_idx.discard(si)
 
     if profile.kind == "walker":  # no walker move carries risk, whatever alpha
-        return _search(nav, "walker", si, gi, profile.w, 0.0, blocked_idx, trace)
+        return _search(grid, "walker", si, gi, profile.w, 0.0, blocked_idx, trace)
     if heading is None:
         heading = default_heading(grid, start)
     blocked_states = {(b << 2) | hd for b in blocked_idx for hd in range(4)}
     return _search(
-        nav, "driver", (si << 2) | _INDEX_BY_DIR[heading], gi,
+        grid, "driver", (si << 2) | DIRECTION_ORDER.index(heading), gi,
         profile.w, profile.alpha, blocked_states, trace,
     )
 
 
-def _search(nav, kind, s0, gi, w, alpha, blocked, trace):
+def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
     """Weighted A* from state ``s0`` to any state on cell ``gi``."""
-    shift, succ, cost, risk = nav.moves(kind)
-    width = nav.width
+    shift, succ, cost, risk = _moves(grid, kind)
+    width = grid.width
     si = s0 >> shift
     inf = math.inf
     gx, gy = gi % width, gi // width
@@ -337,7 +299,7 @@ def _search(nav, kind, s0, gi, w, alpha, blocked, trace):
             trace.append((expansions, idx % width, idx // width, gval, h, r_in, f))
         expansions += 1
         if idx == gi:
-            return _extract(nav, shift, came, s0, state, gval, expansions)
+            return _extract(width, shift, risk, came, s0, state, gval, expansions)
         nbase = idx * 4
         ebase = state * 4
         for k in range(4):
@@ -355,8 +317,7 @@ def _search(nav, kind, s0, gi, w, alpha, blocked, trace):
     return None
 
 
-def _extract(nav, shift, came, s0, goal_state, total, expansions):
-    width = nav.width
+def _extract(width, shift, risk, came, s0, goal_state, total, expansions):
     states = [goal_state]
     while states[-1] != s0:
         states.append(came[states[-1]])
@@ -366,10 +327,10 @@ def _extract(nav, shift, came, s0, goal_state, total, expansions):
     risk_total = 0.0
     for prev, state in zip(states, states[1:]):
         idx = state >> shift
-        if shift:  # a driver: the move's direction and the heading before it
-            a = _classify(nav, prev >> 2, idx, state & 3, prev & 3)
-            risk_total += _RISKS[a]
-            action = _ACTIONS[a]
+        if shift:  # a driver: each driver action has its own risk value
+            r = risk[prev * 4 + (state & 3)]
+            risk_total += r
+            action = _ACTIONS[_RISKS.index(r)]
         else:
             action = Action.STEP
         steps.append(PlanStep((idx % width, idx // width), action))

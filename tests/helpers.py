@@ -47,6 +47,11 @@ def random_grid(rng: random.Random, width: int = 15, height: int = 15) -> GridMa
     return GridMap.build(rows)
 
 
+def rows_of(grid: GridMap) -> list:
+    """The grid's cells as rows of CellCode, indexed ``[y][x]``."""
+    return [[grid.cell_at((x, y)) for x in range(grid.width)] for y in range(grid.height)]
+
+
 def traversable_cells(grid: GridMap, kind: str) -> list:
     cost = grid.walker_cost_at if kind == "walker" else grid.driver_cost_at
     return [

@@ -15,7 +15,7 @@ from gridcity.agents import (
     sense,
 )
 from gridcity.environment import CellCode, Direction, GridMap, GroundType
-from helpers import grid_of, make_agent, random_grid, straight_plan
+from helpers import grid_of, make_agent, random_grid, rows_of, straight_plan
 
 N, E = Direction.NORTH, Direction.EAST
 
@@ -142,7 +142,7 @@ def test_candidates_sense_the_same_as_the_full_population(
     zebra = CellCode(GroundType.ZEBRA, frozenset({N}))
     rows = [
         [zebra if rng.random() < 0.3 else c for c in row]
-        for row in random_grid(rng, rng.randint(2, 9), rng.randint(2, 9)).cells
+        for row in rows_of(random_grid(rng, rng.randint(2, 9), rng.randint(2, 9)))
     ]
     grid = GridMap.build(rows, lane_offsets=offsets)
     agents = _random_population(rng, grid)

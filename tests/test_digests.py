@@ -13,6 +13,7 @@ import pytest
 from gridcity.engine import SimConfig, run
 from gridcity.environment import CellCode, GridMap, GroundType, LayoutSpec, generate_layout
 from gridcity.metrics import export_run
+from helpers import rows_of
 
 
 def _city() -> GridMap:
@@ -33,7 +34,7 @@ def _parking_2x2() -> GridMap:
             else c
             for x, c in enumerate(row)
         ]
-        for y, row in enumerate(_blocks_2x2().cells)
+        for y, row in enumerate(rows_of(_blocks_2x2()))
     ]
     return GridMap.build(rows, lane_offsets=(0.25, 0.75))
 

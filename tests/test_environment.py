@@ -15,14 +15,12 @@ from gridcity.environment import (
     GroundType,
     LayoutError,
     LayoutSpec,
-    driver_cost,
     generate_layout,
     parse_grid,
     parse_obstacle_list,
     place_obstacles,
     serialize_grid,
     serialize_obstacle_list,
-    walker_cost,
 )
 from helpers import grid_of, random_grid
 
@@ -118,7 +116,7 @@ def test_parse_ignores_comments_and_blank_lines():
 def test_roundtrip_generated_layout():
     grid = generate_layout(LayoutSpec(blocks_x=2, blocks_y=1))
     again = parse_grid(serialize_grid(grid))
-    assert again.cells == grid.cells
+    assert again == grid
     assert serialize_grid(again) == serialize_grid(grid)
 
 
@@ -126,7 +124,7 @@ def test_roundtrip_generated_layout():
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_roundtrip_random_grids(seed):
     grid = random_grid(random.Random(seed), width=6, height=5)
-    assert parse_grid(serialize_grid(grid)).cells == grid.cells
+    assert parse_grid(serialize_grid(grid)) == grid
 
 
 def test_obstacle_list_roundtrip():
@@ -279,7 +277,7 @@ def test_walker_cost_table():
     }
     for ground, value in expected.items():
         flow = frozenset({Direction.NORTH}) if ground in FLOW_GROUNDS else frozenset()
-        assert walker_cost(CellCode(ground, flow)) == value
+        assert GridMap.build([[CellCode(ground, flow)]]).walker_cost_at((0, 0)) == value
 
 
 def test_driver_cost_table():
@@ -296,7 +294,7 @@ def test_driver_cost_table():
     }
     for ground, value in expected.items():
         flow = frozenset({Direction.NORTH}) if ground in FLOW_GROUNDS else frozenset()
-        assert driver_cost(CellCode(ground, flow)) == value
+        assert GridMap.build([[CellCode(ground, flow)]]).driver_cost_at((0, 0)) == value
 
 
 def test_cost_overlay_infinite():

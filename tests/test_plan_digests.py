@@ -24,7 +24,7 @@ from gridcity.environment import (
     place_obstacles,
 )
 from gridcity.planner import BehaviorProfile, plan
-from helpers import random_grid, traversable_cells
+from helpers import random_grid, rows_of, traversable_cells
 
 EXPECTED = "d2d83886213185232b507c1d5e954a4fb8930f3943f5fb5fb96894393515efd2"
 
@@ -40,7 +40,7 @@ def _parking_2x2() -> GridMap:
             else c
             for x, c in enumerate(row)
         ]
-        for y, row in enumerate(base.cells)
+        for y, row in enumerate(rows_of(base))
     ]
     return GridMap.build(rows, lane_offsets=(0.25, 0.75))
 
