@@ -245,7 +245,8 @@ def plan(
 
     ``blocked`` marks temporary dynamic obstacles (damaged or parked agents)
     treated as infinite-cost cells; the start cell is never blocked, so callers
-    may pass a set that holds it.  ``trace``, when given a list, receives
+    may pass a set that holds it.  A blocked goal can never be entered, so it
+    gets None without a search.  ``trace``, when given a list, receives
     one (step, x, y, g, h, r, f) tuple per node expansion.
     """
     if not grid.in_bounds(start) or not grid.in_bounds(goal):
@@ -260,6 +261,8 @@ def plan(
         raise ValueError(f"goal {goal} is not traversable for a {profile.kind}")
     blocked_idx = {c[1] * width + c[0] for c in blocked if grid.in_bounds(c)}
     blocked_idx.discard(si)
+    if gi in blocked_idx:
+        return None
 
     if profile.kind == "walker":  # no walker move carries risk, whatever alpha
         return _search(grid, "walker", si, gi, profile.w, 0.0, blocked_idx, trace)

@@ -26,7 +26,7 @@ from gridcity.environment import (
 from gridcity.planner import BehaviorProfile, plan
 from helpers import random_grid, rows_of, traversable_cells
 
-EXPECTED = "d2d83886213185232b507c1d5e954a4fb8930f3943f5fb5fb96894393515efd2"
+EXPECTED = "6ae440e2f644b8a6b565fe3d172f07405593b55b7b6dc61126d5db83b9e666a3"
 
 
 def _parking_2x2() -> GridMap:
@@ -71,7 +71,7 @@ def _queries():
                 if i == 0:
                     blocked.add(start)
                 elif i == 1:
-                    blocked.add(goal)  # the search exhausts and fails
+                    blocked.add(goal)  # fails at once, with an empty trace
                 heading = None
                 if kind == "driver" and i % 2:
                     flow = grid.flow_at(start)

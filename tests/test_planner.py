@@ -389,6 +389,16 @@ def test_replan_blocked_goal_fails():
     grid = uniform_sidewalk(5)
     profile = BehaviorProfile(kind="walker")
     assert plan(grid, (0, 0), (4, 4), profile, blocked={(4, 4)}) is None
+    # a blocked goal can never be entered, so no search runs
+    trace = []
+    assert plan(grid, (0, 0), (4, 4), profile, blocked={(4, 4)}, trace=trace) is None
+    assert trace == []
+    city = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
+    (start, heading), goal = city.driver_spawns[0], city.driver_exits[0]
+    driver = BehaviorProfile(kind="driver")
+    assert plan(city, start, goal, driver, heading=heading) is not None
+    assert plan(city, start, goal, driver, blocked={goal}, heading=heading, trace=trace) is None
+    assert trace == []
 
 
 def test_plan_ignores_blocked_start():
@@ -400,6 +410,24 @@ def test_plan_ignores_blocked_start():
     route = ((1, 1), (1, 2), (0, 2), (0, 1), (1, 1), (1, 0))
     assert plan(ring, (1, 1), (1, 0), driver, heading=S).cells == route
     assert plan(ring, (1, 1), (1, 0), driver, blocked={(1, 1)}, heading=S).cells == route
+
+
+def test_obstacle_overlay_never_reuses_parent_tables():
+    # planning on the parent first builds its cost lists and search tables
+    grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
+    walker = BehaviorProfile(kind="walker")
+    (driver_start, heading), driver_goal = grid.driver_spawns[0], grid.driver_exits[0]
+    driver = BehaviorProfile(kind="driver")
+    queries = [
+        (grid.walker_spawns[0], grid.walker_spawns[-1], walker, None),
+        (driver_start, driver_goal, driver, heading),
+    ]
+    for start, goal, profile, hd in queries:
+        route = plan(grid, start, goal, profile, heading=hd).cells
+        cell = route[len(route) // 2]
+        detour = plan(grid.with_obstacles({cell}), start, goal, profile, heading=hd)
+        assert detour is not None and cell not in detour.cells
+        assert plan(grid, start, goal, profile, heading=hd).cells == route
 
 
 # -- debug trace -----------------------------------------------------------------
