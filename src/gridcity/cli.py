@@ -54,7 +54,15 @@ class Scenario:
 
 
 def _number(value, name: str, cast):
-    """``cast(value)``, or a ConfigError naming the field when that fails."""
+    """``cast(value)``, or a ConfigError naming the field when that fails.
+
+    An int field takes no bool and no float with a fractional part, so
+    ``2.9`` is not silently read as 2; ``2.0`` reads as 2.
+    """
+    if cast is int and (
+        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError):
@@ -179,14 +187,11 @@ def load_config(path) -> Scenario:
     if has_layout:
         fields = {f.name for f in dataclasses.fields(LayoutSpec)}
         section = _mapping(raw["layout"], fields, "layout")
+        values = {key: _number(v, f"layout.{key}", int) for key, v in section.items()}
         try:
-            layout = LayoutSpec(**{
-                "blocks_x": 1,
-                "blocks_y": 1,
-                **{key: int(value) for key, value in section.items()},
-            })
+            layout = LayoutSpec(**{"blocks_x": 1, "blocks_y": 1, **values})
             layout.validate()
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"layout: {exc}") from None
         if "obstacles" in raw:
             raise ConfigError("'obstacles' requires a 'grid' file, not a layout")
@@ -205,7 +210,7 @@ def load_config(path) -> Scenario:
             raise ConfigError(f"sweep.{key}: expected a non-empty list")
 
     seeds = raw.get("seeds", [])
-    if seeds and (not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds)):
+    if seeds and (not isinstance(seeds, list) or not all(type(s) is int for s in seeds)):
         raise ConfigError("seeds: expected a list of integers")
 
     return Scenario(

@@ -81,6 +81,10 @@ def test_invalid_value_is_reported(tmp_path):
     ({"sensing": {"radius": "far"}}, "sensing.radius"),
     ({"profiles": {"driver": 3}}, "profiles.driver"),
     ({"layout": {"blocks_x": [1]}}, "layout"),
+    ({"walkers": 2.9}, "walkers"),
+    ({"profiles": {"driver": {"w": [1.5, 3.7]}}}, "profiles.driver.w"),
+    ({"layout": {"blocks_x": 1.9}}, "layout.blocks_x"),
+    ({"seeds": [True]}, "seeds"),
 ])
 def test_non_numeric_value_is_config_error(tmp_path, patch, field):
     config = write_config(tmp_path, dict(MINIMAL, **patch))
@@ -89,6 +93,16 @@ def test_non_numeric_value_is_config_error(tmp_path, patch, field):
     result = CliRunner().invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 2
     assert f"config error: {field}" in result.output
+
+
+def test_integral_floats_load_as_ints(tmp_path):
+    doc = dict(MINIMAL, walkers=2.0, layout={"blocks_x": 2.0})
+    doc["profiles"] = {"driver": {"w": [1.0, 5.0]}}
+    scenario = load_config(write_config(tmp_path, doc))
+    assert type(scenario.sim.walkers) is int and scenario.sim.walkers == 2
+    assert scenario.sim.driver_w == (1, 5)
+    assert all(type(w) is int for w in scenario.sim.driver_w)
+    assert type(scenario.layout.blocks_x) is int and scenario.layout.blocks_x == 2
 
 
 def test_sweep_lists_must_be_nonempty(tmp_path):
