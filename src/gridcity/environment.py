@@ -240,14 +240,15 @@ class GridMap:
             raise ValueError("lane offsets must lie in [0, 1)")
         ground = tuple(cell.ground for row in rows for cell in row)
         flow = tuple(_FLOW_MASKS[cell.flow] for row in rows for cell in row)
+        driver_spawns, driver_exits = _driver_sites(ground, flow, width, height)
         return cls(
             width=width,
             height=height,
             ground=ground,
             flow=flow,
             walker_spawns=_walker_spawn_sites(ground, width, height),
-            driver_spawns=_driver_spawn_sites(ground, flow, width, height),
-            driver_exits=_driver_exit_sites(ground, flow, width, height),
+            driver_spawns=driver_spawns,
+            driver_exits=driver_exits,
             parking_cells=tuple(
                 sorted(
                     (i % width, i // width)
@@ -306,10 +307,7 @@ class GridMap:
         return dataclasses.replace(self, obstacles=obstacles, _cache={})
 
     def ground_counts(self) -> dict:
-        counts: dict = {g: 0 for g in GroundType}
-        for g in self.ground:
-            counts[g] += 1
-        return counts
+        return {g: self.ground.count(g) for g in GroundType}
 
 
 def _walker_spawn_sites(ground, width, height) -> tuple:
@@ -341,46 +339,37 @@ def _inward_dirs(x: int, y: int, width: int, height: int) -> list[int]:
     return dirs
 
 
-def _driver_spawn_sites(ground, flow, width, height) -> tuple:
-    # Entry lanes are traced inward from the boundary until a plain road cell:
-    # spawn sites must sit on Road ground even when the lane enters the map
-    # through an intersection or a crossing band.
-    sites = set()
+def _driver_sites(ground, flow, width, height) -> tuple[tuple, tuple]:
+    """Driver spawn sites and exits, from the lanes that cross the boundary.
+
+    A boundary cell whose flow points off the map is an exit.  Entry lanes are
+    traced inward from the boundary until a plain road cell: spawn sites must
+    sit on Road ground even when the lane enters the map through an
+    intersection or a crossing band.
+    """
+    spawns, exits = set(), set()
     for y in range(height):
         for x in range(width):
             if x not in (0, width - 1) and y not in (0, height - 1):
                 continue
+            if _DRIVER_COSTS[ground[y * width + x]] == math.inf:
+                continue
             for k in _inward_dirs(x, y, width, height):
-                if not flow[y * width + x] >> k & 1:
-                    continue
-                dx, dy, _, _ = DIRECTION_TABLE[k]
+                dx, dy, back, _ = DIRECTION_TABLE[k]
+                if flow[y * width + x] >> back & 1:
+                    exits.add((x, y))
                 px, py = x, y
                 for _ in range(max(width, height)):
                     i = py * width + px
                     if _DRIVER_COSTS[ground[i]] == math.inf or not flow[i] >> k & 1:
                         break
                     if ground[i] is GroundType.ROAD:
-                        sites.add(((px, py), DIRECTION_ORDER[k]))
+                        spawns.add(((px, py), DIRECTION_ORDER[k]))
                         break
                     px, py = px + dx, py + dy
                     if not (0 <= px < width and 0 <= py < height):
                         break
-    return tuple(sorted(sites, key=lambda s: (s[0], s[1].value)))
-
-
-def _driver_exit_sites(ground, flow, width, height) -> tuple:
-    sites = set()
-    for y in range(height):
-        for x in range(width):
-            if x not in (0, width - 1) and y not in (0, height - 1):
-                continue
-            i = y * width + x
-            if _DRIVER_COSTS[ground[i]] == math.inf:
-                continue
-            for k in _inward_dirs(x, y, width, height):
-                if flow[i] >> DIRECTION_TABLE[k][2] & 1:
-                    sites.add((x, y))
-    return tuple(sorted(sites))
+    return tuple(sorted(spawns, key=lambda s: (s[0], s[1].value))), tuple(sorted(exits))
 
 
 def parse_grid(text: str) -> GridMap:
