@@ -34,13 +34,9 @@ from .planner import (
 from .agents import (
     AgentState,
     Decision,
-    Perception,
     Status,
     act,
-    candidates,
-    react_driver,
-    react_walker,
-    sense,
+    decide,
 )
 from .engine import (
     Event,

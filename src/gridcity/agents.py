@@ -1,9 +1,11 @@
 """Walker and driver behavior: sensing, reaction rules, and kinematics.
 
-Agents follow their planned route cell-center to cell-center.  Each step they
-perceive a window around their next few route cells, pick exactly one decision
-(stop, yield, decelerate, accelerate, replan, proceed), and move by their
-current speed along the plan polyline.
+Agents follow their planned route cell-center to cell-center.  Each step
+``decide`` gathers the whole population into arrays once, tests each active
+agent against the others near its window (its next few route cells), and
+picks exactly one decision per active agent (stop, yield, decelerate,
+accelerate, replan, proceed).  ``act`` then applies the decision and moves the
+agent by its current speed along the plan polyline.
 """
 from __future__ import annotations
 
@@ -11,9 +13,9 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .environment import (
-    Coord, Direction, DIRECTION_ORDER, DIRECTION_TABLE, GridMap, GroundType,
-)
+import numpy as np
+
+from .environment import Coord, Direction, DIRECTION_ORDER, DIRECTION_TABLE, GridMap
 from .planner import BehaviorProfile, Plan, plan
 
 
@@ -53,155 +55,150 @@ class AgentState:
         return (int(math.floor(self.position[0])), int(math.floor(self.position[1])))
 
 
-@dataclass(frozen=True)
-class Perception:
-    """What one agent saw this step within its sensing window."""
+def decide(
+    agents, grid: GridMap, lookahead: int, radius: float, yield_radius: float
+) -> tuple[dict, dict, set]:
+    """Sense and react for the whole population in one array pass.
 
-    nearby: tuple  # AgentState entries within the window
-    vehicle_conflict: bool  # an active driver is inside the window
-    conflict_index: int | None  # window slot (0 = next cell) of the nearest active agent
-    pedestrian_near_zebra: bool  # walker within yield radius of an upcoming zebra
-    blocked_cells: frozenset  # upcoming plan cells occupied by inactive agents
+    ``agents`` is the pre-step population.  Returns ``(decisions, pre_cells,
+    statics)``: one Decision per active agent by id, in population order;
+    every agent's floor cell by id; and the cells of inactive agents.
 
+    An active agent perceives the agents near its window, its next
+    ``lookahead`` plan cells.  Another agent is in the window when its
+    distance to some window cell center is strictly below ``radius``; the
+    nearest such slot of an active agent is the conflict slot.  An inactive
+    agent on a window cell blocks the window.  A driver also looks for active
+    walkers (sidewalk-adjacent ones included) within ``yield_radius`` of a
+    zebra cell center in its window.  Then:
 
-_NOTHING_SEEN = Perception((), False, None, False, frozenset())
+    - a walker on a zebra has right-of-way: it replans when blocked and
+      otherwise proceeds;
+    - any other walker stops for an active driver in its window, replans
+      when blocked, and otherwise proceeds;
+    - a driver yields to a walker near a zebra, decelerates when the
+      conflict slot lies within its braking window ``ceil(speed)`` (stopping
+      distance plus one cell), replans when blocked, and otherwise
+      accelerates.
 
-
-def _window(agent: AgentState, lookahead: int) -> list[Coord]:
-    """The agent's next ``lookahead`` plan cells."""
-    if agent.plan is None:
-        return []
-    return [s.cell for s in agent.plan.steps[agent.cursor:agent.cursor + lookahead]]
-
-
-def candidates(index: dict, agent: AgentState, lookahead: int, reach: float) -> list:
-    """Agents of the cell ``index`` that ``sense`` can see with radii up to
-    ``reach``: those on cells within ``ceil(reach)`` of the bounding box of
-    the agent's next ``lookahead`` plan cells.
-
-    The bound is exact for any lane offset in [0, 1): a point closer than
-    ``r`` to ``c + offset`` lies on a cell within ``c +- ceil(r)``.
+    Only the others on the cells of the window's bounding box widened by the
+    agent's ``ceil(reach)`` are tested, found by binary search over the
+    population sorted by flat cell, one search per box row.  The bound is
+    exact because ``GridMap.build`` keeps every cell center inside its cell:
+    a point closer than ``r`` to ``c + offset`` lies on a cell within
+    ``c +- ceil(r)``.  Distances are
+    ``dx*dx + dy*dy`` in float64, in the same order as a per-agent loop.
     """
-    window = _window(agent, lookahead)
-    if not window:
-        return []
-    r = math.ceil(reach)
-    xs = [c[0] for c in window]
-    ys = [c[1] for c in window]
-    y_range = range(min(ys) - r, max(ys) + r + 1)
-    get = index.get
-    found = []
-    for x in range(min(xs) - r, max(xs) + r + 1):
-        for y in y_range:
-            on_cell = get((x, y))
-            if on_cell:
-                found += on_cell
-    return found
-
-
-def sense(
-    agent: AgentState,
-    others,
-    grid: GridMap,
-    lookahead: int = 4,
-    radius: float = 1.0,
-    yield_radius: float = 1.5,
-) -> Perception:
-    """Perceive agents near the next ``lookahead`` plan cells.
-
-    ``others`` holds pre-step agent states; any superset of the agents within
-    reach gives the same perception, so the engine passes ``candidates``.  An
-    agent belongs to the window when its distance to some upcoming route cell
-    center is strictly below ``radius``.  A driver also looks for active
-    walkers (sidewalk-adjacent ones included) within ``yield_radius`` of an
-    upcoming zebra cell center.
-    """
-    window = _window(agent, lookahead)
-    if not window:
-        return _NOTHING_SEEN
-    centers = []
-    zebra_centers = []
-    check_zebras = agent.kind == "driver"
-    for c in window:
-        center = grid.center(c)
-        centers.append(center)
-        if check_zebras and grid.ground_at(c) is GroundType.ZEBRA:
-            zebra_centers.append(center)
-    r2 = radius * radius
-    y2 = yield_radius * yield_radius
-
-    nearby = []
-    blocked = set()
-    conflict_index: int | None = None
-    vehicle_conflict = False
-    pedestrian_near_zebra = False
-    my_id = agent.id
-    for other in others:
-        if other.id == my_id:
+    width = grid.width
+    active = Status.ACTIVE
+    pre_cells: dict = {}
+    statics: set = set()
+    xs, ys, flats, is_driver, is_active = [], [], [], [], []
+    rows, ids, speeds, window = [], [], [], []  # one entry per active agent
+    pad = [-1] * lookahead
+    for i, a in enumerate(agents):
+        cell = a.cell()
+        pre_cells[a.id] = cell
+        x, y = a.position
+        xs.append(x)
+        ys.append(y)
+        flats.append(cell[1] * width + cell[0])
+        is_driver.append(a.kind == "driver")
+        if a.status is not active:
+            is_active.append(False)
+            statics.add(cell)
             continue
-        active = other.status is Status.ACTIVE
-        ox, oy = other.position
-        for slot, (cx, cy) in enumerate(centers):
-            dx, dy = ox - cx, oy - cy
-            if dx * dx + dy * dy < r2:
-                nearby.append(other)
-                if active:
-                    if conflict_index is None or slot < conflict_index:
-                        conflict_index = slot
-                    if other.kind == "driver":
-                        vehicle_conflict = True
-                break
-        if not active:
-            cell = other.cell()
-            if cell in window:
-                blocked.add(cell)
-        elif zebra_centers and not pedestrian_near_zebra and other.kind == "walker":
-            for cx, cy in zebra_centers:
-                dx, dy = ox - cx, oy - cy
-                if dx * dx + dy * dy < y2:
-                    pedestrian_near_zebra = True
-                    break
+        is_active.append(True)
+        rows.append(i)
+        ids.append(a.id)
+        speeds.append(a.speed)
+        steps = a.plan.steps[a.cursor:a.cursor + lookahead] if a.plan is not None else ()
+        window += [s.cell[1] * width + s.cell[0] for s in steps]
+        window += pad[len(steps):]
+    if not ids:
+        return {}, pre_cells, statics
 
-    if not (nearby or blocked or pedestrian_near_zebra):
-        return _NOTHING_SEEN
-    return Perception(
-        nearby=tuple(nearby),
-        vehicle_conflict=vehicle_conflict,
-        conflict_index=conflict_index,
-        pedestrian_near_zebra=pedestrian_near_zebra,
-        blocked_cells=frozenset(blocked),
+    # gather: the population as arrays, the windows as (active, slot) arrays
+    n = len(ids)
+    pos_x, pos_y = np.array(xs), np.array(ys)
+    flat = np.array(flats)
+    is_driver = np.array(is_driver)
+    is_active = np.array(is_active)
+    rows = np.array(rows)
+    win = np.array(window).reshape(n, lookahead)
+    valid = win >= 0
+    win_y, win_x = np.divmod(win, width)
+    center_x = win_x + grid.lane_offsets[0]
+    center_y = win_y + grid.lane_offsets[1]
+    zebras = grid.zebra_mask()
+    zebra_slot = valid & zebras[win]
+    driving = is_driver[rows]
+
+    # buckets: the others on each row of each window's widened bounding box
+    order = np.argsort(flat, kind="stable")
+    sorted_flat = flat[order]
+    # a box never needs to reach past the grid; the cap also keeps it in int64
+    span = max(width, grid.height)
+    reach = np.where(
+        driving,
+        min(math.ceil(max(radius, yield_radius)), span),
+        min(math.ceil(radius), span),
     )
+    x0 = np.maximum(np.where(valid, win_x, width).min(1) - reach, 0)
+    x1 = np.minimum(np.where(valid, win_x, -1).max(1) + reach, width - 1)
+    y0 = np.maximum(np.where(valid, win_y, grid.height).min(1) - reach, 0)
+    y1 = np.minimum(np.where(valid, win_y, -1).max(1) + reach, grid.height - 1)
+    box_rows = np.where(valid[:, 0], y1 - y0 + 1, 0)
+    row_owner = np.repeat(np.arange(n), box_rows)
+    row_y = np.repeat(y0 - (np.cumsum(box_rows) - box_rows), box_rows)
+    row_y += np.arange(len(row_owner))
+    lo = np.searchsorted(sorted_flat, row_y * width + x0[row_owner], "left")
+    hi = np.searchsorted(sorted_flat, row_y * width + x1[row_owner], "right")
+    found = hi - lo
+    me = np.repeat(row_owner, found)
+    other = np.repeat(lo - (np.cumsum(found) - found), found)
+    other = order[other + np.arange(len(other))]
+    keep = other != rows[me]
+    me, other = me[keep], other[keep]
 
+    # tests per (agent, other) pair and window slot
+    dx = pos_x[other][:, None] - center_x[me]
+    dy = pos_y[other][:, None] - center_y[me]
+    d2 = dx * dx + dy * dy
+    hit = (d2 < radius * radius) & valid[me]
+    other_active = is_active[other]
+    seen = other_active & hit.any(1)
+    conflict = np.full(n, lookahead)
+    np.minimum.at(conflict, me[seen], hit[seen].argmax(1))
+    vehicle = np.zeros(n, dtype=bool)
+    vehicle[me[seen & is_driver[other]]] = True
+    inactive = ~other_active
+    on_window = (flat[other[inactive]][:, None] == win[me[inactive]]).any(1)
+    blocked = np.zeros(n, dtype=bool)
+    blocked[me[inactive][on_window]] = True
+    yielding = other_active & ~is_driver[other] & driving[me]
+    yielding &= ((d2 < yield_radius * yield_radius) & zebra_slot[me]).any(1)
+    near_zebra = np.zeros(n, dtype=bool)
+    near_zebra[me[yielding]] = True
 
-def react_walker(agent: AgentState, perception: Perception, grid: GridMap) -> Decision:
-    """Stop for active vehicles, except on a zebra where the walker has
-    right-of-way; replan around inactive blockers; otherwise proceed."""
-    on_zebra = grid.ground_at(agent.cell()) is GroundType.ZEBRA
-    if on_zebra:
-        return Decision.REPLAN if perception.blocked_cells else Decision.PROCEED
-    if perception.vehicle_conflict:
-        return Decision.STOP
-    if perception.blocked_cells:
-        return Decision.REPLAN
-    return Decision.PROCEED
-
-
-def react_driver(agent: AgentState, perception: Perception) -> Decision:
-    """Yield at upcoming zebras with pedestrians nearby, brake for agents
-    inside the braking window, replan around inactive blockers, else
-    accelerate to max speed.
-
-    The braking window scales with the current speed (stopping distance plus
-    one cell), so sensed-but-distant agents do not freeze traffic.
-    """
-    if perception.pedestrian_near_zebra:
-        return Decision.YIELD
-    if perception.conflict_index is not None:
-        if perception.conflict_index <= math.ceil(agent.speed):
-            return Decision.DECELERATE
-    if perception.blocked_cells:
-        return Decision.REPLAN
-    return Decision.ACCELERATE
+    # rules: the first condition that holds picks the outcome of its slot
+    outcomes = (Decision.YIELD, Decision.DECELERATE, Decision.STOP, Decision.REPLAN,
+                Decision.ACCELERATE, Decision.PROCEED)
+    braking = (conflict < lookahead) & (conflict <= np.ceil(speeds))
+    on_zebra = zebras[flat[rows]]
+    codes = np.select(
+        [
+            driving & near_zebra,
+            driving & braking,
+            ~driving & ~on_zebra & vehicle,
+            blocked,
+            driving,
+        ],
+        range(5),
+        5,
+    )
+    decisions = dict(zip(ids, map(outcomes.__getitem__, codes.tolist())))
+    return decisions, pre_cells, statics
 
 
 def act(

@@ -432,7 +432,8 @@ def _load_or_exit(config_path) -> Scenario:
 @main.command("run")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--seed", type=int, default=None, help="Override the scenario seed.")
-@click.option("--steps", type=int, default=None, help="Override the step count.")
+@click.option("--steps", type=click.IntRange(min=1), default=None,
+              help="Override the step count.")
 @click.option("--out", "out_dir", type=click.Path(), default="out", show_default=True)
 def run_command(config_path, seed, steps, out_dir):
     """Execute a single scenario and write metrics, events and heatmaps."""
@@ -454,7 +455,8 @@ def run_command(config_path, seed, steps, out_dir):
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--seeds", "seeds_csv", default=None, help="Comma-separated seed list.")
-@click.option("--steps", type=int, default=None, help="Override the step count.")
+@click.option("--steps", type=click.IntRange(min=1), default=None,
+              help="Override the step count.")
 @click.option("--out", "out_dir", type=click.Path(), default="sweep_out", show_default=True)
 @click.option("--parallel", type=int, default=1, show_default=True)
 def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):

@@ -1,10 +1,12 @@
 """Discrete-time simulation engine.
 
-Each step runs four phases: every active agent senses a snapshot of the
-previous positions, reacts with one decision, acts (moves), and a global
-iterate phase then detects collisions on post-move positions, retires agents
-that reached their goals, parks drivers on parking goals, expires collision
-countdowns, optionally reactivates parked drivers, and spawns replacements.
+Each step runs three phases.  One array pass over the population
+(``agents.decide``) senses the snapshot of the previous positions and picks
+one decision per active agent.  Every active agent then acts (moves).  A
+global iterate phase then detects collisions on post-move positions, retires
+agents that reached their goals, parks drivers on parking goals, expires
+collision countdowns, optionally reactivates parked drivers, and spawns
+replacements.
 A run is fully determined by (config, seed).
 """
 from __future__ import annotations
@@ -14,16 +16,7 @@ import random
 from dataclasses import dataclass, field, fields
 
 from . import metrics as metrics_mod
-from .agents import (
-    AgentState,
-    Decision,
-    Status,
-    act,
-    candidates,
-    react_driver,
-    react_walker,
-    sense,
-)
+from .agents import AgentState, Status, act, decide
 from .environment import Coord, GridMap, GroundType, place_obstacles
 from .planner import BehaviorProfile, default_heading, plan
 
@@ -348,33 +341,12 @@ class World:
         created = 0
         removed = 0
 
+        # sense + react: nobody moves until every decision is made, so the
+        # agent states are the pre-step snapshot
         ordered = list(self.agents.values())
-        pre_cells = {}
-        index: dict[Coord, list[AgentState]] = {}  # cell -> agents on it
-        statics = set()
-        for a in ordered:
-            cell = a.cell()
-            pre_cells[a.id] = cell
-            index.setdefault(cell, []).append(a)
-            if a.status is not Status.ACTIVE:
-                statics.add(cell)
-
-        # sense + react: nobody moves until everyone has sensed, so the agent
-        # states are the pre-step snapshot
-        driver_reach = max(cfg.sense_radius, cfg.yield_radius)
-        decisions: dict[int, Decision] = {}
-        for a in ordered:
-            if a.status is not Status.ACTIVE:
-                continue
-            is_walker = a.kind == "walker"
-            reach = cfg.sense_radius if is_walker else driver_reach
-            p = sense(
-                a, candidates(index, a, cfg.lookahead, reach), grid,
-                lookahead=cfg.lookahead,
-                radius=cfg.sense_radius,
-                yield_radius=cfg.yield_radius,
-            )
-            decisions[a.id] = react_walker(a, p, grid) if is_walker else react_driver(a, p)
+        decisions, pre_cells, statics = decide(
+            ordered, grid, cfg.lookahead, cfg.sense_radius, cfg.yield_radius
+        )
 
         # act
         for a in ordered:

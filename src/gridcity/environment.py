@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 Coord = tuple[int, int]
 
 
@@ -238,6 +240,11 @@ class GridMap:
         height = len(rows)
         if not (0 <= lane_offsets[0] < 1 and 0 <= lane_offsets[1] < 1):
             raise ValueError("lane offsets must lie in [0, 1)")
+        # an offset within rounding of 1 puts the far cells' centres on the
+        # next cell; rounding only grows with the coordinate, so the last
+        # column and row decide
+        if width - 1 + lane_offsets[0] >= width or height - 1 + lane_offsets[1] >= height:
+            raise ValueError("lane offsets must keep every cell centre inside its cell")
         ground = tuple(cell.ground for row in rows for cell in row)
         flow = tuple(_FLOW_MASKS[cell.flow] for row in rows for cell in row)
         driver_spawns, driver_exits = _driver_sites(ground, flow, width, height)
@@ -285,6 +292,15 @@ class GridMap:
                 costs[y * self.width + x] = math.inf
             self._cache[kind] = costs
         return costs
+
+    def zebra_mask(self) -> np.ndarray:
+        """Boolean array, indexed ``y * width + x``, of the zebra cells.
+        Built once per grid."""
+        mask = self._cache.get("zebra")
+        if mask is None:
+            mask = np.array([g is GroundType.ZEBRA for g in self.ground], dtype=bool)
+            self._cache["zebra"] = mask
+        return mask
 
     def walker_cost_at(self, coord: Coord) -> float:
         return self.costs("walker")[coord[1] * self.width + coord[0]]

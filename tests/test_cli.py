@@ -237,6 +237,12 @@ def test_run_command_bad_config_exits_2(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 2
+    config = write_config(tmp_path, MINIMAL)
+    result = runner.invoke(
+        main, ["run", "--config", str(config), "--steps", "0", "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_steps_override(tmp_path):
@@ -325,6 +331,12 @@ def test_sweep_command_cli_exit_codes(tmp_path):
     )
     assert ok.exit_code == 0, ok.output
     assert "2 sweep points, 2 runs, 0 failed" in ok.output
+    zero = runner.invoke(
+        main,
+        ["sweep", "--config", str(config), "--out", str(tmp_path / "z"), "--steps", "0"],
+    )
+    assert zero.exit_code == 2
+    assert not (tmp_path / "z").exists()
 
 
 def test_point_label_formats_obstruction_percent():

@@ -344,6 +344,18 @@ def test_lane_center():
     assert grid.center((3, 7)) == (3.5, 7.5)
 
 
+def test_grid_map_keeps_cell_centres_inside_their_cells():
+    row = [CellCode(GroundType.SIDEWALK)] * 3
+    below_one = 0.9999999999999999
+    with pytest.raises(ValueError, match="centre"):
+        GridMap.build([row] * 3, lane_offsets=(0.5, below_one))
+    with pytest.raises(ValueError, match="centre"):
+        GridMap.build([row] * 3, lane_offsets=(below_one, 0.5))
+    # a single row or column has only the exact coordinate 0
+    grid = GridMap.build([row], lane_offsets=(0.5, below_one))
+    assert math.floor(grid.center((2, 0))[1]) == 0
+
+
 def test_grid_map_rejects_ragged_rows():
     cell = CellCode(GroundType.SIDEWALK)
     with pytest.raises(ValueError):
