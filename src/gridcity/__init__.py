@@ -23,13 +23,11 @@ from .planner import (
     Action,
     BehaviorProfile,
     Plan,
-    PlanStep,
     classify_action,
     default_heading,
     driver_risk,
     manhattan,
     plan,
-    walker_risk,
 )
 from .agents import (
     AgentState,

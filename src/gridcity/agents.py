@@ -23,7 +23,6 @@ class Status(Enum):
     ACTIVE = "active"
     PARKED = "parked"
     COLLIDED = "collided"
-    DONE = "done"
 
 
 class Decision(Enum):
@@ -112,9 +111,9 @@ def decide(
         rows.append(i)
         ids.append(a.id)
         speeds.append(a.speed)
-        steps = a.plan.steps[a.cursor:a.cursor + lookahead] if a.plan is not None else ()
-        window += [s.cell[1] * width + s.cell[0] for s in steps]
-        window += pad[len(steps):]
+        cells = a.plan.cells[a.cursor:a.cursor + lookahead] if a.plan is not None else ()
+        window += [c[1] * width + c[0] for c in cells]
+        window += pad[len(cells):]
     if not ids:
         return {}, pre_cells, statics
 
@@ -239,7 +238,7 @@ def act(
             agent.speed = 0.0
         else:
             agent.plan = new_plan
-            agent.cursor = 1 if len(new_plan) > 1 else len(new_plan)
+            agent.cursor = 1
             replanned = True
             if agent.kind == "walker":
                 agent.speed = agent.profile.max_speed
@@ -261,20 +260,18 @@ def _advance(agent: AgentState, grid: GridMap) -> None:
     """Move by the current speed along the plan polyline of cell centers."""
     if agent.plan is None:
         return
-    steps = agent.plan.steps
+    cells = agent.plan.cells
     budget = agent.speed
     x, y = agent.position
-    while budget > 1e-12 and agent.cursor < len(steps):
-        tx, ty = grid.center(steps[agent.cursor].cell)
+    while budget > 1e-12 and agent.cursor < len(cells):
+        tx, ty = grid.center(cells[agent.cursor])
         dx, dy = tx - x, ty - y
         dist = math.hypot(dx, dy)
         if dist <= budget + 1e-12:
             x, y = tx, ty
             budget -= dist
             if agent.kind == "driver" and agent.cursor >= 1:
-                d = _direction_between(
-                    steps[agent.cursor - 1].cell, steps[agent.cursor].cell
-                )
+                d = _direction_between(cells[agent.cursor - 1], cells[agent.cursor])
                 if d is not None:
                     agent.heading = d
             agent.cursor += 1

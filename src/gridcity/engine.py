@@ -247,7 +247,7 @@ class World:
                 heading=heading,
                 speed=0.0,
                 plan=route,
-                cursor=1 if len(route) > 1 else len(route),
+                cursor=1,
                 goal=goal,
             )
             self._next_id += 1
@@ -318,7 +318,7 @@ class World:
             return False
         agent.status = Status.ACTIVE
         agent.plan = route
-        agent.cursor = 1 if len(route) > 1 else len(route)
+        agent.cursor = 1
         agent.goal = new_goal
         agent.heading = heading
         agent.speed = 0.0
@@ -380,7 +380,7 @@ class World:
         for a in list(self.agents.values()):
             if a.status is not Status.ACTIVE or a.plan is None:
                 continue
-            if a.cursor >= len(a.plan.steps):
+            if a.cursor >= len(a.plan):
                 if (
                     a.kind == "driver"
                     and a.goal is not None
@@ -390,7 +390,6 @@ class World:
                     a.speed = 0.0
                     events.append(Event(t, "park", (a.id,), *a.position))
                 else:
-                    a.status = Status.DONE
                     events.append(Event(t, "goal", (a.id,), *a.position))
                     del self.agents[a.id]
                     removed += 1

@@ -4,9 +4,10 @@ The search expands 4-neighbors best-first by f = g + w*h + alpha*r, where g
 accumulates per-cell ground costs plus alpha-scaled action risk, h is the
 Manhattan distance to the goal, and r prices driver maneuvers (forward, turns,
 lane changes, wrong-way moves).  One search serves both kinds over integer
-states ``cell << shift``: walkers plan over plain cells (shift 0) with a single
-zero-risk step action; drivers plan over (cell, heading) states (shift 2, the
-heading in the two low bits) so turn risk is well-defined.
+states ``cell << shift``: walkers plan over plain cells (shift 0), where no move
+carries risk; drivers plan over (cell, heading) states (shift 2, the heading in
+the two low bits) so turn risk is well-defined.  A plan is the route's cells;
+``classify_action`` names the maneuver of any driver move.
 """
 from __future__ import annotations
 
@@ -33,35 +34,17 @@ class Action(Enum):
     LANE_CHANGE = "lane_change"
     INVALID_TURN = "invalid_turn"
     BACKWARD = "backward"
-    STEP = "step"  # walkers, direction-agnostic
 
 
 # Internal integer codes keep the search inner loop allocation-free.
-_FORWARD, _RIGHT, _LEFT, _LANE, _INVALID, _BACKWARD, _STEP = range(7)
-_ACTIONS = (
-    Action.FORWARD,
-    Action.RIGHT_TURN,
-    Action.LEFT_TURN,
-    Action.LANE_CHANGE,
-    Action.INVALID_TURN,
-    Action.BACKWARD,
-    Action.STEP,
-)
-_RISKS = (0.0, 1.0, 2.0, 3.0, 5.0, 20.0, 0.0)
+_FORWARD, _RIGHT, _LEFT, _LANE, _INVALID, _BACKWARD = range(6)
+_ACTIONS = tuple(Action)
+_RISKS = (0.0, 1.0, 2.0, 3.0, 5.0, 20.0)
 
 
 def driver_risk(action: Action) -> float:
     """Risk of a driver maneuver (Forward 0 ... Backward 20)."""
-    if action is Action.STEP:
-        raise ValueError(f"{action} is not a driver action")
     return _RISKS[_ACTIONS.index(action)]
-
-
-def walker_risk(action: Action) -> float:
-    """Pedestrian risk is zero in all cases."""
-    if action is not Action.STEP:
-        raise ValueError(f"{action} is not a walker action")
-    return 0.0
 
 
 def manhattan(a: Coord, b: Coord) -> int:
@@ -91,26 +74,16 @@ class BehaviorProfile:
 
 
 @dataclass(frozen=True)
-class PlanStep:
-    cell: Coord
-    action: Action | None  # action taken to enter the cell; None at the start
-
-
-@dataclass(frozen=True)
 class Plan:
     """Cell-by-cell route from start to goal inclusive."""
 
-    steps: tuple
+    cells: tuple[Coord, ...]
     total_cost: float  # accumulated g at extraction (== f, since h(goal) = 0)
     risk_total: float  # unscaled sum of action risks along the route
     expansions: int
 
-    @property
-    def cells(self) -> tuple:
-        return tuple(s.cell for s in self.steps)
-
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.cells)
 
 
 def _moves(grid: GridMap, kind: str):
@@ -325,16 +298,9 @@ def _extract(width, shift, risk, came, s0, goal_state, total, expansions):
     while states[-1] != s0:
         states.append(came[states[-1]])
     states.reverse()
-    si = s0 >> shift
-    steps = [PlanStep((si % width, si // width), None)]
     risk_total = 0.0
-    for prev, state in zip(states, states[1:]):
-        idx = state >> shift
-        if shift:  # a driver: each driver action has its own risk value
-            r = risk[prev * 4 + (state & 3)]
-            risk_total += r
-            action = _ACTIONS[_RISKS.index(r)]
-        else:
-            action = Action.STEP
-        steps.append(PlanStep((idx % width, idx // width), action))
-    return Plan(tuple(steps), total, risk_total, expansions)
+    if shift:  # a driver: sum the moves' risks in route order
+        for prev, state in zip(states, states[1:]):
+            risk_total += risk[prev * 4 + (state & 3)]
+    cells = tuple(((s >> shift) % width, (s >> shift) // width) for s in states)
+    return Plan(cells, total, risk_total, expansions)

@@ -13,7 +13,7 @@ from gridcity.environment import (
     parse_grid,
 )
 from gridcity.agents import AgentState, Status
-from gridcity.planner import BehaviorProfile, Plan, PlanStep, Action
+from gridcity.planner import BehaviorProfile, Plan, classify_action, default_heading
 
 _GROUND_WEIGHTS = [
     (GroundType.ROAD, 0.30),
@@ -82,12 +82,25 @@ def grid_of(*rows: str) -> GridMap:
     return parse_grid(text)
 
 
-def straight_plan(cells, kind: str = "walker") -> Plan:
+def straight_plan(cells) -> Plan:
     """Hand-built plan through the given cells (costs left at zero)."""
-    action = Action.STEP if kind == "walker" else Action.FORWARD
-    steps = [PlanStep(cells[0], None)]
-    steps += [PlanStep(c, action) for c in cells[1:]]
-    return Plan(tuple(steps), 0.0, 0.0, 0)
+    return Plan(tuple(cells), 0.0, 0.0, 0)
+
+
+def route_actions(grid: GridMap, route, heading=None) -> list:
+    """The driver maneuver of each move along ``route``, a sequence of cells.
+
+    The heading starts at ``heading`` (by default the start cell's
+    ``default_heading``) and after each move becomes that move's direction,
+    as in the planner's (cell, heading) states.
+    """
+    if heading is None:
+        heading = default_heading(grid, route[0])
+    actions = []
+    for frm, to in zip(route, route[1:]):
+        actions.append(classify_action(grid, frm, to, heading))
+        heading = next(d for d in DIRECTION_ORDER if (frm[0] + d.dx, frm[1] + d.dy) == to)
+    return actions
 
 
 def make_agent(
@@ -106,7 +119,7 @@ def make_agent(
 ) -> AgentState:
     profile = BehaviorProfile(kind=kind, w=w, alpha=alpha, max_speed=max_speed)
     if goal is None and plan is not None:
-        goal = plan.steps[-1].cell
+        goal = plan.cells[-1]
     return AgentState(
         id=agent_id,
         kind=kind,

@@ -31,7 +31,7 @@ def _window(agent: AgentState, lookahead: int) -> list[Coord]:
     """The agent's next ``lookahead`` plan cells."""
     if agent.plan is None:
         return []
-    return [s.cell for s in agent.plan.steps[agent.cursor:agent.cursor + lookahead]]
+    return list(agent.plan.cells[agent.cursor:agent.cursor + lookahead])
 
 
 def sense(

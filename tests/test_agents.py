@@ -30,7 +30,7 @@ def eastbound_driver(agent_id, x, grid, speed=0.0, length=None):
     length = length if length is not None else grid.width
     cells = [(i, 0) for i in range(int(x), length)]
     agent = make_agent(
-        agent_id, "driver", (x + 0.5, 0.5), straight_plan(cells, "driver"),
+        agent_id, "driver", (x + 0.5, 0.5), straight_plan(cells),
         heading=E, speed=speed,
     )
     return agent
@@ -56,10 +56,10 @@ def test_sense_empty_world():
 
 def test_sense_head_on_vehicles_both_in_conflict():
     grid = grid_of("rE- rE- rW- rW-")
-    a = make_agent(1, "driver", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], "driver"), heading=E)
+    a = make_agent(1, "driver", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)]), heading=E)
     b = make_agent(
         2, "driver", (1.4, 0.5),
-        straight_plan([(1, 0), (0, 0)], "driver"), heading=Direction.WEST,
+        straight_plan([(1, 0), (0, 0)]), heading=Direction.WEST,
     )
     # at speed 0 only a conflict in the next cell brakes: each sees the other there
     assert decisions([a, b], grid) == {1: Decision.DECELERATE, 2: Decision.DECELERATE}
@@ -300,7 +300,7 @@ def test_act_heading_follows_turns():
     grid = grid_of("s-- s--", "s-- s--")
     driver = make_agent(
         1, "driver", (0.5, 0.5),
-        straight_plan([(0, 0), (1, 0), (1, 1)], "driver"),
+        straight_plan([(0, 0), (1, 0), (1, 1)]),
         heading=E, max_speed=2.0, speed=2.0,
     )
     act(driver, Decision.PROCEED, grid)
@@ -343,7 +343,7 @@ def test_act_position_stays_on_polyline():
     grid = road_strip()
     cells = [(i, 0) for i in range(grid.width)]
     driver = make_agent(
-        1, "driver", (0.5, 0.5), straight_plan(cells, "driver"),
+        1, "driver", (0.5, 0.5), straight_plan(cells),
         heading=E, max_speed=0.7,
     )
     xs = []

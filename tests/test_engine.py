@@ -13,7 +13,7 @@ from gridcity.engine import (
 )
 from gridcity.environment import GroundType, LayoutSpec, generate_layout
 from gridcity.metrics import render_events_csv, render_heatmap_csv, render_metrics_csv
-from helpers import grid_of, make_agent
+from helpers import grid_of, make_agent, straight_plan
 
 SMALL = LayoutSpec(blocks_x=2, blocks_y=2)
 
@@ -140,6 +140,23 @@ def test_walker_reaching_goal_is_removed_with_event():
             if event.kind == "goal":
                 goal_seen = True
     assert goal_seen
+
+
+def test_replan_onto_own_goal_cell_retires_walker_same_step():
+    # the walker has crossed into its goal cell but not reached its center;
+    # a collided walker there blocks the window, so it replans from the goal
+    grid = grid_of("s-- s-- s--")
+    world = World(grid, SimConfig(steps=1, walkers=0, seed=0))
+    walker = make_agent(1, "walker", (1.2, 0.5), straight_plan([(0, 0), (1, 0)]), max_speed=1.0)
+    blocker = make_agent(2, "walker", (1.7, 0.5), None, status=Status.COLLIDED)
+    blocker.countdown = 5
+    world.agents = {1: walker, 2: blocker}
+    record = world.step()
+    assert walker.plan.cells == ((1, 0),)
+    assert walker.cursor == 1
+    assert [(e.kind, e.agents) for e in record.events] == [("replan", (1,)), ("goal", (1,))]
+    assert list(world.agents) == [2]
+    assert record.removed == 1
 
 
 def test_driver_parks_on_parking_goal_and_reactivates():

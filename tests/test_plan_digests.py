@@ -5,9 +5,12 @@ These queries mix walkers and drivers, heuristic weights 1, 3 and 5,
 non-integer risk sensitivities, blocked sets (some holding the start, some
 the goal) and failed searches, so the digest pins every plan's cells and
 actions, the float order of ``total_cost`` and ``risk_total``, the expansion
-count and the full (step, x, y, g, h, r, f) trace.  A refactor of the planner
-must leave it unchanged; a deliberate change of search behaviour re-pins it
-and says why in CHANGES.md.
+count and the full (step, x, y, g, h, r, f) trace.  A plan holds only its
+cells, so the pinned actions are derived from them: ``route_actions`` names
+each driver move, and every walker move is written as "step", the
+direction-agnostic action walker plans carried when the digest was pinned.
+A refactor of the planner must leave the digest unchanged; a deliberate
+change of search behaviour re-pins it and says why in CHANGES.md.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from gridcity.environment import (
     place_obstacles,
 )
 from gridcity.planner import BehaviorProfile, plan
-from helpers import random_grid, rows_of, traversable_cells
+from helpers import random_grid, route_actions, rows_of, traversable_cells
 
 EXPECTED = "6ae440e2f644b8a6b565fe3d172f07405593b55b7b6dc61126d5db83b9e666a3"
 
@@ -80,13 +83,17 @@ def _queries():
                 yield label, grid, start, goal, profile, frozenset(blocked), heading
 
 
-def _record(lines, label, route, trace):
+def _record(lines, label, grid, profile, heading, route, trace):
     lines.append(label)
     if route is None:
         lines.append("no route")
     else:
         lines.append(repr(route.cells))
-        lines.append(repr([s.action.value if s.action else None for s in route.steps]))
+        if profile.kind == "walker":
+            moves = ["step"] * (len(route) - 1)
+        else:
+            moves = [a.value for a in route_actions(grid, route.cells, heading)]
+        lines.append(repr([None] + moves))
         lines.append(f"{route.total_cost!r} {route.risk_total!r} {route.expansions}")
     for step, x, y, g, h, r, f in trace:
         lines.append(f"{step},{x},{y},{g!r},{h},{r!r},{f!r}")
@@ -102,7 +109,7 @@ def test_plan_and_trace_digest_is_pinned():
             failed += 1
         else:
             found += 1
-        _record(lines, label, route, trace)
+        _record(lines, label, grid, profile, heading, route, trace)
     assert found > 0 and failed > 0
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == EXPECTED

@@ -19,9 +19,8 @@ from gridcity.planner import (
     driver_risk,
     manhattan,
     plan,
-    walker_risk,
 )
-from helpers import grid_of, random_instance
+from helpers import grid_of, random_instance, route_actions
 from oracle import oracle_cost
 
 N, E, S, W = Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST
@@ -53,17 +52,6 @@ def test_driver_risk_table():
     assert driver_risk(Action.LANE_CHANGE) == 3
     assert driver_risk(Action.INVALID_TURN) == 5
     assert driver_risk(Action.BACKWARD) == 20
-
-
-def test_risk_rejects_wrong_kind():
-    with pytest.raises(ValueError):
-        driver_risk(Action.STEP)
-    with pytest.raises(ValueError):
-        walker_risk(Action.FORWARD)
-
-
-def test_walker_risk_zero():
-    assert walker_risk(Action.STEP) == 0.0
 
 
 def test_profile_validation():
@@ -185,9 +173,9 @@ def test_walker_plan_on_uniform_grid():
     route = plan(grid, (0, 0), (7, 7), profile)
     assert route.total_cost == 14.0
     assert len(route) == 15
-    assert route.steps[0].cell == (0, 0)
-    assert route.steps[-1].cell == (7, 7)
-    assert all(s.action is Action.STEP for s in route.steps[1:])
+    assert route.cells[0] == (0, 0)
+    assert route.cells[-1] == (7, 7)
+    assert route.risk_total == 0.0
 
 
 def test_plan_same_start_and_goal():
@@ -228,8 +216,8 @@ def test_plan_cells_are_adjacent_and_finite():
             continue
         found += 1
         cost_at = grid.walker_cost_at if kind == "walker" else grid.driver_cost_at
-        assert route.steps[0].cell == start
-        assert route.steps[-1].cell == goal
+        assert route.cells[0] == start
+        assert route.cells[-1] == goal
         for a, b in zip(route.cells, route.cells[1:]):
             assert manhattan(a, b) == 1
         for cell in route.cells:
@@ -461,10 +449,7 @@ def test_plan_trace_records_expansions(case):
     # each later expansion was entered from an earlier one on a neighbouring
     # cell: r is the unscaled risk of that move's action (classified with the
     # earlier state's heading) and g the earlier g plus cost and alpha * r
-    if profile.kind == "walker":
-        risk_of, cost_at = walker_risk, grid.walker_cost_at
-    else:
-        risk_of, cost_at = driver_risk, grid.driver_cost_at
+    cost_at = grid.walker_cost_at if profile.kind == "walker" else grid.driver_cost_at
     headings = [{heading}]
     for j, (_, x, y, g, _, r, _) in enumerate(trace[1:], 1):
         entered = set()
@@ -474,15 +459,16 @@ def test_plan_trace_records_expansions(case):
                     continue
                 for hd in headings[i]:
                     if profile.kind == "walker":
-                        action = Action.STEP
+                        risk = 0.0  # no walker move carries risk
                     else:
-                        action = classify_action(grid, (px, py), (x, y), hd)
-                    if r == risk_of(action) and g == pg + cost_at((x, y)) + profile.alpha * r:
+                        risk = driver_risk(classify_action(grid, (px, py), (x, y), hd))
+                    if r == risk and g == pg + cost_at((x, y)) + profile.alpha * r:
                         entered.add(d)
         assert entered, trace[j]
         headings.append(entered)
     if profile.kind == "driver":
-        assert {Action.RIGHT_TURN, Action.LEFT_TURN} <= {s.action for s in route.steps}
+        actions = set(route_actions(grid, route.cells, heading))
+        assert {Action.RIGHT_TURN, Action.LEFT_TURN} <= actions
         assert {row[5] for row in trace} == {0.0, 1.0, 2.0, 3.0, 5.0, 20.0}
 
 
