@@ -9,6 +9,7 @@ effective config so the run can be reproduced from it exactly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import multiprocessing
 import random
@@ -204,10 +205,20 @@ def load_config(path) -> Scenario:
             if not obstacles_path.is_file():
                 raise ConfigError(f"obstacle list not found: {obstacles_path}")
 
-    sweep = _mapping(raw.get("sweep"), SWEEPABLE, "sweep")
-    for key, values in sweep.items():
+    # a sweep value is read like the field it stands for, and every point
+    # must make a valid SimConfig; each axis is checked on its own, since no
+    # SimConfig check ties walkers, drivers and obstruction together
+    converters = {key: convert for key, _, convert in _SIM_FIELDS}
+    sweep = {}
+    for key, values in _mapping(raw.get("sweep"), SWEEPABLE, "sweep").items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{key}: expected a non-empty list")
+        sweep[key] = [converters[key](v, f"sweep.{key}") for v in values]
+        for value in sweep[key]:
+            try:
+                dataclasses.replace(sim, **{key: value}).validate()
+            except ValueError as exc:
+                raise ConfigError(f"sweep.{key}: {exc}") from None
 
     seeds = raw.get("seeds", [])
     if seeds and (not isinstance(seeds, list) or not all(type(s) is int for s in seeds)):
@@ -218,15 +229,23 @@ def load_config(path) -> Scenario:
         layout=layout,
         grid_path=grid_path,
         obstacles_path=obstacles_path,
-        sweep={k: list(v) for k, v in sweep.items()},
+        sweep=sweep,
         seeds=list(seeds),
     )
+
+
+@functools.lru_cache(maxsize=1)
+def _layout(spec: LayoutSpec) -> GridMap:
+    """The generated layout of ``spec``, kept for the next call in this
+    process: the runs of a sweep or of several seeds then share one layout
+    and the search tables built on it."""
+    return generate_layout(spec)
 
 
 def build_grid(scenario: Scenario) -> GridMap:
     """Base map for a scenario; run-time obstruction is applied by the engine."""
     if scenario.layout is not None:
-        return generate_layout(scenario.layout)
+        return _layout(scenario.layout)
     grid = parse_grid(scenario.grid_path.read_text(encoding="utf-8"))
     if scenario.obstacles_path is not None:
         coords = parse_obstacle_list(scenario.obstacles_path.read_text(encoding="utf-8"))
@@ -458,7 +477,7 @@ def run_command(config_path, seed, steps, out_dir):
 @click.option("--steps", type=click.IntRange(min=1), default=None,
               help="Override the step count.")
 @click.option("--out", "out_dir", type=click.Path(), default="sweep_out", show_default=True)
-@click.option("--parallel", type=int, default=1, show_default=True)
+@click.option("--parallel", type=click.IntRange(min=1), default=1, show_default=True)
 def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
     """Execute the scenario's sweep grid across seeds and summarize."""
     scenario = _load_or_exit(config_path)

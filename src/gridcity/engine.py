@@ -194,7 +194,12 @@ class World:
         # rather than draw for one in vain
         walker_sites = [(c, None) for c in self._walker_goals]
         self._walker_sites = walker_sites if len(walker_sites) > 1 else []
-        self._driver_goals = list(grid.driver_exits) + list(grid.parking_cells)
+        # an obstructed driver site is dropped the same way: no driver starts
+        # on or heads for it
+        self._driver_sites = [s for s in grid.driver_spawns if s[0] not in grid.obstacles]
+        self._driver_goals = [
+            c for c in grid.driver_exits + grid.parking_cells if c not in grid.obstacles
+        ]
         self.agents: dict[int, AgentState] = {}
         self.step_count = 0
         self.warnings: list[str] = []
@@ -284,7 +289,7 @@ class World:
                     sites, goals = self._walker_sites, self._walker_goals
                 else:
                     # a driver spawns only on a cell that no driver holds
-                    sites = [s for s in self.grid.driver_spawns if s[0] not in occupied]
+                    sites = [s for s in self._driver_sites if s[0] not in occupied]
                     goals = self._driver_goals
                 agent = self._spawn(kind, sites, goals, statics)
                 if agent is None:

@@ -204,9 +204,12 @@ class GridMap:
 
     ``ground`` and ``flow`` hold one entry per cell, indexed ``y * width + x``:
     the cell's GroundType and its permitted vehicular flow directions as a
-    NESW bit mask (bit k stands for ``DIRECTION_ORDER[k]``).  Obstacles are an
-    overlay on top of the ground type so the underlying cell stays
-    inspectable; they enter the per-kind cost lists of ``costs``.  Spawn sites
+    NESW bit mask (bit k stands for ``DIRECTION_ORDER[k]``); together they
+    are the layout.  Obstacles are an overlay on top of the ground type so
+    the underlying cell stays inspectable; they enter only the per-kind cost
+    lists of ``costs``.  Tables derived from the layout alone live in
+    ``_tables``, one dict the layout shares by reference with every overlay
+    made from it; ``_costs`` holds the map's own cost lists.  Spawn sites
     are computed once at construction: walker sites are building-adjacent
     sidewalk cells, driver sites are road cells where an inbound lane enters
     the map (paired with the inbound heading), driver exits are boundary cells
@@ -223,7 +226,8 @@ class GridMap:
     driver_exits: tuple = ()
     parking_cells: tuple = ()
     lane_offsets: tuple[float, float] = (0.5, 0.5)
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _tables: dict = field(default_factory=dict, compare=False, repr=False)
+    _costs: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def build(
@@ -280,26 +284,40 @@ class GridMap:
     def flow_at(self, coord: Coord) -> frozenset:
         return _FLOW_SETS[self.flow[coord[1] * self.width + coord[0]]]
 
-    def costs(self, kind: str) -> list:
-        """Traversal cost per cell for a 'walker' or a 'driver', indexed
-        ``y * width + x``: infinite on impassable ground and on obstacles.
-        Built once per grid and kind."""
-        costs = self._cache.get(kind)
+    def ground_costs(self, kind: str) -> list:
+        """Traversal cost per cell of the layout alone for a 'walker' or a
+        'driver', indexed ``y * width + x``: infinite on impassable ground,
+        blind to obstacles.  Built once per layout and kind, and shared with
+        its overlays."""
+        key = ("costs", kind)
+        costs = self._tables.get(key)
         if costs is None:
             table = _WALKER_COSTS if kind == "walker" else _DRIVER_COSTS
-            costs = [table[g] for g in self.ground]
-            for x, y in self.obstacles:
-                costs[y * self.width + x] = math.inf
-            self._cache[kind] = costs
+            costs = self._tables[key] = [table[g] for g in self.ground]
+        return costs
+
+    def costs(self, kind: str) -> list:
+        """Traversal cost per cell for a 'walker' or a 'driver', indexed
+        ``y * width + x``: the ground cost, infinite on obstacles.  This is
+        the only place obstacles enter a search.  Built once per grid and
+        kind, as a copy of ``ground_costs`` with the obstacle cells marked."""
+        costs = self._costs.get(kind)
+        if costs is None:
+            costs = self.ground_costs(kind)
+            if self.obstacles:
+                costs = costs.copy()
+                for x, y in self.obstacles:
+                    costs[y * self.width + x] = math.inf
+            self._costs[kind] = costs
         return costs
 
     def zebra_mask(self) -> np.ndarray:
         """Boolean array, indexed ``y * width + x``, of the zebra cells.
-        Built once per grid."""
-        mask = self._cache.get("zebra")
+        Built once per layout."""
+        mask = self._tables.get("zebra")
         if mask is None:
             mask = np.array([g is GroundType.ZEBRA for g in self.ground], dtype=bool)
-            self._cache["zebra"] = mask
+            self._tables["zebra"] = mask
         return mask
 
     def walker_cost_at(self, coord: Coord) -> float:
@@ -313,14 +331,18 @@ class GridMap:
         return (coord[0] + self.lane_offsets[0], coord[1] + self.lane_offsets[1])
 
     def with_obstacles(self, obstacles: Iterable[Coord]) -> "GridMap":
-        """New map with the given obstacle overlay (spawn sites unchanged)."""
+        """New map with the given obstacle overlay (spawn sites unchanged).
+
+        The overlay shares the layout's ``_tables`` dict by reference, so the
+        search tables are built once per layout, whichever map plans first;
+        only its cost lists are its own."""
         obstacles = frozenset(obstacles)
         for x, y in obstacles:
             if not self.in_bounds((x, y)):
                 raise ValueError(f"obstacle ({x}, {y}) outside the grid")
             if self.ground[y * self.width + x] is GroundType.BUILDING:
                 raise ValueError(f"obstacle ({x}, {y}) placed on a building cell")
-        return dataclasses.replace(self, obstacles=obstacles, _cache={})
+        return dataclasses.replace(self, obstacles=obstacles, _costs={})
 
     def ground_counts(self) -> dict:
         return {g: self.ground.count(g) for g in GroundType}

@@ -87,23 +87,25 @@ class Plan:
 
 
 def _moves(grid: GridMap, kind: str):
-    """Search tables ``(shift, succ, cost, risk)`` for one agent kind.
+    """Search tables ``(shift, succ, risk)`` for one agent kind.
 
     States are ``cell << shift``: shift 0 for walkers, shift 2 for drivers,
     whose two low bits hold the heading.  ``succ[cell*4 + k]`` is the state a
     move in direction k (``DIRECTION_ORDER[k]``) enters, -1 when the move
-    leaves the grid or enters ground impassable to the kind.  ``cost[state]``
-    is the ground cost of entering the state's cell, and ``risk[state*4 + k]``
-    the move's unscaled risk: all zeros for walkers, and for drivers filled
-    only from driver-passable cells, since no search expands another.  Built
-    once per grid and kind, in the grid's cache.
+    leaves the grid or enters ground impassable to the kind, and
+    ``risk[state*4 + k]`` the move's unscaled risk: all zeros for walkers,
+    and for drivers filled only from driver-passable cells, since no search
+    expands another.  The tables read the layout alone (``ground`` and
+    ``flow``), never the obstacle overlay: an obstacle's infinite cost in
+    ``GridMap.costs`` keeps every search out of it.  So they are built once
+    per layout and kind, in the ``_tables`` dict its overlays share.
     """
     key = ("moves", kind)
-    tables = grid._cache.get(key)
+    tables = grid._tables.get(key)
     if tables is None:
         width, height = grid.width, grid.height
         size = width * height
-        cell_cost = grid.costs(kind)
+        cell_cost = grid.ground_costs(kind)
         shift, heading_bits = (0, 0) if kind == "walker" else (2, 3)
         succ = [-1] * (size * 4)
         for y in range(height):
@@ -116,9 +118,8 @@ def _moves(grid: GridMap, kind: str):
                         if cell_cost[n] != math.inf:
                             succ[i4 + k] = (n << shift) | (k & heading_bits)
         if kind == "walker":
-            tables = (0, succ, cell_cost, [0.0] * (size * 4))
+            tables = (0, succ, [0.0] * (size * 4))
         else:
-            cost = [c for c in cell_cost for _ in range(4)]
             risk = [0.0] * (size * 16)
             for i in range(size):
                 if cell_cost[i] == math.inf:
@@ -129,8 +130,8 @@ def _moves(grid: GridMap, kind: str):
                     if n >= 0:
                         for hd, a in enumerate(_classify(grid, i, n >> 2, k, turnspot)):
                             risk[(i * 4 + hd) * 4 + k] = _RISKS[a]
-            tables = (2, succ, cost, risk)
-        grid._cache[key] = tables
+            tables = (2, succ, risk)
+        grid._tables[key] = tables
     return tables
 
 
@@ -249,15 +250,22 @@ def plan(
 
 
 def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
-    """Weighted A* from state ``s0`` to any state on cell ``gi``."""
-    shift, succ, cost, risk = _moves(grid, kind)
+    """Weighted A* from state ``s0`` to any state on cell ``gi``.
+
+    ``g`` and ``came`` are dicts over the states the search reaches, so a
+    query pays for what it touches, not for the whole grid.  A state on an
+    obstacle costs ``inf`` to enter, so ``ng < g`` never holds for it and it
+    is never pushed.
+    """
+    shift, succ, risk = _moves(grid, kind)
+    cost = grid.costs(kind)
     width = grid.width
     si = s0 >> shift
     inf = math.inf
     gx, gy = gi % width, gi // width
-    g = [inf] * len(cost)
-    came = [-1] * len(cost)
-    g[s0] = 0.0
+    g = {s0: 0.0}
+    g_of = g.get
+    came = {s0: -1}
     h0 = abs(si % width - gx) + abs(si // width - gy)
     heap = [(w * h0, h0, 0, s0, 0.0)]
     counter = 1
@@ -282,11 +290,11 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
             nstate = succ[nbase + k]
             if nstate < 0 or nstate in blocked:
                 continue
-            ng = gval + cost[nstate] + alpha * risk[ebase + k]
-            if ng < g[nstate]:
+            nidx = nstate >> shift
+            ng = gval + cost[nidx] + alpha * risk[ebase + k]
+            if ng < g_of(nstate, inf):
                 g[nstate] = ng
                 came[nstate] = state
-                nidx = nstate >> shift
                 nh = abs(nidx % width - gx) + abs(nidx // width - gy)
                 push(heap, (ng + w * nh, nh, counter, nstate, ng))
                 counter += 1

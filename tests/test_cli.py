@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from gridcity.cli import (
     _SIM_FIELDS,
     ConfigError,
+    Scenario,
     build_grid,
     execute_run,
     execute_sweep,
@@ -17,7 +18,8 @@ from gridcity.cli import (
     sweep_points,
 )
 from gridcity.engine import SimConfig
-from gridcity.environment import parse_grid
+from gridcity.environment import LayoutSpec, parse_grid
+from test_digests import SCENARIOS
 
 
 def write_config(tmp_path, doc, name="scenario.yaml"):
@@ -109,6 +111,40 @@ def test_sweep_lists_must_be_nonempty(tmp_path):
     doc = dict(MINIMAL, sweep={"walkers": []})
     with pytest.raises(ConfigError, match="sweep.walkers"):
         load_config(write_config(tmp_path, doc))
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"walkers": [2, 2.9]}, "expected an integer, got 2.9"),
+    ({"walkers": [True]}, "expected an integer, got True"),
+    ({"drivers": [-1]}, "population targets must be >= 0"),
+    ({"obstruction": ["lots"]}, "expected a number, got 'lots'"),
+    ({"obstruction": [0.1, 1.5]}, "obstruction must lie in"),
+])
+def test_sweep_values_are_checked_like_their_fields(tmp_path, values, message):
+    config = write_config(tmp_path, dict(MINIMAL, sweep=values))
+    key = next(iter(values))
+    with pytest.raises(ConfigError, match=f"sweep.{key}: {message}"):
+        load_config(config)
+    result = CliRunner().invoke(
+        main, ["sweep", "--config", str(config), "--out", str(tmp_path / "s")]
+    )
+    assert result.exit_code == 2
+    assert f"config error: sweep.{key}" in result.output
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_values_are_converted_like_their_fields(tmp_path):
+    # a quoted number reads as the number, as it does for the field itself
+    doc = dict(MINIMAL, sweep={"walkers": [2.0], "obstruction": ["0.1"]})
+    config = write_config(tmp_path, doc)
+    scenario = load_config(config)
+    assert scenario.sweep == {"walkers": [2], "obstruction": [0.1]}
+    assert type(scenario.sweep["walkers"][0]) is int
+    result = CliRunner().invoke(
+        main, ["sweep", "--config", str(config), "--out", str(tmp_path / "s")]
+    )
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "s" / "w2_d0_o10" / "seed1" / "metrics.csv").is_file()
 
 
 def test_profile_ranges_accept_scalar_or_pair(tmp_path):
@@ -245,6 +281,32 @@ def test_run_command_bad_config_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_build_grid_reuses_the_last_generated_layout(tmp_path):
+    scenario = load_config(write_config(tmp_path, MINIMAL))
+    grid = build_grid(scenario)
+    assert build_grid(scenario) is grid
+    other = dataclasses.replace(scenario, layout=LayoutSpec(blocks_x=2, blocks_y=1))
+    assert build_grid(other) is not grid
+    assert build_grid(other) is build_grid(other)
+
+
+def test_pinned_run_after_another_obstruction_of_its_layout(tmp_path):
+    # the pinned city run, in a process whose cached layout already planned
+    # under another obstacle overlay, still writes the pinned CSVs
+    _, config, expected = SCENARIOS["city_200w_100d"]
+    scenario = Scenario(
+        sim=config, layout=LayoutSpec(blocks_x=5, blocks_y=5), grid_path=None,
+        obstacles_path=None,
+    )
+    execute_run(scenario, tmp_path / "other", steps=5, overrides={"obstruction": 0.10})
+    execute_run(scenario, tmp_path / "pinned")
+    digests = {
+        name: hashlib.sha256((tmp_path / "pinned" / name).read_bytes()).hexdigest()
+        for name in expected
+    }
+    assert digests == expected
+
+
 def test_steps_override(tmp_path):
     scenario = load_config(write_config(tmp_path, MINIMAL))
     result = execute_run(scenario, tmp_path / "o", steps=3)
@@ -337,6 +399,15 @@ def test_sweep_command_cli_exit_codes(tmp_path):
     )
     assert zero.exit_code == 2
     assert not (tmp_path / "z").exists()
+    for parallel in ("0", "-4"):
+        bad = runner.invoke(
+            main,
+            ["sweep", "--config", str(config), "--out", str(tmp_path / "p"),
+             "--parallel", parallel],
+        )
+        assert bad.exit_code == 2
+        assert "--parallel" in bad.output
+        assert not (tmp_path / "p").exists()
 
 
 def test_point_label_formats_obstruction_percent():

@@ -375,3 +375,25 @@ def test_obstruction_applied_by_world():
     assert len(world.grid.obstacles) == round(0.1 * sidewalks)
     again = World(small_grid(), cfg)
     assert again.grid.obstacles == world.grid.obstacles
+
+
+def test_obstructed_driver_sites_are_dropped():
+    grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
+    cfg = SimConfig(steps=50, drivers=10, seed=1)
+    for obstacle in (grid.driver_spawns[0][0], grid.driver_exits[0]):
+        world = World(grid.with_obstacles({obstacle}), cfg)
+        assert obstacle not in [site for site, _ in world._driver_sites]
+        assert obstacle not in world._driver_goals
+        for _ in range(cfg.steps):
+            world.step()
+            for a in world.agents.values():
+                assert a.goal != obstacle
+                assert a.plan is None or obstacle not in a.plan.cells
+    # a run over the obstructed site completes with drivers about
+    result = run(cfg, grid.with_obstacles({grid.driver_spawns[0][0]}))
+    assert sum(e.kind == "spawn" for e in result.events) >= cfg.drivers
+    # an obstructed parking space is no goal either
+    lot = grid_of("rE- rE- pE- pE-")
+    assert lot.parking_cells == ((2, 0), (3, 0))
+    world = World(lot.with_obstacles({(2, 0)}), SimConfig(steps=1, drivers=1, seed=0))
+    assert (2, 0) not in world._driver_goals and (3, 0) in world._driver_goals

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcity.environment import (
     Direction,
@@ -19,6 +21,7 @@ from gridcity.planner import (
     driver_risk,
     manhattan,
     plan,
+    _moves,
 )
 from helpers import grid_of, random_instance, route_actions
 from oracle import oracle_cost
@@ -400,8 +403,10 @@ def test_plan_ignores_blocked_start():
     assert plan(ring, (1, 1), (1, 0), driver, blocked={(1, 1)}, heading=S).cells == route
 
 
-def test_obstacle_overlay_never_reuses_parent_tables():
-    # planning on the parent first builds its cost lists and search tables
+def test_obstacle_overlay_shares_layout_tables_not_costs():
+    # planning on the parent first builds its cost lists and search tables;
+    # an overlay reuses the tables but marks its obstacles in its own costs,
+    # on a sidewalk cell of the walker's route and a road cell of the driver's
     grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
     walker = BehaviorProfile(kind="walker")
     (driver_start, heading), driver_goal = grid.driver_spawns[0], grid.driver_exits[0]
@@ -413,9 +418,74 @@ def test_obstacle_overlay_never_reuses_parent_tables():
     for start, goal, profile, hd in queries:
         route = plan(grid, start, goal, profile, heading=hd).cells
         cell = route[len(route) // 2]
-        detour = plan(grid.with_obstacles({cell}), start, goal, profile, heading=hd)
+        overlay = grid.with_obstacles({cell})
+        detour = plan(overlay, start, goal, profile, heading=hd)
         assert detour is not None and cell not in detour.cells
         assert plan(grid, start, goal, profile, heading=hd).cells == route
+        assert _moves(overlay, profile.kind) is _moves(grid, profile.kind)
+        assert overlay.costs(profile.kind) is not grid.costs(profile.kind)
+
+
+_SHARED_SPECS = (LayoutSpec(blocks_x=1, blocks_y=1), LayoutSpec(blocks_x=2, blocks_y=2))
+_SHARED_BASES: dict = {}
+
+
+def _outcomes(grid, queries):
+    """Each query's plan and trace, or the error it raised."""
+    found = []
+    for start, goal, profile, heading in queries:
+        trace = []
+        try:
+            route = plan(grid, start, goal, profile, heading=heading, trace=trace)
+        except ValueError as exc:
+            found.append(str(exc))
+        else:
+            found.append((route, trace))
+    return found
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    layout=st.sampled_from(range(len(_SHARED_SPECS))),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    sidewalk=st.integers(min_value=0, max_value=40),
+    road=st.integers(min_value=0, max_value=12),
+)
+def test_overlay_on_a_planned_layout_plans_like_a_fresh_one(layout, seed, sidewalk, road):
+    spec = _SHARED_SPECS[layout]
+    if spec not in _SHARED_BASES:
+        base = generate_layout(spec)
+        # the base plans first, so every overlay finds the tables built
+        plan(base, base.walker_spawns[0], base.walker_spawns[-1], BehaviorProfile("walker"))
+        (start, heading), goal = base.driver_spawns[0], base.driver_exits[0]
+        plan(base, start, goal, BehaviorProfile("driver"), heading=heading)
+        _SHARED_BASES[spec] = base
+    base = _SHARED_BASES[spec]
+    rng = random.Random(seed)
+    cells = [(i % base.width, i // base.width) for i in range(len(base.ground))]
+    sidewalks = [c for c in cells if base.ground_at(c) is GroundType.SIDEWALK]
+    roads = [c for c in cells if base.driver_cost_at(c) != math.inf]
+    obstacles = set(rng.sample(sidewalks, sidewalk)) | set(rng.sample(roads, road))
+    queries = []
+    for _ in range(3):
+        queries.append((
+            rng.choice(base.walker_spawns), rng.choice(base.walker_spawns),
+            BehaviorProfile("walker", w=rng.choice((1.0, 3.0))), None,
+        ))
+        (start, heading), goal = rng.choice(base.driver_spawns), rng.choice(base.driver_exits)
+        queries.append((
+            start, goal,
+            BehaviorProfile("driver", w=rng.choice((1.0, 3.0)), alpha=rng.uniform(0, 2)),
+            heading,
+        ))
+
+    shared = base.with_obstacles(obstacles)
+    fresh = generate_layout(spec).with_obstacles(obstacles)
+    assert _outcomes(shared, queries) == _outcomes(fresh, queries)
+    for kind in ("walker", "driver"):
+        _, succ, risk = _moves(shared, kind)
+        _, base_succ, base_risk = _moves(base, kind)
+        assert succ is base_succ and risk is base_risk
 
 
 # -- debug trace -----------------------------------------------------------------
