@@ -91,6 +91,17 @@ def _optional_float(value, name):
     return None if value is None else _number(value, name, float)
 
 
+def _distinct(values: list, name: str) -> list:
+    """``values``, or a ConfigError naming the field when one repeats: a
+    repeated sweep value or seed would run twice into one directory."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise ConfigError(f"{name}: repeated value {value!r}")
+        seen.add(value)
+    return values
+
+
 # The scenario format: (YAML path, SimConfig field, conversion of the YAML
 # value).  load_config reads every SimConfig field through this table and
 # effective_config_dict writes every one back through it.
@@ -213,16 +224,21 @@ def load_config(path) -> Scenario:
     for key, values in _mapping(raw.get("sweep"), SWEEPABLE, "sweep").items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{key}: expected a non-empty list")
-        sweep[key] = [converters[key](v, f"sweep.{key}") for v in values]
+        sweep[key] = _distinct(
+            [converters[key](v, f"sweep.{key}") for v in values], f"sweep.{key}"
+        )
         for value in sweep[key]:
             try:
                 dataclasses.replace(sim, **{key: value}).validate()
             except ValueError as exc:
                 raise ConfigError(f"sweep.{key}: {exc}") from None
 
-    seeds = raw.get("seeds", [])
-    if seeds and (not isinstance(seeds, list) or not all(type(s) is int for s in seeds)):
+    seeds = raw.get("seeds")
+    if seeds is None:  # absent or left empty, read like an empty section
+        seeds = []
+    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
         raise ConfigError("seeds: expected a list of integers")
+    _distinct(seeds, "seeds")
 
     return Scenario(
         sim=sim,
@@ -405,8 +421,11 @@ def execute_sweep(
     parallel: int = 1,
     steps: int | None = None,
 ) -> tuple[list, list]:
-    """Run the sweep product x seeds; returns (points, outcomes)."""
+    """Run the sweep product x seeds; returns (points, outcomes).
+
+    Raises ConfigError when ``seeds`` repeats a seed."""
     seeds = list(seeds) if seeds else (scenario.seeds or [scenario.sim.seed])
+    _distinct(seeds, "seeds")
     out = Path(out_dir)
     points = sweep_points(scenario)
     tasks = [
@@ -487,6 +506,11 @@ def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
             seeds = [int(s) for s in seeds_csv.split(",") if s.strip()]
         except ValueError:
             click.echo("config error: --seeds must be comma-separated integers", err=True)
+            sys.exit(2)
+        try:
+            _distinct(seeds, "--seeds")
+        except ConfigError as exc:
+            click.echo(f"config error: {exc}", err=True)
             sys.exit(2)
     points, outcomes = execute_sweep(
         scenario, out_dir, seeds=seeds, parallel=parallel, steps=steps

@@ -195,10 +195,12 @@ class World:
         walker_sites = [(c, None) for c in self._walker_goals]
         self._walker_sites = walker_sites if len(walker_sites) > 1 else []
         # an obstructed driver site is dropped the same way: no driver starts
-        # on or heads for it
+        # on or heads for it; a cell that is both an exit and a parking cell
+        # is one goal, listed where it first appears
         self._driver_sites = [s for s in grid.driver_spawns if s[0] not in grid.obstacles]
         self._driver_goals = [
-            c for c in grid.driver_exits + grid.parking_cells if c not in grid.obstacles
+            c for c in dict.fromkeys(grid.driver_exits + grid.parking_cells)
+            if c not in grid.obstacles
         ]
         self.agents: dict[int, AgentState] = {}
         self.step_count = 0

@@ -8,6 +8,12 @@ states ``cell << shift``: walkers plan over plain cells (shift 0), where no move
 carries risk; drivers plan over (cell, heading) states (shift 2, the heading in
 the two low bits) so turn risk is well-defined.  A plan is the route's cells;
 ``classify_action`` names the maneuver of any driver move.
+
+Each expansion is table lookups over data built once per layout: the
+successor rows of ``_moves`` hold only a cell's valid moves, and the
+coordinate tables of ``_coords`` give the heuristic, the trace and the plan's
+cells.  A blocked cell blocks every state on it, and the risk term is added
+only when alpha is non-zero.
 """
 from __future__ import annotations
 
@@ -87,15 +93,18 @@ class Plan:
 
 
 def _moves(grid: GridMap, kind: str):
-    """Search tables ``(shift, succ, risk)`` for one agent kind.
+    """Search tables ``(shift, rows, risk)`` for one agent kind.
 
     States are ``cell << shift``: shift 0 for walkers, shift 2 for drivers,
-    whose two low bits hold the heading.  ``succ[cell*4 + k]`` is the state a
-    move in direction k (``DIRECTION_ORDER[k]``) enters, -1 when the move
-    leaves the grid or enters ground impassable to the kind, and
-    ``risk[state*4 + k]`` the move's unscaled risk: all zeros for walkers,
-    and for drivers filled only from driver-passable cells, since no search
-    expands another.  The tables read the layout alone (``ground`` and
+    whose two low bits hold the heading.  ``rows[cell]`` is the tuple of
+    states the cell's valid moves enter, in NESW order (``DIRECTION_ORDER``),
+    which keeps the search's push order; a move that leaves the grid or
+    enters ground impassable to the kind has no entry.  A driver's entered
+    state carries the move's direction k in its low bits, so
+    ``risk[state*4 + (nstate & 3)]`` is the unscaled risk of the move from
+    ``state`` into ``nstate``; it is filled only from driver-passable cells,
+    since no search expands another.  Walker moves carry no risk, so their
+    ``risk`` is None.  The tables read the layout alone (``ground`` and
     ``flow``), never the obstacle overlay: an obstacle's infinite cost in
     ``GridMap.costs`` keeps every search out of it.  So they are built once
     per layout and kind, in the ``_tables`` dict its overlays share.
@@ -104,34 +113,52 @@ def _moves(grid: GridMap, kind: str):
     tables = grid._tables.get(key)
     if tables is None:
         width, height = grid.width, grid.height
-        size = width * height
         cell_cost = grid.ground_costs(kind)
+        inf = math.inf
         shift, heading_bits = (0, 0) if kind == "walker" else (2, 3)
-        succ = [-1] * (size * 4)
+        # (dx, dy, cell index step, the entered state's low bits) per direction
+        moves = [
+            (dx, dy, dy * width + dx, k & heading_bits)
+            for k, (dx, dy, _, _) in enumerate(DIRECTION_TABLE)
+        ]
+        rows = []
+        i = 0
         for y in range(height):
             for x in range(width):
-                i4 = (y * width + x) * 4
-                for k, (dx, dy, _, _) in enumerate(DIRECTION_TABLE):
-                    nx, ny = x + dx, y + dy
-                    if 0 <= nx < width and 0 <= ny < height:
-                        n = ny * width + nx
-                        if cell_cost[n] != math.inf:
-                            succ[i4 + k] = (n << shift) | (k & heading_bits)
+                rows.append(tuple([
+                    ((i + step) << shift) | bits
+                    for dx, dy, step, bits in moves
+                    if 0 <= x + dx < width and 0 <= y + dy < height
+                    and cell_cost[i + step] != inf
+                ]))
+                i += 1
         if kind == "walker":
-            tables = (0, succ, [0.0] * (size * 4))
+            tables = (0, rows, None)
         else:
-            risk = [0.0] * (size * 16)
-            for i in range(size):
+            risk = [0.0] * (width * height * 16)
+            for i, row in enumerate(rows):
                 if cell_cost[i] == math.inf:
                     continue
                 turnspot = _turnspot(grid, i)
-                for k in range(4):
-                    n = succ[i * 4 + k]
-                    if n >= 0:
-                        for hd, a in enumerate(_classify(grid, i, n >> 2, k, turnspot)):
-                            risk[(i * 4 + hd) * 4 + k] = _RISKS[a]
-            tables = (2, succ, risk)
+                for n in row:
+                    k = n & 3
+                    for hd, a in enumerate(_classify(grid, i, n >> 2, k, turnspot)):
+                        risk[(i * 4 + hd) * 4 + k] = _RISKS[a]
+            tables = (2, rows, risk)
         grid._tables[key] = tables
+    return tables
+
+
+def _coords(grid: GridMap):
+    """Per-cell coordinate tables ``(xs, ys, cells)`` of the layout, indexed
+    ``y * width + x``: each cell's x, its y and its ``(x, y)`` tuple.  Built
+    once per layout, in the ``_tables`` dict its overlays share."""
+    tables = grid._tables.get("coords")
+    if tables is None:
+        width, height = grid.width, grid.height
+        xs = list(range(width)) * height
+        ys = [y for y in range(height) for _ in range(width)]
+        tables = grid._tables["coords"] = (xs, ys, list(zip(xs, ys)))
     return tables
 
 
@@ -242,31 +269,33 @@ def plan(
         return _search(grid, "walker", si, gi, profile.w, 0.0, blocked_idx, trace)
     if heading is None:
         heading = default_heading(grid, start)
-    blocked_states = {(b << 2) | hd for b in blocked_idx for hd in range(4)}
     return _search(
         grid, "driver", (si << 2) | DIRECTION_ORDER.index(heading), gi,
-        profile.w, profile.alpha, blocked_states, trace,
+        profile.w, profile.alpha, blocked_idx, trace,
     )
 
 
 def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
     """Weighted A* from state ``s0`` to any state on cell ``gi``.
 
+    ``blocked`` holds cells: a state is blocked exactly when its cell is.
     ``g`` and ``came`` are dicts over the states the search reaches, so a
     query pays for what it touches, not for the whole grid.  A state on an
     obstacle costs ``inf`` to enter, so ``ng < g`` never holds for it and it
-    is never pushed.
+    is never pushed.  The risk term is added only when ``alpha`` is non-zero,
+    as a second addition after the cell cost, the float order of
+    ``g + cost + alpha * risk``.
     """
-    shift, succ, risk = _moves(grid, kind)
+    shift, rows, risk = _moves(grid, kind)
+    xs, ys, cells = _coords(grid)
     cost = grid.costs(kind)
-    width = grid.width
     si = s0 >> shift
     inf = math.inf
-    gx, gy = gi % width, gi // width
+    gx, gy = xs[gi], ys[gi]
     g = {s0: 0.0}
     g_of = g.get
     came = {s0: -1}
-    h0 = abs(si % width - gx) + abs(si // width - gy)
+    h0 = abs(xs[si] - gx) + abs(ys[si] - gy)
     heap = [(w * h0, h0, 0, s0, 0.0)]
     counter = 1
     expansions = 0
@@ -279,29 +308,29 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
         idx = state >> shift
         if trace is not None:
             prev = came[state]
-            r_in = risk[prev * 4 + (state & 3)] if prev >= 0 else 0.0
-            trace.append((expansions, idx % width, idx // width, gval, h, r_in, f))
+            r_in = risk[prev * 4 + (state & 3)] if shift and prev >= 0 else 0.0
+            trace.append((expansions, xs[idx], ys[idx], gval, h, r_in, f))
         expansions += 1
         if idx == gi:
-            return _extract(width, shift, risk, came, s0, state, gval, expansions)
-        nbase = idx * 4
+            return _extract(cells, shift, risk, came, s0, state, gval, expansions)
         ebase = state * 4
-        for k in range(4):
-            nstate = succ[nbase + k]
-            if nstate < 0 or nstate in blocked:
-                continue
+        for nstate in rows[idx]:
             nidx = nstate >> shift
-            ng = gval + cost[nidx] + alpha * risk[ebase + k]
+            if nidx in blocked:
+                continue
+            ng = gval + cost[nidx]
+            if alpha:
+                ng += alpha * risk[ebase + (nstate & 3)]
             if ng < g_of(nstate, inf):
                 g[nstate] = ng
                 came[nstate] = state
-                nh = abs(nidx % width - gx) + abs(nidx // width - gy)
+                nh = abs(xs[nidx] - gx) + abs(ys[nidx] - gy)
                 push(heap, (ng + w * nh, nh, counter, nstate, ng))
                 counter += 1
     return None
 
 
-def _extract(width, shift, risk, came, s0, goal_state, total, expansions):
+def _extract(cells, shift, risk, came, s0, goal_state, total, expansions):
     states = [goal_state]
     while states[-1] != s0:
         states.append(came[states[-1]])
@@ -310,5 +339,4 @@ def _extract(width, shift, risk, came, s0, goal_state, total, expansions):
     if shift:  # a driver: sum the moves' risks in route order
         for prev, state in zip(states, states[1:]):
             risk_total += risk[prev * 4 + (state & 3)]
-    cells = tuple(((s >> shift) % width, (s >> shift) // width) for s in states)
-    return Plan(cells, total, risk_total, expansions)
+    return Plan(tuple([cells[s >> shift] for s in states]), total, risk_total, expansions)

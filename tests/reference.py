@@ -1,16 +1,40 @@
-"""Per-agent reference for ``gridcity.agents.decide``.
+"""Reference implementations that faster code is tested against.
 
-Each agent senses the whole population on its own, then one rule function
-picks its decision.  This is the loop that ``decide`` replaced, kept as the
-reference that the property test compares the array pass against.
+``sense``, ``react_walker`` and ``react_driver`` are the per-agent loop that
+``gridcity.agents.decide`` replaced: each agent senses the whole population
+on its own, then one rule function picks its decision.
+
+``plan`` and the ``_moves``, ``_search`` and ``_extract`` it calls are the
+Weighted A* kernel that per-cell successor rows, coordinate tables and
+cell-level blocking replaced: it scans all four directions of a flat
+``succ`` table with ``-1`` for an invalid move, computes coordinates with
+``%`` and ``//``, adds the risk term on every move, and widens a driver's
+blocked cells to all four heading states.  Its tables live in the layout's
+``_tables`` under their own key.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from gridcity.agents import AgentState, Decision, Status
-from gridcity.environment import Coord, GridMap, GroundType
+from gridcity.environment import (
+    Coord,
+    Direction,
+    DIRECTION_ORDER,
+    DIRECTION_TABLE,
+    GridMap,
+    GroundType,
+)
+from gridcity.planner import (
+    _RISKS,
+    BehaviorProfile,
+    Plan,
+    _classify,
+    _turnspot,
+    default_heading,
+)
 
 
 @dataclass(frozen=True)
@@ -136,3 +160,163 @@ def react_driver(agent: AgentState, perception: Perception) -> Decision:
     if perception.blocked_cells:
         return Decision.REPLAN
     return Decision.ACCELERATE
+
+
+# -- the Weighted A* kernel ----------------------------------------------------
+
+
+def _moves(grid: GridMap, kind: str):
+    """Search tables ``(shift, succ, risk)`` for one agent kind.
+
+    States are ``cell << shift``: shift 0 for walkers, shift 2 for drivers,
+    whose two low bits hold the heading.  ``succ[cell*4 + k]`` is the state a
+    move in direction k (``DIRECTION_ORDER[k]``) enters, -1 when the move
+    leaves the grid or enters ground impassable to the kind, and
+    ``risk[state*4 + k]`` the move's unscaled risk: all zeros for walkers,
+    and for drivers filled only from driver-passable cells, since no search
+    expands another.  The tables read the layout alone (``ground`` and
+    ``flow``), never the obstacle overlay: an obstacle's infinite cost in
+    ``GridMap.costs`` keeps every search out of it.  So they are built once
+    per layout and kind, in the ``_tables`` dict its overlays share.
+    """
+    key = ("reference moves", kind)
+    tables = grid._tables.get(key)
+    if tables is None:
+        width, height = grid.width, grid.height
+        size = width * height
+        cell_cost = grid.ground_costs(kind)
+        shift, heading_bits = (0, 0) if kind == "walker" else (2, 3)
+        succ = [-1] * (size * 4)
+        for y in range(height):
+            for x in range(width):
+                i4 = (y * width + x) * 4
+                for k, (dx, dy, _, _) in enumerate(DIRECTION_TABLE):
+                    nx, ny = x + dx, y + dy
+                    if 0 <= nx < width and 0 <= ny < height:
+                        n = ny * width + nx
+                        if cell_cost[n] != math.inf:
+                            succ[i4 + k] = (n << shift) | (k & heading_bits)
+        if kind == "walker":
+            tables = (0, succ, [0.0] * (size * 4))
+        else:
+            risk = [0.0] * (size * 16)
+            for i in range(size):
+                if cell_cost[i] == math.inf:
+                    continue
+                turnspot = _turnspot(grid, i)
+                for k in range(4):
+                    n = succ[i * 4 + k]
+                    if n >= 0:
+                        for hd, a in enumerate(_classify(grid, i, n >> 2, k, turnspot)):
+                            risk[(i * 4 + hd) * 4 + k] = _RISKS[a]
+            tables = (2, succ, risk)
+        grid._tables[key] = tables
+    return tables
+
+
+def plan(
+    grid: GridMap,
+    start: Coord,
+    goal: Coord,
+    profile: BehaviorProfile,
+    blocked: frozenset | set = frozenset(),
+    heading: Direction | None = None,
+    trace: list | None = None,
+) -> Plan | None:
+    """Weighted A* route for one agent; None when no route exists.
+
+    ``blocked`` marks temporary dynamic obstacles (damaged or parked agents)
+    treated as infinite-cost cells; the start cell is never blocked, so callers
+    may pass a set that holds it.  A blocked goal can never be entered, so it
+    gets None without a search.  ``trace``, when given a list, receives
+    one (step, x, y, g, h, r, f) tuple per node expansion.
+    """
+    if not grid.in_bounds(start) or not grid.in_bounds(goal):
+        raise ValueError("start and goal must lie inside the grid")
+    width = grid.width
+    cost_arr = grid.costs(profile.kind)
+    si = start[1] * width + start[0]
+    gi = goal[1] * width + goal[0]
+    if cost_arr[si] == math.inf:
+        raise ValueError(f"start {start} is not traversable for a {profile.kind}")
+    if cost_arr[gi] == math.inf:
+        raise ValueError(f"goal {goal} is not traversable for a {profile.kind}")
+    blocked_idx = {c[1] * width + c[0] for c in blocked if grid.in_bounds(c)}
+    blocked_idx.discard(si)
+    if gi in blocked_idx:
+        return None
+
+    if profile.kind == "walker":  # no walker move carries risk, whatever alpha
+        return _search(grid, "walker", si, gi, profile.w, 0.0, blocked_idx, trace)
+    if heading is None:
+        heading = default_heading(grid, start)
+    blocked_states = {(b << 2) | hd for b in blocked_idx for hd in range(4)}
+    return _search(
+        grid, "driver", (si << 2) | DIRECTION_ORDER.index(heading), gi,
+        profile.w, profile.alpha, blocked_states, trace,
+    )
+
+
+def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
+    """Weighted A* from state ``s0`` to any state on cell ``gi``.
+
+    ``g`` and ``came`` are dicts over the states the search reaches, so a
+    query pays for what it touches, not for the whole grid.  A state on an
+    obstacle costs ``inf`` to enter, so ``ng < g`` never holds for it and it
+    is never pushed.
+    """
+    shift, succ, risk = _moves(grid, kind)
+    cost = grid.costs(kind)
+    width = grid.width
+    si = s0 >> shift
+    inf = math.inf
+    gx, gy = gi % width, gi // width
+    g = {s0: 0.0}
+    g_of = g.get
+    came = {s0: -1}
+    h0 = abs(si % width - gx) + abs(si // width - gy)
+    heap = [(w * h0, h0, 0, s0, 0.0)]
+    counter = 1
+    expansions = 0
+    push = heappush
+    pop = heappop
+    while heap:
+        f, h, _, state, gval = pop(heap)
+        if gval > g[state]:
+            continue
+        idx = state >> shift
+        if trace is not None:
+            prev = came[state]
+            r_in = risk[prev * 4 + (state & 3)] if prev >= 0 else 0.0
+            trace.append((expansions, idx % width, idx // width, gval, h, r_in, f))
+        expansions += 1
+        if idx == gi:
+            return _extract(width, shift, risk, came, s0, state, gval, expansions)
+        nbase = idx * 4
+        ebase = state * 4
+        for k in range(4):
+            nstate = succ[nbase + k]
+            if nstate < 0 or nstate in blocked:
+                continue
+            nidx = nstate >> shift
+            ng = gval + cost[nidx] + alpha * risk[ebase + k]
+            if ng < g_of(nstate, inf):
+                g[nstate] = ng
+                came[nstate] = state
+                nh = abs(nidx % width - gx) + abs(nidx // width - gy)
+                push(heap, (ng + w * nh, nh, counter, nstate, ng))
+                counter += 1
+    return None
+
+
+def _extract(width, shift, risk, came, s0, goal_state, total, expansions):
+    states = [goal_state]
+    while states[-1] != s0:
+        states.append(came[states[-1]])
+    states.reverse()
+    risk_total = 0.0
+    if shift:  # a driver: sum the moves' risks in route order
+        for prev, state in zip(states, states[1:]):
+            risk_total += risk[prev * 4 + (state & 3)]
+    cells = tuple(((s >> shift) % width, (s >> shift) // width) for s in states)
+    return Plan(cells, total, risk_total, expansions)

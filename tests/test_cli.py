@@ -147,6 +147,43 @@ def test_sweep_values_are_converted_like_their_fields(tmp_path):
     assert (tmp_path / "s" / "w2_d0_o10" / "seed1" / "metrics.csv").is_file()
 
 
+@pytest.mark.parametrize("patch, args, name", [
+    ({"sweep": {"walkers": [2, 2.0]}, "seeds": [1]}, [], "sweep.walkers: repeated value 2"),
+    ({"sweep": {"obstruction": [0, 0.1, "0.1"]}}, [], "sweep.obstruction: repeated value 0.1"),
+    ({"seeds": [1, 1]}, [], "seeds: repeated value 1"),
+    ({}, ["--seeds", "1,1"], "--seeds: repeated value 1"),
+])
+def test_repeated_sweep_values_and_seeds_are_refused(tmp_path, patch, args, name):
+    # a repeated value or seed would run twice into one run directory and
+    # write two identical summary rows that each count both seeds
+    config = write_config(tmp_path, dict(MINIMAL, steps=3, **patch))
+    if args:
+        scenario = load_config(config)
+        with pytest.raises(ConfigError, match="^seeds: repeated value 1"):
+            execute_sweep(scenario, tmp_path / "s", seeds=[1, 1])
+    else:
+        with pytest.raises(ConfigError, match=name):
+            load_config(config)
+    result = CliRunner().invoke(
+        main, ["sweep", "--config", str(config), "--out", str(tmp_path / "s"), *args]
+    )
+    assert result.exit_code == 2
+    assert f"config error: {name}" in result.output
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("seeds", [None, []])
+def test_empty_seed_list_runs_the_scenario_seed(tmp_path, seeds):
+    config = write_config(tmp_path, dict(MINIMAL, steps=3, seeds=seeds))
+    assert load_config(config).seeds == []
+    result = CliRunner().invoke(
+        main, ["sweep", "--config", str(config), "--out", str(tmp_path / "s")]
+    )
+    assert result.exit_code == 0, result.output
+    assert "1 sweep points, 1 runs" in result.output
+    assert (tmp_path / "s" / "w2_d0_o0" / "seed1" / "metrics.csv").is_file()
+
+
 def test_profile_ranges_accept_scalar_or_pair(tmp_path):
     doc = dict(MINIMAL)
     doc["profiles"] = {"walker": {"w": 3, "alpha": [0, 1]}, "driver": {"w": [1, 5]}}

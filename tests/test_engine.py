@@ -397,3 +397,12 @@ def test_obstructed_driver_sites_are_dropped():
     assert lot.parking_cells == ((2, 0), (3, 0))
     world = World(lot.with_obstacles({(2, 0)}), SimConfig(steps=1, drivers=1, seed=0))
     assert (2, 0) not in world._driver_goals and (3, 0) in world._driver_goals
+
+
+def test_driver_goal_on_an_exit_and_a_parking_cell_is_listed_once():
+    # (3, 0) is both the strip's exit and a parking cell; listing it twice
+    # would draw it twice as often on spawn and reactivation
+    lot = grid_of("rE- rE- pE- pE-")
+    assert lot.driver_exits == ((3, 0),) and lot.parking_cells == ((2, 0), (3, 0))
+    world = World(lot, SimConfig(steps=1, drivers=1, seed=0))
+    assert world._driver_goals == [(3, 0), (2, 0)]

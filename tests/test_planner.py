@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcity.environment import (
+    DIRECTION_ORDER,
     Direction,
     GroundType,
     LayoutSpec,
@@ -21,10 +22,12 @@ from gridcity.planner import (
     driver_risk,
     manhattan,
     plan,
+    _coords,
     _moves,
 )
-from helpers import grid_of, random_instance, route_actions
+from helpers import grid_of, random_grid, random_instance, route_actions, traversable_cells
 from oracle import oracle_cost
+import reference
 
 N, E, S, W = Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST
 
@@ -423,6 +426,7 @@ def test_obstacle_overlay_shares_layout_tables_not_costs():
         assert detour is not None and cell not in detour.cells
         assert plan(grid, start, goal, profile, heading=hd).cells == route
         assert _moves(overlay, profile.kind) is _moves(grid, profile.kind)
+        assert _coords(overlay) is _coords(grid)
         assert overlay.costs(profile.kind) is not grid.costs(profile.kind)
 
 
@@ -483,9 +487,88 @@ def test_overlay_on_a_planned_layout_plans_like_a_fresh_one(layout, seed, sidewa
     fresh = generate_layout(spec).with_obstacles(obstacles)
     assert _outcomes(shared, queries) == _outcomes(fresh, queries)
     for kind in ("walker", "driver"):
-        _, succ, risk = _moves(shared, kind)
-        _, base_succ, base_risk = _moves(base, kind)
-        assert succ is base_succ and risk is base_risk
+        _, rows, risk = _moves(shared, kind)
+        _, base_rows, base_risk = _moves(base, kind)
+        assert rows is base_rows and risk is base_risk
+    assert _coords(shared) is _coords(base)
+
+
+# -- the kernel against its reference --------------------------------------------
+
+
+_KERNEL_LAYOUTS: dict = {}
+
+
+def _kernel_grid(source, rng):
+    """A random small grid, or the 1x1 or 2x2 layout with random sidewalk and
+    road obstacles on top of one shared layout."""
+    if source == "random":
+        return random_grid(rng, rng.randint(2, 9), rng.randint(1, 9))
+    if source not in _KERNEL_LAYOUTS:
+        blocks = int(source[0])
+        _KERNEL_LAYOUTS[source] = generate_layout(LayoutSpec(blocks_x=blocks, blocks_y=blocks))
+    base = _KERNEL_LAYOUTS[source]
+    cells = [(i % base.width, i // base.width) for i in range(len(base.ground))]
+    sidewalks = [c for c in cells if base.ground_at(c) is GroundType.SIDEWALK]
+    roads = [c for c in cells if base.driver_cost_at(c) != math.inf]
+    return base.with_obstacles(
+        rng.sample(sidewalks, rng.randint(0, 30)) + rng.sample(roads, rng.randint(0, 8))
+    )
+
+
+def _kernel_outcome(planner, grid, start, goal, profile, blocked, heading):
+    """A plan's cells, the reprs of its floats, its expansions and the repr of
+    the full trace; or the error the query raised."""
+    trace = []
+    try:
+        route = planner(grid, start, goal, profile, blocked=blocked, heading=heading, trace=trace)
+    except ValueError as exc:
+        return str(exc)
+    if route is None:
+        return None, repr(trace)
+    found = (route.cells, repr(route.total_cost), repr(route.risk_total), route.expansions)
+    return found, repr(trace)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    source=st.sampled_from(("random", "1x1", "2x2")),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_plan_matches_the_reference_kernel(source, seed):
+    # plans, float reprs, expansion counts and full traces equal those of the
+    # reference kernel, for both kinds, w 1-5, alpha 0 and not, explicit and
+    # default headings, and blocked sets holding the start, the goal's
+    # neighbours and cells on the route
+    rng = random.Random(seed)
+    grid = _kernel_grid(source, rng)
+    for kind in ("walker", "driver"):
+        cells = traversable_cells(grid, kind)
+        if len(cells) < 2:
+            continue
+        for _ in range(3):
+            start, goal = rng.sample(cells, 2)
+            profile = BehaviorProfile(
+                kind=kind,
+                w=rng.choice((1.0, 2.0, 3.0, 5.0, rng.uniform(1, 5))),
+                alpha=rng.choice((0.0, rng.uniform(0, 3))),
+            )
+            heading = rng.choice((None, rng.choice(DIRECTION_ORDER)))
+            try:
+                free = reference.plan(grid, start, goal, profile, heading=heading)
+            except ValueError:  # a driver start without flow and no heading
+                free = None
+            blocked = set(rng.sample(cells, rng.randint(0, min(len(cells), 6))))
+            if free is not None:
+                blocked |= set(rng.sample(free.cells, rng.randint(0, len(free.cells))))
+            if rng.random() < 0.5:
+                blocked |= {(goal[0] + d.dx, goal[1] + d.dy) for d in DIRECTION_ORDER}
+            if rng.random() < 0.5:
+                blocked.add(start)
+            if rng.random() < 0.8:
+                blocked.discard(goal)
+            query = (grid, start, goal, profile, frozenset(blocked), heading)
+            assert _kernel_outcome(plan, *query) == _kernel_outcome(reference.plan, *query)
 
 
 # -- debug trace -----------------------------------------------------------------
