@@ -32,6 +32,7 @@ from .planner import (
 from .agents import (
     AgentState,
     Decision,
+    Population,
     Status,
     act,
     decide,

@@ -1,17 +1,21 @@
-"""Walker and driver behavior: sensing, reaction rules, and kinematics.
+"""Walker and driver behavior: the population's columns, sensing, reaction
+rules, and kinematics.
 
-Agents follow their planned route cell-center to cell-center.  Each step
-``decide`` gathers the whole population into arrays once, tests each active
-agent against the others near its window (its next few route cells), and
-picks exactly one decision per active agent (stop, yield, decelerate,
-accelerate, replan, proceed).  ``act`` then applies the decision and moves the
-agent by its current speed along the plan polyline.
+The population is one ``Population``: a structure of arrays with one row per
+agent, in ascending id order.  Each step ``decide`` reads its columns, tests
+each active agent against the others near its window (its next few route
+cells), and picks exactly one decision code per active agent (yield,
+decelerate, stop, replan, accelerate, proceed).  ``act`` then applies the
+codes as array updates and moves every agent with a speed along its plan
+polyline.  ``AgentState`` is the record of one agent: what ``Population.extend``
+takes in and ``Population.snapshot`` gives out, never a live copy.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
+from itertools import compress
 
 import numpy as np
 
@@ -19,19 +23,31 @@ from .environment import Coord, Direction, DIRECTION_ORDER, DIRECTION_TABLE, Gri
 from .planner import BehaviorProfile, Plan, plan
 
 
-class Status(Enum):
-    ACTIVE = "active"
-    PARKED = "parked"
-    COLLIDED = "collided"
+class Status(IntEnum):
+    """Lifecycle state; its value is the code in ``Population.status``."""
+
+    ACTIVE = 0
+    PARKED = 1
+    COLLIDED = 2
 
 
-class Decision(Enum):
-    PROCEED = "proceed"
-    STOP = "stop"
-    DECELERATE = "decelerate"
-    ACCELERATE = "accelerate"
-    YIELD = "yield"
-    REPLAN = "replan"
+class Decision(IntEnum):
+    """One step's reaction; its value is the code ``decide`` returns, and the
+    order is the priority of ``decide``'s rules."""
+
+    YIELD = 0
+    DECELERATE = 1
+    STOP = 2
+    REPLAN = 3
+    ACCELERATE = 4
+    PROCEED = 5
+
+
+_STATUSES = tuple(Status)
+_KINDS = ("walker", "driver")
+# the heading code of a move by (dx, dy) between neighbouring cells
+_MOVE_HEADING = {row[:2]: k for k, row in enumerate(DIRECTION_TABLE)}
+_NORTH, _EAST, _SOUTH, _WEST = range(4)  # indices into DIRECTION_ORDER
 
 
 @dataclass
@@ -54,14 +70,178 @@ class AgentState:
         return (int(math.floor(self.position[0])), int(math.floor(self.position[1])))
 
 
+def _floor_cells(x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
+    """The flat index ``y * width + x`` of the cell each point lies on."""
+    return np.floor(y).astype(np.int64) * width + np.floor(x).astype(np.int64)
+
+
+class Population:
+    """The agents as columns, one row per agent in ascending id order.
+
+    ``extend`` appends rows and ``keep`` drops them with one mask; a slot is
+    never reused, so row order stays id order.  That order fixes the order of
+    events and of the float sums of the heatmaps and the driver speed.
+
+    Columns: ``id``; ``driver``, the kind (False for a walker); ``status``, a
+    ``Status`` code; ``x`` and ``y``, the position, and ``cell``, its floor
+    cell ``y * width + x``; ``speed``; ``heading``, an index into
+    ``DIRECTION_ORDER`` (-1 for none); ``cursor``, the index of the next plan
+    cell to reach; ``countdown``; ``goal``, a flat cell (-1 for none); ``w``,
+    ``alpha`` and ``max_speed``, the behavior profile; ``plans``, each row's
+    ``Plan`` or None; and ``route``, each plan's cells as flat indices,
+    ``plan_len`` of them (0 without a plan), the rest of the row -1.  A plan's
+    flat indices are written once, when the plan is assigned.
+    """
+
+    _COLUMNS = (
+        ("id", np.int64), ("driver", bool), ("status", np.int8),
+        ("x", np.float64), ("y", np.float64), ("cell", np.int64),
+        ("speed", np.float64), ("heading", np.int8), ("cursor", np.int64),
+        ("countdown", np.int64), ("goal", np.int64), ("w", np.float64),
+        ("alpha", np.float64), ("max_speed", np.float64), ("plan_len", np.int64),
+    )
+
+    def __init__(self, width: int):
+        self.width = width
+        for name, dtype in self._COLUMNS:
+            setattr(self, name, np.zeros(0, dtype))
+        self.plans: list = []
+        self.route = np.full((0, 1), -1, dtype=np.int32)
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def _flat(self, cells) -> list[int]:
+        width = self.width
+        return [y * width + x for x, y in cells]
+
+    def _fit_route(self, length: int) -> None:
+        """Widen ``route`` to hold a plan of ``length`` cells."""
+        have = self.route.shape[1]
+        if length > have:
+            wider = np.full((len(self.route), length), -1, dtype=np.int32)
+            wider[:, :have] = self.route
+            self.route = wider
+
+    def extend(self, states) -> None:
+        """Append one row per ``AgentState``, in order; their ids must ascend
+        past every id present."""
+        if not states:
+            return
+        ids = [a.id for a in states]
+        last = int(self.id[-1]) if len(self.id) else -math.inf
+        if any(b <= a for a, b in zip([last] + ids, ids)):
+            raise ValueError(f"agent ids must ascend past {last}, got {ids}")
+        width = self.width
+        xs = np.array([a.position[0] for a in states], dtype=np.float64)
+        ys = np.array([a.position[1] for a in states], dtype=np.float64)
+        values = {
+            "id": ids,
+            "driver": [a.kind == "driver" for a in states],
+            "status": [a.status for a in states],
+            "x": xs,
+            "y": ys,
+            "cell": _floor_cells(xs, ys, width),
+            "speed": [a.speed for a in states],
+            "heading": [-1 if a.heading is None else DIRECTION_ORDER.index(a.heading)
+                        for a in states],
+            "cursor": [a.cursor for a in states],
+            "countdown": [a.countdown for a in states],
+            "goal": [-1 if a.goal is None else a.goal[1] * width + a.goal[0]
+                     for a in states],
+            "w": [a.profile.w for a in states],
+            "alpha": [a.profile.alpha for a in states],
+            "max_speed": [a.profile.max_speed for a in states],
+            "plan_len": [0 if a.plan is None else len(a.plan) for a in states],
+        }
+        for name, dtype in self._COLUMNS:
+            column = np.asarray(values[name], dtype=dtype)
+            setattr(self, name, np.concatenate((getattr(self, name), column)))
+        self._fit_route(int(self.plan_len[-len(states):].max()))
+        block = np.full((len(states), self.route.shape[1]), -1, dtype=np.int32)
+        for row, a in zip(block, states):
+            if a.plan is not None:
+                row[:len(a.plan)] = self._flat(a.plan.cells)
+        self.route = np.concatenate((self.route, block))
+        self.plans += [a.plan for a in states]
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows where ``mask`` is False."""
+        for name, _ in self._COLUMNS:
+            setattr(self, name, getattr(self, name)[mask])
+        self.route = self.route[mask]
+        self.plans = list(compress(self.plans, mask.tolist()))
+
+    def set_plan(self, row: int, route: Plan) -> None:
+        """Give ``row`` the plan ``route``, with its cursor at 1."""
+        n = len(route)
+        self._fit_route(n)
+        self.route[row, :n] = self._flat(route.cells)
+        self.route[row, n:] = -1
+        self.plan_len[row] = n
+        self.plans[row] = route
+        self.cursor[row] = 1
+
+    def row_of(self, agent_id: int) -> int | None:
+        """The row holding ``agent_id``, or None."""
+        row = int(np.searchsorted(self.id, agent_id))
+        return row if row < len(self.id) and self.id[row] == agent_id else None
+
+    def coord(self, row: int) -> Coord:
+        """The floor cell of ``row`` as ``(x, y)``."""
+        y, x = divmod(int(self.cell[row]), self.width)
+        return (x, y)
+
+    def cells(self, mask: np.ndarray) -> set:
+        """The floor cells of the rows in ``mask``, as ``(x, y)`` coords."""
+        y, x = np.divmod(self.cell[mask], self.width)
+        return set(zip(x.tolist(), y.tolist()))
+
+    def profile(self, row: int) -> BehaviorProfile:
+        return BehaviorProfile(
+            kind=_KINDS[int(self.driver[row])],
+            w=float(self.w[row]),
+            alpha=float(self.alpha[row]),
+            max_speed=float(self.max_speed[row]),
+        )
+
+    def snapshot(self) -> dict[int, AgentState]:
+        """Every agent as an ``AgentState`` by id, in row order."""
+        width = self.width
+        out = {}
+        for (i, driver, status, x, y, speed, heading, cursor, countdown, goal, w,
+             alpha, max_speed, route) in zip(
+            self.id.tolist(), self.driver.tolist(), self.status.tolist(),
+            self.x.tolist(), self.y.tolist(), self.speed.tolist(),
+            self.heading.tolist(), self.cursor.tolist(), self.countdown.tolist(),
+            self.goal.tolist(), self.w.tolist(), self.alpha.tolist(),
+            self.max_speed.tolist(), self.plans,
+        ):
+            kind = _KINDS[driver]
+            out[i] = AgentState(
+                id=i,
+                kind=kind,
+                profile=BehaviorProfile(kind=kind, w=w, alpha=alpha, max_speed=max_speed),
+                position=(x, y),
+                heading=DIRECTION_ORDER[heading] if heading >= 0 else None,
+                speed=speed,
+                plan=route,
+                cursor=cursor,
+                status=_STATUSES[status],
+                countdown=countdown,
+                goal=(goal % width, goal // width) if goal >= 0 else None,
+            )
+        return out
+
+
 def decide(
-    agents, grid: GridMap, lookahead: int, radius: float, yield_radius: float
-) -> tuple[dict, dict, set]:
+    pop: Population, grid: GridMap, lookahead: int, radius: float, yield_radius: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Sense and react for the whole population in one array pass.
 
-    ``agents`` is the pre-step population.  Returns ``(decisions, pre_cells,
-    statics)``: one Decision per active agent by id, in population order;
-    every agent's floor cell by id; and the cells of inactive agents.
+    ``pop`` is the pre-step population.  Returns ``(codes, pre_flat)``: one
+    ``Decision`` code per active row, in row order, and a copy of every row's
+    floor cell (``pop.cell``).
 
     An active agent perceives the agents near its window, its next
     ``lookahead`` plan cells.  Another agent is in the window when its
@@ -89,43 +269,22 @@ def decide(
     ``dx*dx + dy*dy`` in float64, in the same order as a per-agent loop.
     """
     width = grid.width
-    active = Status.ACTIVE
-    pre_cells: dict = {}
-    statics: set = set()
-    xs, ys, flats, is_driver, is_active = [], [], [], [], []
-    rows, ids, speeds, window = [], [], [], []  # one entry per active agent
-    pad = [-1] * lookahead
-    for i, a in enumerate(agents):
-        cell = a.cell()
-        pre_cells[a.id] = cell
-        x, y = a.position
-        xs.append(x)
-        ys.append(y)
-        flats.append(cell[1] * width + cell[0])
-        is_driver.append(a.kind == "driver")
-        if a.status is not active:
-            is_active.append(False)
-            statics.add(cell)
-            continue
-        is_active.append(True)
-        rows.append(i)
-        ids.append(a.id)
-        speeds.append(a.speed)
-        cells = a.plan.cells[a.cursor:a.cursor + lookahead] if a.plan is not None else ()
-        window += [c[1] * width + c[0] for c in cells]
-        window += pad[len(cells):]
-    if not ids:
-        return {}, pre_cells, statics
+    flat = pop.cell
+    pre_flat = flat.copy()
+    is_active = pop.status == Status.ACTIVE
+    rows = np.flatnonzero(is_active)
+    n = len(rows)
+    if not n:
+        return np.zeros(0, dtype=np.int64), pre_flat
 
-    # gather: the population as arrays, the windows as (active, slot) arrays
-    n = len(ids)
-    pos_x, pos_y = np.array(xs), np.array(ys)
-    flat = np.array(flats)
-    is_driver = np.array(is_driver)
-    is_active = np.array(is_active)
-    rows = np.array(rows)
-    win = np.array(window).reshape(n, lookahead)
-    valid = win >= 0
+    # the windows as (active, slot) arrays, read from the plans' flat cells
+    pos_x, pos_y = pop.x, pop.y
+    is_driver = pop.driver
+    speeds = pop.speed[rows]
+    slots = pop.cursor[rows, None] + np.arange(lookahead)
+    valid = slots < pop.plan_len[rows, None]
+    last = pop.route.shape[1] - 1
+    win = np.where(valid, pop.route[rows[:, None], np.minimum(slots, last)], -1)
     win_y, win_x = np.divmod(win, width)
     center_x = win_x + grid.lane_offsets[0]
     center_y = win_y + grid.lane_offsets[1]
@@ -180,9 +339,7 @@ def decide(
     near_zebra = np.zeros(n, dtype=bool)
     near_zebra[me[yielding]] = True
 
-    # rules: the first condition that holds picks the outcome of its slot
-    outcomes = (Decision.YIELD, Decision.DECELERATE, Decision.STOP, Decision.REPLAN,
-                Decision.ACCELERATE, Decision.PROCEED)
+    # rules: the first condition that holds picks its Decision code
     braking = (conflict < lookahead) & (conflict <= np.ceil(speeds))
     on_zebra = zebras[flat[rows]]
     codes = np.select(
@@ -193,95 +350,114 @@ def decide(
             blocked,
             driving,
         ],
-        range(5),
-        5,
+        [Decision.YIELD, Decision.DECELERATE, Decision.STOP, Decision.REPLAN,
+         Decision.ACCELERATE],
+        Decision.PROCEED,
     )
-    decisions = dict(zip(ids, map(outcomes.__getitem__, codes.tolist())))
-    return decisions, pre_cells, statics
+    return codes, pre_flat
 
 
 def act(
-    agent: AgentState,
-    decision: Decision,
+    pop: Population,
+    codes: np.ndarray,
     grid: GridMap,
-    blocked: frozenset | set = frozenset(),
+    statics: frozenset | set = frozenset(),
     accel: float = 1.0,
     decel: float = 1.0,
-) -> bool:
-    """Apply the decision's speed update, then advance along the plan.
+) -> list[int]:
+    """Apply each active row's decision code, then advance along the plans.
 
-    Returns True when the decision replaced the plan (successful replan).
-    A failed replan leaves the old plan in place and waits this step.
+    ``codes`` holds one ``Decision`` code per active row, in row order, as
+    ``decide`` returns them; ``statics`` are the cells a replan avoids.  Stop
+    and yield set the speed to 0, decelerate to ``max(0, speed - decel)``,
+    accelerate to ``min(max_speed, speed + accel)``, and a walker that
+    proceeds moves at ``max_speed``.  A replan plans from the row's cell to
+    its goal; a failed one keeps the old plan and waits this step.  Returns
+    the rows whose plan a replan replaced, in row order.
     """
-    replanned = False
-    if decision in (Decision.STOP, Decision.YIELD):
-        agent.speed = 0.0
-    elif decision is Decision.DECELERATE:
-        agent.speed = max(0.0, agent.speed - decel)
-    elif decision is Decision.ACCELERATE:
-        agent.speed = min(agent.profile.max_speed, agent.speed + accel)
-    elif decision is Decision.PROCEED:
-        if agent.kind == "walker":
-            agent.speed = agent.profile.max_speed
-    elif decision is Decision.REPLAN:
-        new_plan = None
-        if agent.goal is not None:
-            new_plan = plan(
+    rows = np.flatnonzero(pop.status == Status.ACTIVE)
+    speed = pop.speed[rows]
+    max_speed = pop.max_speed[rows]
+    speed[(codes == Decision.STOP) | (codes == Decision.YIELD)] = 0.0
+    slowing = codes == Decision.DECELERATE
+    slower = speed[slowing] - decel
+    speed[slowing] = np.where(slower > 0.0, slower, 0.0)
+    speeding = codes == Decision.ACCELERATE
+    faster = speed[speeding] + accel
+    speed[speeding] = np.where(faster < max_speed[speeding], faster, max_speed[speeding])
+    walking = (codes == Decision.PROCEED) & ~pop.driver[rows]
+    speed[walking] = max_speed[walking]
+    replanned = []
+    for i in np.flatnonzero(codes == Decision.REPLAN).tolist():
+        row = int(rows[i])
+        goal = int(pop.goal[row])
+        route = None
+        if goal >= 0:
+            heading = int(pop.heading[row])
+            route = plan(
                 grid,
-                agent.cell(),
-                agent.goal,
-                agent.profile,
-                blocked=blocked,
-                heading=agent.heading,
+                pop.coord(row),
+                (goal % pop.width, goal // pop.width),
+                pop.profile(row),
+                blocked=statics,
+                heading=DIRECTION_ORDER[heading] if heading >= 0 else None,
             )
-        if new_plan is None:
-            agent.speed = 0.0
+        if route is None:
+            speed[i] = 0.0
         else:
-            agent.plan = new_plan
-            agent.cursor = 1
-            replanned = True
-            if agent.kind == "walker":
-                agent.speed = agent.profile.max_speed
-            else:
-                agent.speed = min(agent.profile.max_speed, agent.speed + accel)
-    _advance(agent, grid)
+            pop.set_plan(row, route)
+            replanned.append(row)
+            faster = speed[i] + accel
+            capped = faster if faster < max_speed[i] else max_speed[i]
+            speed[i] = capped if pop.driver[row] else max_speed[i]
+    pop.speed[rows] = speed
+
+    # _advance does nothing for the other rows: its loop guards are these
+    moving = rows[(speed > 1e-12) & (pop.cursor[rows] < pop.plan_len[rows])]
+    if len(moving):
+        xs, ys = pop.x[moving].tolist(), pop.y[moving].tolist()
+        cursors, headings = pop.cursor[moving].tolist(), pop.heading[moving].tolist()
+        _advance(
+            [pop.plans[row].cells for row in moving.tolist()], grid.lane_offsets,
+            xs, ys, pop.speed[moving].tolist(), cursors, headings,
+            pop.driver[moving].tolist(),
+        )
+        x, y = np.array(xs), np.array(ys)
+        pop.x[moving], pop.y[moving] = x, y
+        pop.cell[moving] = _floor_cells(x, y, pop.width)
+        pop.cursor[moving], pop.heading[moving] = cursors, headings
     return replanned
 
 
-def _direction_between(a: Coord, b: Coord) -> Direction | None:
-    delta = (b[0] - a[0], b[1] - a[1])
-    for d, row in zip(DIRECTION_ORDER, DIRECTION_TABLE):
-        if row[:2] == delta:
-            return d
-    return None
-
-
-def _advance(agent: AgentState, grid: GridMap) -> None:
-    """Move by the current speed along the plan polyline of cell centers."""
-    if agent.plan is None:
-        return
-    cells = agent.plan.cells
-    budget = agent.speed
-    x, y = agent.position
-    while budget > 1e-12 and agent.cursor < len(cells):
-        tx, ty = grid.center(cells[agent.cursor])
-        dx, dy = tx - x, ty - y
-        dist = math.hypot(dx, dy)
-        if dist <= budget + 1e-12:
-            x, y = tx, ty
-            budget -= dist
-            if agent.kind == "driver" and agent.cursor >= 1:
-                d = _direction_between(cells[agent.cursor - 1], cells[agent.cursor])
-                if d is not None:
-                    agent.heading = d
-            agent.cursor += 1
-        else:
-            x += dx / dist * budget
-            y += dy / dist * budget
-            if agent.kind == "driver":
-                if abs(dx) >= abs(dy):
-                    agent.heading = Direction.EAST if dx > 0 else Direction.WEST
-                else:
-                    agent.heading = Direction.SOUTH if dy > 0 else Direction.NORTH
-            budget = 0.0
-    agent.position = (x, y)
+def _advance(routes, offsets, xs, ys, budgets, cursors, headings, drivers):
+    """Move agent j from ``(xs[j], ys[j])`` by ``budgets[j]`` along the
+    polyline of the centers of the cells ``routes[j]``, ``cursors[j]`` being
+    the index of the next to reach, one agent after the other.  Updates
+    ``xs``, ``ys``, ``cursors`` and ``headings`` in place; a driver's heading
+    code follows its moves."""
+    ox, oy = offsets
+    for j, (cells, x, y, budget, cursor, heading, driver) in enumerate(
+        zip(routes, xs, ys, budgets, cursors, headings, drivers)
+    ):
+        while budget > 1e-12 and cursor < len(cells):
+            cx, cy = cells[cursor]
+            tx, ty = cx + ox, cy + oy
+            dx, dy = tx - x, ty - y
+            dist = math.hypot(dx, dy)
+            if dist <= budget + 1e-12:
+                x, y = tx, ty
+                budget -= dist
+                if driver and cursor >= 1:
+                    ax, ay = cells[cursor - 1]
+                    heading = _MOVE_HEADING.get((cx - ax, cy - ay), heading)
+                cursor += 1
+            else:
+                x += dx / dist * budget
+                y += dy / dist * budget
+                if driver:
+                    if abs(dx) >= abs(dy):
+                        heading = _EAST if dx > 0 else _WEST
+                    else:
+                        heading = _SOUTH if dy > 0 else _NORTH
+                budget = 0.0
+        xs[j], ys[j], cursors[j], headings[j] = x, y, cursor, heading

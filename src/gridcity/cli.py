@@ -91,14 +91,20 @@ def _optional_float(value, name):
     return None if value is None else _number(value, name, float)
 
 
-def _distinct(values: list, name: str) -> list:
-    """``values``, or a ConfigError naming the field when one repeats: a
-    repeated sweep value or seed would run twice into one directory."""
-    seen = set()
+def _distinct(values: list, name: str, label=None) -> list:
+    """``values``, or a ConfigError naming the field when one repeats, or when
+    two share the ``label`` of their run directory: either would run twice
+    into one directory."""
+    seen: dict = {}
     for value in values:
-        if value in seen:
-            raise ConfigError(f"{name}: repeated value {value!r}")
-        seen.add(value)
+        key = value if label is None else label(value)
+        if key in seen:
+            if seen[key] == value:
+                raise ConfigError(f"{name}: repeated value {value!r}")
+            raise ConfigError(
+                f"{name}: {seen[key]!r} and {value!r} share the run directory label {key}"
+            )
+        seen[key] = value
     return values
 
 
@@ -225,7 +231,8 @@ def load_config(path) -> Scenario:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"sweep.{key}: expected a non-empty list")
         sweep[key] = _distinct(
-            [converters[key](v, f"sweep.{key}") for v in values], f"sweep.{key}"
+            [converters[key](v, f"sweep.{key}") for v in values], f"sweep.{key}",
+            _obstruction_label if key == "obstruction" else None,
         )
         for value in sweep[key]:
             try:
@@ -322,10 +329,15 @@ def execute_run(
     return result
 
 
+def _obstruction_label(obstruction: float) -> str:
+    """The obstruction part of a run directory name: the percentage to six
+    significant digits."""
+    return "o" + format(obstruction * 100, "g")
+
+
 def point_label(point: dict, sim: SimConfig) -> str:
     sim = dataclasses.replace(sim, **point)
-    pct = format(sim.obstruction * 100, "g")
-    return f"w{sim.walkers}_d{sim.drivers}_o{pct}"
+    return f"w{sim.walkers}_d{sim.drivers}_{_obstruction_label(sim.obstruction)}"
 
 
 def sweep_points(scenario: Scenario) -> list[dict]:

@@ -1,12 +1,16 @@
 """Discrete-time simulation engine.
 
-Each step runs three phases.  One array pass over the population
+``World`` owns the population as one ``agents.Population``: columns with one
+row per agent in ascending id order, which every phase reads and writes.
+Each step runs three phases.  One array pass over the columns
 (``agents.decide``) senses the snapshot of the previous positions and picks
-one decision per active agent.  Every active agent then acts (moves).  A
-global iterate phase then detects collisions on post-move positions, retires
-agents that reached their goals, parks drivers on parking goals, expires
-collision countdowns, optionally reactivates parked drivers, and spawns
-replacements.
+one decision code per active agent.  ``agents.act`` then applies the codes
+and moves every agent with a speed.  A global iterate phase then expires
+collision countdowns, detects collisions on post-move positions, retires
+agents that reached their goals, parks drivers on parking goals, optionally
+reactivates parked drivers, and spawns replacements, appended in one go;
+expired and retired rows leave with one mask.  ``World.agents`` is a
+snapshot of ``AgentState`` records built from the columns.
 A run is fully determined by (config, seed).
 """
 from __future__ import annotations
@@ -15,9 +19,11 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
 from . import metrics as metrics_mod
-from .agents import AgentState, Status, act, decide
-from .environment import Coord, GridMap, GroundType, place_obstacles
+from .agents import AgentState, Population, Status, act, decide
+from .environment import DIRECTION_ORDER, Coord, GridMap, GroundType, place_obstacles
 from .planner import BehaviorProfile, default_heading, plan
 
 # Square agent footprints: half the side length is the effective radius.
@@ -118,49 +124,51 @@ class StepRecord:
     removed: int
 
 
-def detect_collisions(agents, step: int = 0) -> list[Event]:
+def detect_collisions(pop: Population, step: int = 0) -> list[Event]:
     """Report agent pairs closer than the sum of their effective radii.
 
     Vehicle-vehicle contact below 0.8 cell units, walker-driver (a runover)
     below 0.45; walker pairs never collide.  Only active agents participate
-    and each unordered pair is reported at most once.
+    and each unordered pair is reported at most once, the events sorted by
+    their ids.  The active rows are stable-sorted by x, and each is paired
+    with those after it whose x lies within 0.8 of its own; a pair is a
+    contact when ``dx*dx + dy*dy < t*t`` in float64.
     """
-    active = sorted(
-        (a for a in agents if a.status is Status.ACTIVE),
-        key=lambda a: a.position[0],
+    rows = np.flatnonzero(pop.status == Status.ACTIVE)
+    order = rows[np.argsort(pop.x[rows], kind="stable")]
+    xs, ys = pop.x[order], pop.y[order]
+    driver, ids = pop.driver[order], pop.id[order]
+    # x ascends, so every b within reach of a follows a up to the bound; a
+    # pair past it has dx > 0.8, whose square is no contact
+    count = np.searchsorted(xs, xs + VEHICLE_VEHICLE_DIST, "right")
+    count -= np.arange(1, len(xs) + 1)
+    a = np.repeat(np.arange(len(xs)), count)
+    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    both_drivers = driver[a] & driver[b]
+    dx = xs[b] - xs[a]
+    dy = ys[a] - ys[b]
+    threshold = np.where(
+        both_drivers,
+        VEHICLE_VEHICLE_DIST * VEHICLE_VEHICLE_DIST,
+        RUNOVER_DIST * RUNOVER_DIST,
     )
-    found = []
-    for i in range(len(active)):
-        a = active[i]
-        ax, ay = a.position
-        for j in range(i + 1, len(active)):
-            b = active[j]
-            dx = b.position[0] - ax
-            if dx > VEHICLE_VEHICLE_DIST:
-                break  # sorted by x; nothing farther can collide
-            if a.kind == "walker" and b.kind == "walker":
-                continue
-            both_drivers = a.kind == "driver" and b.kind == "driver"
-            threshold = VEHICLE_VEHICLE_DIST if both_drivers else RUNOVER_DIST
-            dy = ay - b.position[1]
-            if dx * dx + dy * dy < threshold * threshold:
-                if both_drivers:
-                    kind = "collision_vv"
-                    ids = (a.id, b.id) if a.id < b.id else (b.id, a.id)
-                else:
-                    kind = "runover"
-                    ids = (a.id, b.id) if a.kind == "walker" else (b.id, a.id)
-                found.append(
-                    Event(
-                        step,
-                        kind,
-                        ids,
-                        (ax + b.position[0]) / 2,
-                        (ay + b.position[1]) / 2,
-                    )
-                )
-    found.sort(key=lambda e: e.agents)
-    return found
+    hit = (driver[a] | driver[b]) & (dx * dx + dy * dy < threshold)
+    a, b, both_drivers = a[hit], b[hit], both_drivers[hit]
+    # collision_vv lists the lower id first, a runover the walker first
+    first = np.where(both_drivers, np.minimum(ids[a], ids[b]),
+                     np.where(driver[a], ids[b], ids[a]))
+    second = np.where(both_drivers, np.maximum(ids[a], ids[b]),
+                      np.where(driver[a], ids[a], ids[b]))
+    mid_x = (xs[a] + xs[b]) / 2
+    mid_y = (ys[a] + ys[b]) / 2
+    found = np.lexsort((second, first))
+    return [
+        Event(step, "collision_vv" if vv else "runover", (i, j), x, y)
+        for vv, i, j, x, y in zip(
+            both_drivers[found].tolist(), first[found].tolist(), second[found].tolist(),
+            mid_x[found].tolist(), mid_y[found].tolist(),
+        )
+    ]
 
 
 def _poisson(rate: float, rng: random.Random) -> int:
@@ -177,7 +185,8 @@ def _poisson(rate: float, rng: random.Random) -> int:
 
 
 class World:
-    """Owner of the grid, the agent population, and the step loop."""
+    """Owner of the grid, the agent population (``population``, the columns),
+    and the step loop."""
 
     def __init__(self, grid: GridMap, config: SimConfig):
         config.validate()
@@ -202,7 +211,7 @@ class World:
             c for c in dict.fromkeys(grid.driver_exits + grid.parking_cells)
             if c not in grid.obstacles
         ]
-        self.agents: dict[int, AgentState] = {}
+        self.population = Population(grid.width)
         self.step_count = 0
         self.warnings: list[str] = []
         self.heatmaps = metrics_mod.HeatmapSet.create(grid)
@@ -262,29 +271,25 @@ class World:
         return None
 
     def _spawn_phase(self, events: list, step: int) -> int:
+        """Spawn this phase's agents and append them to the population at
+        once; returns how many were spawned."""
         cfg = self.config
-        statics = set()  # cells of inactive agents
-        occupied = set()  # cells that hold a driver
-        active = {"walker": 0, "driver": 0}
-        for a in self.agents.values():
-            cell = a.cell()
-            if a.status is Status.ACTIVE:
-                active[a.kind] += 1
-            else:
-                statics.add(cell)
-            if a.kind == "driver":
-                occupied.add(cell)
-        created = 0
+        pop = self.population
+        active = pop.status == Status.ACTIVE
+        statics = pop.cells(~active)  # cells of inactive agents
+        occupied = pop.cells(pop.driver)  # cells that hold a driver
         if cfg.spawn_mode == "replenish":
+            drivers = int(np.count_nonzero(active & pop.driver))
             wanted = [
-                ("walker", cfg.walkers - active["walker"]),
-                ("driver", cfg.drivers - active["driver"]),
+                ("walker", cfg.walkers - (int(np.count_nonzero(active)) - drivers)),
+                ("driver", cfg.drivers - drivers),
             ]
         else:
             wanted = [
                 ("walker", _poisson(cfg.walker_rate, self.spawn_rng)),
                 ("driver", _poisson(cfg.driver_rate, self.spawn_rng)),
             ]
+        spawned = []
         for kind, count in wanted:
             for _ in range(max(0, count)):
                 if kind == "walker":
@@ -299,38 +304,49 @@ class World:
                         f"step {step}: could not spawn a {kind} (sites exhausted)"
                     )
                     continue
-                self.agents[agent.id] = agent
+                spawned.append(agent)
                 if kind == "driver":
-                    occupied.add(agent.cell())
+                    occupied.add(agent.plan.cells[0])  # the start cell
                 events.append(Event(step, "spawn", (agent.id,), *agent.position))
-                created += 1
-        return created
+        pop.extend(spawned)
+        return len(spawned)
+
+    @property
+    def agents(self) -> dict[int, AgentState]:
+        """A snapshot of every agent by id, in id order, built from the
+        population's columns; changing it changes nothing in the world."""
+        return self.population.snapshot()
+
+    def add(self, agent: AgentState) -> None:
+        """Put a hand-built agent into the world.  Its id must exceed every
+        id present; agents spawned later are numbered after it."""
+        self.population.extend([agent])
+        self._next_id = max(self._next_id, agent.id + 1)
 
     # -- lifecycle ----------------------------------------------------------
 
     def reactivate(self, driver_id: int, new_goal: Coord) -> bool:
         """Give a parked driver a fresh goal; False when no route exists."""
-        agent = self.agents.get(driver_id)
-        if agent is None or agent.kind != "driver" or agent.status is not Status.PARKED:
+        pop = self.population
+        row = pop.row_of(driver_id)
+        if row is None or not pop.driver[row] or pop.status[row] != Status.PARKED:
             raise ValueError(f"agent {driver_id} is not a parked driver")
-        start = agent.cell()
+        start = pop.coord(row)
         heading = default_heading(self.grid, start)
-        statics = {
-            a.cell() for a in self.agents.values() if a.status is not Status.ACTIVE
-        }
+        statics = pop.cells(pop.status != Status.ACTIVE)
         route = plan(
-            self.grid, start, new_goal, agent.profile, blocked=statics, heading=heading
+            self.grid, start, new_goal, pop.profile(row), blocked=statics, heading=heading
         )
         if route is None:
             return False
-        agent.status = Status.ACTIVE
-        agent.plan = route
-        agent.cursor = 1
-        agent.goal = new_goal
-        agent.heading = heading
-        agent.speed = 0.0
+        pop.status[row] = Status.ACTIVE
+        pop.set_plan(row, route)
+        pop.goal[row] = new_goal[1] * self.grid.width + new_goal[0]
+        pop.heading[row] = DIRECTION_ORDER.index(heading)
+        pop.speed[row] = 0.0
+        position = (float(pop.x[row]), float(pop.y[row]))
         self._loose_events.append(
-            Event(self.step_count, "reactivate", (agent.id,), *agent.position)
+            Event(self.step_count, "reactivate", (driver_id,), *position)
         )
         return True
 
@@ -341,88 +357,84 @@ class World:
         t = self.step_count
         cfg = self.config
         grid = self.grid
+        pop = self.population
         events: list[Event] = []
         if self._loose_events:
             events.extend(self._loose_events)
             self._loose_events = []
-        created = 0
-        removed = 0
 
         # sense + react: nobody moves until every decision is made, so the
-        # agent states are the pre-step snapshot
-        ordered = list(self.agents.values())
-        decisions, pre_cells, statics = decide(
-            ordered, grid, cfg.lookahead, cfg.sense_radius, cfg.yield_radius
+        # columns are the pre-step snapshot
+        pre_ids = pop.id
+        codes, pre_flat = decide(
+            pop, grid, cfg.lookahead, cfg.sense_radius, cfg.yield_radius
         )
 
         # act
-        for a in ordered:
-            if a.status is not Status.ACTIVE:
-                continue
-            replanned = act(
-                a, decisions[a.id], grid, statics, accel=cfg.accel, decel=cfg.decel
-            )
-            if replanned:
-                events.append(Event(t, "replan", (a.id,), *a.position))
+        statics = pop.cells(pop.status != Status.ACTIVE)
+        for row in act(pop, codes, grid, statics, accel=cfg.accel, decel=cfg.decel):
+            events.append(Event(t, "replan", (int(pop.id[row]),),
+                                float(pop.x[row]), float(pop.y[row])))
 
-        # iterate: expire collision countdowns from earlier steps
-        for a in list(self.agents.values()):
-            if a.status is Status.COLLIDED:
-                a.countdown -= 1
-                if a.countdown <= 0:
-                    del self.agents[a.id]
-                    removed += 1
+        # iterate: expire collision countdowns from earlier steps; the expired
+        # rows leave with the retired ones below, and being inactive they take
+        # no part in between
+        collided = pop.status == Status.COLLIDED
+        pop.countdown[collided] -= 1
+        gone = collided & (pop.countdown <= 0)
 
         # iterate: detect new collisions on post-move positions
-        collision_events = detect_collisions(self.agents.values(), t)
+        collision_events = detect_collisions(pop, t)
         events.extend(collision_events)
-        hit_ids = {i for e in collision_events for i in e.agents}
-        for agent_id in sorted(hit_ids):
-            a = self.agents[agent_id]
-            a.status = Status.COLLIDED
-            a.countdown = cfg.collision_countdown
-            a.speed = 0.0
+        if collision_events:
+            hit = np.searchsorted(pop.id, [i for e in collision_events for i in e.agents])
+            pop.status[hit] = Status.COLLIDED
+            pop.countdown[hit] = cfg.collision_countdown
+            pop.speed[hit] = 0.0
 
         # iterate: deactivate agents that reached their goal
-        for a in list(self.agents.values()):
-            if a.status is not Status.ACTIVE or a.plan is None:
-                continue
-            if a.cursor >= len(a.plan):
-                if (
-                    a.kind == "driver"
-                    and a.goal is not None
-                    and grid.ground_at(a.goal) is GroundType.PARKING
-                ):
-                    a.status = Status.PARKED
-                    a.speed = 0.0
-                    events.append(Event(t, "park", (a.id,), *a.position))
-                else:
-                    events.append(Event(t, "goal", (a.id,), *a.position))
-                    del self.agents[a.id]
-                    removed += 1
+        arrived = np.flatnonzero(
+            (pop.status == Status.ACTIVE) & (pop.plan_len > 0)
+            & (pop.cursor >= pop.plan_len)
+        )
+        for row, agent_id, driver, goal, x, y in zip(
+            arrived.tolist(), pop.id[arrived].tolist(), pop.driver[arrived].tolist(),
+            pop.goal[arrived].tolist(), pop.x[arrived].tolist(), pop.y[arrived].tolist(),
+        ):
+            if driver and goal >= 0 and grid.ground[goal] is GroundType.PARKING:
+                pop.status[row] = Status.PARKED
+                pop.speed[row] = 0.0
+                events.append(Event(t, "park", (agent_id,), x, y))
+            else:
+                events.append(Event(t, "goal", (agent_id,), x, y))
+                gone[row] = True
+        removed = int(np.count_nonzero(gone))
+        if removed:
+            pop.keep(~gone)
 
         # iterate: optional random reactivation of parked drivers
         if cfg.reactivation_prob > 0:
             goals = self._driver_goals
-            for a in list(self.agents.values()):
-                if a.status is Status.PARKED and goals:
-                    if self.react_rng.random() < cfg.reactivation_prob:
-                        goal = self.react_rng.choice(goals)
-                        if goal != a.cell():
-                            self.reactivate(a.id, goal)
+            parked = np.flatnonzero(pop.status == Status.PARKED)
+            for row, agent_id in zip(parked.tolist(), pop.id[parked].tolist()):
+                if goals and self.react_rng.random() < cfg.reactivation_prob:
+                    goal = self.react_rng.choice(goals)
+                    if goal != pop.coord(row):
+                        self.reactivate(agent_id, goal)
             if self._loose_events:
                 events.extend(self._loose_events)
                 self._loose_events = []
 
         # iterate: replace departed agents
-        created += self._spawn_phase(events, t)
+        created = self._spawn_phase(events, t)
 
         frame, entry_ids = metrics_mod.build_frame(
-            t, self.agents, pre_cells, events, grid, self.heatmaps
+            t, pop, pre_ids, pre_flat, events, grid, self.heatmaps
         )
-        for walker_id in entry_ids:
-            a = self.agents[walker_id]
-            events.append(Event(t, "jaywalk_entry", (walker_id,), *a.position))
+        if entry_ids:
+            rows = np.searchsorted(pop.id, entry_ids)
+            for walker_id, x, y in zip(entry_ids, pop.x[rows].tolist(), pop.y[rows].tolist()):
+                events.append(Event(t, "jaywalk_entry", (walker_id,), x, y))
         return StepRecord(t, events, frame, created, removed)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import Status
+from .agents import Population, Status
 from .environment import GridMap, ROAD_FAMILY
 
 METRICS_COLUMNS = (
@@ -67,45 +67,58 @@ class HeatmapSet:
         )
 
 
+def _road_mask(grid: GridMap) -> np.ndarray:
+    """Boolean array, indexed ``y * width + x``, of the road-family cells.
+    Built once per layout, in the ``_tables`` dict its overlays share."""
+    mask = grid._tables.get("road family")
+    if mask is None:
+        mask = np.array([g in ROAD_FAMILY for g in grid.ground], dtype=bool)
+        grid._tables["road family"] = mask
+    return mask
+
+
 def build_frame(
-    step, agents, pre_cells, events, grid, heatmaps: HeatmapSet
+    step, pop: Population, pre_ids, pre_flat, events, grid, heatmaps: HeatmapSet
 ) -> tuple[MetricsFrame, list[int]]:
     """Aggregate one step and add its active-agent occupancy and speed samples
     to ``heatmaps``; also returns the ids of walkers that entered road ground
-    this step (for event logging)."""
-    active_walkers = 0
-    active_drivers = 0
-    speed_sum = 0.0
-    on_road = 0
-    entries: list[int] = []
-    for agent in agents.values():
-        if agent.status is not Status.ACTIVE:
-            continue
-        cell = agent.cell()
-        x, y = cell
-        if agent.kind == "driver":
-            active_drivers += 1
-            speed_sum += agent.speed
-            heatmaps.driver_occupancy[y, x] += 1
-            heatmaps.driver_speed_sum[y, x] += agent.speed
-            continue
-        active_walkers += 1
-        heatmaps.walker_occupancy[y, x] += 1
-        if grid.ground_at(cell) in ROAD_FAMILY:
-            on_road += 1
-            heatmaps.jaywalk[y, x] += 1
-            before = pre_cells.get(agent.id)
-            if before is not None and grid.ground_at(before) not in ROAD_FAMILY:
-                entries.append(agent.id)
+    this step (for event logging).
+
+    ``pre_ids`` and ``pre_flat`` are the ids and floor cells of the pre-step
+    rows; an agent absent from them (spawned this step) enters nothing.
+    Samples are added in row order, and the driver speeds are summed left to
+    right in row order, so every float sum is that of a per-agent loop.
+    """
+    active = pop.status == Status.ACTIVE
+    drivers = active & pop.driver
+    walkers = active & ~pop.driver
+    driver_cells = pop.cell[drivers]
+    speeds = pop.speed[drivers]
+    np.add.at(heatmaps.driver_occupancy.reshape(-1), driver_cells, 1)
+    np.add.at(heatmaps.driver_speed_sum.reshape(-1), driver_cells, speeds)
+    walker_cells = pop.cell[walkers]
+    np.add.at(heatmaps.walker_occupancy.reshape(-1), walker_cells, 1)
+    road = _road_mask(grid)
+    on_road = road[walker_cells]
+    np.add.at(heatmaps.jaywalk.reshape(-1), walker_cells[on_road], 1)
+    # a walker on road ground entered it when its pre-step cell was not road
+    ids = pop.id[walkers][on_road]
+    at = np.searchsorted(pre_ids, ids)
+    known = np.append(pre_ids, -1)[at] == ids
+    entered = known & ~road[np.append(pre_flat, 0)[at]]
+    entries = ids[entered].tolist()
+    active_drivers = len(speeds)
     collisions_vv = sum(1 for e in events if e.kind == "collision_vv")
     runovers = sum(1 for e in events if e.kind == "runover")
     frame = MetricsFrame(
         step=step,
-        active_walkers=active_walkers,
+        active_walkers=len(walker_cells),
         active_drivers=active_drivers,
-        mean_driver_speed=(speed_sum / active_drivers) if active_drivers else None,
+        mean_driver_speed=(
+            float(np.add.accumulate(speeds)[-1]) / active_drivers if active_drivers else None
+        ),
         jaywalk_entries=len(entries),
-        walkers_on_road=on_road,
+        walkers_on_road=len(ids),
         collisions_vv=collisions_vv,
         runovers=runovers,
     )

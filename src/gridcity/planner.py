@@ -136,14 +136,26 @@ def _moves(grid: GridMap, kind: str):
             tables = (0, rows, None)
         else:
             risk = [0.0] * (width * height * 16)
+            flow, ground, road = grid.flow, grid.ground, GroundType.ROAD
+            # a move's risks per heading, by all that _classify reads: the
+            # two cells' flow, whether the target is road, turnspot and d
+            risks_of: dict = {}
             for i, row in enumerate(rows):
                 if cell_cost[i] == math.inf:
                     continue
                 turnspot = _turnspot(grid, i)
+                fm = flow[i]
                 for n in row:
                     k = n & 3
-                    for hd, a in enumerate(_classify(grid, i, n >> 2, k, turnspot)):
-                        risk[(i * 4 + hd) * 4 + k] = _RISKS[a]
+                    t = n >> 2
+                    move = (fm, flow[t], ground[t] is road, turnspot, k)
+                    risks = risks_of.get(move)
+                    if risks is None:
+                        risks = risks_of[move] = [
+                            _RISKS[a] for a in _classify(grid, i, t, k, turnspot)
+                        ]
+                    # risk[(i*4 + hd)*4 + k] for the headings hd = 0..3
+                    risk[i * 16 + k:i * 16 + 16:4] = risks
             tables = (2, rows, risk)
         grid._tables[key] = tables
     return tables

@@ -1,4 +1,5 @@
-"""Shared test fixtures: random grids, tiny hand-written maps, agent factories."""
+"""Shared test fixtures: random grids, tiny hand-written maps, agent and
+population factories."""
 from __future__ import annotations
 
 import math
@@ -12,7 +13,7 @@ from gridcity.environment import (
     GroundType,
     parse_grid,
 )
-from gridcity.agents import AgentState, Status
+from gridcity.agents import AgentState, Population, Status
 from gridcity.planner import BehaviorProfile, Plan, classify_action, default_heading
 
 _GROUND_WEIGHTS = [
@@ -132,3 +133,11 @@ def make_agent(
         status=status,
         goal=goal,
     )
+
+
+def population(agents, grid: GridMap | None = None) -> Population:
+    """The agents, in ascending id order, as the columns of a Population on
+    ``grid`` (a 100-cell-wide one when no grid is given)."""
+    pop = Population(grid.width if grid is not None else 100)
+    pop.extend(list(agents))
+    return pop

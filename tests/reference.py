@@ -4,6 +4,11 @@
 ``gridcity.agents.decide`` replaced: each agent senses the whole population
 on its own, then one rule function picks its decision.
 
+``act`` (with ``_advance``), ``detect_collisions`` and ``build_frame`` are the
+per-agent step that the population's columns replaced: each walks a list or
+dict of ``AgentState`` records and updates one agent at a time.  ``act``
+replans through ``gridcity.planner.plan``.
+
 ``plan`` and the ``_moves``, ``_search`` and ``_extract`` it calls are the
 Weighted A* kernel that per-cell successor rows, coordinate tables and
 cell-level blocking replaced: it scans all four directions of a flat
@@ -18,8 +23,11 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
+from gridcity import planner
 from gridcity.agents import AgentState, Decision, Status
+from gridcity.engine import RUNOVER_DIST, VEHICLE_VEHICLE_DIST, Event
 from gridcity.environment import (
+    ROAD_FAMILY,
     Coord,
     Direction,
     DIRECTION_ORDER,
@@ -27,6 +35,7 @@ from gridcity.environment import (
     GridMap,
     GroundType,
 )
+from gridcity.metrics import HeatmapSet, MetricsFrame
 from gridcity.planner import (
     _RISKS,
     BehaviorProfile,
@@ -160,6 +169,186 @@ def react_driver(agent: AgentState, perception: Perception) -> Decision:
     if perception.blocked_cells:
         return Decision.REPLAN
     return Decision.ACCELERATE
+
+
+# -- the per-agent step -------------------------------------------------------
+
+
+def act(
+    agent: AgentState,
+    decision: Decision,
+    grid: GridMap,
+    blocked: frozenset | set = frozenset(),
+    accel: float = 1.0,
+    decel: float = 1.0,
+) -> bool:
+    """Apply the decision's speed update, then advance along the plan.
+
+    Returns True when the decision replaced the plan (successful replan).
+    A failed replan leaves the old plan in place and waits this step.
+    """
+    replanned = False
+    if decision in (Decision.STOP, Decision.YIELD):
+        agent.speed = 0.0
+    elif decision is Decision.DECELERATE:
+        agent.speed = max(0.0, agent.speed - decel)
+    elif decision is Decision.ACCELERATE:
+        agent.speed = min(agent.profile.max_speed, agent.speed + accel)
+    elif decision is Decision.PROCEED:
+        if agent.kind == "walker":
+            agent.speed = agent.profile.max_speed
+    elif decision is Decision.REPLAN:
+        new_plan = None
+        if agent.goal is not None:
+            new_plan = planner.plan(
+                grid,
+                agent.cell(),
+                agent.goal,
+                agent.profile,
+                blocked=blocked,
+                heading=agent.heading,
+            )
+        if new_plan is None:
+            agent.speed = 0.0
+        else:
+            agent.plan = new_plan
+            agent.cursor = 1
+            replanned = True
+            if agent.kind == "walker":
+                agent.speed = agent.profile.max_speed
+            else:
+                agent.speed = min(agent.profile.max_speed, agent.speed + accel)
+    _advance(agent, grid)
+    return replanned
+
+
+def _direction_between(a: Coord, b: Coord) -> Direction | None:
+    delta = (b[0] - a[0], b[1] - a[1])
+    for d, row in zip(DIRECTION_ORDER, DIRECTION_TABLE):
+        if row[:2] == delta:
+            return d
+    return None
+
+
+def _advance(agent: AgentState, grid: GridMap) -> None:
+    """Move by the current speed along the plan polyline of cell centers."""
+    if agent.plan is None:
+        return
+    cells = agent.plan.cells
+    budget = agent.speed
+    x, y = agent.position
+    while budget > 1e-12 and agent.cursor < len(cells):
+        tx, ty = grid.center(cells[agent.cursor])
+        dx, dy = tx - x, ty - y
+        dist = math.hypot(dx, dy)
+        if dist <= budget + 1e-12:
+            x, y = tx, ty
+            budget -= dist
+            if agent.kind == "driver" and agent.cursor >= 1:
+                d = _direction_between(cells[agent.cursor - 1], cells[agent.cursor])
+                if d is not None:
+                    agent.heading = d
+            agent.cursor += 1
+        else:
+            x += dx / dist * budget
+            y += dy / dist * budget
+            if agent.kind == "driver":
+                if abs(dx) >= abs(dy):
+                    agent.heading = Direction.EAST if dx > 0 else Direction.WEST
+                else:
+                    agent.heading = Direction.SOUTH if dy > 0 else Direction.NORTH
+            budget = 0.0
+    agent.position = (x, y)
+
+
+def detect_collisions(agents, step: int = 0) -> list[Event]:
+    """Report agent pairs closer than the sum of their effective radii.
+
+    Vehicle-vehicle contact below 0.8 cell units, walker-driver (a runover)
+    below 0.45; walker pairs never collide.  Only active agents participate
+    and each unordered pair is reported at most once.
+    """
+    active = sorted(
+        (a for a in agents if a.status is Status.ACTIVE),
+        key=lambda a: a.position[0],
+    )
+    found = []
+    for i in range(len(active)):
+        a = active[i]
+        ax, ay = a.position
+        for j in range(i + 1, len(active)):
+            b = active[j]
+            dx = b.position[0] - ax
+            if dx > VEHICLE_VEHICLE_DIST:
+                break  # sorted by x; nothing farther can collide
+            if a.kind == "walker" and b.kind == "walker":
+                continue
+            both_drivers = a.kind == "driver" and b.kind == "driver"
+            threshold = VEHICLE_VEHICLE_DIST if both_drivers else RUNOVER_DIST
+            dy = ay - b.position[1]
+            if dx * dx + dy * dy < threshold * threshold:
+                if both_drivers:
+                    kind = "collision_vv"
+                    ids = (a.id, b.id) if a.id < b.id else (b.id, a.id)
+                else:
+                    kind = "runover"
+                    ids = (a.id, b.id) if a.kind == "walker" else (b.id, a.id)
+                found.append(
+                    Event(
+                        step,
+                        kind,
+                        ids,
+                        (ax + b.position[0]) / 2,
+                        (ay + b.position[1]) / 2,
+                    )
+                )
+    found.sort(key=lambda e: e.agents)
+    return found
+
+
+def build_frame(
+    step, agents, pre_cells, events, grid, heatmaps: HeatmapSet
+) -> tuple[MetricsFrame, list[int]]:
+    """Aggregate one step and add its active-agent occupancy and speed samples
+    to ``heatmaps``; also returns the ids of walkers that entered road ground
+    this step (for event logging)."""
+    active_walkers = 0
+    active_drivers = 0
+    speed_sum = 0.0
+    on_road = 0
+    entries: list[int] = []
+    for agent in agents.values():
+        if agent.status is not Status.ACTIVE:
+            continue
+        cell = agent.cell()
+        x, y = cell
+        if agent.kind == "driver":
+            active_drivers += 1
+            speed_sum += agent.speed
+            heatmaps.driver_occupancy[y, x] += 1
+            heatmaps.driver_speed_sum[y, x] += agent.speed
+            continue
+        active_walkers += 1
+        heatmaps.walker_occupancy[y, x] += 1
+        if grid.ground_at(cell) in ROAD_FAMILY:
+            on_road += 1
+            heatmaps.jaywalk[y, x] += 1
+            before = pre_cells.get(agent.id)
+            if before is not None and grid.ground_at(before) not in ROAD_FAMILY:
+                entries.append(agent.id)
+    collisions_vv = sum(1 for e in events if e.kind == "collision_vv")
+    runovers = sum(1 for e in events if e.kind == "runover")
+    frame = MetricsFrame(
+        step=step,
+        active_walkers=active_walkers,
+        active_drivers=active_drivers,
+        mean_driver_speed=(speed_sum / active_drivers) if active_drivers else None,
+        jaywalk_entries=len(entries),
+        walkers_on_road=on_road,
+        collisions_vv=collisions_vv,
+        runovers=runovers,
+    )
+    return frame, entries
 
 
 # -- the Weighted A* kernel ----------------------------------------------------

@@ -24,7 +24,7 @@ from gridcity.environment import (
     generate_layout,
 )
 from gridcity.planner import BehaviorProfile, plan
-from helpers import make_agent, random_grid, traversable_cells
+from helpers import make_agent, population, random_grid, traversable_cells
 from oracle import oracle_cost
 
 TWO_BLOCKS = LayoutSpec(blocks_x=2, blocks_y=2)
@@ -232,10 +232,10 @@ def test_07_collision_geometry_boundaries():
     failures = []
 
     def outcome(kind_a, kind_b, distance):
-        agents = [
+        agents = population([
             make_agent(1, kind_a, (0.0, 0.0), None),
             make_agent(2, kind_b, (distance, 0.0), None),
-        ]
+        ])
         return len(detect_collisions(agents))
 
     cases = []

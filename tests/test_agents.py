@@ -1,13 +1,18 @@
+import copy
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from gridcity.agents import Decision, Status, act, decide
+from gridcity.engine import detect_collisions
 from gridcity.environment import CellCode, Direction, GridMap, GroundType
-from helpers import grid_of, make_agent, random_grid, rows_of, straight_plan
+from gridcity.metrics import HeatmapSet, build_frame
+from helpers import grid_of, make_agent, population, random_grid, rows_of, straight_plan
+import reference
 from reference import react_driver, react_walker, sense
 
 N, E = Direction.NORTH, Direction.EAST
@@ -38,7 +43,18 @@ def eastbound_driver(agent_id, x, grid, speed=0.0, length=None):
 
 def decisions(agents, grid, lookahead=4, radius=1.0, yield_radius=1.5):
     """``decide``'s decisions by agent id, at the default sensing settings."""
-    return decide(agents, grid, lookahead, radius, yield_radius)[0]
+    pop = population(agents, grid)
+    codes, _ = decide(pop, grid, lookahead, radius, yield_radius)
+    active = pop.id[pop.status == Status.ACTIVE].tolist()
+    return dict(zip(active, map(Decision, codes.tolist())))
+
+
+def act_once(agent, decision, grid, blocked=frozenset()):
+    """Apply one decision to a population of ``agent`` alone; returns whether
+    it replanned and the agent's state afterwards."""
+    pop = population([agent], grid)
+    replanned = act(pop, np.array([decision]), grid, blocked)
+    return bool(replanned), pop.snapshot()[agent.id]
 
 
 # -- sensing -------------------------------------------------------------------
@@ -51,7 +67,8 @@ def test_sense_empty_world():
     road = road_strip()
     driver = eastbound_driver(2, 0, road, speed=3.0)
     assert decisions([driver], road) == {2: Decision.ACCELERATE}
-    assert decide([], grid, 4, 1.0, 1.5) == ({}, {}, set())
+    codes, pre_flat = decide(population([], grid), grid, 4, 1.0, 1.5)
+    assert (codes.tolist(), pre_flat.tolist()) == ([], [])
 
 
 def test_sense_head_on_vehicles_both_in_conflict():
@@ -83,11 +100,13 @@ def test_sense_blocked_cells_lists_inactive_agents_on_route():
     wreck = make_agent(2, "driver", (2.5, 0.5), None, status=Status.COLLIDED)
     parked = make_agent(3, "driver", (3.5, 0.5), None, status=Status.PARKED)
     far = make_agent(4, "driver", (8.5, 0.5), None, status=Status.PARKED)
-    population = [driver, wreck, parked, far]
-    decided, pre_cells, statics = decide(population, grid, 4, 1.0, 1.5)
-    assert decided == {1: Decision.REPLAN}
+    pop = population([driver, wreck, parked, far], grid)
+    codes, pre_flat = decide(pop, grid, 4, 1.0, 1.5)
+    assert codes.tolist() == [Decision.REPLAN]
+    pre_cells = {i: (f % grid.width, f // grid.width)
+                 for i, f in zip(pop.id.tolist(), pre_flat.tolist())}
     assert pre_cells == {1: (0, 0), 2: (2, 0), 3: (3, 0), 4: (8, 0)}
-    assert statics == {(2, 0), (3, 0), (8, 0)}
+    assert pop.cells(pop.status != Status.ACTIVE) == {(2, 0), (3, 0), (8, 0)}
     # beyond the window an inactive agent blocks nothing
     assert decisions([driver, far], grid) == {1: Decision.ACCELERATE}
 
@@ -160,10 +179,164 @@ def test_decide_matches_the_per_agent_reference(
             p = sense(a, agents, grid, lookahead, radius, yield_radius)
             is_walker = a.kind == "walker"
             expected[a.id] = react_walker(a, p, grid) if is_walker else react_driver(a, p)
-    decided, pre_cells, statics = decide(agents, grid, lookahead, radius, yield_radius)
-    assert list(decided.items()) == list(expected.items())
-    assert pre_cells == {a.id: a.cell() for a in agents}
+    pop = population(agents, grid)
+    codes, pre_flat = decide(pop, grid, lookahead, radius, yield_radius)
+    active = pop.id[pop.status == Status.ACTIVE].tolist()
+    assert list(zip(active, map(Decision, codes.tolist()))) == list(expected.items())
+    width = grid.width
+    assert [(f % width, f // width) for f in pre_flat.tolist()] == [a.cell() for a in agents]
+    statics = pop.cells(pop.status != Status.ACTIVE)
     assert statics == {a.cell() for a in agents if a.status is not Status.ACTIVE}
+
+
+def _moving_population(rng: random.Random, grid: GridMap) -> list:
+    """Walkers and drivers, active, parked or collided, each on a random walk
+    over cells its kind may enter.  Each stands on the cell before its cursor,
+    at its centre or anywhere inside it, with a zero, fractional or whole
+    speed and max speed; cursors run from 0 to past the plan's end, and some
+    agents have no plan, no goal or no heading."""
+    moves = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    width = grid.width
+    agents = []
+    for agent_id in range(1, rng.randint(2, 60)):
+        kind = rng.choice(["walker", "driver"])
+        costs = grid.costs(kind)
+        open_cells = [(i % width, i // width) for i, c in enumerate(costs) if c != math.inf]
+        if not open_cells:
+            continue
+        cells = [rng.choice(open_cells)]
+        for _ in range(rng.randint(0, 7)):
+            x, y = cells[-1]
+            steps = [(x + dx, y + dy) for dx, dy in moves
+                     if grid.in_bounds((x + dx, y + dy))
+                     and costs[(y + dy) * width + x + dx] != math.inf]
+            if not steps:
+                break
+            cells.append(rng.choice(steps))
+        cursor = rng.randint(0, len(cells))
+        x, y = cells[max(cursor - 1, 0)]
+        if rng.random() < 0.7:
+            position = grid.center((x, y))
+        else:
+            position = (x + rng.random(), y + rng.random())
+        status = rng.choice([Status.ACTIVE] * 4 + [Status.PARKED, Status.COLLIDED])
+        agent = make_agent(
+            agent_id, kind, position, straight_plan(cells) if rng.random() < 0.9 else None,
+            cursor=cursor, status=status,
+            speed=rng.choice([0.0, 0.25, 1.0, 2.0, rng.uniform(0.0, 3.0)]),
+            heading=rng.choice([None] + list(Direction) * 3) if kind == "driver" else None,
+            max_speed=rng.choice([1.0, 2.0, rng.uniform(0.1, 2.5)]),
+            w=rng.randint(1, 3), alpha=rng.choice([0.0, rng.uniform(0.0, 2.0)]),
+        )
+        if rng.random() < 0.1:
+            agent.goal = None
+        if status is Status.COLLIDED:
+            agent.countdown = rng.randint(1, 5)
+        agents.append(agent)
+    return agents
+
+
+def _kinematics(states) -> list:
+    """What acting changes, per agent, with floats as their repr."""
+    return [
+        (a.id, repr(a.position), repr(a.speed), a.heading, a.cursor, a.status, a.plan)
+        for a in states
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    offsets=st.tuples(*[st.floats(min_value=0.0, max_value=0.99)] * 2),
+    lookahead=st.integers(min_value=1, max_value=5),
+    radius=st.floats(min_value=0.2, max_value=2.0),
+    yield_radius=st.floats(min_value=0.2, max_value=2.5),
+    accel=st.floats(min_value=0.1, max_value=1.5),
+    decel=st.floats(min_value=0.1, max_value=1.5),
+)
+# eight active drivers with fractional speeds, whose pairwise sum (numpy's
+# np.sum) differs from a left-to-right one; and driver speeds whose sum
+# differs when taken right to left
+@example(seed=1116347426, offsets=(0.5, 0.5), lookahead=1, radius=1.0, yield_radius=1.5,
+         accel=0.41, decel=1.01)
+@example(seed=1059022248, offsets=(0.5, 0.5), lookahead=4, radius=1.0, yield_radius=1.5,
+         accel=0.86, decel=0.9)
+def test_columns_step_like_the_per_agent_reference(
+    seed, offsets, lookahead, radius, yield_radius, accel, decel
+):
+    """Three steps of decide, act, collisions and the frame on the columns
+    equal the per-agent reference exactly, with agents colliding, retiring
+    and spawning between the phases as the engine has them do."""
+    rng = random.Random(seed)
+    zebra = CellCode(GroundType.ZEBRA, frozenset({N}))
+    rows = [
+        [zebra if rng.random() < 0.2 else c for c in row]
+        for row in rows_of(random_grid(rng, rng.randint(2, 12), rng.randint(2, 12)))
+    ]
+    grid = GridMap.build(rows, lane_offsets=offsets)
+    agents = _moving_population(rng, grid)
+    ref = copy.deepcopy(agents)
+    pop = population(agents, grid)
+    heat, heat_ref = HeatmapSet.create(grid), HeatmapSet.create(grid)
+    walker_cells = [(i % grid.width, i // grid.width)
+                    for i, c in enumerate(grid.costs("walker")) if c != math.inf]
+    next_id = len(agents) + 1
+    for step in (1, 2, 3):
+        active = [a for a in ref if a.status is Status.ACTIVE]
+        expected = [
+            react_walker(a, sense(a, ref, grid, lookahead, radius, yield_radius), grid)
+            if a.kind == "walker"
+            else react_driver(a, sense(a, ref, grid, lookahead, radius, yield_radius))
+            for a in active
+        ]
+        codes, pre_flat = decide(pop, grid, lookahead, radius, yield_radius)
+        assert list(map(Decision, codes.tolist())) == expected
+        pre_ids, pre_cells = pop.id, {a.id: a.cell() for a in ref}
+        statics = {a.cell() for a in ref if a.status is not Status.ACTIVE}
+        assert pop.cells(pop.status != Status.ACTIVE) == statics
+
+        try:
+            replanned_ref = [
+                a.id for a, d in zip(active, expected)
+                if reference.act(a, d, grid, statics, accel=accel, decel=decel)
+            ]
+        except ValueError:  # a driver replanning with no heading off a flow cell
+            with pytest.raises(ValueError):
+                act(pop, codes, grid, statics, accel=accel, decel=decel)
+            return
+        replanned = act(pop, codes, grid, statics, accel=accel, decel=decel)
+        assert pop.id[replanned].tolist() == replanned_ref
+        assert _kinematics(pop.snapshot().values()) == _kinematics(ref)
+
+        events = detect_collisions(pop, step)
+        events_ref = reference.detect_collisions(ref, step)
+        assert repr(events) == repr(events_ref)
+        hit = sorted({i for e in events for i in e.agents})
+        for a in ref:
+            if a.id in hit:
+                a.status, a.speed = Status.COLLIDED, 0.0
+        pop.status[np.searchsorted(pop.id, hit)] = Status.COLLIDED
+        pop.speed[np.searchsorted(pop.id, hit)] = 0.0
+        arrived = [a.id for a in ref if a.status is Status.ACTIVE
+                   and a.plan is not None and a.cursor >= len(a.plan)]
+        ref = [a for a in ref if a.id not in arrived]
+        pop.keep(~np.isin(pop.id, arrived))
+        if walker_cells:
+            newcomer = make_agent(
+                next_id, "walker", grid.center(rng.choice(walker_cells)), None
+            )
+            next_id += 1
+            ref.append(copy.deepcopy(newcomer))
+            pop.extend([newcomer])
+
+        frame, entries = build_frame(step, pop, pre_ids, pre_flat, events, grid, heat)
+        frame_ref, entries_ref = reference.build_frame(
+            step, {a.id: a for a in ref}, pre_cells, events_ref, grid, heat_ref
+        )
+        assert (repr(frame), entries) == (repr(frame_ref), entries_ref)
+        for name in ("driver_occupancy", "driver_speed_sum", "walker_occupancy", "jaywalk"):
+            assert getattr(heat, name).tobytes() == getattr(heat_ref, name).tobytes()
+        assert _kinematics(pop.snapshot().values()) == _kinematics(ref)
 
 
 # -- walker reactions ------------------------------------------------------------
@@ -264,7 +437,7 @@ def test_zebra_right_of_way_pairing():
 def test_act_stop_keeps_position():
     grid = walking_strip()
     walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0)]), speed=1.0)
-    act(walker, Decision.STOP, grid)
+    _, walker = act_once(walker, Decision.STOP, grid)
     assert walker.position == (0.5, 0.5)
     assert walker.speed == 0.0
 
@@ -275,7 +448,7 @@ def test_act_unit_speed_advances_one_cell():
         1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)]),
         max_speed=1.0,
     )
-    act(walker, Decision.PROCEED, grid)
+    _, walker = act_once(walker, Decision.PROCEED, grid)
     assert walker.position == (1.5, 0.5)
     assert walker.cursor == 2
 
@@ -283,7 +456,7 @@ def test_act_unit_speed_advances_one_cell():
 def test_act_accelerate_clamps_at_max_speed():
     grid = road_strip()
     driver = eastbound_driver(1, 0, grid, speed=2.0)
-    act(driver, Decision.ACCELERATE, grid)
+    _, driver = act_once(driver, Decision.ACCELERATE, grid)
     assert driver.speed == 2.0
     assert driver.position == (2.5, 0.5)
 
@@ -291,7 +464,7 @@ def test_act_accelerate_clamps_at_max_speed():
 def test_act_decelerate_floors_at_zero():
     grid = road_strip()
     driver = eastbound_driver(1, 0, grid, speed=0.5)
-    act(driver, Decision.DECELERATE, grid)
+    _, driver = act_once(driver, Decision.DECELERATE, grid)
     assert driver.speed == 0.0
     assert driver.position == (0.5, 0.5)
 
@@ -303,7 +476,7 @@ def test_act_heading_follows_turns():
         straight_plan([(0, 0), (1, 0), (1, 1)]),
         heading=E, max_speed=2.0, speed=2.0,
     )
-    act(driver, Decision.PROCEED, grid)
+    _, driver = act_once(driver, Decision.PROCEED, grid)
     assert driver.position == (1.5, 1.5)
     assert driver.heading is Direction.SOUTH
 
@@ -319,7 +492,7 @@ def test_act_replan_swaps_route_before_moving():
         (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]),
         max_speed=1.0, goal=(4, 0),
     )
-    replanned = act(walker, Decision.REPLAN, grid, blocked={(1, 0)})
+    replanned, walker = act_once(walker, Decision.REPLAN, grid, blocked={(1, 0)})
     assert replanned
     assert (1, 0) not in walker.plan.cells
     assert walker.position == (0.5, 1.5)  # moved along the detour already
@@ -332,7 +505,7 @@ def test_act_failed_replan_waits_in_place():
         max_speed=1.0, goal=(2, 0),
     )
     old_plan = walker.plan
-    replanned = act(walker, Decision.REPLAN, grid, blocked={(1, 0)})
+    replanned, walker = act_once(walker, Decision.REPLAN, grid, blocked={(1, 0)})
     assert not replanned
     assert walker.plan is old_plan
     assert walker.position == (0.5, 0.5)
@@ -346,10 +519,11 @@ def test_act_position_stays_on_polyline():
         1, "driver", (0.5, 0.5), straight_plan(cells),
         heading=E, max_speed=0.7,
     )
+    pop = population([driver], grid)
     xs = []
     for _ in range(12):
-        act(driver, Decision.ACCELERATE, grid)
-        xs.append(driver.position)
+        act(pop, np.array([Decision.ACCELERATE]), grid)
+        xs.append(pop.snapshot()[1].position)
     for x, y in xs:
         assert y == pytest.approx(0.5)
         assert 0.5 <= x <= 9.5 + 1e-9
@@ -370,6 +544,6 @@ def test_act_speed_clamped_and_no_teleport(speed, decision):
         max_speed=1.0, speed=min(speed, 1.0),
     )
     before = walker.position
-    act(walker, decision, grid)
+    _, walker = act_once(walker, decision, grid)
     assert 0.0 <= walker.speed <= walker.profile.max_speed
     assert math.dist(before, walker.position) <= walker.speed + 1e-9

@@ -152,6 +152,9 @@ def test_sweep_values_are_converted_like_their_fields(tmp_path):
     ({"sweep": {"obstruction": [0, 0.1, "0.1"]}}, [], "sweep.obstruction: repeated value 0.1"),
     ({"seeds": [1, 1]}, [], "seeds: repeated value 1"),
     ({}, ["--seeds", "1,1"], "--seeds: repeated value 1"),
+    # two values that print alike would share the run directory w2_d0_o10
+    ({"sweep": {"obstruction": [0.1, 0.1000000001]}, "seeds": [1]}, [],
+     "sweep.obstruction: 0.1 and 0.1000000001 share the run directory label o10"),
 ])
 def test_repeated_sweep_values_and_seeds_are_refused(tmp_path, patch, args, name):
     # a repeated value or seed would run twice into one run directory and

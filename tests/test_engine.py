@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from gridcity import engine
 from gridcity.agents import Status
 from gridcity.engine import (
     Event,
@@ -13,7 +14,7 @@ from gridcity.engine import (
 )
 from gridcity.environment import GroundType, LayoutSpec, generate_layout
 from gridcity.metrics import render_events_csv, render_heatmap_csv, render_metrics_csv
-from helpers import grid_of, make_agent, straight_plan
+from helpers import grid_of, make_agent, population, straight_plan
 
 SMALL = LayoutSpec(blocks_x=2, blocks_y=2)
 
@@ -26,10 +27,10 @@ def small_grid():
 
 
 def agents_at(*specs):
-    out = []
-    for i, (kind, x, y) in enumerate(specs, start=1):
-        out.append(make_agent(i, kind, (x, y), None))
-    return out
+    """A population of plan-less active agents, ids 1, 2, ... in spec order."""
+    return population(
+        make_agent(i, kind, (x, y), None) for i, (kind, x, y) in enumerate(specs, start=1)
+    )
 
 
 def test_vehicle_pair_collides_below_point_eight():
@@ -58,7 +59,7 @@ def test_walkers_never_collide():
 def test_inactive_agents_do_not_collide():
     crashed = make_agent(1, "driver", (0.0, 0.0), None, status=Status.COLLIDED)
     moving = make_agent(2, "driver", (0.1, 0.0), None)
-    assert detect_collisions([crashed, moving]) == []
+    assert detect_collisions(population([crashed, moving])) == []
 
 
 def test_each_pair_reported_once():
@@ -70,17 +71,25 @@ def test_each_pair_reported_once():
 
 
 def test_detection_invariant_under_permutation():
-    base = agents_at(
+    # rows follow ids, so a permutation of the rows is a relabelling of the ids
+    base = [
         ("driver", 1.0, 1.0), ("walker", 1.3, 1.0), ("driver", 4.0, 4.0),
         ("driver", 4.5, 4.2), ("walker", 0.9, 1.1),
-    )
-    expected = [(e.kind, e.agents) for e in detect_collisions(base)]
+    ]
+
+    def contacts(order):
+        """Each contact as (kind, agents), agents named by their index in base."""
+        events = detect_collisions(agents_at(*(base[i] for i in order)))
+        named = [(e.kind, tuple(order[i - 1] for i in e.agents)) for e in events]
+        return sorted((k, tuple(sorted(a)) if k == "collision_vv" else a) for k, a in named)
+
+    expected = contacts(list(range(len(base))))
+    assert expected
     rng = random.Random(0)
     for _ in range(10):
-        shuffled = base[:]
-        rng.shuffle(shuffled)
-        got = [(e.kind, e.agents) for e in detect_collisions(shuffled)]
-        assert got == expected
+        order = list(range(len(base)))
+        rng.shuffle(order)
+        assert contacts(order) == expected
 
 
 # -- config validation ------------------------------------------------------------
@@ -142,7 +151,7 @@ def test_walker_reaching_goal_is_removed_with_event():
     assert goal_seen
 
 
-def test_replan_onto_own_goal_cell_retires_walker_same_step():
+def test_replan_onto_own_goal_cell_retires_walker_same_step(monkeypatch):
     # the walker has crossed into its goal cell but not reached its center;
     # a collided walker there blocks the window, so it replans from the goal
     grid = grid_of("s-- s-- s--")
@@ -150,8 +159,18 @@ def test_replan_onto_own_goal_cell_retires_walker_same_step():
     walker = make_agent(1, "walker", (1.2, 0.5), straight_plan([(0, 0), (1, 0)]), max_speed=1.0)
     blocker = make_agent(2, "walker", (1.7, 0.5), None, status=Status.COLLIDED)
     blocker.countdown = 5
-    world.agents = {1: walker, 2: blocker}
+    world.add(walker)
+    world.add(blocker)
+    # the walker's state after acting, before the goal pass retires it
+    acted = {}
+
+    def detect_after_acting(pop, step):
+        acted.update(pop.snapshot())
+        return detect_collisions(pop, step)
+
+    monkeypatch.setattr(engine, "detect_collisions", detect_after_acting)
     record = world.step()
+    walker = acted[1]
     assert walker.plan.cells == ((1, 0),)
     assert walker.cursor == 1
     assert [(e.kind, e.agents) for e in record.events] == [("replan", (1,)), ("goal", (1,))]
@@ -195,7 +214,7 @@ def test_reactivate_unreachable_goal_reports_failure():
     cfg = SimConfig(steps=1, drivers=0, seed=0)
     world = World(grid, cfg)
     driver = make_agent(7, "driver", grid.center((2, 0)), None, status=Status.PARKED)
-    world.agents[7] = driver
+    world.add(driver)
     assert world.reactivate(7, (3, 1)) is False
     assert world.agents[7].status is Status.PARKED
 
@@ -212,10 +231,12 @@ def test_collision_countdown_removes_after_exact_delay():
     world = World(grid, cfg)
     a = make_agent(1, "driver", (2.2, 0.5), None)
     b = make_agent(2, "driver", (2.6, 0.5), None)
-    world.agents = {1: a, 2: b}
+    world.add(a)
+    world.add(b)
     record = world.step()
     kinds = [e.kind for e in record.events]
     assert kinds.count("collision_vv") == 1
+    a, b = world.agents[1], world.agents[2]
     assert a.status is Status.COLLIDED and b.status is Status.COLLIDED
     assert a.countdown == 3
     for expected_present in (True, True, False):
@@ -349,7 +370,7 @@ def test_automatic_reactivation_policy():
     cfg = SimConfig(steps=1, drivers=0, reactivation_prob=1.0, seed=0)
     world = World(grid, cfg)
     parked = make_agent(5, "driver", grid.center((2, 0)), None, status=Status.PARKED)
-    world.agents[5] = parked
+    world.add(parked)
     saw_reactivate = False
     for _ in range(10):
         record = world.step()
@@ -406,3 +427,33 @@ def test_driver_goal_on_an_exit_and_a_parking_cell_is_listed_once():
     assert lot.driver_exits == ((3, 0),) and lot.parking_cells == ((2, 0), (3, 0))
     world = World(lot, SimConfig(steps=1, drivers=1, seed=0))
     assert world._driver_goals == [(3, 0), (2, 0)]
+
+
+STALL_STEPS = 50
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="walker-driver yield deadlock (ROADMAP item 1): a driver yields to a "
+    "sidewalk walker near a zebra, and the walker stops for the stopped driver",
+)
+def test_no_agent_stalls_in_the_city():
+    # an agent is stalled when it is active and has not moved for STALL_STEPS
+    # steps; at step 120 this city has 15 stalled walkers and 7 stalled drivers
+    cfg = SimConfig(steps=120, walkers=200, drivers=100, obstruction=0.05,
+                    walker_w=(1, 3), driver_w=(1, 5), seed=7)
+    world = World(generate_layout(LayoutSpec(blocks_x=5, blocks_y=5)), cfg)
+    last_moved = {}  # agent id -> (position, step it last moved)
+    for t in range(1, cfg.steps + 1):
+        world.step()
+        stalled = {"walker": 0, "driver": 0}
+        for agent in world.agents.values():
+            if agent.status is not Status.ACTIVE:
+                continue
+            seen = last_moved.get(agent.id)
+            if seen is None or seen[0] != agent.position:
+                last_moved[agent.id] = (agent.position, t)
+            elif t - seen[1] >= STALL_STEPS:
+                stalled[agent.kind] += 1
+    assert stalled == {"walker": 0, "driver": 0}
+

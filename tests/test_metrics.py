@@ -1,5 +1,6 @@
 import hashlib
 
+import numpy as np
 import pytest
 
 from gridcity.agents import Status
@@ -10,16 +11,20 @@ from gridcity.metrics import (
     build_frame,
     export_run,
 )
-from helpers import grid_of, make_agent
+from helpers import grid_of, make_agent, population
 
 
 # -- frame aggregation ----------------------------------------------------------
 
 
 def frame_for(grid, agents, pre_cells, events=(), heatmaps=None):
+    """``build_frame`` over the agents, with pre-step cells by id."""
     heatmaps = heatmaps or HeatmapSet.create(grid)
+    pre_ids = sorted(pre_cells)
+    pre_flat = [pre_cells[i][1] * grid.width + pre_cells[i][0] for i in pre_ids]
     return build_frame(
-        1, {a.id: a for a in agents}, pre_cells, list(events), grid, heatmaps
+        1, population(agents, grid), np.array(pre_ids, dtype=np.int64),
+        np.array(pre_flat, dtype=np.int64), list(events), grid, heatmaps,
     )
 
 
