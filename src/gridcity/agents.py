@@ -133,37 +133,36 @@ class Population:
         if any(b <= a for a, b in zip([last] + ids, ids)):
             raise ValueError(f"agent ids must ascend past {last}, got {ids}")
         width = self.width
-        xs = np.array([a.position[0] for a in states], dtype=np.float64)
-        ys = np.array([a.position[1] for a in states], dtype=np.float64)
-        values = {
-            "id": ids,
-            "driver": [a.kind == "driver" for a in states],
-            "status": [a.status for a in states],
-            "x": xs,
-            "y": ys,
-            "cell": _floor_cells(xs, ys, width),
-            "speed": [a.speed for a in states],
-            "heading": [-1 if a.heading is None else DIRECTION_ORDER.index(a.heading)
-                        for a in states],
-            "cursor": [a.cursor for a in states],
-            "countdown": [a.countdown for a in states],
-            "goal": [-1 if a.goal is None else a.goal[1] * width + a.goal[0]
-                     for a in states],
-            "w": [a.profile.w for a in states],
-            "alpha": [a.profile.alpha for a in states],
-            "max_speed": [a.profile.max_speed for a in states],
-            "plan_len": [0 if a.plan is None else len(a.plan) for a in states],
-        }
-        for name, dtype in self._COLUMNS:
-            column = np.asarray(values[name], dtype=dtype)
-            setattr(self, name, np.concatenate((getattr(self, name), column)))
-        self._fit_route(int(self.plan_len[-len(states):].max()))
-        block = np.full((len(states), self.route.shape[1]), -1, dtype=np.int32)
-        for row, a in zip(block, states):
-            if a.plan is not None:
-                row[:len(a.plan)] = self._flat(a.plan.cells)
+        floor = math.floor
+        plans = [a.plan for a in states]
+        # one pass over the agents gives each new row's values in column
+        # order; the cell is the floor cell AgentState.cell() names
+        rows = [
+            (a.id, a.kind == "driver", a.status, a.position[0], a.position[1],
+             floor(a.position[1]) * width + floor(a.position[0]), a.speed,
+             -1 if a.heading is None else DIRECTION_ORDER.index(a.heading),
+             a.cursor, a.countdown,
+             -1 if a.goal is None else a.goal[1] * width + a.goal[0],
+             a.profile.w, a.profile.alpha, a.profile.max_speed,
+             0 if p is None else len(p))
+            for a, p in zip(states, plans)
+        ]
+        n = len(self.id)
+        for (name, dtype), values in zip(self._COLUMNS, zip(*rows)):
+            column = np.empty(n + len(rows), dtype)
+            column[:n] = getattr(self, name)
+            column[n:] = values
+            setattr(self, name, column)
+        # the plans' flat cells, row after row, fill each new row's first
+        # plan_len slots of the route block
+        lengths = self.plan_len[n:]
+        self._fit_route(int(lengths.max()))
+        block = np.full((len(rows), self.route.shape[1]), -1, dtype=np.int32)
+        block[np.arange(block.shape[1]) < lengths[:, None]] = [
+            y * width + x for p in plans if p is not None for x, y in p.cells
+        ]
         self.route = np.concatenate((self.route, block))
-        self.plans += [a.plan for a in states]
+        self.plans += plans
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows where ``mask`` is False."""

@@ -320,12 +320,6 @@ class GridMap:
             self._tables["zebra"] = mask
         return mask
 
-    def walker_cost_at(self, coord: Coord) -> float:
-        return self.costs("walker")[coord[1] * self.width + coord[0]]
-
-    def driver_cost_at(self, coord: Coord) -> float:
-        return self.costs("driver")[coord[1] * self.width + coord[0]]
-
     def center(self, coord: Coord) -> tuple[float, float]:
         """Continuous lane-center point of a cell."""
         return (coord[0] + self.lane_offsets[0], coord[1] + self.lane_offsets[1])

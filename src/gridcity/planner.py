@@ -13,14 +13,17 @@ Each expansion is table lookups over data built once per layout: the
 successor rows of ``_moves`` hold only a cell's valid moves, and the
 coordinate tables of ``_coords`` give the heuristic, the trace and the plan's
 cells.  A blocked cell blocks every state on it, and the risk term is added
-only when alpha is non-zero.
+only when alpha is non-zero.  Open states pop by ``(f, h, counter)``; each
+expansion keeps its best new entry out of the heap and takes the next state
+with ``heappushpop``, which pops what ``heappop`` over every entry would pop
+(see ``_search``), so a greedy run of expansions never touches the heap.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 
 from .environment import (
     Coord,
@@ -296,7 +299,19 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
     obstacle costs ``inf`` to enter, so ``ng < g`` never holds for it and it
     is never pushed.  The risk term is added only when ``alpha`` is non-zero,
     as a second addition after the cell cost, the float order of
-    ``g + cost + alpha * risk``.
+    ``g + cost + alpha * risk``.  The heuristic is ``hx[x] + hy[y]``, two
+    rows of distances to the goal's column and row built per search.
+
+    Heap entries are ``(f, h, counter, state, g)``, and the counter is unique,
+    so no two entries compare equal and the lowest entry is one definite
+    entry.  ``best`` holds the lowest entry that the last expansion made,
+    outside the heap; the others are pushed.  ``heappushpop(heap, best)``
+    returns the lowest of ``best`` and the heap, the entry ``heappop`` would
+    return had ``best`` been pushed too: ``best`` itself, untouched by the
+    heap, when it is below the heap's top, and otherwise the top, with
+    ``best`` pushed in its place, even when the two tie on f and h and the
+    top wins on its earlier counter.  So the pop order, the expansions and
+    the trace are those of a search that pushes every entry.
     """
     shift, rows, risk = _moves(grid, kind)
     xs, ys, cells = _coords(grid)
@@ -304,17 +319,25 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
     si = s0 >> shift
     inf = math.inf
     gx, gy = xs[gi], ys[gi]
+    hx = [*range(gx, 0, -1), *range(grid.width - gx)]  # hx[x] == abs(x - gx)
+    hy = [*range(gy, 0, -1), *range(grid.height - gy)]
     g = {s0: 0.0}
     g_of = g.get
     came = {s0: -1}
-    h0 = abs(xs[si] - gx) + abs(ys[si] - gy)
-    heap = [(w * h0, h0, 0, s0, 0.0)]
+    h0 = hx[xs[si]] + hy[ys[si]]
+    heap = []
+    best = (w * h0, h0, 0, s0, 0.0)
     counter = 1
     expansions = 0
     push = heappush
+    pushpop = heappushpop
     pop = heappop
-    while heap:
-        f, h, _, state, gval = pop(heap)
+    while best is not None or heap:
+        if best is None:
+            f, h, _, state, gval = pop(heap)
+        else:
+            f, h, _, state, gval = pushpop(heap, best)
+            best = None
         if gval > g[state]:
             continue
         idx = state >> shift
@@ -336,9 +359,16 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
             if ng < g_of(nstate, inf):
                 g[nstate] = ng
                 came[nstate] = state
-                nh = abs(xs[nidx] - gx) + abs(ys[nidx] - gy)
-                push(heap, (ng + w * nh, nh, counter, nstate, ng))
+                nh = hx[xs[nidx]] + hy[ys[nidx]]
+                entry = (ng + w * nh, nh, counter, nstate, ng)
                 counter += 1
+                if best is None:
+                    best = entry
+                elif entry < best:
+                    push(heap, best)
+                    best = entry
+                else:
+                    push(heap, entry)
     return None
 
 

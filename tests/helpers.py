@@ -54,12 +54,12 @@ def rows_of(grid: GridMap) -> list:
 
 
 def traversable_cells(grid: GridMap, kind: str) -> list:
-    cost = grid.walker_cost_at if kind == "walker" else grid.driver_cost_at
+    cost = grid.costs(kind)
     return [
         (x, y)
         for y in range(grid.height)
         for x in range(grid.width)
-        if cost((x, y)) != math.inf
+        if cost[y * grid.width + x] != math.inf
     ]
 
 

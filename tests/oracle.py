@@ -16,7 +16,8 @@ from gridcity.planner import classify_action, driver_risk
 def walker_dijkstra(grid: GridMap, start, goal, blocked=frozenset()):
     """Cheapest walker cost start -> goal, or None when unreachable."""
     blocked = {c for c in blocked if c != start}
-    if grid.walker_cost_at(start) == math.inf or grid.walker_cost_at(goal) == math.inf:
+    cost, width = grid.costs("walker"), grid.width
+    if math.inf in (cost[start[1] * width + start[0]], cost[goal[1] * width + goal[0]]):
         return None
     dist = {start: 0.0}
     heap = [(0.0, start)]
@@ -30,7 +31,7 @@ def walker_dijkstra(grid: GridMap, start, goal, blocked=frozenset()):
             to = (cell[0] + direction.dx, cell[1] + direction.dy)
             if not grid.in_bounds(to) or to in blocked:
                 continue
-            c = grid.walker_cost_at(to)
+            c = cost[to[1] * width + to[0]]
             if c == math.inf:
                 continue
             nd = d + c
@@ -44,7 +45,8 @@ def driver_dijkstra(grid: GridMap, start, goal, alpha=0.0, heading=None,
                     blocked=frozenset()):
     """Cheapest driver cost start -> goal over (cell, heading) states."""
     blocked = {c for c in blocked if c != start}
-    if grid.driver_cost_at(start) == math.inf or grid.driver_cost_at(goal) == math.inf:
+    cost, width = grid.costs("driver"), grid.width
+    if math.inf in (cost[start[1] * width + start[0]], cost[goal[1] * width + goal[0]]):
         return None
     if heading is None:
         flow = grid.flow_at(start)
@@ -62,7 +64,7 @@ def driver_dijkstra(grid: GridMap, start, goal, alpha=0.0, heading=None,
             to = (cell[0] + direction.dx, cell[1] + direction.dy)
             if not grid.in_bounds(to) or to in blocked:
                 continue
-            c = grid.driver_cost_at(to)
+            c = cost[to[1] * width + to[0]]
             if c == math.inf:
                 continue
             action = classify_action(grid, cell, to, hd)

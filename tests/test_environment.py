@@ -277,7 +277,7 @@ def test_walker_cost_table():
     }
     for ground, value in expected.items():
         flow = frozenset({Direction.NORTH}) if ground in FLOW_GROUNDS else frozenset()
-        assert GridMap.build([[CellCode(ground, flow)]]).walker_cost_at((0, 0)) == value
+        assert GridMap.build([[CellCode(ground, flow)]]).costs("walker")[0] == value
 
 
 def test_driver_cost_table():
@@ -294,16 +294,17 @@ def test_driver_cost_table():
     }
     for ground, value in expected.items():
         flow = frozenset({Direction.NORTH}) if ground in FLOW_GROUNDS else frozenset()
-        assert GridMap.build([[CellCode(ground, flow)]]).driver_cost_at((0, 0)) == value
+        assert GridMap.build([[CellCode(ground, flow)]]).costs("driver")[0] == value
 
 
 def test_cost_overlay_infinite():
     grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
     site = grid.walker_spawns[0]
     obstructed = grid.with_obstacles({site})
-    assert grid.walker_cost_at(site) == 1
-    assert obstructed.walker_cost_at(site) == math.inf
-    assert obstructed.driver_cost_at(site) == math.inf
+    i = site[1] * grid.width + site[0]
+    assert grid.costs("walker")[i] == 1
+    assert obstructed.costs("walker")[i] == math.inf
+    assert obstructed.costs("driver")[i] == math.inf
 
 
 # -- spawn sites --------------------------------------------------------------

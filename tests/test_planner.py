@@ -221,13 +221,13 @@ def test_plan_cells_are_adjacent_and_finite():
         if route is None:
             continue
         found += 1
-        cost_at = grid.walker_cost_at if kind == "walker" else grid.driver_cost_at
+        cost = grid.costs(kind)
         assert route.cells[0] == start
         assert route.cells[-1] == goal
         for a, b in zip(route.cells, route.cells[1:]):
             assert manhattan(a, b) == 1
         for cell in route.cells:
-            assert cost_at(cell) != math.inf
+            assert cost[cell[1] * grid.width + cell[0]] != math.inf
     assert found > 5
 
 
@@ -468,7 +468,7 @@ def test_overlay_on_a_planned_layout_plans_like_a_fresh_one(layout, seed, sidewa
     rng = random.Random(seed)
     cells = [(i % base.width, i // base.width) for i in range(len(base.ground))]
     sidewalks = [c for c in cells if base.ground_at(c) is GroundType.SIDEWALK]
-    roads = [c for c in cells if base.driver_cost_at(c) != math.inf]
+    roads = [c for c, cost in zip(cells, base.costs("driver")) if cost != math.inf]
     obstacles = set(rng.sample(sidewalks, sidewalk)) | set(rng.sample(roads, road))
     queries = []
     for _ in range(3):
@@ -510,7 +510,7 @@ def _kernel_grid(source, rng):
     base = _KERNEL_LAYOUTS[source]
     cells = [(i % base.width, i // base.width) for i in range(len(base.ground))]
     sidewalks = [c for c in cells if base.ground_at(c) is GroundType.SIDEWALK]
-    roads = [c for c in cells if base.driver_cost_at(c) != math.inf]
+    roads = [c for c, cost in zip(cells, base.costs("driver")) if cost != math.inf]
     return base.with_obstacles(
         rng.sample(sidewalks, rng.randint(0, 30)) + rng.sample(roads, rng.randint(0, 8))
     )
@@ -571,6 +571,40 @@ def test_plan_matches_the_reference_kernel(source, seed):
             assert _kernel_outcome(plan, *query) == _kernel_outcome(reference.plan, *query)
 
 
+def _tie_cases():
+    # The kernel holds each expansion's best new entry out of the heap and
+    # pops with heappushpop, which must pop exactly what heappop pops.
+    # On open sidewalk at w = 1 every cell toward the goal has the same f, so
+    # each expansion's best entry ties its sibling on f and h and wins on the
+    # counter: the route runs along the first row, then down.
+    yield uniform_sidewalk(8), (0, 0), (7, 7), 1.0, [(x, 0) for x in range(8)] + [
+        (7, y) for y in range(1, 8)
+    ]
+    # (0, 0), the best entry of the third expansion (f 8, h 3), ties the heap
+    # top (3, 1), pushed one expansion earlier, and loses on the counter.
+    tie = grid_of("s-- s-- s-- b--", "s-- b-- s-- s--", "s-- s-- b-- s--")
+    yield tie, (2, 0), (1, 2), 2.0, [
+        (2, 0), (2, 1), (1, 0), (3, 1), (3, 2), (0, 0), (0, 1), (0, 2), (1, 2)
+    ]
+    # (1, 0) is a dead end: its only new entry, (0, 0) at f 5, loses to the
+    # heap top (2, 1) at f 3.
+    dead_end = grid_of("s-- s-- b-- s--", "s-- s-- s-- s--")
+    yield dead_end, (1, 1), (3, 0), 1.0, [(1, 1), (1, 0), (2, 1), (3, 1), (3, 0)]
+
+
+@pytest.mark.parametrize(
+    "case", list(_tie_cases()), ids=["plateau", "tie-lost-on-counter", "best-loses"]
+)
+def test_tied_and_losing_best_entries_pop_like_the_reference(case):
+    grid, start, goal, w, expanded = case
+    query = (grid, start, goal, BehaviorProfile(kind="walker", w=w), frozenset(), None)
+    assert _kernel_outcome(plan, *query) == _kernel_outcome(reference.plan, *query)
+    trace = []
+    route = plan(grid, start, goal, query[3], trace=trace)
+    assert [(x, y) for _, x, y, *_ in trace] == expanded
+    assert route.expansions == len(expanded)
+
+
 # -- debug trace -----------------------------------------------------------------
 
 
@@ -602,7 +636,7 @@ def test_plan_trace_records_expansions(case):
     # each later expansion was entered from an earlier one on a neighbouring
     # cell: r is the unscaled risk of that move's action (classified with the
     # earlier state's heading) and g the earlier g plus cost and alpha * r
-    cost_at = grid.walker_cost_at if profile.kind == "walker" else grid.driver_cost_at
+    cost = grid.costs(profile.kind)
     headings = [{heading}]
     for j, (_, x, y, g, _, r, _) in enumerate(trace[1:], 1):
         entered = set()
@@ -615,7 +649,7 @@ def test_plan_trace_records_expansions(case):
                         risk = 0.0  # no walker move carries risk
                     else:
                         risk = driver_risk(classify_action(grid, (px, py), (x, y), hd))
-                    if r == risk and g == pg + cost_at((x, y)) + profile.alpha * r:
+                    if r == risk and g == pg + cost[y * grid.width + x] + profile.alpha * r:
                         entered.add(d)
         assert entered, trace[j]
         headings.append(entered)
