@@ -597,10 +597,11 @@ def _tie_cases():
 )
 def test_tied_and_losing_best_entries_pop_like_the_reference(case):
     grid, start, goal, w, expanded = case
-    query = (grid, start, goal, BehaviorProfile(kind="walker", w=w), frozenset(), None)
+    profile = BehaviorProfile(kind="walker", w=w)
+    query = (grid, start, goal, profile, frozenset(), None)
     assert _kernel_outcome(plan, *query) == _kernel_outcome(reference.plan, *query)
     trace = []
-    route = plan(grid, start, goal, query[3], trace=trace)
+    route = plan(grid, start, goal, profile, trace=trace)
     assert [(x, y) for _, x, y, *_ in trace] == expanded
     assert route.expansions == len(expanded)
 
