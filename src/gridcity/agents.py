@@ -1,14 +1,17 @@
 """Walker and driver behavior: the population's columns, sensing, reaction
 rules, and kinematics.
 
-The population is one ``Population``: a structure of arrays with one row per
-agent, in ascending id order.  Each step ``decide`` reads its columns, tests
-each active agent against the others near its window (its next few route
-cells), and picks exactly one decision code per active agent (yield,
-decelerate, stop, replan, accelerate, proceed).  ``act`` then applies the
-codes as array updates and moves every agent with a speed along its plan
-polyline.  ``AgentState`` is the record of one agent: what ``Population.extend``
-takes in and ``Population.snapshot`` gives out, never a live copy.
+The population is one ``Population``, one row per agent in ascending id
+order: numpy columns for what the array passes read and write, and per-row
+lists of the plans and of the objects ``plan`` takes (profile, goal,
+heading).  Floor cells are computed from the positions, not stored.  Each
+step ``decide`` reads the columns, tests each active agent against the others
+near its window (its next few route cells), and picks exactly one decision
+code per active agent (yield, decelerate, stop, replan, accelerate, proceed).
+``act`` then applies the codes as array updates and moves every agent with a
+speed along its plan polyline.  ``AgentState`` is the record of one agent:
+what ``Population.extend`` takes in and ``Population.snapshot`` gives out,
+never a live copy.
 """
 from __future__ import annotations
 
@@ -44,10 +47,8 @@ class Decision(IntEnum):
 
 
 _STATUSES = tuple(Status)
-_KINDS = ("walker", "driver")
-# the heading code of a move by (dx, dy) between neighbouring cells
-_MOVE_HEADING = {row[:2]: k for k, row in enumerate(DIRECTION_TABLE)}
-_NORTH, _EAST, _SOUTH, _WEST = range(4)  # indices into DIRECTION_ORDER
+# the heading of a move by (dx, dy) between neighbouring cells
+_MOVE_HEADING = {row[:2]: d for d, row in zip(DIRECTION_ORDER, DIRECTION_TABLE)}
 
 
 @dataclass
@@ -55,7 +56,6 @@ class AgentState:
     """Kinematic and lifecycle state of one walker or driver."""
 
     id: int
-    kind: str  # 'walker' | 'driver'
     profile: BehaviorProfile
     position: tuple[float, float]
     heading: Direction | None
@@ -66,11 +66,16 @@ class AgentState:
     countdown: int = 0
     goal: Coord | None = None
 
+    @property
+    def kind(self) -> str:
+        """'walker' or 'driver': the kind of the agent's profile."""
+        return self.profile.kind
+
     def cell(self) -> Coord:
         return (int(math.floor(self.position[0])), int(math.floor(self.position[1])))
 
 
-def _floor_cells(x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
+def floor_cells(x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
     """The flat index ``y * width + x`` of the cell each point lies on."""
     return np.floor(y).astype(np.int64) * width + np.floor(x).astype(np.int64)
 
@@ -82,38 +87,37 @@ class Population:
     never reused, so row order stays id order.  That order fixes the order of
     events and of the float sums of the heatmaps and the driver speed.
 
-    Columns: ``id``; ``driver``, the kind (False for a walker); ``status``, a
-    ``Status`` code; ``x`` and ``y``, the position, and ``cell``, its floor
-    cell ``y * width + x``; ``speed``; ``heading``, an index into
-    ``DIRECTION_ORDER`` (-1 for none); ``cursor``, the index of the next plan
-    cell to reach; ``countdown``; ``goal``, a flat cell (-1 for none); ``w``,
-    ``alpha`` and ``max_speed``, the behavior profile; ``plans``, each row's
-    ``Plan`` or None; and ``route``, each plan's cells as flat indices,
-    ``plan_len`` of them (0 without a plan), the rest of the row -1.  A plan's
-    flat indices are written once, when the plan is assigned.
+    A fact is a numpy column only when an array pass reads or writes it:
+    ``id``; ``driver``, the kind (False for a walker); ``status``, a
+    ``Status`` code; ``x`` and ``y``, the position; ``speed``; ``cursor``,
+    the index of the next plan cell to reach; ``countdown``; ``max_speed``;
+    and ``route``, each plan's cells as flat indices, ``plan_len`` of them (0
+    without a plan), the rest of the row -1, written once when the plan is
+    assigned.  The facts ``plan`` takes are kept per row as the objects it
+    takes, in four lists: ``plans``, each row's ``Plan`` or None;
+    ``profiles``, the ``BehaviorProfile`` the agent spawned with; ``goals``,
+    an ``(x, y)`` cell or None; and ``headings``, a ``Direction`` or None.
+    A row's floor cell is computed from ``x`` and ``y`` where it is needed.
     """
 
     _COLUMNS = (
         ("id", np.int64), ("driver", bool), ("status", np.int8),
-        ("x", np.float64), ("y", np.float64), ("cell", np.int64),
-        ("speed", np.float64), ("heading", np.int8), ("cursor", np.int64),
-        ("countdown", np.int64), ("goal", np.int64), ("w", np.float64),
-        ("alpha", np.float64), ("max_speed", np.float64), ("plan_len", np.int64),
+        ("x", np.float64), ("y", np.float64), ("speed", np.float64),
+        ("cursor", np.int64), ("countdown", np.int64), ("max_speed", np.float64),
+        ("plan_len", np.int64),
     )
+    _LISTS = ("plans", "profiles", "goals", "headings")
 
     def __init__(self, width: int):
         self.width = width
         for name, dtype in self._COLUMNS:
             setattr(self, name, np.zeros(0, dtype))
-        self.plans: list = []
+        for name in self._LISTS:
+            setattr(self, name, [])
         self.route = np.full((0, 1), -1, dtype=np.int32)
 
     def __len__(self) -> int:
         return len(self.id)
-
-    def _flat(self, cells) -> list[int]:
-        width = self.width
-        return [y * width + x for x, y in cells]
 
     def _fit_route(self, length: int) -> None:
         """Widen ``route`` to hold a plan of ``length`` cells."""
@@ -133,17 +137,11 @@ class Population:
         if any(b <= a for a, b in zip([last] + ids, ids)):
             raise ValueError(f"agent ids must ascend past {last}, got {ids}")
         width = self.width
-        floor = math.floor
         plans = [a.plan for a in states]
-        # one pass over the agents gives each new row's values in column
-        # order; the cell is the floor cell AgentState.cell() names
+        # one pass over the agents gives each new row's values in column order
         rows = [
-            (a.id, a.kind == "driver", a.status, a.position[0], a.position[1],
-             floor(a.position[1]) * width + floor(a.position[0]), a.speed,
-             -1 if a.heading is None else DIRECTION_ORDER.index(a.heading),
-             a.cursor, a.countdown,
-             -1 if a.goal is None else a.goal[1] * width + a.goal[0],
-             a.profile.w, a.profile.alpha, a.profile.max_speed,
+            (a.id, a.profile.kind == "driver", a.status, a.position[0],
+             a.position[1], a.speed, a.cursor, a.countdown, a.profile.max_speed,
              0 if p is None else len(p))
             for a, p in zip(states, plans)
         ]
@@ -163,19 +161,25 @@ class Population:
         ]
         self.route = np.concatenate((self.route, block))
         self.plans += plans
+        self.profiles += [a.profile for a in states]
+        self.goals += [a.goal for a in states]
+        self.headings += [a.heading for a in states]
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows where ``mask`` is False."""
         for name, _ in self._COLUMNS:
             setattr(self, name, getattr(self, name)[mask])
         self.route = self.route[mask]
-        self.plans = list(compress(self.plans, mask.tolist()))
+        kept = mask.tolist()
+        for name in self._LISTS:
+            setattr(self, name, list(compress(getattr(self, name), kept)))
 
     def set_plan(self, row: int, route: Plan) -> None:
         """Give ``row`` the plan ``route``, with its cursor at 1."""
         n = len(route)
+        width = self.width
         self._fit_route(n)
-        self.route[row, :n] = self._flat(route.cells)
+        self.route[row, :n] = [y * width + x for x, y in route.cells]
         self.route[row, n:] = -1
         self.plan_len[row] = n
         self.plans[row] = route
@@ -188,47 +192,36 @@ class Population:
 
     def coord(self, row: int) -> Coord:
         """The floor cell of ``row`` as ``(x, y)``."""
-        y, x = divmod(int(self.cell[row]), self.width)
-        return (x, y)
+        return (math.floor(self.x[row]), math.floor(self.y[row]))
 
     def cells(self, mask: np.ndarray) -> set:
         """The floor cells of the rows in ``mask``, as ``(x, y)`` coords."""
-        y, x = np.divmod(self.cell[mask], self.width)
+        x = np.floor(self.x[mask]).astype(np.int64)
+        y = np.floor(self.y[mask]).astype(np.int64)
         return set(zip(x.tolist(), y.tolist()))
 
-    def profile(self, row: int) -> BehaviorProfile:
-        return BehaviorProfile(
-            kind=_KINDS[int(self.driver[row])],
-            w=float(self.w[row]),
-            alpha=float(self.alpha[row]),
-            max_speed=float(self.max_speed[row]),
-        )
-
     def snapshot(self) -> dict[int, AgentState]:
-        """Every agent as an ``AgentState`` by id, in row order."""
-        width = self.width
+        """Every agent as an ``AgentState`` by id, in row order; its profile,
+        plan, goal and heading are the objects the population holds."""
         out = {}
-        for (i, driver, status, x, y, speed, heading, cursor, countdown, goal, w,
-             alpha, max_speed, route) in zip(
-            self.id.tolist(), self.driver.tolist(), self.status.tolist(),
-            self.x.tolist(), self.y.tolist(), self.speed.tolist(),
-            self.heading.tolist(), self.cursor.tolist(), self.countdown.tolist(),
-            self.goal.tolist(), self.w.tolist(), self.alpha.tolist(),
-            self.max_speed.tolist(), self.plans,
+        for (i, status, x, y, speed, cursor, countdown, profile, route, goal,
+             heading) in zip(
+            self.id.tolist(), self.status.tolist(), self.x.tolist(),
+            self.y.tolist(), self.speed.tolist(), self.cursor.tolist(),
+            self.countdown.tolist(), self.profiles, self.plans, self.goals,
+            self.headings,
         ):
-            kind = _KINDS[driver]
             out[i] = AgentState(
                 id=i,
-                kind=kind,
-                profile=BehaviorProfile(kind=kind, w=w, alpha=alpha, max_speed=max_speed),
+                profile=profile,
                 position=(x, y),
-                heading=DIRECTION_ORDER[heading] if heading >= 0 else None,
+                heading=heading,
                 speed=speed,
                 plan=route,
                 cursor=cursor,
                 status=_STATUSES[status],
                 countdown=countdown,
-                goal=(goal % width, goal // width) if goal >= 0 else None,
+                goal=goal,
             )
         return out
 
@@ -239,8 +232,8 @@ def decide(
     """Sense and react for the whole population in one array pass.
 
     ``pop`` is the pre-step population.  Returns ``(codes, pre_flat)``: one
-    ``Decision`` code per active row, in row order, and a copy of every row's
-    floor cell (``pop.cell``).
+    ``Decision`` code per active row, in row order, and every row's floor
+    cell as a flat index (``floor_cells``).
 
     An active agent perceives the agents near its window, its next
     ``lookahead`` plan cells.  Another agent is in the window when its
@@ -268,13 +261,12 @@ def decide(
     ``dx*dx + dy*dy`` in float64, in the same order as a per-agent loop.
     """
     width = grid.width
-    flat = pop.cell
-    pre_flat = flat.copy()
+    flat = floor_cells(pop.x, pop.y, width)
     is_active = pop.status == Status.ACTIVE
     rows = np.flatnonzero(is_active)
     n = len(rows)
     if not n:
-        return np.zeros(0, dtype=np.int64), pre_flat
+        return np.zeros(0, dtype=np.int64), flat
 
     # the windows as (active, slot) arrays, read from the plans' flat cells
     pos_x, pos_y = pop.x, pop.y
@@ -353,7 +345,7 @@ def decide(
          Decision.ACCELERATE],
         Decision.PROCEED,
     )
-    return codes, pre_flat
+    return codes, flat
 
 
 def act(
@@ -389,17 +381,12 @@ def act(
     replanned = []
     for i in np.flatnonzero(codes == Decision.REPLAN).tolist():
         row = int(rows[i])
-        goal = int(pop.goal[row])
+        goal = pop.goals[row]
         route = None
-        if goal >= 0:
-            heading = int(pop.heading[row])
+        if goal is not None:
             route = plan(
-                grid,
-                pop.coord(row),
-                (goal % pop.width, goal // pop.width),
-                pop.profile(row),
-                blocked=statics,
-                heading=DIRECTION_ORDER[heading] if heading >= 0 else None,
+                grid, pop.coord(row), goal, pop.profiles[row], blocked=statics,
+                heading=pop.headings[row],
             )
         if route is None:
             speed[i] = 0.0
@@ -414,17 +401,18 @@ def act(
     # _advance does nothing for the other rows: its loop guards are these
     moving = rows[(speed > 1e-12) & (pop.cursor[rows] < pop.plan_len[rows])]
     if len(moving):
+        moved = moving.tolist()
         xs, ys = pop.x[moving].tolist(), pop.y[moving].tolist()
-        cursors, headings = pop.cursor[moving].tolist(), pop.heading[moving].tolist()
+        cursors = pop.cursor[moving].tolist()
+        headings = [pop.headings[row] for row in moved]
         _advance(
-            [pop.plans[row].cells for row in moving.tolist()], grid.lane_offsets,
+            [pop.plans[row].cells for row in moved], grid.lane_offsets,
             xs, ys, pop.speed[moving].tolist(), cursors, headings,
             pop.driver[moving].tolist(),
         )
-        x, y = np.array(xs), np.array(ys)
-        pop.x[moving], pop.y[moving] = x, y
-        pop.cell[moving] = _floor_cells(x, y, pop.width)
-        pop.cursor[moving], pop.heading[moving] = cursors, headings
+        pop.x[moving], pop.y[moving], pop.cursor[moving] = xs, ys, cursors
+        for row, heading in zip(moved, headings):
+            pop.headings[row] = heading
     return replanned
 
 
@@ -432,8 +420,8 @@ def _advance(routes, offsets, xs, ys, budgets, cursors, headings, drivers):
     """Move agent j from ``(xs[j], ys[j])`` by ``budgets[j]`` along the
     polyline of the centers of the cells ``routes[j]``, ``cursors[j]`` being
     the index of the next to reach, one agent after the other.  Updates
-    ``xs``, ``ys``, ``cursors`` and ``headings`` in place; a driver's heading
-    code follows its moves."""
+    ``xs``, ``ys``, ``cursors`` and ``headings`` in place; a driver's
+    ``Direction`` heading follows its moves."""
     ox, oy = offsets
     for j, (cells, x, y, budget, cursor, heading, driver) in enumerate(
         zip(routes, xs, ys, budgets, cursors, headings, drivers)
@@ -455,8 +443,8 @@ def _advance(routes, offsets, xs, ys, budgets, cursors, headings, drivers):
                 y += dy / dist * budget
                 if driver:
                     if abs(dx) >= abs(dy):
-                        heading = _EAST if dx > 0 else _WEST
+                        heading = Direction.EAST if dx > 0 else Direction.WEST
                     else:
-                        heading = _SOUTH if dy > 0 else _NORTH
+                        heading = Direction.SOUTH if dy > 0 else Direction.NORTH
                 budget = 0.0
         xs[j], ys[j], cursors[j], headings[j] = x, y, cursor, heading

@@ -1,16 +1,18 @@
 """Discrete-time simulation engine.
 
-``World`` owns the population as one ``agents.Population``: columns with one
-row per agent in ascending id order, which every phase reads and writes.
-Each step runs three phases.  One array pass over the columns
-(``agents.decide``) senses the snapshot of the previous positions and picks
-one decision code per active agent.  ``agents.act`` then applies the codes
-and moves every agent with a speed.  A global iterate phase then expires
-collision countdowns, detects collisions on post-move positions, retires
-agents that reached their goals, parks drivers on parking goals, optionally
-reactivates parked drivers, and spawns replacements, appended in one go;
-expired and retired rows leave with one mask.  ``World.agents`` is a
-snapshot of ``AgentState`` records built from the columns.
+``World`` owns the population as one ``agents.Population``: one row per agent
+in ascending id order, held as numpy columns for the array passes and as
+per-row lists of the plans and of the objects ``plan`` takes.  Each step runs
+three phases.  One array pass over the columns (``agents.decide``) senses the
+snapshot of the previous positions and picks one decision code per active
+agent.  ``agents.act`` then applies the codes and moves every agent with a
+speed.  A global iterate phase then expires collision countdowns, detects
+collisions on post-move positions, retires agents that reached their goals,
+parks drivers on parking goals, optionally reactivates parked drivers, and
+spawns replacements, appended in one go; expired and retired rows leave with
+one mask.  Replans and reactivations hand ``plan`` the stored profile, goal
+and heading unchanged.  ``World.agents`` is a snapshot of ``AgentState``
+records built from the population.
 A run is fully determined by (config, seed).
 """
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .agents import AgentState, Population, Status, act, decide
-from .environment import DIRECTION_ORDER, Coord, GridMap, GroundType, place_obstacles
+from .environment import Coord, GridMap, GroundType, place_obstacles
 from .planner import BehaviorProfile, default_heading, plan
 
 # Square agent footprints: half the side length is the effective radius.
@@ -257,7 +259,6 @@ class World:
                 continue
             agent = AgentState(
                 id=self._next_id,
-                kind=kind,
                 profile=profile,
                 position=self.grid.center(start),
                 heading=heading,
@@ -335,14 +336,15 @@ class World:
         heading = default_heading(self.grid, start)
         statics = pop.cells(pop.status != Status.ACTIVE)
         route = plan(
-            self.grid, start, new_goal, pop.profile(row), blocked=statics, heading=heading
+            self.grid, start, new_goal, pop.profiles[row], blocked=statics,
+            heading=heading,
         )
         if route is None:
             return False
         pop.status[row] = Status.ACTIVE
         pop.set_plan(row, route)
-        pop.goal[row] = new_goal[1] * self.grid.width + new_goal[0]
-        pop.heading[row] = DIRECTION_ORDER.index(heading)
+        pop.goals[row] = new_goal
+        pop.headings[row] = heading
         pop.speed[row] = 0.0
         position = (float(pop.x[row]), float(pop.y[row]))
         self._loose_events.append(
@@ -397,11 +399,12 @@ class World:
             (pop.status == Status.ACTIVE) & (pop.plan_len > 0)
             & (pop.cursor >= pop.plan_len)
         )
-        for row, agent_id, driver, goal, x, y in zip(
+        for row, agent_id, driver, x, y in zip(
             arrived.tolist(), pop.id[arrived].tolist(), pop.driver[arrived].tolist(),
-            pop.goal[arrived].tolist(), pop.x[arrived].tolist(), pop.y[arrived].tolist(),
+            pop.x[arrived].tolist(), pop.y[arrived].tolist(),
         ):
-            if driver and goal >= 0 and grid.ground[goal] is GroundType.PARKING:
+            goal = pop.goals[row]
+            if driver and goal is not None and grid.ground_at(goal) is GroundType.PARKING:
                 pop.status[row] = Status.PARKED
                 pop.speed[row] = 0.0
                 events.append(Event(t, "park", (agent_id,), x, y))

@@ -338,9 +338,6 @@ class GridMap:
                 raise ValueError(f"obstacle ({x}, {y}) placed on a building cell")
         return dataclasses.replace(self, obstacles=obstacles, _costs={})
 
-    def ground_counts(self) -> dict:
-        return {g: self.ground.count(g) for g in GroundType}
-
 
 def _walker_spawn_sites(ground, width, height) -> tuple:
     sites = []
@@ -574,11 +571,15 @@ def place_obstacles(grid: GridMap, fraction: float, rng: random.Random) -> GridM
     """
     if not 0 <= fraction <= 1:
         raise ValueError("obstruction fraction must lie in [0, 1]")
-    sidewalks = sorted(
-        (i % grid.width, i // grid.width)
-        for i, g in enumerate(grid.ground)
-        if g is GroundType.SIDEWALK
-    )
+    # the sorted sidewalk cells depend on the layout alone: listed once per
+    # layout, in the ``_tables`` dict its overlays share
+    sidewalks = grid._tables.get("sidewalks")
+    if sidewalks is None:
+        sidewalks = grid._tables["sidewalks"] = tuple(sorted(
+            (i % grid.width, i // grid.width)
+            for i, g in enumerate(grid.ground)
+            if g is GroundType.SIDEWALK
+        ))
     target = round(fraction * len(sidewalks))
     if target == 0:
         return grid

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import Population, Status
+from .agents import Population, Status, floor_cells
 from .environment import GridMap, ROAD_FAMILY
 
 METRICS_COLUMNS = (
@@ -84,19 +84,20 @@ def build_frame(
     to ``heatmaps``; also returns the ids of walkers that entered road ground
     this step (for event logging).
 
-    ``pre_ids`` and ``pre_flat`` are the ids and floor cells of the pre-step
-    rows; an agent absent from them (spawned this step) enters nothing.
+    ``pre_ids`` and ``pre_flat`` are the ids and flat floor cells of the
+    pre-step rows; an agent absent from them (spawned this step) enters
+    nothing.  The post-step cells are floored from ``pop.x`` and ``pop.y``.
     Samples are added in row order, and the driver speeds are summed left to
     right in row order, so every float sum is that of a per-agent loop.
     """
     active = pop.status == Status.ACTIVE
     drivers = active & pop.driver
     walkers = active & ~pop.driver
-    driver_cells = pop.cell[drivers]
+    driver_cells = floor_cells(pop.x[drivers], pop.y[drivers], grid.width)
     speeds = pop.speed[drivers]
     np.add.at(heatmaps.driver_occupancy.reshape(-1), driver_cells, 1)
     np.add.at(heatmaps.driver_speed_sum.reshape(-1), driver_cells, speeds)
-    walker_cells = pop.cell[walkers]
+    walker_cells = floor_cells(pop.x[walkers], pop.y[walkers], grid.width)
     np.add.at(heatmaps.walker_occupancy.reshape(-1), walker_cells, 1)
     road = _road_mask(grid)
     on_road = road[walker_cells]

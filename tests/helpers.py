@@ -123,7 +123,6 @@ def make_agent(
         goal = plan.cells[-1]
     return AgentState(
         id=agent_id,
-        kind=kind,
         profile=profile,
         position=position,
         heading=heading,

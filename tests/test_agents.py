@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import random
 
@@ -21,6 +22,58 @@ N, E = Direction.NORTH, Direction.EAST
 def test_agent_cell_floors_positions():
     assert make_agent(1, "walker", (3.9, 0.1)).cell() == (3, 0)
     assert make_agent(1, "walker", (0.0, 2.0)).cell() == (0, 2)
+
+
+def test_snapshot_returns_each_agent_as_it_went_in():
+    """A snapshot gives back every field of every agent, and the very profile
+    and plan objects, also after a ``keep`` and a later ``extend``."""
+    grid = walking_strip()
+    agents = []
+    for kind in ("walker", "driver"):
+        for status in Status:
+            for heading, goal, has_plan in itertools.product(
+                (None, E), (None, (9, 0)), (False, True)
+            ):
+                agent_id = len(agents) + 1
+                agent = make_agent(
+                    agent_id, kind, (agent_id * 0.125, 0.5),
+                    straight_plan([(0, 0), (1, 0), (2, 0)]) if has_plan else None,
+                    cursor=agent_id % 3, speed=agent_id * 0.25, heading=heading,
+                    status=status, w=float(agent_id), alpha=agent_id * 0.5,
+                )
+                agent.goal = goal
+                agent.countdown = 3 if status is Status.COLLIDED else 0
+                agents.append(agent)
+    pop = population(agents, grid)
+
+    def assert_round_trip(expected):
+        snapshot = pop.snapshot()
+        assert list(snapshot) == [a.id for a in expected]
+        for agent in expected:
+            got = snapshot[agent.id]
+            assert got == agent
+            assert got.kind == agent.kind
+            assert got.profile is agent.profile
+            assert got.plan is agent.plan
+
+    assert_round_trip(agents)
+    dropped = agents[5]
+    pop.keep(pop.id != dropped.id)
+    kept = [a for a in agents if a is not dropped]
+    assert_round_trip(kept)
+    newcomer = make_agent(
+        len(agents) + 1, "driver", (4.5, 0.5), straight_plan([(4, 0), (5, 0)]),
+        heading=E, w=2.0,
+    )
+    pop.extend([newcomer])
+    assert_round_trip(kept + [newcomer])
+
+
+def test_agent_kind_is_the_kind_of_its_profile():
+    agent = make_agent(1, "driver", (0.5, 0.5))
+    assert agent.kind == agent.profile.kind == "driver"
+    with pytest.raises(AttributeError):
+        agent.kind = "walker"
 
 
 def road_strip(length=10, token="rE-"):

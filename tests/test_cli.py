@@ -483,9 +483,9 @@ def test_gen_map_single_block_formulas(tmp_path):
         main, ["gen-map", "--blocks-x", "1", "--blocks-y", "1", "--out", str(out)]
     )
     assert result.exit_code == 0
-    counts = parse_grid(out.read_text()).ground_counts()
-    assert counts[GroundType.BUILDING] == 13 * 13
-    assert counts[GroundType.SIDEWALK] == 4 * 15 - 4
+    count = parse_grid(out.read_text()).ground.count
+    assert count(GroundType.BUILDING) == 13 * 13
+    assert count(GroundType.SIDEWALK) == 4 * 15 - 4
 
 
 def test_gen_map_rejects_bad_ring(tmp_path):

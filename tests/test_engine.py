@@ -392,7 +392,7 @@ def test_poisson_draw_mean_tracks_rate():
 def test_obstruction_applied_by_world():
     cfg = SimConfig(steps=1, obstruction=0.1, seed=3)
     world = World(small_grid(), cfg)
-    sidewalks = small_grid().ground_counts()[GroundType.SIDEWALK]
+    sidewalks = small_grid().ground.count(GroundType.SIDEWALK)
     assert len(world.grid.obstacles) == round(0.1 * sidewalks)
     again = World(small_grid(), cfg)
     assert again.grid.obstacles == world.grid.obstacles

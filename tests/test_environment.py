@@ -144,15 +144,15 @@ def test_layout_dimensions_and_counts_5x5():
     grid = generate_layout(LayoutSpec(blocks_x=5, blocks_y=5))
     assert grid.width == 5 * 15 + 6 * 4
     assert grid.height == 99
-    counts = grid.ground_counts()
-    assert counts[GroundType.BUILDING] == 25 * 13 * 13
-    assert counts[GroundType.SIDEWALK] == 25 * (4 * 15 - 4)
-    assert counts[GroundType.TURN] + counts[GroundType.LEFT_TURN] == 6 * 6 * 16
+    count = grid.ground.count
+    assert count(GroundType.BUILDING) == 25 * 13 * 13
+    assert count(GroundType.SIDEWALK) == 25 * (4 * 15 - 4)
+    assert count(GroundType.TURN) + count(GroundType.LEFT_TURN) == 6 * 6 * 16
 
 
 def test_layout_single_block_sidewalk_ring():
     grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
-    assert grid.ground_counts()[GroundType.SIDEWALK] == 4 * 15 - 4
+    assert grid.ground.count(GroundType.SIDEWALK) == 4 * 15 - 4
 
 
 def test_layout_zebra_band_count():
@@ -160,7 +160,7 @@ def test_layout_zebra_band_count():
     grid = generate_layout(LayoutSpec(blocks_x=bx, blocks_y=by, lanes_per_direction=lanes))
     sw = 2 * lanes
     expected = (2 * by * (bx + 1) + 2 * bx * (by + 1)) * sw
-    assert grid.ground_counts()[GroundType.ZEBRA] == expected
+    assert grid.ground.count(GroundType.ZEBRA) == expected
 
 
 def test_layout_interior_street_has_two_lanes_per_direction():
@@ -224,7 +224,7 @@ def test_place_obstacles_zero_fraction_is_identity():
 
 def test_place_obstacles_exact_count():
     grid = generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
-    sidewalks = grid.ground_counts()[GroundType.SIDEWALK]
+    sidewalks = grid.ground.count(GroundType.SIDEWALK)
     for fraction in (0.05, 0.33, 1.0):
         obstructed = place_obstacles(grid, fraction, random.Random(9))
         assert len(obstructed.obstacles) == round(fraction * sidewalks)
