@@ -80,6 +80,12 @@ def floor_cells(x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
     return np.floor(y).astype(np.int64) * width + np.floor(x).astype(np.int64)
 
 
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of ``range(s, s + c)`` over each pair of ``starts``
+    and ``counts``."""
+    return np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+
+
 class Population:
     """The agents as columns, one row per agent in ascending id order.
 
@@ -299,14 +305,12 @@ def decide(
     y1 = np.minimum(np.where(valid, win_y, -1).max(1) + reach, grid.height - 1)
     box_rows = np.where(valid[:, 0], y1 - y0 + 1, 0)
     row_owner = np.repeat(np.arange(n), box_rows)
-    row_y = np.repeat(y0 - (np.cumsum(box_rows) - box_rows), box_rows)
-    row_y += np.arange(len(row_owner))
+    row_y = ranges(y0, box_rows)
     lo = np.searchsorted(sorted_flat, row_y * width + x0[row_owner], "left")
     hi = np.searchsorted(sorted_flat, row_y * width + x1[row_owner], "right")
     found = hi - lo
     me = np.repeat(row_owner, found)
-    other = np.repeat(lo - (np.cumsum(found) - found), found)
-    other = order[other + np.arange(len(other))]
+    other = order[ranges(lo, found)]
     keep = other != rows[me]
     me, other = me[keep], other[keep]
 
@@ -356,28 +360,22 @@ def act(
     accel: float = 1.0,
     decel: float = 1.0,
 ) -> list[int]:
-    """Apply each active row's decision code, then advance along the plans.
+    """Resolve each replan, apply each active row's decision code, then
+    advance along the plans.
 
     ``codes`` holds one ``Decision`` code per active row, in row order, as
-    ``decide`` returns them; ``statics`` are the cells a replan avoids.  Stop
-    and yield set the speed to 0, decelerate to ``max(0, speed - decel)``,
-    accelerate to ``min(max_speed, speed + accel)``, and a walker that
-    proceeds moves at ``max_speed``.  A replan plans from the row's cell to
-    its goal; a failed one keeps the old plan and waits this step.  Returns
-    the rows whose plan a replan replaced, in row order.
+    ``decide`` returns them; it is left unchanged.  ``statics`` are the cells
+    a replan avoids.  A replan plans from the row's cell to its goal, row
+    after row; its outcome is a code: a found route replaces the plan and
+    then accelerates a driver or lets a walker proceed, and a failed one (or
+    a row without a goal) keeps the old plan and stops.  Stop and yield set
+    the speed to 0, decelerate to ``max(0, speed - decel)``, accelerate to
+    ``min(max_speed, speed + accel)``, and a walker that proceeds moves at
+    ``max_speed``.  Returns the rows whose plan a replan replaced, in row
+    order.
     """
     rows = np.flatnonzero(pop.status == Status.ACTIVE)
-    speed = pop.speed[rows]
-    max_speed = pop.max_speed[rows]
-    speed[(codes == Decision.STOP) | (codes == Decision.YIELD)] = 0.0
-    slowing = codes == Decision.DECELERATE
-    slower = speed[slowing] - decel
-    speed[slowing] = np.where(slower > 0.0, slower, 0.0)
-    speeding = codes == Decision.ACCELERATE
-    faster = speed[speeding] + accel
-    speed[speeding] = np.where(faster < max_speed[speeding], faster, max_speed[speeding])
-    walking = (codes == Decision.PROCEED) & ~pop.driver[rows]
-    speed[walking] = max_speed[walking]
+    codes = codes.copy()
     replanned = []
     for i in np.flatnonzero(codes == Decision.REPLAN).tolist():
         row = int(rows[i])
@@ -389,13 +387,22 @@ def act(
                 heading=pop.headings[row],
             )
         if route is None:
-            speed[i] = 0.0
+            codes[i] = Decision.STOP
         else:
             pop.set_plan(row, route)
             replanned.append(row)
-            faster = speed[i] + accel
-            capped = faster if faster < max_speed[i] else max_speed[i]
-            speed[i] = capped if pop.driver[row] else max_speed[i]
+            codes[i] = Decision.ACCELERATE if pop.driver[row] else Decision.PROCEED
+    speed = pop.speed[rows]
+    max_speed = pop.max_speed[rows]
+    speed[(codes == Decision.STOP) | (codes == Decision.YIELD)] = 0.0
+    slowing = codes == Decision.DECELERATE
+    slower = speed[slowing] - decel
+    speed[slowing] = np.where(slower > 0.0, slower, 0.0)
+    speeding = codes == Decision.ACCELERATE
+    faster = speed[speeding] + accel
+    speed[speeding] = np.where(faster < max_speed[speeding], faster, max_speed[speeding])
+    walking = (codes == Decision.PROCEED) & ~pop.driver[rows]
+    speed[walking] = max_speed[walking]
     pop.speed[rows] = speed
 
     # _advance does nothing for the other rows: its loop guards are these

@@ -24,15 +24,15 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import metrics as metrics_mod
-from .agents import AgentState, Population, Status, act, decide
+from .agents import AgentState, Population, Status, act, decide, ranges
 from .environment import Coord, GridMap, GroundType, place_obstacles
 from .planner import BehaviorProfile, default_heading, plan
 
 # Square agent footprints: half the side length is the effective radius.
 VEHICLE_RADIUS = 0.4  # vehicles occupy 0.8 x 0.8 cell units
 WALKER_RADIUS = 0.05  # pedestrians occupy 0.1 x 0.1 cell units
-VEHICLE_VEHICLE_DIST = 0.8  # VEHICLE_RADIUS + VEHICLE_RADIUS
-RUNOVER_DIST = 0.45  # VEHICLE_RADIUS + WALKER_RADIUS
+VEHICLE_VEHICLE_DIST = VEHICLE_RADIUS + VEHICLE_RADIUS  # 0.8
+RUNOVER_DIST = VEHICLE_RADIUS + WALKER_RADIUS  # 0.45
 
 
 @dataclass
@@ -143,9 +143,10 @@ def detect_collisions(pop: Population, step: int = 0) -> list[Event]:
     # x ascends, so every b within reach of a follows a up to the bound; a
     # pair past it has dx > 0.8, whose square is no contact
     count = np.searchsorted(xs, xs + VEHICLE_VEHICLE_DIST, "right")
-    count -= np.arange(1, len(xs) + 1)
+    follower = np.arange(1, len(xs) + 1)
+    count -= follower
     a = np.repeat(np.arange(len(xs)), count)
-    b = a + 1 + np.arange(len(a)) - np.repeat(np.cumsum(count) - count, count)
+    b = ranges(follower, count)
     both_drivers = driver[a] & driver[b]
     dx = xs[b] - xs[a]
     dy = ys[a] - ys[b]
@@ -218,7 +219,8 @@ class World:
         self.warnings: list[str] = []
         self.heatmaps = metrics_mod.HeatmapSet.create(grid)
         self._next_id = 1
-        self._loose_events: list[Event] = []
+        # the events of the step under way, or of the next step between steps
+        self._events: list[Event] = []
         self.initial_events: list[Event] = []
         if config.spawn_mode == "replenish":
             self._spawn_phase(self.initial_events, 0)
@@ -327,7 +329,9 @@ class World:
     # -- lifecycle ----------------------------------------------------------
 
     def reactivate(self, driver_id: int, new_goal: Coord) -> bool:
-        """Give a parked driver a fresh goal; False when no route exists."""
+        """Give a parked driver a fresh goal; False when no route exists.
+        Its ``reactivate`` event joins the events of the step under way, or
+        opens those of the next step when called between steps."""
         pop = self.population
         row = pop.row_of(driver_id)
         if row is None or not pop.driver[row] or pop.status[row] != Status.PARKED:
@@ -347,7 +351,7 @@ class World:
         pop.headings[row] = heading
         pop.speed[row] = 0.0
         position = (float(pop.x[row]), float(pop.y[row]))
-        self._loose_events.append(
+        self._events.append(
             Event(self.step_count, "reactivate", (driver_id,), *position)
         )
         return True
@@ -360,10 +364,8 @@ class World:
         cfg = self.config
         grid = self.grid
         pop = self.population
-        events: list[Event] = []
-        if self._loose_events:
-            events.extend(self._loose_events)
-            self._loose_events = []
+        # reactivations made since the last step come first
+        events = self._events
 
         # sense + react: nobody moves until every decision is made, so the
         # columns are the pre-step snapshot
@@ -424,9 +426,6 @@ class World:
                     goal = self.react_rng.choice(goals)
                     if goal != pop.coord(row):
                         self.reactivate(agent_id, goal)
-            if self._loose_events:
-                events.extend(self._loose_events)
-                self._loose_events = []
 
         # iterate: replace departed agents
         created = self._spawn_phase(events, t)
@@ -438,6 +437,7 @@ class World:
             rows = np.searchsorted(pop.id, entry_ids)
             for walker_id, x, y in zip(entry_ids, pop.x[rows].tolist(), pop.y[rows].tolist()):
                 events.append(Event(t, "jaywalk_entry", (walker_id,), x, y))
+        self._events = []
         return StepRecord(t, events, frame, created, removed)
 
 

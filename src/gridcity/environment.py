@@ -207,13 +207,12 @@ class GridMap:
     NESW bit mask (bit k stands for ``DIRECTION_ORDER[k]``); together they
     are the layout.  Obstacles are an overlay on top of the ground type so
     the underlying cell stays inspectable; they enter only the per-kind cost
-    lists of ``costs``.  Tables derived from the layout alone live in
-    ``_tables``, one dict the layout shares by reference with every overlay
-    made from it; ``_costs`` holds the map's own cost lists.  Spawn sites
-    are computed once at construction: walker sites are building-adjacent
-    sidewalk cells, driver sites are road cells where an inbound lane enters
-    the map (paired with the inbound heading), driver exits are boundary cells
-    whose flow points off the map.
+    lists of ``costs``.  Tables derived from the layout alone are built and
+    shared through ``layout_table``; ``_costs`` holds the map's own cost
+    lists.  Spawn sites are computed once at construction: walker sites are
+    building-adjacent sidewalk cells, driver sites are road cells where an
+    inbound lane enters the map (paired with the inbound heading), driver
+    exits are boundary cells whose flow points off the map.
     """
 
     width: int
@@ -284,17 +283,25 @@ class GridMap:
     def flow_at(self, coord: Coord) -> frozenset:
         return _FLOW_SETS[self.flow[coord[1] * self.width + coord[0]]]
 
+    def layout_table(self, key, build):
+        """The layout's table ``key``, made by ``build()`` on first use.
+
+        Every table derived from the layout alone is built and shared here:
+        they live in ``_tables``, one dict the layout shares by reference
+        with every overlay made from it, so each is built once per layout,
+        whichever map asks first."""
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = build()
+        return table
+
     def ground_costs(self, kind: str) -> list:
         """Traversal cost per cell of the layout alone for a 'walker' or a
         'driver', indexed ``y * width + x``: infinite on impassable ground,
         blind to obstacles.  Built once per layout and kind, and shared with
         its overlays."""
-        key = ("costs", kind)
-        costs = self._tables.get(key)
-        if costs is None:
-            table = _WALKER_COSTS if kind == "walker" else _DRIVER_COSTS
-            costs = self._tables[key] = [table[g] for g in self.ground]
-        return costs
+        table = _WALKER_COSTS if kind == "walker" else _DRIVER_COSTS
+        return self.layout_table(("costs", kind), lambda: [table[g] for g in self.ground])
 
     def costs(self, kind: str) -> list:
         """Traversal cost per cell for a 'walker' or a 'driver', indexed
@@ -314,11 +321,10 @@ class GridMap:
     def zebra_mask(self) -> np.ndarray:
         """Boolean array, indexed ``y * width + x``, of the zebra cells.
         Built once per layout."""
-        mask = self._tables.get("zebra")
-        if mask is None:
-            mask = np.array([g is GroundType.ZEBRA for g in self.ground], dtype=bool)
-            self._tables["zebra"] = mask
-        return mask
+        return self.layout_table(
+            "zebra",
+            lambda: np.array([g is GroundType.ZEBRA for g in self.ground], dtype=bool),
+        )
 
     def center(self, coord: Coord) -> tuple[float, float]:
         """Continuous lane-center point of a cell."""
@@ -571,15 +577,12 @@ def place_obstacles(grid: GridMap, fraction: float, rng: random.Random) -> GridM
     """
     if not 0 <= fraction <= 1:
         raise ValueError("obstruction fraction must lie in [0, 1]")
-    # the sorted sidewalk cells depend on the layout alone: listed once per
-    # layout, in the ``_tables`` dict its overlays share
-    sidewalks = grid._tables.get("sidewalks")
-    if sidewalks is None:
-        sidewalks = grid._tables["sidewalks"] = tuple(sorted(
-            (i % grid.width, i // grid.width)
-            for i, g in enumerate(grid.ground)
-            if g is GroundType.SIDEWALK
-        ))
+    # the sorted sidewalk cells depend on the layout alone
+    sidewalks = grid.layout_table("sidewalks", lambda: tuple(sorted(
+        (i % grid.width, i // grid.width)
+        for i, g in enumerate(grid.ground)
+        if g is GroundType.SIDEWALK
+    )))
     target = round(fraction * len(sidewalks))
     if target == 0:
         return grid

@@ -7,24 +7,14 @@ cells; zebras and parking lots are lawful pedestrian area.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .agents import Population, Status, floor_cells
 from .environment import GridMap, ROAD_FAMILY
-
-METRICS_COLUMNS = (
-    "step",
-    "active_walkers",
-    "active_drivers",
-    "mean_driver_speed",
-    "jaywalk_entries",
-    "walkers_on_road",
-    "collisions_vv",
-    "runovers",
-)
 
 EVENT_COLUMNS = ("step", "event_type", "agent_a", "agent_b", "x", "y")
 
@@ -41,6 +31,10 @@ class MetricsFrame:
     walkers_on_road: int
     collisions_vv: int
     runovers: int
+
+
+#: The ``metrics.csv`` columns: one per ``MetricsFrame`` field, in field order.
+METRICS_COLUMNS = tuple(f.name for f in fields(MetricsFrame))
 
 
 @dataclass
@@ -68,13 +62,12 @@ class HeatmapSet:
 
 
 def _road_mask(grid: GridMap) -> np.ndarray:
-    """Boolean array, indexed ``y * width + x``, of the road-family cells.
-    Built once per layout, in the ``_tables`` dict its overlays share."""
-    mask = grid._tables.get("road family")
-    if mask is None:
-        mask = np.array([g in ROAD_FAMILY for g in grid.ground], dtype=bool)
-        grid._tables["road family"] = mask
-    return mask
+    """Boolean array, indexed ``y * width + x``, of the road-family cells; a
+    layout table (``GridMap.layout_table``)."""
+    return grid.layout_table(
+        "road family",
+        lambda: np.array([g in ROAD_FAMILY for g in grid.ground], dtype=bool),
+    )
 
 
 def build_frame(
@@ -91,19 +84,18 @@ def build_frame(
     right in row order, so every float sum is that of a per-agent loop.
     """
     active = pop.status == Status.ACTIVE
-    drivers = active & pop.driver
-    walkers = active & ~pop.driver
-    driver_cells = floor_cells(pop.x[drivers], pop.y[drivers], grid.width)
-    speeds = pop.speed[drivers]
+    cells = floor_cells(pop.x[active], pop.y[active], grid.width)
+    driving = pop.driver[active]
+    driver_cells, walker_cells = cells[driving], cells[~driving]
+    speeds = pop.speed[active][driving]
     np.add.at(heatmaps.driver_occupancy.reshape(-1), driver_cells, 1)
     np.add.at(heatmaps.driver_speed_sum.reshape(-1), driver_cells, speeds)
-    walker_cells = floor_cells(pop.x[walkers], pop.y[walkers], grid.width)
     np.add.at(heatmaps.walker_occupancy.reshape(-1), walker_cells, 1)
     road = _road_mask(grid)
     on_road = road[walker_cells]
     np.add.at(heatmaps.jaywalk.reshape(-1), walker_cells[on_road], 1)
     # a walker on road ground entered it when its pre-step cell was not road
-    ids = pop.id[walkers][on_road]
+    ids = pop.id[active][~driving][on_road]
     at = np.searchsorted(pre_ids, ids)
     known = np.append(pre_ids, -1)[at] == ids
     entered = known & ~road[np.append(pre_flat, 0)[at]]
@@ -135,23 +127,10 @@ def _fmt(value) -> str:
 
 
 def render_metrics_csv(frames) -> str:
+    row = attrgetter(*METRICS_COLUMNS)
     lines = [",".join(METRICS_COLUMNS)]
     for f in frames:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    f.step,
-                    f.active_walkers,
-                    f.active_drivers,
-                    f.mean_driver_speed,
-                    f.jaywalk_entries,
-                    f.walkers_on_road,
-                    f.collisions_vv,
-                    f.runovers,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(v) for v in row(f)))
     return "\n".join(lines) + "\n"
 
 

@@ -109,72 +109,71 @@ def _moves(grid: GridMap, kind: str):
     since no search expands another.  Walker moves carry no risk, so their
     ``risk`` is None.  The tables read the layout alone (``ground`` and
     ``flow``), never the obstacle overlay: an obstacle's infinite cost in
-    ``GridMap.costs`` keeps every search out of it.  So they are built once
-    per layout and kind, in the ``_tables`` dict its overlays share.
+    ``GridMap.costs`` keeps every search out of it.  So they are a layout
+    table (``GridMap.layout_table``), built once per layout and kind.
     """
-    key = ("moves", kind)
-    tables = grid._tables.get(key)
-    if tables is None:
-        width, height = grid.width, grid.height
-        cell_cost = grid.ground_costs(kind)
-        inf = math.inf
-        shift, heading_bits = (0, 0) if kind == "walker" else (2, 3)
-        # (dx, dy, cell index step, the entered state's low bits) per direction
-        moves = [
-            (dx, dy, dy * width + dx, k & heading_bits)
-            for k, (dx, dy, _, _) in enumerate(DIRECTION_TABLE)
-        ]
-        rows = []
-        i = 0
-        for y in range(height):
-            for x in range(width):
-                rows.append(tuple([
-                    ((i + step) << shift) | bits
-                    for dx, dy, step, bits in moves
-                    if 0 <= x + dx < width and 0 <= y + dy < height
-                    and cell_cost[i + step] != inf
-                ]))
-                i += 1
-        if kind == "walker":
-            tables = (0, rows, None)
-        else:
-            risk = [0.0] * (width * height * 16)
-            flow, ground, road = grid.flow, grid.ground, GroundType.ROAD
-            # a move's risks per heading, by all that _classify reads: the
-            # two cells' flow, whether the target is road, turnspot and d
-            risks_of: dict = {}
-            for i, row in enumerate(rows):
-                if cell_cost[i] == math.inf:
-                    continue
-                turnspot = _turnspot(grid, i)
-                fm = flow[i]
-                for n in row:
-                    k = n & 3
-                    t = n >> 2
-                    move = (fm, flow[t], ground[t] is road, turnspot, k)
-                    risks = risks_of.get(move)
-                    if risks is None:
-                        risks = risks_of[move] = [
-                            _RISKS[a] for a in _classify(grid, i, t, k, turnspot)
-                        ]
-                    # risk[(i*4 + hd)*4 + k] for the headings hd = 0..3
-                    risk[i * 16 + k:i * 16 + 16:4] = risks
-            tables = (2, rows, risk)
-        grid._tables[key] = tables
-    return tables
+    return grid.layout_table(("moves", kind), lambda: _build_moves(grid, kind))
+
+
+def _build_moves(grid: GridMap, kind: str):
+    """The search tables that ``_moves`` returns, built from the layout."""
+    width, height = grid.width, grid.height
+    cell_cost = grid.ground_costs(kind)
+    inf = math.inf
+    shift, heading_bits = (0, 0) if kind == "walker" else (2, 3)
+    # (dx, dy, cell index step, the entered state's low bits) per direction
+    moves = [
+        (dx, dy, dy * width + dx, k & heading_bits)
+        for k, (dx, dy, _, _) in enumerate(DIRECTION_TABLE)
+    ]
+    rows = []
+    i = 0
+    for y in range(height):
+        for x in range(width):
+            rows.append(tuple([
+                ((i + step) << shift) | bits
+                for dx, dy, step, bits in moves
+                if 0 <= x + dx < width and 0 <= y + dy < height
+                and cell_cost[i + step] != inf
+            ]))
+            i += 1
+    if kind == "walker":
+        return 0, rows, None
+    risk = [0.0] * (width * height * 16)
+    flow, ground, road = grid.flow, grid.ground, GroundType.ROAD
+    # a move's risks per heading, by all that _classify reads: the
+    # two cells' flow, whether the target is road, turnspot and d
+    risks_of: dict = {}
+    for i, row in enumerate(rows):
+        if cell_cost[i] == math.inf:
+            continue
+        turnspot = _turnspot(grid, i)
+        fm = flow[i]
+        for n in row:
+            k = n & 3
+            t = n >> 2
+            move = (fm, flow[t], ground[t] is road, turnspot, k)
+            risks = risks_of.get(move)
+            if risks is None:
+                risks = risks_of[move] = [
+                    _RISKS[a] for a in _classify(grid, i, t, k, turnspot)
+                ]
+            # risk[(i*4 + hd)*4 + k] for the headings hd = 0..3
+            risk[i * 16 + k:i * 16 + 16:4] = risks
+    return 2, rows, risk
 
 
 def _coords(grid: GridMap):
     """Per-cell coordinate tables ``(xs, ys, cells)`` of the layout, indexed
-    ``y * width + x``: each cell's x, its y and its ``(x, y)`` tuple.  Built
-    once per layout, in the ``_tables`` dict its overlays share."""
-    tables = grid._tables.get("coords")
-    if tables is None:
-        width, height = grid.width, grid.height
-        xs = list(range(width)) * height
-        ys = [y for y in range(height) for _ in range(width)]
-        tables = grid._tables["coords"] = (xs, ys, list(zip(xs, ys)))
-    return tables
+    ``y * width + x``: each cell's x, its y and its ``(x, y)`` tuple.  A
+    layout table (``GridMap.layout_table``)."""
+    return grid.layout_table("coords", lambda: _build_coords(grid.width, grid.height))
+
+
+def _build_coords(width: int, height: int):
+    xs = list(range(width)) * height
+    ys = [y for y in range(height) for _ in range(width)]
+    return xs, ys, list(zip(xs, ys))
 
 
 def _turnspot(grid: GridMap, i: int) -> bool:

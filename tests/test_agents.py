@@ -24,6 +24,13 @@ def test_agent_cell_floors_positions():
     assert make_agent(1, "walker", (0.0, 2.0)).cell() == (0, 2)
 
 
+def test_extend_refuses_ids_that_do_not_ascend():
+    pop = population([])
+    with pytest.raises(ValueError, match="ascend"):
+        pop.extend([make_agent(3, "walker", (0.5, 0.5)), make_agent(2, "walker", (1.5, 0.5))])
+    assert len(pop) == 0
+
+
 def test_snapshot_returns_each_agent_as_it_went_in():
     """A snapshot gives back every field of every agent, and the very profile
     and plan objects, also after a ``keep`` and a later ``extend``."""
@@ -549,6 +556,18 @@ def test_act_replan_swaps_route_before_moving():
     assert replanned
     assert (1, 0) not in walker.plan.cells
     assert walker.position == (0.5, 1.5)  # moved along the detour already
+
+
+def test_act_leaves_the_codes_unchanged():
+    grid = grid_of("s-- s-- s--")
+    walker = make_agent(
+        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)]),
+        max_speed=1.0, goal=(2, 0),
+    )
+    for blocked in (frozenset(), {(1, 0)}):  # the replan finds a route, then none
+        codes = np.array([Decision.REPLAN])
+        act(population([walker], grid), codes, grid, blocked)
+        assert codes.tolist() == [Decision.REPLAN]
 
 
 def test_act_failed_replan_waits_in_place():

@@ -585,6 +585,37 @@ def test_plan_debug_rejects_bad_profile(tmp_path, option):
     assert result.output.startswith("config error: ")
 
 
+@pytest.mark.parametrize(
+    "kind, start, goal, options",
+    [("walker", "4,4", "18,18", []), ("driver", "2,10", "20,12", ["-w", "2", "--alpha", "1"])],
+)
+def test_plan_debug_config_plans_on_the_scenario_layout(tmp_path, kind, start, goal, options):
+    """``--config`` plans on the scenario's base map, without the run-time
+    obstruction; with a ``layout`` section and no obstruction that is the map
+    ``gen-map`` writes for the layout, so the trace bytes and the route line
+    equal those of ``--grid`` on that file."""
+    runner = CliRunner()
+    grid_file = tmp_path / "city.grid"
+    result = runner.invoke(
+        main, ["gen-map", "--blocks-x", "1", "--blocks-y", "1", "--out", str(grid_file)]
+    )
+    assert result.exit_code == 0, result.output
+    config = write_config(tmp_path, MINIMAL)
+    traces, routes = [], []
+    for source in (["--config", str(config)], ["--grid", str(grid_file)]):
+        trace_file = tmp_path / f"trace{len(traces)}.csv"
+        result = runner.invoke(
+            main,
+            ["plan-debug", *source, "--kind", kind, "--start", start, "--goal", goal,
+             *options, "--out", str(trace_file)],
+        )
+        assert result.exit_code == 0, result.output
+        traces.append(trace_file.read_bytes())
+        routes.append([ln for ln in result.output.splitlines() if ln.startswith("route:")])
+    assert traces[0] == traces[1]
+    assert routes[0] == routes[1] and len(routes[0]) == 1
+
+
 def test_plan_debug_requires_exactly_one_source(tmp_path):
     runner = CliRunner()
     result = runner.invoke(

@@ -199,10 +199,17 @@ def test_driver_parks_on_parking_goal_and_reactivates():
 
     # wrong-way travel back down the one-way street is priced, not forbidden,
     # so the parked driver can take a fresh goal at the street entrance
+    called_at = world.step_count
     assert world.reactivate(driver_id, (0, 0)) is True
     assert world.agents[driver_id].status is Status.ACTIVE
     with pytest.raises(ValueError):
         world.reactivate(driver_id, (0, 0))
+
+    # a reactivation made between steps opens the next step's events, stamped
+    # with the step count at the call, and is logged once
+    first = world.step().events[0]
+    assert (first.kind, first.agents, first.step) == ("reactivate", (driver_id,), called_at)
+    assert not any(e.kind == "reactivate" for e in world.step().events)
 
 
 def test_reactivate_unreachable_goal_reports_failure():
@@ -217,6 +224,15 @@ def test_reactivate_unreachable_goal_reports_failure():
     world.add(driver)
     assert world.reactivate(7, (3, 1)) is False
     assert world.agents[7].status is Status.PARKED
+
+
+def test_add_refuses_an_id_not_above_the_ids_present():
+    world = World(small_grid(), SimConfig(steps=1, drivers=0, seed=0))
+    world.add(make_agent(5, "walker", (0.5, 0.5)))
+    for agent_id in (3, 5):
+        with pytest.raises(ValueError, match="ascend"):
+            world.add(make_agent(agent_id, "walker", (0.5, 0.5)))
+    assert list(world.agents) == [5]
 
 
 def test_reactivate_requires_parked_driver():

@@ -239,6 +239,14 @@ def test_place_obstacles_deterministic_and_on_sidewalks_only():
         assert grid.ground_at(coord) is GroundType.SIDEWALK
 
 
+def test_place_obstacles_refuses_more_cells_than_are_free():
+    # a scenario with a grid, an obstacle list and an obstruction fraction
+    # asks for this: the list already obstructs one sidewalk cell
+    grid = grid_of("s-- s-- s-- b--").with_obstacles({(1, 0)})
+    with pytest.raises(ValueError, match="cannot obstruct 3 sidewalk cells, only 2 free"):
+        place_obstacles(grid, 1.0, random.Random(0))
+
+
 def test_place_obstacles_rejects_bad_fraction():
     grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
     with pytest.raises(ValueError):
