@@ -206,6 +206,11 @@ class Population:
         y = np.floor(self.y[mask]).astype(np.int64)
         return set(zip(x.tolist(), y.tolist()))
 
+    def blocking_cells(self) -> set:
+        """The floor cells of the inactive (parked and collided) rows: the
+        cells every plan avoids."""
+        return self.cells(self.status != Status.ACTIVE)
+
     def snapshot(self) -> dict[int, AgentState]:
         """Every agent as an ``AgentState`` by id, in row order; its profile,
         plan, goal and heading are the objects the population holds."""
@@ -356,7 +361,6 @@ def act(
     pop: Population,
     codes: np.ndarray,
     grid: GridMap,
-    statics: frozenset | set = frozenset(),
     accel: float = 1.0,
     decel: float = 1.0,
 ) -> list[int]:
@@ -364,26 +368,29 @@ def act(
     advance along the plans.
 
     ``codes`` holds one ``Decision`` code per active row, in row order, as
-    ``decide`` returns them; it is left unchanged.  ``statics`` are the cells
-    a replan avoids.  A replan plans from the row's cell to its goal, row
-    after row; its outcome is a code: a found route replaces the plan and
-    then accelerates a driver or lets a walker proceed, and a failed one (or
-    a row without a goal) keeps the old plan and stops.  Stop and yield set
-    the speed to 0, decelerate to ``max(0, speed - decel)``, accelerate to
-    ``min(max_speed, speed + accel)``, and a walker that proceeds moves at
-    ``max_speed``.  Returns the rows whose plan a replan replaced, in row
-    order.
+    ``decide`` returns them; it is left unchanged.  A replan plans from the
+    row's cell to its goal around ``pop.blocking_cells()``, taken once and
+    only when some row replans, row after row; its outcome is a code: a
+    found route replaces the plan and then accelerates a driver or lets a
+    walker proceed, and a failed one (or a row without a goal) keeps the old
+    plan and stops.  Stop and yield set the speed to 0, decelerate to
+    ``max(0, speed - decel)``, accelerate to ``min(max_speed, speed + accel)``,
+    and a walker that proceeds moves at ``max_speed``.  Returns the rows whose
+    plan a replan replaced, in row order.
     """
     rows = np.flatnonzero(pop.status == Status.ACTIVE)
     codes = codes.copy()
     replanned = []
-    for i in np.flatnonzero(codes == Decision.REPLAN).tolist():
+    replans = np.flatnonzero(codes == Decision.REPLAN).tolist()
+    # a replan moves no row and changes no status, so the set holds for all
+    blocked = pop.blocking_cells() if replans else None
+    for i in replans:
         row = int(rows[i])
         goal = pop.goals[row]
         route = None
         if goal is not None:
             route = plan(
-                grid, pop.coord(row), goal, pop.profiles[row], blocked=statics,
+                grid, pop.coord(row), goal, pop.profiles[row], blocked=blocked,
                 heading=pop.headings[row],
             )
         if route is None:

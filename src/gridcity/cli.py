@@ -19,6 +19,7 @@ import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import click
 import yaml
@@ -303,22 +304,13 @@ def _echo_config(scenario: Scenario, sim: SimConfig, out_dir: Path) -> None:
     )
 
 
-def execute_run(
-    scenario: Scenario,
-    out_dir,
-    seed: int | None = None,
-    steps: int | None = None,
-    overrides: dict | None = None,
-) -> SimulationResult:
-    """Run one scenario point and write its outputs under out_dir."""
-    sim = scenario.sim
-    changes: dict = dict(overrides or {})
-    if seed is not None:
-        changes["seed"] = seed
-    if steps is not None:
-        changes["steps"] = steps
-    if changes:
-        sim = dataclasses.replace(sim, **changes)
+def execute_run(scenario: Scenario, out_dir, **overrides) -> SimulationResult:
+    """Run one scenario point and write its outputs under out_dir.
+
+    ``overrides`` are ``SimConfig`` fields by keyword (a sweep point, a seed,
+    a step count) that replace the scenario's values for this run.
+    """
+    sim = dataclasses.replace(scenario.sim, **overrides)
     sim.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -350,15 +342,6 @@ def sweep_points(scenario: Scenario) -> list[dict]:
 
 
 @dataclass
-class RunTask:
-    scenario: Scenario
-    point: dict
-    seed: int
-    out_dir: str
-    steps: int | None
-
-
-@dataclass
 class TaskOutcome:
     point: dict
     seed: int
@@ -370,15 +353,16 @@ class TaskOutcome:
     runovers: int = 0
 
 
-def _run_task(task: RunTask) -> TaskOutcome:
-    out = Path(task.out_dir)
+def _run_task(scenario: Scenario, point: dict, seed: int, steps: int,
+              out_dir: str) -> TaskOutcome:
+    """One run of a sweep; a failure is recorded in its ``error.txt`` and its
+    outcome, and does not stop the sweep."""
+    out = Path(out_dir)
     try:
-        result = execute_run(
-            task.scenario, out, seed=task.seed, steps=task.steps, overrides=task.point
-        )
+        result = execute_run(scenario, out, seed=seed, steps=steps, **point)
         return TaskOutcome(
-            point=task.point,
-            seed=task.seed,
+            point=point,
+            seed=seed,
             ok=True,
             mean_driver_speed=result.mean_driver_speed,
             jaywalk_entries=result.total_jaywalk_entries,
@@ -390,7 +374,7 @@ def _run_task(task: RunTask) -> TaskOutcome:
         (out / "error.txt").write_text(
             f"{exc}\n\n{traceback.format_exc()}", encoding="utf-8"
         )
-        return TaskOutcome(point=task.point, seed=task.seed, ok=False, error=str(exc))
+        return TaskOutcome(point=point, seed=seed, ok=False, error=str(exc))
 
 
 def _mean_std(values: list) -> tuple[str, str]:
@@ -435,27 +419,27 @@ def execute_sweep(
 ) -> tuple[list, list]:
     """Run the sweep product x seeds; returns (points, outcomes).
 
-    Raises ConfigError when ``seeds`` repeats a seed."""
+    Each run writes under ``out_dir/<point label>/seed<seed>``; ``steps``,
+    when given, replaces the scenario's step count.  The runs go to
+    ``min(parallel, runs)`` worker processes, or run in this process when
+    that is 1.  Raises ConfigError when ``seeds`` repeats a seed."""
     seeds = list(seeds) if seeds else (scenario.seeds or [scenario.sim.seed])
     _distinct(seeds, "seeds")
     out = Path(out_dir)
     points = sweep_points(scenario)
+    steps = scenario.sim.steps if steps is None else steps
     tasks = [
-        RunTask(
-            scenario=scenario,
-            point=point,
-            seed=seed,
-            out_dir=str(out / point_label(point, scenario.sim) / f"seed{seed}"),
-            steps=steps,
-        )
+        (scenario, point, seed, steps,
+         str(out / point_label(point, scenario.sim) / f"seed{seed}"))
         for point in points
         for seed in seeds
     ]
-    if parallel > 1:
-        with multiprocessing.Pool(parallel) as pool:
-            outcomes = pool.map(_run_task, tasks)
+    workers = min(parallel, len(tasks))
+    if workers > 1:
+        with multiprocessing.Pool(workers) as pool:
+            outcomes = pool.starmap(_run_task, tasks)
     else:
-        outcomes = [_run_task(t) for t in tasks]
+        outcomes = list(itertools.starmap(_run_task, tasks))
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.csv").write_text(
         render_summary_csv(scenario, points, outcomes), encoding="utf-8", newline="\n"
@@ -471,12 +455,17 @@ def main():
     """Deterministic urban mobility simulator on a grid-encoded city."""
 
 
+def _config_error(message) -> NoReturn:
+    """Report a configuration error on stderr and exit with status 2."""
+    click.echo(f"config error: {message}", err=True)
+    sys.exit(2)
+
+
 def _load_or_exit(config_path) -> Scenario:
     try:
         return load_config(config_path)
     except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+        _config_error(exc)
 
 
 @main.command("run")
@@ -488,8 +477,10 @@ def _load_or_exit(config_path) -> Scenario:
 def run_command(config_path, seed, steps, out_dir):
     """Execute a single scenario and write metrics, events and heatmaps."""
     scenario = _load_or_exit(config_path)
+    given = {name: value for name, value in (("seed", seed), ("steps", steps))
+             if value is not None}
     try:
-        result = execute_run(scenario, out_dir, seed=seed, steps=steps)
+        result = execute_run(scenario, out_dir, **given)
     except Exception as exc:  # noqa: BLE001
         click.echo(f"run failed: {exc}", err=True)
         sys.exit(1)
@@ -517,13 +508,11 @@ def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
         try:
             seeds = [int(s) for s in seeds_csv.split(",") if s.strip()]
         except ValueError:
-            click.echo("config error: --seeds must be comma-separated integers", err=True)
-            sys.exit(2)
+            _config_error("--seeds must be comma-separated integers")
         try:
             _distinct(seeds, "--seeds")
         except ConfigError as exc:
-            click.echo(f"config error: {exc}", err=True)
-            sys.exit(2)
+            _config_error(exc)
     points, outcomes = execute_sweep(
         scenario, out_dir, seeds=seeds, parallel=parallel, steps=steps
     )
@@ -567,8 +556,7 @@ def gen_map_command(blocks_x, blocks_y, block_side, building_side, lanes,
     try:
         grid = place_obstacles(generate_layout(spec), obstruction, random.Random(seed))
     except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+        _config_error(exc)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(serialize_grid(grid), encoding="utf-8", newline="\n")
@@ -595,28 +583,22 @@ def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
                        alpha, out_path):
     """Plan one route and dump the expanded-node trace as CSV."""
     if (config_path is None) == (grid_path is None):
-        click.echo("config error: give exactly one of --config or --grid", err=True)
-        sys.exit(2)
+        _config_error("give exactly one of --config or --grid")
     if config_path is not None:
         scenario = _load_or_exit(config_path)
         grid = build_grid(scenario)
     else:
         p = Path(grid_path)
         if not p.is_file():
-            click.echo(f"config error: grid file not found: {p}", err=True)
-            sys.exit(2)
+            _config_error(f"grid file not found: {p}")
         grid = parse_grid(p.read_text(encoding="utf-8"))
 
     def parse_coord(text, name):
-        parts = text.split(",")
-        if len(parts) != 2:
-            click.echo(f"config error: {name} must be 'x,y'", err=True)
-            sys.exit(2)
         try:
-            return (int(parts[0]), int(parts[1]))
+            x, y = map(int, text.split(","))
         except ValueError:
-            click.echo(f"config error: {name} must be 'x,y'", err=True)
-            sys.exit(2)
+            _config_error(f"{name} must be 'x,y'")
+        return (x, y)
 
     start = parse_coord(start_s, "--start")
     goal = parse_coord(goal_s, "--goal")
@@ -625,8 +607,7 @@ def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
         profile = BehaviorProfile(kind=kind, w=weight, alpha=alpha)
         route = plan_route(grid, start, goal, profile, trace=trace)
     except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(2)
+        _config_error(exc)
     lines = ["step,x,y,g,h,r,f"]
     for step, x, y, g, h, r, f in trace:
         lines.append(f"{step},{x},{y},{g!r},{h},{r!r},{f!r}")

@@ -10,9 +10,12 @@ speed.  A global iterate phase then expires collision countdowns, detects
 collisions on post-move positions, retires agents that reached their goals,
 parks drivers on parking goals, optionally reactivates parked drivers, and
 spawns replacements, appended in one go; expired and retired rows leave with
-one mask.  Replans and reactivations hand ``plan`` the stored profile, goal
-and heading unchanged.  ``World.agents`` is a snapshot of ``AgentState``
-records built from the population.
+one mask.  Every plan (spawn, replan, reactivation) avoids
+``Population.blocking_cells()``, the cells of the parked and collided agents;
+replans and reactivations hand ``plan`` the stored profile, goal and heading
+unchanged.  A spawn draws its site, goal and profile from one per-kind table.
+``World.agents`` is a snapshot of ``AgentState`` records built from the
+population.
 A run is fully determined by (config, seed).
 """
 from __future__ import annotations
@@ -189,7 +192,12 @@ def _poisson(rate: float, rng: random.Random) -> int:
 
 class World:
     """Owner of the grid, the agent population (``population``, the columns),
-    and the step loop."""
+    and the step loop.
+
+    Events go to one pending list: what is logged between steps (the
+    construction's spawns in replenish mode, a ``reactivate`` call) opens
+    the next step's record with the step count at the time it was logged.
+    """
 
     def __init__(self, grid: GridMap, config: SimConfig):
         config.validate()
@@ -201,19 +209,27 @@ class World:
             grid = place_obstacles(grid, config.obstruction, random.Random(obstacle_seed))
         self.grid = grid
         self.config = config
-        self._walker_goals = [c for c in grid.walker_spawns if c not in grid.obstacles]
-        # a lone site has no distinct goal to pair with: spawn no walkers
-        # rather than draw for one in vain
-        walker_sites = [(c, None) for c in self._walker_goals]
-        self._walker_sites = walker_sites if len(walker_sites) > 1 else []
-        # an obstructed driver site is dropped the same way: no driver starts
-        # on or heads for it; a cell that is both an exit and a parking cell
-        # is one goal, listed where it first appears
-        self._driver_sites = [s for s in grid.driver_spawns if s[0] not in grid.obstacles]
-        self._driver_goals = [
+        # an obstructed site or goal is dropped: no agent starts on or heads
+        # for it; a cell that is both an exit and a parking cell is one goal,
+        # listed where it first appears
+        walker_goals = [c for c in grid.walker_spawns if c not in grid.obstacles]
+        driver_goals = [
             c for c in dict.fromkeys(grid.driver_exits + grid.parking_cells)
             if c not in grid.obstacles
         ]
+        walker_speed = config.walker_max_speed
+        if config.walker_speed_cap is not None:
+            walker_speed = min(walker_speed, config.walker_speed_cap)
+        # per kind: (cell, heading) sites, goals, w range, alpha range, max
+        # speed; a lone walker site has no distinct goal to pair with, so no
+        # walker spawns rather than draw for one in vain
+        self._spawn_table = {
+            "walker": ([(c, None) for c in walker_goals] if len(walker_goals) > 1 else [],
+                       walker_goals, config.walker_w, config.walker_alpha, walker_speed),
+            "driver": ([s for s in grid.driver_spawns if s[0] not in grid.obstacles],
+                       driver_goals, config.driver_w, config.driver_alpha,
+                       config.driver_max_speed),
+        }
         self.population = Population(grid.width)
         self.step_count = 0
         self.warnings: list[str] = []
@@ -221,30 +237,23 @@ class World:
         self._next_id = 1
         # the events of the step under way, or of the next step between steps
         self._events: list[Event] = []
-        self.initial_events: list[Event] = []
         if config.spawn_mode == "replenish":
-            self._spawn_phase(self.initial_events, 0)
+            self._spawn_phase(0)
 
     # -- population ---------------------------------------------------------
 
     def _sample_profile(self, kind: str) -> BehaviorProfile:
-        cfg = self.config
+        """Draw ``w``, then ``alpha``, from ``kind``'s ranges."""
+        _, _, w, alpha, max_speed = self._spawn_table[kind]
         rng = self.spawn_rng
-        if kind == "walker":
-            w = rng.randint(int(cfg.walker_w[0]), int(cfg.walker_w[1]))
-            alpha = rng.uniform(*cfg.walker_alpha)
-            speed = cfg.walker_max_speed
-            if cfg.walker_speed_cap is not None:
-                speed = min(speed, cfg.walker_speed_cap)
-        else:
-            w = rng.randint(int(cfg.driver_w[0]), int(cfg.driver_w[1]))
-            alpha = rng.uniform(*cfg.driver_alpha)
-            speed = cfg.driver_max_speed
-        return BehaviorProfile(kind=kind, w=float(w), alpha=alpha, max_speed=speed)
+        return BehaviorProfile(kind=kind, w=float(rng.randint(int(w[0]), int(w[1]))),
+                               alpha=rng.uniform(*alpha), max_speed=max_speed)
 
-    def _spawn(self, kind: str, sites: list, goals: list, statics) -> AgentState | None:
+    def _spawn(self, kind: str, sites: list, blocked: set) -> AgentState | None:
         """Spawn a ``kind`` agent on a random ``(cell, heading)`` site with a
-        route to a random goal; None when 10 draws find no route."""
+        route around ``blocked`` to a random goal; None when 10 draws find no
+        route."""
+        goals = self._spawn_table[kind][1]
         if not sites or not goals:
             return None
         rng = self.spawn_rng
@@ -255,7 +264,7 @@ class World:
                 continue
             profile = self._sample_profile(kind)
             route = plan(
-                self.grid, start, goal, profile, blocked=statics, heading=heading
+                self.grid, start, goal, profile, blocked=blocked, heading=heading
             )
             if route is None:
                 continue
@@ -273,15 +282,15 @@ class World:
             return agent
         return None
 
-    def _spawn_phase(self, events: list, step: int) -> int:
-        """Spawn this phase's agents and append them to the population at
-        once; returns how many were spawned."""
+    def _spawn_phase(self, step: int) -> int:
+        """Spawn this phase's agents, log their events and append them to the
+        population at once; returns how many were spawned."""
         cfg = self.config
         pop = self.population
-        active = pop.status == Status.ACTIVE
-        statics = pop.cells(~active)  # cells of inactive agents
+        blocked = pop.blocking_cells()
         occupied = pop.cells(pop.driver)  # cells that hold a driver
         if cfg.spawn_mode == "replenish":
+            active = pop.status == Status.ACTIVE
             drivers = int(np.count_nonzero(active & pop.driver))
             wanted = [
                 ("walker", cfg.walkers - (int(np.count_nonzero(active)) - drivers)),
@@ -294,14 +303,13 @@ class World:
             ]
         spawned = []
         for kind, count in wanted:
+            table_sites = self._spawn_table[kind][0]
             for _ in range(max(0, count)):
-                if kind == "walker":
-                    sites, goals = self._walker_sites, self._walker_goals
-                else:
+                sites = table_sites
+                if kind == "driver":
                     # a driver spawns only on a cell that no driver holds
-                    sites = [s for s in self._driver_sites if s[0] not in occupied]
-                    goals = self._driver_goals
-                agent = self._spawn(kind, sites, goals, statics)
+                    sites = [s for s in sites if s[0] not in occupied]
+                agent = self._spawn(kind, sites, blocked)
                 if agent is None:
                     self.warnings.append(
                         f"step {step}: could not spawn a {kind} (sites exhausted)"
@@ -310,7 +318,7 @@ class World:
                 spawned.append(agent)
                 if kind == "driver":
                     occupied.add(agent.plan.cells[0])  # the start cell
-                events.append(Event(step, "spawn", (agent.id,), *agent.position))
+                self._events.append(Event(step, "spawn", (agent.id,), *agent.position))
         pop.extend(spawned)
         return len(spawned)
 
@@ -338,10 +346,10 @@ class World:
             raise ValueError(f"agent {driver_id} is not a parked driver")
         start = pop.coord(row)
         heading = default_heading(self.grid, start)
-        statics = pop.cells(pop.status != Status.ACTIVE)
+        # taken anew each call: an earlier reactivation may have freed a cell
         route = plan(
-            self.grid, start, new_goal, pop.profiles[row], blocked=statics,
-            heading=heading,
+            self.grid, start, new_goal, pop.profiles[row],
+            blocked=pop.blocking_cells(), heading=heading,
         )
         if route is None:
             return False
@@ -359,12 +367,13 @@ class World:
     # -- stepping -----------------------------------------------------------
 
     def step(self) -> StepRecord:
+        """Advance one step: decide, act, then the iterate phase.  The
+        record's events start with those logged since the last step."""
         self.step_count += 1
         t = self.step_count
         cfg = self.config
         grid = self.grid
         pop = self.population
-        # reactivations made since the last step come first
         events = self._events
 
         # sense + react: nobody moves until every decision is made, so the
@@ -375,8 +384,7 @@ class World:
         )
 
         # act
-        statics = pop.cells(pop.status != Status.ACTIVE)
-        for row in act(pop, codes, grid, statics, accel=cfg.accel, decel=cfg.decel):
+        for row in act(pop, codes, grid, accel=cfg.accel, decel=cfg.decel):
             events.append(Event(t, "replan", (int(pop.id[row]),),
                                 float(pop.x[row]), float(pop.y[row])))
 
@@ -419,7 +427,7 @@ class World:
 
         # iterate: optional random reactivation of parked drivers
         if cfg.reactivation_prob > 0:
-            goals = self._driver_goals
+            goals = self._spawn_table["driver"][1]
             parked = np.flatnonzero(pop.status == Status.PARKED)
             for row, agent_id in zip(parked.tolist(), pop.id[parked].tolist()):
                 if goals and self.react_rng.random() < cfg.reactivation_prob:
@@ -428,7 +436,7 @@ class World:
                         self.reactivate(agent_id, goal)
 
         # iterate: replace departed agents
-        created = self._spawn_phase(events, t)
+        created = self._spawn_phase(t)
 
         frame, entry_ids = metrics_mod.build_frame(
             t, pop, pre_ids, pre_flat, events, grid, self.heatmaps
@@ -486,14 +494,11 @@ def run(config: SimConfig, grid: GridMap) -> SimulationResult:
     """
     world = World(grid, config)
     records = [world.step() for _ in range(config.steps)]
-    events = list(world.initial_events)
-    for record in records:
-        events.extend(record.events)
     return SimulationResult(
         config=config,
         grid=world.grid,
         frames=[r.frame for r in records],
-        events=events,
+        events=[e for r in records for e in r.events],
         heatmaps=world.heatmaps,
         warnings=world.warnings,
     )

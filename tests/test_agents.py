@@ -109,11 +109,21 @@ def decisions(agents, grid, lookahead=4, radius=1.0, yield_radius=1.5):
     return dict(zip(active, map(Decision, codes.tolist())))
 
 
+def blockers(cells):
+    """A collided walker on each of ``cells``, with ids from 100 on: inactive
+    rows, whose cells a replan avoids."""
+    return [
+        make_agent(100 + i, "walker", (x + 0.5, y + 0.5), status=Status.COLLIDED)
+        for i, (x, y) in enumerate(sorted(cells))
+    ]
+
+
 def act_once(agent, decision, grid, blocked=frozenset()):
-    """Apply one decision to a population of ``agent`` alone; returns whether
-    it replanned and the agent's state afterwards."""
-    pop = population([agent], grid)
-    replanned = act(pop, np.array([decision]), grid, blocked)
+    """Apply one decision to ``agent``, with a collided walker on each cell
+    of ``blocked``; returns whether it replanned and the agent's state
+    afterwards."""
+    pop = population([agent] + blockers(blocked), grid)
+    replanned = act(pop, np.array([decision]), grid)
     return bool(replanned), pop.snapshot()[agent.id]
 
 
@@ -245,8 +255,7 @@ def test_decide_matches_the_per_agent_reference(
     assert list(zip(active, map(Decision, codes.tolist()))) == list(expected.items())
     width = grid.width
     assert [(f % width, f // width) for f in pre_flat.tolist()] == [a.cell() for a in agents]
-    statics = pop.cells(pop.status != Status.ACTIVE)
-    assert statics == {a.cell() for a in agents if a.status is not Status.ACTIVE}
+    assert pop.blocking_cells() == {a.cell() for a in agents if a.status is not Status.ACTIVE}
 
 
 def _moving_population(rng: random.Random, grid: GridMap) -> list:
@@ -353,7 +362,7 @@ def test_columns_step_like_the_per_agent_reference(
         assert list(map(Decision, codes.tolist())) == expected
         pre_ids, pre_cells = pop.id, {a.id: a.cell() for a in ref}
         statics = {a.cell() for a in ref if a.status is not Status.ACTIVE}
-        assert pop.cells(pop.status != Status.ACTIVE) == statics
+        assert pop.blocking_cells() == statics
 
         try:
             replanned_ref = [
@@ -362,9 +371,9 @@ def test_columns_step_like_the_per_agent_reference(
             ]
         except ValueError:  # a driver replanning with no heading off a flow cell
             with pytest.raises(ValueError):
-                act(pop, codes, grid, statics, accel=accel, decel=decel)
+                act(pop, codes, grid, accel=accel, decel=decel)
             return
-        replanned = act(pop, codes, grid, statics, accel=accel, decel=decel)
+        replanned = act(pop, codes, grid, accel=accel, decel=decel)
         assert pop.id[replanned].tolist() == replanned_ref
         assert _kinematics(pop.snapshot().values()) == _kinematics(ref)
 
@@ -566,7 +575,7 @@ def test_act_leaves_the_codes_unchanged():
     )
     for blocked in (frozenset(), {(1, 0)}):  # the replan finds a route, then none
         codes = np.array([Decision.REPLAN])
-        act(population([walker], grid), codes, grid, blocked)
+        act(population([walker] + blockers(blocked), grid), codes, grid)
         assert codes.tolist() == [Decision.REPLAN]
 
 

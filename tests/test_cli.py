@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import itertools
+import multiprocessing
 
 import pytest
 import yaml
@@ -18,7 +20,13 @@ from gridcity.cli import (
     sweep_points,
 )
 from gridcity.engine import SimConfig
-from gridcity.environment import LayoutSpec, parse_grid
+from gridcity.environment import (
+    GroundType,
+    LayoutSpec,
+    generate_layout,
+    parse_grid,
+    serialize_grid,
+)
 from test_digests import SCENARIOS
 
 
@@ -338,7 +346,7 @@ def test_pinned_run_after_another_obstruction_of_its_layout(tmp_path):
         sim=config, layout=LayoutSpec(blocks_x=5, blocks_y=5), grid_path=None,
         obstacles_path=None,
     )
-    execute_run(scenario, tmp_path / "other", steps=5, overrides={"obstruction": 0.10})
+    execute_run(scenario, tmp_path / "other", steps=5, obstruction=0.10)
     execute_run(scenario, tmp_path / "pinned")
     digests = {
         name: hashlib.sha256((tmp_path / "pinned" / name).read_bytes()).hexdigest()
@@ -399,6 +407,108 @@ def test_sweep_parallel_matches_serial(tmp_path):
     seq = (tmp_path / "serial" / "summary.csv").read_bytes()
     par = (tmp_path / "par" / "summary.csv").read_bytes()
     assert seq == par
+
+
+def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        """Records the worker count asked for and runs the tasks here."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, tasks):
+            return list(itertools.starmap(func, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    scenario = load_config(write_config(tmp_path, dict(sweep_doc(), seeds=[1])))
+    execute_sweep(scenario, tmp_path / "eight", parallel=8)
+    assert sizes == [2]
+    execute_sweep(scenario, tmp_path / "one", parallel=1)
+    assert sizes == [2]
+    assert ((tmp_path / "eight" / "summary.csv").read_bytes()
+            == (tmp_path / "one" / "summary.csv").read_bytes())
+
+
+def overfull_obstruction_config(tmp_path, sweep=None):
+    """A grid-file scenario on the 1x1-block layout whose obstacle list holds
+    3 of its 56 sidewalk cells, so an obstruction of 1.0 cannot be placed."""
+    grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
+    (tmp_path / "map.grid").write_text(serialize_grid(grid), encoding="utf-8")
+    sidewalks = sorted(
+        (i % grid.width, i // grid.width)
+        for i, g in enumerate(grid.ground) if g is GroundType.SIDEWALK
+    )
+    assert len(sidewalks) == 56
+    (tmp_path / "obstacles.txt").write_text(
+        "".join(f"{x} {y}\n" for x, y in sidewalks[:3]), encoding="utf-8"
+    )
+    doc = {"steps": 3, "walkers": 2, "grid": "map.grid", "obstacles": "obstacles.txt",
+           "seeds": [1]}
+    if sweep is not None:
+        doc["sweep"] = sweep
+    else:
+        doc["obstruction"] = 1.0
+    return write_config(tmp_path, doc)
+
+
+OVERFULL = "cannot obstruct 56 sidewalk cells, only 53 free"
+
+
+def test_sweep_command_reports_a_failed_point_and_exits_1(tmp_path):
+    config = overfull_obstruction_config(tmp_path, sweep={"obstruction": [0, 1.0]})
+    out = tmp_path / "sweep"
+    result = CliRunner().invoke(main, ["sweep", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 1
+    assert "2 sweep points, 2 runs, 1 failed" in result.stdout
+    assert f"failed: w2_d0_o100 seed 1: {OVERFULL}\n" in result.stderr
+    assert OVERFULL in (out / "w2_d0_o100" / "seed1" / "error.txt").read_text()
+    assert (out / "w2_d0_o0" / "seed1" / "metrics.csv").is_file()
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[:4] for line in summary[1:]] == [
+        ["2", "0", "0", "1"], ["2", "0", "1", "0"]
+    ]
+
+
+def test_run_command_reports_a_failed_run_and_exits_1(tmp_path):
+    config = overfull_obstruction_config(tmp_path)
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(config), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 1
+    assert result.stderr == f"run failed: {OVERFULL}\n"
+
+
+def test_run_command_prints_at_most_five_warnings(tmp_path):
+    # 40 drivers on the 16 driver sites of a 1x1-block city: most spawns fail
+    doc = {"steps": 3, "drivers": 40, "layout": {"blocks_x": 1, "blocks_y": 1}, "seed": 1}
+    config = write_config(tmp_path, doc)
+    assert len(execute_run(load_config(config), tmp_path / "api").warnings) > 5
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(config), "--out", str(tmp_path / "o")]
+    )
+    assert result.exit_code == 0, result.output
+    warnings = [ln for ln in result.stderr.splitlines() if ln.startswith("warning: ")]
+    assert len(warnings) == 5
+    assert warnings[0].endswith("could not spawn a driver (sites exhausted)")
+
+
+def test_sweep_command_rejects_malformed_seeds(tmp_path):
+    config = write_config(tmp_path, sweep_doc())
+    result = CliRunner().invoke(
+        main, ["sweep", "--config", str(config), "--out", str(tmp_path / "s"),
+               "--seeds", "1,x"],
+    )
+    assert result.exit_code == 2
+    assert result.stderr == "config error: --seeds must be comma-separated integers\n"
+    assert not (tmp_path / "s").exists()
 
 
 def test_sweep_failure_leaves_marker_and_continues(tmp_path, monkeypatch):
@@ -614,6 +724,31 @@ def test_plan_debug_config_plans_on_the_scenario_layout(tmp_path, kind, start, g
         routes.append([ln for ln in result.output.splitlines() if ln.startswith("route:")])
     assert traces[0] == traces[1]
     assert routes[0] == routes[1] and len(routes[0]) == 1
+
+
+def test_plan_debug_unreachable_goal_writes_the_trace_and_exits_1(tmp_path):
+    grid_file = tmp_path / "split.grid"
+    grid_file.write_text("3 1\ns-- b-- s--\n")
+    trace_file = tmp_path / "trace.csv"
+    result = CliRunner().invoke(
+        main,
+        ["plan-debug", "--grid", str(grid_file), "--kind", "walker",
+         "--start", "0,0", "--goal", "2,0", "--out", str(trace_file)],
+    )
+    assert result.exit_code == 1
+    assert trace_file.read_text().splitlines()[0] == "step,x,y,g,h,r,f"
+    assert result.stdout == f"wrote 1 expansions to {trace_file}\n"
+    assert result.stderr == "no route found\n"
+
+
+def test_plan_debug_missing_grid_file_exits_2(tmp_path):
+    missing = tmp_path / "missing.grid"
+    result = CliRunner().invoke(
+        main, ["plan-debug", "--grid", str(missing), "--kind", "walker",
+               "--start", "0,0", "--goal", "1,0"],
+    )
+    assert result.exit_code == 2
+    assert result.stderr == f"config error: grid file not found: {missing}\n"
 
 
 def test_plan_debug_requires_exactly_one_source(tmp_path):

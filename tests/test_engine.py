@@ -277,6 +277,20 @@ def test_replenish_keeps_population_at_target():
     assert active_counts() == (8, 5)
 
 
+def test_construction_spawn_events_open_step_one():
+    cfg = SimConfig(steps=4, walkers=6, drivers=3, seed=5)
+    world = World(small_grid(), cfg)
+    spawned = world.agents
+    assert sorted(a.kind for a in spawned.values()) == ["driver"] * 3 + ["walker"] * 6
+    records = [world.step() for _ in range(cfg.steps)]
+    opening = records[0].events[:len(spawned)]
+    assert [(e.step, e.kind, e.agents, (e.x, e.y)) for e in opening] == [
+        (0, "spawn", (i,), a.position) for i, a in spawned.items()
+    ]
+    assert all(e.step == 1 for e in records[0].events[len(opening):])
+    assert run(cfg, small_grid()).events == [e for r in records for e in r.events]
+
+
 def test_poisson_mode_rate_zero_spawns_nothing():
     cfg = SimConfig(
         steps=10, spawn_mode="poisson", walker_rate=0.0, driver_rate=0.0, seed=2
@@ -419,8 +433,9 @@ def test_obstructed_driver_sites_are_dropped():
     cfg = SimConfig(steps=50, drivers=10, seed=1)
     for obstacle in (grid.driver_spawns[0][0], grid.driver_exits[0]):
         world = World(grid.with_obstacles({obstacle}), cfg)
-        assert obstacle not in [site for site, _ in world._driver_sites]
-        assert obstacle not in world._driver_goals
+        sites, goals, *_ = world._spawn_table["driver"]
+        assert obstacle not in [site for site, _ in sites]
+        assert obstacle not in goals
         for _ in range(cfg.steps):
             world.step()
             for a in world.agents.values():
@@ -433,7 +448,8 @@ def test_obstructed_driver_sites_are_dropped():
     lot = grid_of("rE- rE- pE- pE-")
     assert lot.parking_cells == ((2, 0), (3, 0))
     world = World(lot.with_obstacles({(2, 0)}), SimConfig(steps=1, drivers=1, seed=0))
-    assert (2, 0) not in world._driver_goals and (3, 0) in world._driver_goals
+    goals = world._spawn_table["driver"][1]
+    assert (2, 0) not in goals and (3, 0) in goals
 
 
 def test_driver_goal_on_an_exit_and_a_parking_cell_is_listed_once():
@@ -442,7 +458,7 @@ def test_driver_goal_on_an_exit_and_a_parking_cell_is_listed_once():
     lot = grid_of("rE- rE- pE- pE-")
     assert lot.driver_exits == ((3, 0),) and lot.parking_cells == ((2, 0), (3, 0))
     world = World(lot, SimConfig(steps=1, drivers=1, seed=0))
-    assert world._driver_goals == [(3, 0), (2, 0)]
+    assert world._spawn_table["driver"][1] == [(3, 0), (2, 0)]
 
 
 STALL_STEPS = 50
