@@ -71,9 +71,6 @@ class AgentState:
         """'walker' or 'driver': the kind of the agent's profile."""
         return self.profile.kind
 
-    def cell(self) -> Coord:
-        return (int(math.floor(self.position[0])), int(math.floor(self.position[1])))
-
 
 def floor_cells(x: np.ndarray, y: np.ndarray, width: int) -> np.ndarray:
     """The flat index ``y * width + x`` of the cell each point lies on."""

@@ -504,11 +504,13 @@ def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
     """Execute the scenario's sweep grid across seeds and summarize."""
     scenario = _load_or_exit(config_path)
     seeds = None
-    if seeds_csv:
+    if seeds_csv is not None:
         try:
             seeds = [int(s) for s in seeds_csv.split(",") if s.strip()]
         except ValueError:
             _config_error("--seeds must be comma-separated integers")
+        if not seeds:  # execute_sweep reads no seeds as the scenario's own
+            _config_error("--seeds must name at least one seed")
         try:
             _distinct(seeds, "--seeds")
         except ConfigError as exc:

@@ -17,6 +17,10 @@ only when alpha is non-zero.  Open states pop by ``(f, h, counter)``; each
 expansion keeps its best new entry out of the heap and takes the next state
 with ``heappushpop``, which pops what ``heappop`` over every entry would pop
 (see ``_search``), so a greedy run of expansions never touches the heap.
+
+``plan`` remembers the answer to each query made around no blocked cell and
+without a trace, per layout and obstacle overlay (see ``plan``): the runs of
+a sweep at one seed repeat most of their construction plans.
 """
 from __future__ import annotations
 
@@ -247,6 +251,12 @@ def default_heading(grid: GridMap, cell: Coord) -> Direction:
     raise ValueError(f"cell {cell} has no flow direction to derive a heading from")
 
 
+# The most plans one layout's memo holds (about 1 KB each); a full memo is
+# emptied.  _MISS marks a query not yet answered, since None is an answer.
+_MEMO_SIZE = 4096
+_MISS = object()
+
+
 def plan(
     grid: GridMap,
     start: Coord,
@@ -263,6 +273,17 @@ def plan(
     may pass a set that holds it.  A blocked goal can never be entered, so it
     gets None without a search.  ``trace``, when given a list, receives
     one (step, x, y, g, h, r, f) tuple per node expansion.
+
+    A query with no blocked cell (after the start is dropped) and no
+    ``trace`` is answered once per layout: its answer, a ``Plan`` or None,
+    is remembered in the layout table ``"plans"`` under ``(grid.obstacles,
+    kind, start state, goal cell, w, alpha)``, which holds all that the
+    search reads besides the layout itself (alpha is 0.0 for a walker, and a
+    driver's start state holds its heading).  Every overlay of the layout
+    shares the memo, so the runs of a sweep that place the same agents
+    share their plans.  A ``Plan`` is frozen, so one object may serve many
+    agents.  The memo holds at most ``_MEMO_SIZE`` answers and is emptied
+    when full.  A blocked or traced query always searches.
     """
     if not grid.in_bounds(start) or not grid.in_bounds(goal):
         raise ValueError("start and goal must lie inside the grid")
@@ -279,14 +300,23 @@ def plan(
     if gi in blocked_idx:
         return None
 
-    if profile.kind == "walker":  # no walker move carries risk, whatever alpha
-        return _search(grid, "walker", si, gi, profile.w, 0.0, blocked_idx, trace)
-    if heading is None:
-        heading = default_heading(grid, start)
-    return _search(
-        grid, "driver", (si << 2) | DIRECTION_ORDER.index(heading), gi,
-        profile.w, profile.alpha, blocked_idx, trace,
-    )
+    kind = profile.kind
+    if kind == "walker":  # no walker move carries risk, whatever alpha
+        s0, alpha = si, 0.0
+    else:
+        if heading is None:
+            heading = default_heading(grid, start)
+        s0, alpha = (si << 2) | DIRECTION_ORDER.index(heading), profile.alpha
+    if blocked_idx or trace is not None:
+        return _search(grid, kind, s0, gi, profile.w, alpha, blocked_idx, trace)
+    memo = grid.layout_table("plans", dict)
+    key = (grid.obstacles, kind, s0, gi, profile.w, alpha)
+    found = memo.get(key, _MISS)
+    if found is _MISS:
+        if len(memo) >= _MEMO_SIZE:
+            memo.clear()
+        found = memo[key] = _search(grid, kind, s0, gi, profile.w, alpha, blocked_idx, None)
+    return found
 
 
 def _search(grid, kind, s0, gi, w, alpha, blocked, trace):

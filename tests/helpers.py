@@ -7,6 +7,7 @@ import random
 
 from gridcity.environment import (
     CellCode,
+    Coord,
     DIRECTION_ORDER,
     FLOW_GROUNDS,
     GridMap,
@@ -132,6 +133,11 @@ def make_agent(
         status=status,
         goal=goal,
     )
+
+
+def cell_of(agent: AgentState) -> Coord:
+    """The cell an agent's position lies on."""
+    return (int(math.floor(agent.position[0])), int(math.floor(agent.position[1])))
 
 
 def population(agents, grid: GridMap | None = None) -> Population:

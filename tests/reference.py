@@ -44,6 +44,7 @@ from gridcity.planner import (
     _turnspot,
     default_heading,
 )
+from helpers import cell_of
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def sense(
                         vehicle_conflict = True
                 break
         if not active:
-            cell = other.cell()
+            cell = cell_of(other)
             if cell in window:
                 blocked.add(cell)
         elif zebra_centers and not pedestrian_near_zebra and other.kind == "walker":
@@ -143,7 +144,7 @@ def sense(
 def react_walker(agent: AgentState, perception: Perception, grid: GridMap) -> Decision:
     """Stop for active vehicles, except on a zebra where the walker has
     right-of-way; replan around inactive blockers; otherwise proceed."""
-    on_zebra = grid.ground_at(agent.cell()) is GroundType.ZEBRA
+    on_zebra = grid.ground_at(cell_of(agent)) is GroundType.ZEBRA
     if on_zebra:
         return Decision.REPLAN if perception.blocked_cells else Decision.PROCEED
     if perception.vehicle_conflict:
@@ -202,7 +203,7 @@ def act(
         if agent.goal is not None:
             new_plan = planner.plan(
                 grid,
-                agent.cell(),
+                cell_of(agent),
                 agent.goal,
                 agent.profile,
                 blocked=blocked,
@@ -320,7 +321,7 @@ def build_frame(
     for agent in agents.values():
         if agent.status is not Status.ACTIVE:
             continue
-        cell = agent.cell()
+        cell = cell_of(agent)
         x, y = cell
         if agent.kind == "driver":
             active_drivers += 1

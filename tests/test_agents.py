@@ -12,7 +12,9 @@ from gridcity.agents import Decision, Status, act, decide
 from gridcity.engine import detect_collisions
 from gridcity.environment import CellCode, Direction, GridMap, GroundType
 from gridcity.metrics import HeatmapSet, build_frame
-from helpers import grid_of, make_agent, population, random_grid, rows_of, straight_plan
+from helpers import (
+    cell_of, grid_of, make_agent, population, random_grid, rows_of, straight_plan,
+)
 import reference
 from reference import react_driver, react_walker, sense
 
@@ -20,8 +22,8 @@ N, E = Direction.NORTH, Direction.EAST
 
 
 def test_agent_cell_floors_positions():
-    assert make_agent(1, "walker", (3.9, 0.1)).cell() == (3, 0)
-    assert make_agent(1, "walker", (0.0, 2.0)).cell() == (0, 2)
+    assert cell_of(make_agent(1, "walker", (3.9, 0.1))) == (3, 0)
+    assert cell_of(make_agent(1, "walker", (0.0, 2.0))) == (0, 2)
 
 
 def test_extend_refuses_ids_that_do_not_ascend():
@@ -254,8 +256,8 @@ def test_decide_matches_the_per_agent_reference(
     active = pop.id[pop.status == Status.ACTIVE].tolist()
     assert list(zip(active, map(Decision, codes.tolist()))) == list(expected.items())
     width = grid.width
-    assert [(f % width, f // width) for f in pre_flat.tolist()] == [a.cell() for a in agents]
-    assert pop.blocking_cells() == {a.cell() for a in agents if a.status is not Status.ACTIVE}
+    assert [(f % width, f // width) for f in pre_flat.tolist()] == [cell_of(a) for a in agents]
+    assert pop.blocking_cells() == {cell_of(a) for a in agents if a.status is not Status.ACTIVE}
 
 
 def _moving_population(rng: random.Random, grid: GridMap) -> list:
@@ -360,8 +362,8 @@ def test_columns_step_like_the_per_agent_reference(
         ]
         codes, pre_flat = decide(pop, grid, lookahead, radius, yield_radius)
         assert list(map(Decision, codes.tolist())) == expected
-        pre_ids, pre_cells = pop.id, {a.id: a.cell() for a in ref}
-        statics = {a.cell() for a in ref if a.status is not Status.ACTIVE}
+        pre_ids, pre_cells = pop.id, {a.id: cell_of(a) for a in ref}
+        statics = {cell_of(a) for a in ref if a.status is not Status.ACTIVE}
         assert pop.blocking_cells() == statics
 
         try:

@@ -355,6 +355,29 @@ def test_pinned_run_after_another_obstruction_of_its_layout(tmp_path):
     assert digests == expected
 
 
+RUN_CSVS = ("metrics.csv", "events.csv", "heatmap_driver_occupancy.csv",
+            "heatmap_driver_speed.csv", "heatmap_walker_occupancy.csv", "heatmap_jaywalk.csv")
+
+
+def test_a_run_writes_the_same_bytes_whatever_ran_before_it(tmp_path):
+    # the 4-walker point at seed 1 plans the first 4 of the 6-walker point's
+    # walkers, and its plans stay remembered on the cached layout
+    import gridcity.cli as cli_mod
+
+    doc = {"steps": 20, "walkers": 4, "drivers": 2, "seed": 1,
+           "layout": {"blocks_x": 2, "blocks_y": 1}}
+    scenario = load_config(write_config(tmp_path, doc))
+    execute_run(scenario, tmp_path / "before")
+    grid = build_grid(scenario)
+    assert grid.layout_table("plans", dict)
+    execute_run(scenario, tmp_path / "after", walkers=6)
+    cli_mod._layout.cache_clear()
+    assert build_grid(scenario) is not grid
+    execute_run(scenario, tmp_path / "fresh", walkers=6)
+    for name in RUN_CSVS:
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
 def test_steps_override(tmp_path):
     scenario = load_config(write_config(tmp_path, MINIMAL))
     result = execute_run(scenario, tmp_path / "o", steps=3)
@@ -508,6 +531,19 @@ def test_sweep_command_rejects_malformed_seeds(tmp_path):
     )
     assert result.exit_code == 2
     assert result.stderr == "config error: --seeds must be comma-separated integers\n"
+    assert not (tmp_path / "s").exists()
+
+
+@pytest.mark.parametrize("seeds", [",", ""])
+def test_sweep_command_refuses_an_empty_seed_list(tmp_path, seeds):
+    # a given --seeds that names no seed must not run the scenario's own
+    config = write_config(tmp_path, dict(sweep_doc(), seeds=[4, 5]))
+    result = CliRunner().invoke(
+        main, ["sweep", "--config", str(config), "--out", str(tmp_path / "s"),
+               "--seeds", seeds],
+    )
+    assert result.exit_code == 2
+    assert result.stderr == "config error: --seeds must name at least one seed\n"
     assert not (tmp_path / "s").exists()
 
 

@@ -14,7 +14,7 @@ from gridcity.engine import (
 )
 from gridcity.environment import GroundType, LayoutSpec, generate_layout
 from gridcity.metrics import render_events_csv, render_heatmap_csv, render_metrics_csv
-from helpers import grid_of, make_agent, population, straight_plan
+from helpers import cell_of, grid_of, make_agent, population, straight_plan
 
 SMALL = LayoutSpec(blocks_x=2, blocks_y=2)
 
@@ -195,7 +195,7 @@ def test_driver_parks_on_parking_goal_and_reactivates():
     assert parked
     agent = world.agents[driver_id]
     assert agent.status is Status.PARKED
-    assert agent.cell() == (3, 0)
+    assert cell_of(agent) == (3, 0)
 
     # wrong-way travel back down the one-way street is priced, not forbidden,
     # so the parked driver can take a fresh goal at the street entrance

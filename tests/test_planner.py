@@ -22,6 +22,7 @@ from gridcity.planner import (
     driver_risk,
     manhattan,
     plan,
+    _MEMO_SIZE,
     _coords,
     _moves,
 )
@@ -428,6 +429,90 @@ def test_obstacle_overlay_shares_layout_tables_not_costs():
         assert _moves(overlay, profile.kind) is _moves(grid, profile.kind)
         assert _coords(overlay) is _coords(grid)
         assert overlay.costs(profile.kind) is not grid.costs(profile.kind)
+
+
+# -- the plan memo ----------------------------------------------------------------
+
+
+def _city_queries(grid):
+    """A walker and a driver query of a generated layout, as (start, goal,
+    profile, heading)."""
+    (driver_start, heading), driver_goal = grid.driver_spawns[0], grid.driver_exits[0]
+    return [
+        (grid.walker_spawns[0], grid.walker_spawns[-1], BehaviorProfile(kind="walker", w=2.0), None),
+        (driver_start, driver_goal, BehaviorProfile(kind="driver", w=3.0, alpha=1.5), heading),
+    ]
+
+
+def test_a_repeated_query_gets_the_remembered_plan():
+    spec = LayoutSpec(blocks_x=1, blocks_y=1)
+    grid = generate_layout(spec)
+    for start, goal, profile, heading in _city_queries(grid):
+        first = plan(grid, start, goal, profile, heading=heading)
+        assert plan(grid, start, goal, profile, heading=heading) is first
+        assert plan(grid.with_obstacles(()), start, goal, profile, heading=heading) is first
+        # an unremembered search on a layout of its own gives the same plan
+        assert plan(generate_layout(spec), start, goal, profile, heading=heading) == first
+
+
+def test_a_traced_query_searches_and_fills_its_trace():
+    grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
+    for start, goal, profile, heading in _city_queries(grid):
+        remembered = plan(grid, start, goal, profile, heading=heading)
+        trace = []
+        traced = plan(grid, start, goal, profile, heading=heading, trace=trace)
+        assert traced == remembered and traced is not remembered
+        assert len(trace) == remembered.expansions
+
+
+def test_a_blocked_query_searches():
+    grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
+    memo = grid.layout_table("plans", dict)
+    for start, goal, profile, heading in _city_queries(grid):
+        remembered = plan(grid, start, goal, profile, heading=heading)
+        size = len(memo)
+        # a blocked cell off the route changes nothing but the search
+        off_route = next(c for c in grid.walker_spawns if c not in remembered.cells)
+        searched = plan(grid, start, goal, profile, blocked={off_route}, heading=heading)
+        assert searched == remembered and searched is not remembered
+        assert len(memo) == size
+
+
+def test_each_obstacle_overlay_gets_its_own_plans():
+    grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
+    for start, goal, profile, heading in _city_queries(grid):
+        route = plan(grid, start, goal, profile, heading=heading).cells
+        off_route = next(c for c in grid.walker_spawns if c not in route)
+        overlay_a = grid.with_obstacles({off_route})
+        remembered = plan(overlay_a, start, goal, profile, heading=heading)
+        crossed = remembered.cells[len(remembered) // 2]
+        overlay_b = grid.with_obstacles({crossed})
+        detour = plan(overlay_b, start, goal, profile, heading=heading)
+        assert detour is not None and crossed not in detour.cells
+        assert plan(overlay_a, start, goal, profile, heading=heading) is remembered
+
+
+def test_a_driver_heading_gets_its_own_plan():
+    # facing south the driver loops around the ring; facing north it drives on
+    ring = grid_of("s-- rN-", "tN- tSN", "tE- tW-")
+    driver = BehaviorProfile(kind="driver", alpha=5.0)
+    south = plan(ring, (1, 1), (1, 0), driver, heading=S)
+    north = plan(ring, (1, 1), (1, 0), driver, heading=N)
+    assert south.cells == ((1, 1), (1, 2), (0, 2), (0, 1), (1, 1), (1, 0))
+    assert north.cells == ((1, 1), (1, 0))
+    assert plan(ring, (1, 1), (1, 0), driver, heading=S) is south
+
+
+def test_a_full_memo_is_emptied():
+    grid = uniform_sidewalk(4)
+    memo = grid.layout_table("plans", dict)
+    # start == goal: each weight is a distinct one-expansion query
+    for w in range(1, _MEMO_SIZE + 1):
+        plan(grid, (0, 0), (0, 0), BehaviorProfile(kind="walker", w=w))
+    assert len(memo) == _MEMO_SIZE
+    last = plan(grid, (1, 1), (2, 2), BehaviorProfile(kind="walker"))
+    assert list(memo.values()) == [last]
+    assert plan(grid, (1, 1), (2, 2), BehaviorProfile(kind="walker")) is last
 
 
 _SHARED_SPECS = (LayoutSpec(blocks_x=1, blocks_y=1), LayoutSpec(blocks_x=2, blocks_y=2))
