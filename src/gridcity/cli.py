@@ -422,7 +422,12 @@ def execute_sweep(
     Each run writes under ``out_dir/<point label>/seed<seed>``; ``steps``,
     when given, replaces the scenario's step count.  The runs go to
     ``min(parallel, runs)`` worker processes, or run in this process when
-    that is 1.  Raises ConfigError when ``seeds`` repeats a seed."""
+    that is 1.  They run seed by seed in the order given, then obstruction by
+    obstruction in declaration order, with the points in declaration order
+    within: the runs of one seed and obstruction place the same obstacles and
+    spawn the same first agents, so a worker's plan memo serves their
+    construction plans.  The outcomes come back point by point, with the
+    seeds inner.  Raises ConfigError when ``seeds`` repeats a seed."""
     seeds = list(seeds) if seeds else (scenario.seeds or [scenario.sim.seed])
     _distinct(seeds, "seeds")
     out = Path(out_dir)
@@ -434,12 +439,21 @@ def execute_sweep(
         for point in points
         for seed in seeds
     ]
+    default = scenario.sim.obstruction
+    obstructions = scenario.sweep.get("obstruction", [default])
+    order = sorted(range(len(tasks)), key=lambda i: (
+        seeds.index(tasks[i][2]),
+        obstructions.index(tasks[i][1].get("obstruction", default))))
+    ordered = [tasks[i] for i in order]
     workers = min(parallel, len(tasks))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            outcomes = pool.starmap(_run_task, tasks)
+            done = pool.starmap(_run_task, ordered)
     else:
-        outcomes = list(itertools.starmap(_run_task, tasks))
+        done = list(itertools.starmap(_run_task, ordered))
+    outcomes = [None] * len(tasks)
+    for i, outcome in zip(order, done):
+        outcomes[i] = outcome
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.csv").write_text(
         render_summary_csv(scenario, points, outcomes), encoding="utf-8", newline="\n"

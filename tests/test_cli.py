@@ -432,14 +432,15 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert seq == par
 
 
-def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch):
-    sizes = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replaces ``multiprocessing.Pool`` by one that runs the tasks here and
+    records the worker count asked for and the task list it receives."""
+    record = {"sizes": [], "tasks": []}
 
     class InProcessPool:
-        """Records the worker count asked for and runs the tasks here."""
-
         def __init__(self, processes):
-            sizes.append(processes)
+            record["sizes"].append(processes)
 
         def __enter__(self):
             return self
@@ -448,9 +449,15 @@ def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch):
             return False
 
         def starmap(self, func, tasks):
+            record["tasks"].append(list(tasks))
             return list(itertools.starmap(func, tasks))
 
     monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return record
+
+
+def test_sweep_starts_no_more_workers_than_runs(tmp_path, in_process_pool):
+    sizes = in_process_pool["sizes"]
     scenario = load_config(write_config(tmp_path, dict(sweep_doc(), seeds=[1])))
     execute_sweep(scenario, tmp_path / "eight", parallel=8)
     assert sizes == [2]
@@ -458,6 +465,41 @@ def test_sweep_starts_no_more_workers_than_runs(tmp_path, monkeypatch):
     assert sizes == [2]
     assert ((tmp_path / "eight" / "summary.csv").read_bytes()
             == (tmp_path / "one" / "summary.csv").read_bytes())
+
+
+def test_sweep_runs_seed_by_seed_then_obstruction_by_obstruction(
+        tmp_path, monkeypatch, in_process_pool):
+    import gridcity.cli as cli_mod
+
+    ran = []
+    run_task = cli_mod._run_task
+
+    def recording(scenario, point, seed, steps, out_dir):
+        ran.append((seed, point["obstruction"], point["walkers"]))
+        return run_task(scenario, point, seed, steps, out_dir)
+
+    monkeypatch.setattr(cli_mod, "_run_task", recording)
+    doc = dict(MINIMAL, steps=3,
+               sweep={"walkers": [2, 4], "obstruction": [0, 0.1]}, seeds=[1, 2])
+    scenario = load_config(write_config(tmp_path, doc))
+    expected = [(seed, obstruction, walkers) for seed in (1, 2)
+                for obstruction in (0, 0.1) for walkers in (2, 4)]
+
+    points, outcomes = execute_sweep(scenario, tmp_path / "serial")
+    assert ran == expected
+    assert [(o.point, o.seed) for o in outcomes] == [(p, s) for p in points for s in (1, 2)]
+    assert all(o.ok for o in outcomes)
+
+    ran.clear()
+    points, outcomes = execute_sweep(scenario, tmp_path / "pool", parallel=2)
+    assert in_process_pool["sizes"] == [2]
+    [tasks] = in_process_pool["tasks"]
+    assert [(seed, point["obstruction"], point["walkers"])
+            for _, point, seed, _, _ in tasks] == expected
+    assert ran == expected
+    assert [(o.point, o.seed) for o in outcomes] == [(p, s) for p in points for s in (1, 2)]
+    assert ((tmp_path / "serial" / "summary.csv").read_bytes()
+            == (tmp_path / "pool" / "summary.csv").read_bytes())
 
 
 def overfull_obstruction_config(tmp_path, sweep=None):
