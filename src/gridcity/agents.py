@@ -22,7 +22,8 @@ from itertools import compress
 
 import numpy as np
 
-from .environment import Coord, Direction, DIRECTION_ORDER, DIRECTION_TABLE, GridMap
+from .environment import (Coord, Direction, DIRECTION_ORDER, DIRECTION_TABLE, GridMap,
+                          GroundType)
 from .planner import BehaviorProfile, Plan, plan
 
 
@@ -95,8 +96,8 @@ class Population:
     ``Status`` code; ``x`` and ``y``, the position; ``speed``; ``cursor``,
     the index of the next plan cell to reach; ``countdown``; ``max_speed``;
     and ``route``, each plan's cells as flat indices, ``plan_len`` of them (0
-    without a plan), the rest of the row -1, written once when the plan is
-    assigned.  The facts ``plan`` takes are kept per row as the objects it
+    without a plan), the rest of the row -1, written by ``_write_plans`` with
+    the plan.  The facts ``plan`` takes are kept per row as the objects it
     takes, in four lists: ``plans``, each row's ``Plan`` or None;
     ``profiles``, the ``BehaviorProfile`` the agent spawned with; ``goals``,
     an ``(x, y)`` cell or None; and ``headings``, a ``Direction`` or None.
@@ -122,14 +123,6 @@ class Population:
     def __len__(self) -> int:
         return len(self.id)
 
-    def _fit_route(self, length: int) -> None:
-        """Widen ``route`` to hold a plan of ``length`` cells."""
-        have = self.route.shape[1]
-        if length > have:
-            wider = np.full((len(self.route), length), -1, dtype=np.int32)
-            wider[:, :have] = self.route
-            self.route = wider
-
     def extend(self, states) -> None:
         """Append one row per ``AgentState``, in order; their ids must ascend
         past every id present."""
@@ -139,14 +132,12 @@ class Population:
         last = int(self.id[-1]) if len(self.id) else -math.inf
         if any(b <= a for a, b in zip([last] + ids, ids)):
             raise ValueError(f"agent ids must ascend past {last}, got {ids}")
-        width = self.width
-        plans = [a.plan for a in states]
-        # one pass over the agents gives each new row's values in column order
+        # one pass over the agents gives each new row's values in column
+        # order, without a plan until _write_plans gives it one
         rows = [
             (a.id, a.profile.kind == "driver", a.status, a.position[0],
-             a.position[1], a.speed, a.cursor, a.countdown, a.profile.max_speed,
-             0 if p is None else len(p))
-            for a, p in zip(states, plans)
+             a.position[1], a.speed, a.cursor, a.countdown, a.profile.max_speed, 0)
+            for a in states
         ]
         n = len(self.id)
         for (name, dtype), values in zip(self._COLUMNS, zip(*rows)):
@@ -154,19 +145,33 @@ class Population:
             column[:n] = getattr(self, name)
             column[n:] = values
             setattr(self, name, column)
-        # the plans' flat cells, row after row, fill each new row's first
-        # plan_len slots of the route block
-        lengths = self.plan_len[n:]
-        self._fit_route(int(lengths.max()))
-        block = np.full((len(rows), self.route.shape[1]), -1, dtype=np.int32)
-        block[np.arange(block.shape[1]) < lengths[:, None]] = [
-            y * width + x for p in plans if p is not None for x, y in p.cells
-        ]
-        self.route = np.concatenate((self.route, block))
-        self.plans += plans
+        blank = np.full((len(rows), self.route.shape[1]), -1, dtype=np.int32)
+        self.route = np.concatenate((self.route, blank))
+        self.plans += [None] * len(rows)
         self.profiles += [a.profile for a in states]
         self.goals += [a.goal for a in states]
         self.headings += [a.heading for a in states]
+        self._write_plans(slice(n, None), [a.plan for a in states])
+
+    def _write_plans(self, rows, plans) -> None:
+        """Give the rows of the slice ``rows`` the plans ``plans``, each a
+        ``Plan`` or None, in order: the one writer of a row's ``plans`` entry,
+        ``plan_len`` and ``route`` cells.  ``route`` widens to hold the longest
+        plan."""
+        lengths = np.array([0 if p is None else len(p) for p in plans])
+        wider = lengths.max() - self.route.shape[1]
+        if wider > 0:
+            self.route = np.pad(self.route, ((0, 0), (0, wider)), constant_values=-1)
+        # the plans' flat cells, one after another, fill each row's first
+        # plan_len slots
+        block = np.full((len(lengths), self.route.shape[1]), -1, dtype=np.int32)
+        width = self.width
+        block[np.arange(block.shape[1]) < lengths[:, None]] = [
+            y * width + x for p in plans if p is not None for x, y in p.cells
+        ]
+        self.route[rows] = block
+        self.plan_len[rows] = lengths
+        self.plans[rows] = plans
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows where ``mask`` is False."""
@@ -179,13 +184,7 @@ class Population:
 
     def set_plan(self, row: int, route: Plan) -> None:
         """Give ``row`` the plan ``route``, with its cursor at 1."""
-        n = len(route)
-        width = self.width
-        self._fit_route(n)
-        self.route[row, :n] = [y * width + x for x, y in route.cells]
-        self.route[row, n:] = -1
-        self.plan_len[row] = n
-        self.plans[row] = route
+        self._write_plans(slice(row, row + 1), [route])
         self.cursor[row] = 1
 
     def row_of(self, agent_id: int) -> int | None:
@@ -244,7 +243,8 @@ def decide(
     cell as a flat index (``floor_cells``).
 
     An active agent perceives the agents near its window, its next
-    ``lookahead`` plan cells.  Another agent is in the window when its
+    ``lookahead`` plan cells, no more than the width of ``pop.route`` that
+    holds every plan.  Another agent is in the window when its
     distance to some window cell center is strictly below ``radius``; the
     nearest such slot of an active agent is the conflict slot.  An inactive
     agent on a window cell blocks the window.  A driver also looks for active
@@ -268,6 +268,7 @@ def decide(
     ``c +- ceil(r)``.  Distances are
     ``dx*dx + dy*dy`` in float64, in the same order as a per-agent loop.
     """
+    lookahead = min(lookahead, pop.route.shape[1])
     width = grid.width
     flat = floor_cells(pop.x, pop.y, width)
     is_active = pop.status == Status.ACTIVE
@@ -287,7 +288,7 @@ def decide(
     win_y, win_x = np.divmod(win, width)
     center_x = win_x + grid.lane_offsets[0]
     center_y = win_y + grid.lane_offsets[1]
-    zebras = grid.zebra_mask()
+    zebras = grid.ground_mask(GroundType.ZEBRA)
     zebra_slot = valid & zebras[win]
     driving = is_driver[rows]
 

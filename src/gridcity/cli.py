@@ -341,16 +341,26 @@ def sweep_points(scenario: Scenario) -> list[dict]:
     return [dict(zip(keys, combo)) for combo in products]
 
 
+#: The ``summary.csv`` metrics as ``(column, SimulationResult attribute)``
+#: pairs, in column order; each column gets a ``_mean`` and a ``_std``.
+SUMMARY_METRICS = (
+    ("mean_driver_speed", "mean_driver_speed"),
+    ("jaywalk_entries", "total_jaywalk_entries"),
+    ("collisions_vv", "total_collisions_vv"),
+    ("runovers", "total_runovers"),
+)
+
+
 @dataclass
 class TaskOutcome:
+    """One sweep run: its point and seed, whether it ran, and its
+    ``SUMMARY_METRICS`` values in order (empty when it failed)."""
+
     point: dict
     seed: int
     ok: bool
     error: str = ""
-    mean_driver_speed: float | None = None
-    jaywalk_entries: int = 0
-    collisions_vv: int = 0
-    runovers: int = 0
+    values: tuple = ()
 
 
 def _run_task(scenario: Scenario, point: dict, seed: int, steps: int,
@@ -360,15 +370,8 @@ def _run_task(scenario: Scenario, point: dict, seed: int, steps: int,
     out = Path(out_dir)
     try:
         result = execute_run(scenario, out, seed=seed, steps=steps, **point)
-        return TaskOutcome(
-            point=point,
-            seed=seed,
-            ok=True,
-            mean_driver_speed=result.mean_driver_speed,
-            jaywalk_entries=result.total_jaywalk_entries,
-            collisions_vv=result.total_collisions_vv,
-            runovers=result.total_runovers,
-        )
+        values = tuple(getattr(result, attr) for _, attr in SUMMARY_METRICS)
+        return TaskOutcome(point=point, seed=seed, ok=True, values=values)
     except Exception as exc:  # noqa: BLE001 - the sweep must keep going
         out.mkdir(parents=True, exist_ok=True)
         (out / "error.txt").write_text(
@@ -386,27 +389,22 @@ def _mean_std(values: list) -> tuple[str, str]:
 
 
 def render_summary_csv(scenario: Scenario, points: list, outcomes: list) -> str:
-    header = (
-        "walkers,drivers,obstruction,seeds,"
-        "mean_driver_speed_mean,mean_driver_speed_std,"
-        "jaywalk_entries_mean,jaywalk_entries_std,"
-        "collisions_vv_mean,collisions_vv_std,"
-        "runovers_mean,runovers_std"
-    )
-    lines = [header]
+    """One row per point: its walkers, drivers and obstruction, its count of
+    runs that ran, and the mean and sample std of each ``SUMMARY_METRICS``
+    column over those runs, a run without a value (None) left out; a column
+    with no value is empty."""
+    header = ["walkers", "drivers", "obstruction", "seeds"] + [
+        f"{column}_{stat}" for column, _ in SUMMARY_METRICS for stat in ("mean", "std")
+    ]
+    lines = [",".join(header)]
     for point in points:
         ok_runs = [o for o in outcomes if o.point == point and o.ok]
         sim = dataclasses.replace(scenario.sim, **point)
-        speed_m, speed_s = _mean_std(
-            [o.mean_driver_speed for o in ok_runs if o.mean_driver_speed is not None]
-        )
-        jay_m, jay_s = _mean_std([float(o.jaywalk_entries) for o in ok_runs])
-        col_m, col_s = _mean_std([float(o.collisions_vv) for o in ok_runs])
-        run_m, run_s = _mean_std([float(o.runovers) for o in ok_runs])
-        lines.append(
-            f"{sim.walkers},{sim.drivers},{format(sim.obstruction, 'g')},{len(ok_runs)},"
-            f"{speed_m},{speed_s},{jay_m},{jay_s},{col_m},{col_s},{run_m},{run_s}"
-        )
+        row = [sim.walkers, sim.drivers, format(sim.obstruction, "g"), len(ok_runs)]
+        for k in range(len(SUMMARY_METRICS)):
+            values = [o.values[k] for o in ok_runs]
+            row += _mean_std([float(v) for v in values if v is not None])
+        lines.append(",".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -197,6 +197,8 @@ class World:
     Events go to one pending list: what is logged between steps (the
     construction's spawns in replenish mode, a ``reactivate`` call) opens
     the next step's record with the step count at the time it was logged.
+    ``_log`` builds each event of one agent from its row, and
+    ``detect_collisions`` each event of a pair.
     """
 
     def __init__(self, grid: GridMap, config: SimConfig):
@@ -238,7 +240,7 @@ class World:
         # the events of the step under way, or of the next step between steps
         self._events: list[Event] = []
         if config.spawn_mode == "replenish":
-            self._spawn_phase(0)
+            self._spawn_phase()
 
     # -- population ---------------------------------------------------------
 
@@ -282,9 +284,17 @@ class World:
             return agent
         return None
 
-    def _spawn_phase(self, step: int) -> int:
-        """Spawn this phase's agents, log their events and append them to the
-        population at once; returns how many were spawned."""
+    def _log(self, kind: str, rows) -> None:
+        """Log a ``kind`` event per row of ``rows`` (row indices or a slice),
+        in order, at the row's position and the step count: the one builder of
+        a one-agent event."""
+        pop, t = self.population, self.step_count
+        ids, xs, ys = (column[rows].tolist() for column in (pop.id, pop.x, pop.y))
+        self._events.extend(Event(t, kind, (i,), x, y) for i, x, y in zip(ids, xs, ys))
+
+    def _spawn_phase(self) -> int:
+        """Spawn this phase's agents, append them to the population at once
+        and log their events; returns how many were spawned."""
         cfg = self.config
         pop = self.population
         blocked = pop.blocking_cells()
@@ -311,15 +321,14 @@ class World:
                     sites = [s for s in sites if s[0] not in occupied]
                 agent = self._spawn(kind, sites, blocked)
                 if agent is None:
-                    self.warnings.append(
-                        f"step {step}: could not spawn a {kind} (sites exhausted)"
-                    )
+                    self.warnings.append(f"step {self.step_count}: could not spawn "
+                                         f"a {kind} (sites exhausted)")
                     continue
                 spawned.append(agent)
                 if kind == "driver":
                     occupied.add(agent.plan.cells[0])  # the start cell
-                self._events.append(Event(step, "spawn", (agent.id,), *agent.position))
         pop.extend(spawned)
+        self._log("spawn", slice(len(pop) - len(spawned), None))
         return len(spawned)
 
     @property
@@ -358,10 +367,7 @@ class World:
         pop.goals[row] = new_goal
         pop.headings[row] = heading
         pop.speed[row] = 0.0
-        position = (float(pop.x[row]), float(pop.y[row]))
-        self._events.append(
-            Event(self.step_count, "reactivate", (driver_id,), *position)
-        )
+        self._log("reactivate", slice(row, row + 1))
         return True
 
     # -- stepping -----------------------------------------------------------
@@ -384,9 +390,7 @@ class World:
         )
 
         # act
-        for row in act(pop, codes, grid, accel=cfg.accel, decel=cfg.decel):
-            events.append(Event(t, "replan", (int(pop.id[row]),),
-                                float(pop.x[row]), float(pop.y[row])))
+        self._log("replan", act(pop, codes, grid, accel=cfg.accel, decel=cfg.decel))
 
         # iterate: expire collision countdowns from earlier steps; the expired
         # rows leave with the retired ones below, and being inactive they take
@@ -409,17 +413,14 @@ class World:
             (pop.status == Status.ACTIVE) & (pop.plan_len > 0)
             & (pop.cursor >= pop.plan_len)
         )
-        for row, agent_id, driver, x, y in zip(
-            arrived.tolist(), pop.id[arrived].tolist(), pop.driver[arrived].tolist(),
-            pop.x[arrived].tolist(), pop.y[arrived].tolist(),
-        ):
+        for row, driver in zip(arrived.tolist(), pop.driver[arrived].tolist()):
             goal = pop.goals[row]
             if driver and goal is not None and grid.ground_at(goal) is GroundType.PARKING:
                 pop.status[row] = Status.PARKED
                 pop.speed[row] = 0.0
-                events.append(Event(t, "park", (agent_id,), x, y))
+                self._log("park", slice(row, row + 1))
             else:
-                events.append(Event(t, "goal", (agent_id,), x, y))
+                self._log("goal", slice(row, row + 1))
                 gone[row] = True
         removed = int(np.count_nonzero(gone))
         if removed:
@@ -436,15 +437,12 @@ class World:
                         self.reactivate(agent_id, goal)
 
         # iterate: replace departed agents
-        created = self._spawn_phase(t)
+        created = self._spawn_phase()
 
         frame, entry_ids = metrics_mod.build_frame(
             t, pop, pre_ids, pre_flat, events, grid, self.heatmaps
         )
-        if entry_ids:
-            rows = np.searchsorted(pop.id, entry_ids)
-            for walker_id, x, y in zip(entry_ids, pop.x[rows].tolist(), pop.y[rows].tolist()):
-                events.append(Event(t, "jaywalk_entry", (walker_id,), x, y))
+        self._log("jaywalk_entry", np.searchsorted(pop.id, entry_ids))
         self._events = []
         return StepRecord(t, events, frame, created, removed)
 

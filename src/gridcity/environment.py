@@ -318,12 +318,14 @@ class GridMap:
             self._costs[kind] = costs
         return costs
 
-    def zebra_mask(self) -> np.ndarray:
-        """Boolean array, indexed ``y * width + x``, of the zebra cells.
-        Built once per layout."""
+    def ground_mask(self, *grounds: GroundType) -> np.ndarray:
+        """Boolean array, indexed ``y * width + x``, of the cells whose ground
+        type is one of ``grounds``.  Built once per layout and set of ground
+        types, whatever their order."""
+        kinds = frozenset(grounds)
         return self.layout_table(
-            "zebra",
-            lambda: np.array([g is GroundType.ZEBRA for g in self.ground], dtype=bool),
+            ("mask", kinds),
+            lambda: np.array([g in kinds for g in self.ground], dtype=bool),
         )
 
     def center(self, coord: Coord) -> tuple[float, float]:

@@ -61,21 +61,12 @@ class HeatmapSet:
         )
 
 
-def _road_mask(grid: GridMap) -> np.ndarray:
-    """Boolean array, indexed ``y * width + x``, of the road-family cells; a
-    layout table (``GridMap.layout_table``)."""
-    return grid.layout_table(
-        "road family",
-        lambda: np.array([g in ROAD_FAMILY for g in grid.ground], dtype=bool),
-    )
-
-
 def build_frame(
     step, pop: Population, pre_ids, pre_flat, events, grid, heatmaps: HeatmapSet
 ) -> tuple[MetricsFrame, list[int]]:
     """Aggregate one step and add its active-agent occupancy and speed samples
-    to ``heatmaps``; also returns the ids of walkers that entered road ground
-    this step (for event logging).
+    to ``heatmaps``; also returns the ids of walkers that entered road ground,
+    ``grid.ground_mask(*ROAD_FAMILY)``, this step (``World`` logs them).
 
     ``pre_ids`` and ``pre_flat`` are the ids and flat floor cells of the
     pre-step rows; an agent absent from them (spawned this step) enters
@@ -91,7 +82,7 @@ def build_frame(
     np.add.at(heatmaps.driver_occupancy.reshape(-1), driver_cells, 1)
     np.add.at(heatmaps.driver_speed_sum.reshape(-1), driver_cells, speeds)
     np.add.at(heatmaps.walker_occupancy.reshape(-1), walker_cells, 1)
-    road = _road_mask(grid)
+    road = grid.ground_mask(*ROAD_FAMILY)
     on_road = road[walker_cells]
     np.add.at(heatmaps.jaywalk.reshape(-1), walker_cells[on_road], 1)
     # a walker on road ground entered it when its pre-step cell was not road

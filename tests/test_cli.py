@@ -415,6 +415,31 @@ def test_sweep_creates_run_directories_and_summary(tmp_path):
     assert summary[0].startswith("walkers,drivers,obstruction,seeds,")
 
 
+# a sweep with a point without drivers (empty speed columns), points with and
+# without obstacles, and three seeds, so every column has a mean and a std
+PINNED_SUMMARY = """\
+walkers,drivers,obstruction,seeds,mean_driver_speed_mean,mean_driver_speed_std,\
+jaywalk_entries_mean,jaywalk_entries_std,collisions_vv_mean,collisions_vv_std,\
+runovers_mean,runovers_std
+20,0,0,3,,,0.0,0.0,0.0,0.0,0.0,0.0
+20,0,0.1,3,,,49.333333333333336,14.46835627614047,0.0,0.0,0.0,0.0
+20,12,0,3,1.5298611111111111,0.1407805209984414,0.3333333333333333,0.5773502691896257,\
+1.6666666666666667,2.0816659994661326,0.3333333333333333,0.5773502691896257
+20,12,0.1,3,1.5166666666666666,0.06009252125773316,42.0,13.114877048604,\
+1.3333333333333333,1.1547005383792515,0.6666666666666666,1.1547005383792515
+"""
+
+
+def test_sweep_summary_bytes_are_pinned(tmp_path):
+    scenario = Scenario(
+        sim=SimConfig(steps=40, walkers=20), layout=LayoutSpec(blocks_x=2, blocks_y=1),
+        grid_path=None, obstacles_path=None,
+        sweep={"drivers": [0, 12], "obstruction": [0.0, 0.1]}, seeds=[1, 2, 3],
+    )
+    execute_sweep(scenario, tmp_path)
+    assert (tmp_path / "summary.csv").read_bytes() == PINNED_SUMMARY.encode()
+
+
 def test_sweep_rerun_identical_summary(tmp_path):
     scenario = load_config(write_config(tmp_path, sweep_doc()))
     execute_sweep(scenario, tmp_path / "a")

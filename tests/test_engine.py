@@ -1,10 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
 from gridcity import engine
-from gridcity.agents import Status
+from gridcity.agents import Status, decide
 from gridcity.engine import (
     Event,
     SimConfig,
@@ -354,6 +355,24 @@ def test_conservation_every_step():
         record = world.step()
         after = len(world.agents)
         assert after - before == record.created - record.removed
+
+
+def test_a_lookahead_past_every_route_costs_no_memory():
+    # a window slot past the widest route is past every plan, so a huge
+    # lookahead decides as the route width does and allocates nothing for it
+    cfg = SimConfig(walkers=4, drivers=2, lookahead=10**5, seed=1)
+    world = World(generate_layout(LayoutSpec(blocks_x=1, blocks_y=1)), cfg)
+    pop, grid = world.population, world.grid
+    codes, _ = decide(pop, grid, cfg.lookahead, cfg.sense_radius, cfg.yield_radius)
+    widest, _ = decide(pop, grid, pop.route.shape[1], cfg.sense_radius, cfg.yield_radius)
+    assert codes.tolist() == widest.tolist()
+    tracemalloc.start()
+    try:
+        world.step()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_run_deterministic_outputs():

@@ -15,6 +15,7 @@ from gridcity.environment import (
     GroundType,
     LayoutError,
     LayoutSpec,
+    ROAD_FAMILY,
     generate_layout,
     parse_grid,
     parse_obstacle_list,
@@ -313,6 +314,30 @@ def test_cost_overlay_infinite():
     assert grid.costs("walker")[i] == 1
     assert obstructed.costs("walker")[i] == math.inf
     assert obstructed.costs("driver")[i] == math.inf
+
+
+# -- ground masks -------------------------------------------------------------
+
+
+def test_ground_mask_marks_the_cells_of_its_ground_types():
+    grid = generate_layout(LayoutSpec(blocks_x=2, blocks_y=1))
+    for grounds in ((GroundType.ZEBRA,), tuple(ROAD_FAMILY)):
+        expected = [
+            grid.ground_at((x, y)) in grounds
+            for y in range(grid.height) for x in range(grid.width)
+        ]
+        assert grid.ground_mask(*grounds).tolist() == expected
+
+
+def test_ground_mask_is_one_table_per_set_of_ground_types():
+    grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
+    road = grid.ground_mask(*ROAD_FAMILY)
+    assert grid.ground_mask(*reversed(tuple(ROAD_FAMILY))) is road
+    assert grid.ground_mask(*ROAD_FAMILY, GroundType.ROAD) is road
+    assert grid.ground_mask(GroundType.ZEBRA) is not road
+    overlay = grid.with_obstacles({grid.walker_spawns[0]})
+    assert overlay.ground_mask(*ROAD_FAMILY) is road
+    assert overlay.ground_mask(GroundType.ZEBRA) is grid.ground_mask(GroundType.ZEBRA)
 
 
 # -- spawn sites --------------------------------------------------------------
