@@ -95,10 +95,10 @@ class Population:
     ``id``; ``driver``, the kind (False for a walker); ``status``, a
     ``Status`` code; ``x`` and ``y``, the position; ``speed``; ``cursor``,
     the index of the next plan cell to reach; ``countdown``; ``max_speed``;
-    and ``route``, each plan's cells as flat indices, ``plan_len`` of them (0
-    without a plan), the rest of the row -1, written by ``_write_plans`` with
-    the plan.  The facts ``plan`` takes are kept per row as the objects it
-    takes, in four lists: ``plans``, each row's ``Plan`` or None;
+    and ``plan_len``, the length of the row's plan (0 without one).  The
+    facts ``plan`` takes are kept per row as the objects it takes, in four
+    lists: ``plans``, each row's ``Plan`` or None, whose ``(x, y)`` cells are
+    the one copy of its route;
     ``profiles``, the ``BehaviorProfile`` the agent spawned with; ``goals``,
     an ``(x, y)`` cell or None; and ``headings``, a ``Direction`` or None.
     A row's floor cell is computed from ``x`` and ``y`` where it is needed.
@@ -112,13 +112,11 @@ class Population:
     )
     _LISTS = ("plans", "profiles", "goals", "headings")
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         for name, dtype in self._COLUMNS:
             setattr(self, name, np.zeros(0, dtype))
         for name in self._LISTS:
             setattr(self, name, [])
-        self.route = np.full((0, 1), -1, dtype=np.int32)
 
     def __len__(self) -> int:
         return len(self.id)
@@ -145,8 +143,6 @@ class Population:
             column[:n] = getattr(self, name)
             column[n:] = values
             setattr(self, name, column)
-        blank = np.full((len(rows), self.route.shape[1]), -1, dtype=np.int32)
-        self.route = np.concatenate((self.route, blank))
         self.plans += [None] * len(rows)
         self.profiles += [a.profile for a in states]
         self.goals += [a.goal for a in states]
@@ -155,29 +151,15 @@ class Population:
 
     def _write_plans(self, rows, plans) -> None:
         """Give the rows of the slice ``rows`` the plans ``plans``, each a
-        ``Plan`` or None, in order: the one writer of a row's ``plans`` entry,
-        ``plan_len`` and ``route`` cells.  ``route`` widens to hold the longest
-        plan."""
-        lengths = np.array([0 if p is None else len(p) for p in plans])
-        wider = lengths.max() - self.route.shape[1]
-        if wider > 0:
-            self.route = np.pad(self.route, ((0, 0), (0, wider)), constant_values=-1)
-        # the plans' flat cells, one after another, fill each row's first
-        # plan_len slots
-        block = np.full((len(lengths), self.route.shape[1]), -1, dtype=np.int32)
-        width = self.width
-        block[np.arange(block.shape[1]) < lengths[:, None]] = [
-            y * width + x for p in plans if p is not None for x, y in p.cells
-        ]
-        self.route[rows] = block
-        self.plan_len[rows] = lengths
+        ``Plan`` or None, in order: the one writer of a row's ``plans`` entry
+        and ``plan_len``."""
+        self.plan_len[rows] = [0 if p is None else len(p) for p in plans]
         self.plans[rows] = plans
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the rows where ``mask`` is False."""
         for name, _ in self._COLUMNS:
             setattr(self, name, getattr(self, name)[mask])
-        self.route = self.route[mask]
         kept = mask.tolist()
         for name in self._LISTS:
             setattr(self, name, list(compress(getattr(self, name), kept)))
@@ -243,8 +225,9 @@ def decide(
     cell as a flat index (``floor_cells``).
 
     An active agent perceives the agents near its window, its next
-    ``lookahead`` plan cells, no more than the width of ``pop.route`` that
-    holds every plan.  Another agent is in the window when its
+    ``lookahead`` plan cells, read from its ``Plan`` at its cursor; the
+    window is no wider than the most plan cells any active row has left.
+    Another agent is in the window when its
     distance to some window cell center is strictly below ``radius``; the
     nearest such slot of an active agent is the conflict slot.  An inactive
     agent on a window cell blocks the window.  A driver also looks for active
@@ -260,15 +243,15 @@ def decide(
       distance plus one cell), replans when blocked, and otherwise
       accelerates.
 
+    No walker rule reads an active walker, so a walker does not test them.
     Only the others on the cells of the window's bounding box widened by the
-    agent's ``ceil(reach)`` are tested, found by binary search over the
-    population sorted by flat cell, one search per box row.  The bound is
-    exact because ``GridMap.build`` keeps every cell center inside its cell:
-    a point closer than ``r`` to ``c + offset`` lies on a cell within
-    ``c +- ceil(r)``.  Distances are
-    ``dx*dx + dy*dy`` in float64, in the same order as a per-agent loop.
+    agent's ``ceil(reach)`` are tested, found per box row from a counting
+    sort of the population by flat cell.  The bound is exact because
+    ``GridMap.build`` keeps every cell center inside its cell: a point closer
+    than ``r`` to ``c + offset`` lies on a cell within ``c +- ceil(r)``.
+    Distances are ``dx*dx + dy*dy`` in float64, in the same order as a
+    per-agent loop.
     """
-    lookahead = min(lookahead, pop.route.shape[1])
     width = grid.width
     flat = floor_cells(pop.x, pop.y, width)
     is_active = pop.status == Status.ACTIVE
@@ -277,24 +260,36 @@ def decide(
     if not n:
         return np.zeros(0, dtype=np.int64), flat
 
-    # the windows as (active, slot) arrays, read from the plans' flat cells
-    pos_x, pos_y = pop.x, pop.y
-    is_driver = pop.driver
-    speeds = pop.speed[rows]
-    slots = pop.cursor[rows, None] + np.arange(lookahead)
-    valid = slots < pop.plan_len[rows, None]
-    last = pop.route.shape[1] - 1
-    win = np.where(valid, pop.route[rows[:, None], np.minimum(slots, last)], -1)
+    # the windows as (active, slot) flat cells, read from the plans; a slot
+    # past a plan's end repeats the row's first slot, which no test below
+    # tells from the first slot itself, and a row with no cell left is all -1
+    # and gets no box
+    cursors = pop.cursor[rows]
+    left = pop.plan_len[rows] - cursors
+    lookahead = max(1, min(lookahead, int(left.max())))
+    live = left > 0
+    valid = np.arange(lookahead) < left[:, None]
+    win = np.full((n, lookahead), -1)
+    plans = pop.plans
+    win[valid] = [
+        y * width + x
+        for row, cursor in zip(rows[live].tolist(), cursors[live].tolist())
+        for x, y in plans[row].cells[cursor:cursor + lookahead]
+    ]
+    win = np.where(valid, win, win[:, :1])
     win_y, win_x = np.divmod(win, width)
     center_x = win_x + grid.lane_offsets[0]
     center_y = win_y + grid.lane_offsets[1]
     zebras = grid.ground_mask(GroundType.ZEBRA)
-    zebra_slot = valid & zebras[win]
-    driving = is_driver[rows]
+    driving = pop.driver[rows]
 
-    # buckets: the others on each row of each window's widened bounding box
+    # buckets: the others on each row of each window's widened bounding box;
+    # start[c] counts the agents on flat cells below c, so the agents on
+    # cells a..b are order[start[a]:start[b + 1]] (one off the grid counts as
+    # cell -1 or the cell past the last, and is in no bucket)
     order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
+    size = width * grid.height
+    start = np.cumsum(np.bincount(np.clip(flat, -1, size) + 1, minlength=size + 2))
     # a box never needs to reach past the grid; the cap also keeps it in int64
     span = max(width, grid.height)
     reach = np.where(
@@ -302,56 +297,50 @@ def decide(
         min(math.ceil(max(radius, yield_radius)), span),
         min(math.ceil(radius), span),
     )
-    x0 = np.maximum(np.where(valid, win_x, width).min(1) - reach, 0)
-    x1 = np.minimum(np.where(valid, win_x, -1).max(1) + reach, width - 1)
-    y0 = np.maximum(np.where(valid, win_y, grid.height).min(1) - reach, 0)
-    y1 = np.minimum(np.where(valid, win_y, -1).max(1) + reach, grid.height - 1)
-    box_rows = np.where(valid[:, 0], y1 - y0 + 1, 0)
+    x0 = np.maximum(win_x.min(1) - reach, 0)
+    x1 = np.minimum(win_x.max(1) + reach, width - 1)
+    y0 = np.maximum(win_y.min(1) - reach, 0)
+    y1 = np.minimum(win_y.max(1) + reach, grid.height - 1)
+    box_rows = np.where(live, y1 - y0 + 1, 0)
     row_owner = np.repeat(np.arange(n), box_rows)
-    row_y = ranges(y0, box_rows)
-    lo = np.searchsorted(sorted_flat, row_y * width + x0[row_owner], "left")
-    hi = np.searchsorted(sorted_flat, row_y * width + x1[row_owner], "right")
-    found = hi - lo
+    row_start = ranges(y0, box_rows) * width
+    lo = start[row_start + x0[row_owner]]
+    found = start[row_start + x1[row_owner] + 1] - lo
     me = np.repeat(row_owner, found)
     other = order[ranges(lo, found)]
-    keep = other != rows[me]
+    other_driver = pop.driver[other]
+    other_active = is_active[other]
+    keep = (other != rows[me]) & (driving[me] | other_driver | ~other_active)
     me, other = me[keep], other[keep]
+    other_driver, other_active = other_driver[keep], other_active[keep]
 
     # tests per (agent, other) pair and window slot
-    dx = pos_x[other][:, None] - center_x[me]
-    dy = pos_y[other][:, None] - center_y[me]
+    dx = pop.x[other][:, None] - center_x[me]
+    dy = pop.y[other][:, None] - center_y[me]
     d2 = dx * dx + dy * dy
-    hit = (d2 < radius * radius) & valid[me]
-    other_active = is_active[other]
+    hit = d2 < radius * radius
     seen = other_active & hit.any(1)
     conflict = np.full(n, lookahead)
     np.minimum.at(conflict, me[seen], hit[seen].argmax(1))
     vehicle = np.zeros(n, dtype=bool)
-    vehicle[me[seen & is_driver[other]]] = True
+    vehicle[me[seen & other_driver]] = True
     inactive = ~other_active
     on_window = (flat[other[inactive]][:, None] == win[me[inactive]]).any(1)
     blocked = np.zeros(n, dtype=bool)
     blocked[me[inactive][on_window]] = True
-    yielding = other_active & ~is_driver[other] & driving[me]
-    yielding &= ((d2 < yield_radius * yield_radius) & zebra_slot[me]).any(1)
+    yielding = other_active & ~other_driver & driving[me]
+    yielding &= ((d2 < yield_radius * yield_radius) & zebras[win][me]).any(1)
     near_zebra = np.zeros(n, dtype=bool)
     near_zebra[me[yielding]] = True
 
-    # rules: the first condition that holds picks its Decision code
-    braking = (conflict < lookahead) & (conflict <= np.ceil(speeds))
+    # rules, lowest priority first: the last assignment that holds wins
+    braking = (conflict < lookahead) & (conflict <= np.ceil(pop.speed[rows]))
     on_zebra = zebras[flat[rows]]
-    codes = np.select(
-        [
-            driving & near_zebra,
-            driving & braking,
-            ~driving & ~on_zebra & vehicle,
-            blocked,
-            driving,
-        ],
-        [Decision.YIELD, Decision.DECELERATE, Decision.STOP, Decision.REPLAN,
-         Decision.ACCELERATE],
-        Decision.PROCEED,
-    )
+    codes = np.where(driving, Decision.ACCELERATE, Decision.PROCEED)
+    codes[blocked] = Decision.REPLAN
+    codes[~driving & ~on_zebra & vehicle] = Decision.STOP
+    codes[driving & braking] = Decision.DECELERATE
+    codes[driving & near_zebra] = Decision.YIELD
     return codes, flat
 
 

@@ -232,7 +232,7 @@ class World:
                        driver_goals, config.driver_w, config.driver_alpha,
                        config.driver_max_speed),
         }
-        self.population = Population(grid.width)
+        self.population = Population()
         self.step_count = 0
         self.warnings: list[str] = []
         self.heatmaps = metrics_mod.HeatmapSet.create(grid)

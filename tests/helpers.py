@@ -140,9 +140,8 @@ def cell_of(agent: AgentState) -> Coord:
     return (int(math.floor(agent.position[0])), int(math.floor(agent.position[1])))
 
 
-def population(agents, grid: GridMap | None = None) -> Population:
-    """The agents, in ascending id order, as the columns of a Population on
-    ``grid`` (a 100-cell-wide one when no grid is given)."""
-    pop = Population(grid.width if grid is not None else 100)
+def population(agents) -> Population:
+    """The agents, in ascending id order, as the columns of a Population."""
+    pop = Population()
     pop.extend(list(agents))
     return pop

@@ -53,7 +53,7 @@ def test_snapshot_returns_each_agent_as_it_went_in():
                 agent.goal = goal
                 agent.countdown = 3 if status is Status.COLLIDED else 0
                 agents.append(agent)
-    pop = population(agents, grid)
+    pop = population(agents)
 
     def assert_round_trip(expected):
         snapshot = pop.snapshot()
@@ -105,7 +105,7 @@ def eastbound_driver(agent_id, x, grid, speed=0.0, length=None):
 
 def decisions(agents, grid, lookahead=4, radius=1.0, yield_radius=1.5):
     """``decide``'s decisions by agent id, at the default sensing settings."""
-    pop = population(agents, grid)
+    pop = population(agents)
     codes, _ = decide(pop, grid, lookahead, radius, yield_radius)
     active = pop.id[pop.status == Status.ACTIVE].tolist()
     return dict(zip(active, map(Decision, codes.tolist())))
@@ -124,7 +124,7 @@ def act_once(agent, decision, grid, blocked=frozenset()):
     """Apply one decision to ``agent``, with a collided walker on each cell
     of ``blocked``; returns whether it replanned and the agent's state
     afterwards."""
-    pop = population([agent] + blockers(blocked), grid)
+    pop = population([agent] + blockers(blocked))
     replanned = act(pop, np.array([decision]), grid)
     return bool(replanned), pop.snapshot()[agent.id]
 
@@ -139,7 +139,7 @@ def test_sense_empty_world():
     road = road_strip()
     driver = eastbound_driver(2, 0, road, speed=3.0)
     assert decisions([driver], road) == {2: Decision.ACCELERATE}
-    codes, pre_flat = decide(population([], grid), grid, 4, 1.0, 1.5)
+    codes, pre_flat = decide(population([]), grid, 4, 1.0, 1.5)
     assert (codes.tolist(), pre_flat.tolist()) == ([], [])
 
 
@@ -172,15 +172,18 @@ def test_sense_blocked_cells_lists_inactive_agents_on_route():
     wreck = make_agent(2, "driver", (2.5, 0.5), None, status=Status.COLLIDED)
     parked = make_agent(3, "driver", (3.5, 0.5), None, status=Status.PARKED)
     far = make_agent(4, "driver", (8.5, 0.5), None, status=Status.PARKED)
-    pop = population([driver, wreck, parked, far], grid)
+    pop = population([driver, wreck, parked, far])
     codes, pre_flat = decide(pop, grid, 4, 1.0, 1.5)
     assert codes.tolist() == [Decision.REPLAN]
     pre_cells = {i: (f % grid.width, f // grid.width)
                  for i, f in zip(pop.id.tolist(), pre_flat.tolist())}
     assert pre_cells == {1: (0, 0), 2: (2, 0), 3: (3, 0), 4: (8, 0)}
     assert pop.cells(pop.status != Status.ACTIVE) == {(2, 0), (3, 0), (8, 0)}
-    # beyond the window an inactive agent blocks nothing
-    assert decisions([driver, far], grid) == {1: Decision.ACCELERATE}
+    # beyond the window an inactive agent blocks nothing, nor does one off
+    # the grid, on flat cell -1 or on the cell past the last
+    off = [make_agent(i, "driver", position, None, status=Status.PARKED)
+           for i, position in ((5, (-0.5, 0.5)), (6, (10.5, 0.5)))]
+    assert decisions([driver, far] + off, grid) == {1: Decision.ACCELERATE}
 
 
 def test_sense_window_respects_lookahead():
@@ -251,7 +254,7 @@ def test_decide_matches_the_per_agent_reference(
             p = sense(a, agents, grid, lookahead, radius, yield_radius)
             is_walker = a.kind == "walker"
             expected[a.id] = react_walker(a, p, grid) if is_walker else react_driver(a, p)
-    pop = population(agents, grid)
+    pop = population(agents)
     codes, pre_flat = decide(pop, grid, lookahead, radius, yield_radius)
     active = pop.id[pop.status == Status.ACTIVE].tolist()
     assert list(zip(active, map(Decision, codes.tolist()))) == list(expected.items())
@@ -332,6 +335,9 @@ def _kinematics(states) -> list:
          accel=0.41, decel=1.01)
 @example(seed=1059022248, offsets=(0.5, 0.5), lookahead=4, radius=1.0, yield_radius=1.5,
          accel=0.86, decel=0.9)
+# a kind with no open cell skips an id, so the newcomer's id follows the last
+@example(seed=520, offsets=(0.0, 0.0), lookahead=1, radius=1.0, yield_radius=1.0,
+         accel=1.0, decel=1.0)
 def test_columns_step_like_the_per_agent_reference(
     seed, offsets, lookahead, radius, yield_radius, accel, decel
 ):
@@ -347,11 +353,11 @@ def test_columns_step_like_the_per_agent_reference(
     grid = GridMap.build(rows, lane_offsets=offsets)
     agents = _moving_population(rng, grid)
     ref = copy.deepcopy(agents)
-    pop = population(agents, grid)
+    pop = population(agents)
     heat, heat_ref = HeatmapSet.create(grid), HeatmapSet.create(grid)
     walker_cells = [(i % grid.width, i // grid.width)
                     for i, c in enumerate(grid.costs("walker")) if c != math.inf]
-    next_id = len(agents) + 1
+    next_id = agents[-1].id + 1 if agents else 1
     for step in (1, 2, 3):
         active = [a for a in ref if a.status is Status.ACTIVE]
         expected = [
@@ -448,6 +454,9 @@ def test_walker_clear_path_proceeds():
     grid = walking_strip()
     walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)]))
     assert decisions([walker], grid) == {1: Decision.PROCEED}
+    # no walker rule reads an active walker, even one on the window
+    others = [make_agent(i, "walker", (i - 0.5, 0.5), None) for i in (2, 3)]
+    assert decisions([walker] + others, grid)[1] is Decision.PROCEED
 
 
 # -- driver reactions --------------------------------------------------------------
@@ -577,7 +586,7 @@ def test_act_leaves_the_codes_unchanged():
     )
     for blocked in (frozenset(), {(1, 0)}):  # the replan finds a route, then none
         codes = np.array([Decision.REPLAN])
-        act(population([walker] + blockers(blocked), grid), codes, grid)
+        act(population([walker] + blockers(blocked)), codes, grid)
         assert codes.tolist() == [Decision.REPLAN]
 
 
@@ -602,7 +611,7 @@ def test_act_position_stays_on_polyline():
         1, "driver", (0.5, 0.5), straight_plan(cells),
         heading=E, max_speed=0.7,
     )
-    pop = population([driver], grid)
+    pop = population([driver])
     xs = []
     for _ in range(12):
         act(pop, np.array([Decision.ACCELERATE]), grid)

@@ -358,13 +358,14 @@ def test_conservation_every_step():
 
 
 def test_a_lookahead_past_every_route_costs_no_memory():
-    # a window slot past the widest route is past every plan, so a huge
-    # lookahead decides as the route width does and allocates nothing for it
+    # a window slot past the longest plan is past every plan, so a huge
+    # lookahead decides as that plan's length does and allocates nothing for it
     cfg = SimConfig(walkers=4, drivers=2, lookahead=10**5, seed=1)
     world = World(generate_layout(LayoutSpec(blocks_x=1, blocks_y=1)), cfg)
     pop, grid = world.population, world.grid
     codes, _ = decide(pop, grid, cfg.lookahead, cfg.sense_radius, cfg.yield_radius)
-    widest, _ = decide(pop, grid, pop.route.shape[1], cfg.sense_radius, cfg.yield_radius)
+    widest, _ = decide(pop, grid, int(pop.plan_len.max()), cfg.sense_radius,
+                       cfg.yield_radius)
     assert codes.tolist() == widest.tolist()
     tracemalloc.start()
     try:
@@ -483,19 +484,11 @@ def test_driver_goal_on_an_exit_and_a_parking_cell_is_listed_once():
 STALL_STEPS = 50
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="walker-driver yield deadlock (ROADMAP item 1): a driver yields to a "
-    "sidewalk walker near a zebra, and the walker stops for the stopped driver",
-)
-def test_no_agent_stalls_in_the_city():
-    # an agent is stalled when it is active and has not moved for STALL_STEPS
-    # steps; at step 120 this city has 15 stalled walkers and 7 stalled drivers
-    cfg = SimConfig(steps=120, walkers=200, drivers=100, obstruction=0.05,
-                    walker_w=(1, 3), driver_w=(1, 5), seed=7)
-    world = World(generate_layout(LayoutSpec(blocks_x=5, blocks_y=5)), cfg)
+def stalled_after(world: World, steps: int) -> dict:
+    """Step ``world`` ``steps`` times and count, by kind, the active agents
+    that have not moved for at least ``STALL_STEPS`` steps at the end."""
     last_moved = {}  # agent id -> (position, step it last moved)
-    for t in range(1, cfg.steps + 1):
+    for t in range(1, steps + 1):
         world.step()
         stalled = {"walker": 0, "driver": 0}
         for agent in world.agents.values():
@@ -506,5 +499,30 @@ def test_no_agent_stalls_in_the_city():
                 last_moved[agent.id] = (agent.position, t)
             elif t - seen[1] >= STALL_STEPS:
                 stalled[agent.kind] += 1
-    assert stalled == {"walker": 0, "driver": 0}
+    return stalled
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="walker-driver yield deadlock (ROADMAP item 1): a driver yields to a "
+    "sidewalk walker near a zebra, and the walker stops for the stopped driver",
+)
+def test_no_agent_stalls_in_the_city():
+    # at step 120 this city has 15 stalled walkers and 7 stalled drivers
+    cfg = SimConfig(steps=120, walkers=200, drivers=100, obstruction=0.05,
+                    walker_w=(1, 3), driver_w=(1, 5), seed=7)
+    world = World(generate_layout(LayoutSpec(blocks_x=5, blocks_y=5)), cfg)
+    assert stalled_after(world, cfg.steps) == {"walker": 0, "driver": 0}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="driver-driver head-on deadlock (ROADMAP item 2): two drivers whose "
+    "next cells are each other's cells both decelerate to 0 and never replan",
+)
+def test_no_driver_stalls_in_a_jam():
+    # at step 300 all 70 active drivers of this jam are stalled
+    cfg = SimConfig(steps=300, drivers=70, seed=0)
+    world = World(generate_layout(LayoutSpec(blocks_x=2, blocks_y=2)), cfg)
+    assert stalled_after(world, cfg.steps) == {"walker": 0, "driver": 0}
 

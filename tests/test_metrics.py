@@ -23,7 +23,7 @@ def frame_for(grid, agents, pre_cells, events=(), heatmaps=None):
     pre_ids = sorted(pre_cells)
     pre_flat = [pre_cells[i][1] * grid.width + pre_cells[i][0] for i in pre_ids]
     return build_frame(
-        1, population(agents, grid), np.array(pre_ids, dtype=np.int64),
+        1, population(agents), np.array(pre_ids, dtype=np.int64),
         np.array(pre_flat, dtype=np.int64), list(events), grid, heatmaps,
     )
 
