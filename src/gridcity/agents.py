@@ -246,9 +246,9 @@ def decide(
     No walker rule reads an active walker, so a walker does not test them.
     Only the others on the cells of the window's bounding box widened by the
     agent's ``ceil(reach)`` are tested, found per box row from a counting
-    sort of the population by flat cell.  The bound is exact because
-    ``GridMap.build`` keeps every cell center inside its cell: a point closer
-    than ``r`` to ``c + offset`` lies on a cell within ``c +- ceil(r)``.
+    sort of the population by flat cell.  The bound is exact because every
+    cell center ``c + 0.5`` lies inside its cell: a point closer than ``r``
+    to it lies on a cell within ``c +- ceil(r)``.
     Distances are ``dx*dx + dy*dy`` in float64, in the same order as a
     per-agent loop.
     """
@@ -278,8 +278,8 @@ def decide(
     ]
     win = np.where(valid, win, win[:, :1])
     win_y, win_x = np.divmod(win, width)
-    center_x = win_x + grid.lane_offsets[0]
-    center_y = win_y + grid.lane_offsets[1]
+    center_x = win_x + 0.5
+    center_y = win_y + 0.5
     zebras = grid.ground_mask(GroundType.ZEBRA)
     driving = pop.driver[rows]
 
@@ -407,9 +407,8 @@ def act(
         cursors = pop.cursor[moving].tolist()
         headings = [pop.headings[row] for row in moved]
         _advance(
-            [pop.plans[row].cells for row in moved], grid.lane_offsets,
-            xs, ys, pop.speed[moving].tolist(), cursors, headings,
-            pop.driver[moving].tolist(),
+            [pop.plans[row].cells for row in moved], xs, ys,
+            pop.speed[moving].tolist(), cursors, headings, pop.driver[moving].tolist(),
         )
         pop.x[moving], pop.y[moving], pop.cursor[moving] = xs, ys, cursors
         for row, heading in zip(moved, headings):
@@ -417,19 +416,18 @@ def act(
     return replanned
 
 
-def _advance(routes, offsets, xs, ys, budgets, cursors, headings, drivers):
+def _advance(routes, xs, ys, budgets, cursors, headings, drivers):
     """Move agent j from ``(xs[j], ys[j])`` by ``budgets[j]`` along the
-    polyline of the centers of the cells ``routes[j]``, ``cursors[j]`` being
-    the index of the next to reach, one agent after the other.  Updates
-    ``xs``, ``ys``, ``cursors`` and ``headings`` in place; a driver's
-    ``Direction`` heading follows its moves."""
-    ox, oy = offsets
+    polyline of the centers ``c + 0.5`` of the cells ``routes[j]``,
+    ``cursors[j]`` being the index of the next to reach, one agent after the
+    other.  Updates ``xs``, ``ys``, ``cursors`` and ``headings`` in place; a
+    driver's ``Direction`` heading follows its moves."""
     for j, (cells, x, y, budget, cursor, heading, driver) in enumerate(
         zip(routes, xs, ys, budgets, cursors, headings, drivers)
     ):
         while budget > 1e-12 and cursor < len(cells):
             cx, cy = cells[cursor]
-            tx, ty = cx + ox, cy + oy
+            tx, ty = cx + 0.5, cy + 0.5
             dx, dy = tx - x, ty - y
             dist = math.hypot(dx, dy)
             if dist <= budget + 1e-12:

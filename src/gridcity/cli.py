@@ -88,10 +88,6 @@ def _pair(cast):
     return convert
 
 
-def _optional_float(value, name):
-    return None if value is None else _number(value, name, float)
-
-
 def _distinct(values: list, name: str, label=None) -> list:
     """``values``, or a ConfigError naming the field when one repeats, or when
     two share the ``label`` of their run directory: either would run twice
@@ -126,7 +122,6 @@ _SIM_FIELDS = (
     ("profiles.driver.w", "driver_w", _pair(int)),
     ("profiles.driver.alpha", "driver_alpha", _pair(float)),
     ("profiles.driver.max_speed", "driver_max_speed", _scalar(float)),
-    ("walker_speed_cap", "walker_speed_cap", _optional_float),
     ("collision_countdown", "collision_countdown", _scalar(int)),
     ("sensing.lookahead", "lookahead", _scalar(int)),
     ("sensing.radius", "sense_radius", _scalar(float)),
@@ -548,13 +543,11 @@ def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
 @click.option("--blocks-x", type=int, required=True)
 @click.option("--blocks-y", type=int, required=True)
 @click.option("--block-side", type=int, default=15, show_default=True)
-@click.option("--building-side", type=int, default=13, show_default=True)
 @click.option("--lanes", type=int, default=2, show_default=True)
 @click.option("--obstruction", type=float, default=0.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
-def gen_map_command(blocks_x, blocks_y, block_side, building_side, lanes,
-                    obstruction, seed, out_path):
+def gen_map_command(blocks_x, blocks_y, block_side, lanes, obstruction, seed, out_path):
     """Generate a block layout and write it as a grid file.
 
     ``--obstruction`` obstructs that fraction of the sidewalk cells, drawn with
@@ -564,7 +557,6 @@ def gen_map_command(blocks_x, blocks_y, block_side, building_side, lanes,
         blocks_x=blocks_x,
         blocks_y=blocks_y,
         block_side=block_side,
-        building_side=building_side,
         lanes_per_direction=lanes,
     )
     try:
@@ -598,14 +590,16 @@ def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
     """Plan one route and dump the expanded-node trace as CSV."""
     if (config_path is None) == (grid_path is None):
         _config_error("give exactly one of --config or --grid")
-    if config_path is not None:
-        scenario = _load_or_exit(config_path)
-        grid = build_grid(scenario)
-    else:
-        p = Path(grid_path)
-        if not p.is_file():
-            _config_error(f"grid file not found: {p}")
-        grid = parse_grid(p.read_text(encoding="utf-8"))
+    try:
+        if config_path is not None:
+            grid = build_grid(_load_or_exit(config_path))
+        else:
+            p = Path(grid_path)
+            if not p.is_file():
+                _config_error(f"grid file not found: {p}")
+            grid = parse_grid(p.read_text(encoding="utf-8"))
+    except ValueError as exc:  # a bad grid file, obstacle list or obstacle
+        _config_error(exc)
 
     def parse_coord(text, name):
         try:

@@ -55,7 +55,6 @@ class SimConfig:
     driver_alpha: tuple[float, float] = (1.0, 1.0)
     walker_max_speed: float = 1.0
     driver_max_speed: float = 2.0
-    walker_speed_cap: float | None = 1.0  # walkers move at most this unless None
     collision_countdown: int = 10
     lookahead: int = 4
     sense_radius: float = 1.0
@@ -94,8 +93,6 @@ class SimConfig:
                 raise ValueError(f"{name} range must satisfy 0 <= low <= high")
         if self.walker_max_speed <= 0 or self.driver_max_speed <= 0:
             raise ValueError("max speeds must be positive")
-        if self.walker_speed_cap is not None and self.walker_speed_cap <= 0:
-            raise ValueError("walker_speed_cap must be positive or None")
         if self.collision_countdown < 1:
             raise ValueError("collision_countdown must be >= 1")
         if self.accel <= 0 or self.decel <= 0:
@@ -219,15 +216,13 @@ class World:
             c for c in dict.fromkeys(grid.driver_exits + grid.parking_cells)
             if c not in grid.obstacles
         ]
-        walker_speed = config.walker_max_speed
-        if config.walker_speed_cap is not None:
-            walker_speed = min(walker_speed, config.walker_speed_cap)
         # per kind: (cell, heading) sites, goals, w range, alpha range, max
         # speed; a lone walker site has no distinct goal to pair with, so no
         # walker spawns rather than draw for one in vain
         self._spawn_table = {
             "walker": ([(c, None) for c in walker_goals] if len(walker_goals) > 1 else [],
-                       walker_goals, config.walker_w, config.walker_alpha, walker_speed),
+                       walker_goals, config.walker_w, config.walker_alpha,
+                       config.walker_max_speed),
             "driver": ([s for s in grid.driver_spawns if s[0] not in grid.obstacles],
                        driver_goals, config.driver_w, config.driver_alpha,
                        config.driver_max_speed),
@@ -338,8 +333,12 @@ class World:
         return self.population.snapshot()
 
     def add(self, agent: AgentState) -> None:
-        """Put a hand-built agent into the world.  Its id must exceed every
-        id present; agents spawned later are numbered after it."""
+        """Put a hand-built agent into the world.  It must stand on the grid,
+        and its id must exceed every id present; agents spawned later are
+        numbered after it."""
+        x, y = agent.position
+        if not (0 <= x < self.grid.width and 0 <= y < self.grid.height):
+            raise ValueError(f"agent {agent.id} at {agent.position} is off the grid")
         self.population.extend([agent])
         self._next_id = max(self._next_id, agent.id + 1)
 

@@ -212,7 +212,8 @@ class GridMap:
     lists.  Spawn sites are computed once at construction: walker sites are
     building-adjacent sidewalk cells, driver sites are road cells where an
     inbound lane enters the map (paired with the inbound heading), driver
-    exits are boundary cells whose flow points off the map.
+    exits are boundary cells whose flow points off the map.  Agents move
+    between cell centers: cell ``(x, y)``'s is ``(x + 0.5, y + 0.5)``.
     """
 
     width: int
@@ -224,16 +225,11 @@ class GridMap:
     driver_spawns: tuple = ()
     driver_exits: tuple = ()
     parking_cells: tuple = ()
-    lane_offsets: tuple[float, float] = (0.5, 0.5)
     _tables: dict = field(default_factory=dict, compare=False, repr=False)
     _costs: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def build(
-        cls,
-        rows: Sequence[Sequence[CellCode]],
-        lane_offsets: tuple[float, float] = (0.5, 0.5),
-    ) -> "GridMap":
+    def build(cls, rows: Sequence[Sequence[CellCode]]) -> "GridMap":
         if not rows or not rows[0]:
             raise ValueError("grid must have at least one row and one column")
         width = len(rows[0])
@@ -241,13 +237,6 @@ class GridMap:
             if len(row) != width:
                 raise ValueError(f"row {y} has {len(row)} cells, expected {width}")
         height = len(rows)
-        if not (0 <= lane_offsets[0] < 1 and 0 <= lane_offsets[1] < 1):
-            raise ValueError("lane offsets must lie in [0, 1)")
-        # an offset within rounding of 1 puts the far cells' centres on the
-        # next cell; rounding only grows with the coordinate, so the last
-        # column and row decide
-        if width - 1 + lane_offsets[0] >= width or height - 1 + lane_offsets[1] >= height:
-            raise ValueError("lane offsets must keep every cell centre inside its cell")
         ground = tuple(cell.ground for row in rows for cell in row)
         flow = tuple(_FLOW_MASKS[cell.flow] for row in rows for cell in row)
         driver_spawns, driver_exits = _driver_sites(ground, flow, width, height)
@@ -266,7 +255,6 @@ class GridMap:
                     if g is GroundType.PARKING
                 )
             ),
-            lane_offsets=lane_offsets,
         )
 
     def in_bounds(self, coord: Coord) -> bool:
@@ -329,8 +317,8 @@ class GridMap:
         )
 
     def center(self, coord: Coord) -> tuple[float, float]:
-        """Continuous lane-center point of a cell."""
-        return (coord[0] + self.lane_offsets[0], coord[1] + self.lane_offsets[1])
+        """Continuous center point of a cell."""
+        return (coord[0] + 0.5, coord[1] + 0.5)
 
     def with_obstacles(self, obstacles: Iterable[Coord]) -> "GridMap":
         """New map with the given obstacle overlay (spawn sites unchanged).
@@ -479,24 +467,20 @@ def serialize_obstacle_list(obstacles: Iterable[Coord]) -> str:
 
 @dataclass(frozen=True)
 class LayoutSpec:
-    """Parameters of a procedural block layout."""
+    """Parameters of a procedural block layout: a block is a square of side
+    ``block_side``, a building of side ``block_side - 2`` in a one-cell
+    sidewalk ring."""
 
     blocks_x: int
     blocks_y: int
     block_side: int = 15
-    building_side: int = 13
     lanes_per_direction: int = 2
 
     def validate(self) -> None:
         if self.blocks_x < 1 or self.blocks_y < 1:
             raise LayoutError("block counts must be at least 1")
-        if self.building_side < 1:
-            raise LayoutError("building_side must be at least 1")
-        if self.building_side + 2 != self.block_side:
-            raise LayoutError(
-                f"building_side + 2 must equal block_side "
-                f"({self.building_side} + 2 != {self.block_side})"
-            )
+        if self.block_side < 3:
+            raise LayoutError("block_side must be at least 3")
         if self.lanes_per_direction < 1:
             raise LayoutError("lanes_per_direction must be at least 1")
 

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcity.agents import Decision, Status, act, decide
@@ -226,27 +226,21 @@ def _random_population(rng: random.Random, grid: GridMap) -> list:
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    offsets=st.tuples(*[st.floats(min_value=0.0, max_value=1.0, exclude_max=True)] * 2),
     radius=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
     yield_radius=st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
     lookahead=st.integers(min_value=1, max_value=6),
 )
 # a radius far beyond the grid searches each box row once, clipped to the grid
-@example(seed=5, offsets=(0.5, 0.5), radius=1e6, yield_radius=1.5, lookahead=4)
-@example(seed=5, offsets=(0.0, 0.999), radius=1.5, yield_radius=1e300, lookahead=6)
-def test_decide_matches_the_per_agent_reference(
-    seed, offsets, radius, yield_radius, lookahead
-):
+@example(seed=5, radius=1e6, yield_radius=1.5, lookahead=4)
+@example(seed=5, radius=1.5, yield_radius=1e300, lookahead=6)
+def test_decide_matches_the_per_agent_reference(seed, radius, yield_radius, lookahead):
     rng = random.Random(seed)
     zebra = CellCode(GroundType.ZEBRA, frozenset({N}))
     rows = [
         [zebra if rng.random() < 0.3 else c for c in row]
         for row in rows_of(random_grid(rng, rng.randint(2, 9), rng.randint(2, 9)))
     ]
-    try:
-        grid = GridMap.build(rows, lane_offsets=offsets)
-    except ValueError:  # an offset so close to 1 that centres leave their cells
-        reject()
+    grid = GridMap.build(rows)
     agents = _random_population(rng, grid)
     expected = {}
     for a in agents:
@@ -321,7 +315,6 @@ def _kinematics(states) -> list:
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
-    offsets=st.tuples(*[st.floats(min_value=0.0, max_value=0.99)] * 2),
     lookahead=st.integers(min_value=1, max_value=5),
     radius=st.floats(min_value=0.2, max_value=2.0),
     yield_radius=st.floats(min_value=0.2, max_value=2.5),
@@ -331,15 +324,14 @@ def _kinematics(states) -> list:
 # eight active drivers with fractional speeds, whose pairwise sum (numpy's
 # np.sum) differs from a left-to-right one; and driver speeds whose sum
 # differs when taken right to left
-@example(seed=1116347426, offsets=(0.5, 0.5), lookahead=1, radius=1.0, yield_radius=1.5,
-         accel=0.41, decel=1.01)
-@example(seed=1059022248, offsets=(0.5, 0.5), lookahead=4, radius=1.0, yield_radius=1.5,
-         accel=0.86, decel=0.9)
+@example(seed=1116347426, lookahead=1, radius=1.0, yield_radius=1.5, accel=0.41,
+         decel=1.01)
+@example(seed=1059022248, lookahead=4, radius=1.0, yield_radius=1.5, accel=0.86,
+         decel=0.9)
 # a kind with no open cell skips an id, so the newcomer's id follows the last
-@example(seed=520, offsets=(0.0, 0.0), lookahead=1, radius=1.0, yield_radius=1.0,
-         accel=1.0, decel=1.0)
+@example(seed=520, lookahead=1, radius=1.0, yield_radius=1.0, accel=1.0, decel=1.0)
 def test_columns_step_like_the_per_agent_reference(
-    seed, offsets, lookahead, radius, yield_radius, accel, decel
+    seed, lookahead, radius, yield_radius, accel, decel
 ):
     """Three steps of decide, act, collisions and the frame on the columns
     equal the per-agent reference exactly, with agents colliding, retiring
@@ -350,7 +342,7 @@ def test_columns_step_like_the_per_agent_reference(
         [zebra if rng.random() < 0.2 else c for c in row]
         for row in rows_of(random_grid(rng, rng.randint(2, 12), rng.randint(2, 12)))
     ]
-    grid = GridMap.build(rows, lane_offsets=offsets)
+    grid = GridMap.build(rows)
     agents = _moving_population(rng, grid)
     ref = copy.deepcopy(agents)
     pop = population(agents)

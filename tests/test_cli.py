@@ -95,6 +95,8 @@ def test_invalid_value_is_reported(tmp_path):
     ({"profiles": {"driver": {"w": [1.5, 3.7]}}}, "profiles.driver.w"),
     ({"layout": {"blocks_x": 1.9}}, "layout.blocks_x"),
     ({"seeds": [True]}, "seeds"),
+    ({"profiles": {"walker": {"w": [1, 2, 3]}}}, "profiles.walker.w"),
+    ({"layout": {"blocks_x": 0}}, "layout"),
 ])
 def test_non_numeric_value_is_config_error(tmp_path, patch, field):
     config = write_config(tmp_path, dict(MINIMAL, **patch))
@@ -103,6 +105,24 @@ def test_non_numeric_value_is_config_error(tmp_path, patch, field):
     result = CliRunner().invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == 2
     assert f"config error: {field}" in result.output
+
+
+@pytest.mark.parametrize("text, message", [
+    ("steps: [1\n", "invalid YAML"),
+    ("layout: {blocks_x: 1}\nobstacles: obs.txt\n", "'obstacles' requires a 'grid' file"),
+    ("grid: nope.grid\n", "grid file not found"),
+    ("grid: map.grid\nobstacles: nope.txt\n", "obstacle list not found"),
+], ids=["invalid_yaml", "obstacles_beside_layout", "missing_grid", "missing_obstacles"])
+def test_bad_scenario_file_is_config_error(tmp_path, text, message):
+    (tmp_path / "map.grid").write_text("1 1\nrN-\n")
+    (tmp_path / "obs.txt").write_text("0 0\n")
+    config = tmp_path / "scenario.yaml"
+    config.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(config)
+    result = CliRunner().invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("config error: ")
 
 
 def test_integral_floats_load_as_ints(tmp_path):
@@ -238,11 +258,10 @@ EVERY_FIELD = {
         "walker": {"w": 2, "alpha": [0.5, 1.5], "max_speed": 0.75},
         "driver": {"w": [2, 4], "alpha": 2, "max_speed": 3.0},
     },
-    "walker_speed_cap": None, "collision_countdown": 7,
+    "collision_countdown": 7,
     "sensing": {"lookahead": 3, "radius": 1.25, "yield_radius": 2.0},
     "accel": 0.5, "decel": 1.5, "reactivation_prob": 0.1, "seed": 5,
-    "layout": {"blocks_x": 2, "blocks_y": 1, "block_side": 11,
-               "building_side": 9, "lanes_per_direction": 1},
+    "layout": {"blocks_x": 2, "blocks_y": 1, "block_side": 11, "lanes_per_direction": 1},
 }
 
 
@@ -254,9 +273,9 @@ def test_sim_fields_name_every_simconfig_field_once():
 
 
 @pytest.mark.parametrize("doc, digest", [
-    (EVERY_FIELD, "d1e7d0b49c6fb0d461030aec9a0005c97645f875c5a023783554f57ec90db263"),
+    (EVERY_FIELD, "39930a3a75b1afcdd85f99e18ae0507d62920d8aff76f155edacef959b275c90"),
     ({"steps": 2, "grid": "map.grid", "obstacles": "obs.txt"},
-     "d2b6b23ab4590a7be036d117f5c72d23295b3b834a67f997a1255f928597f8fe"),
+     "2cd584f3a6425e0f01aa03699577b156ac503a7e15575b4a8c1f1c27cfc1ee81"),
 ], ids=["every_field", "grid_file"])
 def test_echoed_config_bytes_are_pinned(tmp_path, doc, digest):
     (tmp_path / "map.grid").write_text("3 1\ns-- rE- rE-\n")
@@ -705,10 +724,11 @@ def test_gen_map_rejects_bad_ring(tmp_path):
     runner = CliRunner()
     result = runner.invoke(
         main,
-        ["gen-map", "--blocks-x", "1", "--blocks-y", "1", "--building-side", "14",
+        ["gen-map", "--blocks-x", "1", "--blocks-y", "1", "--block-side", "2",
          "--out", str(tmp_path / "x.grid")],
     )
     assert result.exit_code == 2
+    assert result.stderr == "config error: block_side must be at least 3\n"
 
 
 def test_gen_map_obstacle_sidecar(tmp_path):
@@ -844,14 +864,23 @@ def test_plan_debug_unreachable_goal_writes_the_trace_and_exits_1(tmp_path):
     assert result.stderr == "no route found\n"
 
 
-def test_plan_debug_missing_grid_file_exits_2(tmp_path):
-    missing = tmp_path / "missing.grid"
+@pytest.mark.parametrize("source, message", [
+    (["--grid", "missing.grid"], "grid file not found: {tmp_path}/missing.grid"),
+    (["--grid", "bad.grid"], "row 0, column 1: token 'xx' must be 3 characters"),
+    (["--config", "scenario.yaml"], "obstacle (9, 9) outside the grid"),
+], ids=["missing_file", "bad_token", "off_grid_obstacle"])
+def test_plan_debug_missing_grid_file_exits_2(tmp_path, source, message):
+    (tmp_path / "bad.grid").write_text("2 1\ns-- xx\n")
+    (tmp_path / "map.grid").write_text("2 1\ns-- s--\n")
+    (tmp_path / "obs.txt").write_text("9 9\n")
+    write_config(tmp_path, {"grid": "map.grid", "obstacles": "obs.txt"})
     result = CliRunner().invoke(
-        main, ["plan-debug", "--grid", str(missing), "--kind", "walker",
+        main, ["plan-debug", source[0], str(tmp_path / source[1]), "--kind", "walker",
                "--start", "0,0", "--goal", "1,0"],
     )
     assert result.exit_code == 2
-    assert result.stderr == f"config error: grid file not found: {missing}\n"
+    assert result.stderr == f"config error: {message.format(tmp_path=tmp_path)}\n"
+    assert "Traceback" not in result.output
 
 
 def test_plan_debug_requires_exactly_one_source(tmp_path):

@@ -25,8 +25,7 @@ def _blocks_2x2() -> GridMap:
 
 
 def _parking_2x2() -> GridMap:
-    """2x2 blocks with every fifth road cell turned into parking (same flow),
-    and off-centre lane offsets."""
+    """2x2 blocks with every fifth road cell turned into parking (same flow)."""
     rows = [
         [
             CellCode(GroundType.PARKING, c.flow)
@@ -36,7 +35,7 @@ def _parking_2x2() -> GridMap:
         ]
         for y, row in enumerate(rows_of(_blocks_2x2()))
     ]
-    return GridMap.build(rows, lane_offsets=(0.25, 0.75))
+    return GridMap.build(rows)
 
 
 SCENARIOS = {
@@ -71,7 +70,7 @@ SCENARIOS = {
         SimConfig(steps=200, walkers=40, drivers=20, sense_radius=1.6,
                   yield_radius=2.5, reactivation_prob=0.05, seed=1),
         {
-            "events.csv": "b3c3d056bad29fea84fb8f61f7d8aaee9a7f51256c5f71c26c169c9896dcc432",
+            "events.csv": "6305bdd8a4db4eb5a48cc5ceaddb0bd43068183d34589e901541423e3c43f7a3",
             "heatmap_driver_occupancy.csv": "2bf47fa7bb95dbc5b2832e270337c57923c6147c2a75b5aac628338ca6022af2",
             "heatmap_driver_speed.csv": "0f953931bd08467b3de465619bb19a0814782a392586d5d7b37273a8b882b5e5",
             "heatmap_jaywalk.csv": "7a90ccbec160480aae49dfff30e7f18bc478b7e4adfca6c0c602541ee9dd6f3c",

@@ -113,7 +113,11 @@ def test_detection_invariant_under_permutation():
         {"sense_radius": math.inf},
         {"accel": -1.0},
         {"decel": 0.0},
-        {"walker_speed_cap": math.inf},
+        {"walker_rate": -1},
+        {"lookahead": 0},
+        {"sense_radius": 0},
+        {"yield_radius": -1},
+        {"reactivation_prob": 1.5},
     ],
 )
 def test_config_rejected(kwargs):
@@ -236,6 +240,15 @@ def test_add_refuses_an_id_not_above_the_ids_present():
     assert list(world.agents) == [5]
 
 
+@pytest.mark.parametrize("position", [(1000.5, 0.5), (math.nan, 0.5), (-0.5, 0.5)])
+def test_add_refuses_an_agent_off_the_grid(position):
+    world = World(small_grid(), SimConfig(steps=1, drivers=0, seed=0))
+    with pytest.raises(ValueError, match="off the grid"):
+        world.add(make_agent(1, "driver", position))
+    assert world.agents == {}
+    world.step()
+
+
 def test_reactivate_requires_parked_driver():
     world = World(small_grid(), SimConfig(steps=1, drivers=0, seed=0))
     with pytest.raises(ValueError):
@@ -331,19 +344,9 @@ def test_profile_sampling_ranges():
     assert len(seen_w["driver"]) > 1
 
 
-def test_walker_speed_cap_applied():
-    cfg = SimConfig(steps=1, walkers=3, walker_max_speed=60.0, seed=5)
-    world = World(small_grid(), cfg)
-    assert all(
-        a.profile.max_speed == 1.0
-        for a in world.agents.values()
-        if a.kind == "walker"
-    )
-    uncapped = SimConfig(
-        steps=1, walkers=3, walker_max_speed=2.5, walker_speed_cap=None, seed=5
-    )
-    world2 = World(small_grid(), uncapped)
-    assert all(a.profile.max_speed == 2.5 for a in world2.agents.values())
+def test_walker_max_speed_applied():
+    world = World(small_grid(), SimConfig(steps=1, walkers=3, walker_max_speed=2.5, seed=5))
+    assert [a.profile.max_speed for a in world.agents.values()] == [2.5] * 3
 
 
 def test_conservation_every_step():

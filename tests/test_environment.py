@@ -108,6 +108,16 @@ def test_parse_bad_header():
         parse_grid("two 2\nrN- b--\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("", "empty grid file"),
+    ("2 1 1\nrN- b--\n", "header"),
+    ("0 1\n", "dimensions must be positive"),
+])
+def test_parse_refuses_an_empty_file_or_a_bad_size(text, message):
+    with pytest.raises(GridParseError, match=message):
+        parse_grid(text)
+
+
 def test_parse_ignores_comments_and_blank_lines():
     text = "# city map\n2 1\n\nrN- rN-\n# trailing note\n"
     grid = parse_grid(text)
@@ -136,6 +146,8 @@ def test_obstacle_list_roundtrip():
 def test_obstacle_list_rejects_garbage():
     with pytest.raises(GridParseError):
         parse_obstacle_list("1 2 3\n")
+    with pytest.raises(GridParseError, match="obstacle line 1: expected integers"):
+        parse_obstacle_list("0 0\n1 y\n")
 
 
 # -- procedural layout --------------------------------------------------------
@@ -206,7 +218,7 @@ def test_layout_turn_cells_advertise_both_lane_directions():
     "kwargs",
     [
         {"blocks_x": 0, "blocks_y": 1},
-        {"blocks_x": 1, "blocks_y": 1, "block_side": 15, "building_side": 14},
+        {"blocks_x": 1, "blocks_y": 1, "block_side": 2},
         {"blocks_x": 1, "blocks_y": 1, "lanes_per_direction": 0},
     ],
 )
@@ -376,18 +388,6 @@ def test_driver_exits_on_boundary():
 def test_lane_center():
     grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
     assert grid.center((3, 7)) == (3.5, 7.5)
-
-
-def test_grid_map_keeps_cell_centres_inside_their_cells():
-    row = [CellCode(GroundType.SIDEWALK)] * 3
-    below_one = 0.9999999999999999
-    with pytest.raises(ValueError, match="centre"):
-        GridMap.build([row] * 3, lane_offsets=(0.5, below_one))
-    with pytest.raises(ValueError, match="centre"):
-        GridMap.build([row] * 3, lane_offsets=(below_one, 0.5))
-    # a single row or column has only the exact coordinate 0
-    grid = GridMap.build([row], lane_offsets=(0.5, below_one))
-    assert math.floor(grid.center((2, 0))[1]) == 0
 
 
 def test_grid_map_rejects_ragged_rows():

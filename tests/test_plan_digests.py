@@ -33,8 +33,7 @@ EXPECTED = "6ae440e2f644b8a6b565fe3d172f07405593b55b7b6dc61126d5db83b9e666a3"
 
 
 def _parking_2x2() -> GridMap:
-    """2x2 blocks with every fifth road cell turned into parking (same flow),
-    and off-centre lane offsets."""
+    """2x2 blocks with every fifth road cell turned into parking (same flow)."""
     base = generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
     rows = [
         [
@@ -45,7 +44,7 @@ def _parking_2x2() -> GridMap:
         ]
         for y, row in enumerate(rows_of(base))
     ]
-    return GridMap.build(rows, lane_offsets=(0.25, 0.75))
+    return GridMap.build(rows)
 
 
 def _grids():
