@@ -243,33 +243,34 @@ def load_config(path) -> Scenario:
         raise ConfigError("seeds: expected a list of integers")
     _distinct(seeds, "seeds")
 
-    return Scenario(
-        sim=sim,
-        layout=layout,
-        grid_path=grid_path,
-        obstacles_path=obstacles_path,
-        sweep=sweep,
-        seeds=list(seeds),
-    )
+    scenario = Scenario(sim, layout, grid_path, obstacles_path, sweep, list(seeds))
+    if grid_path is not None:  # read and check the files once, before any run
+        try:
+            build_grid(scenario)
+        except ValueError as exc:  # a bad grid file, obstacle list or obstacle
+            raise ConfigError(str(exc)) from None
+    return scenario
 
 
 @functools.lru_cache(maxsize=1)
-def _layout(spec: LayoutSpec) -> GridMap:
-    """The generated layout of ``spec``, kept for the next call in this
-    process: the runs of a sweep or of several seeds then share one layout
-    and the search tables built on it."""
-    return generate_layout(spec)
+def _base_grid(source: LayoutSpec | str, obstacles: str | None = None) -> GridMap:
+    """The map of a ``LayoutSpec``, or of a grid file's text with an obstacle
+    list's text overlaid, kept for the next call in this process: the runs of
+    a sweep share one map, its search tables and its plan memo.  A file is
+    keyed on its text, so one edited since is read anew."""
+    if isinstance(source, LayoutSpec):
+        return generate_layout(source)
+    grid = parse_grid(source)
+    return grid if obstacles is None else grid.with_obstacles(parse_obstacle_list(obstacles))
 
 
 def build_grid(scenario: Scenario) -> GridMap:
     """Base map for a scenario; run-time obstruction is applied by the engine."""
     if scenario.layout is not None:
-        return _layout(scenario.layout)
-    grid = parse_grid(scenario.grid_path.read_text(encoding="utf-8"))
-    if scenario.obstacles_path is not None:
-        coords = parse_obstacle_list(scenario.obstacles_path.read_text(encoding="utf-8"))
-        grid = grid.with_obstacles(grid.obstacles | coords)
-    return grid
+        return _base_grid(scenario.layout)
+    obstacles = scenario.obstacles_path
+    return _base_grid(scenario.grid_path.read_text(encoding="utf-8"),
+                      obstacles and obstacles.read_text(encoding="utf-8"))
 
 
 def effective_config_dict(scenario: Scenario, sim: SimConfig) -> dict:
@@ -542,8 +543,8 @@ def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
 @main.command("gen-map")
 @click.option("--blocks-x", type=int, required=True)
 @click.option("--blocks-y", type=int, required=True)
-@click.option("--block-side", type=int, default=15, show_default=True)
-@click.option("--lanes", type=int, default=2, show_default=True)
+@click.option("--block-side", type=int, default=LayoutSpec.block_side, show_default=True)
+@click.option("--lanes", type=int, default=LayoutSpec.lanes_per_direction, show_default=True)
 @click.option("--obstruction", type=float, default=0.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -590,16 +591,15 @@ def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
     """Plan one route and dump the expanded-node trace as CSV."""
     if (config_path is None) == (grid_path is None):
         _config_error("give exactly one of --config or --grid")
-    try:
-        if config_path is not None:
-            grid = build_grid(_load_or_exit(config_path))
-        else:
-            p = Path(grid_path)
-            if not p.is_file():
-                _config_error(f"grid file not found: {p}")
-            grid = parse_grid(p.read_text(encoding="utf-8"))
-    except ValueError as exc:  # a bad grid file, obstacle list or obstacle
-        _config_error(exc)
+    if config_path is not None:
+        grid = build_grid(_load_or_exit(config_path))
+    elif not Path(grid_path).is_file():
+        _config_error(f"grid file not found: {Path(grid_path)}")
+    else:
+        try:
+            grid = _base_grid(Path(grid_path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # a bad grid file
+            _config_error(exc)
 
     def parse_coord(text, name):
         try:

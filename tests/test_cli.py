@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import itertools
 import multiprocessing
+import random
+import re
 
 import pytest
 import yaml
@@ -25,7 +27,9 @@ from gridcity.environment import (
     LayoutSpec,
     generate_layout,
     parse_grid,
+    place_obstacles,
     serialize_grid,
+    serialize_obstacle_list,
 )
 from test_digests import SCENARIOS
 
@@ -112,17 +116,28 @@ def test_non_numeric_value_is_config_error(tmp_path, patch, field):
     ("layout: {blocks_x: 1}\nobstacles: obs.txt\n", "'obstacles' requires a 'grid' file"),
     ("grid: nope.grid\n", "grid file not found"),
     ("grid: map.grid\nobstacles: nope.txt\n", "obstacle list not found"),
-], ids=["invalid_yaml", "obstacles_beside_layout", "missing_grid", "missing_obstacles"])
+    ("grid: bad.grid\n",
+     "row 0, column 0: token 'sN-': cell type 's' does not take flow directions"),
+    ("grid: map.grid\nobstacles: off.txt\n", "obstacle (500, 500) outside the grid"),
+    ("grid: building.grid\nobstacles: obs.txt\n", "obstacle (0, 0) placed on a building cell"),
+], ids=["invalid_yaml", "obstacles_beside_layout", "missing_grid", "missing_obstacles",
+        "malformed_token", "off_grid_obstacle", "obstacle_on_building"])
 def test_bad_scenario_file_is_config_error(tmp_path, text, message):
     (tmp_path / "map.grid").write_text("1 1\nrN-\n")
+    (tmp_path / "bad.grid").write_text("1 1\nsN-\n")
+    (tmp_path / "building.grid").write_text("1 1\nb--\n")
     (tmp_path / "obs.txt").write_text("0 0\n")
+    (tmp_path / "off.txt").write_text("500 500\n")
     config = tmp_path / "scenario.yaml"
     config.write_text(text)
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(config)
-    result = CliRunner().invoke(main, ["run", "--config", str(config)])
-    assert result.exit_code == 2
-    assert result.stderr.startswith("config error: ")
+    for command in ("run", "sweep"):
+        out = tmp_path / command
+        result = CliRunner().invoke(main, [command, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("config error: ")
+        assert not out.exists()
 
 
 def test_integral_floats_load_as_ints(tmp_path):
@@ -378,23 +393,39 @@ RUN_CSVS = ("metrics.csv", "events.csv", "heatmap_driver_occupancy.csv",
             "heatmap_driver_speed.csv", "heatmap_walker_occupancy.csv", "heatmap_jaywalk.csv")
 
 
-def test_a_run_writes_the_same_bytes_whatever_ran_before_it(tmp_path):
+@pytest.mark.parametrize("source", ["layout", "grid_file"])
+def test_a_run_writes_the_same_bytes_whatever_ran_before_it(tmp_path, source):
     # the 4-walker point at seed 1 plans the first 4 of the 6-walker point's
-    # walkers, and its plans stay remembered on the cached layout
+    # walkers, and its plans stay remembered on the cached map, generated or
+    # read from a grid file and an obstacle list
     import gridcity.cli as cli_mod
 
     doc = {"steps": 20, "walkers": 4, "drivers": 2, "seed": 1,
            "layout": {"blocks_x": 2, "blocks_y": 1}}
+    if source == "grid_file":
+        spec = LayoutSpec(**doc.pop("layout"))
+        city = place_obstacles(generate_layout(spec), 0.05, random.Random(3))
+        (tmp_path / "map.grid").write_text(serialize_grid(city))
+        (tmp_path / "obs.txt").write_text(serialize_obstacle_list(city.obstacles))
+        doc.update(grid="map.grid", obstacles="obs.txt")
     scenario = load_config(write_config(tmp_path, doc))
     execute_run(scenario, tmp_path / "before")
     grid = build_grid(scenario)
+    assert build_grid(scenario) is grid
     assert grid.layout_table("plans", dict)
     execute_run(scenario, tmp_path / "after", walkers=6)
-    cli_mod._layout.cache_clear()
+    cli_mod._base_grid.cache_clear()
     assert build_grid(scenario) is not grid
     execute_run(scenario, tmp_path / "fresh", walkers=6)
     for name in RUN_CSVS:
         assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+    if source == "grid_file":  # a file rewritten at the same path is read anew
+        grid = build_grid(scenario)
+        (tmp_path / "map.grid").write_text(
+            serialize_grid(generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))))
+        (tmp_path / "obs.txt").write_text("")
+        rewritten = build_grid(scenario)
+        assert rewritten.width < grid.width and not rewritten.obstacles
 
 
 def test_steps_override(tmp_path):
