@@ -113,11 +113,9 @@ _SIM_FIELDS = (
     ("walkers", "walkers", _scalar(int)),
     ("drivers", "drivers", _scalar(int)),
     ("obstruction", "obstruction", _scalar(float)),
-    ("spawn_mode", "spawn_mode", _scalar(str)),
     ("walker_rate", "walker_rate", _scalar(float)),
     ("driver_rate", "driver_rate", _scalar(float)),
     ("profiles.walker.w", "walker_w", _pair(int)),
-    ("profiles.walker.alpha", "walker_alpha", _pair(float)),
     ("profiles.walker.max_speed", "walker_max_speed", _scalar(float)),
     ("profiles.driver.w", "driver_w", _pair(int)),
     ("profiles.driver.alpha", "driver_alpha", _pair(float)),
@@ -244,11 +242,12 @@ def load_config(path) -> Scenario:
     _distinct(seeds, "seeds")
 
     scenario = Scenario(sim, layout, grid_path, obstacles_path, sweep, list(seeds))
-    if grid_path is not None:  # read and check the files once, before any run
-        try:
-            build_grid(scenario)
-        except ValueError as exc:  # a bad grid file, obstacle list or obstacle
-            raise ConfigError(str(exc)) from None
+    try:  # build the map once, before any run: a grid file is read and checked
+        grid = build_grid(scenario)
+    except ValueError as exc:  # a bad grid file, obstacle list or obstacle
+        raise ConfigError(str(exc)) from None
+    if sim.reactivation_prob > 0 and not grid.parking_cells:
+        raise ConfigError("reactivation_prob: the map has no parking cell, so no driver parks")
     return scenario
 
 
@@ -583,7 +582,8 @@ def gen_map_command(blocks_x, blocks_y, block_side, lanes, obstruction, seed, ou
 @click.option("--start", "start_s", required=True, help="x,y")
 @click.option("--goal", "goal_s", required=True, help="x,y")
 @click.option("-w", "--weight", type=float, default=1.0, show_default=True)
-@click.option("--alpha", type=float, default=0.0, show_default=True)
+@click.option("--alpha", type=float, default=0.0, show_default=True,
+              help="A driver's risk sensitivity.")
 @click.option("--out", "out_path", default=None, type=click.Path(),
               help="Trace CSV destination (stdout when omitted).")
 def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
@@ -611,6 +611,8 @@ def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
     start = parse_coord(start_s, "--start")
     goal = parse_coord(goal_s, "--goal")
     trace: list = []
+    if kind == "walker" and alpha:
+        _config_error("--alpha: no walker move carries risk, so a walker takes no alpha")
     try:
         profile = BehaviorProfile(kind=kind, w=weight, alpha=alpha)
         route = plan_route(grid, start, goal, profile, trace=trace)
@@ -621,7 +623,9 @@ def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
         lines.append(f"{step},{x},{y},{g!r},{h},{r!r},{f!r}")
     content = "\n".join(lines) + "\n"
     if out_path:
-        Path(out_path).write_text(content, encoding="utf-8", newline="\n")
+        out = Path(out_path)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(content, encoding="utf-8", newline="\n")
         click.echo(f"wrote {len(trace)} expansions to {out_path}")
     else:
         click.echo(content, nl=False)

@@ -46,13 +46,11 @@ class SimConfig:
     walkers: int = 0
     drivers: int = 0
     obstruction: float = 0.0
-    spawn_mode: str = "replenish"  # 'replenish' | 'poisson'
-    walker_rate: float = 0.0  # poisson arrivals per step
+    walker_rate: float = 0.0  # poisson arrivals per step, instead of a target
     driver_rate: float = 0.0
     walker_w: tuple[int, int] = (1, 1)  # integer uniform inclusive
     driver_w: tuple[int, int] = (1, 1)
-    walker_alpha: tuple[float, float] = (0.0, 0.0)  # real uniform
-    driver_alpha: tuple[float, float] = (1.0, 1.0)
+    driver_alpha: tuple[float, float] = (1.0, 1.0)  # real uniform
     walker_max_speed: float = 1.0
     driver_max_speed: float = 2.0
     collision_countdown: int = 10
@@ -76,21 +74,18 @@ class SimConfig:
             raise ValueError("population targets must be >= 0")
         if not 0 <= self.obstruction <= 1:
             raise ValueError("obstruction must lie in [0, 1]")
-        if self.spawn_mode not in ("replenish", "poisson"):
-            raise ValueError(f"unknown spawn_mode {self.spawn_mode!r}")
         if self.walker_rate < 0 or self.driver_rate < 0:
             raise ValueError("poisson rates must be >= 0")
+        if (self.walker_rate or self.driver_rate) and (self.walkers or self.drivers):
+            raise ValueError("a run sets population targets (walkers, drivers) or "
+                             "arrival rates (walker_rate, driver_rate), not both")
         for name, rng in (("walker_w", self.walker_w), ("driver_w", self.driver_w)):
             lo, hi = rng
             if lo < 1 or hi < lo:
                 raise ValueError(f"{name} range must satisfy 1 <= low <= high")
-        for name, rng in (
-            ("walker_alpha", self.walker_alpha),
-            ("driver_alpha", self.driver_alpha),
-        ):
-            lo, hi = rng
-            if lo < 0 or hi < lo:
-                raise ValueError(f"{name} range must satisfy 0 <= low <= high")
+        lo, hi = self.driver_alpha
+        if lo < 0 or hi < lo:
+            raise ValueError("driver_alpha range must satisfy 0 <= low <= high")
         if self.walker_max_speed <= 0 or self.driver_max_speed <= 0:
             raise ValueError("max speeds must be positive")
         if self.collision_countdown < 1:
@@ -192,7 +187,7 @@ class World:
     and the step loop.
 
     Events go to one pending list: what is logged between steps (the
-    construction's spawns in replenish mode, a ``reactivate`` call) opens
+    construction's spawns of a run with targets, a ``reactivate`` call) opens
     the next step's record with the step count at the time it was logged.
     ``_log`` builds each event of one agent from its row, and
     ``detect_collisions`` each event of a pair.
@@ -221,8 +216,7 @@ class World:
         # walker spawns rather than draw for one in vain
         self._spawn_table = {
             "walker": ([(c, None) for c in walker_goals] if len(walker_goals) > 1 else [],
-                       walker_goals, config.walker_w, config.walker_alpha,
-                       config.walker_max_speed),
+                       walker_goals, config.walker_w, (0.0, 0.0), config.walker_max_speed),
             "driver": ([s for s in grid.driver_spawns if s[0] not in grid.obstacles],
                        driver_goals, config.driver_w, config.driver_alpha,
                        config.driver_max_speed),
@@ -234,7 +228,7 @@ class World:
         self._next_id = 1
         # the events of the step under way, or of the next step between steps
         self._events: list[Event] = []
-        if config.spawn_mode == "replenish":
+        if config.walkers or config.drivers:  # arrivals begin at step 1
             self._spawn_phase()
 
     # -- population ---------------------------------------------------------
@@ -243,6 +237,7 @@ class World:
         """Draw ``w``, then ``alpha``, from ``kind``'s ranges."""
         _, _, w, alpha, max_speed = self._spawn_table[kind]
         rng = self.spawn_rng
+        # a walker's alpha range is (0, 0), drawn all the same to keep the stream
         return BehaviorProfile(kind=kind, w=float(rng.randint(int(w[0]), int(w[1]))),
                                alpha=rng.uniform(*alpha), max_speed=max_speed)
 
@@ -294,22 +289,21 @@ class World:
         pop = self.population
         blocked = pop.blocking_cells()
         occupied = pop.cells(pop.driver)  # cells that hold a driver
-        if cfg.spawn_mode == "replenish":
-            active = pop.status == Status.ACTIVE
-            drivers = int(np.count_nonzero(active & pop.driver))
-            wanted = [
-                ("walker", cfg.walkers - (int(np.count_nonzero(active)) - drivers)),
-                ("driver", cfg.drivers - drivers),
-            ]
-        else:
-            wanted = [
-                ("walker", _poisson(cfg.walker_rate, self.spawn_rng)),
-                ("driver", _poisson(cfg.driver_rate, self.spawn_rng)),
-            ]
+        # a kind replenishes to its target, or with no target takes Poisson
+        # arrivals at its rate (none at rate 0); validate allows not both
+        active = pop.status == Status.ACTIVE
+        drivers = int(np.count_nonzero(active & pop.driver))
+        walkers = int(np.count_nonzero(active)) - drivers
+        wanted = [
+            ("walker", cfg.walkers - walkers if cfg.walkers
+             else _poisson(cfg.walker_rate, self.spawn_rng)),
+            ("driver", cfg.drivers - drivers if cfg.drivers
+             else _poisson(cfg.driver_rate, self.spawn_rng)),
+        ]
         spawned = []
         for kind, count in wanted:
             table_sites = self._spawn_table[kind][0]
-            for _ in range(max(0, count)):
+            for _ in range(count):
                 sites = table_sites
                 if kind == "driver":
                     # a driver spawns only on a cell that no driver holds

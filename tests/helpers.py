@@ -1,5 +1,5 @@
-"""Shared test fixtures: random grids, tiny hand-written maps, agent and
-population factories."""
+"""Shared test fixtures: random grids, tiny hand-written maps, a parking
+city, agent and population factories."""
 from __future__ import annotations
 
 import math
@@ -12,6 +12,8 @@ from gridcity.environment import (
     FLOW_GROUNDS,
     GridMap,
     GroundType,
+    LayoutSpec,
+    generate_layout,
     parse_grid,
 )
 from gridcity.agents import AgentState, Population, Status
@@ -82,6 +84,21 @@ def grid_of(*rows: str) -> GridMap:
     width = len(rows[0].split())
     text = f"{width} {len(rows)}\n" + "\n".join(rows) + "\n"
     return parse_grid(text)
+
+
+def parking_2x2() -> GridMap:
+    """2x2 blocks with every fifth road cell turned into parking (same flow)."""
+    base = generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
+    rows = [
+        [
+            CellCode(GroundType.PARKING, c.flow)
+            if c.ground is GroundType.ROAD and (7 * x + 3 * y) % 5 == 0
+            else c
+            for x, c in enumerate(row)
+        ]
+        for y, row in enumerate(rows_of(base))
+    ]
+    return GridMap.build(rows)
 
 
 def straight_plan(cells) -> Plan:

@@ -56,7 +56,6 @@ def test_minimal_config_applies_defaults(tmp_path):
     assert scenario.sim.steps == 1000
     assert scenario.sim.collision_countdown == 10
     assert scenario.sim.lookahead == 4
-    assert scenario.sim.spawn_mode == "replenish"
     assert scenario.layout is not None
     assert scenario.sweep == {}
 
@@ -81,6 +80,19 @@ def test_unknown_field_is_named(tmp_path):
     doc = dict(MINIMAL, walkres=3)
     with pytest.raises(ConfigError, match="walkres"):
         load_config(write_config(tmp_path, doc))
+
+
+@pytest.mark.parametrize("patch, key", [
+    ({"spawn_mode": "poisson"}, "scenario: unknown field 'spawn_mode'"),
+    ({"profiles": {"walker": {"alpha": 1}}}, "profiles.walker: unknown field 'alpha'"),
+])
+def test_removed_keys_are_unknown_fields(tmp_path, patch, key):
+    config = write_config(tmp_path, dict(MINIMAL, **patch))
+    with pytest.raises(ConfigError, match=f"^{key}$"):
+        load_config(config)
+    result = CliRunner().invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == 2
+    assert result.stderr == f"config error: {key}\n"
 
 
 def test_invalid_value_is_reported(tmp_path):
@@ -137,6 +149,27 @@ def test_bad_scenario_file_is_config_error(tmp_path, text, message):
         result = CliRunner().invoke(main, [command, "--config", str(config), "--out", str(out)])
         assert result.exit_code == 2
         assert result.stderr.startswith("config error: ")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("patch, message", [
+    ({"walker_rate": 0.5}, "a run sets population targets (walkers, drivers) or arrival "
+                           "rates (walker_rate, driver_rate), not both"),
+    # at walkers 50 the rate would change nothing: an arrivals run has no target
+    ({"walkers": 0, "driver_rate": 0.5, "sweep": {"walkers": [0, 50]}},
+     "sweep.walkers: a run sets population targets"),
+    # a generated layout has no parking cell, so no driver parks to reactivate
+    ({"reactivation_prob": 0.1}, "reactivation_prob: the map has no parking cell"),
+], ids=["rate_and_target", "arrivals_sweep_over_walkers", "reactivation_without_parking"])
+def test_an_input_that_changes_nothing_is_config_error(tmp_path, patch, message):
+    config = write_config(tmp_path, dict(MINIMAL, **patch))
+    with pytest.raises(ConfigError, match="^" + re.escape(message)):
+        load_config(config)
+    for command in ("run", "sweep"):
+        out = tmp_path / command
+        result = CliRunner().invoke(main, [command, "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.stderr.startswith(f"config error: {message}")
         assert not out.exists()
 
 
@@ -232,11 +265,11 @@ def test_empty_seed_list_runs_the_scenario_seed(tmp_path, seeds):
 
 def test_profile_ranges_accept_scalar_or_pair(tmp_path):
     doc = dict(MINIMAL)
-    doc["profiles"] = {"walker": {"w": 3, "alpha": [0, 1]}, "driver": {"w": [1, 5]}}
+    doc["profiles"] = {"walker": {"w": 3}, "driver": {"w": [1, 5], "alpha": [0, 1]}}
     scenario = load_config(write_config(tmp_path, doc))
     assert scenario.sim.walker_w == (3, 3)
-    assert scenario.sim.walker_alpha == (0.0, 1.0)
     assert scenario.sim.driver_w == (1, 5)
+    assert scenario.sim.driver_alpha == (0.0, 1.0)
 
 
 def test_grid_file_scenario_loads_with_obstacles(tmp_path):
@@ -265,19 +298,31 @@ def test_full_experiment_grid_shape(tmp_path):
 
 # -- the scenario format ----------------------------------------------------------
 
-# Every SimConfig field away from its default, with scalar and pair ranges.
+# Between them, every SimConfig field away from its default, with scalar and
+# pair ranges: a layout run with targets, and a run with arrival rates on a
+# grid file whose map has a parking cell.
 EVERY_FIELD = {
     "steps": 3, "walkers": 4, "drivers": 2, "obstruction": 0.05,
-    "spawn_mode": "poisson", "walker_rate": 0.5, "driver_rate": 0.25,
     "profiles": {
-        "walker": {"w": 2, "alpha": [0.5, 1.5], "max_speed": 0.75},
+        "walker": {"w": 2, "max_speed": 0.75},
         "driver": {"w": [2, 4], "alpha": 2, "max_speed": 3.0},
     },
     "collision_countdown": 7,
     "sensing": {"lookahead": 3, "radius": 1.25, "yield_radius": 2.0},
-    "accel": 0.5, "decel": 1.5, "reactivation_prob": 0.1, "seed": 5,
+    "accel": 0.5, "decel": 1.5, "seed": 5,
     "layout": {"blocks_x": 2, "blocks_y": 1, "block_side": 11, "lanes_per_direction": 1},
 }
+EVERY_FIELD_GRID = {
+    "steps": 2, "walker_rate": 0.5, "driver_rate": 0.25, "reactivation_prob": 0.1,
+    "grid": "map.grid", "obstacles": "obs.txt",
+}
+
+
+def write_parking_strip(tmp_path):
+    """A sidewalk cell, two road cells and a parking cell, with an obstacle
+    on the sidewalk cell."""
+    (tmp_path / "map.grid").write_text("4 1\ns-- rE- rE- pE-\n")
+    (tmp_path / "obs.txt").write_text("0 0\n")
 
 
 def test_sim_fields_name_every_simconfig_field_once():
@@ -287,19 +332,23 @@ def test_sim_fields_name_every_simconfig_field_once():
     assert len(set(paths)) == len(paths)
 
 
+def test_every_field_docs_set_every_simconfig_field(tmp_path):
+    write_parking_strip(tmp_path)
+    sims = [load_config(write_config(tmp_path, doc)).sim for doc in (EVERY_FIELD, EVERY_FIELD_GRID)]
+    defaults = SimConfig()
+    for f in dataclasses.fields(SimConfig):
+        assert any(getattr(sim, f.name) != getattr(defaults, f.name) for sim in sims), f.name
+
+
 @pytest.mark.parametrize("doc, digest", [
-    (EVERY_FIELD, "39930a3a75b1afcdd85f99e18ae0507d62920d8aff76f155edacef959b275c90"),
+    (EVERY_FIELD, "4728bef18d4c43bd80ec6644f3146e242492eec3f035738a2392e9a96c1cef31"),
+    (EVERY_FIELD_GRID, "30554718825557dbbbe6aacffa327f6059c788c4261e7ebd27b5b1aa48e071cc"),
     ({"steps": 2, "grid": "map.grid", "obstacles": "obs.txt"},
-     "2cd584f3a6425e0f01aa03699577b156ac503a7e15575b4a8c1f1c27cfc1ee81"),
-], ids=["every_field", "grid_file"])
+     "9814ba5ec4fa9dc27eefbf4ad56b9a078d5a9ad5a973b090532e5c11cecd00aa"),
+], ids=["every_field", "every_field_grid", "grid_file"])
 def test_echoed_config_bytes_are_pinned(tmp_path, doc, digest):
-    (tmp_path / "map.grid").write_text("3 1\ns-- rE- rE-\n")
-    (tmp_path / "obs.txt").write_text("0 0\n")
+    write_parking_strip(tmp_path)
     scenario = load_config(write_config(tmp_path, doc))
-    if doc is EVERY_FIELD:
-        defaults = SimConfig()
-        for f in dataclasses.fields(SimConfig):
-            assert getattr(scenario.sim, f.name) != getattr(defaults, f.name), f.name
     execute_run(scenario, tmp_path / "out")
     echoed = tmp_path / "out" / "config.yaml"
     assert hashlib.sha256(echoed.read_bytes()).hexdigest() == digest
@@ -810,7 +859,7 @@ def test_plan_debug_emits_trace_csv(tmp_path):
 def test_plan_debug_trace_file_and_route_summary(tmp_path):
     grid_file = tmp_path / "strip.grid"
     grid_file.write_text("4 1\nrE- rE- rE- rE-\n")
-    trace_file = tmp_path / "trace.csv"
+    trace_file = tmp_path / "sub" / "trace.csv"  # --out makes its directory
     runner = CliRunner()
     result = runner.invoke(
         main,
@@ -836,14 +885,18 @@ def test_plan_debug_rejects_malformed_coordinates(tmp_path, start):
     assert "config error: --start must be 'x,y'" in result.output
 
 
-@pytest.mark.parametrize("option", [["-w", "0.5"], ["--alpha", "-1"], ["--alpha", "inf"]])
+@pytest.mark.parametrize("option", [
+    ["--kind", "driver", "-w", "0.5"],
+    ["--kind", "driver", "--alpha", "-1"],
+    ["--kind", "driver", "--alpha", "inf"],
+    ["--kind", "walker", "--alpha", "1"],  # no walker move carries risk
+])
 def test_plan_debug_rejects_bad_profile(tmp_path, option):
     grid_file = tmp_path / "strip.grid"
     grid_file.write_text("4 1\nrE- rE- rE- rE-\n")
     result = CliRunner().invoke(
         main,
-        ["plan-debug", "--grid", str(grid_file), "--kind", "driver",
-         "--start", "0,0", "--goal", "3,0", *option],
+        ["plan-debug", "--grid", str(grid_file), "--start", "0,0", "--goal", "3,0", *option],
     )
     assert result.exit_code == 2
     assert result.output.startswith("config error: ")

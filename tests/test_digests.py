@@ -11,9 +11,9 @@ import hashlib
 import pytest
 
 from gridcity.engine import SimConfig, run
-from gridcity.environment import CellCode, GridMap, GroundType, LayoutSpec, generate_layout
+from gridcity.environment import GridMap, LayoutSpec, generate_layout
 from gridcity.metrics import export_run
-from helpers import rows_of
+from helpers import parking_2x2
 
 
 def _city() -> GridMap:
@@ -22,20 +22,6 @@ def _city() -> GridMap:
 
 def _blocks_2x2() -> GridMap:
     return generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
-
-
-def _parking_2x2() -> GridMap:
-    """2x2 blocks with every fifth road cell turned into parking (same flow)."""
-    rows = [
-        [
-            CellCode(GroundType.PARKING, c.flow)
-            if c.ground is GroundType.ROAD and (7 * x + 3 * y) % 5 == 0
-            else c
-            for x, c in enumerate(row)
-        ]
-        for y, row in enumerate(rows_of(_blocks_2x2()))
-    ]
-    return GridMap.build(rows)
 
 
 SCENARIOS = {
@@ -66,7 +52,7 @@ SCENARIOS = {
     ),
     # wider sensing rings, parked and reactivated drivers as inactive blockers
     "parking_wide_rings": (
-        _parking_2x2,
+        parking_2x2,
         SimConfig(steps=200, walkers=40, drivers=20, sense_radius=1.6,
                   yield_radius=2.5, reactivation_prob=0.05, seed=1),
         {

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import random
 import tracemalloc
@@ -14,8 +16,13 @@ from gridcity.engine import (
     run,
 )
 from gridcity.environment import GroundType, LayoutSpec, generate_layout
-from gridcity.metrics import render_events_csv, render_heatmap_csv, render_metrics_csv
-from helpers import cell_of, grid_of, make_agent, population, straight_plan
+from gridcity.metrics import (
+    export_run,
+    render_events_csv,
+    render_heatmap_csv,
+    render_metrics_csv,
+)
+from helpers import cell_of, grid_of, make_agent, parking_2x2, population, straight_plan
 
 SMALL = LayoutSpec(blocks_x=2, blocks_y=2)
 
@@ -102,12 +109,11 @@ def test_detection_invariant_under_permutation():
         {"steps": 0},
         {"walkers": -1},
         {"obstruction": 1.2},
-        {"spawn_mode": "burst"},
         {"walker_w": (0, 3)},
         {"driver_alpha": (2.0, 1.0)},
         {"collision_countdown": 0},
         {"walker_max_speed": 0},
-        {"spawn_mode": "poisson", "walker_rate": math.nan},
+        {"walker_rate": math.nan},
         {"driver_alpha": (math.nan, math.nan)},
         {"driver_alpha": (math.inf, math.inf)},
         {"sense_radius": math.inf},
@@ -118,6 +124,8 @@ def test_detection_invariant_under_permutation():
         {"sense_radius": 0},
         {"yield_radius": -1},
         {"reactivation_prob": 1.5},
+        {"walkers": 5, "walker_rate": 0.5},
+        {"drivers": 1, "walker_rate": 0.5},
     ],
 )
 def test_config_rejected(kwargs):
@@ -306,9 +314,7 @@ def test_construction_spawn_events_open_step_one():
 
 
 def test_poisson_mode_rate_zero_spawns_nothing():
-    cfg = SimConfig(
-        steps=10, spawn_mode="poisson", walker_rate=0.0, driver_rate=0.0, seed=2
-    )
+    cfg = SimConfig(steps=10, walker_rate=0.0, driver_rate=0.0, seed=2)
     world = World(small_grid(), cfg)
     for _ in range(10):
         world.step()
@@ -316,9 +322,7 @@ def test_poisson_mode_rate_zero_spawns_nothing():
 
 
 def test_poisson_mode_spawns_with_rate():
-    cfg = SimConfig(
-        steps=20, spawn_mode="poisson", walker_rate=0.8, driver_rate=0.3, seed=2
-    )
+    cfg = SimConfig(steps=20, walker_rate=0.8, driver_rate=0.3, seed=2)
     result = run(cfg, small_grid())
     spawns = [e for e in result.events if e.kind == "spawn"]
     assert spawns
@@ -396,6 +400,44 @@ def test_different_seeds_differ():
     a = run(SimConfig(steps=30, walkers=10, drivers=5, seed=1), grid)
     b = run(SimConfig(steps=30, walkers=10, drivers=5, seed=2), grid)
     assert render_events_csv(a.events) != render_events_csv(b.events)
+
+
+# A run with targets, and one with arrival rates instead, on a map with
+# parking cells; per SimConfig field, a value off the one these runs take.
+EVERY_INPUT_BASE = SimConfig(steps=60, walkers=30, drivers=20, obstruction=0.05,
+                             walker_w=(1, 3), driver_w=(1, 5), reactivation_prob=0.05,
+                             seed=1)
+EVERY_INPUT_ARRIVALS = dataclasses.replace(EVERY_INPUT_BASE, walkers=0, drivers=0,
+                                           walker_rate=0.5, driver_rate=0.3)
+EVERY_INPUT = {
+    "steps": 61, "walkers": 31, "drivers": 21, "obstruction": 0.1,
+    "walker_rate": 0.6, "driver_rate": 0.4, "walker_w": (1, 4), "driver_w": (1, 4),
+    "driver_alpha": (0.0, 2.0), "walker_max_speed": 0.8, "driver_max_speed": 2.5,
+    "collision_countdown": 3, "lookahead": 2, "sense_radius": 1.5, "yield_radius": 2.5,
+    "accel": 0.5, "decel": 0.5, "reactivation_prob": 0.2, "seed": 2,
+}
+
+
+def test_every_config_field_changes_the_run(tmp_path):
+    # a setting earns its place only when its value changes what a run
+    # writes; a new SimConfig field fails here until it has a case
+    assert sorted(EVERY_INPUT) == sorted(f.name for f in dataclasses.fields(SimConfig))
+    grid = parking_2x2()
+
+    def digest(config, name):
+        paths = export_run(run(config, grid), tmp_path / name)
+        return hashlib.sha256(b"".join(p.read_bytes() for p in paths)).hexdigest()
+
+    arrivals = ("walker_rate", "driver_rate")
+    base = {False: digest(EVERY_INPUT_BASE, "base"),
+            True: digest(EVERY_INPUT_ARRIVALS, "arrivals")}
+    unchanged = []
+    for name, value in EVERY_INPUT.items():
+        config = EVERY_INPUT_ARRIVALS if name in arrivals else EVERY_INPUT_BASE
+        changed = digest(dataclasses.replace(config, **{name: value}), name)
+        if changed == base[name in arrivals]:
+            unchanged.append(name)
+    assert unchanged == []
 
 
 def test_runover_involves_one_walker_one_driver():

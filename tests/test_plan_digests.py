@@ -17,40 +17,17 @@ from __future__ import annotations
 import hashlib
 import random
 
-from gridcity.environment import (
-    CellCode,
-    DIRECTION_ORDER,
-    GridMap,
-    GroundType,
-    LayoutSpec,
-    generate_layout,
-    place_obstacles,
-)
+from gridcity.environment import DIRECTION_ORDER, LayoutSpec, generate_layout, place_obstacles
 from gridcity.planner import BehaviorProfile, plan
-from helpers import random_grid, route_actions, rows_of, traversable_cells
+from helpers import parking_2x2, random_grid, route_actions, traversable_cells
 
 EXPECTED = "6ae440e2f644b8a6b565fe3d172f07405593b55b7b6dc61126d5db83b9e666a3"
-
-
-def _parking_2x2() -> GridMap:
-    """2x2 blocks with every fifth road cell turned into parking (same flow)."""
-    base = generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
-    rows = [
-        [
-            CellCode(GroundType.PARKING, c.flow)
-            if c.ground is GroundType.ROAD and (7 * x + 3 * y) % 5 == 0
-            else c
-            for x, c in enumerate(row)
-        ]
-        for y, row in enumerate(rows_of(base))
-    ]
-    return GridMap.build(rows)
 
 
 def _grids():
     city = generate_layout(LayoutSpec(blocks_x=5, blocks_y=5))
     yield "city", place_obstacles(city, 0.05, random.Random(7)), 6
-    yield "parking", _parking_2x2(), 8
+    yield "parking", parking_2x2(), 8
     for seed in range(4):
         yield f"random{seed}", random_grid(random.Random(seed), 15, 15), 6
 
