@@ -13,7 +13,6 @@ import functools
 import itertools
 import multiprocessing
 import random
-import shutil
 import statistics
 import sys
 import traceback
@@ -164,7 +163,7 @@ def _leaves(section, tree: dict, prefix: str) -> dict:
 
 
 def load_config(path) -> Scenario:
-    """Load and validate a scenario file, applying documented defaults."""
+    """Load and check a scenario file, applying documented defaults."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -185,7 +184,6 @@ def load_config(path) -> Scenario:
     }
     try:
         sim = SimConfig(**kwargs)
-        sim.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -201,8 +199,7 @@ def load_config(path) -> Scenario:
         section = _mapping(raw["layout"], fields, "layout")
         values = {key: _number(v, f"layout.{key}", int) for key, v in section.items()}
         try:
-            layout = LayoutSpec(**{"blocks_x": 1, "blocks_y": 1, **values})
-            layout.validate()
+            layout = LayoutSpec(**values)
         except ValueError as exc:
             raise ConfigError(f"layout: {exc}") from None
         if "obstacles" in raw:
@@ -230,7 +227,7 @@ def load_config(path) -> Scenario:
         )
         for value in sweep[key]:
             try:
-                dataclasses.replace(sim, **{key: value}).validate()
+                dataclasses.replace(sim, **{key: value})
             except ValueError as exc:
                 raise ConfigError(f"sweep.{key}: {exc}") from None
 
@@ -289,10 +286,12 @@ def effective_config_dict(scenario: Scenario, sim: SimConfig) -> dict:
 
 def _echo_config(scenario: Scenario, sim: SimConfig, out_dir: Path) -> None:
     doc = effective_config_dict(scenario, sim)
+    # the bytes are read before any is written, so a run re-run in place
+    # from its own config.yaml copies each file onto itself unharmed
     if scenario.grid_path is not None:
-        shutil.copyfile(scenario.grid_path, out_dir / "map.grid")
+        (out_dir / "map.grid").write_bytes(scenario.grid_path.read_bytes())
         if scenario.obstacles_path is not None:
-            shutil.copyfile(scenario.obstacles_path, out_dir / "obstacles.txt")
+            (out_dir / "obstacles.txt").write_bytes(scenario.obstacles_path.read_bytes())
     (out_dir / "config.yaml").write_text(
         yaml.safe_dump(doc, sort_keys=True, default_flow_style=False),
         encoding="utf-8",
@@ -303,10 +302,10 @@ def execute_run(scenario: Scenario, out_dir, **overrides) -> SimulationResult:
     """Run one scenario point and write its outputs under out_dir.
 
     ``overrides`` are ``SimConfig`` fields by keyword (a sweep point, a seed,
-    a step count) that replace the scenario's values for this run.
+    a step count) that replace the scenario's values for this run; a bad
+    value raises ValueError from ``dataclasses.replace``, before any output.
     """
     sim = dataclasses.replace(scenario.sim, **overrides)
-    sim.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     grid = build_grid(scenario)
@@ -553,13 +552,9 @@ def gen_map_command(blocks_x, blocks_y, block_side, lanes, obstruction, seed, ou
     ``--obstruction`` obstructs that fraction of the sidewalk cells, drawn with
     ``--seed``; the obstacles go to a ``.obstacles`` sidecar file.
     """
-    spec = LayoutSpec(
-        blocks_x=blocks_x,
-        blocks_y=blocks_y,
-        block_side=block_side,
-        lanes_per_direction=lanes,
-    )
     try:
+        spec = LayoutSpec(blocks_x=blocks_x, blocks_y=blocks_y, block_side=block_side,
+                          lanes_per_direction=lanes)
         grid = place_obstacles(generate_layout(spec), obstruction, random.Random(seed))
     except ValueError as exc:
         _config_error(exc)

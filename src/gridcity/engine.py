@@ -38,9 +38,11 @@ VEHICLE_VEHICLE_DIST = VEHICLE_RADIUS + VEHICLE_RADIUS  # 0.8
 RUNOVER_DIST = VEHICLE_RADIUS + WALKER_RADIUS  # 0.45
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
-    """Run parameters: population, behavior distributions, sensing, seed."""
+    """Run parameters: population, behavior distributions, sensing, seed.
+    Checked when made (a ValueError names the field) and frozen, so a changed
+    config is made with ``dataclasses.replace``, which checks it again."""
 
     steps: int = 1000
     walkers: int = 0
@@ -62,7 +64,7 @@ class SimConfig:
     reactivation_prob: float = 0.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
             for v in value if isinstance(value, tuple) else (value,):
@@ -170,21 +172,25 @@ def detect_collisions(pop: Population, step: int = 0) -> list[Event]:
 
 
 def _poisson(rate: float, rng: random.Random) -> int:
-    if rate <= 0:
-        return 0
-    limit = math.exp(-rate)
+    """A Poisson draw at ``rate`` by Knuth's product of uniforms, taken in
+    parts of at most 500 and summed: ``exp(-rate)`` underflows to 0 above
+    about 745.  A rate up to 500 is one part."""
     k = 0
-    p = 1.0
-    while True:
-        p *= rng.random()
-        if p <= limit:
-            return k
-        k += 1
+    while rate > 0:
+        part = min(rate, 500.0)
+        rate -= part
+        limit = math.exp(-part)
+        p = rng.random()
+        while p > limit:
+            k += 1
+            p *= rng.random()
+    return k
 
 
 class World:
     """Owner of the grid, the agent population (``population``, the columns),
-    and the step loop.
+    and the step loop.  Its ``SimConfig`` was checked when made and is frozen,
+    so the world takes it as given.
 
     Events go to one pending list: what is logged between steps (the
     construction's spawns of a run with targets, a ``reactivate`` call) opens
@@ -194,7 +200,6 @@ class World:
     """
 
     def __init__(self, grid: GridMap, config: SimConfig):
-        config.validate()
         master = random.Random(config.seed)
         obstacle_seed = master.getrandbits(64)
         self.spawn_rng = random.Random(master.getrandbits(64))
@@ -290,7 +295,7 @@ class World:
         blocked = pop.blocking_cells()
         occupied = pop.cells(pop.driver)  # cells that hold a driver
         # a kind replenishes to its target, or with no target takes Poisson
-        # arrivals at its rate (none at rate 0); validate allows not both
+        # arrivals at its rate (none at rate 0); a SimConfig allows not both
         active = pop.status == Status.ACTIVE
         drivers = int(np.count_nonzero(active & pop.driver))
         walkers = int(np.count_nonzero(active)) - drivers
@@ -328,11 +333,14 @@ class World:
 
     def add(self, agent: AgentState) -> None:
         """Put a hand-built agent into the world.  It must stand on the grid,
-        and its id must exceed every id present; agents spawned later are
-        numbered after it."""
-        x, y = agent.position
-        if not (0 <= x < self.grid.width and 0 <= y < self.grid.height):
-            raise ValueError(f"agent {agent.id} at {agent.position} is off the grid")
+        every cell of its plan and its goal must lie on the grid, and its id
+        must exceed every id present; agents spawned later are numbered after
+        it."""
+        plan = () if agent.plan is None else agent.plan.cells
+        off = [c for c in (agent.position, *plan, agent.goal)
+               if c is not None and not self.grid.in_bounds(c)]
+        if off:
+            raise ValueError(f"agent {agent.id}: {off[0]} is off the grid")
         self.population.extend([agent])
         self._next_id = max(self._next_id, agent.id + 1)
 
@@ -445,7 +453,6 @@ class SimulationResult:
     """Everything one run produced: metric stream, event log, heatmaps."""
 
     config: SimConfig
-    grid: GridMap
     frames: list
     events: list
     heatmaps: metrics_mod.HeatmapSet
@@ -487,7 +494,6 @@ def run(config: SimConfig, grid: GridMap) -> SimulationResult:
     records = [world.step() for _ in range(config.steps)]
     return SimulationResult(
         config=config,
-        grid=world.grid,
         frames=[r.frame for r in records],
         events=[e for r in records for e in r.events],
         heatmaps=world.heatmaps,

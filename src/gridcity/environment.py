@@ -469,14 +469,14 @@ def serialize_obstacle_list(obstacles: Iterable[Coord]) -> str:
 class LayoutSpec:
     """Parameters of a procedural block layout: a block is a square of side
     ``block_side``, a building of side ``block_side - 2`` in a one-cell
-    sidewalk ring."""
+    sidewalk ring.  Checked when made: a bad value raises LayoutError."""
 
-    blocks_x: int
-    blocks_y: int
+    blocks_x: int = 1
+    blocks_y: int = 1
     block_side: int = 15
     lanes_per_direction: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.blocks_x < 1 or self.blocks_y < 1:
             raise LayoutError("block counts must be at least 1")
         if self.block_side < 3:
@@ -496,7 +496,6 @@ def generate_layout(spec: LayoutSpec) -> GridMap:
     lane directions, and zebra bands span each street on every approach to an
     intersection.
     """
-    spec.validate()
     lanes = spec.lanes_per_direction
     sw = 2 * lanes
     bs = spec.block_side

@@ -477,6 +477,27 @@ def test_a_run_writes_the_same_bytes_whatever_ran_before_it(tmp_path, source):
         assert rewritten.width < grid.width and not rewritten.obstacles
 
 
+def test_a_grid_file_run_reruns_in_place(tmp_path):
+    # the run copies map.grid and obstacles.txt next to its config.yaml, so a
+    # re-run from that config into the same directory copies each onto itself
+    city = place_obstacles(generate_layout(LayoutSpec(blocks_x=1, blocks_y=1)), 0.05,
+                           random.Random(3))
+    (tmp_path / "map.grid").write_text(serialize_grid(city))
+    (tmp_path / "obs.txt").write_text(serialize_obstacle_list(city.obstacles))
+    doc = {"steps": 10, "walkers": 3, "drivers": 2, "seed": 1,
+           "grid": "map.grid", "obstacles": "obs.txt"}
+    first = tmp_path / "first"
+    runner = CliRunner()
+    result = runner.invoke(main, ["run", "--config", str(write_config(tmp_path, doc)),
+                                  "--out", str(first)])
+    assert result.exit_code == 0, result.output
+    before = {p.name: p.read_bytes() for p in first.iterdir()}
+    result = runner.invoke(main, ["run", "--config", str(first / "config.yaml"),
+                                  "--out", str(first)])
+    assert result.exit_code == 0, result.output
+    assert {p.name: p.read_bytes() for p in first.iterdir()} == before
+
+
 def test_steps_override(tmp_path):
     scenario = load_config(write_config(tmp_path, MINIMAL))
     result = execute_run(scenario, tmp_path / "o", steps=3)

@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
+import statistics
 import tracemalloc
 
 import pytest
@@ -130,7 +132,19 @@ def test_detection_invariant_under_permutation():
 )
 def test_config_rejected(kwargs):
     with pytest.raises(ValueError):
-        SimConfig(**kwargs).validate()
+        SimConfig(**kwargs)
+
+
+def test_replace_checks_the_values_it_changes():
+    with pytest.raises(ValueError, match="steps must be positive"):
+        dataclasses.replace(SimConfig(), steps=0)
+
+
+def test_config_is_frozen():
+    cfg = SimConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.steps = 0
+    assert cfg.steps == 1000
 
 
 def test_run_rejects_invalid_config_before_stepping():
@@ -248,11 +262,24 @@ def test_add_refuses_an_id_not_above_the_ids_present():
     assert list(world.agents) == [5]
 
 
-@pytest.mark.parametrize("position", [(1000.5, 0.5), (math.nan, 0.5), (-0.5, 0.5)])
-def test_add_refuses_an_agent_off_the_grid(position):
+@pytest.mark.parametrize(
+    "position, cells, goal, named",
+    [
+        ((1000.5, 0.5), None, None, "(1000.5, 0.5)"),
+        ((math.nan, 0.5), None, None, "(nan, 0.5)"),
+        ((-0.5, 0.5), None, None, "(-0.5, 0.5)"),
+        # a plan cell off the grid; its goal, the plan's last cell, is off too
+        ((0.5, 0.5), [(0, 0), (1, 0), (5000, 0)], None, "(5000, 0)"),
+        ((0.5, 0.5), [(0, 0), (-1, 0), (-2, 0)], (-2, 0), "(-1, 0)"),
+        ((0.5, 0.5), None, (0, 5000), "(0, 5000)"),
+    ],
+    ids=["position0", "position1", "position2", "plan_cell", "plan_to_goal", "goal"],
+)
+def test_add_refuses_an_agent_off_the_grid(position, cells, goal, named):
     world = World(small_grid(), SimConfig(steps=1, drivers=0, seed=0))
-    with pytest.raises(ValueError, match="off the grid"):
-        world.add(make_agent(1, "driver", position))
+    plan = None if cells is None else straight_plan(cells)
+    with pytest.raises(ValueError, match=re.escape(named) + ".* off the grid"):
+        world.add(make_agent(1, "driver", position, plan, goal=goal))
     assert world.agents == {}
     world.step()
 
@@ -482,6 +509,18 @@ def test_poisson_draw_mean_tracks_rate():
     rng = random.Random(123)
     draws = [_poisson(2.0, rng) for _ in range(3000)]
     assert abs(sum(draws) / len(draws) - 2.0) < 0.1
+
+
+def test_poisson_draws_large_rates_in_parts_and_small_ones_as_before():
+    # exp(-rate) underflows to 0 above about 745, which capped a one-part
+    # draw near 750; a rate up to 500 is still one part, so these draws are
+    # the values recorded from the one-part draw
+    rng = random.Random(2024)
+    draws = [engine._poisson(rate, rng) for rate in (0.3, 3, 500) for _ in range(5)]
+    assert draws == [0, 0, 0, 1, 0, 3, 5, 5, 2, 1, 496, 516, 531, 504, 512]
+    rng = random.Random(5)
+    mean = statistics.fmean(engine._poisson(2000, rng) for _ in range(200))
+    assert abs(mean - 2000) <= 20
 
 
 def test_obstruction_applied_by_world():

@@ -227,6 +227,12 @@ def test_layout_rejects_bad_spec(kwargs):
         generate_layout(LayoutSpec(**kwargs))
 
 
+def test_layout_spec_checks_itself_when_made():
+    with pytest.raises(LayoutError, match="block_side must be at least 3"):
+        LayoutSpec(blocks_x=1, blocks_y=1, block_side=2)
+    assert LayoutSpec() == LayoutSpec(blocks_x=1, blocks_y=1)
+
+
 # -- obstacles ----------------------------------------------------------------
 
 
