@@ -44,14 +44,42 @@ class ConfigError(ValueError):
     """Scenario file failed validation; message names the offending field."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A run's config, its map (a layout, or a grid file and an optional
+    obstacle list), its sweep axes and its seeds.  Checked when made, with
+    the ConfigError a scenario file gets for the same value, and frozen, so
+    a changed scenario is made with ``dataclasses.replace``, which checks it
+    again.  Making one reads no file."""
+
     sim: SimConfig
-    layout: LayoutSpec | None
-    grid_path: Path | None
-    obstacles_path: Path | None
+    layout: LayoutSpec | None = None
+    grid_path: Path | None = None
+    obstacles_path: Path | None = None
     sweep: dict = field(default_factory=dict)
     seeds: list = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if (self.layout is None) == (self.grid_path is None):
+            raise ConfigError("exactly one of 'layout' or 'grid' must be present")
+        if self.layout is not None and self.obstacles_path is not None:
+            raise ConfigError("'obstacles' requires a 'grid' file, not a layout")
+        # every point must make a valid SimConfig; each axis is checked on
+        # its own, since no SimConfig check ties walkers, drivers and
+        # obstruction together
+        for key, values in _mapping(self.sweep, SWEEPABLE, "sweep").items():
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"sweep.{key}: expected a non-empty list")
+            _distinct(values, f"sweep.{key}",
+                      _obstruction_label if key == "obstruction" else None)
+            for value in values:
+                try:
+                    dataclasses.replace(self.sim, **{key: value})
+                except ValueError as exc:
+                    raise ConfigError(f"sweep.{key}: {exc}") from None
+        if not isinstance(self.seeds, list) or not all(type(s) is int for s in self.seeds):
+            raise ConfigError("seeds: expected a list of integers")
+        _distinct(self.seeds, "seeds")
 
 
 def _number(value, name: str, cast):
@@ -163,7 +191,8 @@ def _leaves(section, tree: dict, prefix: str) -> dict:
 
 
 def load_config(path) -> Scenario:
-    """Load and check a scenario file, applying documented defaults."""
+    """Read a scenario file into a ``Scenario``, applying documented defaults;
+    its files must exist, and its map is built here."""
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -187,14 +216,8 @@ def load_config(path) -> Scenario:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    has_layout = "layout" in raw
-    has_grid = "grid" in raw
-    if has_layout == has_grid:
-        raise ConfigError("exactly one of 'layout' or 'grid' must be present")
     layout = None
-    grid_path = None
-    obstacles_path = None
-    if has_layout:
+    if "layout" in raw:
         fields = {f.name for f in dataclasses.fields(LayoutSpec)}
         section = _mapping(raw["layout"], fields, "layout")
         values = {key: _number(v, f"layout.{key}", int) for key, v in section.items()}
@@ -202,43 +225,21 @@ def load_config(path) -> Scenario:
             layout = LayoutSpec(**values)
         except ValueError as exc:
             raise ConfigError(f"layout: {exc}") from None
-        if "obstacles" in raw:
-            raise ConfigError("'obstacles' requires a 'grid' file, not a layout")
-    else:
-        grid_path = (path.parent / str(raw["grid"])).resolve()
-        if not grid_path.is_file():
-            raise ConfigError(f"grid file not found: {grid_path}")
-        if "obstacles" in raw:
-            obstacles_path = (path.parent / str(raw["obstacles"])).resolve()
-            if not obstacles_path.is_file():
-                raise ConfigError(f"obstacle list not found: {obstacles_path}")
-
-    # a sweep value is read like the field it stands for, and every point
-    # must make a valid SimConfig; each axis is checked on its own, since no
-    # SimConfig check ties walkers, drivers and obstruction together
+    # a sweep value is read like the field it stands for
     converters = {key: convert for key, _, convert in _SIM_FIELDS}
-    sweep = {}
-    for key, values in _mapping(raw.get("sweep"), SWEEPABLE, "sweep").items():
-        if not isinstance(values, list) or not values:
-            raise ConfigError(f"sweep.{key}: expected a non-empty list")
-        sweep[key] = _distinct(
-            [converters[key](v, f"sweep.{key}") for v in values], f"sweep.{key}",
-            _obstruction_label if key == "obstruction" else None,
-        )
-        for value in sweep[key]:
-            try:
-                dataclasses.replace(sim, **{key: value})
-            except ValueError as exc:
-                raise ConfigError(f"sweep.{key}: {exc}") from None
-
-    seeds = raw.get("seeds")
-    if seeds is None:  # absent or left empty, read like an empty section
-        seeds = []
-    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
-        raise ConfigError("seeds: expected a list of integers")
-    _distinct(seeds, "seeds")
-
-    scenario = Scenario(sim, layout, grid_path, obstacles_path, sweep, list(seeds))
+    sweep = {
+        key: [converters[key](v, f"sweep.{key}") for v in values]
+        if isinstance(values, list) else values
+        for key, values in _mapping(raw.get("sweep"), SWEEPABLE, "sweep").items()
+    }
+    files = {key: (path.parent / str(raw[key])).resolve() if key in raw else None
+             for key in ("grid", "obstacles")}
+    # absent or left empty, the seeds read like an empty section
+    scenario = Scenario(sim, layout, files["grid"], files["obstacles"], sweep,
+                        [] if raw.get("seeds") is None else raw["seeds"])
+    for file, what in zip(files.values(), ("grid file", "obstacle list")):
+        if file is not None and not file.is_file():
+            raise ConfigError(f"{what} not found: {file}")
     try:  # build the map once, before any run: a grid file is read and checked
         grid = build_grid(scenario)
     except ValueError as exc:  # a bad grid file, obstacle list or obstacle
@@ -405,11 +406,11 @@ def render_summary_csv(scenario: Scenario, points: list, outcomes: list) -> str:
 def execute_sweep(
     scenario: Scenario,
     out_dir,
-    seeds: list | None = None,
     parallel: int = 1,
     steps: int | None = None,
 ) -> tuple[list, list]:
-    """Run the sweep product x seeds; returns (points, outcomes).
+    """Run the sweep product x the scenario's seeds (its ``sim.seed`` when it
+    lists none); returns (points, outcomes).
 
     Each run writes under ``out_dir/<point label>/seed<seed>``; ``steps``,
     when given, replaces the scenario's step count.  The runs go to
@@ -419,9 +420,8 @@ def execute_sweep(
     within: the runs of one seed and obstruction place the same obstacles and
     spawn the same first agents, so a worker's plan memo serves their
     construction plans.  The outcomes come back point by point, with the
-    seeds inner.  Raises ConfigError when ``seeds`` repeats a seed."""
-    seeds = list(seeds) if seeds else (scenario.seeds or [scenario.sim.seed])
-    _distinct(seeds, "seeds")
+    seeds inner."""
+    seeds = scenario.seeds or [scenario.sim.seed]
     out = Path(out_dir)
     points = sweep_points(scenario)
     steps = scenario.sim.steps if steps is None else steps
@@ -509,21 +509,18 @@ def run_command(config_path, seed, steps, out_dir):
 def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
     """Execute the scenario's sweep grid across seeds and summarize."""
     scenario = _load_or_exit(config_path)
-    seeds = None
     if seeds_csv is not None:
         try:
             seeds = [int(s) for s in seeds_csv.split(",") if s.strip()]
         except ValueError:
             _config_error("--seeds must be comma-separated integers")
-        if not seeds:  # execute_sweep reads no seeds as the scenario's own
+        if not seeds:  # a scenario reads no seeds as its own sim.seed
             _config_error("--seeds must name at least one seed")
         try:
-            _distinct(seeds, "--seeds")
-        except ConfigError as exc:
-            _config_error(exc)
-    points, outcomes = execute_sweep(
-        scenario, out_dir, seeds=seeds, parallel=parallel, steps=steps
-    )
+            scenario = dataclasses.replace(scenario, seeds=seeds)
+        except ConfigError as exc:  # the only value changed: the seeds
+            _config_error(f"--{exc}")
+    points, outcomes = execute_sweep(scenario, out_dir, parallel=parallel, steps=steps)
     failures = [o for o in outcomes if not o.ok]
     click.echo(
         f"{len(points)} sweep points, {len(outcomes)} runs, {len(failures)} failed"

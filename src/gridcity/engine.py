@@ -67,7 +67,10 @@ class SimConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
+            integer = f.type in ("int", "tuple[int, int]")
             for v in value if isinstance(value, tuple) else (value,):
+                if integer and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
+                    raise ValueError(f"{f.name} must be an integer, got {v!r}")
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.steps <= 0:

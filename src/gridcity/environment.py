@@ -477,6 +477,9 @@ class LayoutSpec:
     lanes_per_direction: int = 2
 
     def __post_init__(self) -> None:
+        for name, v in dataclasses.asdict(self).items():
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise LayoutError(f"{name} must be an integer, got {v!r}")
         if self.blocks_x < 1 or self.blocks_y < 1:
             raise LayoutError("block counts must be at least 1")
         if self.block_side < 3:

@@ -4,6 +4,7 @@ import itertools
 import multiprocessing
 import random
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -239,7 +240,7 @@ def test_repeated_sweep_values_and_seeds_are_refused(tmp_path, patch, args, name
     if args:
         scenario = load_config(config)
         with pytest.raises(ConfigError, match="^seeds: repeated value 1"):
-            execute_sweep(scenario, tmp_path / "s", seeds=[1, 1])
+            dataclasses.replace(scenario, seeds=[1, 1])
     else:
         with pytest.raises(ConfigError, match=name):
             load_config(config)
@@ -249,6 +250,26 @@ def test_repeated_sweep_values_and_seeds_are_refused(tmp_path, patch, args, name
     assert result.exit_code == 2
     assert f"config error: {name}" in result.output
     assert not (tmp_path / "s").exists()
+
+
+# a Scenario built in Python is checked as a scenario file is
+@pytest.mark.parametrize("fields, message", [
+    ({"sweep": {"walkers": [2, 2]}}, "sweep.walkers: repeated value 2"),
+    ({"sweep": {"obstruction": [0.1, 0.1000000001]}},
+     "sweep.obstruction: 0.1 and 0.1000000001 share the run directory label o10"),
+    ({"sweep": {"lanes": [1]}}, "sweep: unknown field 'lanes'"),
+    ({"sweep": {"walkers": []}}, "sweep.walkers: expected a non-empty list"),
+    ({"sweep": {"walkers": [-1]}}, "sweep.walkers: population targets must be >= 0"),
+    ({"seeds": [1, 1]}, "seeds: repeated value 1"),
+    ({"layout": None}, "exactly one of 'layout' or 'grid' must be present"),
+    ({"grid_path": Path("map.grid")}, "exactly one of 'layout' or 'grid' must be present"),
+    ({"obstacles_path": Path("obs.txt")}, "'obstacles' requires a 'grid' file, not a layout"),
+], ids=["repeated_value", "shared_label", "unknown_axis", "empty_axis", "bad_value",
+        "repeated_seed", "no_map", "both_maps", "obstacles_beside_layout"])
+def test_a_bad_scenario_is_refused_when_made(fields, message):
+    base = {"sim": SimConfig(steps=3, walkers=2), "layout": LayoutSpec()}
+    with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+        Scenario(**dict(base, **fields))
 
 
 @pytest.mark.parametrize("seeds", [None, []])
@@ -781,6 +802,25 @@ def test_sweep_command_cli_exit_codes(tmp_path):
         assert bad.exit_code == 2
         assert "--parallel" in bad.output
         assert not (tmp_path / "p").exists()
+
+
+def test_sweep_command_steps_and_seeds_match_the_same_values_in_the_file(tmp_path):
+    runner = CliRunner()
+    given = runner.invoke(main, [
+        "sweep", "--config", str(write_config(tmp_path, sweep_doc())),
+        "--out", str(tmp_path / "given"), "--steps", "3", "--seeds", "4,5"])
+    assert given.exit_code == 0, given.output
+    written = write_config(tmp_path, dict(sweep_doc(), steps=3, seeds=[4, 5]), "written.yaml")
+    result = runner.invoke(main, ["sweep", "--config", str(written),
+                                  "--out", str(tmp_path / "written")])
+    assert result.exit_code == 0, result.output
+    assert given.output == result.output == "2 sweep points, 4 runs, 0 failed\n"
+    names = ["summary.csv"] + [f"{label}/seed{seed}/{name}" for label in ("w2_d0_o0", "w4_d0_o0")
+                               for seed in (4, 5) for name in RUN_CSVS]
+    for name in names:
+        given, written = (tmp_path / "given" / name), (tmp_path / "written" / name)
+        assert given.read_bytes() == written.read_bytes(), name
+    assert len(list((tmp_path / "given").rglob("*.csv"))) == len(names)
 
 
 def test_point_label_formats_obstruction_percent():

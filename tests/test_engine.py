@@ -6,6 +6,7 @@ import re
 import statistics
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from gridcity import engine
@@ -104,6 +105,13 @@ def test_detection_invariant_under_permutation():
 
 # -- config validation ------------------------------------------------------------
 
+# a value of every integer field that is not an integer, each named when refused
+NON_INTEGERS = [
+    ("steps", 2.5), ("walkers", 2.5), ("walkers", True), ("drivers", 1.0),
+    ("collision_countdown", 2.5), ("lookahead", 2.5), ("seed", 1.5),
+    ("walker_w", (1, 2.5)), ("driver_w", (True, 2)),
+]
+
 
 @pytest.mark.parametrize(
     "kwargs",
@@ -128,11 +136,20 @@ def test_detection_invariant_under_permutation():
         {"reactivation_prob": 1.5},
         {"walkers": 5, "walker_rate": 0.5},
         {"drivers": 1, "walker_rate": 0.5},
+        *({name: value} for name, value in NON_INTEGERS),
     ],
 )
 def test_config_rejected(kwargs):
     with pytest.raises(ValueError):
         SimConfig(**kwargs)
+
+
+def test_an_integer_field_names_itself_and_takes_a_numpy_integer():
+    for name, value in NON_INTEGERS:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            SimConfig(**{name: value})
+    config = SimConfig(steps=np.int64(3), walker_w=(np.int32(1), 2))
+    assert config.steps == 3 and config.walker_w == (1, 2)
 
 
 def test_replace_checks_the_values_it_changes():

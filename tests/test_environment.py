@@ -220,6 +220,10 @@ def test_layout_turn_cells_advertise_both_lane_directions():
         {"blocks_x": 0, "blocks_y": 1},
         {"blocks_x": 1, "blocks_y": 1, "block_side": 2},
         {"blocks_x": 1, "blocks_y": 1, "lanes_per_direction": 0},
+        {"blocks_x": 1.5},
+        {"blocks_y": True},
+        {"block_side": 15.0},
+        {"lanes_per_direction": "2"},
     ],
 )
 def test_layout_rejects_bad_spec(kwargs):
@@ -230,6 +234,8 @@ def test_layout_rejects_bad_spec(kwargs):
 def test_layout_spec_checks_itself_when_made():
     with pytest.raises(LayoutError, match="block_side must be at least 3"):
         LayoutSpec(blocks_x=1, blocks_y=1, block_side=2)
+    with pytest.raises(LayoutError, match=r"^block_side must be an integer, got 15\.0$"):
+        LayoutSpec(block_side=15.0)
     assert LayoutSpec() == LayoutSpec(blocks_x=1, blocks_y=1)
 
 
