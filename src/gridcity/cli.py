@@ -64,6 +64,11 @@ class Scenario:
             raise ConfigError("exactly one of 'layout' or 'grid' must be present")
         if self.layout is not None and self.obstacles_path is not None:
             raise ConfigError("'obstacles' requires a 'grid' file, not a layout")
+        for name, value in (("grid", self.grid_path), ("obstacles", self.obstacles_path)):
+            if value is not None and not isinstance(value, Path):
+                raise ConfigError(f"{name}: expected a Path, got {value!r}")
+        if not isinstance(self.sweep, dict):
+            raise ConfigError("sweep: expected a mapping")
         # every point must make a valid SimConfig; each axis is checked on
         # its own, since no SimConfig check ties walkers, drivers and
         # obstruction together

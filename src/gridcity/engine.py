@@ -68,10 +68,12 @@ class SimConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             integer = f.type in ("int", "tuple[int, int]")
+            kinds = (int, np.integer) if integer else (int, float, np.integer, np.floating)
             for v in value if isinstance(value, tuple) else (value,):
-                if integer and (isinstance(v, bool) or not isinstance(v, (int, np.integer))):
-                    raise ValueError(f"{f.name} must be an integer, got {v!r}")
-                if isinstance(v, float) and not math.isfinite(v):
+                if isinstance(v, bool) or not isinstance(v, kinds):
+                    raise ValueError(f"{f.name} must be "
+                                     f"{'an integer' if integer else 'a number'}, got {v!r}")
+                if isinstance(v, (float, np.floating)) and not math.isfinite(v):
                     raise ValueError(f"{f.name} must be finite, got {v!r}")
         if self.steps <= 0:
             raise ValueError("steps must be positive")
@@ -105,7 +107,7 @@ class SimConfig:
             raise ValueError("reactivation_prob must lie in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """One logged occurrence (spawn, goal, park, reactivate, collision_vv,
     runover, jaywalk_entry, replan)."""

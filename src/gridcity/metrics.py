@@ -19,7 +19,7 @@ from .environment import GridMap, ROAD_FAMILY
 EVENT_COLUMNS = ("step", "event_type", "agent_a", "agent_b", "x", "y")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricsFrame:
     """One step's aggregate indicators."""
 

@@ -19,8 +19,9 @@ with ``heappushpop``, which pops what ``heappop`` over every entry would pop
 (see ``_search``), so a greedy run of expansions never touches the heap.
 
 ``plan`` remembers the answer to each query made around no blocked cell and
-without a trace, per layout and obstacle overlay (see ``plan``): the runs of
-a sweep at one seed repeat most of their construction plans.
+without a trace, for one obstacle overlay of the layout at a time (see
+``plan``): the runs of a sweep at one seed and obstruction repeat most of
+their construction plans.
 """
 from __future__ import annotations
 
@@ -86,7 +87,7 @@ class BehaviorProfile:
             raise ValueError("max_speed must be positive")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     """Cell-by-cell route from start to goal inclusive."""
 
@@ -109,12 +110,14 @@ def _moves(grid: GridMap, kind: str):
     enters ground impassable to the kind has no entry.  A driver's entered
     state carries the move's direction k in its low bits, so
     ``risk[state*4 + (nstate & 3)]`` is the unscaled risk of the move from
-    ``state`` into ``nstate``; it is filled only from driver-passable cells,
-    since no search expands another.  Walker moves carry no risk, so their
-    ``risk`` is None.  The tables read the layout alone (``ground`` and
-    ``flow``), never the obstacle overlay: an obstacle's infinite cost in
-    ``GridMap.costs`` keeps every search out of it.  So they are a layout
-    table (``GridMap.layout_table``), built once per layout and kind.
+    ``state`` into ``nstate``, one byte each (the risks are small integers,
+    so ``alpha * risk`` is the double of the float risk); it is filled only
+    from driver-passable cells, since no search expands another.  Walker
+    moves carry no risk, so their ``risk`` is None.  The tables read the
+    layout alone (``ground`` and ``flow``), never the obstacle overlay: an
+    obstacle's infinite cost in ``GridMap.costs`` keeps every search out of
+    it.  So they are a layout table (``GridMap.layout_table``), built once
+    per layout and kind.
     """
     return grid.layout_table(("moves", kind), lambda: _build_moves(grid, kind))
 
@@ -143,7 +146,7 @@ def _build_moves(grid: GridMap, kind: str):
             i += 1
     if kind == "walker":
         return 0, rows, None
-    risk = [0.0] * (width * height * 16)
+    risk = bytearray(width * height * 16)
     flow, ground, road = grid.flow, grid.ground, GroundType.ROAD
     # a move's risks per heading, by all that _classify reads: the
     # two cells' flow, whether the target is road, turnspot and d
@@ -159,12 +162,12 @@ def _build_moves(grid: GridMap, kind: str):
             move = (fm, flow[t], ground[t] is road, turnspot, k)
             risks = risks_of.get(move)
             if risks is None:
-                risks = risks_of[move] = [
-                    _RISKS[a] for a in _classify(grid, i, t, k, turnspot)
-                ]
+                risks = risks_of[move] = bytes([
+                    int(_RISKS[a]) for a in _classify(grid, i, t, k, turnspot)
+                ])
             # risk[(i*4 + hd)*4 + k] for the headings hd = 0..3
             risk[i * 16 + k:i * 16 + 16:4] = risks
-    return 2, rows, risk
+    return 2, rows, bytes(risk)
 
 
 def _coords(grid: GridMap):
@@ -279,11 +282,14 @@ def plan(
     is remembered in the layout table ``"plans"`` under ``(grid.obstacles,
     kind, start state, goal cell, w, alpha)``, which holds all that the
     search reads besides the layout itself (alpha is 0.0 for a walker, and a
-    driver's start state holds its heading).  Every overlay of the layout
-    shares the memo, so the runs of a sweep that place the same agents
-    share their plans.  A ``Plan`` is frozen, so one object may serve many
-    agents.  The memo holds at most ``_MEMO_SIZE`` answers and is emptied
-    when full.  A blocked or traced query always searches.
+    driver's start state holds its heading).  The memo holds one overlay's
+    answers: a miss on another overlay empties it first, as does a miss on
+    a full memo (``_MEMO_SIZE`` answers).  A sweep runs seed by seed, then
+    obstruction by obstruction, so the runs that share an overlay (an equal
+    obstacle set) meet while it is held, and only the bare layout
+    (obstruction 0) comes back, at the next seed.  A ``Plan`` is frozen, so
+    one object may serve many agents.  A blocked or traced query always
+    searches.
     """
     if not grid.in_bounds(start) or not grid.in_bounds(goal):
         raise ValueError("start and goal must lie inside the grid")
@@ -310,10 +316,14 @@ def plan(
     if blocked_idx or trace is not None:
         return _search(grid, kind, s0, gi, profile.w, alpha, blocked_idx, trace)
     memo = grid.layout_table("plans", dict)
-    key = (grid.obstacles, kind, s0, gi, profile.w, alpha)
+    obstacles = grid.obstacles
+    key = (obstacles, kind, s0, gi, profile.w, alpha)
     found = memo.get(key, _MISS)
     if found is _MISS:
-        if len(memo) >= _MEMO_SIZE:
+        # identity first, so a miss on the held overlay object skips
+        # comparing two obstacle sets
+        held = next(iter(memo), key)[0]
+        if len(memo) >= _MEMO_SIZE or (held is not obstacles and held != obstacles):
             memo.clear()
         found = memo[key] = _search(grid, kind, s0, gi, profile.w, alpha, blocked_idx, None)
     return found
@@ -372,7 +382,7 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
         idx = state >> shift
         if trace is not None:
             prev = came[state]
-            r_in = risk[prev * 4 + (state & 3)] if shift and prev >= 0 else 0.0
+            r_in = float(risk[prev * 4 + (state & 3)]) if shift and prev >= 0 else 0.0
             trace.append((expansions, xs[idx], ys[idx], gval, h, r_in, f))
         expansions += 1
         if idx == gi:

@@ -264,8 +264,13 @@ def test_repeated_sweep_values_and_seeds_are_refused(tmp_path, patch, args, name
     ({"layout": None}, "exactly one of 'layout' or 'grid' must be present"),
     ({"grid_path": Path("map.grid")}, "exactly one of 'layout' or 'grid' must be present"),
     ({"obstacles_path": Path("obs.txt")}, "'obstacles' requires a 'grid' file, not a layout"),
+    ({"layout": None, "grid_path": "map.grid"}, "grid: expected a Path, got 'map.grid'"),
+    ({"layout": None, "grid_path": Path("map.grid"), "obstacles_path": "obs.txt"},
+     "obstacles: expected a Path, got 'obs.txt'"),
+    ({"sweep": None}, "sweep: expected a mapping"),
 ], ids=["repeated_value", "shared_label", "unknown_axis", "empty_axis", "bad_value",
-        "repeated_seed", "no_map", "both_maps", "obstacles_beside_layout"])
+        "repeated_seed", "no_map", "both_maps", "obstacles_beside_layout", "str_grid",
+        "str_obstacles", "no_sweep"])
 def test_a_bad_scenario_is_refused_when_made(fields, message):
     base = {"sim": SimConfig(steps=3, walkers=2), "layout": LayoutSpec()}
     with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):

@@ -111,6 +111,8 @@ NON_INTEGERS = [
     ("collision_countdown", 2.5), ("lookahead", 2.5), ("seed", 1.5),
     ("walker_w", (1, 2.5)), ("driver_w", (True, 2)),
 ]
+# a value of a float field that is not a number, each named when refused
+NON_NUMBERS = [("obstruction", "0.1"), ("driver_alpha", (0, "1")), ("accel", True)]
 
 
 @pytest.mark.parametrize(
@@ -137,6 +139,8 @@ NON_INTEGERS = [
         {"walkers": 5, "walker_rate": 0.5},
         {"drivers": 1, "walker_rate": 0.5},
         *({name: value} for name, value in NON_INTEGERS),
+        *({name: value} for name, value in NON_NUMBERS),
+        {"sense_radius": np.float32("inf")},
     ],
 )
 def test_config_rejected(kwargs):
@@ -150,6 +154,14 @@ def test_an_integer_field_names_itself_and_takes_a_numpy_integer():
             SimConfig(**{name: value})
     config = SimConfig(steps=np.int64(3), walker_w=(np.int32(1), 2))
     assert config.steps == 3 and config.walker_w == (1, 2)
+
+
+def test_a_float_field_names_itself_and_takes_a_numpy_number():
+    for name, value in NON_NUMBERS:
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+            SimConfig(**{name: value})
+    config = SimConfig(obstruction=np.float32(0.5), driver_alpha=(np.int64(0), 1))
+    assert config.obstruction == 0.5 and config.driver_alpha == (0, 1)
 
 
 def test_replace_checks_the_values_it_changes():

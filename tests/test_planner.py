@@ -489,7 +489,33 @@ def test_each_obstacle_overlay_gets_its_own_plans():
         overlay_b = grid.with_obstacles({crossed})
         detour = plan(overlay_b, start, goal, profile, heading=heading)
         assert detour is not None and crossed not in detour.cells
-        assert plan(overlay_a, start, goal, profile, heading=heading) is remembered
+        assert plan(overlay_a, start, goal, profile, heading=heading) == remembered
+
+
+def test_the_memo_holds_one_overlay():
+    grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
+    memo = grid.layout_table("plans", dict)
+    queries = _city_queries(grid)
+    routes = {c for start, goal, profile, heading in queries
+              for c in plan(grid, start, goal, profile, heading=heading).cells}
+    off_route = next(c for c in grid.walker_spawns if c not in routes)
+    overlay = grid.with_obstacles({off_route})
+    found = [plan(overlay, start, goal, profile, heading=heading)
+             for start, goal, profile, heading in queries]
+    assert [key[0] for key in memo] == [overlay.obstacles] * len(queries)
+    # an equal overlay built apart gets the same answers
+    twin = grid.with_obstacles(set(overlay.obstacles))
+    assert twin.obstacles is not overlay.obstacles
+    for (start, goal, profile, heading), remembered in zip(queries, found):
+        assert plan(twin, start, goal, profile, heading=heading) is remembered
+    # a full memo on one overlay is still emptied; start == goal makes
+    # each weight a distinct one-expansion query
+    cell = queries[0][0]
+    for w in range(1, _MEMO_SIZE + 1 - len(queries)):
+        plan(twin, cell, cell, BehaviorProfile(kind="walker", w=w))
+    assert len(memo) == _MEMO_SIZE
+    last = plan(twin, cell, cell, BehaviorProfile(kind="walker", w=_MEMO_SIZE))
+    assert list(memo.values()) == [last]
 
 
 def test_a_driver_heading_gets_its_own_plan():
