@@ -275,11 +275,11 @@ def build_grid(scenario: Scenario) -> GridMap:
                       obstacles and obstacles.read_text(encoding="utf-8"))
 
 
-def effective_config_dict(scenario: Scenario, sim: SimConfig) -> dict:
+def effective_config_dict(scenario: Scenario) -> dict:
     """Fully resolved single-run scenario, reloadable by load_config."""
     doc: dict = {}
     for key, name, _ in _SIM_FIELDS:
-        value = getattr(sim, name)
+        value = getattr(scenario.sim, name)
         _put(doc, key, list(value) if isinstance(value, tuple) else value)
     if scenario.layout is not None:
         doc["layout"] = dataclasses.asdict(scenario.layout)
@@ -290,8 +290,8 @@ def effective_config_dict(scenario: Scenario, sim: SimConfig) -> dict:
     return doc
 
 
-def _echo_config(scenario: Scenario, sim: SimConfig, out_dir: Path) -> None:
-    doc = effective_config_dict(scenario, sim)
+def _echo_config(scenario: Scenario, out_dir: Path) -> None:
+    doc = effective_config_dict(scenario)
     # the bytes are read before any is written, so a run re-run in place
     # from its own config.yaml copies each file onto itself unharmed
     if scenario.grid_path is not None:
@@ -304,20 +304,15 @@ def _echo_config(scenario: Scenario, sim: SimConfig, out_dir: Path) -> None:
     )
 
 
-def execute_run(scenario: Scenario, out_dir, **overrides) -> SimulationResult:
-    """Run one scenario point and write its outputs under out_dir.
-
-    ``overrides`` are ``SimConfig`` fields by keyword (a sweep point, a seed,
-    a step count) that replace the scenario's values for this run; a bad
-    value raises ValueError from ``dataclasses.replace``, before any output.
-    """
-    sim = dataclasses.replace(scenario.sim, **overrides)
+def execute_run(scenario: Scenario, out_dir) -> SimulationResult:
+    """Run ``scenario.sim`` on the scenario's map and write its outputs under
+    out_dir.  A run at other values (a sweep point, a seed, a step count) is
+    a scenario changed with ``dataclasses.replace``, which checks them."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = build_grid(scenario)
-    result = run(sim, grid)
+    out.mkdir(parents=True, exist_ok=True)  # a bad out_dir fails before the run
+    result = run(scenario.sim, build_grid(scenario))
     export_run(result, out)
-    _echo_config(scenario, sim, out)
+    _echo_config(scenario, out)
     return result
 
 
@@ -363,13 +358,14 @@ class TaskOutcome:
     values: tuple = ()
 
 
-def _run_task(scenario: Scenario, point: dict, seed: int, steps: int,
-              out_dir: str) -> TaskOutcome:
-    """One run of a sweep; a failure is recorded in its ``error.txt`` and its
-    outcome, and does not stop the sweep."""
+def _run_task(scenario: Scenario, point: dict, seed: int, out_dir: str) -> TaskOutcome:
+    """One run of a sweep: the scenario at ``point`` and ``seed``.  A failure,
+    a bad value included, is recorded in its ``error.txt`` and its outcome,
+    and does not stop the sweep."""
     out = Path(out_dir)
     try:
-        result = execute_run(scenario, out, seed=seed, steps=steps, **point)
+        sim = dataclasses.replace(scenario.sim, seed=seed, **point)
+        result = execute_run(dataclasses.replace(scenario, sim=sim), out)
         values = tuple(getattr(result, attr) for _, attr in SUMMARY_METRICS)
         return TaskOutcome(point=point, seed=seed, ok=True, values=values)
     except Exception as exc:  # noqa: BLE001 - the sweep must keep going
@@ -408,17 +404,12 @@ def render_summary_csv(scenario: Scenario, points: list, outcomes: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def execute_sweep(
-    scenario: Scenario,
-    out_dir,
-    parallel: int = 1,
-    steps: int | None = None,
-) -> tuple[list, list]:
+def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list, list]:
     """Run the sweep product x the scenario's seeds (its ``sim.seed`` when it
-    lists none); returns (points, outcomes).
+    lists none), each point and seed on the scenario's other values; returns
+    (points, outcomes).
 
-    Each run writes under ``out_dir/<point label>/seed<seed>``; ``steps``,
-    when given, replaces the scenario's step count.  The runs go to
+    Each run writes under ``out_dir/<point label>/seed<seed>``.  The runs go to
     ``min(parallel, runs)`` worker processes, or run in this process when
     that is 1.  They run seed by seed in the order given, then obstruction by
     obstruction in declaration order, with the points in declaration order
@@ -429,28 +420,20 @@ def execute_sweep(
     seeds = scenario.seeds or [scenario.sim.seed]
     out = Path(out_dir)
     points = sweep_points(scenario)
-    steps = scenario.sim.steps if steps is None else steps
-    tasks = [
-        (scenario, point, seed, steps,
-         str(out / point_label(point, scenario.sim) / f"seed{seed}"))
-        for point in points
-        for seed in seeds
-    ]
     default = scenario.sim.obstruction
     obstructions = scenario.sweep.get("obstruction", [default])
-    order = sorted(range(len(tasks)), key=lambda i: (
-        seeds.index(tasks[i][2]),
-        obstructions.index(tasks[i][1].get("obstruction", default))))
-    ordered = [tasks[i] for i in order]
+    tasks = sorted(
+        ((scenario, point, seed, str(out / point_label(point, scenario.sim) / f"seed{seed}"))
+         for point in points for seed in seeds),
+        key=lambda task: (seeds.index(task[2]),
+                          obstructions.index(task[1].get("obstruction", default))))
     workers = min(parallel, len(tasks))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            done = pool.starmap(_run_task, ordered)
+            done = pool.starmap(_run_task, tasks)
     else:
-        done = list(itertools.starmap(_run_task, ordered))
-    outcomes = [None] * len(tasks)
-    for i, outcome in zip(order, done):
-        outcomes[i] = outcome
+        done = list(itertools.starmap(_run_task, tasks))
+    outcomes = sorted(done, key=lambda o: (points.index(o.point), seeds.index(o.seed)))
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.csv").write_text(
         render_summary_csv(scenario, points, outcomes), encoding="utf-8", newline="\n"
@@ -490,8 +473,9 @@ def run_command(config_path, seed, steps, out_dir):
     scenario = _load_or_exit(config_path)
     given = {name: value for name, value in (("seed", seed), ("steps", steps))
              if value is not None}
+    scenario = dataclasses.replace(scenario, sim=dataclasses.replace(scenario.sim, **given))
     try:
-        result = execute_run(scenario, out_dir, **given)
+        result = execute_run(scenario, out_dir)
     except Exception as exc:  # noqa: BLE001
         click.echo(f"run failed: {exc}", err=True)
         sys.exit(1)
@@ -525,7 +509,10 @@ def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
             scenario = dataclasses.replace(scenario, seeds=seeds)
         except ConfigError as exc:  # the only value changed: the seeds
             _config_error(f"--{exc}")
-    points, outcomes = execute_sweep(scenario, out_dir, parallel=parallel, steps=steps)
+    if steps is not None:
+        scenario = dataclasses.replace(scenario,
+                                       sim=dataclasses.replace(scenario.sim, steps=steps))
+    points, outcomes = execute_sweep(scenario, out_dir, parallel=parallel)
     failures = [o for o in outcomes if not o.ok]
     click.echo(
         f"{len(points)} sweep points, {len(outcomes)} runs, {len(failures)} failed"

@@ -75,6 +75,10 @@ class SimConfig:
                                      f"{'an integer' if integer else 'a number'}, got {v!r}")
                 if isinstance(v, (float, np.floating)) and not math.isfinite(v):
                     raise ValueError(f"{f.name} must be finite, got {v!r}")
+            # stored as Python numbers, so a numpy one seeds a run and echoes
+            cast = int if integer else float
+            object.__setattr__(self, f.name, tuple(map(cast, value))
+                               if isinstance(value, tuple) else cast(value))
         if self.steps <= 0:
             raise ValueError("steps must be positive")
         if self.walkers < 0 or self.drivers < 0:

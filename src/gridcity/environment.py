@@ -480,6 +480,7 @@ class LayoutSpec:
         for name, v in dataclasses.asdict(self).items():
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
                 raise LayoutError(f"{name} must be an integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # a numpy integer is stored as int
         if self.blocks_x < 1 or self.blocks_y < 1:
             raise LayoutError("block counts must be at least 1")
         if self.block_side < 3:

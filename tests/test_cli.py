@@ -6,6 +6,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -39,6 +40,11 @@ def write_config(tmp_path, doc, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return path
+
+
+def with_sim(scenario, **values):
+    """``scenario`` with ``values`` in place of those of its ``SimConfig``."""
+    return dataclasses.replace(scenario, sim=dataclasses.replace(scenario.sim, **values))
 
 
 MINIMAL = {
@@ -406,13 +412,47 @@ def test_echoed_config_reproduces_run_exactly(tmp_path):
     }
     scenario = load_config(write_config(tmp_path, doc))
     first = tmp_path / "first"
-    execute_run(scenario, first, seed=99)
+    execute_run(with_sim(scenario, seed=99), first)
     echoed = load_config(first / "config.yaml")
     assert echoed.sim.seed == 99
     second = tmp_path / "second"
     execute_run(echoed, second)
     for name in ("metrics.csv", "events.csv", "heatmap_jaywalk.csv"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_a_scenario_of_numpy_numbers_runs_as_one_of_python_numbers(tmp_path):
+    # a numpy number is stored as a Python one, so it seeds a run and its
+    # config.yaml holds plain numbers
+    sim = SimConfig(steps=8, walkers=4, drivers=3, obstruction=0.05, walker_w=(1, 3),
+                    driver_w=(1, 5), driver_alpha=(0.5, 1.0), walker_max_speed=1.5,
+                    driver_max_speed=2.5, collision_countdown=3, lookahead=3,
+                    sense_radius=1.2, yield_radius=2.0, accel=0.5, decel=1.5, seed=3)
+
+    def numpy(value):
+        if isinstance(value, tuple):
+            return tuple(map(numpy, value))
+        return np.int64(value) if isinstance(value, int) else np.float64(value)
+
+    python = Scenario(sim=sim, layout=LayoutSpec(blocks_x=2), sweep={"obstruction": [0.0, 0.1]})
+    scenarios = {
+        "python": python,
+        "numpy": Scenario(
+            sim=SimConfig(**{f.name: numpy(getattr(sim, f.name))
+                             for f in dataclasses.fields(SimConfig)}),
+            layout=LayoutSpec(**{name: numpy(value)
+                                 for name, value in dataclasses.asdict(python.layout).items()}),
+            sweep={"obstruction": list(map(numpy, python.sweep["obstruction"]))}),
+    }
+    for name, scenario in scenarios.items():
+        execute_run(scenario, tmp_path / name / "run")
+        execute_sweep(scenario, tmp_path / name / "sweep")
+    files = sorted(p.relative_to(tmp_path / "python")
+                   for p in (tmp_path / "python").rglob("*") if p.is_file())
+    assert len(files) == 3 * (len(RUN_CSVS) + 1) + 1  # a run, two sweep runs, summary.csv
+    for name in files:
+        assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "python" / name).read_bytes()
+    assert load_config(tmp_path / "numpy" / "run" / "config.yaml").sim == sim
 
 
 def test_run_command_cli(tmp_path):
@@ -438,6 +478,26 @@ def test_run_command_bad_config_exits_2(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_run_command_seed_and_steps_match_the_same_values_in_the_file(tmp_path):
+    doc = dict(MINIMAL, drivers=2)
+    runner = CliRunner()
+    given = runner.invoke(main, [
+        "run", "--config", str(write_config(tmp_path, doc)),
+        "--out", str(tmp_path / "given"), "--seed", "9", "--steps", "4"])
+    assert given.exit_code == 0, given.output
+    written = write_config(tmp_path, dict(doc, seed=9, steps=4), "written.yaml")
+    result = runner.invoke(main, ["run", "--config", str(written),
+                                  "--out", str(tmp_path / "written")])
+    assert result.exit_code == 0, result.output
+    assert given.output == result.output
+    assert result.output.startswith("completed 4 steps; ")
+    names = sorted(RUN_CSVS + ("config.yaml",))
+    assert sorted(p.name for p in (tmp_path / "given").iterdir()) == names
+    for name in names:
+        given, written = (tmp_path / "given" / name), (tmp_path / "written" / name)
+        assert given.read_bytes() == written.read_bytes(), name
+
+
 def test_build_grid_reuses_the_last_generated_layout(tmp_path):
     scenario = load_config(write_config(tmp_path, MINIMAL))
     grid = build_grid(scenario)
@@ -455,7 +515,7 @@ def test_pinned_run_after_another_obstruction_of_its_layout(tmp_path):
         sim=config, layout=LayoutSpec(blocks_x=5, blocks_y=5), grid_path=None,
         obstacles_path=None,
     )
-    execute_run(scenario, tmp_path / "other", steps=5, obstruction=0.10)
+    execute_run(with_sim(scenario, steps=5, obstruction=0.10), tmp_path / "other")
     execute_run(scenario, tmp_path / "pinned")
     digests = {
         name: hashlib.sha256((tmp_path / "pinned" / name).read_bytes()).hexdigest()
@@ -488,10 +548,10 @@ def test_a_run_writes_the_same_bytes_whatever_ran_before_it(tmp_path, source):
     grid = build_grid(scenario)
     assert build_grid(scenario) is grid
     assert grid.layout_table("plans", dict)
-    execute_run(scenario, tmp_path / "after", walkers=6)
+    execute_run(with_sim(scenario, walkers=6), tmp_path / "after")
     cli_mod._base_grid.cache_clear()
     assert build_grid(scenario) is not grid
-    execute_run(scenario, tmp_path / "fresh", walkers=6)
+    execute_run(with_sim(scenario, walkers=6), tmp_path / "fresh")
     for name in RUN_CSVS:
         assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
     if source == "grid_file":  # a file rewritten at the same path is read anew
@@ -526,7 +586,7 @@ def test_a_grid_file_run_reruns_in_place(tmp_path):
 
 def test_steps_override(tmp_path):
     scenario = load_config(write_config(tmp_path, MINIMAL))
-    result = execute_run(scenario, tmp_path / "o", steps=3)
+    result = execute_run(with_sim(scenario, steps=3), tmp_path / "o")
     assert len(result.frames) == 3
 
 
@@ -645,9 +705,9 @@ def test_sweep_runs_seed_by_seed_then_obstruction_by_obstruction(
     ran = []
     run_task = cli_mod._run_task
 
-    def recording(scenario, point, seed, steps, out_dir):
+    def recording(scenario, point, seed, out_dir):
         ran.append((seed, point["obstruction"], point["walkers"]))
-        return run_task(scenario, point, seed, steps, out_dir)
+        return run_task(scenario, point, seed, out_dir)
 
     monkeypatch.setattr(cli_mod, "_run_task", recording)
     doc = dict(MINIMAL, steps=3,
@@ -666,7 +726,7 @@ def test_sweep_runs_seed_by_seed_then_obstruction_by_obstruction(
     assert in_process_pool["sizes"] == [2]
     [tasks] = in_process_pool["tasks"]
     assert [(seed, point["obstruction"], point["walkers"])
-            for _, point, seed, _, _ in tasks] == expected
+            for _, point, seed, _ in tasks] == expected
     assert ran == expected
     assert [(o.point, o.seed) for o in outcomes] == [(p, s) for p in points for s in (1, 2)]
     assert ((tmp_path / "serial" / "summary.csv").read_bytes()
