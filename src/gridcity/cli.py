@@ -82,21 +82,26 @@ class Scenario:
                     dataclasses.replace(self.sim, **{key: value})
                 except ValueError as exc:
                     raise ConfigError(f"sweep.{key}: {exc}") from None
-        if not isinstance(self.seeds, list) or not all(type(s) is int for s in self.seeds):
+        if not isinstance(self.seeds, list):
             raise ConfigError("seeds: expected a list of integers")
-        _distinct(self.seeds, "seeds")
+        try:  # each seed is checked and stored as the seed field is
+            seeds = [dataclasses.replace(self.sim, seed=s).seed for s in self.seeds]
+        except ValueError as exc:
+            raise ConfigError(f"seeds: {exc}") from None
+        object.__setattr__(self, "seeds", _distinct(seeds, "seeds"))
 
 
 def _number(value, name: str, cast):
     """``cast(value)``, or a ConfigError naming the field when that fails.
 
-    An int field takes no bool and no float with a fractional part, so
-    ``2.9`` is not silently read as 2; ``2.0`` reads as 2.
+    No field takes a bool, and an int field no float with a fractional
+    part, so ``2.9`` is not silently read as 2; ``2.0`` reads as 2.
     """
-    if cast is int and (
-        isinstance(value, bool) or (isinstance(value, float) and not value.is_integer())
+    if isinstance(value, bool) or (
+        cast is int and isinstance(value, float) and not value.is_integer()
     ):
-        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+        kind = "an integer" if cast is int else "a number"
+        raise ConfigError(f"{name}: expected {kind}, got {value!r}")
     try:
         return cast(value)
     except (TypeError, ValueError, OverflowError):
@@ -230,18 +235,20 @@ def load_config(path) -> Scenario:
             layout = LayoutSpec(**values)
         except ValueError as exc:
             raise ConfigError(f"layout: {exc}") from None
-    # a sweep value is read like the field it stands for
+    # a sweep value is read like the field it stands for, and a seed like seed
     converters = {key: convert for key, _, convert in _SIM_FIELDS}
     sweep = {
         key: [converters[key](v, f"sweep.{key}") for v in values]
         if isinstance(values, list) else values
         for key, values in _mapping(raw.get("sweep"), SWEEPABLE, "sweep").items()
     }
+    # absent or left empty, the seeds read like an empty section
+    seeds = [] if raw.get("seeds") is None else raw["seeds"]
+    if isinstance(seeds, list):
+        seeds = [converters["seed"](s, "seeds") for s in seeds]
     files = {key: (path.parent / str(raw[key])).resolve() if key in raw else None
              for key in ("grid", "obstacles")}
-    # absent or left empty, the seeds read like an empty section
-    scenario = Scenario(sim, layout, files["grid"], files["obstacles"], sweep,
-                        [] if raw.get("seeds") is None else raw["seeds"])
+    scenario = Scenario(sim, layout, files["grid"], files["obstacles"], sweep, seeds)
     for file, what in zip(files.values(), ("grid file", "obstacle list")):
         if file is not None and not file.is_file():
             raise ConfigError(f"{what} not found: {file}")

@@ -178,20 +178,12 @@ class CellCode:
         if len(token) != 3:
             raise GridParseError(f"token {token!r} must be 3 characters")
         ground = GroundType.from_char(token[0])
-        dirs: list[Direction] = []
-        seen_pad = False
-        for ch in token[1:]:
-            if ch == "-":
-                seen_pad = True
-                continue
-            if seen_pad:
-                raise GridParseError(
-                    f"token {token!r}: direction after '-' placeholder"
-                )
-            d = Direction.from_char(ch)
-            if d in dirs:
-                raise GridParseError(f"token {token!r}: duplicate flow direction")
-            dirs.append(d)
+        flow = token[1:].rstrip("-")
+        if "-" in flow:
+            raise GridParseError(f"token {token!r}: direction after '-' placeholder")
+        dirs = [Direction.from_char(ch) for ch in flow]
+        if len(set(dirs)) < len(dirs):
+            raise GridParseError(f"token {token!r}: duplicate flow direction")
         try:
             return cls(ground, frozenset(dirs))
         except ValueError as exc:
@@ -350,37 +342,25 @@ def _walker_spawn_sites(ground, width, height) -> tuple:
     return tuple(sorted(sites))
 
 
-def _inward_dirs(x: int, y: int, width: int, height: int) -> list[int]:
-    """Indices into DIRECTION_ORDER of the directions pointing into the map."""
-    dirs = []
-    if y == 0:
-        dirs.append(2)  # SOUTH
-    if y == height - 1:
-        dirs.append(0)  # NORTH
-    if x == 0:
-        dirs.append(1)  # EAST
-    if x == width - 1:
-        dirs.append(3)  # WEST
-    return dirs
-
-
 def _driver_sites(ground, flow, width, height) -> tuple[tuple, tuple]:
     """Driver spawn sites and exits, from the lanes that cross the boundary.
 
-    A boundary cell whose flow points off the map is an exit.  Entry lanes are
-    traced inward from the boundary until a plain road cell: spawn sites must
-    sit on Road ground even when the lane enters the map through an
-    intersection or a crossing band.
+    A boundary cell's inward directions are the DIRECTION_TABLE rows whose
+    backward neighbour ``(x - dx, y - dy)`` is off the map.  A boundary cell
+    whose flow points off the map is an exit.  Entry lanes are traced inward
+    from the boundary until a plain road cell: spawn sites must sit on Road
+    ground even when the lane enters the map through an intersection or a
+    crossing band.
     """
     spawns, exits = set(), set()
     for y in range(height):
         for x in range(width):
-            if x not in (0, width - 1) and y not in (0, height - 1):
+            on_boundary = x in (0, width - 1) or y in (0, height - 1)
+            if not on_boundary or _DRIVER_COSTS[ground[y * width + x]] == math.inf:
                 continue
-            if _DRIVER_COSTS[ground[y * width + x]] == math.inf:
-                continue
-            for k in _inward_dirs(x, y, width, height):
-                dx, dy, back, _ = DIRECTION_TABLE[k]
+            for k, (dx, dy, back, _) in enumerate(DIRECTION_TABLE):
+                if 0 <= x - dx < width and 0 <= y - dy < height:
+                    continue  # the lane behind this cell is on the map
                 if flow[y * width + x] >> back & 1:
                     exits.add((x, y))
                 px, py = x, y
@@ -497,64 +477,40 @@ def generate_layout(spec: LayoutSpec) -> GridMap:
     around the blocks; right-hand traffic puts northbound lanes on the east
     half of vertical corridors and eastbound lanes on the south half of
     horizontal ones.  Corridor crossings become turn cells advertising both
-    lane directions, and zebra bands span each street on every approach to an
-    intersection.
+    lane directions.  A lane cell whose offset along its street (``y % pitch``
+    on a vertical lane, ``x % pitch`` on a horizontal one) is ``sw`` or
+    ``pitch - 1``, right beside an intersection, is a zebra with its lane's
+    flow, so zebra bands span each street on every approach to one.
     """
     lanes = spec.lanes_per_direction
     sw = 2 * lanes
-    bs = spec.block_side
-    pitch = bs + sw
-    width = spec.blocks_x * bs + (spec.blocks_x + 1) * sw
-    height = spec.blocks_y * bs + (spec.blocks_y + 1) * sw
-
-    def corridor_offset(i: int):
-        off = i % pitch
-        return off if off < sw else None
+    pitch = spec.block_side + sw
+    width = spec.blocks_x * pitch + sw
+    height = spec.blocks_y * pitch + sw
 
     rows: list[list[CellCode]] = []
     for y in range(height):
-        oh = corridor_offset(y)
+        oh = y % pitch
+        dh = Direction.WEST if oh < lanes else Direction.EAST
+        edge_h = oh in (sw, pitch - 1)  # a block's top or bottom row
         row: list[CellCode] = []
         for x in range(width):
-            ov = corridor_offset(x)
-            if ov is not None and oh is not None:
-                dv = Direction.SOUTH if ov < lanes else Direction.NORTH
-                dh = Direction.WEST if oh < lanes else Direction.EAST
+            ov = x % pitch
+            dv = Direction.SOUTH if ov < lanes else Direction.NORTH
+            edge_v = ov in (sw, pitch - 1)  # a block's left or right column
+            if ov < sw and oh < sw:
                 ground = GroundType.TURN if dv.clockwise is dh else GroundType.LEFT_TURN
                 row.append(CellCode(ground, frozenset({dv, dh})))
-            elif ov is not None:
-                dv = Direction.SOUTH if ov < lanes else Direction.NORTH
-                row.append(CellCode(GroundType.ROAD, frozenset({dv})))
-            elif oh is not None:
-                dh = Direction.WEST if oh < lanes else Direction.EAST
-                row.append(CellCode(GroundType.ROAD, frozenset({dh})))
+            elif ov < sw:
+                ground = GroundType.ZEBRA if edge_h else GroundType.ROAD
+                row.append(CellCode(ground, frozenset({dv})))
+            elif oh < sw:
+                ground = GroundType.ZEBRA if edge_v else GroundType.ROAD
+                row.append(CellCode(ground, frozenset({dh})))
             else:
-                bx = x % pitch - sw
-                by = y % pitch - sw
-                ring = bx in (0, bs - 1) or by in (0, bs - 1)
-                row.append(
-                    CellCode(GroundType.SIDEWALK if ring else GroundType.BUILDING)
-                )
+                ground = GroundType.SIDEWALK if edge_v or edge_h else GroundType.BUILDING
+                row.append(CellCode(ground))
         rows.append(row)
-
-    # Zebra bands: one per street side at each intersection approach.
-    for kv in range(spec.blocks_x + 1):
-        for kh in range(spec.blocks_y + 1):
-            ix0, iy0 = kv * pitch, kh * pitch
-            bands = []
-            if iy0 - 1 >= 0:
-                bands += [(x, iy0 - 1) for x in range(ix0, ix0 + sw)]
-            if iy0 + sw < height:
-                bands += [(x, iy0 + sw) for x in range(ix0, ix0 + sw)]
-            if ix0 - 1 >= 0:
-                bands += [(ix0 - 1, y) for y in range(iy0, iy0 + sw)]
-            if ix0 + sw < width:
-                bands += [(ix0 + sw, y) for y in range(iy0, iy0 + sw)]
-            for x, y in bands:
-                cell = rows[y][x]
-                assert cell.ground is GroundType.ROAD
-                rows[y][x] = CellCode(GroundType.ZEBRA, cell.flow)
-
     return GridMap.build(rows)
 
 

@@ -120,6 +120,11 @@ def test_invalid_value_is_reported(tmp_path):
     ({"seeds": [True]}, "seeds"),
     ({"profiles": {"walker": {"w": [1, 2, 3]}}}, "profiles.walker.w"),
     ({"layout": {"blocks_x": 0}}, "layout"),
+    ({"seeds": [2.5]}, "seeds: expected an integer, got 2.5"),
+    # no number field takes a bool, as SimConfig takes none
+    ({"obstruction": True}, "obstruction: expected a number, got True"),
+    ({"profiles": {"driver": {"alpha": [True, 2]}}},
+     "profiles.driver.alpha: expected a number, got True"),
 ])
 def test_non_numeric_value_is_config_error(tmp_path, patch, field):
     config = write_config(tmp_path, dict(MINIMAL, **patch))
@@ -202,6 +207,7 @@ def test_sweep_lists_must_be_nonempty(tmp_path):
     ({"drivers": [-1]}, "population targets must be >= 0"),
     ({"obstruction": ["lots"]}, "expected a number, got 'lots'"),
     ({"obstruction": [0.1, 1.5]}, "obstruction must lie in"),
+    ({"obstruction": [True]}, "expected a number, got True"),
 ])
 def test_sweep_values_are_checked_like_their_fields(tmp_path, values, message):
     config = write_config(tmp_path, dict(MINIMAL, sweep=values))
@@ -217,17 +223,20 @@ def test_sweep_values_are_checked_like_their_fields(tmp_path, values, message):
 
 
 def test_sweep_values_are_converted_like_their_fields(tmp_path):
-    # a quoted number reads as the number, as it does for the field itself
-    doc = dict(MINIMAL, sweep={"walkers": [2.0], "obstruction": ["0.1"]})
+    # a quoted number reads as the number, as it does for the field itself,
+    # and a listed seed as the seed field reads it
+    doc = dict(MINIMAL, sweep={"walkers": [2.0], "obstruction": ["0.1"]}, seeds=[2.0, "3"])
     config = write_config(tmp_path, doc)
     scenario = load_config(config)
     assert scenario.sweep == {"walkers": [2], "obstruction": [0.1]}
     assert type(scenario.sweep["walkers"][0]) is int
+    assert scenario.seeds == [2, 3] and all(type(s) is int for s in scenario.seeds)
     result = CliRunner().invoke(
         main, ["sweep", "--config", str(config), "--out", str(tmp_path / "s")]
     )
     assert result.exit_code == 0, result.output
-    assert (tmp_path / "s" / "w2_d0_o10" / "seed1" / "metrics.csv").is_file()
+    for seed in (2, 3):
+        assert (tmp_path / "s" / "w2_d0_o10" / f"seed{seed}" / "metrics.csv").is_file()
 
 
 @pytest.mark.parametrize("patch, args, name", [
@@ -238,6 +247,8 @@ def test_sweep_values_are_converted_like_their_fields(tmp_path):
     # two values that print alike would share the run directory w2_d0_o10
     ({"sweep": {"obstruction": [0.1, 0.1000000001]}, "seeds": [1]}, [],
      "sweep.obstruction: 0.1 and 0.1000000001 share the run directory label o10"),
+    # a listed seed is read like the seed field, so 1.0 is 1
+    ({"seeds": [1, 1.0]}, [], "seeds: repeated value 1"),
 ])
 def test_repeated_sweep_values_and_seeds_are_refused(tmp_path, patch, args, name):
     # a repeated value or seed would run twice into one run directory and
@@ -267,6 +278,8 @@ def test_repeated_sweep_values_and_seeds_are_refused(tmp_path, patch, args, name
     ({"sweep": {"walkers": []}}, "sweep.walkers: expected a non-empty list"),
     ({"sweep": {"walkers": [-1]}}, "sweep.walkers: population targets must be >= 0"),
     ({"seeds": [1, 1]}, "seeds: repeated value 1"),
+    ({"seeds": [2.5]}, "seeds: seed must be an integer, got 2.5"),
+    ({"seeds": [True]}, "seeds: seed must be an integer, got True"),
     ({"layout": None}, "exactly one of 'layout' or 'grid' must be present"),
     ({"grid_path": Path("map.grid")}, "exactly one of 'layout' or 'grid' must be present"),
     ({"obstacles_path": Path("obs.txt")}, "'obstacles' requires a 'grid' file, not a layout"),
@@ -275,8 +288,8 @@ def test_repeated_sweep_values_and_seeds_are_refused(tmp_path, patch, args, name
      "obstacles: expected a Path, got 'obs.txt'"),
     ({"sweep": None}, "sweep: expected a mapping"),
 ], ids=["repeated_value", "shared_label", "unknown_axis", "empty_axis", "bad_value",
-        "repeated_seed", "no_map", "both_maps", "obstacles_beside_layout", "str_grid",
-        "str_obstacles", "no_sweep"])
+        "repeated_seed", "fractional_seed", "bool_seed", "no_map", "both_maps",
+        "obstacles_beside_layout", "str_grid", "str_obstacles", "no_sweep"])
 def test_a_bad_scenario_is_refused_when_made(fields, message):
     base = {"sim": SimConfig(steps=3, walkers=2), "layout": LayoutSpec()}
     with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
@@ -434,7 +447,8 @@ def test_a_scenario_of_numpy_numbers_runs_as_one_of_python_numbers(tmp_path):
             return tuple(map(numpy, value))
         return np.int64(value) if isinstance(value, int) else np.float64(value)
 
-    python = Scenario(sim=sim, layout=LayoutSpec(blocks_x=2), sweep={"obstruction": [0.0, 0.1]})
+    python = Scenario(sim=sim, layout=LayoutSpec(blocks_x=2), sweep={"obstruction": [0.0, 0.1]},
+                      seeds=[3])
     scenarios = {
         "python": python,
         "numpy": Scenario(
@@ -442,8 +456,10 @@ def test_a_scenario_of_numpy_numbers_runs_as_one_of_python_numbers(tmp_path):
                              for f in dataclasses.fields(SimConfig)}),
             layout=LayoutSpec(**{name: numpy(value)
                                  for name, value in dataclasses.asdict(python.layout).items()}),
-            sweep={"obstruction": list(map(numpy, python.sweep["obstruction"]))}),
+            sweep={"obstruction": list(map(numpy, python.sweep["obstruction"]))},
+            seeds=list(map(numpy, python.seeds))),
     }
+    assert type(scenarios["numpy"].seeds[0]) is int
     for name, scenario in scenarios.items():
         execute_run(scenario, tmp_path / name / "run")
         execute_sweep(scenario, tmp_path / name / "sweep")

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -54,12 +56,23 @@ def test_token_decode(token, ground, flow):
     assert cell.token() == token
 
 
-@pytest.mark.parametrize(
-    "token",
-    ["rNX", "rNN", "r-N", "sN-", "r--", "xN-", "r", "rNSE", "o-S"],
-)
+MALFORMED_TOKENS = {
+    "rNX": "unknown direction character 'X'",
+    "rNN": "token 'rNN': duplicate flow direction",
+    "r-N": "token 'r-N': direction after '-' placeholder",
+    "sN-": "token 'sN-': cell type 's' does not take flow directions",
+    "r--": "token 'r--': cell type 'r' requires 1-2 flow directions, got 0",
+    "xN-": "unknown ground character 'x'",
+    "r": "token 'r' must be 3 characters",
+    "rNSE": "token 'rNSE' must be 3 characters",
+    "o-S": "token 'o-S': direction after '-' placeholder",
+}
+
+
+@pytest.mark.parametrize("token", list(MALFORMED_TOKENS))
 def test_token_rejects_malformed(token):
-    with pytest.raises(GridParseError):
+    message = MALFORMED_TOKENS[token]
+    with pytest.raises(GridParseError, match="^" + re.escape(message) + "$"):
         CellCode.from_token(token)
 
 
@@ -161,6 +174,35 @@ def test_layout_dimensions_and_counts_5x5():
     assert count(GroundType.BUILDING) == 25 * 13 * 13
     assert count(GroundType.SIDEWALK) == 25 * (4 * 15 - 4)
     assert count(GroundType.TURN) + count(GroundType.LEFT_TURN) == 6 * 6 * 16
+
+
+#: sha256 of serialize_grid(generate_layout(LayoutSpec(*key)))
+LAYOUT_DIGESTS = {
+    (1, 1, 3, 1): "317ff304c6357b72ea93ddfae6db7ff81a2311d1a1f773de5823eb6342de658b",
+    (2, 3, 15, 2): "59b006532d9475f2169d80c857417ee0d071cd08bc24f7a4c801cfeca068b1e3",
+    (3, 2, 4, 3): "b20dcd7120e1b57b977395302366f4eb2b7ba08d99fa88df27aaae33b5ffccbd",
+    (4, 1, 7, 1): "71220b5febf0b92a7d0c15d93bb437c6dfc39c0b9ff98e98d9970b77cdcbefac",
+    (5, 5, 15, 2): "cadc07417302cacc16dd8e429585c0d76a2fcfd7caaeb481ed4c965e12b7cb4c",
+}
+
+
+def test_generated_layout_bytes_are_pinned():
+    grids = []
+    for key, digest in LAYOUT_DIGESTS.items():
+        grid = generate_layout(LayoutSpec(*key))
+        assert hashlib.sha256(serialize_grid(grid).encode()).hexdigest() == digest, key
+        grids.append(grid)
+    # spawn sites and exits, also of random maps as narrow as one cell, where
+    # a boundary cell has two opposite inward directions
+    for seed in range(50):
+        rng = random.Random(seed)
+        grids.append(random_grid(rng, rng.randint(1, 12), rng.randint(1, 12)))
+    assert sum(min(g.width, g.height) == 1 for g in grids) == 8
+    sites = hashlib.sha256()
+    for g in grids:
+        spawns = [(c, d.value) for c, d in g.driver_spawns]
+        sites.update(repr((g.walker_spawns, spawns, g.driver_exits)).encode())
+    assert sites.hexdigest() == "4996b4dc758a22cdb972eaf3a9a6f2935a7621d026617b7e76eef600095f1cbe"
 
 
 def test_layout_single_block_sidewalk_ring():
