@@ -1,4 +1,4 @@
-"""Command line interface: scenario loading, single runs, parameter sweeps.
+"""Scenarios, single runs and sweeps; the command line is ``gridcity.commands``.
 
 Scenario files are YAML documents carrying the simulation parameters plus
 either an inline procedural layout or a grid-file path, an optional sweep
@@ -12,16 +12,11 @@ import dataclasses
 import functools
 import itertools
 import multiprocessing
-import random
+import numbers
 import statistics
-import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NoReturn
-
-import click
-import yaml
 
 from .engine import SimConfig, SimulationResult, run
 from .environment import (
@@ -30,12 +25,8 @@ from .environment import (
     generate_layout,
     parse_grid,
     parse_obstacle_list,
-    place_obstacles,
-    serialize_grid,
-    serialize_obstacle_list,
 )
 from .metrics import export_run
-from .planner import BehaviorProfile, plan as plan_route
 
 SWEEPABLE = ("walkers", "drivers", "obstruction")
 
@@ -203,6 +194,11 @@ def _leaves(section, tree: dict, prefix: str) -> dict:
 def load_config(path) -> Scenario:
     """Read a scenario file into a ``Scenario``, applying documented defaults;
     its files must exist, and its map is built here."""
+    # PyYAML is imported here and in _echo_config, not with the module: a
+    # sweep made in Python forks its workers without it, and each loads it
+    # on its first echoed config.yaml
+    import yaml
+
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -298,6 +294,8 @@ def effective_config_dict(scenario: Scenario) -> dict:
 
 
 def _echo_config(scenario: Scenario, out_dir: Path) -> None:
+    import yaml  # see load_config
+
     doc = effective_config_dict(scenario)
     # the bytes are read before any is written, so a run re-run in place
     # from its own config.yaml copies each file onto itself unharmed
@@ -418,12 +416,16 @@ def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list,
 
     Each run writes under ``out_dir/<point label>/seed<seed>``.  The runs go to
     ``min(parallel, runs)`` worker processes, or run in this process when
-    that is 1.  They run seed by seed in the order given, then obstruction by
-    obstruction in declaration order, with the points in declaration order
-    within: the runs of one seed and obstruction place the same obstacles and
-    spawn the same first agents, so a worker's plan memo serves their
-    construction plans.  The outcomes come back point by point, with the
-    seeds inner."""
+    that is 1; a ``parallel`` other than an integer of at least 1 raises
+    ValueError before anything is written.  They run seed by seed in the
+    order given, then obstruction by obstruction in declaration order, with
+    the points in declaration order within: the runs of one seed and
+    obstruction place the same obstacles and spawn the same first agents, so
+    a worker's plan memo serves their construction plans.  The outcomes come
+    back point by point, with the seeds inner."""
+    if (isinstance(parallel, bool) or not isinstance(parallel, numbers.Integral)
+            or parallel < 1):
+        raise ValueError(f"parallel must be an integer of at least 1, got {parallel!r}")
     seeds = scenario.seeds or [scenario.sim.seed]
     out = Path(out_dir)
     points = sweep_points(scenario)
@@ -446,189 +448,3 @@ def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list,
         render_summary_csv(scenario, points, outcomes), encoding="utf-8", newline="\n"
     )
     return points, outcomes
-
-
-# -- command line -------------------------------------------------------------
-
-
-@click.group()
-def main():
-    """Deterministic urban mobility simulator on a grid-encoded city."""
-
-
-def _config_error(message) -> NoReturn:
-    """Report a configuration error on stderr and exit with status 2."""
-    click.echo(f"config error: {message}", err=True)
-    sys.exit(2)
-
-
-def _load_or_exit(config_path) -> Scenario:
-    try:
-        return load_config(config_path)
-    except ConfigError as exc:
-        _config_error(exc)
-
-
-@main.command("run")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--seed", type=int, default=None, help="Override the scenario seed.")
-@click.option("--steps", type=click.IntRange(min=1), default=None,
-              help="Override the step count.")
-@click.option("--out", "out_dir", type=click.Path(), default="out", show_default=True)
-def run_command(config_path, seed, steps, out_dir):
-    """Execute a single scenario and write metrics, events and heatmaps."""
-    scenario = _load_or_exit(config_path)
-    given = {name: value for name, value in (("seed", seed), ("steps", steps))
-             if value is not None}
-    scenario = dataclasses.replace(scenario, sim=dataclasses.replace(scenario.sim, **given))
-    try:
-        result = execute_run(scenario, out_dir)
-    except Exception as exc:  # noqa: BLE001
-        click.echo(f"run failed: {exc}", err=True)
-        sys.exit(1)
-    click.echo(
-        f"completed {result.config.steps} steps; "
-        f"jaywalk entries {result.total_jaywalk_entries}, "
-        f"collisions {result.total_collisions_vv}, runovers {result.total_runovers}"
-    )
-    for warning in result.warnings[:5]:
-        click.echo(f"warning: {warning}", err=True)
-
-
-@main.command("sweep")
-@click.option("--config", "config_path", required=True, type=click.Path())
-@click.option("--seeds", "seeds_csv", default=None, help="Comma-separated seed list.")
-@click.option("--steps", type=click.IntRange(min=1), default=None,
-              help="Override the step count.")
-@click.option("--out", "out_dir", type=click.Path(), default="sweep_out", show_default=True)
-@click.option("--parallel", type=click.IntRange(min=1), default=1, show_default=True)
-def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
-    """Execute the scenario's sweep grid across seeds and summarize."""
-    scenario = _load_or_exit(config_path)
-    if seeds_csv is not None:
-        try:
-            seeds = [int(s) for s in seeds_csv.split(",") if s.strip()]
-        except ValueError:
-            _config_error("--seeds must be comma-separated integers")
-        if not seeds:  # a scenario reads no seeds as its own sim.seed
-            _config_error("--seeds must name at least one seed")
-        try:
-            scenario = dataclasses.replace(scenario, seeds=seeds)
-        except ConfigError as exc:  # the only value changed: the seeds
-            _config_error(f"--{exc}")
-    if steps is not None:
-        scenario = dataclasses.replace(scenario,
-                                       sim=dataclasses.replace(scenario.sim, steps=steps))
-    points, outcomes = execute_sweep(scenario, out_dir, parallel=parallel)
-    failures = [o for o in outcomes if not o.ok]
-    click.echo(
-        f"{len(points)} sweep points, {len(outcomes)} runs, {len(failures)} failed"
-    )
-    for failure in failures:
-        click.echo(
-            f"failed: {point_label(failure.point, scenario.sim)} seed {failure.seed}: "
-            f"{failure.error}",
-            err=True,
-        )
-    if failures:
-        sys.exit(1)
-
-
-@main.command("gen-map")
-@click.option("--blocks-x", type=int, required=True)
-@click.option("--blocks-y", type=int, required=True)
-@click.option("--block-side", type=int, default=LayoutSpec.block_side, show_default=True)
-@click.option("--lanes", type=int, default=LayoutSpec.lanes_per_direction, show_default=True)
-@click.option("--obstruction", type=float, default=0.0, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--out", "out_path", required=True, type=click.Path())
-def gen_map_command(blocks_x, blocks_y, block_side, lanes, obstruction, seed, out_path):
-    """Generate a block layout and write it as a grid file.
-
-    ``--obstruction`` obstructs that fraction of the sidewalk cells, drawn with
-    ``--seed``; the obstacles go to a ``.obstacles`` sidecar file.
-    """
-    try:
-        spec = LayoutSpec(blocks_x=blocks_x, blocks_y=blocks_y, block_side=block_side,
-                          lanes_per_direction=lanes)
-        grid = place_obstacles(generate_layout(spec), obstruction, random.Random(seed))
-    except ValueError as exc:
-        _config_error(exc)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(serialize_grid(grid), encoding="utf-8", newline="\n")
-    click.echo(f"wrote {grid.width}x{grid.height} grid to {out}")
-    if grid.obstacles:
-        sidecar = out.with_suffix(out.suffix + ".obstacles")
-        sidecar.write_text(
-            serialize_obstacle_list(grid.obstacles), encoding="utf-8", newline="\n"
-        )
-        click.echo(f"wrote {len(grid.obstacles)} obstacles to {sidecar}")
-
-
-@main.command("plan-debug")
-@click.option("--config", "config_path", default=None, type=click.Path())
-@click.option("--grid", "grid_path", default=None, type=click.Path())
-@click.option("--kind", type=click.Choice(["walker", "driver"]), required=True)
-@click.option("--start", "start_s", required=True, help="x,y")
-@click.option("--goal", "goal_s", required=True, help="x,y")
-@click.option("-w", "--weight", type=float, default=1.0, show_default=True)
-@click.option("--alpha", type=float, default=0.0, show_default=True,
-              help="A driver's risk sensitivity.")
-@click.option("--out", "out_path", default=None, type=click.Path(),
-              help="Trace CSV destination (stdout when omitted).")
-def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
-                       alpha, out_path):
-    """Plan one route and dump the expanded-node trace as CSV."""
-    if (config_path is None) == (grid_path is None):
-        _config_error("give exactly one of --config or --grid")
-    if config_path is not None:
-        grid = build_grid(_load_or_exit(config_path))
-    elif not Path(grid_path).is_file():
-        _config_error(f"grid file not found: {Path(grid_path)}")
-    else:
-        try:
-            grid = _base_grid(Path(grid_path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # a bad grid file
-            _config_error(exc)
-
-    def parse_coord(text, name):
-        try:
-            x, y = map(int, text.split(","))
-        except ValueError:
-            _config_error(f"{name} must be 'x,y'")
-        return (x, y)
-
-    start = parse_coord(start_s, "--start")
-    goal = parse_coord(goal_s, "--goal")
-    trace: list = []
-    if kind == "walker" and alpha:
-        _config_error("--alpha: no walker move carries risk, so a walker takes no alpha")
-    try:
-        profile = BehaviorProfile(kind=kind, w=weight, alpha=alpha)
-        route = plan_route(grid, start, goal, profile, trace=trace)
-    except ValueError as exc:
-        _config_error(exc)
-    lines = ["step,x,y,g,h,r,f"]
-    for step, x, y, g, h, r, f in trace:
-        lines.append(f"{step},{x},{y},{g!r},{h},{r!r},{f!r}")
-    content = "\n".join(lines) + "\n"
-    if out_path:
-        out = Path(out_path)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(content, encoding="utf-8", newline="\n")
-        click.echo(f"wrote {len(trace)} expansions to {out_path}")
-    else:
-        click.echo(content, nl=False)
-    if route is None:
-        click.echo("no route found", err=True)
-        sys.exit(1)
-    click.echo(
-        f"route: {len(route)} cells, cost {route.total_cost!r}, "
-        f"risk {route.risk_total!r}, {route.expansions} expansions",
-        err=True,
-    )
-
-
-if __name__ == "__main__":
-    main()

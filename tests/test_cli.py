@@ -1,9 +1,13 @@
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import multiprocessing
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,10 +23,10 @@ from gridcity.cli import (
     execute_run,
     execute_sweep,
     load_config,
-    main,
     point_label,
     sweep_points,
 )
+from gridcity.commands import main
 from gridcity.engine import SimConfig
 from gridcity.environment import (
     GroundType,
@@ -714,6 +718,20 @@ def test_sweep_starts_no_more_workers_than_runs(tmp_path, in_process_pool):
             == (tmp_path / "one" / "summary.csv").read_bytes())
 
 
+@pytest.mark.parametrize("parallel", [0, -1, 2.5, True])
+def test_sweep_refuses_a_parallel_that_is_no_positive_integer(tmp_path, parallel):
+    scenario = load_config(write_config(tmp_path, sweep_doc()))
+    with pytest.raises(ValueError, match="^parallel must be"):
+        execute_sweep(scenario, tmp_path / "s", parallel=parallel)
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_takes_a_numpy_integer_parallel_like_an_int(tmp_path, in_process_pool):
+    scenario = load_config(write_config(tmp_path, sweep_doc()))
+    execute_sweep(scenario, tmp_path / "s", parallel=np.int64(2))
+    assert in_process_pool["sizes"] == [2]
+
+
 def test_sweep_runs_seed_by_seed_then_obstruction_by_obstruction(
         tmp_path, monkeypatch, in_process_pool):
     import gridcity.cli as cli_mod
@@ -1115,3 +1133,23 @@ def test_plan_debug_requires_exactly_one_source(tmp_path):
         main, ["plan-debug", "--kind", "walker", "--start", "0,0", "--goal", "1,0"]
     )
     assert result.exit_code == 2
+
+
+# -- the import boundary ----------------------------------------------------------
+
+
+def test_the_python_api_loads_neither_click_nor_yaml():
+    # a sweep's forked workers hold a copy of what its parent imported
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import sys, gridcity, gridcity.cli; "
+            "print(sorted({'click', 'yaml'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, name = scripts["gridcity"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is main
+    assert sorted(entry.commands) == ["gen-map", "plan-debug", "run", "sweep"]
