@@ -204,7 +204,7 @@ def load_config(path) -> Scenario:
         raise ConfigError(f"config file not found: {path}")
     try:
         raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:  # YAML is UTF-8 text
         raise ConfigError(f"invalid YAML in {path}: {exc}") from None
     # every key a scenario may hold: the _SIM_FIELDS paths and five more
     tree: dict = dict.fromkeys(("layout", "grid", "obstacles", "sweep", "seeds"))
@@ -374,7 +374,6 @@ def _run_task(scenario: Scenario, point: dict, seed: int, out_dir: str) -> TaskO
         values = tuple(getattr(result, attr) for _, attr in SUMMARY_METRICS)
         return TaskOutcome(point=point, seed=seed, ok=True, values=values)
     except Exception as exc:  # noqa: BLE001 - the sweep must keep going
-        out.mkdir(parents=True, exist_ok=True)
         (out / "error.txt").write_text(
             f"{exc}\n\n{traceback.format_exc()}", encoding="utf-8"
         )
@@ -417,7 +416,8 @@ def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list,
     Each run writes under ``out_dir/<point label>/seed<seed>``.  The runs go to
     ``min(parallel, runs)`` worker processes, or run in this process when
     that is 1; a ``parallel`` other than an integer of at least 1 raises
-    ValueError before anything is written.  They run seed by seed in the
+    ValueError before anything is written, and an ``out_dir`` that cannot be
+    made raises OSError before any run.  They run seed by seed in the
     order given, then obstruction by obstruction in declaration order, with
     the points in declaration order within: the runs of one seed and
     obstruction place the same obstacles and spawn the same first agents, so
@@ -426,8 +426,9 @@ def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list,
     if (isinstance(parallel, bool) or not isinstance(parallel, numbers.Integral)
             or parallel < 1):
         raise ValueError(f"parallel must be an integer of at least 1, got {parallel!r}")
-    seeds = scenario.seeds or [scenario.sim.seed]
     out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # a bad out_dir fails before the runs
+    seeds = scenario.seeds or [scenario.sim.seed]
     points = sweep_points(scenario)
     default = scenario.sim.obstruction
     obstructions = scenario.sweep.get("obstruction", [default])
@@ -443,7 +444,6 @@ def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list,
     else:
         done = list(itertools.starmap(_run_task, tasks))
     outcomes = sorted(done, key=lambda o: (points.index(o.point), seeds.index(o.seed)))
-    out.mkdir(parents=True, exist_ok=True)
     (out / "summary.csv").write_text(
         render_summary_csv(scenario, points, outcomes), encoding="utf-8", newline="\n"
     )

@@ -1,7 +1,10 @@
 """The ``gridcity`` command line: ``run``, ``sweep``, ``gen-map`` and
 ``plan-debug`` over the scenarios and runs of ``gridcity.cli``.
 
-A configuration error exits with status 2 and a failed run with status 1.
+A command's errors reach their exit status through the group's one handler:
+a ``ValueError`` (a configuration error) exits with status 2 and an ``OSError``
+(an output path that cannot be written) with status 1.  A failed run, a sweep
+with a failed run and a ``plan-debug`` with no route also exit with status 1.
 """
 from __future__ import annotations
 
@@ -9,13 +12,11 @@ import dataclasses
 import random
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 import click
 
 from .cli import (
     ConfigError,
-    Scenario,
     _base_grid,
     build_grid,
     execute_run,
@@ -33,22 +34,24 @@ from .environment import (
 from .planner import BehaviorProfile, plan as plan_route
 
 
-@click.group()
+class _Commands(click.Group):
+    """The ``gridcity`` group: a command's ``ValueError`` exits 2 as a
+    configuration error, its ``OSError`` exits 1 as a failure."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            click.echo(f"config error: {exc}", err=True)
+            ctx.exit(2)
+        except OSError as exc:
+            click.echo(f"{ctx.invoked_subcommand} failed: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Commands)
 def main():
     """Deterministic urban mobility simulator on a grid-encoded city."""
-
-
-def _config_error(message) -> NoReturn:
-    """Report a configuration error on stderr and exit with status 2."""
-    click.echo(f"config error: {message}", err=True)
-    sys.exit(2)
-
-
-def _load_or_exit(config_path) -> Scenario:
-    try:
-        return load_config(config_path)
-    except ConfigError as exc:
-        _config_error(exc)
 
 
 @main.command("run")
@@ -59,7 +62,7 @@ def _load_or_exit(config_path) -> Scenario:
 @click.option("--out", "out_dir", type=click.Path(), default="out", show_default=True)
 def run_command(config_path, seed, steps, out_dir):
     """Execute a single scenario and write metrics, events and heatmaps."""
-    scenario = _load_or_exit(config_path)
+    scenario = load_config(config_path)
     given = {name: value for name, value in (("seed", seed), ("steps", steps))
              if value is not None}
     scenario = dataclasses.replace(scenario, sim=dataclasses.replace(scenario.sim, **given))
@@ -86,18 +89,18 @@ def run_command(config_path, seed, steps, out_dir):
 @click.option("--parallel", type=click.IntRange(min=1), default=1, show_default=True)
 def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
     """Execute the scenario's sweep grid across seeds and summarize."""
-    scenario = _load_or_exit(config_path)
+    scenario = load_config(config_path)
     if seeds_csv is not None:
         try:
             seeds = [int(s) for s in seeds_csv.split(",") if s.strip()]
         except ValueError:
-            _config_error("--seeds must be comma-separated integers")
+            raise ConfigError("--seeds must be comma-separated integers") from None
         if not seeds:  # a scenario reads no seeds as its own sim.seed
-            _config_error("--seeds must name at least one seed")
+            raise ConfigError("--seeds must name at least one seed")
         try:
             scenario = dataclasses.replace(scenario, seeds=seeds)
         except ConfigError as exc:  # the only value changed: the seeds
-            _config_error(f"--{exc}")
+            raise ConfigError(f"--{exc}") from None
     if steps is not None:
         scenario = dataclasses.replace(scenario,
                                        sim=dataclasses.replace(scenario.sim, steps=steps))
@@ -130,12 +133,9 @@ def gen_map_command(blocks_x, blocks_y, block_side, lanes, obstruction, seed, ou
     ``--obstruction`` obstructs that fraction of the sidewalk cells, drawn with
     ``--seed``; the obstacles go to a ``.obstacles`` sidecar file.
     """
-    try:
-        spec = LayoutSpec(blocks_x=blocks_x, blocks_y=blocks_y, block_side=block_side,
-                          lanes_per_direction=lanes)
-        grid = place_obstacles(generate_layout(spec), obstruction, random.Random(seed))
-    except ValueError as exc:
-        _config_error(exc)
+    spec = LayoutSpec(blocks_x=blocks_x, blocks_y=blocks_y, block_side=block_side,
+                      lanes_per_direction=lanes)
+    grid = place_obstacles(generate_layout(spec), obstruction, random.Random(seed))
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(serialize_grid(grid), encoding="utf-8", newline="\n")
@@ -163,34 +163,28 @@ def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
                        alpha, out_path):
     """Plan one route and dump the expanded-node trace as CSV."""
     if (config_path is None) == (grid_path is None):
-        _config_error("give exactly one of --config or --grid")
+        raise ConfigError("give exactly one of --config or --grid")
     if config_path is not None:
-        grid = build_grid(_load_or_exit(config_path))
+        grid = build_grid(load_config(config_path))
     elif not Path(grid_path).is_file():
-        _config_error(f"grid file not found: {Path(grid_path)}")
+        raise ConfigError(f"grid file not found: {Path(grid_path)}")
     else:
-        try:
-            grid = _base_grid(Path(grid_path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # a bad grid file
-            _config_error(exc)
+        grid = _base_grid(Path(grid_path).read_text(encoding="utf-8"))
 
     def parse_coord(text, name):
         try:
             x, y = map(int, text.split(","))
         except ValueError:
-            _config_error(f"{name} must be 'x,y'")
+            raise ConfigError(f"{name} must be 'x,y'") from None
         return (x, y)
 
     start = parse_coord(start_s, "--start")
     goal = parse_coord(goal_s, "--goal")
     trace: list = []
-    if kind == "walker" and alpha:
-        _config_error("--alpha: no walker move carries risk, so a walker takes no alpha")
-    try:
-        profile = BehaviorProfile(kind=kind, w=weight, alpha=alpha)
-        route = plan_route(grid, start, goal, profile, trace=trace)
-    except ValueError as exc:
-        _config_error(exc)
+    if kind == "walker" and alpha:  # the library ignores a walker's alpha
+        raise ConfigError("--alpha: no walker move carries risk, so a walker takes no alpha")
+    profile = BehaviorProfile(kind=kind, w=weight, alpha=alpha)
+    route = plan_route(grid, start, goal, profile, trace=trace)
     lines = ["step,x,y,g,h,r,f"]
     for step, x, y, g, h, r, f in trace:
         lines.append(f"{step},{x},{y},{g!r},{h},{r!r},{f!r}")

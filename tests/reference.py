@@ -14,8 +14,8 @@ Weighted A* kernel that per-cell successor rows, coordinate tables and
 cell-level blocking replaced: it scans all four directions of a flat
 ``succ`` table with ``-1`` for an invalid move, computes coordinates with
 ``%`` and ``//``, adds the risk term on every move, and widens a driver's
-blocked cells to all four heading states.  Its tables live in the layout's
-``_tables`` under their own key.
+blocked cells to all four heading states.  Its tables are layout tables
+under their own key, read through ``GridMap.layout_table``.
 """
 from __future__ import annotations
 
@@ -367,11 +367,9 @@ def _moves(grid: GridMap, kind: str):
     expands another.  The tables read the layout alone (``ground`` and
     ``flow``), never the obstacle overlay: an obstacle's infinite cost in
     ``GridMap.costs`` keeps every search out of it.  So they are built once
-    per layout and kind, in the ``_tables`` dict its overlays share.
+    per layout and kind, through ``GridMap.layout_table``.
     """
-    key = ("reference moves", kind)
-    tables = grid._tables.get(key)
-    if tables is None:
+    def build():
         width, height = grid.width, grid.height
         size = width * height
         cell_cost = grid.ground_costs(kind)
@@ -387,21 +385,20 @@ def _moves(grid: GridMap, kind: str):
                         if cell_cost[n] != math.inf:
                             succ[i4 + k] = (n << shift) | (k & heading_bits)
         if kind == "walker":
-            tables = (0, succ, [0.0] * (size * 4))
-        else:
-            risk = [0.0] * (size * 16)
-            for i in range(size):
-                if cell_cost[i] == math.inf:
-                    continue
-                turnspot = _turnspot(grid, i)
-                for k in range(4):
-                    n = succ[i * 4 + k]
-                    if n >= 0:
-                        for hd, a in enumerate(_classify(grid, i, n >> 2, k, turnspot)):
-                            risk[(i * 4 + hd) * 4 + k] = _RISKS[a]
-            tables = (2, succ, risk)
-        grid._tables[key] = tables
-    return tables
+            return (0, succ, [0.0] * (size * 4))
+        risk = [0.0] * (size * 16)
+        for i in range(size):
+            if cell_cost[i] == math.inf:
+                continue
+            turnspot = _turnspot(grid, i)
+            for k in range(4):
+                n = succ[i * 4 + k]
+                if n >= 0:
+                    for hd, a in enumerate(_classify(grid, i, n >> 2, k, turnspot)):
+                        risk[(i * 4 + hd) * 4 + k] = _RISKS[a]
+        return (2, succ, risk)
+
+    return grid.layout_table(("reference moves", kind), build)
 
 
 def plan(

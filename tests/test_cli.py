@@ -189,6 +189,19 @@ def test_an_input_that_changes_nothing_is_config_error(tmp_path, patch, message)
         assert not out.exists()
 
 
+def test_a_scenario_file_that_is_not_utf8_is_config_error(tmp_path):
+    config = tmp_path / "scenario.yaml"
+    config.write_bytes(b"steps: 5\nwalkers: 2\n# \xff\n")
+    with pytest.raises(ConfigError, match=f"^invalid YAML in {re.escape(str(config))}: "
+                                          "'utf-8' codec can't decode byte 0xff"):
+        load_config(config)
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("config error: invalid YAML in ")
+    assert not out.exists()
+
+
 def test_integral_floats_load_as_ints(tmp_path):
     doc = dict(MINIMAL, walkers=2.0, layout={"blocks_x": 2.0})
     doc["profiles"] = {"driver": {"w": [1.0, 5.0]}}
@@ -726,6 +739,18 @@ def test_sweep_refuses_a_parallel_that_is_no_positive_integer(tmp_path, parallel
     assert not (tmp_path / "s").exists()
 
 
+def test_sweep_refuses_an_out_dir_it_cannot_make_before_any_run(tmp_path, monkeypatch):
+    import gridcity.cli as cli_mod
+
+    scenario = load_config(write_config(tmp_path, sweep_doc()))
+    (tmp_path / "taken").write_text("")
+    tasks = []
+    monkeypatch.setattr(cli_mod, "_run_task", lambda *task: tasks.append(task))
+    with pytest.raises(OSError):
+        execute_sweep(scenario, tmp_path / "taken")
+    assert tasks == []
+
+
 def test_sweep_takes_a_numpy_integer_parallel_like_an_int(tmp_path, in_process_pool):
     scenario = load_config(write_config(tmp_path, sweep_doc()))
     execute_sweep(scenario, tmp_path / "s", parallel=np.int64(2))
@@ -1133,6 +1158,34 @@ def test_plan_debug_requires_exactly_one_source(tmp_path):
         main, ["plan-debug", "--kind", "walker", "--start", "0,0", "--goal", "1,0"]
     )
     assert result.exit_code == 2
+
+
+# -- the exit path ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--config", "scenario.yaml"],
+    ["sweep", "--config", "scenario.yaml", "--parallel", "1"],
+    ["sweep", "--config", "scenario.yaml", "--parallel", "2"],
+    ["gen-map", "--blocks-x", "1", "--blocks-y", "1"],
+    ["plan-debug", "--grid", "map.grid", "--kind", "walker", "--start", "0,0",
+     "--goal", "1,0"],
+], ids=["run", "sweep_parallel_1", "sweep_parallel_2", "gen_map", "plan_debug"])
+def test_an_output_path_under_a_regular_file_exits_1_in_one_line(tmp_path, args):
+    # the gridcity script in a fresh process, so that a traceback would show
+    write_config(tmp_path, dict(sweep_doc(), steps=2))
+    (tmp_path / "map.grid").write_text("2 1\ns-- s--\n")
+    (tmp_path / "taken").write_text("")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "gridcity.commands", *args, "--out", "taken/out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith(f"{args[0]} failed: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map.grid", "scenario.yaml", "taken"]
 
 
 # -- the import boundary ----------------------------------------------------------
