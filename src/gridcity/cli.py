@@ -8,6 +8,7 @@ effective config so the run can be reproduced from it exactly.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -365,8 +366,8 @@ class TaskOutcome:
 
 def _run_task(scenario: Scenario, point: dict, seed: int, out_dir: str) -> TaskOutcome:
     """One run of a sweep: the scenario at ``point`` and ``seed``.  A failure,
-    a bad value included, is recorded in its ``error.txt`` and its outcome,
-    and does not stop the sweep."""
+    a bad value included, is recorded in its outcome, and in its ``error.txt``
+    when its directory could be made, and does not stop the sweep."""
     out = Path(out_dir)
     try:
         sim = dataclasses.replace(scenario.sim, seed=seed, **point)
@@ -374,9 +375,10 @@ def _run_task(scenario: Scenario, point: dict, seed: int, out_dir: str) -> TaskO
         values = tuple(getattr(result, attr) for _, attr in SUMMARY_METRICS)
         return TaskOutcome(point=point, seed=seed, ok=True, values=values)
     except Exception as exc:  # noqa: BLE001 - the sweep must keep going
-        (out / "error.txt").write_text(
-            f"{exc}\n\n{traceback.format_exc()}", encoding="utf-8"
-        )
+        with contextlib.suppress(OSError):  # the directory may be what failed
+            (out / "error.txt").write_text(
+                f"{exc}\n\n{traceback.format_exc()}", encoding="utf-8"
+            )
         return TaskOutcome(point=point, seed=seed, ok=False, error=str(exc))
 
 

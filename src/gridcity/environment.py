@@ -34,26 +34,6 @@ class Direction(Enum):
     SOUTH = "S"
     WEST = "W"
 
-    @property
-    def _row(self) -> tuple[int, int, int, int]:
-        return DIRECTION_TABLE[DIRECTION_ORDER.index(self)]
-
-    @property
-    def dx(self) -> int:
-        return self._row[0]
-
-    @property
-    def dy(self) -> int:
-        return self._row[1]
-
-    @property
-    def opposite(self) -> "Direction":
-        return DIRECTION_ORDER[self._row[2]]
-
-    @property
-    def clockwise(self) -> "Direction":
-        return DIRECTION_ORDER[self._row[3]]
-
     @classmethod
     def from_char(cls, ch: str) -> "Direction":
         try:
@@ -71,8 +51,9 @@ DIRECTION_ORDER: tuple[Direction, ...] = (
 )
 
 #: One row per direction of DIRECTION_ORDER: ``(dx, dy, opposite, clockwise)``,
-#: the last two as indices into DIRECTION_ORDER.  y grows downward (text
-#: rows), so NORTH points toward row 0.
+#: the last two as indices into DIRECTION_ORDER; the one place direction
+#: geometry is written.  y grows downward (text rows), so NORTH points toward
+#: row 0.
 DIRECTION_TABLE: tuple[tuple[int, int, int, int], ...] = (
     (0, -1, 2, 1),
     (1, 0, 3, 2),
@@ -477,10 +458,12 @@ def generate_layout(spec: LayoutSpec) -> GridMap:
     around the blocks; right-hand traffic puts northbound lanes on the east
     half of vertical corridors and eastbound lanes on the south half of
     horizontal ones.  Corridor crossings become turn cells advertising both
-    lane directions.  A lane cell whose offset along its street (``y % pitch``
-    on a vertical lane, ``x % pitch`` on a horizontal one) is ``sw`` or
-    ``pitch - 1``, right beside an intersection, is a zebra with its lane's
-    flow, so zebra bands span each street on every approach to one.
+    lane directions: ``TURN`` where both lanes lie in the first half of their
+    corridors or both in the second, ``LEFT_TURN`` elsewhere.  A lane cell
+    whose offset along its street (``y % pitch`` on a vertical lane,
+    ``x % pitch`` on a horizontal one) is ``sw`` or ``pitch - 1``, right
+    beside an intersection, is a zebra with its lane's flow, so zebra bands
+    span each street on every approach to one.
     """
     lanes = spec.lanes_per_direction
     sw = 2 * lanes
@@ -499,7 +482,8 @@ def generate_layout(spec: LayoutSpec) -> GridMap:
             dv = Direction.SOUTH if ov < lanes else Direction.NORTH
             edge_v = ov in (sw, pitch - 1)  # a block's left or right column
             if ov < sw and oh < sw:
-                ground = GroundType.TURN if dv.clockwise is dh else GroundType.LEFT_TURN
+                right = (ov < lanes) == (oh < lanes)  # dh is clockwise of dv
+                ground = GroundType.TURN if right else GroundType.LEFT_TURN
                 row.append(CellCode(ground, frozenset({dv, dh})))
             elif ov < sw:
                 ground = GroundType.ZEBRA if edge_h else GroundType.ROAD

@@ -149,21 +149,16 @@ def export_run(result, out_dir) -> list[Path]:
     """Write metrics.csv, events.csv and one heatmap CSV per layer.
 
     Output bytes are a pure function of the result, so re-exporting the same
-    run reproduces identical files.
+    run reproduces identical files.  A directory or file that cannot be
+    written raises pathlib's OSError unchanged; it names the path.
     """
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise OSError(f"cannot create output directory {out}: {exc}") from exc
+    out.mkdir(parents=True, exist_ok=True)
     paths = []
 
     def write(name: str, content: str) -> None:
         path = out / name
-        try:
-            path.write_text(content, encoding="utf-8", newline="\n")
-        except OSError as exc:
-            raise OSError(f"cannot write {path}: {exc}") from exc
+        path.write_text(content, encoding="utf-8", newline="\n")
         paths.append(path)
 
     write("metrics.csv", render_metrics_csv(result.frames))

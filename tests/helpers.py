@@ -9,6 +9,7 @@ from gridcity.environment import (
     CellCode,
     Coord,
     DIRECTION_ORDER,
+    DIRECTION_TABLE,
     FLOW_GROUNDS,
     GridMap,
     GroundType,
@@ -118,7 +119,8 @@ def route_actions(grid: GridMap, route, heading=None) -> list:
     actions = []
     for frm, to in zip(route, route[1:]):
         actions.append(classify_action(grid, frm, to, heading))
-        heading = next(d for d in DIRECTION_ORDER if (frm[0] + d.dx, frm[1] + d.dy) == to)
+        delta = (to[0] - frm[0], to[1] - frm[1])
+        heading = next(d for d, row in zip(DIRECTION_ORDER, DIRECTION_TABLE) if row[:2] == delta)
     return actions
 
 

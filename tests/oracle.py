@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from gridcity.environment import DIRECTION_ORDER, GridMap
+from gridcity.environment import DIRECTION_ORDER, DIRECTION_TABLE, GridMap
 from gridcity.planner import classify_action, driver_risk
 
 
@@ -27,8 +27,8 @@ def walker_dijkstra(grid: GridMap, start, goal, blocked=frozenset()):
             continue
         if cell == goal:
             return d
-        for direction in DIRECTION_ORDER:
-            to = (cell[0] + direction.dx, cell[1] + direction.dy)
+        for dx, dy, _, _ in DIRECTION_TABLE:
+            to = (cell[0] + dx, cell[1] + dy)
             if not grid.in_bounds(to) or to in blocked:
                 continue
             c = cost[to[1] * width + to[0]]
@@ -60,8 +60,8 @@ def driver_dijkstra(grid: GridMap, start, goal, alpha=0.0, heading=None,
             continue
         if cell == goal:
             return d
-        for direction in DIRECTION_ORDER:
-            to = (cell[0] + direction.dx, cell[1] + direction.dy)
+        for direction, (dx, dy, _, _) in zip(DIRECTION_ORDER, DIRECTION_TABLE):
+            to = (cell[0] + dx, cell[1] + dy)
             if not grid.in_bounds(to) or to in blocked:
                 continue
             c = cost[to[1] * width + to[0]]

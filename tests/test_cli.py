@@ -751,6 +751,24 @@ def test_sweep_refuses_an_out_dir_it_cannot_make_before_any_run(tmp_path, monkey
     assert tasks == []
 
 
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_a_sweep_run_that_cannot_make_its_directory_fails_alone(tmp_path, parallel):
+    scenario = load_config(write_config(tmp_path, dict(MINIMAL, sweep={"walkers": [2, 3]})))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "w2_d0_o0").write_text("")  # a regular file where the run's directory goes
+    _, outcomes = execute_sweep(scenario, out, parallel=parallel)
+    assert [o.ok for o in outcomes] == [False, True]
+    summary = (out / "summary.csv").read_text().splitlines()
+    assert [line.split(",")[:4] for line in summary[1:]] == [
+        ["2", "0", "0", "0"], ["3", "0", "0", "1"]
+    ]
+    names = ["metrics", "events", "heatmap_driver_occupancy", "heatmap_driver_speed",
+             "heatmap_walker_occupancy", "heatmap_jaywalk"]
+    for name in names:
+        assert (out / "w3_d0_o0" / "seed1" / f"{name}.csv").is_file()
+
+
 def test_sweep_takes_a_numpy_integer_parallel_like_an_int(tmp_path, in_process_pool):
     scenario = load_config(write_config(tmp_path, sweep_doc()))
     execute_sweep(scenario, tmp_path / "s", parallel=np.int64(2))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gridcity.environment import (
     CellCode,
     DIRECTION_ORDER,
+    DIRECTION_TABLE,
     Direction,
     FLOW_GROUNDS,
     GridMap,
@@ -415,9 +416,9 @@ def test_walker_spawn_sites_are_building_adjacent_sidewalks():
     for x, y in grid.walker_spawns:
         assert grid.ground_at((x, y)) is GroundType.SIDEWALK
         neighbors = [
-            grid.ground_at((x + d.dx, y + d.dy))
-            for d in DIRECTION_ORDER
-            if grid.in_bounds((x + d.dx, y + d.dy))
+            grid.ground_at((x + dx, y + dy))
+            for dx, dy, _, _ in DIRECTION_TABLE
+            if grid.in_bounds((x + dx, y + dy))
         ]
         assert GroundType.BUILDING in neighbors
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gridcity.environment import (
     DIRECTION_ORDER,
+    DIRECTION_TABLE,
     Direction,
     GroundType,
     LayoutSpec,
@@ -149,17 +150,19 @@ def test_classify_generated_intersection_truth_table():
             if cell.ground not in (GroundType.TURN, GroundType.LEFT_TURN):
                 continue
             for heading in cell.flow:
-                for d in Direction:
-                    to = (x + d.dx, y + d.dy)
+                _, _, back, clockwise = DIRECTION_TABLE[DIRECTION_ORDER.index(heading)]
+                for d, (dx, dy, _, _) in zip(DIRECTION_ORDER, DIRECTION_TABLE):
+                    to = (x + dx, y + dy)
                     if not grid.in_bounds(to):
                         continue
-                    if d in (heading, heading.opposite):
+                    if d in (heading, DIRECTION_ORDER[back]):
                         continue
                     if d not in grid.flow_at(to):
                         continue
                     action = classify_action(grid, (x, y), to, heading)
                     expected = (
-                        Action.RIGHT_TURN if heading.clockwise is d else Action.LEFT_TURN
+                        Action.RIGHT_TURN if DIRECTION_ORDER[clockwise] is d
+                        else Action.LEFT_TURN
                     )
                     assert action is expected
                     checked += 1
@@ -673,7 +676,7 @@ def test_plan_matches_the_reference_kernel(source, seed):
             if free is not None:
                 blocked |= set(rng.sample(free.cells, rng.randint(0, len(free.cells))))
             if rng.random() < 0.5:
-                blocked |= {(goal[0] + d.dx, goal[1] + d.dy) for d in DIRECTION_ORDER}
+                blocked |= {(goal[0] + dx, goal[1] + dy) for dx, dy, _, _ in DIRECTION_TABLE}
             if rng.random() < 0.5:
                 blocked.add(start)
             if rng.random() < 0.8:
@@ -753,8 +756,8 @@ def test_plan_trace_records_expansions(case):
     for j, (_, x, y, g, _, r, _) in enumerate(trace[1:], 1):
         entered = set()
         for i, (_, px, py, pg, _, _, _) in enumerate(trace[:j]):
-            for d in Direction:
-                if (px + d.dx, py + d.dy) != (x, y):
+            for d, (dx, dy, _, _) in zip(DIRECTION_ORDER, DIRECTION_TABLE):
+                if (px + dx, py + dy) != (x, y):
                     continue
                 for hd in headings[i]:
                     if profile.kind == "walker":
