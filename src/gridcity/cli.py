@@ -14,7 +14,6 @@ import functools
 import itertools
 import multiprocessing
 import numbers
-import statistics
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -195,9 +194,9 @@ def _leaves(section, tree: dict, prefix: str) -> dict:
 def load_config(path) -> Scenario:
     """Read a scenario file into a ``Scenario``, applying documented defaults;
     its files must exist, and its map is built here."""
-    # PyYAML is imported here and in _echo_config, not with the module: a
-    # sweep made in Python forks its workers without it, and each loads it
-    # on its first echoed config.yaml
+    # PyYAML is imported here alone, not with the module: _echo_config
+    # writes config.yaml itself, so the workers of a sweep made in Python
+    # never load it
     import yaml
 
     path = Path(path)
@@ -294,20 +293,44 @@ def effective_config_dict(scenario: Scenario) -> dict:
     return doc
 
 
-def _echo_config(scenario: Scenario, out_dir: Path) -> None:
-    import yaml  # see load_config
+def _yaml_lines(doc: dict, indent: str = "") -> list[str]:
+    """The lines ``yaml.safe_dump(doc, sort_keys=True,
+    default_flow_style=False)`` writes for an ``effective_config_dict``: keys
+    sorted, a nested mapping two spaces in, a list's items at its key's
+    indent."""
+    lines = []
+    for key in sorted(doc):
+        value = doc[key]
+        if isinstance(value, dict):
+            lines += [f"{indent}{key}:", *_yaml_lines(value, indent + "  ")]
+        elif isinstance(value, list):
+            lines += [f"{indent}{key}:", *(f"{indent}- {_yaml_scalar(v)}" for v in value)]
+        else:
+            lines.append(f"{indent}{key}: {_yaml_scalar(value)}")
+    return lines
 
-    doc = effective_config_dict(scenario)
+
+def _yaml_scalar(value) -> str:
+    """An int, a finite float or a file name as PyYAML's SafeRepresenter
+    writes it: a float is its repr, with ``.0`` put before an exponent that
+    follows no ``.`` (``1e-05`` is ``1.0e-05``), as a YAML float needs."""
+    if not isinstance(value, float):
+        return str(value)
+    text = repr(value)
+    return text if "." in text else text.replace("e", ".0e", 1)
+
+
+def _echo_config(scenario: Scenario, out_dir: Path) -> None:
+    """Write ``config.yaml`` from ``effective_config_dict``, in the bytes
+    PyYAML would write, and copy the scenario's map files beside it."""
     # the bytes are read before any is written, so a run re-run in place
     # from its own config.yaml copies each file onto itself unharmed
     if scenario.grid_path is not None:
         (out_dir / "map.grid").write_bytes(scenario.grid_path.read_bytes())
         if scenario.obstacles_path is not None:
             (out_dir / "obstacles.txt").write_bytes(scenario.obstacles_path.read_bytes())
-    (out_dir / "config.yaml").write_text(
-        yaml.safe_dump(doc, sort_keys=True, default_flow_style=False),
-        encoding="utf-8",
-    )
+    text = "\n".join(_yaml_lines(effective_config_dict(scenario))) + "\n"
+    (out_dir / "config.yaml").write_text(text, encoding="utf-8")
 
 
 def execute_run(scenario: Scenario, out_dir) -> SimulationResult:
@@ -383,6 +406,10 @@ def _run_task(scenario: Scenario, point: dict, seed: int, out_dir: str) -> TaskO
 
 
 def _mean_std(values: list) -> tuple[str, str]:
+    # imported here, not with the module: only a sweep's parent writes the
+    # summary, after its workers are done, so no worker loads statistics
+    import statistics
+
     if not values:
         return "", ""
     mean = statistics.fmean(values)

@@ -8,18 +8,23 @@ import random
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcity.cli import (
     _SIM_FIELDS,
     ConfigError,
     Scenario,
+    _echo_config,
     build_grid,
+    effective_config_dict,
     execute_run,
     execute_sweep,
     load_config,
@@ -407,7 +412,12 @@ def test_every_field_docs_set_every_simconfig_field(tmp_path):
     (EVERY_FIELD_GRID, "30554718825557dbbbe6aacffa327f6059c788c4261e7ebd27b5b1aa48e071cc"),
     ({"steps": 2, "grid": "map.grid", "obstacles": "obs.txt"},
      "9814ba5ec4fa9dc27eefbf4ad56b9a078d5a9ad5a973b090532e5c11cecd00aa"),
-], ids=["every_field", "every_field_grid", "grid_file"])
+    # floats whose repr has no "." (1e-05, 1e-07), which YAML writes 1.0e-05
+    ({"steps": 2, "walkers": 2, "drivers": 1, "obstruction": 0.00001,
+      "profiles": {"driver": {"alpha": [0.0, 1.0e-07]}}, "seed": -4,
+      "layout": {"blocks_x": 1, "blocks_y": 1}},
+     "4c9448c6f99fd32c5c61c3de239016f99b20f5391f9ba5875fc5303d7d8cace2"),
+], ids=["every_field", "every_field_grid", "grid_file", "exponent_floats"])
 def test_echoed_config_bytes_are_pinned(tmp_path, doc, digest):
     write_parking_strip(tmp_path)
     scenario = load_config(write_config(tmp_path, doc))
@@ -415,6 +425,72 @@ def test_echoed_config_bytes_are_pinned(tmp_path, doc, digest):
     echoed = tmp_path / "out" / "config.yaml"
     assert hashlib.sha256(echoed.read_bytes()).hexdigest() == digest
     assert load_config(echoed).sim == scenario.sim
+
+
+def _floats(low=0.0, high=None, above_low=False):
+    """Finite floats from ``low`` (or above it) to ``high``, with the ones
+    hardest to write among them: -0.0, a subnormal and exponents."""
+    hard = [v for v in (-0.0, 5e-324, 1e-05, 1e16)
+            if (v > low if above_low else v >= low) and (high is None or v <= high)]
+    return st.sampled_from(hard) | st.floats(
+        min_value=low, max_value=high, exclude_min=above_low,
+        allow_nan=False, allow_infinity=False)
+
+
+def _ints(low=1):
+    return st.integers(min_value=low, max_value=2**70)
+
+
+def _ranges(values):
+    return st.tuples(values, values).map(sorted).map(tuple)
+
+
+@st.composite
+def _sim_configs(draw):
+    # a run sets population targets or arrival rates, not both
+    targets = draw(st.booleans())
+    counts = _ints(0) if targets else st.just(0)
+    rates = st.just(0.0) if targets else _floats()
+    return SimConfig(
+        steps=draw(_ints()), walkers=draw(counts), drivers=draw(counts),
+        obstruction=draw(_floats(high=1.0)),
+        walker_rate=draw(rates), driver_rate=draw(rates),
+        walker_w=draw(_ranges(_ints())), driver_w=draw(_ranges(_ints())),
+        driver_alpha=draw(_ranges(_floats())),
+        walker_max_speed=draw(_floats(above_low=True)),
+        driver_max_speed=draw(_floats(above_low=True)),
+        collision_countdown=draw(_ints()), lookahead=draw(_ints()),
+        sense_radius=draw(_floats(above_low=True)),
+        yield_radius=draw(_floats(above_low=True)),
+        accel=draw(_floats(above_low=True)), decel=draw(_floats(above_low=True)),
+        reactivation_prob=draw(_floats(high=1.0)),
+        seed=draw(st.integers(min_value=-2**70, max_value=2**70)),
+    )
+
+
+# a small layout, so that load_config builds its map quickly
+_LAYOUTS = st.builds(LayoutSpec, blocks_x=st.integers(1, 3), blocks_y=st.integers(1, 3),
+                     block_side=st.integers(3, 12), lanes_per_direction=st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(sim=_sim_configs(), layout=st.none() | _LAYOUTS, obstacles=st.booleans())
+def test_echoed_config_is_what_pyyaml_writes_and_reloads(sim, layout, obstacles):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_parking_strip(tmp)
+        if layout is None:
+            scenario = Scenario(sim, grid_path=tmp / "map.grid",
+                                obstacles_path=tmp / "obs.txt" if obstacles else None)
+        else:  # a layout has no parking cell, which reactivation needs
+            scenario = Scenario(dataclasses.replace(sim, reactivation_prob=0.0), layout)
+        out = tmp / "out"
+        out.mkdir()
+        _echo_config(scenario, out)
+        echoed = out / "config.yaml"
+        assert echoed.read_text(encoding="utf-8") == yaml.safe_dump(
+            effective_config_dict(scenario), sort_keys=True, default_flow_style=False)
+        assert load_config(echoed).sim == scenario.sim
 
 
 # -- single run -------------------------------------------------------------------
@@ -1209,18 +1285,35 @@ def test_an_output_path_under_a_regular_file_exits_1_in_one_line(tmp_path, args)
 # -- the import boundary ----------------------------------------------------------
 
 
+def _heavy_modules_after(code: str, *args: str) -> str:
+    """Which of click, PyYAML and statistics a fresh interpreter has loaded
+    after running ``code`` with ``args`` as ``sys.argv[1:]``."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code += "; print(sorted({'click', 'yaml', 'statistics'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
 def test_the_python_api_loads_neither_click_nor_yaml():
     # a sweep's forked workers hold a copy of what its parent imported
     root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code = ("import sys, gridcity, gridcity.cli; "
-            "print(sorted({'click', 'yaml'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "[]\n"
+    assert _heavy_modules_after("import sys, gridcity, gridcity.cli") == "[]\n"
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
     scripts = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]
     module, _, name = scripts["gridcity"].partition(":")
     entry = getattr(importlib.import_module(module), name)
     assert entry is main
     assert sorted(entry.commands) == ["gen-map", "plan-debug", "run", "sweep"]
+
+
+def test_a_run_loads_neither_yaml_nor_statistics(tmp_path):
+    # what a sweep's worker does: config.yaml is written without PyYAML, and
+    # statistics is the summary's, which only the sweep's parent writes
+    code = ("import sys; from gridcity import LayoutSpec, SimConfig; "
+            "from gridcity.cli import Scenario, execute_run; "
+            "execute_run(Scenario(sim=SimConfig(steps=2, walkers=2, drivers=1), "
+            "layout=LayoutSpec()), sys.argv[1])")
+    assert _heavy_modules_after(code, str(tmp_path / "out")) == "[]\n"
+    assert (tmp_path / "out" / "config.yaml").is_file()
