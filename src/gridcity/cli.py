@@ -18,7 +18,7 @@ import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .engine import SimConfig, SimulationResult, run
+from .engine import SimConfig, SimulationResult, check_map, run
 from .environment import (
     GridMap,
     LayoutSpec,
@@ -99,15 +99,12 @@ def _number(value, name: str, cast):
         raise ConfigError(f"{name}: expected a number, got {value!r}") from None
 
 
-def _scalar(cast):
-    return lambda value, name: _number(value, name, cast)
-
-
 def _pair(cast):
-    """A ``[low, high]`` range; a single number ``v`` reads as ``[v, v]``."""
+    """A ``[low, high]`` range; a single value ``v``, a quoted number
+    included, reads as ``[v, v]``."""
 
     def convert(value, name):
-        if isinstance(value, (int, float)):
+        if isinstance(value, (int, float, str)):
             value = (value, value)
         if not isinstance(value, (list, tuple)) or len(value) != 2:
             raise ConfigError(f"{name}: expected a number or a [low, high] pair")
@@ -133,29 +130,30 @@ def _distinct(values: list, name: str, label=None) -> list:
     return values
 
 
-# The scenario format: (YAML path, SimConfig field, conversion of the YAML
-# value).  load_config reads every SimConfig field through this table and
+# A YAML value's conversion, by the annotation of the field it sets.
+_CONVERSIONS = {
+    "int": functools.partial(_number, cast=int),
+    "float": functools.partial(_number, cast=float),
+    "tuple[int, int]": _pair(int),
+    "tuple[float, float]": _pair(float),
+}
+
+# The YAML path of each SimConfig field a scenario nests in a section; every
+# other field is read at its own name.
+_NESTED_PATHS = {
+    "walker_w": "profiles.walker.w", "walker_max_speed": "profiles.walker.max_speed",
+    "driver_w": "profiles.driver.w", "driver_alpha": "profiles.driver.alpha",
+    "driver_max_speed": "profiles.driver.max_speed",
+    "lookahead": "sensing.lookahead", "sense_radius": "sensing.radius",
+    "yield_radius": "sensing.yield_radius",
+}
+
+# The scenario format, one (YAML path, field, conversion) row per SimConfig
+# field.  load_config reads every field through this table and
 # effective_config_dict writes every one back through it.
-_SIM_FIELDS = (
-    ("steps", "steps", _scalar(int)),
-    ("walkers", "walkers", _scalar(int)),
-    ("drivers", "drivers", _scalar(int)),
-    ("obstruction", "obstruction", _scalar(float)),
-    ("walker_rate", "walker_rate", _scalar(float)),
-    ("driver_rate", "driver_rate", _scalar(float)),
-    ("profiles.walker.w", "walker_w", _pair(int)),
-    ("profiles.walker.max_speed", "walker_max_speed", _scalar(float)),
-    ("profiles.driver.w", "driver_w", _pair(int)),
-    ("profiles.driver.alpha", "driver_alpha", _pair(float)),
-    ("profiles.driver.max_speed", "driver_max_speed", _scalar(float)),
-    ("collision_countdown", "collision_countdown", _scalar(int)),
-    ("sensing.lookahead", "lookahead", _scalar(int)),
-    ("sensing.radius", "sense_radius", _scalar(float)),
-    ("sensing.yield_radius", "yield_radius", _scalar(float)),
-    ("accel", "accel", _scalar(float)),
-    ("decel", "decel", _scalar(float)),
-    ("reactivation_prob", "reactivation_prob", _scalar(float)),
-    ("seed", "seed", _scalar(int)),
+_SIM_FIELDS = tuple(
+    (_NESTED_PATHS.get(f.name, f.name), f.name, _CONVERSIONS[f.type])
+    for f in dataclasses.fields(SimConfig)
 )
 
 
@@ -224,9 +222,9 @@ def load_config(path) -> Scenario:
 
     layout = None
     if "layout" in raw:
-        fields = {f.name for f in dataclasses.fields(LayoutSpec)}
-        section = _mapping(raw["layout"], fields, "layout")
-        values = {key: _number(v, f"layout.{key}", int) for key, v in section.items()}
+        types = {f.name: f.type for f in dataclasses.fields(LayoutSpec)}
+        section = _mapping(raw["layout"], types, "layout")
+        values = {k: _CONVERSIONS[types[k]](v, f"layout.{k}") for k, v in section.items()}
         try:
             layout = LayoutSpec(**values)
         except ValueError as exc:
@@ -249,11 +247,9 @@ def load_config(path) -> Scenario:
         if file is not None and not file.is_file():
             raise ConfigError(f"{what} not found: {file}")
     try:  # build the map once, before any run: a grid file is read and checked
-        grid = build_grid(scenario)
-    except ValueError as exc:  # a bad grid file, obstacle list or obstacle
+        check_map(build_grid(scenario), sim)
+    except ValueError as exc:  # a bad map file or obstacle, or a config the map cannot run
         raise ConfigError(str(exc)) from None
-    if sim.reactivation_prob > 0 and not grid.parking_cells:
-        raise ConfigError("reactivation_prob: the map has no parking cell, so no driver parks")
     return scenario
 
 
@@ -359,8 +355,6 @@ def point_label(point: dict, sim: SimConfig) -> str:
 def sweep_points(scenario: Scenario) -> list[dict]:
     """Cartesian product of the sweep value lists, in declaration order."""
     keys = [k for k in SWEEPABLE if k in scenario.sweep]
-    if not keys:
-        return [{}]
     products = itertools.product(*(scenario.sweep[k] for k in keys))
     return [dict(zip(keys, combo)) for combo in products]
 

@@ -196,10 +196,17 @@ def _poisson(rate: float, rng: random.Random) -> int:
     return k
 
 
+def check_map(grid: GridMap, config: SimConfig) -> None:
+    """Raise ValueError when ``config`` needs what ``grid`` lacks: a driver
+    can be reactivated only on a map with a parking cell."""
+    if config.reactivation_prob > 0 and not grid.parking_cells:
+        raise ValueError("reactivation_prob: the map has no parking cell, so no driver parks")
+
+
 class World:
     """Owner of the grid, the agent population (``population``, the columns),
     and the step loop.  Its ``SimConfig`` was checked when made and is frozen,
-    so the world takes it as given.
+    so the world checks only what the config needs of its grid (``check_map``).
 
     Events go to one pending list: what is logged between steps (the
     construction's spawns of a run with targets, a ``reactivate`` call) opens
@@ -209,6 +216,7 @@ class World:
     """
 
     def __init__(self, grid: GridMap, config: SimConfig):
+        check_map(grid, config)
         master = random.Random(config.seed)
         obstacle_seed = master.getrandbits(64)
         self.spawn_rng = random.Random(master.getrandbits(64))
@@ -342,14 +350,22 @@ class World:
 
     def add(self, agent: AgentState) -> None:
         """Put a hand-built agent into the world.  It must stand on the grid,
-        every cell of its plan and its goal must lie on the grid, and its id
-        must exceed every id present; agents spawned later are numbered after
-        it."""
+        every cell of its plan and its goal must lie on the grid, its cell and
+        its goal must be cells its kind can enter, a walker cannot be parked,
+        and its id must exceed every id present; agents spawned later are
+        numbered after it."""
         plan = () if agent.plan is None else agent.plan.cells
         off = [c for c in (agent.position, *plan, agent.goal)
                if c is not None and not self.grid.in_bounds(c)]
         if off:
             raise ValueError(f"agent {agent.id}: {off[0]} is off the grid")
+        if agent.kind == "walker" and agent.status == Status.PARKED:
+            raise ValueError(f"agent {agent.id}: a walker cannot be parked")
+        costs = self.grid.costs(agent.kind)
+        cell = tuple(map(math.floor, agent.position))
+        for c in (cell, agent.goal):
+            if c is not None and math.isinf(costs[c[1] * self.grid.width + c[0]]):
+                raise ValueError(f"agent {agent.id}: a {agent.kind} cannot enter {c}")
         self.population.extend([agent])
         self._next_id = max(self._next_id, agent.id + 1)
 

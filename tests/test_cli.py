@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcity.cli import (
+    _NESTED_PATHS,
     _SIM_FIELDS,
     ConfigError,
     Scenario,
@@ -339,6 +340,26 @@ def test_profile_ranges_accept_scalar_or_pair(tmp_path):
     assert scenario.sim.driver_alpha == (0.0, 1.0)
 
 
+def test_a_quoted_number_reads_as_a_one_value_range(tmp_path):
+    # as a quoted number reads for every other number field
+    doc = dict(MINIMAL, profiles={"walker": {"w": "3"}, "driver": {"w": "2", "alpha": "0.5"}})
+    sim = load_config(write_config(tmp_path, doc)).sim
+    assert (sim.walker_w, sim.driver_w, sim.driver_alpha) == ((3, 3), (2, 2), (0.5, 0.5))
+    doc["profiles"] = {"walker": {"w": "x"}}
+    with pytest.raises(ConfigError, match=r"^profiles\.walker\.w: expected a number, got 'x'$"):
+        load_config(write_config(tmp_path, doc))
+
+
+def test_a_python_scenario_reactivating_without_parking_is_refused(tmp_path):
+    # a generated layout has no parking cell: the run is refused as the
+    # scenario file is
+    scenario = Scenario(SimConfig(steps=3, drivers=2, reactivation_prob=0.5), LayoutSpec())
+    with pytest.raises(ValueError, match="^reactivation_prob: the map has no parking cell, "
+                                         "so no driver parks$"):
+        execute_run(scenario, tmp_path / "out")
+    assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
 def test_grid_file_scenario_loads_with_obstacles(tmp_path):
     (tmp_path / "map.grid").write_text("2 1\nrE- rE-\n")
     (tmp_path / "obs.txt").write_text("")
@@ -397,6 +418,12 @@ def test_sim_fields_name_every_simconfig_field_once():
     assert sorted(names) == sorted(f.name for f in dataclasses.fields(SimConfig))
     paths = [path for path, _, _ in _SIM_FIELDS]
     assert len(set(paths)) == len(paths)
+
+
+def test_nested_paths_name_simconfig_fields():
+    # a path left behind by a renamed field would be silently ignored
+    names = {f.name for f in dataclasses.fields(SimConfig)}
+    assert sorted(set(_NESTED_PATHS) - names) == []
 
 
 def test_every_field_docs_set_every_simconfig_field(tmp_path):

@@ -313,6 +313,47 @@ def test_add_refuses_an_agent_off_the_grid(position, cells, goal, named):
     world.step()
 
 
+def test_add_refuses_a_parked_walker():
+    # only a driver parks, and only a parked driver is reactivated
+    grid = parking_2x2()
+    world = World(grid, SimConfig(steps=1, reactivation_prob=1.0, seed=0))
+    walker = make_agent(1, "walker", grid.center(grid.walker_spawns[0]), status=Status.PARKED)
+    with pytest.raises(ValueError, match=r"^agent 1: a walker cannot be parked$"):
+        world.add(walker)
+    assert world.agents == {}
+    world.step()
+
+
+@pytest.mark.parametrize("kind, position, goal, named", [
+    ("driver", (1.5, 0.5), None, "(1, 0)"),
+    ("driver", (3.5, 0.5), (1, 0), "(1, 0)"),
+    ("walker", (0.5, 0.5), None, "(0, 0)"),
+    ("walker", (1.5, 0.5), (0, 0), "(0, 0)"),
+    ("walker", (2.5, 0.5), None, "(2, 0)"),
+    ("walker", (1.5, 0.5), (2, 0), "(2, 0)"),
+], ids=["driver_on_sidewalk", "driver_to_sidewalk", "walker_on_building",
+        "walker_to_building", "walker_on_obstacle", "walker_to_obstacle"])
+def test_add_refuses_an_agent_on_or_bound_for_a_cell_its_kind_cannot_enter(
+        kind, position, goal, named):
+    # a building, a sidewalk, an obstructed sidewalk, then a street holding a
+    # parked driver, which a step would plan around
+    grid = grid_of("b-- s-- s-- rE- rE-").with_obstacles([(2, 0)])
+    world = World(grid, SimConfig(steps=1, seed=0))
+    world.add(make_agent(1, "driver", (4.5, 0.5), status=Status.PARKED))
+    with pytest.raises(ValueError, match=f"^agent 2: a {kind} cannot enter {re.escape(named)}$"):
+        world.add(make_agent(2, kind, position, goal=goal))
+    assert list(world.agents) == [1]
+    world.step()
+
+
+def test_reactivation_on_a_map_without_parking_is_refused():
+    # a generated layout has no parking cell, so no driver would park
+    config = SimConfig(steps=3, drivers=2, reactivation_prob=0.5)
+    with pytest.raises(ValueError, match="^reactivation_prob: the map has no parking cell, "
+                                         "so no driver parks$"):
+        run(config, small_grid())
+
+
 def test_reactivate_requires_parked_driver():
     world = World(small_grid(), SimConfig(steps=1, drivers=0, seed=0))
     with pytest.raises(ValueError):
