@@ -872,6 +872,21 @@ def test_a_sweep_run_that_cannot_make_its_directory_fails_alone(tmp_path, parall
         assert (out / "w3_d0_o0" / "seed1" / f"{name}.csv").is_file()
 
 
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("sim, sweep", [
+    (SimConfig(steps=2, drivers=1, reactivation_prob=0.5), {"walkers": [1, 2]}),
+    (SimConfig(steps=2, drivers=1), {"reactivation_prob": [0.0, 0.5]}),
+], ids=["scenario", "point"])
+def test_a_sweep_its_map_cannot_run_is_refused_before_anything_is_written(
+        tmp_path, sim, sweep, parallel):
+    # a generated layout has no parking cell, so no point may reactivate
+    scenario = Scenario(sim, LayoutSpec(), sweep=sweep)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="^reactivation_prob: the map has no parking cell"):
+        execute_sweep(scenario, out, parallel=parallel)
+    assert not out.exists()
+
+
 def test_sweep_takes_a_numpy_integer_parallel_like_an_int(tmp_path, in_process_pool):
     scenario = load_config(write_config(tmp_path, sweep_doc()))
     execute_sweep(scenario, tmp_path / "s", parallel=np.int64(2))
