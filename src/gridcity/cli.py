@@ -2,7 +2,7 @@
 
 Scenario files are YAML documents carrying the simulation parameters plus
 either an inline procedural layout or a grid-file path, an optional sweep
-section (per-parameter value lists over walkers / drivers / obstruction),
+section (a value list per SimConfig field but the seed, named by its path)
 and an optional seed list.  Every run directory receives the fully resolved
 effective config so the run can be reproduced from it exactly.
 """
@@ -28,8 +28,6 @@ from .environment import (
 )
 from .metrics import export_run
 
-SWEEPABLE = ("walkers", "drivers", "obstruction")
-
 
 class ConfigError(ValueError):
     """Scenario file failed validation; message names the offending field."""
@@ -38,10 +36,10 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Scenario:
     """A run's config, its map (a layout, or a grid file and an optional
-    obstacle list), its sweep axes and its seeds.  Checked when made, with
-    the ConfigError a scenario file gets for the same value, and frozen, so
-    a changed scenario is made with ``dataclasses.replace``, which checks it
-    again.  Making one reads no file."""
+    obstacle list), its sweep axes (value lists by SimConfig field name) and
+    its seeds.  Checked when made, with the ConfigError a scenario file gets
+    for the same value, and frozen, so a changed scenario is made with
+    ``dataclasses.replace``, which checks it again.  Making one reads no file."""
 
     sim: SimConfig
     layout: LayoutSpec | None = None
@@ -60,26 +58,25 @@ class Scenario:
                 raise ConfigError(f"{name}: expected a Path, got {value!r}")
         if not isinstance(self.sweep, dict):
             raise ConfigError("sweep: expected a mapping")
-        # every point must make a valid SimConfig; each axis is checked on
-        # its own, since no SimConfig check ties walkers, drivers and
-        # obstruction together
-        for key, values in _mapping(self.sweep, SWEEPABLE, "sweep").items():
-            if not isinstance(values, list) or not values:
-                raise ConfigError(f"sweep.{key}: expected a non-empty list")
-            _distinct(values, f"sweep.{key}",
-                      _obstruction_label if key == "obstruction" else None)
-            for value in values:
-                try:
-                    dataclasses.replace(self.sim, **{key: value})
-                except ValueError as exc:
-                    raise ConfigError(f"sweep.{key}: {exc}") from None
+        # each axis is checked alone, named by its scenario-file path, and
+        # stored in field order as SimConfig stores its values; then each point
+        axes = _mapping(self.sweep, _AXES, "sweep")
+        sweep = {}
+        for name in [name for name in _AXES if name in axes]:
+            where = f"sweep.{_AXES[name]}"
+            if not isinstance(axes[name], list) or not axes[name]:
+                raise ConfigError(f"{where}: expected a non-empty list")
+            sweep[name] = _values(self.sim, name, axes[name], where,
+                                  functools.partial(_label_part, name))
+        object.__setattr__(self, "sweep", sweep)
+        for point in sweep_points(self):
+            try:
+                dataclasses.replace(self.sim, **point)
+            except ValueError as exc:
+                raise ConfigError(f"sweep: at {point}: {exc}") from None
         if not isinstance(self.seeds, list):
             raise ConfigError("seeds: expected a list of integers")
-        try:  # each seed is checked and stored as the seed field is
-            seeds = [dataclasses.replace(self.sim, seed=s).seed for s in self.seeds]
-        except ValueError as exc:
-            raise ConfigError(f"seeds: {exc}") from None
-        object.__setattr__(self, "seeds", _distinct(seeds, "seeds"))
+        object.__setattr__(self, "seeds", _values(self.sim, "seed", self.seeds, "seeds"))
 
 
 def _number(value, name: str, cast):
@@ -113,21 +110,25 @@ def _pair(cast):
     return convert
 
 
-def _distinct(values: list, name: str, label=None) -> list:
-    """``values``, or a ConfigError naming the field when one repeats, or when
-    two share the ``label`` of their run directory: either would run twice
-    into one directory."""
+def _values(sim: SimConfig, name: str, values: list, where: str, label=None) -> list:
+    """``values`` as ``sim`` checks and stores its field ``name``, or a
+    ConfigError naming ``where`` for a bad value, or for two that would run
+    into one directory: equal, or alike in their run directory ``label``."""
     seen: dict = {}
     for value in values:
+        try:
+            value = getattr(dataclasses.replace(sim, **{name: value}), name)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
         key = value if label is None else label(value)
         if key in seen:
             if seen[key] == value:
-                raise ConfigError(f"{name}: repeated value {value!r}")
+                raise ConfigError(f"{where}: repeated value {value!r}")
             raise ConfigError(
-                f"{name}: {seen[key]!r} and {value!r} share the run directory label {key}"
+                f"{where}: {seen[key]!r} and {value!r} share the run directory label {key}"
             )
         seen[key] = value
-    return values
+    return list(seen.values())
 
 
 # A YAML value's conversion, by the annotation of the field it sets.
@@ -155,6 +156,9 @@ _SIM_FIELDS = tuple(
     (_NESTED_PATHS.get(f.name, f.name), f.name, _CONVERSIONS[f.type])
     for f in dataclasses.fields(SimConfig)
 )
+
+# The sweep axes' paths by field name, in field order: all but the seed.
+_AXES = {name: path for path, name, _ in _SIM_FIELDS if name != "seed"}
 
 
 def _put(tree: dict, path: str, value) -> None:
@@ -229,17 +233,18 @@ def load_config(path) -> Scenario:
             layout = LayoutSpec(**values)
         except ValueError as exc:
             raise ConfigError(f"layout: {exc}") from None
-    # a sweep value is read like the field it stands for, and a seed like seed
-    converters = {key: convert for key, _, convert in _SIM_FIELDS}
+    # a sweep axis is named by its field's path and each of its values read
+    # like the field, and a seed like seed
+    fields = {key: (name, convert) for key, name, convert in _SIM_FIELDS}
     sweep = {
-        key: [converters[key](v, f"sweep.{key}") for v in values]
+        fields[key][0]: [fields[key][1](v, f"sweep.{key}") for v in values]
         if isinstance(values, list) else values
-        for key, values in _mapping(raw.get("sweep"), SWEEPABLE, "sweep").items()
+        for key, values in _mapping(raw.get("sweep"), _AXES.values(), "sweep").items()
     }
     # absent or left empty, the seeds read like an empty section
     seeds = [] if raw.get("seeds") is None else raw["seeds"]
     if isinstance(seeds, list):
-        seeds = [converters["seed"](s, "seeds") for s in seeds]
+        seeds = [fields["seed"][1](s, "seeds") for s in seeds]
     files = {key: (path.parent / str(raw[key])).resolve() if key in raw else None
              for key in ("grid", "obstacles")}
     scenario = Scenario(sim, layout, files["grid"], files["obstacles"], sweep, seeds)
@@ -265,13 +270,18 @@ def _base_grid(source: LayoutSpec | str, obstacles: str | None = None) -> GridMa
     return grid if obstacles is None else grid.with_obstacles(parse_obstacle_list(obstacles))
 
 
-def build_grid(scenario: Scenario) -> GridMap:
-    """Base map for a scenario; run-time obstruction is applied by the engine."""
+def _map_source(scenario: Scenario) -> tuple:
+    """``_base_grid``'s arguments: the layout, or the map files' texts."""
     if scenario.layout is not None:
-        return _base_grid(scenario.layout)
+        return (scenario.layout,)
     obstacles = scenario.obstacles_path
-    return _base_grid(scenario.grid_path.read_text(encoding="utf-8"),
-                      obstacles and obstacles.read_text(encoding="utf-8"))
+    return (scenario.grid_path.read_text(encoding="utf-8"),
+            obstacles and obstacles.read_text(encoding="utf-8"))
+
+
+def build_grid(scenario: Scenario) -> GridMap:
+    """Base map for a scenario's run; run-time obstruction is applied by the engine."""
+    return _base_grid(*_map_source(scenario))
 
 
 def effective_config_dict(scenario: Scenario) -> dict:
@@ -341,22 +351,36 @@ def execute_run(scenario: Scenario, out_dir) -> SimulationResult:
     return result
 
 
-def _obstruction_label(obstruction: float) -> str:
-    """The obstruction part of a run directory name: the percentage to six
-    significant digits."""
-    return "o" + format(obstruction * 100, "g")
+_STEM = ("walkers", "drivers", "obstruction")  # in every label and summary row
+
+
+def _text(value) -> str:
+    """A value in a label or ``summary.csv``: a float to six significant
+    digits, a pair as ``low-high``."""
+    if isinstance(value, tuple):
+        return "-".join(map(_text, value))
+    return format(value, "g") if isinstance(value, float) else str(value)
+
+
+def _label_part(name: str, value) -> str:
+    """``w50``, ``d20``, ``o5`` (obstruction in percent), or ``walker_w1-3``."""
+    prefix = {"walkers": "w", "drivers": "d", "obstruction": "o"}.get(name, name)
+    return prefix + _text(value * 100 if name == "obstruction" else value)
 
 
 def point_label(point: dict, sim: SimConfig) -> str:
+    """``w<walkers>_d<drivers>_o<pct>``, then one part per other field of
+    ``point``, in field order."""
     sim = dataclasses.replace(sim, **point)
-    return f"w{sim.walkers}_d{sim.drivers}_{_obstruction_label(sim.obstruction)}"
+    names = [*_STEM, *(name for name in _AXES if name in point and name not in _STEM)]
+    return "_".join(_label_part(name, getattr(sim, name)) for name in names)
 
 
 def sweep_points(scenario: Scenario) -> list[dict]:
-    """Cartesian product of the sweep value lists, in declaration order."""
-    keys = [k for k in SWEEPABLE if k in scenario.sweep]
-    products = itertools.product(*(scenario.sweep[k] for k in keys))
-    return [dict(zip(keys, combo)) for combo in products]
+    """Cartesian product of the sweep value lists, the axes in SimConfig field
+    order and each axis's values in declaration order."""
+    products = itertools.product(*scenario.sweep.values())
+    return [dict(zip(scenario.sweep, combo)) for combo in products]
 
 
 #: The ``summary.csv`` metrics as ``(column, SimulationResult attribute)``
@@ -382,13 +406,14 @@ class TaskOutcome:
 
 
 def _run_task(scenario: Scenario, point: dict, seed: int, out_dir: str) -> TaskOutcome:
-    """One run of a sweep: the scenario at ``point`` and ``seed``.  A failure,
-    a bad value included, is recorded in its outcome, and in its ``error.txt``
-    when its directory could be made, and does not stop the sweep."""
+    """One run of a sweep: the scenario at ``point`` and ``seed``, with no sweep
+    of its own to check again.  A failure, a bad value included, is recorded
+    in its outcome, and in its ``error.txt`` when its directory could be made,
+    and does not stop the sweep."""
     out = Path(out_dir)
     try:
         sim = dataclasses.replace(scenario.sim, seed=seed, **point)
-        result = execute_run(dataclasses.replace(scenario, sim=sim), out)
+        result = execute_run(dataclasses.replace(scenario, sim=sim, sweep={}), out)
         values = tuple(getattr(result, attr) for _, attr in SUMMARY_METRICS)
         return TaskOutcome(point=point, seed=seed, ok=True, values=values)
     except Exception as exc:  # noqa: BLE001 - the sweep must keep going
@@ -413,20 +438,22 @@ def _mean_std(values: list) -> tuple[str, str]:
 
 def render_summary_csv(scenario: Scenario, points: list, outcomes: list) -> str:
     """One row per point: its walkers, drivers and obstruction, its count of
-    runs that ran, and the mean and sample std of each ``SUMMARY_METRICS``
-    column over those runs, a run without a value (None) left out; a column
-    with no value is empty."""
-    header = ["walkers", "drivers", "obstruction", "seeds"] + [
+    runs that ran, the mean and sample std of each ``SUMMARY_METRICS`` column
+    over those runs, a run without a value (None) left out, and the value of
+    each other sweep axis; a column with no value is empty."""
+    others = [name for name in scenario.sweep if name not in _STEM]
+    header = [*_STEM, "seeds"] + [
         f"{column}_{stat}" for column, _ in SUMMARY_METRICS for stat in ("mean", "std")
-    ]
+    ] + others
     lines = [",".join(header)]
     for point in points:
         ok_runs = [o for o in outcomes if o.point == point and o.ok]
         sim = dataclasses.replace(scenario.sim, **point)
-        row = [sim.walkers, sim.drivers, format(sim.obstruction, "g"), len(ok_runs)]
+        row = [sim.walkers, sim.drivers, _text(sim.obstruction), len(ok_runs)]
         for k in range(len(SUMMARY_METRICS)):
             values = [o.values[k] for o in ok_runs]
             row += _mean_std([float(v) for v in values if v is not None])
+        row += [_text(getattr(sim, name)) for name in others]
         lines.append(",".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
@@ -438,28 +465,34 @@ def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list,
 
     Each run writes under ``out_dir/<point label>/seed<seed>``.  The runs go to
     ``min(parallel, runs)`` worker processes, or run in this process when
-    that is 1; a ``parallel`` other than an integer of at least 1 raises
-    ValueError before anything is written, and an ``out_dir`` that cannot be
-    made raises OSError before any run.  They run seed by seed in the
-    order given, then obstruction by obstruction in declaration order, with
-    the points in declaration order within: the runs of one seed and
-    obstruction place the same obstacles and spawn the same first agents, so
-    a worker's plan memo serves their construction plans.  The outcomes come
-    back point by point, with the seeds inner."""
+    that is 1; a ``parallel`` other than an integer of at least 1, or a point
+    the map cannot run (``check_map``), raises ValueError before anything is
+    written, and an ``out_dir`` that cannot be made raises OSError before any
+    run.  They run seed by seed in the order given, then obstruction by
+    obstruction in declaration order, with the points in product order
+    within: the runs of one seed and obstruction place the same obstacles and
+    spawn the same first agents, so a worker's plan memo serves their
+    construction plans.  The outcomes come back point by point, with the
+    seeds inner."""
     if (isinstance(parallel, bool) or not isinstance(parallel, numbers.Integral)
             or parallel < 1):
         raise ValueError(f"parallel must be an integer of at least 1, got {parallel!r}")
+    points = sweep_points(scenario)
+    # the map is built, or found cached, here; not by build_grid, whose
+    # calls perfbench counts as a run's set-up
+    grid = _base_grid(*_map_source(scenario))
+    for point in points:
+        check_map(grid, dataclasses.replace(scenario.sim, **point))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)  # a bad out_dir fails before the runs
     seeds = scenario.seeds or [scenario.sim.seed]
-    points = sweep_points(scenario)
     default = scenario.sim.obstruction
     obstructions = scenario.sweep.get("obstruction", [default])
-    tasks = sorted(
-        ((scenario, point, seed, str(out / point_label(point, scenario.sim) / f"seed{seed}"))
-         for point in points for seed in seeds),
-        key=lambda task: (seeds.index(task[2]),
-                          obstructions.index(task[1].get("obstruction", default))))
+    tasks = [
+        (scenario, point, seed, str(out / point_label(point, scenario.sim) / f"seed{seed}"))
+        for seed in seeds for obstruction in obstructions
+        for point in points if point.get("obstruction", default) == obstruction
+    ]
     workers = min(parallel, len(tasks))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:

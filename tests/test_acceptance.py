@@ -6,7 +6,6 @@ seeded scenario batteries; oracle criteria compare against the independent
 Dijkstra implementation in oracle.py.
 """
 import hashlib
-import math
 import random
 import statistics
 import time
@@ -14,15 +13,9 @@ import time
 import yaml
 from scipy import stats
 
-from gridcity.agents import Status
-from gridcity.cli import execute_sweep, load_config
+from gridcity.cli import SUMMARY_METRICS, Scenario, execute_sweep, load_config, point_label
 from gridcity.engine import SimConfig, World, detect_collisions, run
-from gridcity.environment import (
-    GroundType,
-    LayoutSpec,
-    ROAD_FAMILY,
-    generate_layout,
-)
+from gridcity.environment import ROAD_FAMILY, GroundType, LayoutSpec, generate_layout
 from gridcity.planner import BehaviorProfile, plan
 from helpers import make_agent, population, random_grid, traversable_cells
 from oracle import oracle_cost
@@ -36,8 +29,25 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     print(f"\n[acceptance] {name}: {status}{suffix}")
 
 
-def seed_mean(values) -> float:
-    return statistics.fmean(values)
+def battery(out, sim: SimConfig, name: str, values: list, metric: str) -> dict:
+    """Each run's ``metric`` (a ``SUMMARY_METRICS`` column, or the mean of a
+    ``metrics.csv`` column) at each of ``values`` of ``sim``'s field ``name``,
+    by value in seed order: one sweep over seeds 0-9 with two workers."""
+    scenario = Scenario(sim, TWO_BLOCKS, sweep={name: values}, seeds=list(range(10)))
+    _, outcomes = execute_sweep(scenario, out, parallel=2)
+    assert all(o.ok for o in outcomes)
+    columns = [column for column, _ in SUMMARY_METRICS]
+
+    def value(o):
+        if metric in columns:
+            return o.values[columns.index(metric)]
+        run_dir = out / point_label(o.point, sim) / f"seed{o.seed}"
+        header, *rows = (run_dir / "metrics.csv").read_text(encoding="utf-8").splitlines()
+        at = header.split(",").index(metric)
+        # an integer sum over the step count: mean_walkers_on_road bit for bit
+        return sum(int(row.split(",")[at]) for row in rows) / len(rows)
+
+    return {v: [value(o) for o in outcomes if o.point[name] == v] for v in values}
 
 
 def test_01_oracle_equivalence():
@@ -115,113 +125,69 @@ def test_02_bounded_suboptimality():
     assert elapsed < 10.0
 
 
-def test_03_jaywalk_weight_trend():
+def test_03_jaywalk_weight_trend(tmp_path):
     """Walkers-on-road occupancy strictly increases with w in {1, 3, 5}."""
     t0 = time.perf_counter()
-    grid = generate_layout(TWO_BLOCKS)
-    means = {}
-    for w in (1, 3, 5):
-        runs = []
-        for seed in range(10):
-            cfg = SimConfig(
-                steps=300, walkers=50, drivers=0, obstruction=0.05,
-                walker_w=(w, w), seed=seed,
-            )
-            runs.append(run(cfg, grid).mean_walkers_on_road)
-        means[w] = seed_mean(runs)
+    sim = SimConfig(steps=300, walkers=50, drivers=0, obstruction=0.05)
+    runs = battery(tmp_path, sim, "walker_w", [(1, 1), (3, 3), (5, 5)], "walkers_on_road")
+    means = {w: statistics.fmean(values) for (w, _), values in runs.items()}
     elapsed = time.perf_counter() - t0
     increasing = means[1] < means[3] < means[5]
     ok = increasing and elapsed < 30.0
-    report(
-        "C3 jaywalking weight trend",
-        ok,
-        f"occupancy {means[1]:.2f} < {means[3]:.2f} < {means[5]:.2f}, {elapsed:.1f}s",
-    )
+    report("C3 jaywalking weight trend", ok,
+           f"occupancy {means[1]:.2f} < {means[3]:.2f} < {means[5]:.2f}, {elapsed:.1f}s")
     assert increasing
     assert elapsed < 30.0
 
 
-def test_04_obstruction_sensitivity():
+def test_04_obstruction_sensitivity(tmp_path):
     """At w=3, 5% obstruction at least doubles jaywalk occupancy over 0%."""
     t0 = time.perf_counter()
-    grid = generate_layout(TWO_BLOCKS)
-    occupancy = {}
-    for fraction in (0.0, 0.05, 0.10):
-        runs = []
-        for seed in range(10):
-            cfg = SimConfig(
-                steps=300, walkers=50, drivers=0, obstruction=fraction,
-                walker_w=(3, 3), seed=seed,
-            )
-            runs.append(run(cfg, grid).mean_walkers_on_road)
-        occupancy[fraction] = seed_mean(runs)
+    sim = SimConfig(steps=300, walkers=50, drivers=0, walker_w=(3, 3))
+    runs = battery(tmp_path, sim, "obstruction", [0.0, 0.05, 0.10], "walkers_on_road")
+    occupancy = {fraction: statistics.fmean(values) for fraction, values in runs.items()}
     elapsed = time.perf_counter() - t0
     doubled = occupancy[0.05] >= 2 * occupancy[0.0] and occupancy[0.05] > 0
     monotone = occupancy[0.10] >= occupancy[0.05]
     ok = doubled and monotone and elapsed < 60.0
-    report(
-        "C4 obstruction sensitivity",
-        ok,
-        f"occupancy 0%={occupancy[0.0]:.2f} 5%={occupancy[0.05]:.2f} "
-        f"10%={occupancy[0.10]:.2f}, {elapsed:.1f}s",
-    )
+    report("C4 obstruction sensitivity", ok,
+           f"occupancy 0%={occupancy[0.0]:.2f} 5%={occupancy[0.05]:.2f} "
+           f"10%={occupancy[0.10]:.2f}, {elapsed:.1f}s")
     assert doubled
     assert monotone
     assert elapsed < 60.0
 
 
-def test_05_runover_density_trend():
+def test_05_runover_density_trend(tmp_path):
     """Total runovers grow with driver count (positive rank correlation)."""
     t0 = time.perf_counter()
-    grid = generate_layout(TWO_BLOCKS)
-    pairs = []
-    means = {}
-    for drivers in (10, 30, 50):
-        runs = []
-        for seed in range(10):
-            cfg = SimConfig(
-                steps=300, walkers=50, drivers=drivers, obstruction=0.05,
-                walker_w=(3, 3), seed=seed,
-            )
-            total = run(cfg, grid).total_runovers
-            runs.append(total)
-            pairs.append((drivers, total))
-        means[drivers] = seed_mean(runs)
+    sim = SimConfig(steps=300, walkers=50, obstruction=0.05, walker_w=(3, 3))
+    runs = battery(tmp_path, sim, "drivers", [10, 30, 50], "runovers")
+    pairs = [(drivers, total) for drivers, totals in runs.items() for total in totals]
+    means = {drivers: statistics.fmean(totals) for drivers, totals in runs.items()}
     elapsed = time.perf_counter() - t0
     nondecreasing = means[10] <= means[30] <= means[50]
     rho = stats.spearmanr([p[0] for p in pairs], [p[1] for p in pairs]).statistic
     ok = nondecreasing and rho > 0 and elapsed < 120.0
-    report(
-        "C5 runover density trend",
-        ok,
-        f"means {means[10]:.1f}/{means[30]:.1f}/{means[50]:.1f}, "
-        f"spearman {rho:.2f}, {elapsed:.1f}s",
-    )
+    report("C5 runover density trend", ok,
+           f"means {means[10]:.1f}/{means[30]:.1f}/{means[50]:.1f}, "
+           f"spearman {rho:.2f}, {elapsed:.1f}s")
     assert nondecreasing
     assert rho > 0
     assert elapsed < 120.0
 
 
-def test_06_speed_density_trend():
+def test_06_speed_density_trend(tmp_path):
     """Mean driver speed strictly decreases as driver count grows."""
     t0 = time.perf_counter()
-    grid = generate_layout(TWO_BLOCKS)
-    speeds = {}
-    for drivers in (10, 30, 50, 70):
-        runs = []
-        for seed in range(10):
-            cfg = SimConfig(steps=300, walkers=0, drivers=drivers, seed=seed)
-            runs.append(run(cfg, grid).mean_driver_speed)
-        speeds[drivers] = seed_mean(runs)
+    runs = battery(tmp_path, SimConfig(steps=300, walkers=0), "drivers", [10, 30, 50, 70],
+                   "mean_driver_speed")
+    ordered = [statistics.fmean(speeds) for speeds in runs.values()]
     elapsed = time.perf_counter() - t0
-    ordered = list(speeds.values())
     decreasing = all(a > b for a, b in zip(ordered, ordered[1:]))
     ok = decreasing and elapsed < 120.0
-    report(
-        "C6 speed density trend",
-        ok,
-        "speeds " + "/".join(f"{s:.3f}" for s in ordered) + f", {elapsed:.1f}s",
-    )
+    report("C6 speed density trend", ok,
+           "speeds " + "/".join(f"{s:.3f}" for s in ordered) + f", {elapsed:.1f}s")
     assert decreasing
     assert elapsed < 120.0
 

@@ -33,7 +33,7 @@ from gridcity.cli import (
     sweep_points,
 )
 from gridcity.commands import main
-from gridcity.engine import SimConfig
+from gridcity.engine import SimConfig, run
 from gridcity.environment import (
     GroundType,
     LayoutSpec,
@@ -43,6 +43,7 @@ from gridcity.environment import (
     serialize_grid,
     serialize_obstacle_list,
 )
+from gridcity.metrics import export_run
 from test_digests import SCENARIOS
 
 
@@ -231,6 +232,7 @@ def test_sweep_lists_must_be_nonempty(tmp_path):
     ({"obstruction": ["lots"]}, "expected a number, got 'lots'"),
     ({"obstruction": [0.1, 1.5]}, "obstruction must lie in"),
     ({"obstruction": [True]}, "expected a number, got True"),
+    ({"profiles.walker.w": [[0, 1]]}, "walker_w range must satisfy 1 <= low <= high"),
 ])
 def test_sweep_values_are_checked_like_their_fields(tmp_path, values, message):
     config = write_config(tmp_path, dict(MINIMAL, sweep=values))
@@ -298,6 +300,14 @@ def test_repeated_sweep_values_and_seeds_are_refused(tmp_path, patch, args, name
     ({"sweep": {"obstruction": [0.1, 0.1000000001]}},
      "sweep.obstruction: 0.1 and 0.1000000001 share the run directory label o10"),
     ({"sweep": {"lanes": [1]}}, "sweep: unknown field 'lanes'"),
+    ({"sweep": {"seed": [1]}}, "sweep: unknown field 'seed'"),
+    ({"sweep": {"accel": [1.0, 1.0000001]}},
+     "sweep.accel: 1.0 and 1.0000001 share the run directory label accel1"),
+    # each axis makes valid configs, but its point (5, 0.5) sets both a
+    # target and a rate
+    ({"sim": SimConfig(steps=3), "sweep": {"walkers": [0, 5], "walker_rate": [0.0, 0.5]}},
+     "sweep: at {'walkers': 5, 'walker_rate': 0.5}: a run sets population targets "
+     "(walkers, drivers) or arrival rates (walker_rate, driver_rate), not both"),
     ({"sweep": {"walkers": []}}, "sweep.walkers: expected a non-empty list"),
     ({"sweep": {"walkers": [-1]}}, "sweep.walkers: population targets must be >= 0"),
     ({"seeds": [1, 1]}, "seeds: repeated value 1"),
@@ -310,7 +320,8 @@ def test_repeated_sweep_values_and_seeds_are_refused(tmp_path, patch, args, name
     ({"layout": None, "grid_path": Path("map.grid"), "obstacles_path": "obs.txt"},
      "obstacles: expected a Path, got 'obs.txt'"),
     ({"sweep": None}, "sweep: expected a mapping"),
-], ids=["repeated_value", "shared_label", "unknown_axis", "empty_axis", "bad_value",
+], ids=["repeated_value", "shared_label", "unknown_axis", "seed_axis", "shared_float_label",
+        "bad_point", "empty_axis", "bad_value",
         "repeated_seed", "fractional_seed", "bool_seed", "no_map", "both_maps",
         "obstacles_beside_layout", "str_grid", "str_obstacles", "no_sweep"])
 def test_a_bad_scenario_is_refused_when_made(fields, message):
@@ -358,6 +369,18 @@ def test_a_python_scenario_reactivating_without_parking_is_refused(tmp_path):
                                          "so no driver parks$"):
         execute_run(scenario, tmp_path / "out")
     assert not (tmp_path / "out" / "metrics.csv").exists()
+
+
+def test_every_simconfig_field_but_the_seed_is_a_sweep_axis():
+    sim = SimConfig(steps=3)
+    for f in dataclasses.fields(SimConfig):
+        sweep = {f.name: [getattr(sim, f.name)]}
+        if f.name == "seed":
+            with pytest.raises(ConfigError, match="^sweep: unknown field 'seed'$"):
+                Scenario(sim, LayoutSpec(), sweep=sweep)
+        else:
+            assert sweep_points(Scenario(sim, LayoutSpec(), sweep=sweep)) == [
+                {f.name: getattr(sim, f.name)}]
 
 
 def test_grid_file_scenario_loads_with_obstacles(tmp_path):
@@ -887,6 +910,30 @@ def test_a_sweep_its_map_cannot_run_is_refused_before_anything_is_written(
     assert not out.exists()
 
 
+def test_a_sweep_of_a_nested_field_runs_what_run_runs(tmp_path):
+    # the walker weight, the behavioural axis, on the jaywalking-trend layout
+    layout = {"blocks_x": 2, "blocks_y": 2}
+    doc = {"steps": 100, "walkers": 50, "obstruction": 0.05, "layout": layout,
+           "sweep": {"profiles.walker.w": [[1, 1], [3, 3], [5, 5]]}, "seeds": [1, 2]}
+    out = tmp_path / "sweep"
+    result = CliRunner().invoke(
+        main, ["sweep", "--config", str(write_config(tmp_path, doc)), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.output == "3 sweep points, 6 runs, 0 failed\n"
+    grid = generate_layout(LayoutSpec(**layout))
+    for w in (1, 3, 5):
+        for seed in (1, 2):
+            sim = SimConfig(steps=100, walkers=50, obstruction=0.05, walker_w=(w, w), seed=seed)
+            alone = tmp_path / "alone" / f"w{w}" / f"seed{seed}"
+            export_run(run(sim, grid), alone)
+            for name in RUN_CSVS:
+                swept = out / f"w50_d0_o5_walker_w{w}-{w}" / f"seed{seed}" / name
+                assert swept.read_bytes() == (alone / name).read_bytes(), (w, seed, name)
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    assert header.endswith(",runovers_mean,runovers_std,walker_w")
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["1-1", "3-3", "5-5"]
+
+
 def test_sweep_takes_a_numpy_integer_parallel_like_an_int(tmp_path, in_process_pool):
     scenario = load_config(write_config(tmp_path, sweep_doc()))
     execute_sweep(scenario, tmp_path / "s", parallel=np.int64(2))
@@ -1090,6 +1137,11 @@ def test_point_label_formats_obstruction_percent():
     assert point_label({"walkers": 50, "drivers": 20, "obstruction": 0.05}, sim) == "w50_d20_o5"
     assert point_label({"obstruction": 0.10}, sim) == "w0_d0_o10"
     assert point_label({}, sim) == "w0_d0_o0"
+    # every other field follows in field order, a pair as low-high
+    assert point_label({"accel": 0.5, "walker_w": (1, 3), "walkers": 5}, sim) == (
+        "w5_d0_o0_walker_w1-3_accel0.5")
+    assert point_label({"lookahead": 6, "driver_alpha": (0.0, 1e-07)}, sim) == (
+        "w0_d0_o0_driver_alpha0-1e-07_lookahead6")
 
 
 # -- gen-map ------------------------------------------------------------------------
