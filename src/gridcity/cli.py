@@ -479,7 +479,8 @@ def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list,
         raise ValueError(f"parallel must be an integer of at least 1, got {parallel!r}")
     points = sweep_points(scenario)
     # the map is built, or found cached, here; not by build_grid, whose
-    # calls perfbench counts as a run's set-up
+    # calls perfbench counts as a run's set-up.  Forked workers inherit it
+    # from _base_grid's cache.
     grid = _base_grid(*_map_source(scenario))
     for point in points:
         check_map(grid, dataclasses.replace(scenario.sim, **point))

@@ -166,7 +166,7 @@ class CellCode:
         if len(set(dirs)) < len(dirs):
             raise GridParseError(f"token {token!r}: duplicate flow direction")
         try:
-            return cls(ground, frozenset(dirs))
+            return cls(ground, _FLOW_SETS[_FLOW_MASKS[frozenset(dirs)]])
         except ValueError as exc:
             raise GridParseError(f"token {token!r}: {exc}") from None
 
@@ -382,6 +382,7 @@ def parse_grid(text: str) -> GridMap:
     body = lines[1:]
     if len(body) != height:
         raise GridParseError(f"expected {height} rows, found {len(body)}")
+    codes: dict[str, CellCode] = {}  # one CellCode per distinct token
     rows = []
     for y, line in enumerate(body):
         tokens = line.split()
@@ -389,19 +390,27 @@ def parse_grid(text: str) -> GridMap:
             raise GridParseError(f"row {y}: expected {width} tokens, found {len(tokens)}")
         row = []
         for x, token in enumerate(tokens):
-            try:
-                row.append(CellCode.from_token(token))
-            except GridParseError as exc:
-                raise GridParseError(f"row {y}, column {x}: {exc}") from None
+            cell = codes.get(token)
+            if cell is None:
+                try:
+                    cell = codes[token] = CellCode.from_token(token)
+                except GridParseError as exc:
+                    raise GridParseError(f"row {y}, column {x}: {exc}") from None
+            row.append(cell)
         rows.append(row)
     return GridMap.build(rows)
 
 
 def serialize_grid(grid: GridMap) -> str:
     """Canonical text form of a grid; parse_grid inverts it exactly."""
-    lines = [f"{grid.width} {grid.height}"]
-    for y in range(grid.height):
-        lines.append(" ".join(grid.cell_at((x, y)).token() for x in range(grid.width)))
+    tokens = {
+        (ground, flow): CellCode(ground, _FLOW_SETS[flow]).token()
+        for ground, flow in set(zip(grid.ground, grid.flow))
+    }
+    cells = [tokens[cell] for cell in zip(grid.ground, grid.flow)]
+    width = grid.width
+    lines = [f"{width} {grid.height}"]
+    lines += (" ".join(cells[i:i + width]) for i in range(0, len(cells), width))
     return "\n".join(lines) + "\n"
 
 
@@ -463,13 +472,23 @@ def generate_layout(spec: LayoutSpec) -> GridMap:
     whose offset along its street (``y % pitch`` on a vertical lane,
     ``x % pitch`` on a horizontal one) is ``sw`` or ``pitch - 1``, right
     beside an intersection, is a zebra with its lane's flow, so zebra bands
-    span each street on every approach to one.
+    span each street on every approach to one.  Each distinct cell code is
+    made once and shared by the cells that carry it.
     """
     lanes = spec.lanes_per_direction
     sw = 2 * lanes
     pitch = spec.block_side + sw
     width = spec.blocks_x * pitch + sw
     height = spec.blocks_y * pitch + sw
+
+    codes: dict = {}  # one CellCode per distinct ground and flow
+
+    def code(ground: GroundType, *dirs: Direction) -> CellCode:
+        cell = codes.get((ground, dirs))
+        if cell is None:
+            flow = _FLOW_SETS[_FLOW_MASKS[frozenset(dirs)]]
+            cell = codes[ground, dirs] = CellCode(ground, flow)
+        return cell
 
     rows: list[list[CellCode]] = []
     for y in range(height):
@@ -484,16 +503,16 @@ def generate_layout(spec: LayoutSpec) -> GridMap:
             if ov < sw and oh < sw:
                 right = (ov < lanes) == (oh < lanes)  # dh is clockwise of dv
                 ground = GroundType.TURN if right else GroundType.LEFT_TURN
-                row.append(CellCode(ground, frozenset({dv, dh})))
+                row.append(code(ground, dv, dh))
             elif ov < sw:
                 ground = GroundType.ZEBRA if edge_h else GroundType.ROAD
-                row.append(CellCode(ground, frozenset({dv})))
+                row.append(code(ground, dv))
             elif oh < sw:
                 ground = GroundType.ZEBRA if edge_v else GroundType.ROAD
-                row.append(CellCode(ground, frozenset({dh})))
+                row.append(code(ground, dh))
             else:
                 ground = GroundType.SIDEWALK if edge_v or edge_h else GroundType.BUILDING
-                row.append(CellCode(ground))
+                row.append(code(ground))
         rows.append(row)
     return GridMap.build(rows)
 

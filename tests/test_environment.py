@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -102,9 +103,12 @@ def test_parse_minimal_grid():
 
 
 def test_parse_error_names_position():
-    text = "2 2\nrN- b--\ns-- rNX\n"
-    with pytest.raises(GridParseError, match=r"row 1, column 1"):
-        parse_grid(text)
+    # in the second map the bad token follows a good one and comes again:
+    # the first cell that holds it is named
+    for text, position in [("2 2\nrN- b--\ns-- rNX\n", "row 1, column 1"),
+                           ("2 2\nrN- rNX\ns-- rNX\n", "row 0, column 1")]:
+        with pytest.raises(GridParseError, match=position):
+            parse_grid(text)
 
 
 def test_parse_ragged_row():
@@ -136,6 +140,21 @@ def test_parse_ignores_comments_and_blank_lines():
     text = "# city map\n2 1\n\nrN- rN-\n# trailing note\n"
     grid = parse_grid(text)
     assert grid.width == 2 and grid.height == 1
+
+
+@pytest.mark.parametrize("source", ["layout", "text"])
+def test_a_5x5_city_map_is_built_in_under_1_mb(source):
+    # a map build makes one CellCode per distinct code, not one per cell
+    spec = LayoutSpec(blocks_x=5, blocks_y=5)
+    text = serialize_grid(generate_layout(spec))
+    tracemalloc.start()
+    try:
+        grid = generate_layout(spec) if source == "layout" else parse_grid(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.width == grid.height == 99
+    assert peak < 2**20, f"{peak / 1024:.0f} KB"
 
 
 def test_roundtrip_generated_layout():
