@@ -1,7 +1,6 @@
 """gridcity: deterministic multi-agent urban mobility simulation."""
 
 from .environment import (
-    CellCode,
     Coord,
     Direction,
     DIRECTION_ORDER,

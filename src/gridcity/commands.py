@@ -17,7 +17,6 @@ import click
 
 from .cli import (
     ConfigError,
-    _base_grid,
     build_grid,
     execute_run,
     execute_sweep,
@@ -27,6 +26,7 @@ from .cli import (
 from .environment import (
     LayoutSpec,
     generate_layout,
+    parse_grid,
     place_obstacles,
     serialize_grid,
     serialize_obstacle_list,
@@ -169,7 +169,7 @@ def plan_debug_command(config_path, grid_path, kind, start_s, goal_s, weight,
     elif not Path(grid_path).is_file():
         raise ConfigError(f"grid file not found: {Path(grid_path)}")
     else:
-        grid = _base_grid(Path(grid_path).read_text(encoding="utf-8"))
+        grid = parse_grid(Path(grid_path).read_text(encoding="utf-8"))
 
     def parse_coord(text, name):
         try:

@@ -66,7 +66,6 @@ _FLOW_SETS = tuple(
     frozenset(d for k, d in enumerate(DIRECTION_ORDER) if mask >> k & 1)
     for mask in range(16)
 )
-_FLOW_MASKS = {dirs: mask for mask, dirs in enumerate(_FLOW_SETS)}
 
 
 class GroundType(Enum):
@@ -131,44 +130,35 @@ _DRIVER_COSTS = {
 }
 
 
-@dataclass(frozen=True)
-class CellCode:
-    """One grid cell: ground type plus permitted vehicular flow directions."""
+def _decode(token: str) -> tuple[GroundType, int]:
+    """A token's ground type and its flow as a NESW bit mask (bit k stands for
+    ``DIRECTION_ORDER[k]``); the flow letters may come in any order."""
+    if len(token) != 3:
+        raise GridParseError(f"token {token!r} must be 3 characters")
+    ground = GroundType.from_char(token[0])
+    flow = token[1:].rstrip("-")
+    if "-" in flow:
+        raise GridParseError(f"token {token!r}: direction after '-' placeholder")
+    mask = 0
+    for ch in flow:
+        mask |= 1 << DIRECTION_ORDER.index(Direction.from_char(ch))
+    if len(set(flow)) < len(flow):
+        raise GridParseError(f"token {token!r}: duplicate flow direction")
+    if ground in FLOW_GROUNDS and not flow:
+        raise GridParseError(
+            f"token {token!r}: cell type {ground.value!r} requires 1-2 flow directions, got 0"
+        )
+    if ground not in FLOW_GROUNDS and flow:
+        raise GridParseError(
+            f"token {token!r}: cell type {ground.value!r} does not take flow directions"
+        )
+    return ground, mask
 
-    ground: GroundType
-    flow: frozenset = frozenset()
 
-    def __post_init__(self):
-        if self.ground in FLOW_GROUNDS:
-            if not 1 <= len(self.flow) <= 2:
-                raise ValueError(
-                    f"cell type {self.ground.value!r} requires 1-2 flow directions, "
-                    f"got {len(self.flow)}"
-                )
-        elif self.flow:
-            raise ValueError(
-                f"cell type {self.ground.value!r} does not take flow directions"
-            )
-
-    def token(self) -> str:
-        chars = [d.value for d in DIRECTION_ORDER if d in self.flow]
-        return self.ground.value + "".join(chars).ljust(2, "-")
-
-    @classmethod
-    def from_token(cls, token: str) -> "CellCode":
-        if len(token) != 3:
-            raise GridParseError(f"token {token!r} must be 3 characters")
-        ground = GroundType.from_char(token[0])
-        flow = token[1:].rstrip("-")
-        if "-" in flow:
-            raise GridParseError(f"token {token!r}: direction after '-' placeholder")
-        dirs = [Direction.from_char(ch) for ch in flow]
-        if len(set(dirs)) < len(dirs):
-            raise GridParseError(f"token {token!r}: duplicate flow direction")
-        try:
-            return cls(ground, _FLOW_SETS[_FLOW_MASKS[frozenset(dirs)]])
-        except ValueError as exc:
-            raise GridParseError(f"token {token!r}: {exc}") from None
+def _token(ground: GroundType, mask: int) -> str:
+    """The canonical token of a cell: its flow letters in DIRECTION_ORDER."""
+    flow = "".join(d.value for k, d in enumerate(DIRECTION_ORDER) if mask >> k & 1)
+    return ground.value + flow.ljust(2, "-")
 
 
 @dataclass(frozen=True)
@@ -202,16 +192,30 @@ class GridMap:
     _costs: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def build(cls, rows: Sequence[Sequence[CellCode]]) -> "GridMap":
-        if not rows or not rows[0]:
-            raise ValueError("grid must have at least one row and one column")
-        width = len(rows[0])
-        for y, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(f"row {y} has {len(row)} cells, expected {width}")
-        height = len(rows)
-        ground = tuple(cell.ground for row in rows for cell in row)
-        flow = tuple(_FLOW_MASKS[cell.flow] for row in rows for cell in row)
+    def build(cls, rows: Iterable[Sequence[str]]) -> "GridMap":
+        """The map whose row ``y`` is the ``y``-th of ``rows``, each a sequence
+        of cell tokens.  The rows are read one at a time, and each distinct
+        token is decoded once."""
+        cells: dict[str, tuple[GroundType, int]] = {}
+        decoded = []
+        for y, tokens in enumerate(rows):
+            if y == 0:
+                width = len(tokens)
+            elif len(tokens) != width:
+                raise GridParseError(f"row {y}: expected {width} tokens, found {len(tokens)}")
+            for x, token in enumerate(tokens):
+                cell = cells.get(token)
+                if cell is None:
+                    try:
+                        cell = cells[token] = _decode(token)
+                    except GridParseError as exc:
+                        raise GridParseError(f"row {y}, column {x}: {exc}") from None
+                decoded.append(cell)
+        if not decoded:
+            raise GridParseError("grid must have at least one row and one column")
+        height = len(decoded) // width
+        ground = tuple(g for g, _ in decoded)
+        flow = tuple(mask for _, mask in decoded)
         driver_spawns, driver_exits = _driver_sites(ground, flow, width, height)
         return cls(
             width=width,
@@ -233,10 +237,6 @@ class GridMap:
     def in_bounds(self, coord: Coord) -> bool:
         x, y = coord
         return 0 <= x < self.width and 0 <= y < self.height
-
-    def cell_at(self, coord: Coord) -> CellCode:
-        i = coord[1] * self.width + coord[0]
-        return CellCode(self.ground[i], _FLOW_SETS[self.flow[i]])
 
     def ground_at(self, coord: Coord) -> GroundType:
         return self.ground[coord[1] * self.width + coord[0]]
@@ -382,31 +382,15 @@ def parse_grid(text: str) -> GridMap:
     body = lines[1:]
     if len(body) != height:
         raise GridParseError(f"expected {height} rows, found {len(body)}")
-    codes: dict[str, CellCode] = {}  # one CellCode per distinct token
-    rows = []
-    for y, line in enumerate(body):
-        tokens = line.split()
-        if len(tokens) != width:
-            raise GridParseError(f"row {y}: expected {width} tokens, found {len(tokens)}")
-        row = []
-        for x, token in enumerate(tokens):
-            cell = codes.get(token)
-            if cell is None:
-                try:
-                    cell = codes[token] = CellCode.from_token(token)
-                except GridParseError as exc:
-                    raise GridParseError(f"row {y}, column {x}: {exc}") from None
-            row.append(cell)
-        rows.append(row)
-    return GridMap.build(rows)
+    grid = GridMap.build(line.split() for line in body)
+    if grid.width != width:
+        raise GridParseError(f"row 0: expected {width} tokens, found {grid.width}")
+    return grid
 
 
 def serialize_grid(grid: GridMap) -> str:
     """Canonical text form of a grid; parse_grid inverts it exactly."""
-    tokens = {
-        (ground, flow): CellCode(ground, _FLOW_SETS[flow]).token()
-        for ground, flow in set(zip(grid.ground, grid.flow))
-    }
+    tokens = {cell: _token(*cell) for cell in set(zip(grid.ground, grid.flow))}
     cells = [tokens[cell] for cell in zip(grid.ground, grid.flow)]
     width = grid.width
     lines = [f"{width} {grid.height}"]
@@ -472,8 +456,9 @@ def generate_layout(spec: LayoutSpec) -> GridMap:
     whose offset along its street (``y % pitch`` on a vertical lane,
     ``x % pitch`` on a horizontal one) is ``sw`` or ``pitch - 1``, right
     beside an intersection, is a zebra with its lane's flow, so zebra bands
-    span each street on every approach to one.  Each distinct cell code is
-    made once and shared by the cells that carry it.
+    span each street on every approach to one.  The layout is spelled one
+    row of cell tokens at a time, as a grid file writes it, and built by
+    ``GridMap.build``.
     """
     lanes = spec.lanes_per_direction
     sw = 2 * lanes
@@ -481,40 +466,32 @@ def generate_layout(spec: LayoutSpec) -> GridMap:
     width = spec.blocks_x * pitch + sw
     height = spec.blocks_y * pitch + sw
 
-    codes: dict = {}  # one CellCode per distinct ground and flow
+    road, zebra, turn, left_turn, sidewalk, building = (g.value for g in (
+        GroundType.ROAD, GroundType.ZEBRA, GroundType.TURN, GroundType.LEFT_TURN,
+        GroundType.SIDEWALK, GroundType.BUILDING,
+    ))
 
-    def code(ground: GroundType, *dirs: Direction) -> CellCode:
-        cell = codes.get((ground, dirs))
-        if cell is None:
-            flow = _FLOW_SETS[_FLOW_MASKS[frozenset(dirs)]]
-            cell = codes[ground, dirs] = CellCode(ground, flow)
-        return cell
-
-    rows: list[list[CellCode]] = []
-    for y in range(height):
+    def row(y: int) -> list[str]:
         oh = y % pitch
-        dh = Direction.WEST if oh < lanes else Direction.EAST
+        dh = "W" if oh < lanes else "E"
         edge_h = oh in (sw, pitch - 1)  # a block's top or bottom row
-        row: list[CellCode] = []
+        tokens = []
         for x in range(width):
             ov = x % pitch
-            dv = Direction.SOUTH if ov < lanes else Direction.NORTH
+            dv = "S" if ov < lanes else "N"
             edge_v = ov in (sw, pitch - 1)  # a block's left or right column
             if ov < sw and oh < sw:
                 right = (ov < lanes) == (oh < lanes)  # dh is clockwise of dv
-                ground = GroundType.TURN if right else GroundType.LEFT_TURN
-                row.append(code(ground, dv, dh))
+                tokens.append((turn if right else left_turn) + dv + dh)
             elif ov < sw:
-                ground = GroundType.ZEBRA if edge_h else GroundType.ROAD
-                row.append(code(ground, dv))
+                tokens.append((zebra if edge_h else road) + dv + "-")
             elif oh < sw:
-                ground = GroundType.ZEBRA if edge_v else GroundType.ROAD
-                row.append(code(ground, dh))
+                tokens.append((zebra if edge_v else road) + dh + "-")
             else:
-                ground = GroundType.SIDEWALK if edge_v or edge_h else GroundType.BUILDING
-                row.append(code(ground))
-        rows.append(row)
-    return GridMap.build(rows)
+                tokens.append((sidewalk if edge_v or edge_h else building) + "--")
+        return tokens
+
+    return GridMap.build(row(y) for y in range(height))
 
 
 def place_obstacles(grid: GridMap, fraction: float, rng: random.Random) -> GridMap:

@@ -6,7 +6,6 @@ import math
 import random
 
 from gridcity.environment import (
-    CellCode,
     Coord,
     DIRECTION_ORDER,
     DIRECTION_TABLE,
@@ -16,6 +15,7 @@ from gridcity.environment import (
     LayoutSpec,
     generate_layout,
     parse_grid,
+    serialize_grid,
 )
 from gridcity.agents import AgentState, Population, Status
 from gridcity.planner import BehaviorProfile, Plan, classify_action, default_heading
@@ -42,19 +42,18 @@ def random_grid(rng: random.Random, width: int = 15, height: int = 15) -> GridMa
         row = []
         for _ in range(width):
             ground = rng.choices(grounds, weights=weights, k=1)[0]
+            flow = ""
             if ground in FLOW_GROUNDS:
                 count = 1 if rng.random() < 0.8 else 2
-                flow = frozenset(rng.sample(DIRECTION_ORDER, count))
-            else:
-                flow = frozenset()
-            row.append(CellCode(ground, flow))
+                flow = "".join(d.value for d in rng.sample(DIRECTION_ORDER, count))
+            row.append(ground.value + flow.ljust(2, "-"))
         rows.append(row)
     return GridMap.build(rows)
 
 
 def rows_of(grid: GridMap) -> list:
-    """The grid's cells as rows of CellCode, indexed ``[y][x]``."""
-    return [[grid.cell_at((x, y)) for x in range(grid.width)] for y in range(grid.height)]
+    """The grid's cell tokens as rows, indexed ``[y][x]``."""
+    return [line.split() for line in serialize_grid(grid).splitlines()[1:]]
 
 
 def traversable_cells(grid: GridMap, kind: str) -> list:
@@ -92,10 +91,8 @@ def parking_2x2() -> GridMap:
     base = generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
     rows = [
         [
-            CellCode(GroundType.PARKING, c.flow)
-            if c.ground is GroundType.ROAD and (7 * x + 3 * y) % 5 == 0
-            else c
-            for x, c in enumerate(row)
+            "p" + token[1:] if token[0] == "r" and (7 * x + 3 * y) % 5 == 0 else token
+            for x, token in enumerate(row)
         ]
         for y, row in enumerate(rows_of(base))
     ]

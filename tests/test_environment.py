@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcity.environment import (
-    CellCode,
-    DIRECTION_ORDER,
     DIRECTION_TABLE,
     Direction,
     FLOW_GROUNDS,
@@ -52,12 +50,14 @@ def test_ground_chars_bijective():
     ],
 )
 def test_token_decode(token, ground, flow):
-    cell = CellCode.from_token(token)
-    assert cell.ground is ground
-    assert cell.flow == frozenset(flow)
-    assert cell.token() == token
+    grid = GridMap.build([[token]])
+    assert grid.ground_at((0, 0)) is ground
+    assert grid.flow_at((0, 0)) == frozenset(flow)
+    assert serialize_grid(grid) == f"1 1\n{token}\n"
 
 
+#: The error of a map whose one cell holds the token.  A road of three
+#: directions cannot be written: its token is 4 characters long.
 MALFORMED_TOKENS = {
     "rNX": "unknown direction character 'X'",
     "rNN": "token 'rNN': duplicate flow direction",
@@ -73,23 +73,15 @@ MALFORMED_TOKENS = {
 
 @pytest.mark.parametrize("token", list(MALFORMED_TOKENS))
 def test_token_rejects_malformed(token):
-    message = MALFORMED_TOKENS[token]
+    message = "row 0, column 0: " + MALFORMED_TOKENS[token]
     with pytest.raises(GridParseError, match="^" + re.escape(message) + "$"):
-        CellCode.from_token(token)
+        GridMap.build([[token]])
 
 
 def test_token_canonical_direction_order():
-    cell = CellCode(GroundType.ROAD, frozenset({Direction.WEST, Direction.NORTH}))
-    assert cell.token() == "rNW"
-
-
-def test_cellcode_invariants():
-    with pytest.raises(ValueError):
-        CellCode(GroundType.SIDEWALK, frozenset({Direction.NORTH}))
-    with pytest.raises(ValueError):
-        CellCode(GroundType.ROAD, frozenset())
-    with pytest.raises(ValueError):
-        CellCode(GroundType.ROAD, frozenset(DIRECTION_ORDER[:3]))
+    grid = GridMap.build([["rWN"]])
+    assert grid.flow_at((0, 0)) == frozenset({Direction.WEST, Direction.NORTH})
+    assert serialize_grid(grid) == "1 1\nrNW\n"
 
 
 # -- grid parsing -------------------------------------------------------------
@@ -130,6 +122,7 @@ def test_parse_bad_header():
     ("", "empty grid file"),
     ("2 1 1\nrN- b--\n", "header"),
     ("0 1\n", "dimensions must be positive"),
+    ("3 1\nrN- rN-\n", "row 0: expected 3 tokens, found 2"),
 ])
 def test_parse_refuses_an_empty_file_or_a_bad_size(text, message):
     with pytest.raises(GridParseError, match=message):
@@ -144,7 +137,8 @@ def test_parse_ignores_comments_and_blank_lines():
 
 @pytest.mark.parametrize("source", ["layout", "text"])
 def test_a_5x5_city_map_is_built_in_under_1_mb(source):
-    # a map build makes one CellCode per distinct code, not one per cell
+    # a map build reads one row of tokens at a time and decodes each
+    # distinct token once; it never holds every token of the map
     spec = LayoutSpec(blocks_x=5, blocks_y=5)
     text = serialize_grid(generate_layout(spec))
     tracemalloc.start()
@@ -252,9 +246,8 @@ def test_layout_road_lanes_single_direction_and_opposing_adjacent():
     grid = generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
     for y in range(grid.height):
         for x in range(grid.width):
-            cell = grid.cell_at((x, y))
-            if cell.ground is GroundType.ROAD:
-                assert len(cell.flow) == 1
+            if grid.ground_at((x, y)) is GroundType.ROAD:
+                assert len(grid.flow_at((x, y))) == 1
     # opposing halves of every corridor touch at the centerline
     sw, pitch = 4, 19
     for k in range(3):
@@ -269,10 +262,10 @@ def test_layout_turn_cells_advertise_both_lane_directions():
     grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1, lanes_per_direction=1))
     for y in range(grid.height):
         for x in range(grid.width):
-            cell = grid.cell_at((x, y))
-            if cell.ground in (GroundType.TURN, GroundType.LEFT_TURN):
-                assert len(cell.flow) == 2
-                axes = {d in (Direction.NORTH, Direction.SOUTH) for d in cell.flow}
+            if grid.ground_at((x, y)) in (GroundType.TURN, GroundType.LEFT_TURN):
+                flow = grid.flow_at((x, y))
+                assert len(flow) == 2
+                axes = {d in (Direction.NORTH, Direction.SOUTH) for d in flow}
                 assert axes == {True, False}
 
 
@@ -371,8 +364,8 @@ def test_walker_cost_table():
         GroundType.OBSTACLE: math.inf,
     }
     for ground, value in expected.items():
-        flow = frozenset({Direction.NORTH}) if ground in FLOW_GROUNDS else frozenset()
-        assert GridMap.build([[CellCode(ground, flow)]]).costs("walker")[0] == value
+        token = ground.value + ("N-" if ground in FLOW_GROUNDS else "--")
+        assert GridMap.build([[token]]).costs("walker")[0] == value
 
 
 def test_driver_cost_table():
@@ -388,8 +381,8 @@ def test_driver_cost_table():
         GroundType.OBSTACLE: math.inf,
     }
     for ground, value in expected.items():
-        flow = frozenset({Direction.NORTH}) if ground in FLOW_GROUNDS else frozenset()
-        assert GridMap.build([[CellCode(ground, flow)]]).costs("driver")[0] == value
+        token = ground.value + ("N-" if ground in FLOW_GROUNDS else "--")
+        assert GridMap.build([[token]]).costs("driver")[0] == value
 
 
 def test_cost_overlay_infinite():
@@ -446,10 +439,8 @@ def test_driver_spawn_sites_are_road_cells_with_flow():
     grid = generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
     assert grid.driver_spawns
     for (x, y), heading in grid.driver_spawns:
-        cell = grid.cell_at((x, y))
-        assert cell.ground is GroundType.ROAD
-        assert cell.flow
-        assert heading in cell.flow
+        assert grid.ground_at((x, y)) is GroundType.ROAD
+        assert heading in grid.flow_at((x, y))
 
 
 def test_driver_exits_on_boundary():
@@ -465,6 +456,11 @@ def test_lane_center():
 
 
 def test_grid_map_rejects_ragged_rows():
-    cell = CellCode(GroundType.SIDEWALK)
-    with pytest.raises(ValueError):
-        GridMap.build([[cell, cell], [cell]])
+    # an empty map is malformed like a ragged one
+    for rows, message in [
+        ([["s--", "s--"], ["s--"]], "row 1: expected 2 tokens, found 1"),
+        ([], "grid must have at least one row and one column"),
+        ([[]], "grid must have at least one row and one column"),
+    ]:
+        with pytest.raises(GridParseError, match="^" + re.escape(message) + "$"):
+            GridMap.build(rows)

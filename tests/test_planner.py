@@ -146,10 +146,9 @@ def test_classify_generated_intersection_truth_table():
     checked = 0
     for y in range(grid.height):
         for x in range(grid.width):
-            cell = grid.cell_at((x, y))
-            if cell.ground not in (GroundType.TURN, GroundType.LEFT_TURN):
+            if grid.ground_at((x, y)) not in (GroundType.TURN, GroundType.LEFT_TURN):
                 continue
-            for heading in cell.flow:
+            for heading in grid.flow_at((x, y)):
                 _, _, back, clockwise = DIRECTION_TABLE[DIRECTION_ORDER.index(heading)]
                 for d, (dx, dy, _, _) in zip(DIRECTION_ORDER, DIRECTION_TABLE):
                     to = (x + dx, y + dy)
