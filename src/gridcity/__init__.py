@@ -8,7 +8,6 @@ from .environment import (
     GridMap,
     GridParseError,
     GroundType,
-    LayoutError,
     LayoutSpec,
     ROAD_FAMILY,
     generate_layout,

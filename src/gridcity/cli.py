@@ -351,7 +351,8 @@ def execute_run(scenario: Scenario, out_dir) -> SimulationResult:
     return result
 
 
-_STEM = ("walkers", "drivers", "obstruction")  # in every label and summary row
+#: The fields in every label and summary row, each with its label prefix.
+_STEM = {"walkers": "w", "drivers": "d", "obstruction": "o"}
 
 
 def _text(value) -> str:
@@ -364,8 +365,7 @@ def _text(value) -> str:
 
 def _label_part(name: str, value) -> str:
     """``w50``, ``d20``, ``o5`` (obstruction in percent), or ``walker_w1-3``."""
-    prefix = {"walkers": "w", "drivers": "d", "obstruction": "o"}.get(name, name)
-    return prefix + _text(value * 100 if name == "obstruction" else value)
+    return _STEM.get(name, name) + _text(value * 100 if name == "obstruction" else value)
 
 
 def point_label(point: dict, sim: SimConfig) -> str:

@@ -125,7 +125,6 @@ class Event:
 
 @dataclass
 class StepRecord:
-    step: int
     events: list
     frame: metrics_mod.MetricsFrame
     created: int
@@ -470,7 +469,7 @@ class World:
         )
         self._log("jaywalk_entry", np.searchsorted(pop.id, entry_ids))
         self._events = []
-        return StepRecord(t, events, frame, created, removed)
+        return StepRecord(events, frame, created, removed)
 
 
 @dataclass
@@ -494,12 +493,6 @@ class SimulationResult:
     @property
     def total_runovers(self) -> int:
         return sum(f.runovers for f in self.frames)
-
-    @property
-    def mean_walkers_on_road(self) -> float:
-        if not self.frames:
-            return 0.0
-        return sum(f.walkers_on_road for f in self.frames) / len(self.frames)
 
     @property
     def mean_driver_speed(self) -> float | None:

@@ -24,22 +24,11 @@ class GridParseError(ValueError):
     """Malformed grid text (bad token, ragged rows, bad header)."""
 
 
-class LayoutError(ValueError):
-    """Invalid procedural layout parameters."""
-
-
 class Direction(Enum):
     NORTH = "N"
     EAST = "E"
     SOUTH = "S"
     WEST = "W"
-
-    @classmethod
-    def from_char(cls, ch: str) -> "Direction":
-        try:
-            return cls(ch)
-        except ValueError:
-            raise GridParseError(f"unknown direction character {ch!r}") from None
 
 
 #: Canonical ordering for serialization and neighbor expansion.
@@ -78,13 +67,6 @@ class GroundType(Enum):
     LEFT_TURN = "l"
     OBSTACLE = "o"
     POTHOLE = "h"
-
-    @classmethod
-    def from_char(cls, ch: str) -> "GroundType":
-        try:
-            return cls(ch)
-        except ValueError:
-            raise GridParseError(f"unknown ground character {ch!r}") from None
 
 
 #: Ground types that carry 1-2 vehicular flow directions.
@@ -135,13 +117,19 @@ def _decode(token: str) -> tuple[GroundType, int]:
     ``DIRECTION_ORDER[k]``); the flow letters may come in any order."""
     if len(token) != 3:
         raise GridParseError(f"token {token!r} must be 3 characters")
-    ground = GroundType.from_char(token[0])
+    try:
+        ground = GroundType(token[0])
+    except ValueError:
+        raise GridParseError(f"unknown ground character {token[0]!r}") from None
     flow = token[1:].rstrip("-")
     if "-" in flow:
         raise GridParseError(f"token {token!r}: direction after '-' placeholder")
     mask = 0
     for ch in flow:
-        mask |= 1 << DIRECTION_ORDER.index(Direction.from_char(ch))
+        try:
+            mask |= 1 << DIRECTION_ORDER.index(Direction(ch))
+        except ValueError:
+            raise GridParseError(f"unknown direction character {ch!r}") from None
     if len(set(flow)) < len(flow):
         raise GridParseError(f"token {token!r}: duplicate flow direction")
     if ground in FLOW_GROUNDS and not flow:
@@ -423,7 +411,7 @@ def serialize_obstacle_list(obstacles: Iterable[Coord]) -> str:
 class LayoutSpec:
     """Parameters of a procedural block layout: a block is a square of side
     ``block_side``, a building of side ``block_side - 2`` in a one-cell
-    sidewalk ring.  Checked when made: a bad value raises LayoutError."""
+    sidewalk ring.  Checked when made: a bad value raises ValueError."""
 
     blocks_x: int = 1
     blocks_y: int = 1
@@ -433,14 +421,14 @@ class LayoutSpec:
     def __post_init__(self) -> None:
         for name, v in dataclasses.asdict(self).items():
             if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-                raise LayoutError(f"{name} must be an integer, got {v!r}")
+                raise ValueError(f"{name} must be an integer, got {v!r}")
             object.__setattr__(self, name, int(v))  # a numpy integer is stored as int
         if self.blocks_x < 1 or self.blocks_y < 1:
-            raise LayoutError("block counts must be at least 1")
+            raise ValueError("block counts must be at least 1")
         if self.block_side < 3:
-            raise LayoutError("block_side must be at least 3")
+            raise ValueError("block_side must be at least 3")
         if self.lanes_per_direction < 1:
-            raise LayoutError("lanes_per_direction must be at least 1")
+            raise ValueError("lanes_per_direction must be at least 1")
 
 
 def generate_layout(spec: LayoutSpec) -> GridMap:

@@ -44,7 +44,7 @@ def battery(out, sim: SimConfig, name: str, values: list, metric: str) -> dict:
         run_dir = out / point_label(o.point, sim) / f"seed{o.seed}"
         header, *rows = (run_dir / "metrics.csv").read_text(encoding="utf-8").splitlines()
         at = header.split(",").index(metric)
-        # an integer sum over the step count: mean_walkers_on_road bit for bit
+        # the mean of an integer column: its exact sum over the step count
         return sum(int(row.split(",")[at]) for row in rows) / len(rows)
 
     return {v: [value(o) for o in outcomes if o.point[name] == v] for v in values}

@@ -209,6 +209,17 @@ def test_a_scenario_file_that_is_not_utf8_is_config_error(tmp_path):
     assert not out.exists()
 
 
+def test_seeds_that_are_no_list_are_refused(tmp_path):
+    with pytest.raises(ConfigError, match="^seeds: expected a list of integers$"):
+        Scenario(SimConfig(), LayoutSpec(), seeds=5)
+    config = write_config(tmp_path, dict(MINIMAL, seeds=5))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["sweep", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr == "config error: seeds: expected a list of integers\n"
+    assert not out.exists()
+
+
 def test_integral_floats_load_as_ints(tmp_path):
     doc = dict(MINIMAL, walkers=2.0, layout={"blocks_x": 2.0})
     doc["profiles"] = {"driver": {"w": [1.0, 5.0]}}
@@ -879,7 +890,8 @@ def test_sweep_refuses_an_out_dir_it_cannot_make_before_any_run(tmp_path, monkey
 
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_a_sweep_run_that_cannot_make_its_directory_fails_alone(tmp_path, parallel):
-    scenario = load_config(write_config(tmp_path, dict(MINIMAL, sweep={"walkers": [2, 3]})))
+    config = write_config(tmp_path, dict(MINIMAL, sweep={"walkers": [2, 3]}))
+    scenario = load_config(config)
     out = tmp_path / "out"
     out.mkdir()
     (out / "w2_d0_o0").write_text("")  # a regular file where the run's directory goes
@@ -893,6 +905,13 @@ def test_a_sweep_run_that_cannot_make_its_directory_fails_alone(tmp_path, parall
              "heatmap_walker_occupancy", "heatmap_jaywalk"]
     for name in names:
         assert (out / "w3_d0_o0" / "seed1" / f"{name}.csv").is_file()
+    # the sweep command exits 1 and names the failed run in one line
+    result = CliRunner().invoke(main, ["sweep", "--config", str(config), "--out", str(out),
+                                       "--parallel", str(parallel)])
+    assert result.exit_code == 1
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("failed: w2_d0_o0 seed 1: ")
+    assert (out / "summary.csv").read_text().splitlines() == summary
 
 
 @pytest.mark.parametrize("parallel", [1, 2])
@@ -1374,6 +1393,28 @@ def test_an_output_path_under_a_regular_file_exits_1_in_one_line(tmp_path, args)
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith(f"{args[0]} failed: ")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["map.grid", "scenario.yaml", "taken"]
+
+
+@pytest.mark.parametrize("text, prefix", [
+    (b"steps: 2\n# \xff\n", "config error: invalid YAML in "),
+    # a generated layout has no parking cell, so reactivation is refused at load time
+    (b"steps: 2\nlayout: {blocks_x: 1, blocks_y: 1}\nreactivation_prob: 0.1\n",
+     "config error: reactivation_prob: "),
+], ids=["not_utf8", "reactivation_without_parking"])
+def test_a_bad_scenario_file_exits_2_in_one_line(tmp_path, text, prefix):
+    # the gridcity script in a fresh process, so that a traceback would show
+    (tmp_path / "scenario.yaml").write_bytes(text)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "gridcity.commands", "run", "--config", "scenario.yaml",
+         "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "Traceback" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith(prefix)
+    assert [p.name for p in tmp_path.iterdir()] == ["scenario.yaml"]
 
 
 # -- the import boundary ----------------------------------------------------------

@@ -26,6 +26,7 @@ from gridcity.metrics import (
     render_metrics_csv,
 )
 from helpers import cell_of, grid_of, make_agent, parking_2x2, population, straight_plan
+from test_digests import SCENARIOS
 
 SMALL = LayoutSpec(blocks_x=2, blocks_y=2)
 
@@ -187,7 +188,7 @@ def test_run_rejects_invalid_config_before_stepping():
 def test_empty_world_step_advances_counter_only():
     world = World(small_grid(), SimConfig(steps=5, walkers=0, drivers=0, seed=1))
     record = world.step()
-    assert record.step == 1
+    assert record.frame.step == 1
     assert record.events == []
     assert record.created == record.removed == 0
     assert world.agents == {}
@@ -459,6 +460,22 @@ def test_conservation_every_step():
         record = world.step()
         after = len(world.agents)
         assert after - before == record.created - record.removed
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_no_step_puts_an_active_agent_on_a_cell_its_kind_cannot_enter(name):
+    # what World.add refuses on entry, a step never makes
+    make_grid, config, _ = SCENARIOS[name]
+    world = World(make_grid(), config)
+    grid = world.grid
+    for _ in range(config.steps):
+        world.step()
+        pop = world.population
+        for row in np.flatnonzero(pop.status == Status.ACTIVE).tolist():
+            x, y = pop.coord(row)
+            kind = "driver" if pop.driver[row] else "walker"
+            assert math.isfinite(grid.costs(kind)[y * grid.width + x]), (
+                world.step_count, int(pop.id[row]), (x, y))
 
 
 def test_a_lookahead_past_every_route_costs_no_memory():

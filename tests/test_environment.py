@@ -15,7 +15,6 @@ from gridcity.environment import (
     GridMap,
     GridParseError,
     GroundType,
-    LayoutError,
     LayoutSpec,
     ROAD_FAMILY,
     generate_layout,
@@ -35,7 +34,8 @@ def test_ground_chars_bijective():
     chars = [g.value for g in GroundType]
     assert sorted(chars) == sorted("rsbpztloh")
     for g in GroundType:
-        assert GroundType.from_char(g.value) is g
+        token = g.value + ("N-" if g in FLOW_GROUNDS else "--")
+        assert GridMap.build([[token]]).ground_at((0, 0)) is g
 
 
 @pytest.mark.parametrize(
@@ -177,6 +177,13 @@ def test_obstacle_list_rejects_garbage():
         parse_obstacle_list("0 0\n1 y\n")
 
 
+def test_obstacle_list_skips_blank_and_comment_lines():
+    assert parse_obstacle_list("# header\n\n1 2\n   \n# note\n3 4\n") == {(1, 2), (3, 4)}
+    # a line is numbered from 0, the skipped lines counted too
+    with pytest.raises(GridParseError, match="^obstacle line 2: expected integers$"):
+        parse_obstacle_list("# a\n\n1 x\n")
+
+
 # -- procedural layout --------------------------------------------------------
 
 
@@ -282,14 +289,14 @@ def test_layout_turn_cells_advertise_both_lane_directions():
     ],
 )
 def test_layout_rejects_bad_spec(kwargs):
-    with pytest.raises(LayoutError):
+    with pytest.raises(ValueError):
         generate_layout(LayoutSpec(**kwargs))
 
 
 def test_layout_spec_checks_itself_when_made():
-    with pytest.raises(LayoutError, match="block_side must be at least 3"):
+    with pytest.raises(ValueError, match="block_side must be at least 3"):
         LayoutSpec(blocks_x=1, blocks_y=1, block_side=2)
-    with pytest.raises(LayoutError, match=r"^block_side must be an integer, got 15\.0$"):
+    with pytest.raises(ValueError, match=r"^block_side must be an integer, got 15\.0$"):
         LayoutSpec(block_side=15.0)
     assert LayoutSpec() == LayoutSpec(blocks_x=1, blocks_y=1)
 
