@@ -39,6 +39,7 @@ from gridcity.environment import (
     LayoutSpec,
     generate_layout,
     parse_grid,
+    parse_obstacle_list,
     place_obstacles,
     serialize_grid,
     serialize_obstacle_list,
@@ -567,25 +568,39 @@ def test_execute_run_writes_outputs_and_echo(tmp_path):
     assert len(result.frames) == 5
 
 
-def test_echoed_config_reproduces_run_exactly(tmp_path):
-    doc = {
-        "steps": 20,
-        "walkers": 6,
-        "drivers": 4,
-        "obstruction": 0.05,
-        "layout": {"blocks_x": 2, "blocks_y": 1},
-        "profiles": {"walker": {"w": [1, 3]}},
-        "seed": 13,
-    }
+@pytest.mark.parametrize("doc, seed", [
+    # run at a seed other than its file's: the echo holds the seed run
+    ({"steps": 20, "walkers": 6, "drivers": 4, "obstruction": 0.05,
+      "layout": {"blocks_x": 2, "blocks_y": 1}, "profiles": {"walker": {"w": [1, 3]}},
+      "seed": 13}, 99),
+    # rates and no targets: config.yaml names no spawn mode, so its reload
+    # must still take arrivals
+    ({"steps": 20, "walker_rate": 0.5, "driver_rate": 0.3, "obstruction": 0.05,
+      "layout": {"blocks_x": 2, "blocks_y": 1}, "seed": 13}, 13),
+    # a grid file with its gen-map obstacle sidecar, which the run copies next
+    # to its config.yaml
+    ({"steps": 20, "walkers": 6, "drivers": 4, "grid": "city.grid",
+      "obstacles": "city.grid.obstacles", "seed": 13}, 13),
+    # floats whose repr has no ".", and a negative seed
+    ({"steps": 2, "walkers": 2, "drivers": 1, "obstruction": 0.00001,
+      "profiles": {"driver": {"alpha": [0.0, 1.0e-07]}}, "layout": {"blocks_x": 1, "blocks_y": 1},
+      "seed": -4}, -4),
+], ids=["walker_w_range", "arrivals", "grid_file", "exponent_floats"])
+def test_echoed_config_reproduces_run_exactly(tmp_path, doc, seed):
+    if "grid" in doc:
+        result = CliRunner().invoke(main, [
+            "gen-map", "--blocks-x", "2", "--blocks-y", "1", "--obstruction", "0.05",
+            "--seed", "3", "--out", str(tmp_path / "city.grid")])
+        assert result.exit_code == 0, result.output
     scenario = load_config(write_config(tmp_path, doc))
     first = tmp_path / "first"
-    execute_run(with_sim(scenario, seed=99), first)
+    execute_run(with_sim(scenario, seed=seed), first)
     echoed = load_config(first / "config.yaml")
-    assert echoed.sim.seed == 99
+    assert echoed.sim.seed == seed
     second = tmp_path / "second"
     execute_run(echoed, second)
-    for name in ("metrics.csv", "events.csv", "heatmap_jaywalk.csv"):
-        assert (first / name).read_bytes() == (second / name).read_bytes()
+    for name in RUN_CSVS:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_a_scenario_of_numpy_numbers_runs_as_one_of_python_numbers(tmp_path):
@@ -816,21 +831,31 @@ def test_sweep_summary_bytes_are_pinned(tmp_path):
     assert (tmp_path / "summary.csv").read_bytes() == PINNED_SUMMARY.encode()
 
 
-def test_sweep_rerun_identical_summary(tmp_path):
-    scenario = load_config(write_config(tmp_path, sweep_doc()))
-    execute_sweep(scenario, tmp_path / "a")
-    execute_sweep(scenario, tmp_path / "b")
-    digest = lambda p: hashlib.sha256(p.read_bytes()).hexdigest()
-    assert digest(tmp_path / "a" / "summary.csv") == digest(tmp_path / "b" / "summary.csv")
-
-
-def test_sweep_parallel_matches_serial(tmp_path):
-    scenario = load_config(write_config(tmp_path, sweep_doc()))
-    execute_sweep(scenario, tmp_path / "serial", parallel=1)
-    execute_sweep(scenario, tmp_path / "par", parallel=2)
-    seq = (tmp_path / "serial" / "summary.csv").read_bytes()
-    par = (tmp_path / "par" / "summary.csv").read_bytes()
-    assert seq == par
+def test_a_sweep_writes_the_same_bytes_with_one_worker_with_two_and_over_its_grid_file(
+        tmp_path):
+    # 16 points of a nested and three stem axes, over two shared seeds
+    body = {"steps": 20, "seeds": [1, 2], "sweep": {
+        "walkers": [4, 6], "drivers": [2, 4], "obstruction": [0, 0.1],
+        "profiles.walker.w": [[1, 1], [3, 3]]}}
+    result = CliRunner().invoke(main, ["gen-map", "--blocks-x", "2", "--blocks-y", "1",
+                                       "--out", str(tmp_path / "city.grid")])
+    assert result.exit_code == 0, result.output
+    layout = load_config(write_config(tmp_path, dict(body, layout={"blocks_x": 2, "blocks_y": 1})))
+    grid = load_config(write_config(tmp_path, dict(body, grid="city.grid"), "grid.yaml"))
+    outputs = {}
+    for name, scenario, parallel in [("one", layout, 1), ("two", layout, 2), ("grid", grid, 2)]:
+        out = tmp_path / name
+        _, outcomes = execute_sweep(scenario, out, parallel=parallel)
+        assert len(outcomes) == 32 and all(o.ok for o in outcomes)
+        outputs[name] = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*.csv")}
+    assert len(outputs["one"]) == 32 * len(RUN_CSVS) + 1  # and summary.csv
+    assert outputs["two"] == outputs["one"]
+    assert outputs["grid"] == outputs["one"]
+    # a swept run again, alone, from the config.yaml the sweep wrote for it
+    swept = tmp_path / "one" / "w6_d4_o10_walker_w3-3" / "seed2"
+    execute_run(load_config(swept / "config.yaml"), tmp_path / "alone")
+    for name in RUN_CSVS:
+        assert (tmp_path / "alone" / name).read_bytes() == (swept / name).read_bytes(), name
 
 
 @pytest.fixture
@@ -1323,6 +1348,35 @@ def test_plan_debug_config_plans_on_the_scenario_layout(tmp_path, kind, start, g
         routes.append([ln for ln in result.output.splitlines() if ln.startswith("route:")])
     assert traces[0] == traces[1]
     assert routes[0] == routes[1] and len(routes[0]) == 1
+
+
+def test_readme_quick_start_outputs_are_pinned(tmp_path, monkeypatch):
+    # the README's gen-map and plan-debug commands, as written there
+    monkeypatch.chdir(tmp_path)
+    runner = CliRunner()
+    commands = [
+        "gen-map --blocks-x 5 --blocks-y 5 --out city.grid",
+        "gen-map --blocks-x 5 --blocks-y 5 --obstruction 0.05 --seed 3 --out city.grid",
+        "plan-debug --grid city.grid --kind walker --start 5,4 --goal 94,94 -w 3",
+        "plan-debug --grid city.grid --kind driver --start 2,93 --goal 0,19 -w 3 --alpha 1",
+    ]
+    results = [runner.invoke(main, command.split()) for command in commands]
+    assert [r.exit_code for r in results] == [0] * 4, [r.output for r in results]
+    assert results[3].stderr.startswith("route: 77 cells")
+    outputs = {"trace.csv": results[2].stdout_bytes, "driver.csv": results[3].stdout_bytes,
+               "city.grid": (tmp_path / "city.grid").read_bytes(),
+               "city.grid.obstacles": (tmp_path / "city.grid.obstacles").read_bytes()}
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()} == {
+        "trace.csv": "d578bceadd1e97af91f18c3f33f6ada3f15c61794b311d2bccb4c648f9c35336",
+        "driver.csv": "49f8b9190c66aadb6902214cb3b440bb5d605ef76c94d4dbc7cee65aeca44bc8",
+        "city.grid": "cadc07417302cacc16dd8e429585c0d76a2fcfd7caaeb481ed4c965e12b7cb4c",
+        "city.grid.obstacles": "b8fc4acbcb0ad6dddb260ac2054db620fa03d3eb9d83fd6e5ed6f68f3f5f7073",
+    }
+    # the map and its obstacle list parse back to the same bytes
+    text = outputs["city.grid"].decode()
+    assert serialize_grid(parse_grid(text)) == text
+    text = outputs["city.grid.obstacles"].decode()
+    assert serialize_obstacle_list(parse_obstacle_list(text)) == text
 
 
 def test_plan_debug_unreachable_goal_writes_the_trace_and_exits_1(tmp_path):

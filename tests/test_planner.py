@@ -133,6 +133,14 @@ def test_classify_turn_next_to_zebra():
     assert classify_action(plain, (0, 0), (1, 0), N) is Action.INVALID_TURN
 
 
+def test_classify_from_a_cell_without_flow_is_no_turn():
+    # a sidewalk beside a zebra is no turn spot, though a flow cell there is
+    grid = grid_of("zN- rE-", "s-- rE-")
+    assert classify_action(grid, (0, 1), (1, 1), N) is Action.INVALID_TURN
+    assert classify_action(grid, (0, 1), (1, 1), S) is Action.INVALID_TURN
+    assert classify_action(grid, (0, 1), (1, 1), E) is Action.BACKWARD
+
+
 def test_classify_requires_adjacency():
     grid = grid_of("rN- rN- rN-")
     with pytest.raises(ValueError):
