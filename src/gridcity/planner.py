@@ -9,8 +9,8 @@ carries risk; drivers plan over (cell, heading) states (shift 2, the heading in
 the two low bits) so turn risk is well-defined.  A plan is the route's cells;
 ``classify_action`` names the maneuver of any driver move.
 
-Each expansion is table lookups over data built once per layout: the
-successor rows of ``_moves`` hold only a cell's valid moves, and the
+Each expansion is table lookups over data built once per layout: a cell's
+move mask in ``_moves`` picks the shared tuple of its valid moves, and the
 coordinate tables of ``_coords`` give the heuristic, the trace and the plan's
 cells.  A blocked cell blocks every state on it, and the risk term is added
 only when alpha is non-zero.  Open states pop by ``(f, h, counter)``; each
@@ -29,6 +29,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush, heappushpop
+
+import numpy as np
 
 from .environment import (
     Coord,
@@ -101,23 +103,25 @@ class Plan:
 
 
 def _moves(grid: GridMap, kind: str):
-    """Search tables ``(shift, rows, risk)`` for one agent kind.
+    """Search tables ``(shift, moves, masks, risk)`` for one agent kind.
 
     States are ``cell << shift``: shift 0 for walkers, shift 2 for drivers,
-    whose two low bits hold the heading.  ``rows[cell]`` is the tuple of
-    states the cell's valid moves enter, in NESW order (``DIRECTION_ORDER``),
-    which keeps the search's push order; a move that leaves the grid or
-    enters ground impassable to the kind has no entry.  A driver's entered
-    state carries the move's direction k in its low bits, so
-    ``risk[state*4 + (nstate & 3)]`` is the unscaled risk of the move from
-    ``state`` into ``nstate``, one byte each (the risks are small integers,
-    so ``alpha * risk`` is the double of the float risk); it is filled only
-    from driver-passable cells, since no search expands another.  Walker
-    moves carry no risk, so their ``risk`` is None.  The tables read the
-    layout alone (``ground`` and ``flow``), never the obstacle overlay: an
-    obstacle's infinite cost in ``GridMap.costs`` keeps every search out of
-    it.  So they are a layout table (``GridMap.layout_table``), built once
-    per layout and kind.
+    whose two low bits hold the heading.  ``masks[cell]`` is one byte whose
+    bit k is set when the move in direction k (``DIRECTION_ORDER[k]``) stays
+    on the grid and enters ground the kind can pass.  ``moves[mask]`` is the
+    tuple of that mask's moves ``(delta, step, k)`` in NESW order, which
+    keeps the search's push order: the move from ``cell`` enters cell
+    ``cell + step`` and state ``(cell << shift) + delta``, whose low bits
+    hold k for a driver.  The 16 tuples are shared by every cell.
+    ``risk[state*4 + k]`` is the unscaled risk of a driver's move in
+    direction k from ``state``, one byte each (the risks are small
+    integers, so ``alpha * risk`` is the double of the float risk); it is
+    filled only from driver-passable cells, since no search expands
+    another.  Walker moves carry no risk, so their ``risk`` is None.  The
+    tables read the layout alone (``ground`` and ``flow``), never the
+    obstacle overlay: an obstacle's infinite cost in ``GridMap.costs`` keeps
+    every search out of it.  So they are a layout table
+    (``GridMap.layout_table``), built once per layout and kind.
     """
     return grid.layout_table(("moves", kind), lambda: _build_moves(grid, kind))
 
@@ -126,39 +130,37 @@ def _build_moves(grid: GridMap, kind: str):
     """The search tables that ``_moves`` returns, built from the layout."""
     width, height = grid.width, grid.height
     cell_cost = grid.ground_costs(kind)
-    inf = math.inf
     shift, heading_bits = (0, 0) if kind == "walker" else (2, 3)
-    # (dx, dy, cell index step, the entered state's low bits) per direction
-    moves = [
-        (dx, dy, dy * width + dx, k & heading_bits)
-        for k, (dx, dy, _, _) in enumerate(DIRECTION_TABLE)
-    ]
-    rows = []
-    i = 0
-    for y in range(height):
-        for x in range(width):
-            rows.append(tuple([
-                ((i + step) << shift) | bits
-                for dx, dy, step, bits in moves
-                if 0 <= x + dx < width and 0 <= y + dy < height
-                and cell_cost[i + step] != inf
-            ]))
-            i += 1
+    steps = [dy * width + dx for dx, dy, _, _ in DIRECTION_TABLE]
+    moves = tuple(
+        tuple(
+            ((step << shift) + (k & heading_bits), step, k)
+            for k, step in enumerate(steps) if mask >> k & 1
+        )
+        for mask in range(16)
+    )
+    # bit k of a cell's mask is its neighbour's passability in direction k,
+    # read from the passability grid padded with an impassable border
+    passable = np.zeros((height + 2, width + 2), np.uint8)
+    passable[1:-1, 1:-1] = np.reshape(cell_cost, (height, width)) != math.inf
+    masks = np.zeros((height, width), np.uint8)
+    for k, (dx, dy, _, _) in enumerate(DIRECTION_TABLE):
+        masks |= passable[1 + dy:1 + dy + height, 1 + dx:1 + dx + width] << k
+    masks = masks.tobytes()
     if kind == "walker":
-        return 0, rows, None
+        return 0, moves, masks, None
     risk = bytearray(width * height * 16)
     flow, ground, road = grid.flow, grid.ground, GroundType.ROAD
     # a move's risks per heading, by all that _classify reads: the
     # two cells' flow, whether the target is road, turnspot and d
     risks_of: dict = {}
-    for i, row in enumerate(rows):
+    for i, mask in enumerate(masks):
         if cell_cost[i] == math.inf:
             continue
         turnspot = _turnspot(grid, i)
         fm = flow[i]
-        for n in row:
-            k = n & 3
-            t = n >> 2
+        for _, step, k in moves[mask]:
+            t = i + step
             move = (fm, flow[t], ground[t] is road, turnspot, k)
             risks = risks_of.get(move)
             if risks is None:
@@ -167,7 +169,7 @@ def _build_moves(grid: GridMap, kind: str):
                 ])
             # risk[(i*4 + hd)*4 + k] for the headings hd = 0..3
             risk[i * 16 + k:i * 16 + 16:4] = risks
-    return 2, rows, bytes(risk)
+    return 2, moves, masks, bytes(risk)
 
 
 def _coords(grid: GridMap):
@@ -352,7 +354,7 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
     top wins on its earlier counter.  So the pop order, the expansions and
     the trace are those of a search that pushes every entry.
     """
-    shift, rows, risk = _moves(grid, kind)
+    shift, moves, masks, risk = _moves(grid, kind)
     xs, ys, cells = _coords(grid)
     cost = grid.costs(kind)
     si = s0 >> shift
@@ -388,13 +390,15 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
         if idx == gi:
             return _extract(cells, shift, risk, came, s0, state, gval, expansions)
         ebase = state * 4
-        for nstate in rows[idx]:
-            nidx = nstate >> shift
+        base = idx << shift
+        for delta, step, k in moves[masks[idx]]:
+            nidx = idx + step
             if nidx in blocked:
                 continue
+            nstate = base + delta
             ng = gval + cost[nidx]
             if alpha:
-                ng += alpha * risk[ebase + (nstate & 3)]
+                ng += alpha * risk[ebase + k]
             if ng < g_of(nstate, inf):
                 g[nstate] = ng
                 came[nstate] = state

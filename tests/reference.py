@@ -10,7 +10,7 @@ dict of ``AgentState`` records and updates one agent at a time.  ``act``
 replans through ``gridcity.planner.plan``.
 
 ``plan`` and the ``_moves``, ``_search`` and ``_extract`` it calls are the
-Weighted A* kernel that per-cell successor rows, coordinate tables and
+Weighted A* kernel that per-cell move masks, coordinate tables and
 cell-level blocking replaced: it scans all four directions of a flat
 ``succ`` table with ``-1`` for an invalid move, computes coordinates with
 ``%`` and ``//``, adds the risk term on every move, and widens a driver's

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from gridcity.planner import (
     manhattan,
     plan,
     _MEMO_SIZE,
+    _build_moves,
     _coords,
     _moves,
 )
@@ -608,9 +610,9 @@ def test_overlay_on_a_planned_layout_plans_like_a_fresh_one(layout, seed, sidewa
     fresh = generate_layout(spec).with_obstacles(obstacles)
     assert _outcomes(shared, queries) == _outcomes(fresh, queries)
     for kind in ("walker", "driver"):
-        _, rows, risk = _moves(shared, kind)
-        _, base_rows, base_risk = _moves(base, kind)
-        assert rows is base_rows and risk is base_risk
+        _, moves, masks, risk = _moves(shared, kind)
+        _, base_moves, base_masks, base_risk = _moves(base, kind)
+        assert moves is base_moves and masks is base_masks and risk is base_risk
     assert _coords(shared) is _coords(base)
 
 
@@ -690,6 +692,50 @@ def test_plan_matches_the_reference_kernel(source, seed):
                 blocked.discard(goal)
             query = (grid, start, goal, profile, frozenset(blocked), heading)
             assert _kernel_outcome(plan, *query) == _kernel_outcome(reference.plan, *query)
+
+
+@pytest.mark.parametrize("source", ["city", 0, 1, 2, 3, 4, 5])
+def test_move_masks_match_the_reference_successors(source):
+    # bit k of a cell's mask is set exactly when the reference's successor
+    # table has a move in direction k, and each mask's shared moves are its
+    # set bits in NESW order, entering the reference's successor states
+    if source == "city":
+        grid = generate_layout(LayoutSpec(blocks_x=5, blocks_y=5))
+    else:
+        rng = random.Random(source)
+        grid = random_grid(rng, rng.randint(1, 12), rng.randint(1, 12))
+    for kind in ("walker", "driver"):
+        shift, moves, masks, _ = _moves(grid, kind)
+        _, succ, _ = reference._moves(grid, kind)
+        heading_bits = 3 if shift else 0
+        assert len(moves) == 16 and len(masks) == grid.width * grid.height
+        for mask, row in enumerate(moves):
+            assert [k for _, _, k in row] == [k for k in range(4) if mask >> k & 1]
+            for delta, step, k in row:
+                dx, dy, _, _ = DIRECTION_TABLE[k]
+                assert step == dy * grid.width + dx
+                assert delta == (step << shift) + (k & heading_bits)
+        for i, mask in enumerate(masks):
+            valid = [k for k in range(4) if succ[i * 4 + k] != -1]
+            assert [k for k in range(4) if mask >> k & 1] == valid
+            entered = [(i << shift) + delta for delta, _, _ in moves[mask]]
+            assert entered == [succ[i * 4 + k] for k in valid]
+
+
+@pytest.mark.parametrize("kind, bound_kb", [("walker", 32), ("driver", 256)])
+def test_city_search_tables_keep_under_their_bound(kind, bound_kb):
+    # the tables keep one mask byte per cell and 16 shared move tuples, plus
+    # a driver's 16 risk bytes per cell; never a tuple of states per cell
+    grid = generate_layout(LayoutSpec(blocks_x=5, blocks_y=5))
+    grid.ground_costs(kind)  # a layout table of its own, built first
+    tracemalloc.start()
+    try:
+        tables = _build_moves(grid, kind)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(tables[2]) == grid.width * grid.height == 99 * 99
+    assert kept < bound_kb * 1024, f"{kept / 1024:.0f} KB"
 
 
 def _tie_cases():
