@@ -3,7 +3,6 @@
 from .environment import (
     Coord,
     Direction,
-    DIRECTION_ORDER,
     FLOW_GROUNDS,
     GridMap,
     GridParseError,

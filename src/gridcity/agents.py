@@ -22,8 +22,7 @@ from itertools import compress
 
 import numpy as np
 
-from .environment import (Coord, Direction, DIRECTION_ORDER, DIRECTION_TABLE, GridMap,
-                          GroundType)
+from .environment import Coord, Direction, DIRECTION_OF_STEP, GridMap, GroundType
 from .planner import BehaviorProfile, Plan, plan
 
 
@@ -48,8 +47,6 @@ class Decision(IntEnum):
 
 
 _STATUSES = tuple(Status)
-# the heading of a move by (dx, dy) between neighbouring cells
-_MOVE_HEADING = {row[:2]: d for d, row in zip(DIRECTION_ORDER, DIRECTION_TABLE)}
 
 
 @dataclass
@@ -348,8 +345,8 @@ def act(
     pop: Population,
     codes: np.ndarray,
     grid: GridMap,
-    accel: float = 1.0,
-    decel: float = 1.0,
+    accel: float,
+    decel: float,
 ) -> list[int]:
     """Resolve each replan, apply each active row's decision code, then
     advance along the plans.
@@ -435,7 +432,7 @@ def _advance(routes, xs, ys, budgets, cursors, headings, drivers):
                 budget -= dist
                 if driver and cursor >= 1:
                     ax, ay = cells[cursor - 1]
-                    heading = _MOVE_HEADING.get((cx - ax, cy - ay), heading)
+                    heading = DIRECTION_OF_STEP.get((cx - ax, cy - ay), heading)
                 cursor += 1
             else:
                 x += dx / dist * budget

@@ -1,10 +1,11 @@
 """Grid-encoded city environment.
 
 Each cell of the map is a 3-character token: a ground-type character followed
-by up to two permitted vehicular flow directions (padded with '-').  The module
-covers the token codec, whole-grid (de)serialization, procedural block layouts,
-sidewalk obstacle placement, and the per-cell traversal costs for both agent
-kinds.
+by up to two permitted vehicular flow directions (padded with '-').  A
+direction is a ``Direction``, whose value is its row of ``DIRECTION_TABLE`` and
+its bit in a cell's flow mask.  The module covers the token codec, whole-grid
+(de)serialization, procedural block layouts, sidewalk obstacle placement, and
+the per-cell traversal costs for both agent kinds.
 """
 from __future__ import annotations
 
@@ -24,25 +25,19 @@ class GridParseError(ValueError):
     """Malformed grid text (bad token, ragged rows, bad header)."""
 
 
-class Direction(Enum):
-    NORTH = "N"
-    EAST = "E"
-    SOUTH = "S"
-    WEST = "W"
+class Direction(int, Enum):
+    """A heading, whose value is its DIRECTION_TABLE row, its flow-mask bit,
+    a driver state's two heading bits and its letter's place in a token."""
+
+    NORTH = 0
+    EAST = 1
+    SOUTH = 2
+    WEST = 3
 
 
-#: Canonical ordering for serialization and neighbor expansion.
-DIRECTION_ORDER: tuple[Direction, ...] = (
-    Direction.NORTH,
-    Direction.EAST,
-    Direction.SOUTH,
-    Direction.WEST,
-)
-
-#: One row per direction of DIRECTION_ORDER: ``(dx, dy, opposite, clockwise)``,
-#: the last two as indices into DIRECTION_ORDER; the one place direction
-#: geometry is written.  y grows downward (text rows), so NORTH points toward
-#: row 0.
+#: One row per Direction, at its value: ``(dx, dy, opposite, clockwise)``,
+#: the last two as Direction values; the one place direction geometry is
+#: written.  y grows downward (text rows), so NORTH points toward row 0.
 DIRECTION_TABLE: tuple[tuple[int, int, int, int], ...] = (
     (0, -1, 2, 1),
     (1, 0, 3, 2),
@@ -50,11 +45,12 @@ DIRECTION_TABLE: tuple[tuple[int, int, int, int], ...] = (
     (-1, 0, 1, 0),
 )
 
-#: Flow direction set per NESW bit mask (bit k stands for DIRECTION_ORDER[k]).
-_FLOW_SETS = tuple(
-    frozenset(d for k, d in enumerate(DIRECTION_ORDER) if mask >> k & 1)
-    for mask in range(16)
-)
+#: The Direction of each step ``(dx, dy)`` of DIRECTION_TABLE; a step that is
+#: not a key is no move to a 4-adjacent cell.
+DIRECTION_OF_STEP: dict = {row[:2]: d for d, row in zip(Direction, DIRECTION_TABLE)}
+
+#: A token's flow letter of each Direction, at its value.
+_FLOW_LETTERS = "NESW"
 
 
 class GroundType(Enum):
@@ -113,8 +109,8 @@ _DRIVER_COSTS = {
 
 
 def _decode(token: str) -> tuple[GroundType, int]:
-    """A token's ground type and its flow as a NESW bit mask (bit k stands for
-    ``DIRECTION_ORDER[k]``); the flow letters may come in any order."""
+    """A token's ground type and its flow as a NESW bit mask (bit d stands for
+    Direction d); the flow letters may come in any order."""
     if len(token) != 3:
         raise GridParseError(f"token {token!r} must be 3 characters")
     try:
@@ -126,10 +122,10 @@ def _decode(token: str) -> tuple[GroundType, int]:
         raise GridParseError(f"token {token!r}: direction after '-' placeholder")
     mask = 0
     for ch in flow:
-        try:
-            mask |= 1 << DIRECTION_ORDER.index(Direction(ch))
-        except ValueError:
-            raise GridParseError(f"unknown direction character {ch!r}") from None
+        d = _FLOW_LETTERS.find(ch)
+        if d < 0:
+            raise GridParseError(f"unknown direction character {ch!r}")
+        mask |= 1 << d
     if len(set(flow)) < len(flow):
         raise GridParseError(f"token {token!r}: duplicate flow direction")
     if ground in FLOW_GROUNDS and not flow:
@@ -144,8 +140,8 @@ def _decode(token: str) -> tuple[GroundType, int]:
 
 
 def _token(ground: GroundType, mask: int) -> str:
-    """The canonical token of a cell: its flow letters in DIRECTION_ORDER."""
-    flow = "".join(d.value for k, d in enumerate(DIRECTION_ORDER) if mask >> k & 1)
+    """The canonical token of a cell: its flow letters in NESW order."""
+    flow = "".join(ch for d, ch in enumerate(_FLOW_LETTERS) if mask >> d & 1)
     return ground.value + flow.ljust(2, "-")
 
 
@@ -155,9 +151,9 @@ class GridMap:
 
     ``ground`` and ``flow`` hold one entry per cell, indexed ``y * width + x``:
     the cell's GroundType and its permitted vehicular flow directions as a
-    NESW bit mask (bit k stands for ``DIRECTION_ORDER[k]``); together they
-    are the layout.  Obstacles are an overlay on top of the ground type so
-    the underlying cell stays inspectable; they enter only the per-kind cost
+    NESW bit mask (bit d stands for Direction d); together they are the
+    layout.  Obstacles are an overlay on top of the ground type so the
+    underlying cell stays inspectable; they enter only the per-kind cost
     lists of ``costs``.  Tables derived from the layout alone are built and
     shared through ``layout_table``; ``_costs`` holds the map's own cost
     lists.  Spawn sites are computed once at construction: walker sites are
@@ -230,7 +226,8 @@ class GridMap:
         return self.ground[coord[1] * self.width + coord[0]]
 
     def flow_at(self, coord: Coord) -> frozenset:
-        return _FLOW_SETS[self.flow[coord[1] * self.width + coord[0]]]
+        mask = self.flow[coord[1] * self.width + coord[0]]
+        return frozenset(d for d in Direction if mask >> d & 1)
 
     def layout_table(self, key, build):
         """The layout's table ``key``, made by ``build()`` on first use.
@@ -327,7 +324,7 @@ def _driver_sites(ground, flow, width, height) -> tuple[tuple, tuple]:
             on_boundary = x in (0, width - 1) or y in (0, height - 1)
             if not on_boundary or _DRIVER_COSTS[ground[y * width + x]] == math.inf:
                 continue
-            for k, (dx, dy, back, _) in enumerate(DIRECTION_TABLE):
+            for d, (dx, dy, back, _) in zip(Direction, DIRECTION_TABLE):
                 if 0 <= x - dx < width and 0 <= y - dy < height:
                     continue  # the lane behind this cell is on the map
                 if flow[y * width + x] >> back & 1:
@@ -335,15 +332,17 @@ def _driver_sites(ground, flow, width, height) -> tuple[tuple, tuple]:
                 px, py = x, y
                 for _ in range(max(width, height)):
                     i = py * width + px
-                    if _DRIVER_COSTS[ground[i]] == math.inf or not flow[i] >> k & 1:
+                    if _DRIVER_COSTS[ground[i]] == math.inf or not flow[i] >> d & 1:
                         break
                     if ground[i] is GroundType.ROAD:
-                        spawns.add(((px, py), DIRECTION_ORDER[k]))
+                        spawns.add(((px, py), d))
                         break
                     px, py = px + dx, py + dy
                     if not (0 <= px < width and 0 <= py < height):
                         break
-    return tuple(sorted(spawns, key=lambda s: (s[0], s[1].value))), tuple(sorted(exits))
+    # a cell may take two inward headings: they sort by their token letters
+    spawns = sorted(spawns, key=lambda s: (s[0], _FLOW_LETTERS[s[1]]))
+    return tuple(spawns), tuple(sorted(exits))
 
 
 def parse_grid(text: str) -> GridMap:

@@ -5,9 +5,10 @@ accumulates per-cell ground costs plus alpha-scaled action risk, h is the
 Manhattan distance to the goal, and r prices driver maneuvers (forward, turns,
 lane changes, wrong-way moves).  One search serves both kinds over integer
 states ``cell << shift``: walkers plan over plain cells (shift 0), where no move
-carries risk; drivers plan over (cell, heading) states (shift 2, the heading in
-the two low bits) so turn risk is well-defined.  A plan is the route's cells;
-``classify_action`` names the maneuver of any driver move.
+carries risk; drivers plan over (cell, heading) states (shift 2, the heading's
+``Direction`` value in the two low bits) so turn risk is well-defined.  A plan
+is the route's cells; ``classify_action`` names the maneuver of any driver move
+as its ``Action``.
 
 Each expansion is table lookups over data built once per layout: a cell's
 move mask in ``_moves`` picks the shared tuple of its valid moves, and the
@@ -35,7 +36,7 @@ import numpy as np
 from .environment import (
     Coord,
     Direction,
-    DIRECTION_ORDER,
+    DIRECTION_OF_STEP,
     DIRECTION_TABLE,
     FLOW_GROUNDS,
     GridMap,
@@ -52,15 +53,13 @@ class Action(Enum):
     BACKWARD = "backward"
 
 
-# Internal integer codes keep the search inner loop allocation-free.
-_FORWARD, _RIGHT, _LEFT, _LANE, _INVALID, _BACKWARD = range(6)
-_ACTIONS = tuple(Action)
-_RISKS = (0.0, 1.0, 2.0, 3.0, 5.0, 20.0)
+_RISKS = {Action.FORWARD: 0.0, Action.RIGHT_TURN: 1.0, Action.LEFT_TURN: 2.0,
+          Action.LANE_CHANGE: 3.0, Action.INVALID_TURN: 5.0, Action.BACKWARD: 20.0}
 
 
 def driver_risk(action: Action) -> float:
     """Risk of a driver maneuver (Forward 0 ... Backward 20)."""
-    return _RISKS[_ACTIONS.index(action)]
+    return _RISKS[action]
 
 
 def manhattan(a: Coord, b: Coord) -> int:
@@ -107,10 +106,10 @@ def _moves(grid: GridMap, kind: str):
 
     States are ``cell << shift``: shift 0 for walkers, shift 2 for drivers,
     whose two low bits hold the heading.  ``masks[cell]`` is one byte whose
-    bit k is set when the move in direction k (``DIRECTION_ORDER[k]``) stays
-    on the grid and enters ground the kind can pass.  ``moves[mask]`` is the
-    tuple of that mask's moves ``(delta, step, k)`` in NESW order, which
-    keeps the search's push order: the move from ``cell`` enters cell
+    bit k is set when the move in Direction k stays on the grid and enters
+    ground the kind can pass.  ``moves[mask]`` is the tuple of that mask's
+    moves ``(delta, step, k)`` in NESW order, which keeps the search's push
+    order: the move from ``cell`` enters cell
     ``cell + step`` and state ``(cell << shift) + delta``, whose low bits
     hold k for a driver.  The 16 tuples are shared by every cell.
     ``risk[state*4 + k]`` is the unscaled risk of a driver's move in
@@ -204,26 +203,26 @@ def _turnspot(grid: GridMap, i: int) -> bool:
 
 
 def _classify(grid: GridMap, fi: int, ti: int, d: int, turnspot: bool) -> list:
-    """Action codes of a driver move from cell fi in direction d into its
-    neighbour ti, one per heading held before the move (NESW order)."""
+    """The Actions of a driver move from cell fi in Direction d into its
+    neighbour ti, one per heading held before the move, at its value."""
     _, _, back, clockwise = DIRECTION_TABLE[d]
     fm = grid.flow[fi]
     if fm == 1 << back:
-        return [_BACKWARD] * 4  # against the only permitted direction
+        return [Action.BACKWARD] * 4  # against the only permitted direction
     tf = grid.flow[ti]
     if grid.ground[ti] is GroundType.ROAD and fm != 0 and tf == fm:
-        right = left = _LANE
+        right = left = Action.LANE_CHANGE
     elif turnspot and tf & (1 << d):
-        right, left = _RIGHT, _LEFT
+        right, left = Action.RIGHT_TURN, Action.LEFT_TURN
     else:
-        right = left = _INVALID
-    codes = [_BACKWARD] * 4  # reversing: heading opposite to d
-    codes[d] = _FORWARD if fm & (1 << d) else _BACKWARD
+        right = left = Action.INVALID_TURN
+    actions = [Action.BACKWARD] * 4  # reversing: heading opposite to d
+    actions[d] = Action.FORWARD if fm & (1 << d) else Action.BACKWARD
     # from the heading counter-clockwise of d (clockwise of its opposite) the
     # move turns right; from the heading clockwise of d it turns left
-    codes[DIRECTION_TABLE[back][3]] = right
-    codes[clockwise] = left
-    return codes
+    actions[DIRECTION_TABLE[back][3]] = right
+    actions[clockwise] = left
+    return actions
 
 
 def classify_action(
@@ -236,24 +235,25 @@ def classify_action(
     straight off-flow is Backward; perpendicular moves are a lane change onto
     a parallel same-flow road lane, a legal turn when leaving a turn cell (or
     a zebra-adjacent road cell) into aligned flow, and invalid otherwise.
+    Both cells must lie inside the grid.
     """
-    if manhattan(frm, to) != 1:
+    d = DIRECTION_OF_STEP.get((to[0] - frm[0], to[1] - frm[1]))
+    if d is None:
         raise ValueError(f"cells {frm} and {to} are not 4-adjacent")
-    delta = (to[0] - frm[0], to[1] - frm[1])
-    d = next(k for k, row in enumerate(DIRECTION_TABLE) if row[:2] == delta)
+    for cell in (frm, to):
+        if not grid.in_bounds(cell):
+            raise ValueError(f"cell {cell} lies outside the grid")
     fi = frm[1] * grid.width + frm[0]
     ti = to[1] * grid.width + to[0]
-    hd = DIRECTION_ORDER.index(heading)
-    return _ACTIONS[_classify(grid, fi, ti, d, _turnspot(grid, fi))[hd]]
+    return _classify(grid, fi, ti, d, _turnspot(grid, fi))[heading]
 
 
 def default_heading(grid: GridMap, cell: Coord) -> Direction:
     """Heading a driver inherits on a cell: its first flow direction (NESW order)."""
-    flow = grid.flow_at(cell)
-    for d in DIRECTION_ORDER:
-        if d in flow:
-            return d
-    raise ValueError(f"cell {cell} has no flow direction to derive a heading from")
+    flow = grid.flow[cell[1] * grid.width + cell[0]]
+    if not flow:
+        raise ValueError(f"cell {cell} has no flow direction to derive a heading from")
+    return Direction((flow & -flow).bit_length() - 1)  # the lowest bit set
 
 
 # The most plans one layout's memo holds (about 1 KB each); a full memo is
@@ -314,7 +314,7 @@ def plan(
     else:
         if heading is None:
             heading = default_heading(grid, start)
-        s0, alpha = (si << 2) | DIRECTION_ORDER.index(heading), profile.alpha
+        s0, alpha = (si << 2) | heading, profile.alpha
     if blocked_idx or trace is not None:
         return _search(grid, kind, s0, gi, profile.w, alpha, blocked_idx, trace)
     memo = grid.layout_table("plans", dict)

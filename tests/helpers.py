@@ -7,8 +7,7 @@ import random
 
 from gridcity.environment import (
     Coord,
-    DIRECTION_ORDER,
-    DIRECTION_TABLE,
+    DIRECTION_OF_STEP,
     FLOW_GROUNDS,
     GridMap,
     GroundType,
@@ -45,7 +44,7 @@ def random_grid(rng: random.Random, width: int = 15, height: int = 15) -> GridMa
             flow = ""
             if ground in FLOW_GROUNDS:
                 count = 1 if rng.random() < 0.8 else 2
-                flow = "".join(d.value for d in rng.sample(DIRECTION_ORDER, count))
+                flow = "".join(rng.sample("NESW", count))
             row.append(ground.value + flow.ljust(2, "-"))
         rows.append(row)
     return GridMap.build(rows)
@@ -116,8 +115,7 @@ def route_actions(grid: GridMap, route, heading=None) -> list:
     actions = []
     for frm, to in zip(route, route[1:]):
         actions.append(classify_action(grid, frm, to, heading))
-        delta = (to[0] - frm[0], to[1] - frm[1])
-        heading = next(d for d, row in zip(DIRECTION_ORDER, DIRECTION_TABLE) if row[:2] == delta)
+        heading = DIRECTION_OF_STEP[(to[0] - frm[0], to[1] - frm[1])]
     return actions
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from gridcity.environment import DIRECTION_ORDER, DIRECTION_TABLE, GridMap
+from gridcity.environment import Direction, DIRECTION_TABLE, GridMap
 from gridcity.planner import classify_action, driver_risk
 
 
@@ -50,7 +50,7 @@ def driver_dijkstra(grid: GridMap, start, goal, alpha=0.0, heading=None,
         return None
     if heading is None:
         flow = grid.flow_at(start)
-        heading = next(d for d in DIRECTION_ORDER if d in flow)
+        heading = next(d for d in Direction if d in flow)
     dist = {(start, heading): 0.0}
     heap = [(0.0, 0, start, heading)]
     counter = 1
@@ -60,7 +60,7 @@ def driver_dijkstra(grid: GridMap, start, goal, alpha=0.0, heading=None,
             continue
         if cell == goal:
             return d
-        for direction, (dx, dy, _, _) in zip(DIRECTION_ORDER, DIRECTION_TABLE):
+        for direction, (dx, dy, _, _) in zip(Direction, DIRECTION_TABLE):
             to = (cell[0] + dx, cell[1] + dy)
             if not grid.in_bounds(to) or to in blocked:
                 continue

@@ -30,7 +30,6 @@ from gridcity.environment import (
     ROAD_FAMILY,
     Coord,
     Direction,
-    DIRECTION_ORDER,
     DIRECTION_TABLE,
     GridMap,
     GroundType,
@@ -225,7 +224,7 @@ def act(
 
 def _direction_between(a: Coord, b: Coord) -> Direction | None:
     delta = (b[0] - a[0], b[1] - a[1])
-    for d, row in zip(DIRECTION_ORDER, DIRECTION_TABLE):
+    for d, row in zip(Direction, DIRECTION_TABLE):
         if row[:2] == delta:
             return d
     return None
@@ -360,8 +359,8 @@ def _moves(grid: GridMap, kind: str):
 
     States are ``cell << shift``: shift 0 for walkers, shift 2 for drivers,
     whose two low bits hold the heading.  ``succ[cell*4 + k]`` is the state a
-    move in direction k (``DIRECTION_ORDER[k]``) enters, -1 when the move
-    leaves the grid or enters ground impassable to the kind, and
+    move in Direction k enters, -1 when the move leaves the grid or enters
+    ground impassable to the kind, and
     ``risk[state*4 + k]`` the move's unscaled risk: all zeros for walkers,
     and for drivers filled only from driver-passable cells, since no search
     expands another.  The tables read the layout alone (``ground`` and
@@ -439,7 +438,7 @@ def plan(
         heading = default_heading(grid, start)
     blocked_states = {(b << 2) | hd for b in blocked_idx for hd in range(4)}
     return _search(
-        grid, "driver", (si << 2) | DIRECTION_ORDER.index(heading), gi,
+        grid, "driver", (si << 2) | heading, gi,
         profile.w, profile.alpha, blocked_states, trace,
     )
 

@@ -125,7 +125,7 @@ def act_once(agent, decision, grid, blocked=frozenset()):
     of ``blocked``; returns whether it replanned and the agent's state
     afterwards."""
     pop = population([agent] + blockers(blocked))
-    replanned = act(pop, np.array([decision]), grid)
+    replanned = act(pop, np.array([decision]), grid, accel=1.0, decel=1.0)
     return bool(replanned), pop.snapshot()[agent.id]
 
 
@@ -576,7 +576,7 @@ def test_act_leaves_the_codes_unchanged():
     )
     for blocked in (frozenset(), {(1, 0)}):  # the replan finds a route, then none
         codes = np.array([Decision.REPLAN])
-        act(population([walker] + blockers(blocked)), codes, grid)
+        act(population([walker] + blockers(blocked)), codes, grid, accel=1.0, decel=1.0)
         assert codes.tolist() == [Decision.REPLAN]
 
 
@@ -604,7 +604,7 @@ def test_act_position_stays_on_polyline():
     pop = population([driver])
     xs = []
     for _ in range(12):
-        act(pop, np.array([Decision.ACCELERATE]), grid)
+        act(pop, np.array([Decision.ACCELERATE]), grid, accel=1.0, decel=1.0)
         xs.append(pop.snapshot()[1].position)
     for x, y in xs:
         assert y == pytest.approx(0.5)

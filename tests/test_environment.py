@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcity.environment import (
+    DIRECTION_OF_STEP,
     DIRECTION_TABLE,
     Direction,
     FLOW_GROUNDS,
@@ -23,6 +24,8 @@ from gridcity.environment import (
     place_obstacles,
     serialize_grid,
     serialize_obstacle_list,
+    _decode,
+    _token,
 )
 from helpers import grid_of, random_grid
 
@@ -76,6 +79,21 @@ def test_token_rejects_malformed(token):
     message = "row 0, column 0: " + MALFORMED_TOKENS[token]
     with pytest.raises(GridParseError, match="^" + re.escape(message) + "$"):
         GridMap.build([[token]])
+
+
+def test_direction_encoding_is_consistent():
+    """A Direction's value is its DIRECTION_TABLE row, its flow bit and the
+    place of its letter, its name's first, in a token."""
+    assert len(DIRECTION_OF_STEP) == 4
+    for d in Direction:
+        dx, dy, opposite, clockwise = DIRECTION_TABLE[d]
+        assert DIRECTION_TABLE[opposite][:2] == (-dx, -dy)
+        assert DIRECTION_TABLE[clockwise][:2] == (-dy, dx)  # y grows downward
+        assert DIRECTION_OF_STEP[(dx, dy)] is d
+        token = "r" + d.name[0] + "-"
+        assert _decode(token) == (GroundType.ROAD, 1 << d)
+        assert _token(GroundType.ROAD, 1 << d) == token
+        assert str(d) == f"Direction.{d.name}"  # as plan-digest labels print it
 
 
 def test_token_canonical_direction_order():
@@ -221,7 +239,7 @@ def test_generated_layout_bytes_are_pinned():
     assert sum(min(g.width, g.height) == 1 for g in grids) == 8
     sites = hashlib.sha256()
     for g in grids:
-        spawns = [(c, d.value) for c, d in g.driver_spawns]
+        spawns = [(c, d.name[0]) for c, d in g.driver_spawns]  # N, E, S or W
         sites.update(repr((g.walker_spawns, spawns, g.driver_exits)).encode())
     assert sites.hexdigest() == "4996b4dc758a22cdb972eaf3a9a6f2935a7621d026617b7e76eef600095f1cbe"
 

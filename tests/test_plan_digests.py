@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import random
 
-from gridcity.environment import DIRECTION_ORDER, LayoutSpec, generate_layout, place_obstacles
+from gridcity.environment import Direction, LayoutSpec, generate_layout, place_obstacles
 from gridcity.planner import BehaviorProfile, plan
 from helpers import parking_2x2, random_grid, route_actions, traversable_cells
 
@@ -54,8 +54,8 @@ def _queries():
                 heading = None
                 if kind == "driver" and i % 2:
                     flow = grid.flow_at(start)
-                    heading = rng.choice([d for d in DIRECTION_ORDER if d in flow])
-                label = f"{name}|{kind}|{start}|{goal}|{profile.w!r}|{profile.alpha!r}|{heading}"
+                    heading = rng.choice([d for d in Direction if d in flow])
+                label = f"{name}|{kind}|{start}|{goal}|{profile.w!r}|{profile.alpha!r}|{heading!s}"
                 yield label, grid, start, goal, profile, frozenset(blocked), heading
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcity.environment import (
-    DIRECTION_ORDER,
     DIRECTION_TABLE,
     Direction,
     GroundType,
@@ -144,9 +144,26 @@ def test_classify_from_a_cell_without_flow_is_no_turn():
 
 
 def test_classify_requires_adjacency():
-    grid = grid_of("rN- rN- rN-")
-    with pytest.raises(ValueError):
-        classify_action(grid, (0, 0), (2, 0), N)
+    grid = grid_of("rN- rN- rN-", "rN- rN- rN-")
+    # the same cell, a diagonal neighbour and a cell two apart
+    for to in ((0, 0), (1, 1), (2, 0)):
+        with pytest.raises(ValueError, match="not 4-adjacent"):
+            classify_action(grid, (0, 0), to, N)
+
+
+def test_classify_refuses_a_cell_off_the_grid():
+    # a flat index of a cell off the grid may wrap onto a cell of the grid
+    grid = generate_layout(LayoutSpec())
+    last = grid.width - 1
+    moves = [
+        ((0, 0), (-1, 0), W), ((last, 0), (last + 1, 0), E),
+        ((0, 0), (0, -1), N), ((0, last), (0, last + 1), S),
+        ((-1, 0), (0, 0), E),
+    ]
+    for frm, to, heading in moves:
+        off = to if grid.in_bounds(frm) else frm
+        with pytest.raises(ValueError, match=re.escape(f"cell {off} lies outside the grid")):
+            classify_action(grid, frm, to, heading)
 
 
 def test_classify_generated_intersection_truth_table():
@@ -159,18 +176,18 @@ def test_classify_generated_intersection_truth_table():
             if grid.ground_at((x, y)) not in (GroundType.TURN, GroundType.LEFT_TURN):
                 continue
             for heading in grid.flow_at((x, y)):
-                _, _, back, clockwise = DIRECTION_TABLE[DIRECTION_ORDER.index(heading)]
-                for d, (dx, dy, _, _) in zip(DIRECTION_ORDER, DIRECTION_TABLE):
+                _, _, back, clockwise = DIRECTION_TABLE[heading]
+                for d, (dx, dy, _, _) in zip(Direction, DIRECTION_TABLE):
                     to = (x + dx, y + dy)
                     if not grid.in_bounds(to):
                         continue
-                    if d in (heading, DIRECTION_ORDER[back]):
+                    if d in (heading, Direction(back)):
                         continue
                     if d not in grid.flow_at(to):
                         continue
                     action = classify_action(grid, (x, y), to, heading)
                     expected = (
-                        Action.RIGHT_TURN if DIRECTION_ORDER[clockwise] is d
+                        Action.RIGHT_TURN if Direction(clockwise) is d
                         else Action.LEFT_TURN
                     )
                     assert action is expected
@@ -676,7 +693,7 @@ def test_plan_matches_the_reference_kernel(source, seed):
                 w=rng.choice((1.0, 2.0, 3.0, 5.0, rng.uniform(1, 5))),
                 alpha=rng.choice((0.0, rng.uniform(0, 3))),
             )
-            heading = rng.choice((None, rng.choice(DIRECTION_ORDER)))
+            heading = rng.choice((None, rng.choice(list(Direction))))
             try:
                 free = reference.plan(grid, start, goal, profile, heading=heading)
             except ValueError:  # a driver start without flow and no heading
@@ -809,7 +826,7 @@ def test_plan_trace_records_expansions(case):
     for j, (_, x, y, g, _, r, _) in enumerate(trace[1:], 1):
         entered = set()
         for i, (_, px, py, pg, _, _, _) in enumerate(trace[:j]):
-            for d, (dx, dy, _, _) in zip(DIRECTION_ORDER, DIRECTION_TABLE):
+            for d, (dx, dy, _, _) in zip(Direction, DIRECTION_TABLE):
                 if (px + dx, py + dy) != (x, y):
                     continue
                 for hd in headings[i]:
