@@ -2,10 +2,12 @@ import dataclasses
 import hashlib
 import importlib
 import itertools
+import json
 import multiprocessing
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -937,6 +939,74 @@ def test_a_sweep_run_that_cannot_make_its_directory_fails_alone(tmp_path, parall
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("failed: w2_d0_o0 seed 1: ")
     assert (out / "summary.csv").read_text().splitlines() == summary
+
+
+def _output_of_fresh_interpreter(code: str, *args: str, timeout: float = 30) -> str:
+    """What a fresh interpreter prints running ``code`` with ``args`` as
+    ``sys.argv[1:]``; it runs in a process group of its own, which is killed
+    whole when it outlasts ``timeout`` seconds, its workers included."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen([sys.executable, "-c", code, *args], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, err
+    return out
+
+
+# One of four runs swept on two workers ends its worker with exit status 3.
+_DYING_WORKER_SWEEP = """
+import json, os, sys
+from pathlib import Path
+import gridcity.cli as cli
+from gridcity import LayoutSpec, SimConfig
+
+run_task = cli._run_task
+
+def dying(scenario, point, seed, out_dir):
+    if point["walkers"] == 3 and seed == 1:
+        os._exit(3)
+    return run_task(scenario, point, seed, out_dir)
+
+cli._run_task = dying
+scenario = cli.Scenario(SimConfig(steps=3, walkers=2, drivers=0),
+                        LayoutSpec(blocks_x=1, blocks_y=1),
+                        sweep={"walkers": [2, 3]}, seeds=[1, 2])
+out = Path(sys.argv[1])
+_, outcomes = cli.execute_sweep(scenario, out, parallel=2)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    left = "a child is left"
+except ChildProcessError:
+    left = "none"
+print(json.dumps({
+    "outcomes": [[o.point["walkers"], o.seed, o.ok, o.error] for o in outcomes],
+    "summary": (out / "summary.csv").read_text(),
+    "left": left,
+}))
+"""
+
+
+@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
+                   reason="multiprocessing.Pool.starmap never returns once a worker dies")
+def test_a_sweep_worker_that_dies_fails_its_runs_and_the_sweep_returns(tmp_path):
+    out = tmp_path / "out"
+    done = json.loads(_output_of_fresh_interpreter(_DYING_WORKER_SWEEP, str(out)))
+    outcomes = {(walkers, seed): (ok, error) for walkers, seed, ok, error in done["outcomes"]}
+    assert len(outcomes) == 4
+    ok, error = outcomes.pop((3, 1))
+    assert not ok and "status 3" in error
+    assert all(ok for ok, _ in outcomes.values())
+    assert [line.split(",")[:4] for line in done["summary"].splitlines()[1:]] == [
+        ["2", "0", "0", "2"], ["3", "0", "0", "1"]
+    ]
+    assert "status 3" in (out / "w3_d0_o0" / "seed1" / "error.txt").read_text()
+    assert done["left"] == "none"
 
 
 @pytest.mark.parametrize("parallel", [1, 2])
