@@ -8,12 +8,16 @@ effective config so the run can be reproduced from it exactly.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import functools
 import itertools
-import multiprocessing
 import numbers
+import os
+import pickle
+import selectors
+import sys
 import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -458,25 +462,169 @@ def render_summary_csv(scenario: Scenario, points: list, outcomes: list) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _lost_run(task: tuple, error: str) -> TaskOutcome:
+    """The failed outcome of a run no worker reported, its error also written
+    to its ``error.txt`` where its directory can be made."""
+    _, point, seed, out_dir = task
+    with contextlib.suppress(OSError):
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        (Path(out_dir) / "error.txt").write_text(f"{error}\n", encoding="utf-8")
+    return TaskOutcome(point=point, seed=seed, ok=False, error=error)
+
+
+def _send(report, message) -> None:
+    """Write ``message`` to a worker's report pipe, pickled after its length."""
+    data = pickle.dumps(message)
+    report.write(len(data).to_bytes(4, "little") + data)
+    report.flush()
+
+
+def _work(tasks: list, chunks: list, queue_r: int, queue_w: int, report: int):
+    """A forked worker's whole life: until the queue pipe (``queue_r``)
+    reads empty, take the next chunk's number from it, report that number,
+    then each of the chunk's runs' outcome.  It ends the process, and never
+    returns into the caller's code."""
+    code = 1
+    try:
+        os.close(queue_w)  # the queue reads empty once the parent closes it
+        with open(report, "wb") as out:
+            # each number is one 4-byte write, which a pipe keeps whole
+            while record := os.read(queue_r, 4):
+                chunk = int.from_bytes(record, "little")
+                _send(out, chunk)
+                for i in chunks[chunk]:
+                    _send(out, _run_task(*tasks[i]))
+        code = 0
+    except BaseException:
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)
+
+
+def _fork_runs(tasks: list, workers: int) -> list:
+    """Each task's ``_run_task`` outcome, in task order, from ``workers``
+    forked processes, which inherit the map ``_base_grid`` has cached.
+
+    The tasks are cut as ``multiprocessing.Pool.starmap`` cuts them, into
+    consecutive chunks of ceil(runs / (4 workers)), so a worker's plan memo
+    serves the runs of a chunk.  An idle worker takes the next chunk's number
+    from one shared pipe; each reports on a pipe of its own, and this process
+    drains them all with one selector.  A run whose worker ended before
+    reporting it fails, its error naming the worker's exit status.  Every
+    worker is reaped before this returns, and killed first when this process
+    fails."""
+    size = -(-len(tasks) // (4 * workers))
+    chunks = [range(i, min(i + size, len(tasks))) for i in range(0, len(tasks), size)]
+    done: list = [None] * len(tasks)
+    pids: dict = {}  # a worker's report pipe -> its process id
+    taken: dict = {}  # a worker's report pipe -> the runs it took and has not reported
+    statuses: dict = {}  # a worker's report pipe -> its wait status
+    fds: set = set()  # the pipe ends this process holds
+
+    def close(fd: int) -> None:
+        fds.discard(fd)
+        os.close(fd)
+
+    queue_r, queue_w = os.pipe()
+    fds |= {queue_r, queue_w}
+    for stream in (sys.stdout, sys.stderr):  # no worker writes again what is buffered
+        with contextlib.suppress(AttributeError, ValueError):  # gone or closed
+            stream.flush()
+    try:
+        for _ in range(workers):
+            report_r, report_w = os.pipe()
+            fds |= {report_r, report_w}
+            pid = os.fork()
+            if pid == 0:
+                _work(tasks, chunks, queue_r, queue_w, report_w)
+            close(report_w)
+            pids[report_r] = pid
+            taken[report_r] = collections.deque()
+        close(queue_r)
+        os.set_blocking(queue_w, False)
+        buffers = dict.fromkeys(pids, b"")  # the open report pipes' unread bytes
+        handed = 0  # the chunks written to the queue
+        with selectors.DefaultSelector() as selector:
+            selector.register(queue_w, selectors.EVENT_WRITE)
+            for fd in pids:
+                selector.register(fd, selectors.EVENT_READ)
+            while buffers:
+                for key, _ in selector.select():
+                    fd = key.fd
+                    if fd == queue_w:
+                        try:
+                            while handed < len(chunks):
+                                os.write(queue_w, handed.to_bytes(4, "little"))
+                                handed += 1
+                        except BlockingIOError:  # the queue is full for now
+                            continue
+                        except BrokenPipeError:  # no worker is left to read it
+                            pass
+                        selector.unregister(queue_w)
+                        close(queue_w)
+                        continue
+                    data = os.read(fd, 1 << 16)
+                    if not data:  # the worker has ended
+                        selector.unregister(fd)
+                        close(fd)
+                        del buffers[fd]
+                        continue
+                    buffer = buffers[fd] + data
+                    while len(buffer) >= 4:
+                        end = 4 + int.from_bytes(buffer[:4], "little")
+                        if len(buffer) < end:
+                            break
+                        message = pickle.loads(buffer[4:end])
+                        buffer = buffer[end:]
+                        if isinstance(message, int):  # the number of a chunk taken
+                            taken[fd].extend(chunks[message])
+                        else:
+                            done[taken[fd].popleft()] = message
+                    buffers[fd] = buffer
+    except BaseException:
+        import signal  # imported here, not with the module: only a failing runner kills
+
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for fd, pid in pids.items():
+            statuses[fd] = os.waitpid(pid, 0)[1]
+        for fd in list(fds):
+            close(fd)
+    for fd, runs in taken.items():
+        code = os.waitstatus_to_exitcode(statuses[fd])
+        ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
+        for i in runs:
+            done[i] = _lost_run(tasks[i], f"its worker process {ended} before reporting it")
+    return [outcome or _lost_run(task, "no worker process reported running it")
+            for task, outcome in zip(tasks, done)]
+
+
 def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list, list]:
     """Run the sweep product x the scenario's seeds (its ``sim.seed`` when it
     lists none), each point and seed on the scenario's other values; returns
     (points, outcomes).
 
     Each run writes under ``out_dir/<point label>/seed<seed>``.  The runs go to
-    ``min(parallel, runs)`` worker processes, or run in this process when
-    that is 1; a ``parallel`` other than an integer of at least 1, or a point
-    the map cannot run (``check_map``), raises ValueError before anything is
-    written, and an ``out_dir`` that cannot be made raises OSError before any
-    run.  They run seed by seed in the order given, then obstruction by
-    obstruction in declaration order, with the points in product order
-    within: the runs of one seed and obstruction place the same obstacles and
-    spawn the same first agents, so a worker's plan memo serves their
-    construction plans.  The outcomes come back point by point, with the
-    seeds inner."""
+    ``min(parallel, runs)`` forked worker processes (``_fork_runs``), or run
+    in this process when that is 1; a ``parallel`` other than an integer of
+    at least 1, one above 1 where ``os.fork`` is missing, or a point the map
+    cannot run (``check_map``), raises ValueError before anything is written,
+    and an ``out_dir`` that cannot be made raises OSError before any run.
+    They run seed by seed in the order given, then obstruction by obstruction
+    in declaration order, with the points in product order within: the runs
+    of one seed and obstruction place the same obstacles and spawn the same
+    first agents, so a worker's plan memo serves their construction plans.  A
+    failed run stops no other, and a worker that dies fails only the runs it
+    took and had not reported.  The outcomes come back point by point, with
+    the seeds inner."""
     if (isinstance(parallel, bool) or not isinstance(parallel, numbers.Integral)
             or parallel < 1):
         raise ValueError(f"parallel must be an integer of at least 1, got {parallel!r}")
+    if parallel > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"parallel {parallel} needs os.fork, which this platform lacks")
     points = sweep_points(scenario)
     # the map is built, or found cached, here; not by build_grid, whose
     # calls perfbench counts as a run's set-up.  Forked workers inherit it
@@ -496,8 +644,7 @@ def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list,
     ]
     workers = min(parallel, len(tasks))
     if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            done = pool.starmap(_run_task, tasks)
+        done = _fork_runs(tasks, workers)
     else:
         done = list(itertools.starmap(_run_task, tasks))
     outcomes = sorted(done, key=lambda o: (points.index(o.point), seeds.index(o.seed)))

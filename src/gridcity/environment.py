@@ -222,11 +222,17 @@ class GridMap:
         x, y = coord
         return 0 <= x < self.width and 0 <= y < self.height
 
+    def index_of(self, coord: Coord) -> int:
+        """The flat index ``y * width + x`` of a cell; ValueError off the grid."""
+        if not self.in_bounds(coord):
+            raise ValueError(f"cell {coord} lies outside the grid")
+        return coord[1] * self.width + coord[0]
+
     def ground_at(self, coord: Coord) -> GroundType:
-        return self.ground[coord[1] * self.width + coord[0]]
+        return self.ground[self.index_of(coord)]
 
     def flow_at(self, coord: Coord) -> frozenset:
-        mask = self.flow[coord[1] * self.width + coord[0]]
+        mask = self.flow[self.index_of(coord)]
         return frozenset(d for d in Direction if mask >> d & 1)
 
     def layout_table(self, key, build):

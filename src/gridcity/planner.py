@@ -240,17 +240,14 @@ def classify_action(
     d = DIRECTION_OF_STEP.get((to[0] - frm[0], to[1] - frm[1]))
     if d is None:
         raise ValueError(f"cells {frm} and {to} are not 4-adjacent")
-    for cell in (frm, to):
-        if not grid.in_bounds(cell):
-            raise ValueError(f"cell {cell} lies outside the grid")
-    fi = frm[1] * grid.width + frm[0]
-    ti = to[1] * grid.width + to[0]
+    fi, ti = grid.index_of(frm), grid.index_of(to)
     return _classify(grid, fi, ti, d, _turnspot(grid, fi))[heading]
 
 
 def default_heading(grid: GridMap, cell: Coord) -> Direction:
-    """Heading a driver inherits on a cell: its first flow direction (NESW order)."""
-    flow = grid.flow[cell[1] * grid.width + cell[0]]
+    """Heading a driver inherits on a cell: its first flow direction (NESW
+    order).  The cell must lie inside the grid."""
+    flow = grid.flow[grid.index_of(cell)]
     if not flow:
         raise ValueError(f"cell {cell} has no flow direction to derive a heading from")
     return Direction((flow & -flow).bit_length() - 1)  # the lowest bit set

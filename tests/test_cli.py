@@ -3,7 +3,6 @@ import hashlib
 import importlib
 import itertools
 import json
-import multiprocessing
 import os
 import random
 import re
@@ -862,25 +861,18 @@ def test_a_sweep_writes_the_same_bytes_with_one_worker_with_two_and_over_its_gri
 
 @pytest.fixture
 def in_process_pool(monkeypatch):
-    """Replaces ``multiprocessing.Pool`` by one that runs the tasks here and
+    """Replaces the sweep's fork runner by one that runs the tasks here and
     records the worker count asked for and the task list it receives."""
+    import gridcity.cli as cli_mod
+
     record = {"sizes": [], "tasks": []}
 
-    class InProcessPool:
-        def __init__(self, processes):
-            record["sizes"].append(processes)
+    def in_process(tasks, workers):
+        record["sizes"].append(workers)
+        record["tasks"].append(list(tasks))
+        return list(itertools.starmap(cli_mod._run_task, tasks))
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, func, tasks):
-            record["tasks"].append(list(tasks))
-            return list(itertools.starmap(func, tasks))
-
-    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    monkeypatch.setattr(cli_mod, "_fork_runs", in_process)
     return record
 
 
@@ -900,6 +892,14 @@ def test_sweep_refuses_a_parallel_that_is_no_positive_integer(tmp_path, parallel
     scenario = load_config(write_config(tmp_path, sweep_doc()))
     with pytest.raises(ValueError, match="^parallel must be"):
         execute_sweep(scenario, tmp_path / "s", parallel=parallel)
+    assert not (tmp_path / "s").exists()
+
+
+def test_sweep_refuses_a_parallel_above_1_without_os_fork(tmp_path, monkeypatch):
+    scenario = load_config(write_config(tmp_path, sweep_doc()))
+    monkeypatch.delattr(os, "fork")
+    with pytest.raises(ValueError, match="needs os.fork"):
+        execute_sweep(scenario, tmp_path / "s", parallel=2)
     assert not (tmp_path / "s").exists()
 
 
@@ -992,8 +992,6 @@ print(json.dumps({
 """
 
 
-@pytest.mark.xfail(strict=True, raises=subprocess.TimeoutExpired,
-                   reason="multiprocessing.Pool.starmap never returns once a worker dies")
 def test_a_sweep_worker_that_dies_fails_its_runs_and_the_sweep_returns(tmp_path):
     out = tmp_path / "out"
     done = json.loads(_output_of_fresh_interpreter(_DYING_WORKER_SWEEP, str(out)))
@@ -1007,6 +1005,35 @@ def test_a_sweep_worker_that_dies_fails_its_runs_and_the_sweep_returns(tmp_path)
     ]
     assert "status 3" in (out / "w3_d0_o0" / "seed1" / "error.txt").read_text()
     assert done["left"] == "none"
+
+
+def test_a_sweep_that_fails_itself_kills_and_reaps_its_workers(tmp_path):
+    # the sweep fails on its first report; unkilled, its workers would outlast
+    # the timeout on their 100000-step runs
+    code = """
+import os, pickle, sys, types
+import gridcity.cli as cli
+from gridcity import LayoutSpec, SimConfig
+
+def unreadable(data):
+    raise RuntimeError("unreadable report")
+
+cli.pickle = types.SimpleNamespace(dumps=pickle.dumps, loads=unreadable)
+scenario = cli.Scenario(SimConfig(steps=100000, walkers=20, drivers=5), LayoutSpec(),
+                        sweep={"walkers": [20, 30]})
+try:
+    cli.execute_sweep(scenario, sys.argv[1], parallel=2)
+except RuntimeError as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("none")
+"""
+    assert _output_of_fresh_interpreter(code, str(tmp_path / "out")).splitlines() == [
+        "unreadable report", "none"
+    ]
 
 
 @pytest.mark.parametrize("parallel", [1, 2])
@@ -1087,6 +1114,36 @@ def test_sweep_runs_seed_by_seed_then_obstruction_by_obstruction(
     assert [(o.point, o.seed) for o in outcomes] == [(p, s) for p in points for s in (1, 2)]
     assert ((tmp_path / "serial" / "summary.csv").read_bytes()
             == (tmp_path / "pool" / "summary.csv").read_bytes())
+
+
+def test_forked_workers_take_the_runs_in_consecutive_chunks(tmp_path, monkeypatch):
+    import gridcity.cli as cli_mod
+
+    log = tmp_path / "ran.txt"
+    run_task = cli_mod._run_task
+
+    def logging(scenario, point, seed, out_dir):
+        with open(log, "a", encoding="utf-8") as fh:  # one short append per run
+            fh.write(f"{os.getpid()} {seed} {point['walkers']}\n")
+        return run_task(scenario, point, seed, out_dir)
+
+    monkeypatch.setattr(cli_mod, "_run_task", logging)
+    doc = dict(MINIMAL, steps=2, sweep={"walkers": [2, 3, 4]}, seeds=[1, 2, 3])
+    _, outcomes = execute_sweep(load_config(write_config(tmp_path, doc)), tmp_path / "s",
+                                parallel=2)
+    assert all(o.ok for o in outcomes)
+    order = [(seed, walkers) for seed in (1, 2, 3) for walkers in (2, 3, 4)]
+    ran = [(pid, order.index((int(seed), int(walkers))))
+           for pid, seed, walkers in map(str.split, log.read_text().splitlines())]
+    assert sorted(k for _, k in ran) == list(range(9))
+    worker = {k: pid for pid, k in ran}
+    # Pool.starmap's cut of 9 runs for 2 workers: chunks of ceil(9 / 8) = 2,
+    # each run by one worker, which takes them in task order
+    for start in range(0, 9, 2):
+        assert len({worker[k] for k in range(start, min(start + 2, 9))}) == 1
+    for pid in set(worker.values()):
+        mine = [k for p, k in ran if p == pid]
+        assert mine == sorted(mine)
 
 
 def overfull_obstruction_config(tmp_path, sweep=None):
@@ -1545,11 +1602,12 @@ def test_a_bad_scenario_file_exits_2_in_one_line(tmp_path, text, prefix):
 
 
 def _heavy_modules_after(code: str, *args: str) -> str:
-    """Which of click, PyYAML and statistics a fresh interpreter has loaded
-    after running ``code`` with ``args`` as ``sys.argv[1:]``."""
+    """Which of click, multiprocessing, PyYAML and statistics a fresh
+    interpreter has loaded after running ``code`` with ``args`` as
+    ``sys.argv[1:]``."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code += "; print(sorted({'click', 'yaml', 'statistics'} & set(sys.modules)))"
+    code += "; print(sorted({'click', 'multiprocessing', 'yaml', 'statistics'} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
@@ -1576,3 +1634,15 @@ def test_a_run_loads_neither_yaml_nor_statistics(tmp_path):
             "layout=LayoutSpec()), sys.argv[1])")
     assert _heavy_modules_after(code, str(tmp_path / "out")) == "[]\n"
     assert (tmp_path / "out" / "config.yaml").is_file()
+
+
+def test_a_forked_sweep_loads_neither_multiprocessing_nor_click_nor_yaml(tmp_path):
+    # its workers are forked from it and hold a copy of what it imported;
+    # statistics is its summary's, loaded after the workers are done
+    code = ("import sys; from gridcity import LayoutSpec, SimConfig; "
+            "from gridcity.cli import Scenario, execute_sweep; "
+            "execute_sweep(Scenario(sim=SimConfig(steps=2, walkers=2, drivers=1), "
+            "layout=LayoutSpec(), sweep={'walkers': [2, 3]}), sys.argv[1], parallel=2)")
+    assert _heavy_modules_after(code, str(tmp_path / "out")) == "['statistics']\n"
+    assert (tmp_path / "out" / "summary.csv").is_file()
+    assert len(list((tmp_path / "out").glob("*/seed*/metrics.csv"))) == 2

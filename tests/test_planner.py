@@ -166,6 +166,21 @@ def test_classify_refuses_a_cell_off_the_grid():
             classify_action(grid, frm, to, heading)
 
 
+@pytest.mark.parametrize("read", [
+    default_heading,
+    lambda grid, cell: grid.ground_at(cell),
+    lambda grid, cell: grid.flow_at(cell),
+], ids=["default_heading", "ground_at", "flow_at"])
+def test_a_cell_read_refuses_a_cell_off_the_grid(read):
+    # (-1, 1) would wrap onto (22, 0), a left-turn cell with flow north, and
+    # (23, 0) onto (0, 1)
+    grid = generate_layout(LayoutSpec())
+    assert (grid.width, grid.height) == (23, 23)
+    for cell in [(-1, 1), (23, 0), (0, -1), (0, 23)]:
+        with pytest.raises(ValueError, match=re.escape(f"cell {cell} lies outside the grid")):
+            read(grid, cell)
+
+
 def test_classify_generated_intersection_truth_table():
     """Every legal perpendicular exit from a generated intersection classifies
     as a turn whose handedness matches plane geometry."""
