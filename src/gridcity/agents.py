@@ -9,9 +9,9 @@ step ``decide`` reads the columns, tests each active agent against the others
 near its window (its next few route cells), and picks exactly one decision
 code per active agent (yield, decelerate, stop, replan, accelerate, proceed).
 ``act`` then applies the codes as array updates and moves every agent with a
-speed along its plan polyline.  ``AgentState`` is the record of one agent:
-what ``Population.extend`` takes in and ``Population.snapshot`` gives out,
-never a live copy.
+speed from cell center to cell center along its plan.  ``AgentState`` is the
+record of one agent: what ``Population.extend`` takes in and
+``Population.snapshot`` gives out, never a live copy.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from itertools import compress
 import numpy as np
 
 from .environment import Coord, Direction, DIRECTION_OF_STEP, GridMap, GroundType
-from .planner import BehaviorProfile, Plan, plan
+from .planner import BehaviorProfile, Plan, _coords, plan
 
 
 class Status(IntEnum):
@@ -94,8 +94,8 @@ class Population:
     the index of the next plan cell to reach; ``countdown``; ``max_speed``;
     and ``plan_len``, the length of the row's plan (0 without one).  The
     facts ``plan`` takes are kept per row as the objects it takes, in four
-    lists: ``plans``, each row's ``Plan`` or None, whose ``(x, y)`` cells are
-    the one copy of its route;
+    lists: ``plans``, each row's ``Plan`` or None, whose flat ``route`` is the
+    one copy of its cells;
     ``profiles``, the ``BehaviorProfile`` the agent spawned with; ``goals``,
     an ``(x, y)`` cell or None; and ``headings``, a ``Direction`` or None.
     A row's floor cell is computed from ``x`` and ``y`` where it is needed.
@@ -184,7 +184,7 @@ class Population:
     def blocking_cells(self) -> set:
         """The floor cells of the inactive (parked and collided) rows: the
         cells every plan avoids."""
-        return self.cells(self.status != Status.ACTIVE)
+        return self.cells(self.status != Status.ACTIVE.value)
 
     def snapshot(self) -> dict[int, AgentState]:
         """Every agent as an ``AgentState`` by id, in row order; its profile,
@@ -251,7 +251,7 @@ def decide(
     """
     width = grid.width
     flat = floor_cells(pop.x, pop.y, width)
-    is_active = pop.status == Status.ACTIVE
+    is_active = pop.status == Status.ACTIVE.value
     rows = np.flatnonzero(is_active)
     n = len(rows)
     if not n:
@@ -269,9 +269,9 @@ def decide(
     win = np.full((n, lookahead), -1)
     plans = pop.plans
     win[valid] = [
-        y * width + x
+        i
         for row, cursor in zip(rows[live].tolist(), cursors[live].tolist())
-        for x, y in plans[row].cells[cursor:cursor + lookahead]
+        for i in plans[row].route[cursor:cursor + lookahead]
     ]
     win = np.where(valid, win, win[:, :1])
     win_y, win_x = np.divmod(win, width)
@@ -333,11 +333,11 @@ def decide(
     # rules, lowest priority first: the last assignment that holds wins
     braking = (conflict < lookahead) & (conflict <= np.ceil(pop.speed[rows]))
     on_zebra = zebras[flat[rows]]
-    codes = np.where(driving, Decision.ACCELERATE, Decision.PROCEED)
-    codes[blocked] = Decision.REPLAN
-    codes[~driving & ~on_zebra & vehicle] = Decision.STOP
-    codes[driving & braking] = Decision.DECELERATE
-    codes[driving & near_zebra] = Decision.YIELD
+    codes = np.where(driving, Decision.ACCELERATE.value, Decision.PROCEED.value)
+    codes[blocked] = Decision.REPLAN.value
+    codes[~driving & ~on_zebra & vehicle] = Decision.STOP.value
+    codes[driving & braking] = Decision.DECELERATE.value
+    codes[driving & near_zebra] = Decision.YIELD.value
     return codes, flat
 
 
@@ -362,10 +362,10 @@ def act(
     and a walker that proceeds moves at ``max_speed``.  Returns the rows whose
     plan a replan replaced, in row order.
     """
-    rows = np.flatnonzero(pop.status == Status.ACTIVE)
+    rows = np.flatnonzero(pop.status == Status.ACTIVE.value)
     codes = codes.copy()
     replanned = []
-    replans = np.flatnonzero(codes == Decision.REPLAN).tolist()
+    replans = np.flatnonzero(codes == Decision.REPLAN.value).tolist()
     # a replan moves no row and changes no status, so the set holds for all
     blocked = pop.blocking_cells() if replans else None
     for i in replans:
@@ -378,21 +378,21 @@ def act(
                 heading=pop.headings[row],
             )
         if route is None:
-            codes[i] = Decision.STOP
+            codes[i] = Decision.STOP.value
         else:
             pop.set_plan(row, route)
             replanned.append(row)
-            codes[i] = Decision.ACCELERATE if pop.driver[row] else Decision.PROCEED
+            codes[i] = Decision.ACCELERATE.value if pop.driver[row] else Decision.PROCEED.value
     speed = pop.speed[rows]
     max_speed = pop.max_speed[rows]
-    speed[(codes == Decision.STOP) | (codes == Decision.YIELD)] = 0.0
-    slowing = codes == Decision.DECELERATE
+    speed[(codes == Decision.STOP.value) | (codes == Decision.YIELD.value)] = 0.0
+    slowing = codes == Decision.DECELERATE.value
     slower = speed[slowing] - decel
     speed[slowing] = np.where(slower > 0.0, slower, 0.0)
-    speeding = codes == Decision.ACCELERATE
+    speeding = codes == Decision.ACCELERATE.value
     faster = speed[speeding] + accel
     speed[speeding] = np.where(faster < max_speed[speeding], faster, max_speed[speeding])
-    walking = (codes == Decision.PROCEED) & ~pop.driver[rows]
+    walking = (codes == Decision.PROCEED.value) & ~pop.driver[rows]
     speed[walking] = max_speed[walking]
     pop.speed[rows] = speed
 
@@ -404,7 +404,7 @@ def act(
         cursors = pop.cursor[moving].tolist()
         headings = [pop.headings[row] for row in moved]
         _advance(
-            [pop.plans[row].cells for row in moved], xs, ys,
+            [pop.plans[row].route for row in moved], _coords(grid), xs, ys,
             pop.speed[moving].tolist(), cursors, headings, pop.driver[moving].tolist(),
         )
         pop.x[moving], pop.y[moving], pop.cursor[moving] = xs, ys, cursors
@@ -413,17 +413,21 @@ def act(
     return replanned
 
 
-def _advance(routes, xs, ys, budgets, cursors, headings, drivers):
-    """Move agent j from ``(xs[j], ys[j])`` by ``budgets[j]`` along the
-    polyline of the centers ``c + 0.5`` of the cells ``routes[j]``,
-    ``cursors[j]`` being the index of the next to reach, one agent after the
-    other.  Updates ``xs``, ``ys``, ``cursors`` and ``headings`` in place; a
-    driver's ``Direction`` heading follows its moves."""
-    for j, (cells, x, y, budget, cursor, heading, driver) in enumerate(
+def _advance(routes, coords, xs, ys, budgets, cursors, headings, drivers):
+    """Move agent j from ``(xs[j], ys[j])`` by ``budgets[j]`` straight toward
+    the center ``(x + 0.5, y + 0.5)`` of each cell of ``routes[j]`` in turn,
+    from ``cursors[j]``, the index of the next to reach, one agent after the
+    other.  A route holds flat cells, whose x and y are read from the tables
+    ``coords`` (``planner._coords``).  Updates ``xs``, ``ys``, ``cursors`` and
+    ``headings`` in place; a driver's ``Direction`` heading follows its
+    moves."""
+    cell_x, cell_y = coords
+    for j, (route, x, y, budget, cursor, heading, driver) in enumerate(
         zip(routes, xs, ys, budgets, cursors, headings, drivers)
     ):
-        while budget > 1e-12 and cursor < len(cells):
-            cx, cy = cells[cursor]
+        while budget > 1e-12 and cursor < len(route):
+            i = route[cursor]
+            cx, cy = cell_x[i], cell_y[i]
             tx, ty = cx + 0.5, cy + 0.5
             dx, dy = tx - x, ty - y
             dist = math.hypot(dx, dy)
@@ -431,8 +435,8 @@ def _advance(routes, xs, ys, budgets, cursors, headings, drivers):
                 x, y = tx, ty
                 budget -= dist
                 if driver and cursor >= 1:
-                    ax, ay = cells[cursor - 1]
-                    heading = DIRECTION_OF_STEP.get((cx - ax, cy - ay), heading)
+                    a = route[cursor - 1]
+                    heading = DIRECTION_OF_STEP.get((cx - cell_x[a], cy - cell_y[a]), heading)
                 cursor += 1
             else:
                 x += dx / dist * budget

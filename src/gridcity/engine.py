@@ -141,7 +141,7 @@ def detect_collisions(pop: Population, step: int = 0) -> list[Event]:
     with those after it whose x lies within 0.8 of its own; a pair is a
     contact when ``dx*dx + dy*dy < t*t`` in float64.
     """
-    rows = np.flatnonzero(pop.status == Status.ACTIVE)
+    rows = np.flatnonzero(pop.status == Status.ACTIVE.value)
     order = rows[np.argsort(pop.x[rows], kind="stable")]
     xs, ys = pop.x[order], pop.y[order]
     driver, ids = pop.driver[order], pop.id[order]
@@ -312,7 +312,7 @@ class World:
         occupied = pop.cells(pop.driver)  # cells that hold a driver
         # a kind replenishes to its target, or with no target takes Poisson
         # arrivals at its rate (none at rate 0); a SimConfig allows not both
-        active = pop.status == Status.ACTIVE
+        active = pop.status == Status.ACTIVE.value
         drivers = int(np.count_nonzero(active & pop.driver))
         walkers = int(np.count_nonzero(active)) - drivers
         wanted = [
@@ -336,7 +336,7 @@ class World:
                     continue
                 spawned.append(agent)
                 if kind == "driver":
-                    occupied.add(agent.plan.cells[0])  # the start cell
+                    occupied.add(tuple(map(math.floor, agent.position)))  # its start
         pop.extend(spawned)
         self._log("spawn", slice(len(pop) - len(spawned), None))
         return len(spawned)
@@ -349,11 +349,14 @@ class World:
 
     def add(self, agent: AgentState) -> None:
         """Put a hand-built agent into the world.  It must stand on the grid,
-        every cell of its plan and its goal must lie on the grid, its cell and
-        its goal must be cells its kind can enter, a walker cannot be parked,
-        and its id must exceed every id present; agents spawned later are
-        numbered after it."""
+        its plan must be made for a map of the grid's width, every cell of its
+        plan and its goal must lie on the grid, its cell and its goal must be
+        cells its kind can enter, a walker cannot be parked, and its id must
+        exceed every id present; agents spawned later are numbered after it."""
         plan = () if agent.plan is None else agent.plan.cells
+        if agent.plan is not None and agent.plan.width != self.grid.width:
+            raise ValueError(f"agent {agent.id}: its plan is for a map {agent.plan.width} "
+                             f"cells wide, not {self.grid.width}")
         off = [c for c in (agent.position, *plan, agent.goal)
                if c is not None and not self.grid.in_bounds(c)]
         if off:
@@ -376,7 +379,7 @@ class World:
         opens those of the next step when called between steps."""
         pop = self.population
         row = pop.row_of(driver_id)
-        if row is None or not pop.driver[row] or pop.status[row] != Status.PARKED:
+        if row is None or not pop.driver[row] or pop.status[row] != Status.PARKED.value:
             raise ValueError(f"agent {driver_id} is not a parked driver")
         start = pop.coord(row)
         heading = default_heading(self.grid, start)
@@ -387,7 +390,7 @@ class World:
         )
         if route is None:
             return False
-        pop.status[row] = Status.ACTIVE
+        pop.status[row] = Status.ACTIVE.value
         pop.set_plan(row, route)
         pop.goals[row] = new_goal
         pop.headings[row] = heading
@@ -420,7 +423,7 @@ class World:
         # iterate: expire collision countdowns from earlier steps; the expired
         # rows leave with the retired ones below, and being inactive they take
         # no part in between
-        collided = pop.status == Status.COLLIDED
+        collided = pop.status == Status.COLLIDED.value
         pop.countdown[collided] -= 1
         gone = collided & (pop.countdown <= 0)
 
@@ -429,19 +432,19 @@ class World:
         events.extend(collision_events)
         if collision_events:
             hit = np.searchsorted(pop.id, [i for e in collision_events for i in e.agents])
-            pop.status[hit] = Status.COLLIDED
+            pop.status[hit] = Status.COLLIDED.value
             pop.countdown[hit] = cfg.collision_countdown
             pop.speed[hit] = 0.0
 
         # iterate: deactivate agents that reached their goal
         arrived = np.flatnonzero(
-            (pop.status == Status.ACTIVE) & (pop.plan_len > 0)
+            (pop.status == Status.ACTIVE.value) & (pop.plan_len > 0)
             & (pop.cursor >= pop.plan_len)
         )
         for row, driver in zip(arrived.tolist(), pop.driver[arrived].tolist()):
             goal = pop.goals[row]
             if driver and goal is not None and grid.ground_at(goal) is GroundType.PARKING:
-                pop.status[row] = Status.PARKED
+                pop.status[row] = Status.PARKED.value
                 pop.speed[row] = 0.0
                 self._log("park", slice(row, row + 1))
             else:
@@ -454,7 +457,7 @@ class World:
         # iterate: optional random reactivation of parked drivers
         if cfg.reactivation_prob > 0:
             goals = self._spawn_table["driver"][1]
-            parked = np.flatnonzero(pop.status == Status.PARKED)
+            parked = np.flatnonzero(pop.status == Status.PARKED.value)
             for row, agent_id in zip(parked.tolist(), pop.id[parked].tolist()):
                 if goals and self.react_rng.random() < cfg.reactivation_prob:
                     goal = self.react_rng.choice(goals)

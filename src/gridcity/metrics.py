@@ -74,7 +74,7 @@ def build_frame(
     Samples are added in row order, and the driver speeds are summed left to
     right in row order, so every float sum is that of a per-agent loop.
     """
-    active = pop.status == Status.ACTIVE
+    active = pop.status == Status.ACTIVE.value
     cells = floor_cells(pop.x[active], pop.y[active], grid.width)
     driving = pop.driver[active]
     driver_cells, walker_cells = cells[driving], cells[~driving]

@@ -7,14 +7,14 @@ lane changes, wrong-way moves).  One search serves both kinds over integer
 states ``cell << shift``: walkers plan over plain cells (shift 0), where no move
 carries risk; drivers plan over (cell, heading) states (shift 2, the heading's
 ``Direction`` value in the two low bits) so turn risk is well-defined.  A plan
-is the route's cells; ``classify_action`` names the maneuver of any driver move
-as its ``Action``.
+holds its route as the flat cells ``y * width + x`` of its states;
+``classify_action`` names the maneuver of any driver move as its ``Action``.
 
 Each expansion is table lookups over data built once per layout: a cell's
 move mask in ``_moves`` picks the shared tuple of its valid moves, and the
-coordinate tables of ``_coords`` give the heuristic, the trace and the plan's
-cells.  A blocked cell blocks every state on it, and the risk term is added
-only when alpha is non-zero.  Open states pop by ``(f, h, counter)``; each
+coordinate tables of ``_coords`` give the heuristic and the trace.  A blocked
+cell blocks every state on it, and the risk term is added only when alpha is
+non-zero.  Open states pop by ``(f, h, counter)``; each
 expansion keeps its best new entry out of the heap and takes the next state
 with ``heappushpop``, which pops what ``heappop`` over every entry would pop
 (see ``_search``), so a greedy run of expansions never touches the heap.
@@ -27,6 +27,7 @@ their construction plans.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush, heappushpop
@@ -90,15 +91,25 @@ class BehaviorProfile:
 
 @dataclass(frozen=True, slots=True)
 class Plan:
-    """Cell-by-cell route from start to goal inclusive."""
+    """Cell-by-cell route from start to goal inclusive.
 
-    cells: tuple[Coord, ...]
+    ``route`` holds each cell once, as its flat index ``y * width + x`` on a
+    map ``width`` cells wide; ``cells`` decodes it to ``(x, y)`` tuples."""
+
+    route: array  # array("i") of flat cell indices
+    width: int
     total_cost: float  # accumulated g at extraction (== f, since h(goal) = 0)
     risk_total: float  # unscaled sum of action risks along the route
     expansions: int
 
+    @property
+    def cells(self) -> tuple[Coord, ...]:
+        """The route's ``(x, y)`` cells, decoded anew on each read."""
+        width = self.width
+        return tuple((i % width, i // width) for i in self.route)
+
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.route)
 
 
 def _moves(grid: GridMap, kind: str):
@@ -172,16 +183,14 @@ def _build_moves(grid: GridMap, kind: str):
 
 
 def _coords(grid: GridMap):
-    """Per-cell coordinate tables ``(xs, ys, cells)`` of the layout, indexed
-    ``y * width + x``: each cell's x, its y and its ``(x, y)`` tuple.  A
-    layout table (``GridMap.layout_table``)."""
+    """Per-cell coordinate tables ``(xs, ys)`` of the layout, indexed
+    ``y * width + x``: each cell's x and its y.  A layout table
+    (``GridMap.layout_table``)."""
     return grid.layout_table("coords", lambda: _build_coords(grid.width, grid.height))
 
 
 def _build_coords(width: int, height: int):
-    xs = list(range(width)) * height
-    ys = [y for y in range(height) for _ in range(width)]
-    return xs, ys, list(zip(xs, ys))
+    return list(range(width)) * height, [y for y in range(height) for _ in range(width)]
 
 
 def _turnspot(grid: GridMap, i: int) -> bool:
@@ -253,8 +262,9 @@ def default_heading(grid: GridMap, cell: Coord) -> Direction:
     return Direction((flow & -flow).bit_length() - 1)  # the lowest bit set
 
 
-# The most plans one layout's memo holds (about 1 KB each); a full memo is
-# emptied.  _MISS marks a query not yet answered, since None is an answer.
+# The most plans one layout's memo holds (about 0.7 KB each with its key); a
+# full memo is emptied.  _MISS marks a query not yet answered, since None is
+# an answer.
 _MEMO_SIZE = 4096
 _MISS = object()
 
@@ -286,8 +296,8 @@ def plan(
     a full memo (``_MEMO_SIZE`` answers).  A sweep runs seed by seed, then
     obstruction by obstruction, so the runs that share an overlay (an equal
     obstacle set) meet while it is held, and only the bare layout
-    (obstruction 0) comes back, at the next seed.  A ``Plan`` is frozen, so
-    one object may serve many agents.  A blocked or traced query always
+    (obstruction 0) comes back, at the next seed.  A ``Plan`` is frozen and
+    nothing writes its route, so one object may serve many agents.  A blocked or traced query always
     searches.
     """
     if not grid.in_bounds(start) or not grid.in_bounds(goal):
@@ -352,7 +362,7 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
     the trace are those of a search that pushes every entry.
     """
     shift, moves, masks, risk = _moves(grid, kind)
-    xs, ys, cells = _coords(grid)
+    xs, ys = _coords(grid)
     cost = grid.costs(kind)
     si = s0 >> shift
     inf = math.inf
@@ -385,7 +395,7 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
             trace.append((expansions, xs[idx], ys[idx], gval, h, r_in, f))
         expansions += 1
         if idx == gi:
-            return _extract(cells, shift, risk, came, s0, state, gval, expansions)
+            return _extract(grid.width, shift, risk, came, s0, state, gval, expansions)
         ebase = state * 4
         base = idx << shift
         for delta, step, k in moves[masks[idx]]:
@@ -412,7 +422,7 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
     return None
 
 
-def _extract(cells, shift, risk, came, s0, goal_state, total, expansions):
+def _extract(width, shift, risk, came, s0, goal_state, total, expansions):
     states = [goal_state]
     while states[-1] != s0:
         states.append(came[states[-1]])
@@ -421,4 +431,5 @@ def _extract(cells, shift, risk, came, s0, goal_state, total, expansions):
     if shift:  # a driver: sum the moves' risks in route order
         for prev, state in zip(states, states[1:]):
             risk_total += risk[prev * 4 + (state & 3)]
-    return Plan(tuple([cells[s >> shift] for s in states]), total, risk_total, expansions)
+    route = array("i", [s >> shift for s in states] if shift else states)
+    return Plan(route, width, total, risk_total, expansions)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 
 from gridcity.environment import (
     Coord,
@@ -98,9 +99,12 @@ def parking_2x2() -> GridMap:
     return GridMap.build(rows)
 
 
-def straight_plan(cells) -> Plan:
-    """Hand-built plan through the given cells (costs left at zero)."""
-    return Plan(tuple(cells), 0.0, 0.0, 0)
+def straight_plan(cells, width: int) -> Plan:
+    """Hand-built plan through the given cells of a map ``width`` cells wide
+    (costs left at zero).  Each x must lie in ``range(width)``, the only
+    columns a flat route can name."""
+    assert all(0 <= x < width for x, _ in cells), "a cell outside the map's columns"
+    return Plan(array("i", [y * width + x for x, y in cells]), width, 0.0, 0.0, 0)
 
 
 def route_actions(grid: GridMap, route, heading=None) -> list:

@@ -20,6 +20,7 @@ under their own key, read through ``GridMap.layout_table``.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -504,5 +505,4 @@ def _extract(width, shift, risk, came, s0, goal_state, total, expansions):
     if shift:  # a driver: sum the moves' risks in route order
         for prev, state in zip(states, states[1:]):
             risk_total += risk[prev * 4 + (state & 3)]
-    cells = tuple(((s >> shift) % width, (s >> shift) // width) for s in states)
-    return Plan(cells, total, risk_total, expansions)
+    return Plan(array("i", [s >> shift for s in states]), width, total, risk_total, expansions)

@@ -46,7 +46,7 @@ def test_snapshot_returns_each_agent_as_it_went_in():
                 agent_id = len(agents) + 1
                 agent = make_agent(
                     agent_id, kind, (agent_id * 0.125, 0.5),
-                    straight_plan([(0, 0), (1, 0), (2, 0)]) if has_plan else None,
+                    straight_plan([(0, 0), (1, 0), (2, 0)], grid.width) if has_plan else None,
                     cursor=agent_id % 3, speed=agent_id * 0.25, heading=heading,
                     status=status, w=float(agent_id), alpha=agent_id * 0.5,
                 )
@@ -71,7 +71,7 @@ def test_snapshot_returns_each_agent_as_it_went_in():
     kept = [a for a in agents if a is not dropped]
     assert_round_trip(kept)
     newcomer = make_agent(
-        len(agents) + 1, "driver", (4.5, 0.5), straight_plan([(4, 0), (5, 0)]),
+        len(agents) + 1, "driver", (4.5, 0.5), straight_plan([(4, 0), (5, 0)], grid.width),
         heading=E, w=2.0,
     )
     pop.extend([newcomer])
@@ -97,7 +97,7 @@ def eastbound_driver(agent_id, x, grid, speed=0.0, length=None):
     length = length if length is not None else grid.width
     cells = [(i, 0) for i in range(int(x), length)]
     agent = make_agent(
-        agent_id, "driver", (x + 0.5, 0.5), straight_plan(cells),
+        agent_id, "driver", (x + 0.5, 0.5), straight_plan(cells, grid.width),
         heading=E, speed=speed,
     )
     return agent
@@ -134,7 +134,7 @@ def act_once(agent, decision, grid, blocked=frozenset()):
 
 def test_sense_empty_world():
     grid = walking_strip()
-    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(6)]))
+    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(6)], grid.width))
     assert decisions([walker], grid) == {1: Decision.PROCEED}
     road = road_strip()
     driver = eastbound_driver(2, 0, road, speed=3.0)
@@ -145,10 +145,10 @@ def test_sense_empty_world():
 
 def test_sense_head_on_vehicles_both_in_conflict():
     grid = grid_of("rE- rE- rW- rW-")
-    a = make_agent(1, "driver", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)]), heading=E)
+    a = make_agent(1, "driver", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width), heading=E)
     b = make_agent(
         2, "driver", (1.4, 0.5),
-        straight_plan([(1, 0), (0, 0)]), heading=Direction.WEST,
+        straight_plan([(1, 0), (0, 0)], grid.width), heading=Direction.WEST,
     )
     # at speed 0 only a conflict in the next cell brakes: each sees the other there
     assert decisions([a, b], grid) == {1: Decision.DECELERATE, 2: Decision.DECELERATE}
@@ -214,7 +214,7 @@ def _random_population(rng: random.Random, grid: GridMap) -> list:
             cells.append((min(max(x + dx, 0), grid.width - 1),
                           min(max(y + dy, 0), grid.height - 1)))
         status = rng.choice([Status.ACTIVE] * 3 + [Status.PARKED, Status.COLLIDED])
-        route = straight_plan(cells) if rng.random() < 0.9 else None
+        route = straight_plan(cells, grid.width) if rng.random() < 0.9 else None
         agents.append(make_agent(
             agent_id, rng.choice(["walker", "driver"]), position, route,
             cursor=rng.randint(0, len(cells)), status=status,
@@ -288,7 +288,7 @@ def _moving_population(rng: random.Random, grid: GridMap) -> list:
             position = (x + rng.random(), y + rng.random())
         status = rng.choice([Status.ACTIVE] * 4 + [Status.PARKED, Status.COLLIDED])
         agent = make_agent(
-            agent_id, kind, position, straight_plan(cells) if rng.random() < 0.9 else None,
+            agent_id, kind, position, straight_plan(cells, grid.width) if rng.random() < 0.9 else None,
             cursor=cursor, status=status,
             speed=rng.choice([0.0, 0.25, 1.0, 2.0, rng.uniform(0.0, 3.0)]),
             heading=rng.choice([None] + list(Direction) * 3) if kind == "driver" else None,
@@ -411,14 +411,14 @@ def test_columns_step_like_the_per_agent_reference(
 
 def test_walker_stops_for_active_vehicle_on_road():
     grid = grid_of("s-- rN- s--")
-    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)]))
+    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width))
     vehicle = make_agent(2, "driver", (1.5, 0.5), None, heading=N, speed=1.0)
     assert decisions([walker, vehicle], grid)[1] is Decision.STOP
 
 
 def test_walker_proceeds_on_zebra_despite_vehicle():
     grid = grid_of("s-- zN- rN- s--")
-    walker = make_agent(1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)]))
+    walker = make_agent(1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width))
     vehicle = make_agent(2, "driver", (2.5, 0.5), None, heading=N, speed=1.0)
     assert decisions([walker, vehicle], grid)[1] is Decision.PROCEED
     # the same walker on a sidewalk sees the vehicle and stops
@@ -428,21 +428,21 @@ def test_walker_proceeds_on_zebra_despite_vehicle():
 
 def test_walker_on_zebra_replans_around_static_obstacle():
     grid = grid_of("s-- zN- zN- s--")
-    walker = make_agent(1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)]))
+    walker = make_agent(1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width))
     wreck = make_agent(2, "driver", (2.5, 0.5), None, status=Status.COLLIDED)
     assert decisions([walker, wreck], grid) == {1: Decision.REPLAN}
 
 
 def test_walker_replans_for_parked_vehicle_on_route():
     grid = grid_of("s-- s-- pN- s--")
-    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0)]))
+    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0)], grid.width))
     parked = make_agent(2, "driver", (2.5, 0.5), None, status=Status.PARKED)
     assert decisions([walker, parked], grid) == {1: Decision.REPLAN}
 
 
 def test_walker_clear_path_proceeds():
     grid = walking_strip()
-    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)]))
+    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)], grid.width))
     assert decisions([walker], grid) == {1: Decision.PROCEED}
     # no walker rule reads an active walker, even one on the window
     others = [make_agent(i, "walker", (i - 0.5, 0.5), None) for i in (2, 3)]
@@ -494,7 +494,7 @@ def test_zebra_right_of_way_pairing():
     grid = grid_of("rE- rE- zE- rE-", "s-- s-- s-- s--")
     driver = eastbound_driver(1, 0, grid, length=4)
     walker = make_agent(
-        2, "walker", (2.5, 0.5), straight_plan([(2, 0), (2, 1)]), max_speed=1.0
+        2, "walker", (2.5, 0.5), straight_plan([(2, 0), (2, 1)], grid.width), max_speed=1.0
     )
     decided = decisions([driver, walker], grid)
     assert decided[1] in (Decision.YIELD, Decision.DECELERATE)
@@ -506,7 +506,7 @@ def test_zebra_right_of_way_pairing():
 
 def test_act_stop_keeps_position():
     grid = walking_strip()
-    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0)]), speed=1.0)
+    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0)], grid.width), speed=1.0)
     _, walker = act_once(walker, Decision.STOP, grid)
     assert walker.position == (0.5, 0.5)
     assert walker.speed == 0.0
@@ -515,7 +515,7 @@ def test_act_stop_keeps_position():
 def test_act_unit_speed_advances_one_cell():
     grid = walking_strip()
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)]),
+        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)], grid.width),
         max_speed=1.0,
     )
     _, walker = act_once(walker, Decision.PROCEED, grid)
@@ -543,7 +543,7 @@ def test_act_heading_follows_turns():
     grid = grid_of("s-- s--", "s-- s--")
     driver = make_agent(
         1, "driver", (0.5, 0.5),
-        straight_plan([(0, 0), (1, 0), (1, 1)]),
+        straight_plan([(0, 0), (1, 0), (1, 1)], grid.width),
         heading=E, max_speed=2.0, speed=2.0,
     )
     _, driver = act_once(driver, Decision.PROCEED, grid)
@@ -559,7 +559,7 @@ def test_act_replan_swaps_route_before_moving():
     )
     walker = make_agent(
         1, "walker",
-        (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)]),
+        (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], grid.width),
         max_speed=1.0, goal=(4, 0),
     )
     replanned, walker = act_once(walker, Decision.REPLAN, grid, blocked={(1, 0)})
@@ -571,7 +571,7 @@ def test_act_replan_swaps_route_before_moving():
 def test_act_leaves_the_codes_unchanged():
     grid = grid_of("s-- s-- s--")
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)]),
+        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width),
         max_speed=1.0, goal=(2, 0),
     )
     for blocked in (frozenset(), {(1, 0)}):  # the replan finds a route, then none
@@ -583,7 +583,7 @@ def test_act_leaves_the_codes_unchanged():
 def test_act_failed_replan_waits_in_place():
     grid = grid_of("s-- s-- s--")
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)]),
+        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width),
         max_speed=1.0, goal=(2, 0),
     )
     old_plan = walker.plan
@@ -598,7 +598,7 @@ def test_act_position_stays_on_polyline():
     grid = road_strip()
     cells = [(i, 0) for i in range(grid.width)]
     driver = make_agent(
-        1, "driver", (0.5, 0.5), straight_plan(cells),
+        1, "driver", (0.5, 0.5), straight_plan(cells, grid.width),
         heading=E, max_speed=0.7,
     )
     pop = population([driver])
@@ -622,7 +622,7 @@ def test_act_position_stays_on_polyline():
 def test_act_speed_clamped_and_no_teleport(speed, decision):
     grid = walking_strip(12)
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(12)]),
+        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(12)], grid.width),
         max_speed=1.0, speed=min(speed, 1.0),
     )
     before = walker.position

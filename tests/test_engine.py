@@ -213,7 +213,9 @@ def test_replan_onto_own_goal_cell_retires_walker_same_step(monkeypatch):
     # a collided walker there blocks the window, so it replans from the goal
     grid = grid_of("s-- s-- s--")
     world = World(grid, SimConfig(steps=1, walkers=0, seed=0))
-    walker = make_agent(1, "walker", (1.2, 0.5), straight_plan([(0, 0), (1, 0)]), max_speed=1.0)
+    walker = make_agent(
+        1, "walker", (1.2, 0.5), straight_plan([(0, 0), (1, 0)], grid.width), max_speed=1.0
+    )
     blocker = make_agent(2, "walker", (1.7, 0.5), None, status=Status.COLLIDED)
     blocker.countdown = 5
     world.add(walker)
@@ -298,18 +300,32 @@ def test_add_refuses_an_id_not_above_the_ids_present():
         ((1000.5, 0.5), None, None, "(1000.5, 0.5)"),
         ((math.nan, 0.5), None, None, "(nan, 0.5)"),
         ((-0.5, 0.5), None, None, "(-0.5, 0.5)"),
-        # a plan cell off the grid; its goal, the plan's last cell, is off too
-        ((0.5, 0.5), [(0, 0), (1, 0), (5000, 0)], None, "(5000, 0)"),
-        ((0.5, 0.5), [(0, 0), (-1, 0), (-2, 0)], (-2, 0), "(-1, 0)"),
+        # a plan cell off the grid; its goal, the plan's last cell, is off too.
+        # A flat route holds a cell of any row but only of the map's columns
+        ((0.5, 0.5), [(0, 0), (0, 1), (0, 5000)], None, "(0, 5000)"),
+        ((0.5, 0.5), [(0, 0), (0, -1), (0, -2)], (0, -2), "(0, -1)"),
         ((0.5, 0.5), None, (0, 5000), "(0, 5000)"),
     ],
     ids=["position0", "position1", "position2", "plan_cell", "plan_to_goal", "goal"],
 )
 def test_add_refuses_an_agent_off_the_grid(position, cells, goal, named):
     world = World(small_grid(), SimConfig(steps=1, drivers=0, seed=0))
-    plan = None if cells is None else straight_plan(cells)
+    plan = None if cells is None else straight_plan(cells, world.grid.width)
     with pytest.raises(ValueError, match=re.escape(named) + ".* off the grid"):
         world.add(make_agent(1, "driver", position, plan, goal=goal))
+    assert world.agents == {}
+    world.step()
+
+
+def test_add_refuses_a_plan_made_for_another_width():
+    # a route is flat cells of a map of the plan's width, which a step reads
+    # as cells of the world's grid
+    world = World(small_grid(), SimConfig(steps=1, drivers=0, seed=0))
+    width = world.grid.width
+    wider = straight_plan([(0, 0), (1, 0)], width + 1)
+    with pytest.raises(ValueError, match=rf"^agent 1: its plan is for a map {width + 1} "
+                                         rf"cells wide, not {width}$"):
+        world.add(make_agent(1, "walker", (0.5, 0.5), wider, goal=(1, 0)))
     assert world.agents == {}
     world.step()
 

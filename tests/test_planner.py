@@ -2,6 +2,7 @@ import math
 import random
 import re
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from gridcity.environment import (
 from gridcity.planner import (
     Action,
     BehaviorProfile,
+    Plan,
     classify_action,
     default_heading,
     driver_risk,
@@ -273,6 +275,31 @@ def test_plan_cells_are_adjacent_and_finite():
             assert manhattan(a, b) == 1
         for cell in route.cells:
             assert cost[cell[1] * grid.width + cell[0]] != math.inf
+    assert found > 5
+
+
+@pytest.mark.parametrize("w", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("kind", ["walker", "driver"])
+def test_a_plan_holds_its_cells_as_flat_indices(kind, w):
+    # maps wider than tall, so a swapped x and y cannot decode back
+    rng = random.Random(f"{kind} {w}")
+    profile = BehaviorProfile(kind=kind, w=w, alpha=1.0 if kind == "driver" else 0.0)
+    found = 0
+    for _ in range(30):
+        grid, start, goal = random_instance(rng, kind, width=17, height=11)
+        route = plan(grid, start, goal, profile)
+        if route is None:
+            continue
+        found += 1
+        width = grid.width
+        assert route.width == width
+        assert route.cells == tuple((i % width, i // width) for i in route.route)
+        assert route.cells[0] == start
+        assert route.cells[-1] == goal
+        assert len(route) == len(route.route)
+        by_hand = array("i", [y * width + x for x, y in route.cells])
+        assert Plan(by_hand, width, route.total_cost, route.risk_total,
+                    route.expansions) == route
     assert found > 5
 
 
@@ -768,6 +795,31 @@ def test_city_search_tables_keep_under_their_bound(kind, bound_kb):
         tracemalloc.stop()
     assert len(tables[2]) == grid.width * grid.height == 99 * 99
     assert kept < bound_kb * 1024, f"{kept / 1024:.0f} KB"
+
+
+def test_city_planning_tables_and_memo_plans_keep_under_their_bound():
+    # what a worker keeps to plan on the 99x99 city: the search, cost and
+    # coordinate tables of both kinds and a few hundred remembered plans.  A
+    # plan holds its route once, as flat cells, and no table holds an (x, y)
+    # tuple per cell: such a table alone took 619 KiB here
+    grid = generate_layout(LayoutSpec(blocks_x=5, blocks_y=5))
+    rng = random.Random(0)
+    walker = BehaviorProfile(kind="walker", w=2.0)
+    driver = BehaviorProfile(kind="driver", w=2.0, alpha=1.0)
+    queries = [(rng.choice(grid.walker_spawns), rng.choice(grid.walker_spawns), walker, None)
+               for _ in range(300)]
+    for _ in range(100):
+        (start, heading), goal = rng.choice(grid.driver_spawns), rng.choice(grid.driver_exits)
+        queries.append((start, goal, driver, heading))
+    tracemalloc.start()
+    try:
+        routes = [plan(grid, s, g, p, heading=h) for s, g, p, h in queries if s != g]
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(grid.layout_table("plans", dict)) > 300
+    assert sum(len(r) for r in routes if r is not None) > 20_000
+    assert kept < 1024 * 1024, f"{kept / 1024:.0f} KiB"
 
 
 def _tie_cases():
