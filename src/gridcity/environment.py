@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -495,19 +496,21 @@ def place_obstacles(grid: GridMap, fraction: float, rng: random.Random) -> GridM
     """
     if not 0 <= fraction <= 1:
         raise ValueError("obstruction fraction must lie in [0, 1]")
-    # the sorted sidewalk cells depend on the layout alone
-    sidewalks = grid.layout_table("sidewalks", lambda: tuple(sorted(
-        (i % grid.width, i // grid.width)
-        for i, g in enumerate(grid.ground)
-        if g is GroundType.SIDEWALK
-    )))
+    # the sidewalk cells as flat indices, in sorted (x, y) order, depend on
+    # the layout alone
+    width, height, ground = grid.width, grid.height, grid.ground
+    sidewalks = grid.layout_table("sidewalks", lambda: array("i", [
+        y * width + x for x in range(width) for y in range(height)
+        if ground[y * width + x] is GroundType.SIDEWALK
+    ]))
     target = round(fraction * len(sidewalks))
     if target == 0:
         return grid
-    free = [c for c in sidewalks if c not in grid.obstacles]
+    taken = {y * width + x for x, y in grid.obstacles}
+    free = [i for i in sidewalks if i not in taken]
     if target > len(free):
         raise ValueError(
             f"cannot obstruct {target} sidewalk cells, only {len(free)} free"
         )
     picked = rng.sample(free, target)
-    return grid.with_obstacles(grid.obstacles | frozenset(picked))
+    return grid.with_obstacles(grid.obstacles | frozenset((i % width, i // width) for i in picked))
