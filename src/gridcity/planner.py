@@ -12,12 +12,13 @@ holds its route as the flat cells ``y * width + x`` of its states;
 
 Each expansion is table lookups over data built once per layout: a cell's
 move mask in ``_moves`` picks the shared tuple of its valid moves, and the
-coordinate tables of ``_coords`` give the heuristic and the trace.  A blocked
-cell blocks every state on it, and the risk term is added only when alpha is
-non-zero.  Open states pop by ``(f, h, counter)``; each
-expansion keeps its best new entry out of the heap and takes the next state
-with ``heappushpop``, which pops what ``heappop`` over every entry would pop
-(see ``_search``), so a greedy run of expansions never touches the heap.
+coordinate tables of ``_coords`` give the heuristic and the trace (and
+``agents.act`` the cells it moves through).  A blocked cell blocks every state
+on it, and the risk term is added only when alpha is non-zero.  Open states
+pop by ``(f, h, counter)``; each expansion keeps its best new entry out of
+the heap and takes the next state with ``heappushpop``, which pops what
+``heappop`` over every entry would pop (see ``_search``), so a greedy run of
+expansions never touches the heap.
 
 ``plan`` remembers the answer to each query made around no blocked cell and
 without a trace, for one obstacle overlay of the layout at a time (see
@@ -297,8 +298,8 @@ def plan(
     obstruction by obstruction, so the runs that share an overlay (an equal
     obstacle set) meet while it is held, and only the bare layout
     (obstruction 0) comes back, at the next seed.  A ``Plan`` is frozen and
-    nothing writes its route, so one object may serve many agents.  A blocked or traced query always
-    searches.
+    nothing writes its route, so one object may serve many agents.  A blocked
+    or traced query always searches.
     """
     if not grid.in_bounds(start) or not grid.in_bounds(goal):
         raise ValueError("start and goal must lie inside the grid")

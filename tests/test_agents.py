@@ -134,7 +134,9 @@ def act_once(agent, decision, grid, blocked=frozenset()):
 
 def test_sense_empty_world():
     grid = walking_strip()
-    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(6)], grid.width))
+    walker = make_agent(
+        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(6)], grid.width)
+    )
     assert decisions([walker], grid) == {1: Decision.PROCEED}
     road = road_strip()
     driver = eastbound_driver(2, 0, road, speed=3.0)
@@ -145,7 +147,9 @@ def test_sense_empty_world():
 
 def test_sense_head_on_vehicles_both_in_conflict():
     grid = grid_of("rE- rE- rW- rW-")
-    a = make_agent(1, "driver", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width), heading=E)
+    a = make_agent(
+        1, "driver", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width), heading=E
+    )
     b = make_agent(
         2, "driver", (1.4, 0.5),
         straight_plan([(1, 0), (0, 0)], grid.width), heading=Direction.WEST,
@@ -288,7 +292,8 @@ def _moving_population(rng: random.Random, grid: GridMap) -> list:
             position = (x + rng.random(), y + rng.random())
         status = rng.choice([Status.ACTIVE] * 4 + [Status.PARKED, Status.COLLIDED])
         agent = make_agent(
-            agent_id, kind, position, straight_plan(cells, grid.width) if rng.random() < 0.9 else None,
+            agent_id, kind, position,
+            straight_plan(cells, grid.width) if rng.random() < 0.9 else None,
             cursor=cursor, status=status,
             speed=rng.choice([0.0, 0.25, 1.0, 2.0, rng.uniform(0.0, 3.0)]),
             heading=rng.choice([None] + list(Direction) * 3) if kind == "driver" else None,
@@ -411,14 +416,18 @@ def test_columns_step_like_the_per_agent_reference(
 
 def test_walker_stops_for_active_vehicle_on_road():
     grid = grid_of("s-- rN- s--")
-    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width))
+    walker = make_agent(
+        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width)
+    )
     vehicle = make_agent(2, "driver", (1.5, 0.5), None, heading=N, speed=1.0)
     assert decisions([walker, vehicle], grid)[1] is Decision.STOP
 
 
 def test_walker_proceeds_on_zebra_despite_vehicle():
     grid = grid_of("s-- zN- rN- s--")
-    walker = make_agent(1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width))
+    walker = make_agent(
+        1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width)
+    )
     vehicle = make_agent(2, "driver", (2.5, 0.5), None, heading=N, speed=1.0)
     assert decisions([walker, vehicle], grid)[1] is Decision.PROCEED
     # the same walker on a sidewalk sees the vehicle and stops
@@ -428,21 +437,27 @@ def test_walker_proceeds_on_zebra_despite_vehicle():
 
 def test_walker_on_zebra_replans_around_static_obstacle():
     grid = grid_of("s-- zN- zN- s--")
-    walker = make_agent(1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width))
+    walker = make_agent(
+        1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width)
+    )
     wreck = make_agent(2, "driver", (2.5, 0.5), None, status=Status.COLLIDED)
     assert decisions([walker, wreck], grid) == {1: Decision.REPLAN}
 
 
 def test_walker_replans_for_parked_vehicle_on_route():
     grid = grid_of("s-- s-- pN- s--")
-    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0)], grid.width))
+    walker = make_agent(
+        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0)], grid.width)
+    )
     parked = make_agent(2, "driver", (2.5, 0.5), None, status=Status.PARKED)
     assert decisions([walker, parked], grid) == {1: Decision.REPLAN}
 
 
 def test_walker_clear_path_proceeds():
     grid = walking_strip()
-    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)], grid.width))
+    walker = make_agent(
+        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)], grid.width)
+    )
     assert decisions([walker], grid) == {1: Decision.PROCEED}
     # no walker rule reads an active walker, even one on the window
     others = [make_agent(i, "walker", (i - 0.5, 0.5), None) for i in (2, 3)]
@@ -506,7 +521,9 @@ def test_zebra_right_of_way_pairing():
 
 def test_act_stop_keeps_position():
     grid = walking_strip()
-    walker = make_agent(1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0)], grid.width), speed=1.0)
+    walker = make_agent(
+        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0)], grid.width), speed=1.0
+    )
     _, walker = act_once(walker, Decision.STOP, grid)
     assert walker.position == (0.5, 0.5)
     assert walker.speed == 0.0
