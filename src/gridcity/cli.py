@@ -8,7 +8,6 @@ effective config so the run can be reproduced from it exactly.
 """
 from __future__ import annotations
 
-import collections
 import contextlib
 import dataclasses
 import functools
@@ -479,21 +478,15 @@ def _send(report, message) -> None:
     report.flush()
 
 
-def _work(tasks: list, chunks: list, queue_r: int, queue_w: int, report: int):
-    """A forked worker's whole life: until the queue pipe (``queue_r``)
-    reads empty, take the next chunk's number from it, report that number,
-    then each of the chunk's runs' outcome.  It ends the process, and never
-    returns into the caller's code."""
+def _work(tasks: list, share: range, report: int):
+    """A forked worker's whole life: run the tasks of ``share`` in order and
+    report each one's outcome on the pipe ``report``.  It ends the process,
+    and never returns into the caller's code."""
     code = 1
     try:
-        os.close(queue_w)  # the queue reads empty once the parent closes it
         with open(report, "wb") as out:
-            # each number is one 4-byte write, which a pipe keeps whole
-            while record := os.read(queue_r, 4):
-                chunk = int.from_bytes(record, "little")
-                _send(out, chunk)
-                for i in chunks[chunk]:
-                    _send(out, _run_task(*tasks[i]))
+            for i in share:
+                _send(out, _run_task(*tasks[i]))
         code = 0
     except BaseException:
         traceback.print_exc()
@@ -506,100 +499,74 @@ def _fork_runs(tasks: list, workers: int) -> list:
     """Each task's ``_run_task`` outcome, in task order, from ``workers``
     forked processes, which inherit the map ``_base_grid`` has cached.
 
-    The tasks are cut as ``multiprocessing.Pool.starmap`` cuts them, into
-    consecutive chunks of ceil(runs / (4 workers)), so a worker's plan memo
-    serves the runs of a chunk.  An idle worker takes the next chunk's number
-    from one shared pipe; each reports on a pipe of its own, and this process
-    drains them all with one selector.  A run whose worker ended before
-    reporting it fails, its error naming the worker's exit status.  Every
-    worker is reaped before this returns, and killed first when this process
-    fails."""
-    size = -(-len(tasks) // (4 * workers))
-    chunks = [range(i, min(i + size, len(tasks))) for i in range(0, len(tasks), size)]
+    Of T tasks, worker k of W takes the consecutive share ``[T*k//W,
+    T*(k+1)//W)`` and runs it in task order, so one worker meets the runs
+    of a seed and obstruction and its plan memo serves them.  Each worker
+    reports on a pipe of its own, and this process drains them all with
+    one selector.  A worker that ends before reporting its whole share
+    fails the run it was on, its error naming the worker's exit status, and
+    a new worker forked from this process takes the rest of the share.
+    Every worker is reaped before this returns, and killed first when this
+    process fails."""
     done: list = [None] * len(tasks)
-    pids: dict = {}  # a worker's report pipe -> its process id
-    taken: dict = {}  # a worker's report pipe -> the runs it took and has not reported
-    statuses: dict = {}  # a worker's report pipe -> its wait status
-    fds: set = set()  # the pipe ends this process holds
+    live: dict = {}  # a report pipe -> (its worker's pid, its unreported runs, unread bytes)
 
-    def close(fd: int) -> None:
-        fds.discard(fd)
-        os.close(fd)
+    def fork(share: range) -> None:
+        for stream in (sys.stdout, sys.stderr):  # no worker writes again what is buffered
+            with contextlib.suppress(AttributeError, ValueError):  # gone or closed
+                stream.flush()
+        report_r, report_w = os.pipe()
+        try:
+            if (pid := os.fork()) == 0:
+                _work(tasks, share, report_w)
+        except BaseException:
+            os.close(report_r)
+            raise
+        finally:
+            os.close(report_w)
+        live[report_r] = (pid, share, b"")
+        selector.register(report_r, selectors.EVENT_READ)
 
-    queue_r, queue_w = os.pipe()
-    fds |= {queue_r, queue_w}
-    for stream in (sys.stdout, sys.stderr):  # no worker writes again what is buffered
-        with contextlib.suppress(AttributeError, ValueError):  # gone or closed
-            stream.flush()
-    try:
-        for _ in range(workers):
-            report_r, report_w = os.pipe()
-            fds |= {report_r, report_w}
-            pid = os.fork()
-            if pid == 0:
-                _work(tasks, chunks, queue_r, queue_w, report_w)
-            close(report_w)
-            pids[report_r] = pid
-            taken[report_r] = collections.deque()
-        close(queue_r)
-        os.set_blocking(queue_w, False)
-        buffers = dict.fromkeys(pids, b"")  # the open report pipes' unread bytes
-        handed = 0  # the chunks written to the queue
-        with selectors.DefaultSelector() as selector:
-            selector.register(queue_w, selectors.EVENT_WRITE)
-            for fd in pids:
-                selector.register(fd, selectors.EVENT_READ)
-            while buffers:
+    with selectors.DefaultSelector() as selector:
+        try:
+            for k in range(workers):
+                fork(range(len(tasks) * k // workers, len(tasks) * (k + 1) // workers))
+            while live:
                 for key, _ in selector.select():
                     fd = key.fd
-                    if fd == queue_w:
-                        try:
-                            while handed < len(chunks):
-                                os.write(queue_w, handed.to_bytes(4, "little"))
-                                handed += 1
-                        except BlockingIOError:  # the queue is full for now
-                            continue
-                        except BrokenPipeError:  # no worker is left to read it
-                            pass
-                        selector.unregister(queue_w)
-                        close(queue_w)
+                    pid, share, buffer = live[fd]
+                    if data := os.read(fd, 1 << 16):
+                        buffer += data
+                        while len(buffer) >= 4:
+                            end = 4 + int.from_bytes(buffer[:4], "little")
+                            if len(buffer) < end:
+                                break
+                            done[share[0]] = pickle.loads(buffer[4:end])
+                            share, buffer = share[1:], buffer[end:]
+                        live[fd] = (pid, share, buffer)
                         continue
-                    data = os.read(fd, 1 << 16)
-                    if not data:  # the worker has ended
-                        selector.unregister(fd)
-                        close(fd)
-                        del buffers[fd]
-                        continue
-                    buffer = buffers[fd] + data
-                    while len(buffer) >= 4:
-                        end = 4 + int.from_bytes(buffer[:4], "little")
-                        if len(buffer) < end:
-                            break
-                        message = pickle.loads(buffer[4:end])
-                        buffer = buffer[end:]
-                        if isinstance(message, int):  # the number of a chunk taken
-                            taken[fd].extend(chunks[message])
-                        else:
-                            done[taken[fd].popleft()] = message
-                    buffers[fd] = buffer
-    except BaseException:
-        import signal  # imported here, not with the module: only a failing runner kills
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # it has ended
+                    selector.unregister(fd)
+                    os.close(fd)
+                    del live[fd]
+                    if share:  # it was on share[0]
+                        ended = (f"was killed by signal {-code}" if code < 0
+                                 else f"exited with status {code}")
+                        done[share[0]] = _lost_run(
+                            tasks[share[0]], f"its worker process {ended} before reporting it")
+                        if len(share) > 1:
+                            fork(share[1:])
+        except BaseException:
+            import signal  # imported here, not with the module: only a failing runner kills
 
-        for pid in pids.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for fd, pid in pids.items():
-            statuses[fd] = os.waitpid(pid, 0)[1]
-        for fd in list(fds):
-            close(fd)
-    for fd, runs in taken.items():
-        code = os.waitstatus_to_exitcode(statuses[fd])
-        ended = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-        for i in runs:
-            done[i] = _lost_run(tasks[i], f"its worker process {ended} before reporting it")
-    return [outcome or _lost_run(task, "no worker process reported running it")
-            for task, outcome in zip(tasks, done)]
+            for pid, _, _ in live.values():
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for fd, (pid, _, _) in live.items():
+                os.waitpid(pid, 0)
+                os.close(fd)
+    return done
 
 
 def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list, list]:
@@ -614,12 +581,12 @@ def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list,
     cannot run (``check_map``), raises ValueError before anything is written,
     and an ``out_dir`` that cannot be made raises OSError before any run.
     They run seed by seed in the order given, then obstruction by obstruction
-    in declaration order, with the points in product order within: the runs
-    of one seed and obstruction place the same obstacles and spawn the same
-    first agents, so a worker's plan memo serves their construction plans.  A
-    failed run stops no other, and a worker that dies fails only the runs it
-    took and had not reported.  The outcomes come back point by point, with
-    the seeds inner."""
+    in declaration order, with the points in product order within, and each
+    worker takes one consecutive share of that order: the runs of one seed
+    and obstruction place the same obstacles and spawn the same first agents,
+    so a worker's plan memo serves their construction plans.  A failed run
+    stops no other, and a worker that dies fails only the run it was on.  The
+    outcomes come back point by point, with the seeds inner."""
     if (isinstance(parallel, bool) or not isinstance(parallel, numbers.Integral)
             or parallel < 1):
         raise ValueError(f"parallel must be an integer of at least 1, got {parallel!r}")

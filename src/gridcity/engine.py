@@ -28,7 +28,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .agents import AgentState, Population, Status, act, decide, ranges
-from .environment import Coord, GridMap, GroundType, place_obstacles
+from .environment import Coord, Direction, GridMap, GroundType, place_obstacles
 from .planner import BehaviorProfile, default_heading, plan
 
 # Square agent footprints: half the side length is the effective radius.
@@ -351,8 +351,9 @@ class World:
         """Put a hand-built agent into the world.  It must stand on the grid,
         its plan must be made for a map of the grid's width, every cell of its
         plan and its goal must lie on the grid, its cell and its goal must be
-        cells its kind can enter, a walker cannot be parked, and its id must
-        exceed every id present; agents spawned later are numbered after it."""
+        cells its kind can enter, its heading must be a ``Direction`` or None,
+        a walker cannot be parked, and its id must exceed every id present;
+        agents spawned later are numbered after it."""
         plan = () if agent.plan is None else agent.plan.cells
         if agent.plan is not None and agent.plan.width != self.grid.width:
             raise ValueError(f"agent {agent.id}: its plan is for a map {agent.plan.width} "
@@ -361,6 +362,9 @@ class World:
                if c is not None and not self.grid.in_bounds(c)]
         if off:
             raise ValueError(f"agent {agent.id}: {off[0]} is off the grid")
+        if agent.heading is not None and not isinstance(agent.heading, Direction):
+            raise ValueError(f"agent {agent.id}: its heading must be a Direction or None, "
+                             f"got {agent.heading!r}")
         if agent.kind == "walker" and agent.status == Status.PARKED:
             raise ValueError(f"agent {agent.id}: a walker cannot be parked")
         costs = self.grid.costs(agent.kind)

@@ -245,8 +245,11 @@ def classify_action(
     straight off-flow is Backward; perpendicular moves are a lane change onto
     a parallel same-flow road lane, a legal turn when leaving a turn cell (or
     a zebra-adjacent road cell) into aligned flow, and invalid otherwise.
-    Both cells must lie inside the grid.
+    Both cells must lie inside the grid, and ``heading`` must be a
+    ``Direction``.
     """
+    if not isinstance(heading, Direction):
+        raise ValueError(f"heading must be a Direction, got {heading!r}")
     d = DIRECTION_OF_STEP.get((to[0] - frm[0], to[1] - frm[1]))
     if d is None:
         raise ValueError(f"cells {frm} and {to} are not 4-adjacent")
@@ -299,8 +302,11 @@ def plan(
     obstacle set) meet while it is held, and only the bare layout
     (obstruction 0) comes back, at the next seed.  A ``Plan`` is frozen and
     nothing writes its route, so one object may serve many agents.  A blocked
-    or traced query always searches.
+    or traced query always searches.  A ``heading`` other than a
+    ``Direction`` or None raises ValueError.
     """
+    if heading is not None and not isinstance(heading, Direction):
+        raise ValueError(f"heading must be a Direction or None, got {heading!r}")
     if not grid.in_bounds(start) or not grid.in_bounds(goal):
         raise ValueError("start and goal must lie inside the grid")
     width = grid.width

@@ -860,9 +860,10 @@ def test_a_sweep_writes_the_same_bytes_with_one_worker_with_two_and_over_its_gri
 
 
 @pytest.fixture
-def in_process_pool(monkeypatch):
-    """Replaces the sweep's fork runner by one that runs the tasks here and
-    records the worker count asked for and the task list it receives."""
+def in_process_runner(monkeypatch):
+    """Replaces the sweep's fork runner (``_fork_runs``) by one that runs the
+    tasks here and records the worker count asked for and the task list it
+    receives."""
     import gridcity.cli as cli_mod
 
     record = {"sizes": [], "tasks": []}
@@ -876,8 +877,8 @@ def in_process_pool(monkeypatch):
     return record
 
 
-def test_sweep_starts_no_more_workers_than_runs(tmp_path, in_process_pool):
-    sizes = in_process_pool["sizes"]
+def test_sweep_starts_no_more_workers_than_runs(tmp_path, in_process_runner):
+    sizes = in_process_runner["sizes"]
     scenario = load_config(write_config(tmp_path, dict(sweep_doc(), seeds=[1])))
     execute_sweep(scenario, tmp_path / "eight", parallel=8)
     assert sizes == [2]
@@ -959,8 +960,13 @@ def _output_of_fresh_interpreter(code: str, *args: str, timeout: float = 30) -> 
     return out
 
 
-# One of four runs swept on two workers ends its worker with exit status 3.
-_DYING_WORKER_SWEEP = """
+def _dying_worker_sweep(steps: int, walkers: list, seeds: list, dies: tuple) -> str:
+    """The code of a ``walkers`` x ``seeds`` sweep of ``steps``-step runs on two
+    workers, whose run at ``dies``, a (walkers, seed) pair, ends its worker
+    with exit status 3.  It prints its outcomes, its summary and whether a
+    child process is left, as JSON, and takes its out directory as its one
+    argument."""
+    return f"""
 import json, os, sys
 from pathlib import Path
 import gridcity.cli as cli
@@ -969,14 +975,14 @@ from gridcity import LayoutSpec, SimConfig
 run_task = cli._run_task
 
 def dying(scenario, point, seed, out_dir):
-    if point["walkers"] == 3 and seed == 1:
+    if (point["walkers"], seed) == {dies!r}:
         os._exit(3)
     return run_task(scenario, point, seed, out_dir)
 
 cli._run_task = dying
-scenario = cli.Scenario(SimConfig(steps=3, walkers=2, drivers=0),
+scenario = cli.Scenario(SimConfig(steps={steps}, walkers=2, drivers=0),
                         LayoutSpec(blocks_x=1, blocks_y=1),
-                        sweep={"walkers": [2, 3]}, seeds=[1, 2])
+                        sweep={{"walkers": {walkers!r}}}, seeds={seeds!r})
 out = Path(sys.argv[1])
 _, outcomes = cli.execute_sweep(scenario, out, parallel=2)
 try:
@@ -984,12 +990,16 @@ try:
     left = "a child is left"
 except ChildProcessError:
     left = "none"
-print(json.dumps({
+print(json.dumps({{
     "outcomes": [[o.point["walkers"], o.seed, o.ok, o.error] for o in outcomes],
     "summary": (out / "summary.csv").read_text(),
     "left": left,
-}))
+}}))
 """
+
+
+# One of four runs swept on two workers ends its worker with exit status 3.
+_DYING_WORKER_SWEEP = _dying_worker_sweep(3, [2, 3], [1, 2], (3, 1))
 
 
 def test_a_sweep_worker_that_dies_fails_its_runs_and_the_sweep_returns(tmp_path):
@@ -1007,9 +1017,24 @@ def test_a_sweep_worker_that_dies_fails_its_runs_and_the_sweep_returns(tmp_path)
     assert done["left"] == "none"
 
 
+def test_a_sweep_worker_that_dies_costs_only_the_run_it_was_on(tmp_path):
+    # the dying run is the third of the first worker's share of four; a new
+    # worker takes the fourth
+    out = tmp_path / "out"
+    code = _dying_worker_sweep(2, [2, 3, 4], [1, 2, 3], (4, 1))
+    done = json.loads(_output_of_fresh_interpreter(code, str(out)))
+    outcomes = {(walkers, seed): (ok, error) for walkers, seed, ok, error in done["outcomes"]}
+    assert len(outcomes) == 9
+    ok, error = outcomes.pop((4, 1))
+    assert not ok and "status 3" in error
+    assert all(ok for ok, _ in outcomes.values())
+    assert "status 3" in (out / "w4_d0_o0" / "seed1" / "error.txt").read_text()
+    assert done["left"] == "none"
+
+
 def test_a_sweep_that_fails_itself_kills_and_reaps_its_workers(tmp_path):
-    # the sweep fails on its first report; unkilled, its workers would outlast
-    # the timeout on their 100000-step runs
+    # the sweep fails on its first report, one worker's 1-step run; unkilled,
+    # the other worker would outlast the timeout on its 100000-step run
     code = """
 import os, pickle, sys, types
 import gridcity.cli as cli
@@ -1020,7 +1045,7 @@ def unreadable(data):
 
 cli.pickle = types.SimpleNamespace(dumps=pickle.dumps, loads=unreadable)
 scenario = cli.Scenario(SimConfig(steps=100000, walkers=20, drivers=5), LayoutSpec(),
-                        sweep={"walkers": [20, 30]})
+                        sweep={"steps": [1, 100000]})
 try:
     cli.execute_sweep(scenario, sys.argv[1], parallel=2)
 except RuntimeError as exc:
@@ -1075,14 +1100,14 @@ def test_a_sweep_of_a_nested_field_runs_what_run_runs(tmp_path):
     assert [row.rsplit(",", 1)[1] for row in rows] == ["1-1", "3-3", "5-5"]
 
 
-def test_sweep_takes_a_numpy_integer_parallel_like_an_int(tmp_path, in_process_pool):
+def test_sweep_takes_a_numpy_integer_parallel_like_an_int(tmp_path, in_process_runner):
     scenario = load_config(write_config(tmp_path, sweep_doc()))
     execute_sweep(scenario, tmp_path / "s", parallel=np.int64(2))
-    assert in_process_pool["sizes"] == [2]
+    assert in_process_runner["sizes"] == [2]
 
 
 def test_sweep_runs_seed_by_seed_then_obstruction_by_obstruction(
-        tmp_path, monkeypatch, in_process_pool):
+        tmp_path, monkeypatch, in_process_runner):
     import gridcity.cli as cli_mod
 
     ran = []
@@ -1106,8 +1131,8 @@ def test_sweep_runs_seed_by_seed_then_obstruction_by_obstruction(
 
     ran.clear()
     points, outcomes = execute_sweep(scenario, tmp_path / "pool", parallel=2)
-    assert in_process_pool["sizes"] == [2]
-    [tasks] = in_process_pool["tasks"]
+    assert in_process_runner["sizes"] == [2]
+    [tasks] = in_process_runner["tasks"]
     assert [(seed, point["obstruction"], point["walkers"])
             for _, point, seed, _ in tasks] == expected
     assert ran == expected
@@ -1137,10 +1162,10 @@ def test_forked_workers_take_the_runs_in_consecutive_chunks(tmp_path, monkeypatc
            for pid, seed, walkers in map(str.split, log.read_text().splitlines())]
     assert sorted(k for _, k in ran) == list(range(9))
     worker = {k: pid for pid, k in ran}
-    # Pool.starmap's cut of 9 runs for 2 workers: chunks of ceil(9 / 8) = 2,
-    # each run by one worker, which takes them in task order
-    for start in range(0, 9, 2):
-        assert len({worker[k] for k in range(start, min(start + 2, 9))}) == 1
+    # worker k of 2 takes the runs [9k // 2, 9(k + 1) // 2), in task order
+    assert len({worker[k] for k in range(4)}) == 1
+    assert len({worker[k] for k in range(4, 9)}) == 1
+    assert worker[0] != worker[4]
     for pid in set(worker.values()):
         mine = [k for p, k in ran if p == pid]
         assert mine == sorted(mine)

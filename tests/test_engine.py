@@ -330,6 +330,18 @@ def test_add_refuses_a_plan_made_for_another_width():
     world.step()
 
 
+@pytest.mark.parametrize("heading", [1, -1, True])
+def test_add_refuses_a_heading_that_is_no_direction(heading):
+    grid = small_grid()
+    world = World(grid, SimConfig(steps=1, drivers=0, seed=0))
+    driver = make_agent(1, "driver", grid.center(grid.driver_spawns[0][0]), heading=heading)
+    with pytest.raises(ValueError, match=re.escape(
+            f"agent 1: its heading must be a Direction or None, got {heading!r}")):
+        world.add(driver)
+    assert world.agents == {}
+    world.step()
+
+
 def test_add_refuses_a_parked_walker():
     # only a driver parks, and only a parked driver is reactivated
     grid = parking_2x2()

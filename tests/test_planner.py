@@ -168,6 +168,26 @@ def test_classify_refuses_a_cell_off_the_grid():
             classify_action(grid, frm, to, heading)
 
 
+@pytest.mark.parametrize("heading", [5, -1, 4, 1, True, "E"])
+def test_plan_and_classify_action_refuse_a_heading_that_is_no_direction(heading):
+    # an int heading would be OR-ed into a driver's start state (5 plans as
+    # EAST, -1 finds no route) and index classify_action's answers (-1 as WEST)
+    grid = generate_layout(LayoutSpec())
+    driver = BehaviorProfile("driver", alpha=1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"heading must be a Direction or None, got {heading!r}")):
+        plan(grid, (0, 5), (0, 0), driver, heading=heading)
+    with pytest.raises(ValueError, match=re.escape(
+            f"heading must be a Direction, got {heading!r}")):
+        classify_action(grid, (0, 5), (1, 5), heading)
+
+
+def test_classify_action_refuses_no_heading():
+    grid = generate_layout(LayoutSpec())
+    with pytest.raises(ValueError, match="^heading must be a Direction, got None$"):
+        classify_action(grid, (0, 5), (1, 5), None)
+
+
 @pytest.mark.parametrize("read", [
     default_heading,
     lambda grid, cell: grid.ground_at(cell),
