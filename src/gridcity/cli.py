@@ -8,6 +8,7 @@ effective config so the run can be reproduced from it exactly.
 """
 from __future__ import annotations
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -478,15 +479,19 @@ def _send(report, message) -> None:
     report.flush()
 
 
-def _work(tasks: list, share: range, report: int):
-    """A forked worker's whole life: run the tasks of ``share`` in order and
-    report each one's outcome on the pipe ``report``.  It ends the process,
-    and never returns into the caller's code."""
+def _work(tasks: list, orders: int, report: int, inherited: list):
+    """A forked worker's whole life: close the order pipes ``inherited``, then,
+    until its own (``orders``) reads empty, read a run's index from it, run
+    that task and report its outcome on the pipe ``report``.  It ends the
+    process, and never returns into the caller's code."""
     code = 1
     try:
+        for fd in inherited:  # an order pipe reads empty only when no process holds it
+            os.close(fd)
         with open(report, "wb") as out:
-            for i in share:
-                _send(out, _run_task(*tasks[i]))
+            # each index is one 4-byte write, which a pipe keeps whole
+            while record := os.read(orders, 4):
+                _send(out, _run_task(*tasks[int.from_bytes(record, "little")]))
         code = 0
     except BaseException:
         traceback.print_exc()
@@ -499,73 +504,97 @@ def _fork_runs(tasks: list, workers: int) -> list:
     """Each task's ``_run_task`` outcome, in task order, from ``workers``
     forked processes, which inherit the map ``_base_grid`` has cached.
 
-    Of T tasks, worker k of W takes the consecutive share ``[T*k//W,
-    T*(k+1)//W)`` and runs it in task order, so one worker meets the runs
-    of a seed and obstruction and its plan memo serves them.  Each worker
-    reports on a pipe of its own, and this process drains them all with
-    one selector.  A worker that ends before reporting its whole share
-    fails the run it was on, its error naming the worker's exit status, and
-    a new worker forked from this process takes the rest of the share.
-    Every worker is reaped before this returns, and killed first when this
-    process fails."""
+    Of T tasks, worker k of W owns the consecutive share ``[T*k//W,
+    T*(k+1)//W)`` and runs it from the front, so one worker meets the runs
+    of a seed and obstruction and its plan memo serves them.  It holds one
+    run at a time: this process writes the next run's index on the worker's
+    order pipe when it forks it and when it reports a run on its report
+    pipe, drained with one selector.  A worker done with its share takes the
+    last unstarted run of the largest share left, so a worker slowed by
+    other load holds the sweep up by at most its run.  A worker that ends
+    before reporting its run fails that run, its error naming the worker's
+    exit status, and a new worker forked from this process takes over its
+    share.  Every worker is reaped before this returns, and killed first
+    when this process fails."""
     done: list = [None] * len(tasks)
-    live: dict = {}  # a report pipe -> (its worker's pid, its unreported runs, unread bytes)
+    shares = [collections.deque(range(len(tasks) * k // workers,
+                                      len(tasks) * (k + 1) // workers)) for k in range(workers)]
+    live: dict = {}  # a report pipe -> [pid, order pipe or None, share, run handed or None, bytes]
 
-    def fork(share: range) -> None:
+    def order(fd: int) -> None:
+        """Hand the worker on ``fd`` its next run, or end it when none is left."""
+        worker = live[fd]
+        if not (source := worker[2] or max(shares, key=len)):
+            os.close(worker[1])
+            worker[1] = None
+            return
+        worker[3] = source.popleft() if source is worker[2] else source.pop()
+        with contextlib.suppress(BrokenPipeError):  # it has ended, and fails the run
+            os.write(worker[1], worker[3].to_bytes(4, "little"))
+
+    def fork(share: collections.deque) -> None:
         for stream in (sys.stdout, sys.stderr):  # no worker writes again what is buffered
             with contextlib.suppress(AttributeError, ValueError):  # gone or closed
                 stream.flush()
+        orders_r, orders_w = os.pipe()
         report_r, report_w = os.pipe()
         try:
             if (pid := os.fork()) == 0:
-                _work(tasks, share, report_w)
+                _work(tasks, orders_r, report_w,
+                      [orders_w] + [w[1] for w in live.values() if w[1] is not None])
         except BaseException:
+            os.close(orders_w)
             os.close(report_r)
             raise
         finally:
+            os.close(orders_r)
             os.close(report_w)
-        live[report_r] = (pid, share, b"")
+        live[report_r] = [pid, orders_w, share, None, b""]
         selector.register(report_r, selectors.EVENT_READ)
+        order(report_r)
 
     with selectors.DefaultSelector() as selector:
         try:
-            for k in range(workers):
-                fork(range(len(tasks) * k // workers, len(tasks) * (k + 1) // workers))
+            for share in shares:
+                fork(share)
             while live:
                 for key, _ in selector.select():
                     fd = key.fd
-                    pid, share, buffer = live[fd]
+                    worker = live[fd]
                     if data := os.read(fd, 1 << 16):
-                        buffer += data
-                        while len(buffer) >= 4:
-                            end = 4 + int.from_bytes(buffer[:4], "little")
-                            if len(buffer) < end:
-                                break
-                            done[share[0]] = pickle.loads(buffer[4:end])
-                            share, buffer = share[1:], buffer[end:]
-                        live[fd] = (pid, share, buffer)
+                        worker[4] += data
+                        end = 4 + int.from_bytes(worker[4][:4], "little")
+                        if len(worker[4]) >= max(4, end):  # its run's whole report
+                            done[worker[3]] = pickle.loads(worker[4][4:end])
+                            worker[3], worker[4] = None, b""  # nothing follows it
+                            order(fd)
                         continue
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])  # it has ended
+                    pid, orders, share, run, _ = worker  # it has ended
+                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                     selector.unregister(fd)
                     os.close(fd)
+                    if orders is not None:
+                        os.close(orders)
                     del live[fd]
-                    if share:  # it was on share[0]
+                    if run is not None:
                         ended = (f"was killed by signal {-code}" if code < 0
                                  else f"exited with status {code}")
-                        done[share[0]] = _lost_run(
-                            tasks[share[0]], f"its worker process {ended} before reporting it")
-                        if len(share) > 1:
-                            fork(share[1:])
+                        done[run] = _lost_run(
+                            tasks[run], f"its worker process {ended} before reporting it")
+                        if any(shares):
+                            fork(share)
         except BaseException:
             import signal  # imported here, not with the module: only a failing runner kills
 
-            for pid, _, _ in live.values():
+            for pid, *_ in live.values():
                 os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            for fd, (pid, _, _) in live.items():
+            for fd, (pid, orders, *_) in live.items():
                 os.waitpid(pid, 0)
                 os.close(fd)
+                if orders is not None:
+                    os.close(orders)
     return done
 
 
@@ -582,11 +611,13 @@ def execute_sweep(scenario: Scenario, out_dir, parallel: int = 1) -> tuple[list,
     and an ``out_dir`` that cannot be made raises OSError before any run.
     They run seed by seed in the order given, then obstruction by obstruction
     in declaration order, with the points in product order within, and each
-    worker takes one consecutive share of that order: the runs of one seed
+    worker owns one consecutive share of that order: the runs of one seed
     and obstruction place the same obstacles and spawn the same first agents,
-    so a worker's plan memo serves their construction plans.  A failed run
-    stops no other, and a worker that dies fails only the run it was on.  The
-    outcomes come back point by point, with the seeds inner."""
+    so a worker's plan memo serves their construction plans.  A worker done
+    with its share takes the runs left in the largest other share, from its
+    back.  A failed run stops no other, and a worker that dies fails only the
+    run it was on.  The outcomes come back point by point, with the seeds
+    inner."""
     if (isinstance(parallel, bool) or not isinstance(parallel, numbers.Integral)
             or parallel < 1):
         raise ValueError(f"parallel must be an integer of at least 1, got {parallel!r}")

@@ -10,6 +10,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -1019,7 +1020,7 @@ def test_a_sweep_worker_that_dies_fails_its_runs_and_the_sweep_returns(tmp_path)
 
 def test_a_sweep_worker_that_dies_costs_only_the_run_it_was_on(tmp_path):
     # the dying run is the third of the first worker's share of four; a new
-    # worker takes the fourth
+    # worker takes over the fourth, unless the other worker has taken it
     out = tmp_path / "out"
     code = _dying_worker_sweep(2, [2, 3, 4], [1, 2, 3], (4, 1))
     done = json.loads(_output_of_fresh_interpreter(code, str(out)))
@@ -1146,10 +1147,21 @@ def test_forked_workers_take_the_runs_in_consecutive_chunks(tmp_path, monkeypatc
 
     log = tmp_path / "ran.txt"
     run_task = cli_mod._run_task
+    order = [(seed, walkers) for seed in (1, 2, 3) for walkers in (2, 3, 4)]
+
+    def started() -> list:
+        return [(int(pid), int(k)) for pid, k in map(str.split, log.read_text().splitlines())]
 
     def logging(scenario, point, seed, out_dir):
+        k = order.index((seed, point["walkers"]))
         with open(log, "a", encoding="utf-8") as fh:  # one short append per run
-            fh.write(f"{os.getpid()} {seed} {point['walkers']}\n")
+            fh.write(f"{os.getpid()} {k}\n")
+        # the second worker's first run lasts until the first worker has
+        # taken run 8 from the back of the second worker's share
+        waited = 0
+        while k == 4 and 8 not in [j for _, j in started()] and waited < 3000:
+            time.sleep(0.01)
+            waited += 1
         return run_task(scenario, point, seed, out_dir)
 
     monkeypatch.setattr(cli_mod, "_run_task", logging)
@@ -1157,18 +1169,18 @@ def test_forked_workers_take_the_runs_in_consecutive_chunks(tmp_path, monkeypatc
     _, outcomes = execute_sweep(load_config(write_config(tmp_path, doc)), tmp_path / "s",
                                 parallel=2)
     assert all(o.ok for o in outcomes)
-    order = [(seed, walkers) for seed in (1, 2, 3) for walkers in (2, 3, 4)]
-    ran = [(pid, order.index((int(seed), int(walkers))))
-           for pid, seed, walkers in map(str.split, log.read_text().splitlines())]
+    ran = started()
     assert sorted(k for _, k in ran) == list(range(9))
     worker = {k: pid for pid, k in ran}
-    # worker k of 2 takes the runs [9k // 2, 9(k + 1) // 2), in task order
-    assert len({worker[k] for k in range(4)}) == 1
-    assert len({worker[k] for k in range(4, 9)}) == 1
     assert worker[0] != worker[4]
-    for pid in set(worker.values()):
+    # worker k of 2 runs its share [9k // 2, 9(k + 1) // 2) from the front, in
+    # task order, and once it is done takes the other share's runs from the back
+    assert [k for pid, k in ran if pid == worker[0]][:5] == [0, 1, 2, 3, 8]
+    for pid, share in ((worker[0], range(4)), (worker[4], range(4, 9))):
         mine = [k for p, k in ran if p == pid]
-        assert mine == sorted(mine)
+        own = [k for k in mine if k in share]
+        assert own == list(share[:len(own)])
+        assert mine == own + sorted(set(mine) - set(own), reverse=True)
 
 
 def overfull_obstruction_config(tmp_path, sweep=None):
