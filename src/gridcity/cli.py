@@ -409,23 +409,29 @@ class TaskOutcome:
     values: tuple = ()
 
 
+def _failed(task: tuple, error: str, detail: str = "") -> TaskOutcome:
+    """The failed outcome of ``task``, its ``error`` and ``detail`` also
+    written to its ``error.txt`` where its directory can be made."""
+    _, point, seed, out_dir = task
+    with contextlib.suppress(OSError):  # the directory may be what failed
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        (Path(out_dir) / "error.txt").write_text(f"{error}\n{detail}", encoding="utf-8")
+    return TaskOutcome(point=point, seed=seed, ok=False, error=error)
+
+
 def _run_task(scenario: Scenario, point: dict, seed: int, out_dir: str) -> TaskOutcome:
     """One run of a sweep: the scenario at ``point`` and ``seed``, with no sweep
     of its own to check again.  A failure, a bad value included, is recorded
     in its outcome, and in its ``error.txt`` when its directory could be made,
     and does not stop the sweep."""
-    out = Path(out_dir)
     try:
         sim = dataclasses.replace(scenario.sim, seed=seed, **point)
-        result = execute_run(dataclasses.replace(scenario, sim=sim, sweep={}), out)
+        result = execute_run(dataclasses.replace(scenario, sim=sim, sweep={}), out_dir)
         values = tuple(getattr(result, attr) for _, attr in SUMMARY_METRICS)
         return TaskOutcome(point=point, seed=seed, ok=True, values=values)
     except Exception as exc:  # noqa: BLE001 - the sweep must keep going
-        with contextlib.suppress(OSError):  # the directory may be what failed
-            (out / "error.txt").write_text(
-                f"{exc}\n\n{traceback.format_exc()}", encoding="utf-8"
-            )
-        return TaskOutcome(point=point, seed=seed, ok=False, error=str(exc))
+        return _failed((scenario, point, seed, out_dir), str(exc),
+                       f"\n{traceback.format_exc()}")
 
 
 def _mean_std(values: list) -> tuple[str, str]:
@@ -462,36 +468,22 @@ def render_summary_csv(scenario: Scenario, points: list, outcomes: list) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _lost_run(task: tuple, error: str) -> TaskOutcome:
-    """The failed outcome of a run no worker reported, its error also written
-    to its ``error.txt`` where its directory can be made."""
-    _, point, seed, out_dir = task
-    with contextlib.suppress(OSError):
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        (Path(out_dir) / "error.txt").write_text(f"{error}\n", encoding="utf-8")
-    return TaskOutcome(point=point, seed=seed, ok=False, error=error)
+#: The order that ends a worker; no run's index reaches it.
+_DONE = (2**32 - 1).to_bytes(4, "little")
 
 
-def _send(report, message) -> None:
-    """Write ``message`` to a worker's report pipe, pickled after its length."""
-    data = pickle.dumps(message)
-    report.write(len(data).to_bytes(4, "little") + data)
-    report.flush()
-
-
-def _work(tasks: list, orders: int, report: int, inherited: list):
-    """A forked worker's whole life: close the order pipes ``inherited``, then,
-    until its own (``orders``) reads empty, read a run's index from it, run
-    that task and report its outcome on the pipe ``report``.  It ends the
-    process, and never returns into the caller's code."""
+def _work(tasks: list, orders: int, report: int):
+    """A forked worker's whole life: until its order pipe ``orders`` reads
+    ``_DONE`` or empty, read a run's index from it, run that task and report
+    its outcome, pickled, on the pipe ``report``.  It ends the process, and
+    never returns into the caller's code."""
     code = 1
     try:
-        for fd in inherited:  # an order pipe reads empty only when no process holds it
-            os.close(fd)
         with open(report, "wb") as out:
-            # each index is one 4-byte write, which a pipe keeps whole
-            while record := os.read(orders, 4):
-                _send(out, _run_task(*tasks[int.from_bytes(record, "little")]))
+            # each order is one 4-byte write, which a pipe keeps whole
+            while (record := os.read(orders, 4)) and record != _DONE:
+                pickle.dump(_run_task(*tasks[int.from_bytes(record, "little")]), out)
+                out.flush()
         code = 0
     except BaseException:
         traceback.print_exc()
@@ -508,29 +500,29 @@ def _fork_runs(tasks: list, workers: int) -> list:
     T*(k+1)//W)`` and runs it from the front, so one worker meets the runs
     of a seed and obstruction and its plan memo serves them.  It holds one
     run at a time: this process writes the next run's index on the worker's
-    order pipe when it forks it and when it reports a run on its report
-    pipe, drained with one selector.  A worker done with its share takes the
-    last unstarted run of the largest share left, so a worker slowed by
-    other load holds the sweep up by at most its run.  A worker that ends
-    before reporting its run fails that run, its error naming the worker's
-    exit status, and a new worker forked from this process takes over its
-    share.  Every worker is reaped before this returns, and killed first
-    when this process fails."""
+    order pipe when it forks it and when it reads a run's pickled outcome
+    from its report pipe, watched with one selector, and writes ``_DONE``
+    when no run is left.  A worker done with its share takes the last
+    unstarted run of the largest share left, so a worker slowed by other
+    load holds the sweep up by at most its run.  A worker whose report pipe
+    ends before a whole outcome fails the run it was on, its error naming
+    the worker's exit status, and a new worker forked from this process
+    takes over its share.  Every worker is reaped, and its pipes closed,
+    before this returns, and killed first when this process fails."""
     done: list = [None] * len(tasks)
     shares = [collections.deque(range(len(tasks) * k // workers,
                                       len(tasks) * (k + 1) // workers)) for k in range(workers)]
-    live: dict = {}  # a report pipe -> [pid, order pipe or None, share, run handed or None, bytes]
+    live: dict = {}  # a report pipe's file -> [pid, order pipe, share, run handed or None]
 
-    def order(fd: int) -> None:
-        """Hand the worker on ``fd`` its next run, or end it when none is left."""
-        worker = live[fd]
-        if not (source := worker[2] or max(shares, key=len)):
-            os.close(worker[1])
-            worker[1] = None
-            return
-        worker[3] = source.popleft() if source is worker[2] else source.pop()
-        with contextlib.suppress(BrokenPipeError):  # it has ended, and fails the run
-            os.write(worker[1], worker[3].to_bytes(4, "little"))
+    def order(report) -> None:
+        """Hand the worker reporting on ``report`` its next run, or ``_DONE``."""
+        worker = live[report]
+        record, worker[3] = _DONE, None
+        if source := worker[2] or max(shares, key=len):
+            worker[3] = source.popleft() if source is worker[2] else source.pop()
+            record = worker[3].to_bytes(4, "little")
+        with contextlib.suppress(BrokenPipeError):  # it has ended, and fails its run
+            os.write(worker[1], record)
 
     def fork(share: collections.deque) -> None:
         for stream in (sys.stdout, sys.stderr):  # no worker writes again what is buffered
@@ -540,8 +532,7 @@ def _fork_runs(tasks: list, workers: int) -> list:
         report_r, report_w = os.pipe()
         try:
             if (pid := os.fork()) == 0:
-                _work(tasks, orders_r, report_w,
-                      [orders_w] + [w[1] for w in live.values() if w[1] is not None])
+                _work(tasks, orders_r, report_w)
         except BaseException:
             os.close(orders_w)
             os.close(report_r)
@@ -549,9 +540,19 @@ def _fork_runs(tasks: list, workers: int) -> list:
         finally:
             os.close(orders_r)
             os.close(report_w)
-        live[report_r] = [pid, orders_w, share, None, b""]
-        selector.register(report_r, selectors.EVENT_READ)
-        order(report_r)
+        report = open(report_r, "rb")
+        live[report] = [pid, orders_w, share, None]
+        selector.register(report, selectors.EVENT_READ)
+        order(report)
+
+    def reap(report) -> int:
+        """Wait for the worker reporting on ``report``, close its two pipes
+        and return its exit code."""
+        pid, orders, *_ = live.pop(report)
+        selector.unregister(report)
+        report.close()
+        os.close(orders)
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
     with selectors.DefaultSelector() as selector:
         try:
@@ -559,30 +560,21 @@ def _fork_runs(tasks: list, workers: int) -> list:
                 fork(share)
             while live:
                 for key, _ in selector.select():
-                    fd = key.fd
-                    worker = live[fd]
-                    if data := os.read(fd, 1 << 16):
-                        worker[4] += data
-                        end = 4 + int.from_bytes(worker[4][:4], "little")
-                        if len(worker[4]) >= max(4, end):  # its run's whole report
-                            done[worker[3]] = pickle.loads(worker[4][4:end])
-                            worker[3], worker[4] = None, b""  # nothing follows it
-                            order(fd)
-                        continue
-                    pid, orders, share, run, _ = worker  # it has ended
-                    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                    selector.unregister(fd)
-                    os.close(fd)
-                    if orders is not None:
-                        os.close(orders)
-                    del live[fd]
-                    if run is not None:
-                        ended = (f"was killed by signal {-code}" if code < 0
-                                 else f"exited with status {code}")
-                        done[run] = _lost_run(
-                            tasks[run], f"its worker process {ended} before reporting it")
-                        if any(shares):
-                            fork(share)
+                    report = key.fileobj
+                    try:
+                        done[live[report][3]] = pickle.load(report)
+                    except (EOFError, pickle.UnpicklingError):  # it has ended
+                        _, _, share, run = live[report]
+                        code = reap(report)
+                        if run is not None:
+                            ended = (f"was killed by signal {-code}" if code < 0
+                                     else f"exited with status {code}")
+                            done[run] = _failed(
+                                tasks[run], f"its worker process {ended} before reporting it")
+                            if any(shares):
+                                fork(share)
+                    else:
+                        order(report)
         except BaseException:
             import signal  # imported here, not with the module: only a failing runner kills
 
@@ -590,11 +582,8 @@ def _fork_runs(tasks: list, workers: int) -> list:
                 os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            for fd, (pid, orders, *_) in live.items():
-                os.waitpid(pid, 0)
-                os.close(fd)
-                if orders is not None:
-                    os.close(orders)
+            while live:
+                reap(next(iter(live)))
     return done
 
 

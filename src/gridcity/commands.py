@@ -102,6 +102,9 @@ def sweep_command(config_path, seeds_csv, steps, out_dir, parallel):
         except ConfigError as exc:  # the only value changed: the seeds
             raise ConfigError(f"--{exc}") from None
     if steps is not None:
+        if "steps" in scenario.sweep:
+            raise ConfigError(
+                "--steps: the scenario sweeps steps, so --steps would change no run")
         scenario = dataclasses.replace(scenario,
                                        sim=dataclasses.replace(scenario.sim, steps=steps))
     points, outcomes = execute_sweep(scenario, out_dir, parallel=parallel)

@@ -961,31 +961,59 @@ def _output_of_fresh_interpreter(code: str, *args: str, timeout: float = 30) -> 
     return out
 
 
-def _dying_worker_sweep(steps: int, walkers: list, seeds: list, dies: tuple) -> str:
+def _dying_worker_sweep(steps: int, walkers: list, seeds: list, dies: tuple,
+                        mid_report: bool = False) -> str:
     """The code of a ``walkers`` x ``seeds`` sweep of ``steps``-step runs on two
     workers, whose run at ``dies``, a (walkers, seed) pair, ends its worker
-    with exit status 3.  It prints its outcomes, its summary and whether a
-    child process is left, as JSON, and takes its out directory as its one
-    argument."""
+    with exit status 3: before the run, or after the run and half its report
+    when ``mid_report``.  It prints its outcomes, its summary, whether a child
+    process is left, the exceptions its reads of a report raised, and its
+    descriptors before and after the sweep (None without ``/proc/self/fd``),
+    as JSON, and takes its out directory as its one argument."""
     return f"""
-import json, os, sys
+import json, os, pickle, sys, types
 from pathlib import Path
 import gridcity.cli as cli
 from gridcity import LayoutSpec, SimConfig
 
 run_task = cli._run_task
+raised = []
 
 def dying(scenario, point, seed, out_dir):
     if (point["walkers"], seed) == {dies!r}:
         os._exit(3)
     return run_task(scenario, point, seed, out_dir)
 
-cli._run_task = dying
+def dump(outcome, out):
+    data = pickle.dumps(outcome)
+    if (outcome.point["walkers"], outcome.seed) == {dies!r}:
+        out.write(data[:len(data) // 2])
+        out.flush()
+        os._exit(3)
+    out.write(data)
+
+def load(report):
+    try:
+        return pickle.load(report)
+    except Exception as exc:
+        raised.append(type(exc).__name__)
+        raise
+
+def descriptors():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+if {mid_report!r}:
+    cli.pickle = types.SimpleNamespace(dump=dump, load=load,
+                                       UnpicklingError=pickle.UnpicklingError)
+else:
+    cli._run_task = dying
 scenario = cli.Scenario(SimConfig(steps={steps}, walkers=2, drivers=0),
                         LayoutSpec(blocks_x=1, blocks_y=1),
                         sweep={{"walkers": {walkers!r}}}, seeds={seeds!r})
 out = Path(sys.argv[1])
+before = descriptors()
 _, outcomes = cli.execute_sweep(scenario, out, parallel=2)
+after = descriptors()
 try:
     os.waitpid(-1, os.WNOHANG)
     left = "a child is left"
@@ -995,17 +1023,20 @@ print(json.dumps({{
     "outcomes": [[o.point["walkers"], o.seed, o.ok, o.error] for o in outcomes],
     "summary": (out / "summary.csv").read_text(),
     "left": left,
+    "raised": raised,
+    "descriptors": [before, after],
 }}))
 """
 
 
-# One of four runs swept on two workers ends its worker with exit status 3.
-_DYING_WORKER_SWEEP = _dying_worker_sweep(3, [2, 3], [1, 2], (3, 1))
-
-
-def test_a_sweep_worker_that_dies_fails_its_runs_and_the_sweep_returns(tmp_path):
-    out = tmp_path / "out"
-    done = json.loads(_output_of_fresh_interpreter(_DYING_WORKER_SWEEP, str(out)))
+def _one_of_four_runs_lost(out: Path, mid_report: bool) -> dict:
+    """The JSON of a sweep of four runs on two workers, one of which ends its
+    worker with exit status 3 (``_dying_worker_sweep``), checked: that run
+    alone fails, naming the status in its error and its ``error.txt``, the
+    summary counts the other three, no child is left and no descriptor is
+    left open."""
+    code = _dying_worker_sweep(3, [2, 3], [1, 2], (3, 1), mid_report)
+    done = json.loads(_output_of_fresh_interpreter(code, str(out)))
     outcomes = {(walkers, seed): (ok, error) for walkers, seed, ok, error in done["outcomes"]}
     assert len(outcomes) == 4
     ok, error = outcomes.pop((3, 1))
@@ -1016,6 +1047,31 @@ def test_a_sweep_worker_that_dies_fails_its_runs_and_the_sweep_returns(tmp_path)
     ]
     assert "status 3" in (out / "w3_d0_o0" / "seed1" / "error.txt").read_text()
     assert done["left"] == "none"
+    before, after = done["descriptors"]
+    assert before == after
+    return done
+
+
+def test_a_sweep_worker_that_dies_fails_its_runs_and_the_sweep_returns(tmp_path):
+    _one_of_four_runs_lost(tmp_path / "out", mid_report=False)
+
+
+def test_a_sweep_worker_that_dies_mid_report_fails_only_that_run(tmp_path):
+    # the run's outputs are written, but half its pickled outcome reaches the
+    # sweep, which reads it as a worker that has ended
+    done = _one_of_four_runs_lost(tmp_path / "out", mid_report=True)
+    assert "UnpicklingError" in done["raised"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_forked_sweep_leaves_its_process_no_open_descriptor(tmp_path):
+    scenario = Scenario(SimConfig(steps=2, walkers=2, drivers=0),
+                        LayoutSpec(blocks_x=1, blocks_y=1),
+                        sweep={"walkers": [2, 3]}, seeds=[1, 2])
+    before = sorted(os.listdir("/proc/self/fd"))
+    _, outcomes = execute_sweep(scenario, tmp_path / "out", parallel=2)
+    assert sorted(os.listdir("/proc/self/fd")) == before
+    assert len(outcomes) == 4 and all(o.ok for o in outcomes)
 
 
 def test_a_sweep_worker_that_dies_costs_only_the_run_it_was_on(tmp_path):
@@ -1041,10 +1097,11 @@ import os, pickle, sys, types
 import gridcity.cli as cli
 from gridcity import LayoutSpec, SimConfig
 
-def unreadable(data):
+def unreadable(report):
     raise RuntimeError("unreadable report")
 
-cli.pickle = types.SimpleNamespace(dumps=pickle.dumps, loads=unreadable)
+cli.pickle = types.SimpleNamespace(dump=pickle.dump, load=unreadable,
+                                   UnpicklingError=pickle.UnpicklingError)
 scenario = cli.Scenario(SimConfig(steps=100000, walkers=20, drivers=5), LayoutSpec(),
                         sweep={"steps": [1, 100000]})
 try:
@@ -1142,7 +1199,7 @@ def test_sweep_runs_seed_by_seed_then_obstruction_by_obstruction(
             == (tmp_path / "pool" / "summary.csv").read_bytes())
 
 
-def test_forked_workers_take_the_runs_in_consecutive_chunks(tmp_path, monkeypatch):
+def test_forked_workers_take_the_runs_in_consecutive_shares(tmp_path, monkeypatch):
     import gridcity.cli as cli_mod
 
     log = tmp_path / "ran.txt"
@@ -1317,6 +1374,17 @@ def test_sweep_command_cli_exit_codes(tmp_path):
         assert bad.exit_code == 2
         assert "--parallel" in bad.output
         assert not (tmp_path / "p").exists()
+
+
+def test_sweep_command_refuses_steps_when_the_scenario_sweeps_steps(tmp_path):
+    config = write_config(tmp_path, dict(MINIMAL, sweep={"steps": [4, 6]}))
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["sweep", "--config", str(config), "--out", str(out),
+                                       "--steps", "2"])
+    assert result.exit_code == 2
+    assert result.stderr == ("config error: --steps: the scenario sweeps steps, "
+                             "so --steps would change no run\n")
+    assert not out.exists()
 
 
 def test_sweep_command_steps_and_seeds_match_the_same_values_in_the_file(tmp_path):
