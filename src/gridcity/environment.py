@@ -158,9 +158,10 @@ class GridMap:
     lists of ``costs``.  Tables derived from the layout alone are built and
     shared through ``layout_table``; ``_costs`` holds the map's own cost
     lists.  Spawn sites are computed once at construction: walker sites are
-    building-adjacent sidewalk cells, driver sites are road cells where an
-    inbound lane enters the map (paired with the inbound heading), driver
-    exits are boundary cells whose flow points off the map.  Agents move
+    the sidewalk cells ``beside`` a building, parking cells the cells of
+    their ground, driver sites are road cells where an inbound lane enters
+    the map (paired with the inbound heading), driver exits are boundary
+    cells whose flow points off the map.  Agents move
     between cell centers: cell ``(x, y)``'s is ``(x + 0.5, y + 0.5)``.
     """
 
@@ -201,22 +202,16 @@ class GridMap:
         height = len(decoded) // width
         ground = tuple(g for g, _ in decoded)
         flow = tuple(mask for _, mask in decoded)
+        layout = cls(width, height, ground, flow)
         driver_spawns, driver_exits = _driver_sites(ground, flow, width, height)
-        return cls(
-            width=width,
-            height=height,
-            ground=ground,
-            flow=flow,
-            walker_spawns=_walker_spawn_sites(ground, width, height),
+        return dataclasses.replace(
+            layout,
+            walker_spawns=_sorted_cells(
+                _mask(ground, (GroundType.SIDEWALK,)) & layout.beside(GroundType.BUILDING), width
+            ),
             driver_spawns=driver_spawns,
             driver_exits=driver_exits,
-            parking_cells=tuple(
-                sorted(
-                    (i % width, i // width)
-                    for i, g in enumerate(ground)
-                    if g is GroundType.PARKING
-                )
-            ),
+            parking_cells=_sorted_cells(_mask(ground, (GroundType.PARKING,)), width),
         )
 
     def in_bounds(self, coord: Coord) -> bool:
@@ -274,12 +269,35 @@ class GridMap:
     def ground_mask(self, *grounds: GroundType) -> np.ndarray:
         """Boolean array, indexed ``y * width + x``, of the cells whose ground
         type is one of ``grounds``.  Built once per layout and set of ground
-        types, whatever their order."""
-        kinds = frozenset(grounds)
-        return self.layout_table(
-            ("mask", kinds),
-            lambda: np.array([g in kinds for g in self.ground], dtype=bool),
-        )
+        types, whatever their order, and kept (``_mask`` makes one unkept)."""
+        return self.layout_table(("mask", frozenset(grounds)), lambda: _mask(self.ground, grounds))
+
+    def neighbours(self, cells: np.ndarray) -> list:
+        """The layout's one 4-neighbour rule: for ``cells``, indexed ``y *
+        width + x``, one array per Direction, at its value, whose entry at a
+        cell is that of ``cells`` at the cell's neighbour in that direction,
+        or 0 where that neighbour is off the grid."""
+        width, height = self.width, self.height
+        padded = np.zeros((height + 2, width + 2), cells.dtype)
+        padded[1:-1, 1:-1] = cells.reshape(height, width)
+        return [padded[1 + dy:1 + dy + height, 1 + dx:1 + dx + width].ravel()
+                for dx, dy, _, _ in DIRECTION_TABLE]
+
+    def beside(self, *grounds: GroundType) -> np.ndarray:
+        """Boolean array, indexed ``y * width + x``, of the cells that have a
+        4-neighbour whose ground type is one of ``grounds``; a neighbour off
+        the grid never counts.  Made on each call and not kept."""
+        north, east, south, west = self.neighbours(_mask(self.ground, grounds))
+        return north | east | south | west
+
+    def turnspots(self) -> np.ndarray:
+        """Boolean array, indexed ``y * width + x``, of the cells a driver
+        may turn on leaving: TURN and LEFT_TURN cells, and the flow cells
+        beside a ZEBRA.  A layout table, built once per layout."""
+        return self.layout_table("turnspots", lambda: (
+            _mask(self.ground, (GroundType.TURN, GroundType.LEFT_TURN))
+            | _mask(self.ground, FLOW_GROUNDS) & self.beside(GroundType.ZEBRA)
+        ))
 
     def center(self, coord: Coord) -> tuple[float, float]:
         """Continuous center point of a cell."""
@@ -300,19 +318,16 @@ class GridMap:
         return dataclasses.replace(self, obstacles=obstacles, _costs={})
 
 
-def _walker_spawn_sites(ground, width, height) -> tuple:
-    sites = []
-    for y in range(height):
-        for x in range(width):
-            if ground[y * width + x] is not GroundType.SIDEWALK:
-                continue
-            for dx, dy, _, _ in DIRECTION_TABLE:
-                nx, ny = x + dx, y + dy
-                if 0 <= nx < width and 0 <= ny < height:
-                    if ground[ny * width + nx] is GroundType.BUILDING:
-                        sites.append((x, y))
-                        break
-    return tuple(sorted(sites))
+def _mask(ground: tuple, grounds: Iterable[GroundType]) -> np.ndarray:
+    """Boolean array over ``ground`` of the cells whose ground type is one of
+    ``grounds``; nothing keeps it."""
+    kinds = frozenset(grounds)
+    return np.array([g in kinds for g in ground], dtype=bool)
+
+
+def _sorted_cells(mask: np.ndarray, width: int) -> tuple:
+    """The ``(x, y)`` cells set in ``mask`` (indexed ``y * width + x``), sorted."""
+    return tuple(sorted((i % width, i // width) for i in np.flatnonzero(mask).tolist()))
 
 
 def _driver_sites(ground, flow, width, height) -> tuple[tuple, tuple]:
@@ -498,10 +513,10 @@ def place_obstacles(grid: GridMap, fraction: float, rng: random.Random) -> GridM
         raise ValueError("obstruction fraction must lie in [0, 1]")
     # the sidewalk cells as flat indices, in sorted (x, y) order, depend on
     # the layout alone
-    width, height, ground = grid.width, grid.height, grid.ground
+    width = grid.width
     sidewalks = grid.layout_table("sidewalks", lambda: array("i", [
-        y * width + x for x in range(width) for y in range(height)
-        if ground[y * width + x] is GroundType.SIDEWALK
+        y * width + x
+        for x, y in _sorted_cells(_mask(grid.ground, (GroundType.SIDEWALK,)), width)
     ]))
     target = round(fraction * len(sidewalks))
     if target == 0:

@@ -40,7 +40,6 @@ from .environment import (
     Direction,
     DIRECTION_OF_STEP,
     DIRECTION_TABLE,
-    FLOW_GROUNDS,
     GridMap,
     GroundType,
 )
@@ -151,24 +150,24 @@ def _build_moves(grid: GridMap, kind: str):
         for mask in range(16)
     )
     # bit k of a cell's mask is its neighbour's passability in direction k,
-    # read from the passability grid padded with an impassable border
-    passable = np.zeros((height + 2, width + 2), np.uint8)
-    passable[1:-1, 1:-1] = np.reshape(cell_cost, (height, width)) != math.inf
-    masks = np.zeros((height, width), np.uint8)
-    for k, (dx, dy, _, _) in enumerate(DIRECTION_TABLE):
-        masks |= passable[1 + dy:1 + dy + height, 1 + dx:1 + dx + width] << k
+    # and 0 off the grid
+    passable = (np.array(cell_cost) != math.inf).astype(np.uint8)
+    masks = np.zeros(width * height, np.uint8)
+    for k, near in enumerate(grid.neighbours(passable)):
+        masks |= near << k
     masks = masks.tobytes()
     if kind == "walker":
         return 0, moves, masks, None
     risk = bytearray(width * height * 16)
     flow, ground, road = grid.flow, grid.ground, GroundType.ROAD
+    turnspots = grid.turnspots().tolist()
     # a move's risks per heading, by all that _classify reads: the
     # two cells' flow, whether the target is road, turnspot and d
     risks_of: dict = {}
     for i, mask in enumerate(masks):
         if cell_cost[i] == math.inf:
             continue
-        turnspot = _turnspot(grid, i)
+        turnspot = turnspots[i]
         fm = flow[i]
         for _, step, k in moves[mask]:
             t = i + step
@@ -192,24 +191,6 @@ def _coords(grid: GridMap):
 
 def _build_coords(width: int, height: int):
     return list(range(width)) * height, [y for y in range(height) for _ in range(width)]
-
-
-def _turnspot(grid: GridMap, i: int) -> bool:
-    """Whether a driver may turn when leaving cell i: a turn cell, or a flow
-    cell beside a zebra."""
-    ground = grid.ground
-    if ground[i] is GroundType.TURN or ground[i] is GroundType.LEFT_TURN:
-        return True
-    if ground[i] not in FLOW_GROUNDS:
-        return False
-    width = grid.width
-    x, y = i % width, i // width
-    for dx, dy, _, _ in DIRECTION_TABLE:
-        nx, ny = x + dx, y + dy
-        if 0 <= nx < width and 0 <= ny < grid.height:
-            if ground[ny * width + nx] is GroundType.ZEBRA:
-                return True
-    return False
 
 
 def _classify(grid: GridMap, fi: int, ti: int, d: int, turnspot: bool) -> list:
@@ -243,8 +224,10 @@ def classify_action(
     Forward needs the move to match both the heading and the source cell's
     flow; moving against a cell's only flow direction, reversing, or going
     straight off-flow is Backward; perpendicular moves are a lane change onto
-    a parallel same-flow road lane, a legal turn when leaving a turn cell (or
-    a zebra-adjacent road cell) into aligned flow, and invalid otherwise.
+    a parallel same-flow road lane, a legal turn when leaving a turn spot
+    (``GridMap.turnspots``: a turn cell, or any flow cell with a zebra
+    4-neighbour, a zebra, parking or pothole cell too) into aligned flow,
+    and invalid otherwise.
     Both cells must lie inside the grid, and ``heading`` must be a
     ``Direction``.
     """
@@ -254,7 +237,7 @@ def classify_action(
     if d is None:
         raise ValueError(f"cells {frm} and {to} are not 4-adjacent")
     fi, ti = grid.index_of(frm), grid.index_of(to)
-    return _classify(grid, fi, ti, d, _turnspot(grid, fi))[heading]
+    return _classify(grid, fi, ti, d, grid.turnspots()[fi])[heading]
 
 
 def default_heading(grid: GridMap, cell: Coord) -> Direction:

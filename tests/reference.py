@@ -13,8 +13,10 @@ replans through ``gridcity.planner.plan``.
 Weighted A* kernel that per-cell move masks, coordinate tables and
 cell-level blocking replaced: it scans all four directions of a flat
 ``succ`` table with ``-1`` for an invalid move, computes coordinates with
-``%`` and ``//``, adds the risk term on every move, and widens a driver's
-blocked cells to all four heading states.  Its tables are layout tables
+``%`` and ``//``, adds the risk term on every move, finds a driver's turn
+spots one cell at a time (``_turnspot``, in place of the layout's
+``turnspots`` table), and widens a driver's blocked cells to all four
+heading states.  Its tables are layout tables
 under their own key, read through ``GridMap.layout_table``.
 """
 from __future__ import annotations
@@ -32,6 +34,7 @@ from gridcity.environment import (
     Coord,
     Direction,
     DIRECTION_TABLE,
+    FLOW_GROUNDS,
     GridMap,
     GroundType,
 )
@@ -41,7 +44,6 @@ from gridcity.planner import (
     BehaviorProfile,
     Plan,
     _classify,
-    _turnspot,
     default_heading,
 )
 from helpers import cell_of
@@ -353,6 +355,24 @@ def build_frame(
 
 
 # -- the Weighted A* kernel ----------------------------------------------------
+
+
+def _turnspot(grid: GridMap, i: int) -> bool:
+    """Whether a driver may turn when leaving cell i: a turn cell, or a flow
+    cell with a zebra among its on-grid 4-neighbours."""
+    ground = grid.ground
+    if ground[i] is GroundType.TURN or ground[i] is GroundType.LEFT_TURN:
+        return True
+    if ground[i] not in FLOW_GROUNDS:
+        return False
+    width = grid.width
+    x, y = i % width, i // width
+    for dx, dy, _, _ in DIRECTION_TABLE:
+        nx, ny = x + dx, y + dy
+        if 0 <= nx < width and 0 <= ny < grid.height:
+            if ground[ny * width + nx] is GroundType.ZEBRA:
+                return True
+    return False
 
 
 def _moves(grid: GridMap, kind: str):

@@ -448,16 +448,28 @@ def test_ground_mask_is_one_table_per_set_of_ground_types():
 
 
 def test_walker_spawn_sites_are_building_adjacent_sidewalks():
-    grid = generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
-    assert grid.walker_spawns
-    for x, y in grid.walker_spawns:
-        assert grid.ground_at((x, y)) is GroundType.SIDEWALK
-        neighbors = [
-            grid.ground_at((x + dx, y + dy))
-            for dx, dy, _, _ in DIRECTION_TABLE
-            if grid.in_bounds((x + dx, y + dy))
+    # exactly the sidewalk cells with a BUILDING among their on-grid
+    # 4-neighbours, sorted, and the parking goals exactly the parking cells,
+    # sorted; random grids put sidewalks on their edges and corners, beside
+    # obstacle and parking ground, and diagonal to buildings
+    grids = [generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))]
+    for seed in range(12):
+        rng = random.Random(seed)
+        grids.append(random_grid(rng, rng.randint(1, 15), rng.randint(1, 15)))
+    for grid in grids:
+        cells = sorted((x, y) for x in range(grid.width) for y in range(grid.height))
+        sites = [
+            (x, y) for x, y in cells
+            if grid.ground_at((x, y)) is GroundType.SIDEWALK and any(
+                grid.in_bounds((x + dx, y + dy))
+                and grid.ground_at((x + dx, y + dy)) is GroundType.BUILDING
+                for dx, dy, _, _ in DIRECTION_TABLE
+            )
         ]
-        assert GroundType.BUILDING in neighbors
+        assert grid.walker_spawns == tuple(sites)
+        parking = [c for c in cells if grid.ground_at(c) is GroundType.PARKING]
+        assert grid.parking_cells == tuple(parking)
+    assert all(grid.walker_spawns and grid.parking_cells for grid in grids[1:4])
 
 
 def test_driver_spawn_sites_are_road_cells_with_flow():

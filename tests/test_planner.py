@@ -777,15 +777,19 @@ def test_plan_matches_the_reference_kernel(source, seed):
 def test_move_masks_match_the_reference_successors(source):
     # bit k of a cell's mask is set exactly when the reference's successor
     # table has a move in direction k, and each mask's shared moves are its
-    # set bits in NESW order, entering the reference's successor states
+    # set bits in NESW order, entering the reference's successor states; a
+    # driver's risk bytes are the reference's risks, whose turn spots it
+    # finds one cell at a time
     if source == "city":
         grid = generate_layout(LayoutSpec(blocks_x=5, blocks_y=5))
     else:
         rng = random.Random(source)
         grid = random_grid(rng, rng.randint(1, 12), rng.randint(1, 12))
     for kind in ("walker", "driver"):
-        shift, moves, masks, _ = _moves(grid, kind)
-        _, succ, _ = reference._moves(grid, kind)
+        shift, moves, masks, risk = _moves(grid, kind)
+        _, succ, reference_risk = reference._moves(grid, kind)
+        if shift:
+            assert risk == bytes(int(r) for r in reference_risk)
         heading_bits = 3 if shift else 0
         assert len(moves) == 16 and len(masks) == grid.width * grid.height
         for mask, row in enumerate(moves):
