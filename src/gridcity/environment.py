@@ -158,11 +158,11 @@ class GridMap:
     lists of ``costs``.  Tables derived from the layout alone are built and
     shared through ``layout_table``; ``_costs`` holds the map's own cost
     lists.  Spawn sites are computed once at construction: walker sites are
-    the sidewalk cells ``beside`` a building, parking cells the cells of
-    their ground, driver sites are road cells where an inbound lane enters
-    the map (paired with the inbound heading), driver exits are boundary
-    cells whose flow points off the map.  Agents move
-    between cell centers: cell ``(x, y)``'s is ``(x + 0.5, y + 0.5)``.
+    the sidewalk cells ``beside`` a building, parking cells are the PARKING
+    cells, driver sites are road cells where an inbound lane enters the map
+    (paired with the inbound heading), driver exits are boundary cells whose
+    flow points off the map.  Agents move between cell centers: cell
+    ``(x, y)``'s is ``(x + 0.5, y + 0.5)``.
     """
 
     width: int

@@ -16,8 +16,8 @@ cell-level blocking replaced: it scans all four directions of a flat
 ``%`` and ``//``, adds the risk term on every move, finds a driver's turn
 spots one cell at a time (``_turnspot``, in place of the layout's
 ``turnspots`` table), and widens a driver's blocked cells to all four
-heading states.  Its tables are layout tables
-under their own key, read through ``GridMap.layout_table``.
+heading states.  Its tables are layout tables under their own key, read
+through ``GridMap.layout_table``.
 """
 from __future__ import annotations
 
