@@ -22,8 +22,6 @@ from .planner import (
     Plan,
     classify_action,
     default_heading,
-    driver_risk,
-    manhattan,
     plan,
 )
 from .agents import (

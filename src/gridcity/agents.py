@@ -9,9 +9,9 @@ step ``decide`` reads the columns, tests each active agent against the others
 near its window (its next few route cells), and picks exactly one decision
 code per active agent (yield, decelerate, stop, replan, accelerate, proceed).
 ``act`` then applies the codes as array updates and moves every agent with a
-speed from cell center to cell center along its plan.  ``AgentState`` is the
-record of one agent: what ``Population.extend`` takes in and
-``Population.snapshot`` gives out, never a live copy.
+speed from cell center to cell center along its plan.  A spawned agent
+enters as a row of ``Population.extend``; ``AgentState`` is the record of one
+agent that ``Population.snapshot`` gives out, never a live copy.
 """
 from __future__ import annotations
 
@@ -118,33 +118,33 @@ class Population:
     def __len__(self) -> int:
         return len(self.id)
 
-    def extend(self, states) -> None:
-        """Append one row per ``AgentState``, in order; their ids must ascend
-        past every id present."""
-        if not states:
+    def extend(self, rows) -> None:
+        """Append one agent per row ``(id, profile, position, heading, plan,
+        goal)``, in order, as a spawn makes it: active and at rest, with its
+        cursor at 1 and no countdown.  The ids must ascend past every id
+        present."""
+        if not rows:
             return
-        ids = [a.id for a in states]
+        ids, profiles, positions, headings, plans, goals = zip(*rows)
         last = int(self.id[-1]) if len(self.id) else -math.inf
-        if any(b <= a for a, b in zip([last] + ids, ids)):
-            raise ValueError(f"agent ids must ascend past {last}, got {ids}")
-        # one pass over the agents gives each new row's values in column
-        # order, without a plan until _write_plans gives it one
-        rows = [
-            (a.id, a.profile.kind == "driver", a.status, a.position[0],
-             a.position[1], a.speed, a.cursor, a.countdown, a.profile.max_speed, 0)
-            for a in states
-        ]
+        if any(b <= a for a, b in zip((last,) + ids, ids)):
+            raise ValueError(f"agent ids must ascend past {last}, got {list(ids)}")
+        # each column's new values in column order, without a plan until
+        # _write_plans gives it one
+        xs, ys = zip(*positions)
+        values = (ids, [p.kind == "driver" for p in profiles], Status.ACTIVE.value, xs,
+                  ys, 0.0, 1, 0, [p.max_speed for p in profiles], 0)
         n = len(self.id)
-        for (name, dtype), values in zip(self._COLUMNS, zip(*rows)):
+        for (name, dtype), value in zip(self._COLUMNS, values):
             column = np.empty(n + len(rows), dtype)
             column[:n] = getattr(self, name)
-            column[n:] = values
+            column[n:] = value
             setattr(self, name, column)
         self.plans += [None] * len(rows)
-        self.profiles += [a.profile for a in states]
-        self.goals += [a.goal for a in states]
-        self.headings += [a.heading for a in states]
-        self._write_plans(slice(n, None), [a.plan for a in states])
+        self.profiles += profiles
+        self.goals += goals
+        self.headings += headings
+        self._write_plans(slice(n, None), plans)
 
     def _write_plans(self, rows, plans) -> None:
         """Give the rows of the slice ``rows`` the plans ``plans``, each a

@@ -13,9 +13,9 @@ spawns replacements, appended in one go; expired and retired rows leave with
 one mask.  Every plan (spawn, replan, reactivation) avoids
 ``Population.blocking_cells()``, the cells of the parked and collided agents;
 replans and reactivations hand ``plan`` the stored profile, goal and heading
-unchanged.  A spawn draws its site, goal and profile from one per-kind table.
-``World.agents`` is a snapshot of ``AgentState`` records built from the
-population.
+unchanged.  A spawn draws its site, goal and profile from one per-kind table
+and enters the population as a row.  ``World.agents`` is a snapshot of
+``AgentState`` records built from the population.
 A run is fully determined by (config, seed).
 """
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import metrics as metrics_mod
 from .agents import AgentState, Population, Status, act, decide, ranges
-from .environment import Coord, Direction, GridMap, GroundType, place_obstacles
+from .environment import Coord, GridMap, GroundType, place_obstacles
 from .planner import BehaviorProfile, default_heading, plan
 
 # Square agent footprints: half the side length is the effective radius.
@@ -127,8 +127,6 @@ class Event:
 class StepRecord:
     events: list
     frame: metrics_mod.MetricsFrame
-    created: int
-    removed: int
 
 
 def detect_collisions(pop: Population, step: int = 0) -> list[Event]:
@@ -262,10 +260,10 @@ class World:
         return BehaviorProfile(kind=kind, w=float(rng.randint(int(w[0]), int(w[1]))),
                                alpha=rng.uniform(*alpha), max_speed=max_speed)
 
-    def _spawn(self, kind: str, sites: list, blocked: set) -> AgentState | None:
-        """Spawn a ``kind`` agent on a random ``(cell, heading)`` site with a
-        route around ``blocked`` to a random goal; None when 10 draws find no
-        route."""
+    def _spawn(self, kind: str, sites: list, blocked: set) -> tuple | None:
+        """The row ``(id, profile, position, heading, plan, goal)`` of a new
+        ``kind`` agent on a random ``(cell, heading)`` site, with a route around
+        ``blocked`` to a random goal; None when 10 draws find no route."""
         goals = self._spawn_table[kind][1]
         if not sites or not goals:
             return None
@@ -281,18 +279,8 @@ class World:
             )
             if route is None:
                 continue
-            agent = AgentState(
-                id=self._next_id,
-                profile=profile,
-                position=self.grid.center(start),
-                heading=heading,
-                speed=0.0,
-                plan=route,
-                cursor=1,
-                goal=goal,
-            )
             self._next_id += 1
-            return agent
+            return self._next_id - 1, profile, self.grid.center(start), heading, route, goal
         return None
 
     def _log(self, kind: str, rows) -> None:
@@ -303,9 +291,9 @@ class World:
         ids, xs, ys = (column[rows].tolist() for column in (pop.id, pop.x, pop.y))
         self._events.extend(Event(t, kind, (i,), x, y) for i, x, y in zip(ids, xs, ys))
 
-    def _spawn_phase(self) -> int:
+    def _spawn_phase(self) -> None:
         """Spawn this phase's agents, append them to the population at once
-        and log their events; returns how many were spawned."""
+        and log their events."""
         cfg = self.config
         pop = self.population
         blocked = pop.blocking_cells()
@@ -329,51 +317,23 @@ class World:
                 if kind == "driver":
                     # a driver spawns only on a cell that no driver holds
                     sites = [s for s in sites if s[0] not in occupied]
-                agent = self._spawn(kind, sites, blocked)
-                if agent is None:
+                row = self._spawn(kind, sites, blocked)
+                if row is None:
                     self.warnings.append(f"step {self.step_count}: could not spawn "
                                          f"a {kind} (sites exhausted)")
                     continue
-                spawned.append(agent)
+                spawned.append(row)
                 if kind == "driver":
-                    occupied.add(tuple(map(math.floor, agent.position)))  # its start
+                    y, x = divmod(row[4].route[0], self.grid.width)  # its site
+                    occupied.add((x, y))
         pop.extend(spawned)
         self._log("spawn", slice(len(pop) - len(spawned), None))
-        return len(spawned)
 
     @property
     def agents(self) -> dict[int, AgentState]:
         """A snapshot of every agent by id, in id order, built from the
         population's columns; changing it changes nothing in the world."""
         return self.population.snapshot()
-
-    def add(self, agent: AgentState) -> None:
-        """Put a hand-built agent into the world.  It must stand on the grid,
-        its plan must be made for a map of the grid's width, every cell of its
-        plan and its goal must lie on the grid, its cell and its goal must be
-        cells its kind can enter, its heading must be a ``Direction`` or None,
-        a walker cannot be parked, and its id must exceed every id present;
-        agents spawned later are numbered after it."""
-        plan = () if agent.plan is None else agent.plan.cells
-        if agent.plan is not None and agent.plan.width != self.grid.width:
-            raise ValueError(f"agent {agent.id}: its plan is for a map {agent.plan.width} "
-                             f"cells wide, not {self.grid.width}")
-        off = [c for c in (agent.position, *plan, agent.goal)
-               if c is not None and not self.grid.in_bounds(c)]
-        if off:
-            raise ValueError(f"agent {agent.id}: {off[0]} is off the grid")
-        if agent.heading is not None and not isinstance(agent.heading, Direction):
-            raise ValueError(f"agent {agent.id}: its heading must be a Direction or None, "
-                             f"got {agent.heading!r}")
-        if agent.kind == "walker" and agent.status == Status.PARKED:
-            raise ValueError(f"agent {agent.id}: a walker cannot be parked")
-        costs = self.grid.costs(agent.kind)
-        cell = tuple(map(math.floor, agent.position))
-        for c in (cell, agent.goal):
-            if c is not None and math.isinf(costs[c[1] * self.grid.width + c[0]]):
-                raise ValueError(f"agent {agent.id}: a {agent.kind} cannot enter {c}")
-        self.population.extend([agent])
-        self._next_id = max(self._next_id, agent.id + 1)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -454,8 +414,7 @@ class World:
             else:
                 self._log("goal", slice(row, row + 1))
                 gone[row] = True
-        removed = int(np.count_nonzero(gone))
-        if removed:
+        if gone.any():
             pop.keep(~gone)
 
         # iterate: optional random reactivation of parked drivers
@@ -469,14 +428,14 @@ class World:
                         self.reactivate(agent_id, goal)
 
         # iterate: replace departed agents
-        created = self._spawn_phase()
+        self._spawn_phase()
 
         frame, entry_ids = metrics_mod.build_frame(
             t, pop, pre_ids, pre_flat, events, grid, self.heatmaps
         )
         self._log("jaywalk_entry", np.searchsorted(pop.id, entry_ids))
         self._events = []
-        return StepRecord(events, frame, created, removed)
+        return StepRecord(events, frame)
 
 
 @dataclass

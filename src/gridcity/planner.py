@@ -58,15 +58,6 @@ _RISKS = {Action.FORWARD: 0.0, Action.RIGHT_TURN: 1.0, Action.LEFT_TURN: 2.0,
           Action.LANE_CHANGE: 3.0, Action.INVALID_TURN: 5.0, Action.BACKWARD: 20.0}
 
 
-def driver_risk(action: Action) -> float:
-    """Risk of a driver maneuver (Forward 0 ... Backward 20)."""
-    return _RISKS[action]
-
-
-def manhattan(a: Coord, b: Coord) -> int:
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
 @dataclass(frozen=True)
 class BehaviorProfile:
     """Individual agent behavior: heuristic weight, risk sensitivity, speed."""

@@ -1,10 +1,12 @@
 """Shared test fixtures: random grids, tiny hand-written maps, a parking
-city, agent and population factories."""
+city, agent and population factories, and a step's population count."""
 from __future__ import annotations
 
 import math
 import random
 from array import array
+
+import numpy as np
 
 from gridcity.environment import (
     Coord,
@@ -158,8 +160,39 @@ def cell_of(agent: AgentState) -> Coord:
     return (int(math.floor(agent.position[0])), int(math.floor(agent.position[1])))
 
 
+def place(pop: Population, agents) -> Population:
+    """Append hand-built agents, in ascending id order past every id present,
+    to ``pop``: extend it with their rows, which carry the positions, then
+    write each agent's status, speed, cursor and countdown into its row."""
+    agents = list(agents)
+    rows = slice(len(pop), None)
+    pop.extend([(a.id, a.profile, a.position, a.heading, a.plan, a.goal) for a in agents])
+    for name in ("status", "speed", "cursor", "countdown"):
+        getattr(pop, name)[rows] = [getattr(a, name) for a in agents]
+    return pop
+
+
+def add_agent(world, agent: AgentState) -> None:
+    """Place a hand-built agent in ``world``'s population; agents spawned
+    later are numbered after it."""
+    place(world.population, [agent])
+    world._next_id = max(world._next_id, agent.id + 1)
+
+
+def step_counted(world):
+    """Step ``world`` once.  Returns ``(record, change, counted)``: how many
+    agents the population gained, and how many this step's ``spawn`` events,
+    less its ``goal`` events and the collided rows of the pre-step population
+    whose countdown runs out, say it gained."""
+    pop = world.population
+    before = len(pop)
+    expiring = int(np.count_nonzero((pop.status == Status.COLLIDED) & (pop.countdown <= 1)))
+    record = world.step()
+    kinds = [e.kind for e in record.events if e.step == world.step_count]
+    counted = kinds.count("spawn") - kinds.count("goal") - expiring
+    return record, len(world.population) - before, counted
+
+
 def population(agents) -> Population:
     """The agents, in ascending id order, as the columns of a Population."""
-    pop = Population()
-    pop.extend(list(agents))
-    return pop
+    return place(Population(), agents)

@@ -10,7 +10,11 @@ import heapq
 import math
 
 from gridcity.environment import Direction, DIRECTION_TABLE, GridMap
-from gridcity.planner import classify_action, driver_risk
+from gridcity.planner import Action, classify_action
+
+# the risk of each driver maneuver (Forward 0 ... Backward 20)
+RISKS = {Action.FORWARD: 0, Action.RIGHT_TURN: 1, Action.LEFT_TURN: 2,
+         Action.LANE_CHANGE: 3, Action.INVALID_TURN: 5, Action.BACKWARD: 20}
 
 
 def walker_dijkstra(grid: GridMap, start, goal, blocked=frozenset()):
@@ -68,7 +72,7 @@ def driver_dijkstra(grid: GridMap, start, goal, alpha=0.0, heading=None,
             if c == math.inf:
                 continue
             action = classify_action(grid, cell, to, hd)
-            nd = d + c + alpha * driver_risk(action)
+            nd = d + c + alpha * RISKS[action]
             state = (to, direction)
             if nd < dist.get(state, math.inf):
                 dist[state] = nd

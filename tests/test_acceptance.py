@@ -17,7 +17,7 @@ from gridcity.cli import SUMMARY_METRICS, Scenario, execute_sweep, load_config, 
 from gridcity.engine import SimConfig, World, detect_collisions, run
 from gridcity.environment import ROAD_FAMILY, GroundType, LayoutSpec, generate_layout
 from gridcity.planner import BehaviorProfile, plan
-from helpers import make_agent, population, random_grid, traversable_cells
+from helpers import make_agent, population, random_grid, step_counted, traversable_cells
 from oracle import oracle_cost
 
 TWO_BLOCKS = LayoutSpec(blocks_x=2, blocks_y=2)
@@ -264,7 +264,8 @@ def test_08_sweep_determinism(tmp_path):
 
 
 def test_09_conservation_invariants():
-    """Occupancy increments equal active counts; created - removed = delta."""
+    """Occupancy increments equal active counts; the population changes by
+    each step's spawns, less its goals and its expired collisions."""
     grid = generate_layout(TWO_BLOCKS)
     cfg = SimConfig(
         steps=200, walkers=15, drivers=10, obstruction=0.05, walker_w=(1, 3),
@@ -275,14 +276,13 @@ def test_09_conservation_invariants():
     for _ in range(200):
         walkers_before = world.heatmaps.walker_occupancy.sum()
         drivers_before = world.heatmaps.driver_occupancy.sum()
-        present_before = len(world.agents)
-        record = world.step()
+        record, change, counted = step_counted(world)
         frame = record.frame
         if world.heatmaps.walker_occupancy.sum() - walkers_before != frame.active_walkers:
             violations += 1
         if world.heatmaps.driver_occupancy.sum() - drivers_before != frame.active_drivers:
             violations += 1
-        if len(world.agents) - present_before != record.created - record.removed:
+        if change != counted:
             violations += 1
     ok = violations == 0
     report("C9 conservation invariants", ok, "200 steps, exact")

@@ -12,8 +12,9 @@ from gridcity.agents import Decision, Status, act, decide
 from gridcity.engine import detect_collisions
 from gridcity.environment import Direction, GridMap
 from gridcity.metrics import HeatmapSet, build_frame
+from gridcity.planner import BehaviorProfile
 from helpers import (
-    cell_of, grid_of, make_agent, population, random_grid, rows_of, straight_plan,
+    cell_of, grid_of, make_agent, place, population, random_grid, rows_of, straight_plan,
 )
 import reference
 from reference import react_driver, react_walker, sense
@@ -28,8 +29,10 @@ def test_agent_cell_floors_positions():
 
 def test_extend_refuses_ids_that_do_not_ascend():
     pop = population([])
+    walker = BehaviorProfile(kind="walker")
     with pytest.raises(ValueError, match="ascend"):
-        pop.extend([make_agent(3, "walker", (0.5, 0.5)), make_agent(2, "walker", (1.5, 0.5))])
+        pop.extend([(3, walker, (0.5, 0.5), None, None, None),
+                    (2, walker, (1.5, 0.5), None, None, None)])
     assert len(pop) == 0
 
 
@@ -74,7 +77,7 @@ def test_snapshot_returns_each_agent_as_it_went_in():
         len(agents) + 1, "driver", (4.5, 0.5), straight_plan([(4, 0), (5, 0)], grid.width),
         heading=E, w=2.0,
     )
-    pop.extend([newcomer])
+    place(pop, [newcomer])
     assert_round_trip(kept + [newcomer])
 
 
@@ -399,7 +402,7 @@ def test_columns_step_like_the_per_agent_reference(
             )
             next_id += 1
             ref.append(copy.deepcopy(newcomer))
-            pop.extend([newcomer])
+            place(pop, [newcomer])
 
         frame, entries = build_frame(step, pop, pre_ids, pre_flat, events, grid, heat)
         frame_ref, entries_ref = reference.build_frame(

@@ -1,10 +1,12 @@
 import dataclasses
 import hashlib
+import importlib.util
 import math
 import random
 import re
 import statistics
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,10 @@ from gridcity.metrics import (
     render_heatmap_csv,
     render_metrics_csv,
 )
-from helpers import cell_of, grid_of, make_agent, parking_2x2, population, straight_plan
+from helpers import (
+    add_agent, cell_of, grid_of, make_agent, parking_2x2, population, step_counted,
+    straight_plan,
+)
 from test_digests import SCENARIOS
 
 SMALL = LayoutSpec(blocks_x=2, blocks_y=2)
@@ -190,7 +195,6 @@ def test_empty_world_step_advances_counter_only():
     record = world.step()
     assert record.frame.step == 1
     assert record.events == []
-    assert record.created == record.removed == 0
     assert world.agents == {}
 
 
@@ -218,8 +222,8 @@ def test_replan_onto_own_goal_cell_retires_walker_same_step(monkeypatch):
     )
     blocker = make_agent(2, "walker", (1.7, 0.5), None, status=Status.COLLIDED)
     blocker.countdown = 5
-    world.add(walker)
-    world.add(blocker)
+    add_agent(world, walker)
+    add_agent(world, blocker)
     # the walker's state after acting, before the goal pass retires it
     acted = {}
 
@@ -234,7 +238,6 @@ def test_replan_onto_own_goal_cell_retires_walker_same_step(monkeypatch):
     assert walker.cursor == 1
     assert [(e.kind, e.agents) for e in record.events] == [("replan", (1,)), ("goal", (1,))]
     assert list(world.agents) == [2]
-    assert record.removed == 1
 
 
 def test_driver_parks_on_parking_goal_and_reactivates():
@@ -280,99 +283,18 @@ def test_reactivate_unreachable_goal_reports_failure():
     cfg = SimConfig(steps=1, drivers=0, seed=0)
     world = World(grid, cfg)
     driver = make_agent(7, "driver", grid.center((2, 0)), None, status=Status.PARKED)
-    world.add(driver)
+    add_agent(world, driver)
     assert world.reactivate(7, (3, 1)) is False
     assert world.agents[7].status is Status.PARKED
 
 
 def test_add_refuses_an_id_not_above_the_ids_present():
     world = World(small_grid(), SimConfig(steps=1, drivers=0, seed=0))
-    world.add(make_agent(5, "walker", (0.5, 0.5)))
+    add_agent(world, make_agent(5, "walker", (0.5, 0.5)))
     for agent_id in (3, 5):
         with pytest.raises(ValueError, match="ascend"):
-            world.add(make_agent(agent_id, "walker", (0.5, 0.5)))
+            add_agent(world, make_agent(agent_id, "walker", (0.5, 0.5)))
     assert list(world.agents) == [5]
-
-
-@pytest.mark.parametrize(
-    "position, cells, goal, named",
-    [
-        ((1000.5, 0.5), None, None, "(1000.5, 0.5)"),
-        ((math.nan, 0.5), None, None, "(nan, 0.5)"),
-        ((-0.5, 0.5), None, None, "(-0.5, 0.5)"),
-        # a plan cell off the grid; its goal, the plan's last cell, is off too.
-        # A flat route holds a cell of any row but only of the map's columns
-        ((0.5, 0.5), [(0, 0), (0, 1), (0, 5000)], None, "(0, 5000)"),
-        ((0.5, 0.5), [(0, 0), (0, -1), (0, -2)], (0, -2), "(0, -1)"),
-        ((0.5, 0.5), None, (0, 5000), "(0, 5000)"),
-    ],
-    ids=["position0", "position1", "position2", "plan_cell", "plan_to_goal", "goal"],
-)
-def test_add_refuses_an_agent_off_the_grid(position, cells, goal, named):
-    world = World(small_grid(), SimConfig(steps=1, drivers=0, seed=0))
-    plan = None if cells is None else straight_plan(cells, world.grid.width)
-    with pytest.raises(ValueError, match=re.escape(named) + ".* off the grid"):
-        world.add(make_agent(1, "driver", position, plan, goal=goal))
-    assert world.agents == {}
-    world.step()
-
-
-def test_add_refuses_a_plan_made_for_another_width():
-    # a route is flat cells of a map of the plan's width, which a step reads
-    # as cells of the world's grid
-    world = World(small_grid(), SimConfig(steps=1, drivers=0, seed=0))
-    width = world.grid.width
-    wider = straight_plan([(0, 0), (1, 0)], width + 1)
-    with pytest.raises(ValueError, match=rf"^agent 1: its plan is for a map {width + 1} "
-                                         rf"cells wide, not {width}$"):
-        world.add(make_agent(1, "walker", (0.5, 0.5), wider, goal=(1, 0)))
-    assert world.agents == {}
-    world.step()
-
-
-@pytest.mark.parametrize("heading", [1, -1, True])
-def test_add_refuses_a_heading_that_is_no_direction(heading):
-    grid = small_grid()
-    world = World(grid, SimConfig(steps=1, drivers=0, seed=0))
-    driver = make_agent(1, "driver", grid.center(grid.driver_spawns[0][0]), heading=heading)
-    with pytest.raises(ValueError, match=re.escape(
-            f"agent 1: its heading must be a Direction or None, got {heading!r}")):
-        world.add(driver)
-    assert world.agents == {}
-    world.step()
-
-
-def test_add_refuses_a_parked_walker():
-    # only a driver parks, and only a parked driver is reactivated
-    grid = parking_2x2()
-    world = World(grid, SimConfig(steps=1, reactivation_prob=1.0, seed=0))
-    walker = make_agent(1, "walker", grid.center(grid.walker_spawns[0]), status=Status.PARKED)
-    with pytest.raises(ValueError, match=r"^agent 1: a walker cannot be parked$"):
-        world.add(walker)
-    assert world.agents == {}
-    world.step()
-
-
-@pytest.mark.parametrize("kind, position, goal, named", [
-    ("driver", (1.5, 0.5), None, "(1, 0)"),
-    ("driver", (3.5, 0.5), (1, 0), "(1, 0)"),
-    ("walker", (0.5, 0.5), None, "(0, 0)"),
-    ("walker", (1.5, 0.5), (0, 0), "(0, 0)"),
-    ("walker", (2.5, 0.5), None, "(2, 0)"),
-    ("walker", (1.5, 0.5), (2, 0), "(2, 0)"),
-], ids=["driver_on_sidewalk", "driver_to_sidewalk", "walker_on_building",
-        "walker_to_building", "walker_on_obstacle", "walker_to_obstacle"])
-def test_add_refuses_an_agent_on_or_bound_for_a_cell_its_kind_cannot_enter(
-        kind, position, goal, named):
-    # a building, a sidewalk, an obstructed sidewalk, then a street holding a
-    # parked driver, which a step would plan around
-    grid = grid_of("b-- s-- s-- rE- rE-").with_obstacles([(2, 0)])
-    world = World(grid, SimConfig(steps=1, seed=0))
-    world.add(make_agent(1, "driver", (4.5, 0.5), status=Status.PARKED))
-    with pytest.raises(ValueError, match=f"^agent 2: a {kind} cannot enter {re.escape(named)}$"):
-        world.add(make_agent(2, kind, position, goal=goal))
-    assert list(world.agents) == [1]
-    world.step()
 
 
 def test_reactivation_on_a_map_without_parking_is_refused():
@@ -395,8 +317,8 @@ def test_collision_countdown_removes_after_exact_delay():
     world = World(grid, cfg)
     a = make_agent(1, "driver", (2.2, 0.5), None)
     b = make_agent(2, "driver", (2.6, 0.5), None)
-    world.add(a)
-    world.add(b)
+    add_agent(world, a)
+    add_agent(world, b)
     record = world.step()
     kinds = [e.kind for e in record.events]
     assert kinds.count("collision_vv") == 1
@@ -480,19 +402,39 @@ def test_walker_max_speed_applied():
 
 
 def test_conservation_every_step():
+    # the population changes by this step's spawns, less its goals and its
+    # expired collisions; on the parking city drivers also park and reactivate
     cfg = SimConfig(steps=60, walkers=12, drivers=8, obstruction=0.05,
                     walker_w=(1, 3), seed=9)
-    world = World(small_grid(), cfg)
-    for _ in range(60):
-        before = len(world.agents)
+    for grid, config in ((small_grid(), cfg),
+                         (parking_2x2(), dataclasses.replace(cfg, reactivation_prob=0.2))):
+        world = World(grid, config)
+        for _ in range(60):
+            _, change, counted = step_counted(world)
+            assert change == counted, world.step_count
+
+
+def test_perfbench_step_observer_counts_active_agents_and_refused_spawns():
+    # perfbench's traced runs read a step's active agents and its refused
+    # spawns (the world's warnings) through this observer
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", Path(__file__).parents[1] / "perfbench" / "layers.py")
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    observe = layers.observers(Status)["engine.step"]
+    # one driver site, so a target of three refuses a spawn every step
+    world = World(grid_of("rE- rE- rE- rE-"), SimConfig(steps=6, drivers=3, seed=0))
+    for _ in range(6):
         record = world.step()
-        after = len(world.agents)
-        assert after - before == record.created - record.removed
+        wid, active, _, refused = observe((world,), {}, record)
+        assert wid == id(world)
+        assert active == np.count_nonzero(world.population.status == Status.ACTIVE) > 0
+        assert refused == len(world.warnings) > world.step_count
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_no_step_puts_an_active_agent_on_a_cell_its_kind_cannot_enter(name):
-    # what World.add refuses on entry, a step never makes
+    # no step puts an agent where its kind cannot go
     make_grid, config, _ = SCENARIOS[name]
     world = World(make_grid(), config)
     grid = world.grid
@@ -607,7 +549,7 @@ def test_automatic_reactivation_policy():
     cfg = SimConfig(steps=1, drivers=0, reactivation_prob=1.0, seed=0)
     world = World(grid, cfg)
     parked = make_agent(5, "driver", grid.center((2, 0)), None, status=Status.PARKED)
-    world.add(parked)
+    add_agent(world, parked)
     saw_reactivate = False
     for _ in range(10):
         record = world.step()

@@ -17,14 +17,13 @@ from gridcity.environment import (
     generate_layout,
     place_obstacles,
 )
+from gridcity import planner
 from gridcity.planner import (
     Action,
     BehaviorProfile,
     Plan,
     classify_action,
     default_heading,
-    driver_risk,
-    manhattan,
     plan,
     _MEMO_SIZE,
     _build_moves,
@@ -32,38 +31,17 @@ from gridcity.planner import (
     _moves,
 )
 from helpers import grid_of, random_grid, random_instance, route_actions, traversable_cells
-from oracle import oracle_cost
+from oracle import RISKS, oracle_cost
 import reference
 
 N, E, S, W = Direction.NORTH, Direction.EAST, Direction.SOUTH, Direction.WEST
-
-
-# -- heuristic ----------------------------------------------------------------
-
-
-def test_manhattan_values():
-    assert manhattan((0, 0), (3, 4)) == 7
-    assert manhattan((5, 5), (5, 5)) == 0
-
-
-def test_manhattan_symmetry():
-    rng = random.Random(3)
-    for _ in range(100):
-        a = (rng.randint(-50, 50), rng.randint(-50, 50))
-        b = (rng.randint(-50, 50), rng.randint(-50, 50))
-        assert manhattan(a, b) == manhattan(b, a)
 
 
 # -- risk tables ---------------------------------------------------------------
 
 
 def test_driver_risk_table():
-    assert driver_risk(Action.FORWARD) == 0
-    assert driver_risk(Action.RIGHT_TURN) == 1
-    assert driver_risk(Action.LEFT_TURN) == 2
-    assert driver_risk(Action.LANE_CHANGE) == 3
-    assert driver_risk(Action.INVALID_TURN) == 5
-    assert driver_risk(Action.BACKWARD) == 20
+    assert planner._RISKS == RISKS
 
 
 def test_profile_validation():
@@ -292,7 +270,7 @@ def test_plan_cells_are_adjacent_and_finite():
         assert route.cells[0] == start
         assert route.cells[-1] == goal
         for a, b in zip(route.cells, route.cells[1:]):
-            assert manhattan(a, b) == 1
+            assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
         for cell in route.cells:
             assert cost[cell[1] * grid.width + cell[0]] != math.inf
     assert found > 5
@@ -924,7 +902,7 @@ def test_plan_trace_records_expansions(case):
                     if profile.kind == "walker":
                         risk = 0.0  # no walker move carries risk
                     else:
-                        risk = driver_risk(classify_action(grid, (px, py), (x, y), hd))
+                        risk = RISKS[classify_action(grid, (px, py), (x, y), hd)]
                     if r == risk and g == pg + cost[y * grid.width + x] + profile.alpha * r:
                         entered.add(d)
         assert entered, trace[j]
