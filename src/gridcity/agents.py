@@ -212,6 +212,16 @@ class Population:
         return out
 
 
+def _reach(r: float) -> int:
+    """The fewest cells ``k`` such that an agent ``k + 1`` or more cells off
+    along x or y from a cell fails the test ``dx*dx + dy*dy < r*r`` against
+    that cell's center, ``ceil(r + 0.5) - 1`` up to the rounding of the sum."""
+    k = math.ceil(r + 0.5) - 1
+    # such an agent has |dx| or |dy| of at least k + 0.5; should r + 0.5
+    # round down onto an integer, that square can still fall short of r*r
+    return k + ((k + 0.5) * (k + 0.5) < r * r)
+
+
 def decide(
     pop: Population, grid: GridMap, lookahead: int, radius: float, yield_radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -242,10 +252,10 @@ def decide(
 
     No walker rule reads an active walker, so a walker does not test them.
     Only the others on the cells of the window's bounding box widened by the
-    agent's ``ceil(reach)`` are tested, found per box row from a counting
-    sort of the population by flat cell.  The bound is exact because every
-    cell center ``c + 0.5`` lies inside its cell: a point closer than ``r``
-    to it lies on a cell within ``c +- ceil(r)``.
+    agent's reach are tested, found per box row from a counting sort of the
+    population by flat cell.  The reach is exact: a point strictly closer
+    than ``r`` to a cell center ``c + 0.5`` lies on a cell within
+    ``c +- (ceil(r + 0.5) - 1)`` (``_reach``).
     Distances are ``dx*dx + dy*dy`` in float64, in the same order as a
     per-agent loop.
     """
@@ -291,8 +301,8 @@ def decide(
     span = max(width, grid.height)
     reach = np.where(
         driving,
-        min(math.ceil(max(radius, yield_radius)), span),
-        min(math.ceil(radius), span),
+        min(_reach(max(radius, yield_radius)), span),
+        min(_reach(radius), span),
     )
     x0 = np.maximum(win_x.min(1) - reach, 0)
     x1 = np.minimum(win_x.max(1) + reach, width - 1)

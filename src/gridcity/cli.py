@@ -18,7 +18,6 @@ import os
 import pickle
 import selectors
 import sys
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -430,6 +429,10 @@ def _run_task(scenario: Scenario, point: dict, seed: int, out_dir: str) -> TaskO
         values = tuple(getattr(result, attr) for _, attr in SUMMARY_METRICS)
         return TaskOutcome(point=point, seed=seed, ok=True, values=values)
     except Exception as exc:  # noqa: BLE001 - the sweep must keep going
+        # imported here, not with the module: only a failed run needs it, and
+        # a sweep's forked workers hold a copy of what the parent imported
+        import traceback
+
         return _failed((scenario, point, seed, out_dir), str(exc),
                        f"\n{traceback.format_exc()}")
 
@@ -486,6 +489,8 @@ def _work(tasks: list, orders: int, report: int):
                 out.flush()
         code = 0
     except BaseException:
+        import traceback
+
         traceback.print_exc()
         sys.stderr.flush()
     finally:

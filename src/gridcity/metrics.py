@@ -117,37 +117,48 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def render_metrics_csv(frames) -> str:
+def render_metrics_csv(frames):
+    """``metrics.csv`` as text chunks: the header, then one line per frame."""
     row = attrgetter(*METRICS_COLUMNS)
-    lines = [",".join(METRICS_COLUMNS)]
+    yield ",".join(METRICS_COLUMNS) + "\n"
     for f in frames:
-        lines.append(",".join(_fmt(v) for v in row(f)))
-    return "\n".join(lines) + "\n"
+        yield ",".join(_fmt(v) for v in row(f)) + "\n"
 
 
-def render_events_csv(events) -> str:
-    lines = [",".join(EVENT_COLUMNS)]
-    for e in events:
-        a = e.agents[0] if len(e.agents) > 0 else ""
-        b = e.agents[1] if len(e.agents) > 1 else ""
-        lines.append(f"{e.step},{e.kind},{a},{b},{_fmt(e.x)},{_fmt(e.y)}")
-    return "\n".join(lines) + "\n"
+#: Events per ``events.csv`` chunk: a write per line costs a call per event,
+#: and one chunk for the whole log holds it all as text.
+_EVENT_BLOCK = 1000
 
 
-def render_heatmap_csv(table: np.ndarray) -> str:
-    """One ``x,y,value`` row per cell of a ``[y, x]`` table: integer tables
-    print as integers, float tables as the ``repr`` of each float."""
+def _event_line(e) -> str:
+    a = e.agents[0] if len(e.agents) > 0 else ""
+    b = e.agents[1] if len(e.agents) > 1 else ""
+    return f"{e.step},{e.kind},{a},{b},{_fmt(e.x)},{_fmt(e.y)}\n"
+
+
+def render_events_csv(events):
+    """``events.csv`` as text chunks: the header, then blocks of up to
+    ``_EVENT_BLOCK`` lines."""
+    yield ",".join(EVENT_COLUMNS) + "\n"
+    for i in range(0, len(events), _EVENT_BLOCK):
+        yield "".join(map(_event_line, events[i:i + _EVENT_BLOCK]))
+
+
+def render_heatmap_csv(table: np.ndarray):
+    """One ``x,y,value`` line per cell of a ``[y, x]`` table, as text chunks:
+    the header, then one grid row at a time.  Integer tables print as
+    integers, float tables as the ``repr`` of each float."""
     fmt = repr if table.dtype.kind == "f" else str
-    lines = ["x,y,value"]
-    for y, row in enumerate(table.tolist()):
-        for x, value in enumerate(row):
-            lines.append(f"{x},{y},{fmt(value)}")
-    return "\n".join(lines) + "\n"
+    yield "x,y,value\n"
+    for y, row in enumerate(table):
+        yield "".join([f"{x},{y},{fmt(value)}\n" for x, value in enumerate(row.tolist())])
 
 
 def export_run(result, out_dir) -> list[Path]:
     """Write metrics.csv, events.csv and one heatmap CSV per layer.
 
+    Each file is written from its ``render_*_csv`` chunks as they are made,
+    so the export holds at most one grid row or one block of events as text.
     Output bytes are a pure function of the result, so re-exporting the same
     run reproduces identical files.  A directory or file that cannot be
     written raises pathlib's OSError unchanged; it names the path.
@@ -156,9 +167,10 @@ def export_run(result, out_dir) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = []
 
-    def write(name: str, content: str) -> None:
+    def write(name: str, chunks) -> None:
         path = out / name
-        path.write_text(content, encoding="utf-8", newline="\n")
+        with path.open("w", encoding="utf-8", newline="\n") as f:
+            f.writelines(chunks)
         paths.append(path)
 
     write("metrics.csv", render_metrics_csv(result.frames))

@@ -240,6 +240,10 @@ def _random_population(rng: random.Random, grid: GridMap) -> list:
 # a radius far beyond the grid searches each box row once, clipped to the grid
 @example(seed=5, radius=1e6, yield_radius=1.5, lookahead=4)
 @example(seed=5, radius=1.5, yield_radius=1e300, lookahead=6)
+# radii where r + 0.5 is an integer, the edge of the reach of a box
+@example(seed=3, radius=0.5, yield_radius=1.5, lookahead=3)
+@example(seed=8, radius=1.5, yield_radius=2.5, lookahead=4)
+@example(seed=13, radius=2.5, yield_radius=0.5, lookahead=5)
 def test_decide_matches_the_per_agent_reference(seed, radius, yield_radius, lookahead):
     rng = random.Random(seed)
     rows = [
@@ -484,6 +488,20 @@ def test_driver_yields_for_sidewalk_pedestrian_near_zebra():
     # not below the sensing radius 1.0 of any window cell
     walker = make_agent(2, "walker", (2.5, 1.5), None, max_speed=1.0)
     assert decisions([driver, walker], grid)[1] is Decision.YIELD
+
+
+@pytest.mark.parametrize("yield_radius, walker_y, expected", [
+    (1.5, 2.0, Decision.ACCELERATE),  # exactly 1.5 from the zebra's centre
+    (1.5, 1.999, Decision.YIELD),
+    # 2.25 < 1.5000000000000002**2, though 1.5000000000000002 + 0.5 == 2.0
+    (math.nextafter(1.5, math.inf), 2.0, Decision.YIELD),
+])
+def test_driver_yields_only_strictly_inside_the_yield_radius(yield_radius, walker_y,
+                                                             expected):
+    grid = grid_of("rE- rE- zE- rE-", "s-- s-- s-- s--", "s-- s-- s-- s--")
+    driver = eastbound_driver(1, 0, grid, length=4)
+    walker = make_agent(2, "walker", (2.5, walker_y), None, max_speed=1.0)
+    assert decisions([driver, walker], grid, yield_radius=yield_radius)[1] is expected
 
 
 def test_driver_decelerates_behind_agent():

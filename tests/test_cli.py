@@ -1272,7 +1272,9 @@ def test_sweep_command_reports_a_failed_point_and_exits_1(tmp_path):
     assert result.exit_code == 1
     assert "2 sweep points, 2 runs, 1 failed" in result.stdout
     assert f"failed: w2_d0_o100 seed 1: {OVERFULL}\n" in result.stderr
-    assert OVERFULL in (out / "w2_d0_o100" / "seed1" / "error.txt").read_text()
+    error = (out / "w2_d0_o100" / "seed1" / "error.txt").read_text()
+    assert OVERFULL in error
+    assert "Traceback (most recent call last)" in error  # imported only to write it
     assert (out / "w2_d0_o0" / "seed1" / "metrics.csv").is_file()
     summary = (out / "summary.csv").read_text().splitlines()
     assert [line.split(",")[:4] for line in summary[1:]] == [
@@ -1707,12 +1709,13 @@ def test_a_bad_scenario_file_exits_2_in_one_line(tmp_path, text, prefix):
 
 
 def _heavy_modules_after(code: str, *args: str) -> str:
-    """Which of click, multiprocessing, PyYAML and statistics a fresh
-    interpreter has loaded after running ``code`` with ``args`` as
+    """Which of click, multiprocessing, PyYAML, statistics and traceback a
+    fresh interpreter has loaded after running ``code`` with ``args`` as
     ``sys.argv[1:]``."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    code += "; print(sorted({'click', 'multiprocessing', 'yaml', 'statistics'} & set(sys.modules)))"
+    heavy = "{'click', 'multiprocessing', 'yaml', 'statistics', 'traceback'}"
+    code += f"; print(sorted({heavy} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
@@ -1731,8 +1734,9 @@ def test_the_python_api_loads_neither_click_nor_yaml():
 
 
 def test_a_run_loads_neither_yaml_nor_statistics(tmp_path):
-    # what a sweep's worker does: config.yaml is written without PyYAML, and
-    # statistics is the summary's, which only the sweep's parent writes
+    # what a sweep's worker does: config.yaml is written without PyYAML,
+    # statistics is the summary's, which only the sweep's parent writes, and
+    # traceback is only a failed run's
     code = ("import sys; from gridcity import LayoutSpec, SimConfig; "
             "from gridcity.cli import Scenario, execute_run; "
             "execute_run(Scenario(sim=SimConfig(steps=2, walkers=2, drivers=1), "

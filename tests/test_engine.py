@@ -472,18 +472,19 @@ def test_run_deterministic_outputs():
     grid = small_grid()
     a = run(cfg, grid)
     b = run(cfg, small_grid())
-    assert render_metrics_csv(a.frames) == render_metrics_csv(b.frames)
-    assert render_events_csv(a.events) == render_events_csv(b.events)
+    assert "".join(render_metrics_csv(a.frames)) == "".join(render_metrics_csv(b.frames))
+    assert "".join(render_events_csv(a.events)) == "".join(render_events_csv(b.events))
     for kind in ("driver_occupancy", "driver_speed_sum", "walker_occupancy", "jaywalk"):
         table = getattr(a.heatmaps, kind)
-        assert render_heatmap_csv(table) == render_heatmap_csv(getattr(b.heatmaps, kind))
+        assert ("".join(render_heatmap_csv(table))
+                == "".join(render_heatmap_csv(getattr(b.heatmaps, kind))))
 
 
 def test_different_seeds_differ():
     grid = small_grid()
     a = run(SimConfig(steps=30, walkers=10, drivers=5, seed=1), grid)
     b = run(SimConfig(steps=30, walkers=10, drivers=5, seed=2), grid)
-    assert render_events_csv(a.events) != render_events_csv(b.events)
+    assert "".join(render_events_csv(a.events)) != "".join(render_events_csv(b.events))
 
 
 # A run with targets, and one with arrival rates instead, on a map with

@@ -1,15 +1,20 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gridcity.agents import Status
-from gridcity.engine import Event, SimConfig, World, run
+from gridcity.engine import Event, SimConfig, SimulationResult, World, run
 from gridcity.environment import LayoutSpec, ROAD_FAMILY, generate_layout
 from gridcity.metrics import (
     HeatmapSet,
+    MetricsFrame,
     build_frame,
     export_run,
+    render_events_csv,
+    render_heatmap_csv,
+    render_metrics_csv,
 )
 from helpers import grid_of, make_agent, population
 
@@ -212,3 +217,36 @@ def test_mean_speed_none_written_as_empty_field(tmp_path):
     lines = export_run(result, tmp_path)[0].read_text().splitlines()
     # mean_driver_speed column stays empty when no driver is active
     assert lines[1].split(",")[3] == ""
+
+
+def test_export_holds_one_grid_row_at_a_time(tmp_path):
+    # a 289x289 map, whose heatmap CSVs built whole peak at over 11 MB
+    grid = generate_layout(LayoutSpec(blocks_x=15, blocks_y=15))
+    assert (grid.width, grid.height) == (289, 289)
+    heat = HeatmapSet.create(grid)
+    rng = np.random.default_rng(1)
+    shape = heat.driver_occupancy.shape
+    heat.driver_occupancy[:] = rng.integers(0, 400, shape)
+    heat.driver_speed_sum[:] = heat.driver_occupancy * rng.random(shape)
+    heat.walker_occupancy[:] = rng.integers(0, 400, shape)
+    heat.jaywalk[:] = rng.integers(0, 40, shape)
+    frames = [MetricsFrame(t, 200, 100, t / 7 if t % 5 else None, 1, 3, 0, t % 2)
+              for t in range(1000)]
+    events = [Event(t // 3, "replan", (t,), t / 9, 0.5) for t in range(3500)]
+    result = SimulationResult(SimConfig(), frames, events, heat)
+    tracemalloc.start()
+    try:
+        paths = export_run(result, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000
+    mean = np.divide(heat.driver_speed_sum, heat.driver_occupancy,
+                     out=np.zeros(shape), where=heat.driver_occupancy > 0)
+    texts = [render_metrics_csv(frames), render_events_csv(events)] + [
+        render_heatmap_csv(table)
+        for table in (heat.driver_occupancy, mean, heat.walker_occupancy, heat.jaywalk)
+    ]
+    assert [p.name for p in paths][:2] == ["metrics.csv", "events.csv"]
+    for path, chunks in zip(paths, texts, strict=True):
+        assert path.read_text(encoding="utf-8") == "".join(chunks), path.name
