@@ -1274,7 +1274,7 @@ def test_sweep_command_reports_a_failed_point_and_exits_1(tmp_path):
     assert f"failed: w2_d0_o100 seed 1: {OVERFULL}\n" in result.stderr
     error = (out / "w2_d0_o100" / "seed1" / "error.txt").read_text()
     assert OVERFULL in error
-    assert "Traceback (most recent call last)" in error  # imported only to write it
+    assert "Traceback (most recent call last)" in error  # imported only when a run fails
     assert (out / "w2_d0_o0" / "seed1" / "metrics.csv").is_file()
     summary = (out / "summary.csv").read_text().splitlines()
     assert [line.split(",")[:4] for line in summary[1:]] == [
