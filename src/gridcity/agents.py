@@ -2,16 +2,17 @@
 rules, and kinematics.
 
 The population is one ``Population``, one row per agent in ascending id
-order: numpy columns for what the array passes read and write, and per-row
-lists of the plans and of the objects ``plan`` takes (profile, goal,
-heading).  Floor cells are computed from the positions, not stored.  Each
-step ``decide`` reads the columns, tests each active agent against the others
-near its window (its next few route cells), and picks exactly one decision
-code per active agent (yield, decelerate, stop, replan, accelerate, proceed).
-``act`` then applies the codes as array updates and moves every agent with a
-speed from cell center to cell center along its plan.  A spawned agent
-enters as a row of ``Population.extend``; ``AgentState`` is the record of one
-agent that ``Population.snapshot`` gives out, never a live copy.
+order: numpy columns for what the array passes read and write, a driver's
+heading among them, and per-row lists of the plans and of the objects
+``plan`` takes (profile, goal).  Floor cells are computed from the positions,
+not stored.  Each step ``decide`` reads the columns, tests each active agent
+against the others near its window (its next few route cells), and picks
+exactly one decision code per active agent (yield, decelerate, stop, replan,
+accelerate, proceed).  ``act`` then applies the codes as array updates and
+moves every agent with a speed from cell center to cell center along its
+plan.  A spawned agent enters as a row of ``Population.extend``;
+``AgentState`` is the record of one agent that ``Population.snapshot`` gives
+out, never a live copy.
 """
 from __future__ import annotations
 
@@ -91,23 +92,23 @@ class Population:
     A fact is a numpy column only when an array pass reads or writes it:
     ``id``; ``driver``, the kind (False for a walker); ``status``, a
     ``Status`` code; ``x`` and ``y``, the position; ``speed``; ``cursor``,
-    the index of the next plan cell to reach; ``countdown``; ``max_speed``;
-    and ``plan_len``, the length of the row's plan (0 without one).  The
-    facts ``plan`` takes are kept per row as the objects it takes, in four
-    lists: ``plans``, each row's ``Plan`` or None, whose flat ``route`` is the
-    one copy of its cells;
-    ``profiles``, the ``BehaviorProfile`` the agent spawned with; ``goals``,
-    an ``(x, y)`` cell or None; and ``headings``, a ``Direction`` or None.
-    A row's floor cell is computed from ``x`` and ``y`` where it is needed.
+    the index of the next plan cell to reach; ``heading``, a ``Direction``
+    value, -1 for none, as for a walker; ``countdown``; ``max_speed``; and
+    ``plan_len``, the length of the row's plan (0 without one).  The other
+    facts ``plan`` takes are kept per row as objects, in three lists:
+    ``plans``, each row's ``Plan`` or None, whose flat ``route`` is the one
+    copy of its cells; ``profiles``, the ``BehaviorProfile`` the agent
+    spawned with; and ``goals``, an ``(x, y)`` cell or None.  A row's floor
+    cell is computed from ``x`` and ``y`` where it is needed.
     """
 
     _COLUMNS = (
         ("id", np.int64), ("driver", bool), ("status", np.int8),
         ("x", np.float64), ("y", np.float64), ("speed", np.float64),
-        ("cursor", np.int64), ("countdown", np.int64), ("max_speed", np.float64),
-        ("plan_len", np.int64),
+        ("cursor", np.int64), ("heading", np.int8), ("countdown", np.int64),
+        ("max_speed", np.float64), ("plan_len", np.int64),
     )
-    _LISTS = ("plans", "profiles", "goals", "headings")
+    _LISTS = ("plans", "profiles", "goals")
 
     def __init__(self):
         for name, dtype in self._COLUMNS:
@@ -121,11 +122,11 @@ class Population:
     def extend(self, rows) -> None:
         """Append one agent per row ``(id, profile, position, heading, plan,
         goal)``, in order, as a spawn makes it: active and at rest, with its
-        cursor at 1 and no countdown.  The ids must ascend past every id
-        present."""
+        cursor at 1 and no countdown; a heading is a ``Direction`` or None.
+        The ids must ascend past every id present."""
         if not rows:
             return
-        ids, profiles, positions, headings, plans, goals = zip(*rows)
+        ids, profiles, positions, dirs, plans, goals = zip(*rows)
         last = int(self.id[-1]) if len(self.id) else -math.inf
         if any(b <= a for a, b in zip((last,) + ids, ids)):
             raise ValueError(f"agent ids must ascend past {last}, got {list(ids)}")
@@ -133,7 +134,8 @@ class Population:
         # _write_plans gives it one
         xs, ys = zip(*positions)
         values = (ids, [p.kind == "driver" for p in profiles], Status.ACTIVE.value, xs,
-                  ys, 0.0, 1, 0, [p.max_speed for p in profiles], 0)
+                  ys, 0.0, 1, [-1 if d is None else d for d in dirs], 0,
+                  [p.max_speed for p in profiles], 0)
         n = len(self.id)
         for (name, dtype), value in zip(self._COLUMNS, values):
             column = np.empty(n + len(rows), dtype)
@@ -143,7 +145,6 @@ class Population:
         self.plans += [None] * len(rows)
         self.profiles += profiles
         self.goals += goals
-        self.headings += headings
         self._write_plans(slice(n, None), plans)
 
     def _write_plans(self, rows, plans) -> None:
@@ -188,20 +189,20 @@ class Population:
 
     def snapshot(self) -> dict[int, AgentState]:
         """Every agent as an ``AgentState`` by id, in row order; its profile,
-        plan, goal and heading are the objects the population holds."""
+        plan and goal are the held objects, its heading a ``Direction`` or None."""
         out = {}
-        for (i, status, x, y, speed, cursor, countdown, profile, route, goal,
-             heading) in zip(
+        for (i, status, x, y, speed, cursor, heading, countdown, profile, route,
+             goal) in zip(
             self.id.tolist(), self.status.tolist(), self.x.tolist(),
             self.y.tolist(), self.speed.tolist(), self.cursor.tolist(),
-            self.countdown.tolist(), self.profiles, self.plans, self.goals,
-            self.headings,
+            self.heading.tolist(), self.countdown.tolist(), self.profiles,
+            self.plans, self.goals,
         ):
             out[i] = AgentState(
                 id=i,
                 profile=profile,
                 position=(x, y),
-                heading=heading,
+                heading=None if heading < 0 else Direction(heading),
                 speed=speed,
                 plan=route,
                 cursor=cursor,
@@ -364,13 +365,15 @@ def act(
     ``codes`` holds one ``Decision`` code per active row, in row order, as
     ``decide`` returns them; it is left unchanged.  A replan plans from the
     row's cell to its goal around ``pop.blocking_cells()``, taken once and
-    only when some row replans, row after row; its outcome is a code: a
-    found route replaces the plan and then accelerates a driver or lets a
-    walker proceed, and a failed one (or a row without a goal) keeps the old
-    plan and stops.  Stop and yield set the speed to 0, decelerate to
-    ``max(0, speed - decel)``, accelerate to ``min(max_speed, speed + accel)``,
-    and a walker that proceeds moves at ``max_speed``.  Returns the rows whose
-    plan a replan replaced, in row order.
+    only when some row replans, row after row, with the ``Direction`` of the
+    row's heading code (None for -1); its outcome is a code: a found route
+    replaces the plan and then accelerates a driver or lets a walker proceed,
+    and a failed one (or a row without a goal) keeps the old plan and stops.
+    Stop and yield set the speed to 0, decelerate to ``max(0, speed - decel)``,
+    accelerate to ``min(max_speed, speed + accel)``, and a walker that
+    proceeds moves at ``max_speed``.  The moved rows' ``x``, ``y``,
+    ``cursor`` and ``heading`` columns take ``_advance``'s lists in one
+    assignment.  Returns the rows whose plan a replan replaced, in row order.
     """
     rows = np.flatnonzero(pop.status == Status.ACTIVE.value)
     codes = codes.copy()
@@ -385,7 +388,7 @@ def act(
         if goal is not None:
             route = plan(
                 grid, pop.coord(row), goal, pop.profiles[row], blocked=blocked,
-                heading=pop.headings[row],
+                heading=None if pop.heading[row] < 0 else Direction(pop.heading[row]),
             )
         if route is None:
             codes[i] = Decision.STOP.value
@@ -409,31 +412,28 @@ def act(
     # _advance does nothing for the other rows: its loop guards are these
     moving = rows[(speed > 1e-12) & (pop.cursor[rows] < pop.plan_len[rows])]
     if len(moving):
-        moved = moving.tolist()
         xs, ys = pop.x[moving].tolist(), pop.y[moving].tolist()
-        cursors = pop.cursor[moving].tolist()
-        headings = [pop.headings[row] for row in moved]
+        cursors, dirs = pop.cursor[moving].tolist(), pop.heading[moving].tolist()
         _advance(
-            [pop.plans[row].route for row in moved], _coords(grid), xs, ys,
-            pop.speed[moving].tolist(), cursors, headings, pop.driver[moving].tolist(),
+            [pop.plans[row].route for row in moving.tolist()], _coords(grid), xs, ys,
+            pop.speed[moving].tolist(), cursors, dirs, pop.driver[moving].tolist(),
         )
-        pop.x[moving], pop.y[moving], pop.cursor[moving] = xs, ys, cursors
-        for row, heading in zip(moved, headings):
-            pop.headings[row] = heading
+        pop.x[moving], pop.y[moving], pop.cursor[moving], pop.heading[moving] = (
+            xs, ys, cursors, dirs)
     return replanned
 
 
-def _advance(routes, coords, xs, ys, budgets, cursors, headings, drivers):
+def _advance(routes, coords, xs, ys, budgets, cursors, dirs, drivers):
     """Move agent j from ``(xs[j], ys[j])`` by ``budgets[j]`` straight toward
     the center ``(x + 0.5, y + 0.5)`` of each cell of ``routes[j]`` in turn,
     from ``cursors[j]``, the index of the next to reach, one agent after the
     other.  A route holds flat cells, whose x and y are read from the tables
     ``coords`` (``planner._coords``).  Updates ``xs``, ``ys``, ``cursors`` and
-    ``headings`` in place; a driver's ``Direction`` heading follows its
-    moves."""
+    ``dirs`` in place; ``dirs[j]`` is a heading code (a ``Direction`` value,
+    -1 for a walker), and a driver's follows its moves."""
     cell_x, cell_y = coords
     for j, (route, x, y, budget, cursor, heading, driver) in enumerate(
-        zip(routes, xs, ys, budgets, cursors, headings, drivers)
+        zip(routes, xs, ys, budgets, cursors, dirs, drivers)
     ):
         while budget > 1e-12 and cursor < len(route):
             i = route[cursor]
@@ -457,4 +457,4 @@ def _advance(routes, coords, xs, ys, budgets, cursors, headings, drivers):
                     else:
                         heading = Direction.SOUTH if dy > 0 else Direction.NORTH
                 budget = 0.0
-        xs[j], ys[j], cursors[j], headings[j] = x, y, cursor, heading
+        xs[j], ys[j], cursors[j], dirs[j] = x, y, cursor, heading

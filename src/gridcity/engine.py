@@ -12,10 +12,10 @@ parks drivers on parking goals, optionally reactivates parked drivers, and
 spawns replacements, appended in one go; expired and retired rows leave with
 one mask.  Every plan (spawn, replan, reactivation) avoids
 ``Population.blocking_cells()``, the cells of the parked and collided agents;
-replans and reactivations hand ``plan`` the stored profile, goal and heading
-unchanged.  A spawn draws its site, goal and profile from one per-kind table
-and enters the population as a row.  ``World.agents`` is a snapshot of
-``AgentState`` records built from the population.
+a replan hands ``plan`` the stored profile and goal and the ``Direction`` of
+a driver's heading code.  A spawn draws its site, goal and profile from one
+per-kind table and enters the population as a row.  ``World.agents`` is a
+snapshot of ``AgentState`` records built from the population.
 A run is fully determined by (config, seed).
 """
 from __future__ import annotations
@@ -357,7 +357,7 @@ class World:
         pop.status[row] = Status.ACTIVE.value
         pop.set_plan(row, route)
         pop.goals[row] = new_goal
-        pop.headings[row] = heading
+        pop.heading[row] = heading
         pop.speed[row] = 0.0
         self._log("reactivate", slice(row, row + 1))
         return True

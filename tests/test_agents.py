@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gridcity.agents import Decision, Status, act, decide
 from gridcity.engine import detect_collisions
-from gridcity.environment import Direction, GridMap
+from gridcity.environment import DIRECTION_OF_STEP, Direction, GridMap
 from gridcity.metrics import HeatmapSet, build_frame
 from gridcity.planner import BehaviorProfile
 from helpers import (
@@ -587,6 +587,30 @@ def test_act_heading_follows_turns():
     _, driver = act_once(driver, Decision.PROCEED, grid)
     assert driver.position == (1.5, 1.5)
     assert driver.heading is Direction.SOUTH
+
+
+def test_heading_is_a_column_of_direction_codes():
+    """A heading is held as its Direction value, -1 for none: extend writes
+    it, act writes a turning driver's new code back with its move, and
+    snapshot gives the Direction member or None."""
+    grid = grid_of("s-- s--", "s-- s--")
+    walker = make_agent(1, "walker", (0.5, 1.5), None)
+    route = [(0, 0), (1, 0), (1, 1)]
+    driver = make_agent(
+        2, "driver", (0.5, 0.5), straight_plan(route, grid.width),
+        heading=E, max_speed=2.0, speed=2.0,
+    )
+    pop = population([walker, driver])
+    assert pop.heading.dtype == np.int8
+    assert pop.heading.tolist() == [-1, E.value]
+    act(pop, np.array([Decision.PROCEED, Decision.ACCELERATE]), grid, accel=1.0, decel=1.0)
+    (x0, y0), (x1, y1) = route[-2:]
+    last = DIRECTION_OF_STEP[(x1 - x0, y1 - y0)]
+    assert last is not E and pop.cursor.tolist() == [1, 3]
+    assert pop.heading.tolist() == [-1, last.value]
+    states = pop.snapshot()
+    assert states[1].heading is None
+    assert states[2].heading is last
 
 
 def test_act_replan_swaps_route_before_moving():
