@@ -3,7 +3,8 @@
 Each cell of the map is a 3-character token: a ground-type character followed
 by up to two permitted vehicular flow directions (padded with '-').  A
 direction is a ``Direction``, whose value is its row of ``DIRECTION_TABLE`` and
-its bit in a cell's flow mask.  The module covers the token codec, whole-grid
+its bit in a cell's flow mask; a ground is a ``GroundType``, whose value is
+its byte in ``GridMap.ground``.  The module covers the token codec, whole-grid
 (de)serialization, procedural block layouts, sidewalk obstacle placement, and
 the per-cell traversal costs for both agent kinds.
 """
@@ -54,16 +55,23 @@ DIRECTION_OF_STEP: dict = {row[:2]: d for d, row in zip(Direction, DIRECTION_TAB
 _FLOW_LETTERS = "NESW"
 
 
-class GroundType(Enum):
-    ROAD = "r"
-    SIDEWALK = "s"
-    BUILDING = "b"
-    PARKING = "p"
-    ZEBRA = "z"
-    TURN = "t"
-    LEFT_TURN = "l"
-    OBSTACLE = "o"
-    POTHOLE = "h"
+class GroundType(int, Enum):
+    """A cell's ground, whose value is its byte in ``GridMap.ground`` and its
+    letter's place in ``_GROUND_LETTERS``.  ROAD is 0: compare, never test truth."""
+
+    ROAD = 0
+    SIDEWALK = 1
+    BUILDING = 2
+    PARKING = 3
+    ZEBRA = 4
+    TURN = 5
+    LEFT_TURN = 6
+    OBSTACLE = 7
+    POTHOLE = 8
+
+
+#: A token's ground letter of each GroundType, at its value.
+_GROUND_LETTERS = "rsbpztloh"
 
 
 #: Ground types that carry 1-2 vehicular flow directions.
@@ -114,10 +122,10 @@ def _decode(token: str) -> tuple[GroundType, int]:
     Direction d); the flow letters may come in any order."""
     if len(token) != 3:
         raise GridParseError(f"token {token!r} must be 3 characters")
-    try:
-        ground = GroundType(token[0])
-    except ValueError:
-        raise GridParseError(f"unknown ground character {token[0]!r}") from None
+    g = _GROUND_LETTERS.find(token[0])
+    if g < 0:
+        raise GridParseError(f"unknown ground character {token[0]!r}")
+    ground = GroundType(g)
     flow = token[1:].rstrip("-")
     if "-" in flow:
         raise GridParseError(f"token {token!r}: direction after '-' placeholder")
@@ -131,27 +139,27 @@ def _decode(token: str) -> tuple[GroundType, int]:
         raise GridParseError(f"token {token!r}: duplicate flow direction")
     if ground in FLOW_GROUNDS and not flow:
         raise GridParseError(
-            f"token {token!r}: cell type {ground.value!r} requires 1-2 flow directions, got 0"
+            f"token {token!r}: cell type {token[0]!r} requires 1-2 flow directions, got 0"
         )
     if ground not in FLOW_GROUNDS and flow:
         raise GridParseError(
-            f"token {token!r}: cell type {ground.value!r} does not take flow directions"
+            f"token {token!r}: cell type {token[0]!r} does not take flow directions"
         )
     return ground, mask
 
 
-def _token(ground: GroundType, mask: int) -> str:
+def _token(ground: int, mask: int) -> str:
     """The canonical token of a cell: its flow letters in NESW order."""
     flow = "".join(ch for d, ch in enumerate(_FLOW_LETTERS) if mask >> d & 1)
-    return ground.value + flow.ljust(2, "-")
+    return _GROUND_LETTERS[ground] + flow.ljust(2, "-")
 
 
 @dataclass(frozen=True)
 class GridMap:
-    """Immutable city grid: flat per-cell arrays, obstacle overlay, and sites.
+    """Immutable city grid: per-cell bytes, obstacle overlay, and sites.
 
-    ``ground`` and ``flow`` hold one entry per cell, indexed ``y * width + x``:
-    the cell's GroundType and its permitted vehicular flow directions as a
+    ``ground`` and ``flow`` are bytes, one per cell, indexed ``y * width + x``:
+    the cell's GroundType value and its permitted vehicular flow directions as a
     NESW bit mask (bit d stands for Direction d); together they are the
     layout.  Obstacles are an overlay on top of the ground type so the
     underlying cell stays inspectable; they enter only the per-kind cost
@@ -167,8 +175,8 @@ class GridMap:
 
     width: int
     height: int
-    ground: tuple
-    flow: tuple
+    ground: bytes
+    flow: bytes
     obstacles: frozenset = frozenset()
     walker_spawns: tuple = ()
     driver_spawns: tuple = ()
@@ -200,18 +208,18 @@ class GridMap:
         if not decoded:
             raise GridParseError("grid must have at least one row and one column")
         height = len(decoded) // width
-        ground = tuple(g for g, _ in decoded)
-        flow = tuple(mask for _, mask in decoded)
+        ground = bytes(g for g, _ in decoded)
+        flow = bytes(mask for _, mask in decoded)
         layout = cls(width, height, ground, flow)
         driver_spawns, driver_exits = _driver_sites(ground, flow, width, height)
         return dataclasses.replace(
             layout,
             walker_spawns=_sorted_cells(
-                _mask(ground, (GroundType.SIDEWALK,)) & layout.beside(GroundType.BUILDING), width
+                layout.ground_mask(GroundType.SIDEWALK) & layout.beside(GroundType.BUILDING), width
             ),
             driver_spawns=driver_spawns,
             driver_exits=driver_exits,
-            parking_cells=_sorted_cells(_mask(ground, (GroundType.PARKING,)), width),
+            parking_cells=_sorted_cells(layout.ground_mask(GroundType.PARKING), width),
         )
 
     def in_bounds(self, coord: Coord) -> bool:
@@ -225,7 +233,7 @@ class GridMap:
         return coord[1] * self.width + coord[0]
 
     def ground_at(self, coord: Coord) -> GroundType:
-        return self.ground[self.index_of(coord)]
+        return GroundType(self.ground[self.index_of(coord)])
 
     def flow_at(self, coord: Coord) -> frozenset:
         mask = self.flow[self.index_of(coord)]
@@ -267,10 +275,11 @@ class GridMap:
         return costs
 
     def ground_mask(self, *grounds: GroundType) -> np.ndarray:
-        """Boolean array, indexed ``y * width + x``, of the cells whose ground
-        type is one of ``grounds``.  Built once per layout and set of ground
-        types, whatever their order, and kept (``_mask`` makes one unkept)."""
-        return self.layout_table(("mask", frozenset(grounds)), lambda: _mask(self.ground, grounds))
+        """The one mask rule: a read-only boolean array, indexed ``y * width +
+        x``, of the cells whose ground type is one of ``grounds``.  Built once
+        per layout and set of ground types, whatever their order, and kept."""
+        return self.layout_table(("mask", frozenset(grounds)), lambda: np.frombuffer(
+            self.ground.translate(bytes(g in grounds for g in range(256))), bool))
 
     def neighbours(self, cells: np.ndarray) -> list:
         """The layout's one 4-neighbour rule: for ``cells``, indexed ``y *
@@ -287,7 +296,7 @@ class GridMap:
         """Boolean array, indexed ``y * width + x``, of the cells that have a
         4-neighbour whose ground type is one of ``grounds``; a neighbour off
         the grid never counts.  Made on each call and not kept."""
-        north, east, south, west = self.neighbours(_mask(self.ground, grounds))
+        north, east, south, west = self.neighbours(self.ground_mask(*grounds))
         return north | east | south | west
 
     def turnspots(self) -> np.ndarray:
@@ -295,8 +304,8 @@ class GridMap:
         may turn on leaving: TURN and LEFT_TURN cells, and the flow cells
         beside a ZEBRA.  A layout table, built once per layout."""
         return self.layout_table("turnspots", lambda: (
-            _mask(self.ground, (GroundType.TURN, GroundType.LEFT_TURN))
-            | _mask(self.ground, FLOW_GROUNDS) & self.beside(GroundType.ZEBRA)
+            self.ground_mask(GroundType.TURN, GroundType.LEFT_TURN)
+            | self.ground_mask(*FLOW_GROUNDS) & self.beside(GroundType.ZEBRA)
         ))
 
     def center(self, coord: Coord) -> tuple[float, float]:
@@ -313,16 +322,9 @@ class GridMap:
         for x, y in obstacles:
             if not self.in_bounds((x, y)):
                 raise ValueError(f"obstacle ({x}, {y}) outside the grid")
-            if self.ground[y * self.width + x] is GroundType.BUILDING:
+            if self.ground[y * self.width + x] == GroundType.BUILDING:
                 raise ValueError(f"obstacle ({x}, {y}) placed on a building cell")
         return dataclasses.replace(self, obstacles=obstacles, _costs={})
-
-
-def _mask(ground: tuple, grounds: Iterable[GroundType]) -> np.ndarray:
-    """Boolean array over ``ground`` of the cells whose ground type is one of
-    ``grounds``; nothing keeps it."""
-    kinds = frozenset(grounds)
-    return np.array([g in kinds for g in ground], dtype=bool)
 
 
 def _sorted_cells(mask: np.ndarray, width: int) -> tuple:
@@ -342,9 +344,9 @@ def _driver_sites(ground, flow, width, height) -> tuple[tuple, tuple]:
     """
     spawns, exits = set(), set()
     for y in range(height):
-        for x in range(width):
-            on_boundary = x in (0, width - 1) or y in (0, height - 1)
-            if not on_boundary or _DRIVER_COSTS[ground[y * width + x]] == math.inf:
+        # the boundary ring: the first and last rows whole, the others' ends
+        for x in range(width) if y in (0, height - 1) else (0, width - 1):
+            if _DRIVER_COSTS[ground[y * width + x]] == math.inf:
                 continue
             for d, (dx, dy, back, _) in zip(Direction, DIRECTION_TABLE):
                 if 0 <= x - dx < width and 0 <= y - dy < height:
@@ -356,7 +358,7 @@ def _driver_sites(ground, flow, width, height) -> tuple[tuple, tuple]:
                     i = py * width + px
                     if _DRIVER_COSTS[ground[i]] == math.inf or not flow[i] >> d & 1:
                         break
-                    if ground[i] is GroundType.ROAD:
+                    if ground[i] == GroundType.ROAD:
                         spawns.add(((px, py), d))
                         break
                     px, py = px + dx, py + dy
@@ -475,7 +477,7 @@ def generate_layout(spec: LayoutSpec) -> GridMap:
     width = spec.blocks_x * pitch + sw
     height = spec.blocks_y * pitch + sw
 
-    road, zebra, turn, left_turn, sidewalk, building = (g.value for g in (
+    road, zebra, turn, left_turn, sidewalk, building = (_GROUND_LETTERS[g] for g in (
         GroundType.ROAD, GroundType.ZEBRA, GroundType.TURN, GroundType.LEFT_TURN,
         GroundType.SIDEWALK, GroundType.BUILDING,
     ))
@@ -516,7 +518,7 @@ def place_obstacles(grid: GridMap, fraction: float, rng: random.Random) -> GridM
     width = grid.width
     sidewalks = grid.layout_table("sidewalks", lambda: array("i", [
         y * width + x
-        for x, y in _sorted_cells(_mask(grid.ground, (GroundType.SIDEWALK,)), width)
+        for x, y in _sorted_cells(grid.ground_mask(GroundType.SIDEWALK), width)
     ]))
     target = round(fraction * len(sidewalks))
     if target == 0:

@@ -162,7 +162,7 @@ def _build_moves(grid: GridMap, kind: str):
         fm = flow[i]
         for _, step, k in moves[mask]:
             t = i + step
-            move = (fm, flow[t], ground[t] is road, turnspot, k)
+            move = (fm, flow[t], ground[t] == road, turnspot, k)
             risks = risks_of.get(move)
             if risks is None:
                 risks = risks_of[move] = bytes([
@@ -192,7 +192,7 @@ def _classify(grid: GridMap, fi: int, ti: int, d: int, turnspot: bool) -> list:
     if fm == 1 << back:
         return [Action.BACKWARD] * 4  # against the only permitted direction
     tf = grid.flow[ti]
-    if grid.ground[ti] is GroundType.ROAD and fm != 0 and tf == fm:
+    if grid.ground[ti] == GroundType.ROAD and fm != 0 and tf == fm:
         right = left = Action.LANE_CHANGE
     elif turnspot and tf & (1 << d):
         right, left = Action.RIGHT_TURN, Action.LEFT_TURN

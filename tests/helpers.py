@@ -15,6 +15,7 @@ from gridcity.environment import (
     GridMap,
     GroundType,
     LayoutSpec,
+    _GROUND_LETTERS,
     generate_layout,
     parse_grid,
     serialize_grid,
@@ -48,7 +49,7 @@ def random_grid(rng: random.Random, width: int = 15, height: int = 15) -> GridMa
             if ground in FLOW_GROUNDS:
                 count = 1 if rng.random() < 0.8 else 2
                 flow = "".join(rng.sample("NESW", count))
-            row.append(ground.value + flow.ljust(2, "-"))
+            row.append(_GROUND_LETTERS[ground] + flow.ljust(2, "-"))
         rows.append(row)
     return GridMap.build(rows)
 

@@ -361,7 +361,7 @@ def _turnspot(grid: GridMap, i: int) -> bool:
     """Whether a driver may turn when leaving cell i: a turn cell, or a flow
     cell with a zebra among its on-grid 4-neighbours."""
     ground = grid.ground
-    if ground[i] is GroundType.TURN or ground[i] is GroundType.LEFT_TURN:
+    if ground[i] == GroundType.TURN or ground[i] == GroundType.LEFT_TURN:
         return True
     if ground[i] not in FLOW_GROUNDS:
         return False
@@ -370,7 +370,7 @@ def _turnspot(grid: GridMap, i: int) -> bool:
     for dx, dy, _, _ in DIRECTION_TABLE:
         nx, ny = x + dx, y + dy
         if 0 <= nx < width and 0 <= ny < grid.height:
-            if ground[ny * width + nx] is GroundType.ZEBRA:
+            if ground[ny * width + nx] == GroundType.ZEBRA:
                 return True
     return False
 

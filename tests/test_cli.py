@@ -1247,7 +1247,7 @@ def overfull_obstruction_config(tmp_path, sweep=None):
     (tmp_path / "map.grid").write_text(serialize_grid(grid), encoding="utf-8")
     sidewalks = sorted(
         (i % grid.width, i // grid.width)
-        for i, g in enumerate(grid.ground) if g is GroundType.SIDEWALK
+        for i, g in enumerate(grid.ground) if g == GroundType.SIDEWALK
     )
     assert len(sidewalks) == 56
     (tmp_path / "obstacles.txt").write_text(

@@ -24,6 +24,7 @@ from gridcity.environment import (
     place_obstacles,
     serialize_grid,
     serialize_obstacle_list,
+    _GROUND_LETTERS,
     _decode,
     _token,
 )
@@ -34,10 +35,10 @@ from helpers import grid_of, random_grid
 
 
 def test_ground_chars_bijective():
-    chars = [g.value for g in GroundType]
+    chars = [_GROUND_LETTERS[g] for g in GroundType]
     assert sorted(chars) == sorted("rsbpztloh")
     for g in GroundType:
-        token = g.value + ("N-" if g in FLOW_GROUNDS else "--")
+        token = chars[g] + ("N-" if g in FLOW_GROUNDS else "--")
         assert GridMap.build([[token]]).ground_at((0, 0)) is g
 
 
@@ -389,7 +390,7 @@ def test_walker_cost_table():
         GroundType.OBSTACLE: math.inf,
     }
     for ground, value in expected.items():
-        token = ground.value + ("N-" if ground in FLOW_GROUNDS else "--")
+        token = _GROUND_LETTERS[ground] + ("N-" if ground in FLOW_GROUNDS else "--")
         assert GridMap.build([[token]]).costs("walker")[0] == value
 
 
@@ -406,7 +407,7 @@ def test_driver_cost_table():
         GroundType.OBSTACLE: math.inf,
     }
     for ground, value in expected.items():
-        token = ground.value + ("N-" if ground in FLOW_GROUNDS else "--")
+        token = _GROUND_LETTERS[ground] + ("N-" if ground in FLOW_GROUNDS else "--")
         assert GridMap.build([[token]]).costs("driver")[0] == value
 
 
@@ -431,6 +432,25 @@ def test_ground_mask_marks_the_cells_of_its_ground_types():
             for y in range(grid.height) for x in range(grid.width)
         ]
         assert grid.ground_mask(*grounds).tolist() == expected
+
+
+def test_a_cell_is_one_ground_byte_and_one_flow_byte():
+    grids = [generate_layout(LayoutSpec(blocks_x=5, blocks_y=5))]
+    grids += [random_grid(random.Random(seed), 12, 9) for seed in range(5)]
+    for grid in grids:
+        cells = [(x, y) for y in range(grid.height) for x in range(grid.width)]
+        for table in (grid.ground, grid.flow):
+            assert type(table) is bytes and len(table) == grid.width * grid.height
+        grounds = [grid.ground_at(c) for c in cells]
+        assert all(g is GroundType(byte) for g, byte in zip(grounds, grid.ground))
+        for kinds in [(g,) for g in GroundType] + [tuple(FLOW_GROUNDS), tuple(ROAD_FAMILY)]:
+            mask = grid.ground_mask(*kinds)
+            assert mask.tolist() == [g in kinds for g in grounds]
+            with pytest.raises(ValueError):
+                mask[0] = not mask[0]
+        site = next(c for c, g in zip(cells, grounds) if g != GroundType.BUILDING)
+        overlay = grid.with_obstacles({site})
+        assert overlay.ground_mask(*ROAD_FAMILY) is grid.ground_mask(*ROAD_FAMILY)
 
 
 def test_ground_mask_is_one_table_per_set_of_ground_types():
