@@ -20,7 +20,6 @@ from .planner import (
     Action,
     BehaviorProfile,
     Plan,
-    classify_action,
     default_heading,
     plan,
 )

@@ -195,9 +195,10 @@ def _poisson(rate: float, rng: random.Random) -> int:
 
 def check_map(grid: GridMap, config: SimConfig) -> None:
     """Raise ValueError when ``config`` needs what ``grid`` lacks: a driver
-    can be reactivated only on a map with a parking cell."""
-    if config.reactivation_prob > 0 and not grid.parking_cells:
-        raise ValueError("reactivation_prob: the map has no parking cell, so no driver parks")
+    can be reactivated only on a map with a parking cell free of obstacles."""
+    if config.reactivation_prob > 0 and all(c in grid.obstacles for c in grid.parking_cells):
+        raise ValueError(
+            "reactivation_prob: the map has no unobstructed parking cell, so no driver parks")
 
 
 class World:
@@ -280,7 +281,8 @@ class World:
             if route is None:
                 continue
             self._next_id += 1
-            return self._next_id - 1, profile, self.grid.center(start), heading, route, goal
+            center = (start[0] + 0.5, start[1] + 0.5)
+            return self._next_id - 1, profile, center, heading, route, goal
         return None
 
     def _log(self, kind: str, rows) -> None:

@@ -235,10 +235,6 @@ class GridMap:
     def ground_at(self, coord: Coord) -> GroundType:
         return GroundType(self.ground[self.index_of(coord)])
 
-    def flow_at(self, coord: Coord) -> frozenset:
-        mask = self.flow[self.index_of(coord)]
-        return frozenset(d for d in Direction if mask >> d & 1)
-
     def layout_table(self, key, build):
         """The layout's table ``key``, made by ``build()`` on first use.
 
@@ -307,10 +303,6 @@ class GridMap:
             self.ground_mask(GroundType.TURN, GroundType.LEFT_TURN)
             | self.ground_mask(*FLOW_GROUNDS) & self.beside(GroundType.ZEBRA)
         ))
-
-    def center(self, coord: Coord) -> tuple[float, float]:
-        """Continuous center point of a cell."""
-        return (coord[0] + 0.5, coord[1] + 0.5)
 
     def with_obstacles(self, obstacles: Iterable[Coord]) -> "GridMap":
         """New map with the given obstacle overlay (spawn sites unchanged).

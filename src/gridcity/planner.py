@@ -7,8 +7,8 @@ lane changes, wrong-way moves).  One search serves both kinds over integer
 states ``cell << shift``: walkers plan over plain cells (shift 0), where no move
 carries risk; drivers plan over (cell, heading) states (shift 2, the heading's
 ``Direction`` value in the two low bits) so turn risk is well-defined.  A plan
-holds its route as the flat cells ``y * width + x`` of its states;
-``classify_action`` names the maneuver of any driver move as its ``Action``.
+holds its route as the flat cells ``y * width + x`` of its states; a driver
+move's risk is that of its ``Action``, which ``_classify`` names from the layout.
 
 Each expansion is table lookups over data built once per layout: a cell's
 move mask in ``_moves`` picks the shared tuple of its valid moves, and the
@@ -38,7 +38,6 @@ import numpy as np
 from .environment import (
     Coord,
     Direction,
-    DIRECTION_OF_STEP,
     DIRECTION_TABLE,
     GridMap,
     GroundType,
@@ -84,20 +83,13 @@ class BehaviorProfile:
 class Plan:
     """Cell-by-cell route from start to goal inclusive.
 
-    ``route`` holds each cell once, as its flat index ``y * width + x`` on a
-    map ``width`` cells wide; ``cells`` decodes it to ``(x, y)`` tuples."""
+    ``route`` holds each cell once, as its flat index ``y * width + x`` on
+    the map it was planned on."""
 
     route: array  # array("i") of flat cell indices
-    width: int
     total_cost: float  # accumulated g at extraction (== f, since h(goal) = 0)
     risk_total: float  # unscaled sum of action risks along the route
     expansions: int
-
-    @property
-    def cells(self) -> tuple[Coord, ...]:
-        """The route's ``(x, y)`` cells, decoded anew on each read."""
-        width = self.width
-        return tuple((i % width, i // width) for i in self.route)
 
     def __len__(self) -> int:
         return len(self.route)
@@ -186,7 +178,10 @@ def _build_coords(width: int, height: int):
 
 def _classify(grid: GridMap, fi: int, ti: int, d: int, turnspot: bool) -> list:
     """The Actions of a driver move from cell fi in Direction d into its
-    neighbour ti, one per heading held before the move, at its value."""
+    neighbour ti, one per heading held before the move, at its value: forward
+    along the heading and fi's flow, a lane change onto a parallel same-flow
+    road lane, a turn off a ``turnspot`` into aligned flow, else invalid or
+    backward (against fi's only flow, reversing or straight off-flow)."""
     _, _, back, clockwise = DIRECTION_TABLE[d]
     fm = grid.flow[fi]
     if fm == 1 << back:
@@ -205,30 +200,6 @@ def _classify(grid: GridMap, fi: int, ti: int, d: int, turnspot: bool) -> list:
     actions[DIRECTION_TABLE[back][3]] = right
     actions[clockwise] = left
     return actions
-
-
-def classify_action(
-    grid: GridMap, frm: Coord, to: Coord, heading: Direction
-) -> Action:
-    """Classify a driver move between 4-adjacent cells as one maneuver.
-
-    Forward needs the move to match both the heading and the source cell's
-    flow; moving against a cell's only flow direction, reversing, or going
-    straight off-flow is Backward; perpendicular moves are a lane change onto
-    a parallel same-flow road lane, a legal turn when leaving a turn spot
-    (``GridMap.turnspots``: a turn cell, or any flow cell with a zebra
-    4-neighbour, a zebra, parking or pothole cell too) into aligned flow,
-    and invalid otherwise.
-    Both cells must lie inside the grid, and ``heading`` must be a
-    ``Direction``.
-    """
-    if not isinstance(heading, Direction):
-        raise ValueError(f"heading must be a Direction, got {heading!r}")
-    d = DIRECTION_OF_STEP.get((to[0] - frm[0], to[1] - frm[1]))
-    if d is None:
-        raise ValueError(f"cells {frm} and {to} are not 4-adjacent")
-    fi, ti = grid.index_of(frm), grid.index_of(to)
-    return _classify(grid, fi, ti, d, grid.turnspots()[fi])[heading]
 
 
 def default_heading(grid: GridMap, cell: Coord) -> Direction:
@@ -281,12 +252,9 @@ def plan(
     """
     if heading is not None and not isinstance(heading, Direction):
         raise ValueError(f"heading must be a Direction or None, got {heading!r}")
-    if not grid.in_bounds(start) or not grid.in_bounds(goal):
-        raise ValueError("start and goal must lie inside the grid")
+    si, gi = grid.index_of(start), grid.index_of(goal)
     width = grid.width
     cost_arr = grid.costs(profile.kind)
-    si = start[1] * width + start[0]
-    gi = goal[1] * width + goal[0]
     if cost_arr[si] == math.inf:
         raise ValueError(f"start {start} is not traversable for a {profile.kind}")
     if cost_arr[gi] == math.inf:
@@ -376,7 +344,7 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
             trace.append((expansions, xs[idx], ys[idx], gval, h, r_in, f))
         expansions += 1
         if idx == gi:
-            return _extract(grid.width, shift, risk, came, s0, state, gval, expansions)
+            return _extract(shift, risk, came, s0, state, gval, expansions)
         ebase = state * 4
         base = idx << shift
         for delta, step, k in moves[masks[idx]]:
@@ -403,7 +371,7 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
     return None
 
 
-def _extract(width, shift, risk, came, s0, goal_state, total, expansions):
+def _extract(shift, risk, came, s0, goal_state, total, expansions):
     states = [goal_state]
     while states[-1] != s0:
         states.append(came[states[-1]])
@@ -413,4 +381,4 @@ def _extract(width, shift, risk, came, s0, goal_state, total, expansions):
         for prev, state in zip(states, states[1:]):
             risk_total += risk[prev * 4 + (state & 3)]
     route = array("i", [s >> shift for s in states] if shift else states)
-    return Plan(route, width, total, risk_total, expansions)
+    return Plan(route, total, risk_total, expansions)

@@ -1,5 +1,7 @@
 """Shared test fixtures: random grids, tiny hand-written maps, a parking
-city, agent and population factories, and a step's population count."""
+city, agent and population factories, and a step's population count; and
+the readers only tests need: a plan's cells, a cell's flow and a driver
+move's maneuver."""
 from __future__ import annotations
 
 import math
@@ -10,6 +12,7 @@ import numpy as np
 
 from gridcity.environment import (
     Coord,
+    Direction,
     DIRECTION_OF_STEP,
     FLOW_GROUNDS,
     GridMap,
@@ -21,7 +24,7 @@ from gridcity.environment import (
     serialize_grid,
 )
 from gridcity.agents import AgentState, Population, Status
-from gridcity.planner import BehaviorProfile, Plan, classify_action, default_heading
+from gridcity.planner import Action, BehaviorProfile, Plan, _classify, default_heading
 
 _GROUND_WEIGHTS = [
     (GroundType.ROAD, 0.30),
@@ -107,7 +110,28 @@ def straight_plan(cells, width: int) -> Plan:
     (costs left at zero).  Each x must lie in ``range(width)``, the only
     columns a flat route can name."""
     assert all(0 <= x < width for x, _ in cells), "a cell outside the map's columns"
-    return Plan(array("i", [y * width + x for x, y in cells]), width, 0.0, 0.0, 0)
+    return Plan(array("i", [y * width + x for x, y in cells]), 0.0, 0.0, 0)
+
+
+def cells_of(grid: GridMap, plan: Plan) -> tuple:
+    """The ``(x, y)`` cells of a plan made on ``grid``, decoded from its flat
+    route."""
+    width = grid.width
+    return tuple((i % width, i // width) for i in plan.route)
+
+
+def flow_of(grid: GridMap, cell: Coord) -> frozenset:
+    """The Directions of a cell's flow, read from its bit mask in ``grid.flow``."""
+    mask = grid.flow[grid.index_of(cell)]
+    return frozenset(d for d in Direction if mask >> d & 1)
+
+
+def classify_action(grid: GridMap, frm: Coord, to: Coord, heading: Direction) -> Action:
+    """The planner's maneuver (``_classify``) of a driver's move between two
+    4-adjacent cells of ``grid``, made with ``heading``."""
+    d = DIRECTION_OF_STEP[(to[0] - frm[0], to[1] - frm[1])]
+    fi, ti = grid.index_of(frm), grid.index_of(to)
+    return _classify(grid, fi, ti, d, grid.turnspots()[fi])[heading]
 
 
 def route_actions(grid: GridMap, route, heading=None) -> list:
@@ -141,8 +165,6 @@ def make_agent(
     alpha: float = 0.0,
 ) -> AgentState:
     profile = BehaviorProfile(kind=kind, w=w, alpha=alpha, max_speed=max_speed)
-    if goal is None and plan is not None:
-        goal = plan.cells[-1]
     return AgentState(
         id=agent_id,
         profile=profile,

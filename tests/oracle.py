@@ -10,7 +10,8 @@ import heapq
 import math
 
 from gridcity.environment import Direction, DIRECTION_TABLE, GridMap
-from gridcity.planner import Action, classify_action
+from gridcity.planner import Action
+from helpers import classify_action, flow_of
 
 # the risk of each driver maneuver (Forward 0 ... Backward 20)
 RISKS = {Action.FORWARD: 0, Action.RIGHT_TURN: 1, Action.LEFT_TURN: 2,
@@ -53,7 +54,7 @@ def driver_dijkstra(grid: GridMap, start, goal, alpha=0.0, heading=None,
     if math.inf in (cost[start[1] * width + start[0]], cost[goal[1] * width + goal[0]]):
         return None
     if heading is None:
-        flow = grid.flow_at(start)
+        flow = flow_of(grid, start)
         heading = next(d for d in Direction if d in flow)
     dist = {(start, heading): 0.0}
     heap = [(0.0, 0, start, heading)]

@@ -46,7 +46,7 @@ from gridcity.planner import (
     _classify,
     default_heading,
 )
-from helpers import cell_of
+from helpers import cell_of, cells_of
 
 
 @dataclass(frozen=True)
@@ -63,11 +63,11 @@ class Perception:
 _NOTHING_SEEN = Perception((), False, None, False, frozenset())
 
 
-def _window(agent: AgentState, lookahead: int) -> list[Coord]:
+def _window(agent: AgentState, grid: GridMap, lookahead: int) -> list[Coord]:
     """The agent's next ``lookahead`` plan cells."""
     if agent.plan is None:
         return []
-    return list(agent.plan.cells[agent.cursor:agent.cursor + lookahead])
+    return list(cells_of(grid, agent.plan)[agent.cursor:agent.cursor + lookahead])
 
 
 def sense(
@@ -86,14 +86,14 @@ def sense(
     A driver also looks for active walkers (sidewalk-adjacent ones included)
     within ``yield_radius`` of an upcoming zebra cell center.
     """
-    window = _window(agent, lookahead)
+    window = _window(agent, grid, lookahead)
     if not window:
         return _NOTHING_SEEN
     centers = []
     zebra_centers = []
     check_zebras = agent.kind == "driver"
     for c in window:
-        center = grid.center(c)
+        center = (c[0] + 0.5, c[1] + 0.5)
         centers.append(center)
         if check_zebras and grid.ground_at(c) is GroundType.ZEBRA:
             zebra_centers.append(center)
@@ -237,11 +237,12 @@ def _advance(agent: AgentState, grid: GridMap) -> None:
     """Move by the current speed along the plan polyline of cell centers."""
     if agent.plan is None:
         return
-    cells = agent.plan.cells
+    cells = cells_of(grid, agent.plan)
     budget = agent.speed
     x, y = agent.position
     while budget > 1e-12 and agent.cursor < len(cells):
-        tx, ty = grid.center(cells[agent.cursor])
+        cx, cy = cells[agent.cursor]
+        tx, ty = cx + 0.5, cy + 0.5
         dx, dy = tx - x, ty - y
         dist = math.hypot(dx, dy)
         if dist <= budget + 1e-12:
@@ -498,7 +499,7 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
             trace.append((expansions, idx % width, idx // width, gval, h, r_in, f))
         expansions += 1
         if idx == gi:
-            return _extract(width, shift, risk, came, s0, state, gval, expansions)
+            return _extract(shift, risk, came, s0, state, gval, expansions)
         nbase = idx * 4
         ebase = state * 4
         for k in range(4):
@@ -516,7 +517,7 @@ def _search(grid, kind, s0, gi, w, alpha, blocked, trace):
     return None
 
 
-def _extract(width, shift, risk, came, s0, goal_state, total, expansions):
+def _extract(shift, risk, came, s0, goal_state, total, expansions):
     states = [goal_state]
     while states[-1] != s0:
         states.append(came[states[-1]])
@@ -525,4 +526,4 @@ def _extract(width, shift, risk, came, s0, goal_state, total, expansions):
     if shift:  # a driver: sum the moves' risks in route order
         for prev, state in zip(states, states[1:]):
             risk_total += risk[prev * 4 + (state & 3)]
-    return Plan(array("i", [s >> shift for s in states]), width, total, risk_total, expansions)
+    return Plan(array("i", [s >> shift for s in states]), total, risk_total, expansions)

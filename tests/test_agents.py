@@ -14,7 +14,7 @@ from gridcity.environment import DIRECTION_OF_STEP, Direction, GridMap
 from gridcity.metrics import HeatmapSet, build_frame
 from gridcity.planner import BehaviorProfile
 from helpers import (
-    cell_of, grid_of, make_agent, place, population, random_grid, rows_of, straight_plan,
+    cell_of, cells_of, grid_of, make_agent, place, population, random_grid, rows_of, straight_plan,
 )
 import reference
 from reference import react_driver, react_walker, sense
@@ -75,7 +75,7 @@ def test_snapshot_returns_each_agent_as_it_went_in():
     assert_round_trip(kept)
     newcomer = make_agent(
         len(agents) + 1, "driver", (4.5, 0.5), straight_plan([(4, 0), (5, 0)], grid.width),
-        heading=E, w=2.0,
+        goal=(5, 0), heading=E, w=2.0,
     )
     place(pop, [newcomer])
     assert_round_trip(kept + [newcomer])
@@ -100,7 +100,7 @@ def eastbound_driver(agent_id, x, grid, speed=0.0, length=None):
     length = length if length is not None else grid.width
     cells = [(i, 0) for i in range(int(x), length)]
     agent = make_agent(
-        agent_id, "driver", (x + 0.5, 0.5), straight_plan(cells, grid.width),
+        agent_id, "driver", (x + 0.5, 0.5), straight_plan(cells, grid.width), goal=cells[-1],
         heading=E, speed=speed,
     )
     return agent
@@ -138,7 +138,7 @@ def act_once(agent, decision, grid, blocked=frozenset()):
 def test_sense_empty_world():
     grid = walking_strip()
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(6)], grid.width)
+        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(6)], grid.width), goal=(5, 0)
     )
     assert decisions([walker], grid) == {1: Decision.PROCEED}
     road = road_strip()
@@ -151,11 +151,12 @@ def test_sense_empty_world():
 def test_sense_head_on_vehicles_both_in_conflict():
     grid = grid_of("rE- rE- rW- rW-")
     a = make_agent(
-        1, "driver", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width), heading=E
+        1, "driver", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width),
+        goal=(2, 0), heading=E
     )
     b = make_agent(
         2, "driver", (1.4, 0.5),
-        straight_plan([(1, 0), (0, 0)], grid.width), heading=Direction.WEST,
+        straight_plan([(1, 0), (0, 0)], grid.width), goal=(0, 0), heading=Direction.WEST,
     )
     # at speed 0 only a conflict in the next cell brakes: each sees the other there
     assert decisions([a, b], grid) == {1: Decision.DECELERATE, 2: Decision.DECELERATE}
@@ -211,7 +212,7 @@ def _random_population(rng: random.Random, grid: GridMap) -> list:
     for agent_id in range(1, rng.randint(2, 30)):
         cell = (rng.randrange(grid.width), rng.randrange(grid.height))
         if rng.random() < 0.5:
-            position = grid.center(cell)
+            position = (cell[0] + 0.5, cell[1] + 0.5)
         else:
             position = (rng.uniform(0, grid.width), rng.uniform(0, grid.height))
         cells = [cell]
@@ -224,6 +225,7 @@ def _random_population(rng: random.Random, grid: GridMap) -> list:
         route = straight_plan(cells, grid.width) if rng.random() < 0.9 else None
         agents.append(make_agent(
             agent_id, rng.choice(["walker", "driver"]), position, route,
+            goal=None if route is None else cells[-1],
             cursor=rng.randint(0, len(cells)), status=status,
             speed=rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
         ))
@@ -294,13 +296,13 @@ def _moving_population(rng: random.Random, grid: GridMap) -> list:
         cursor = rng.randint(0, len(cells))
         x, y = cells[max(cursor - 1, 0)]
         if rng.random() < 0.7:
-            position = grid.center((x, y))
+            position = (x + 0.5, y + 0.5)
         else:
             position = (x + rng.random(), y + rng.random())
         status = rng.choice([Status.ACTIVE] * 4 + [Status.PARKED, Status.COLLIDED])
+        route = straight_plan(cells, grid.width) if rng.random() < 0.9 else None
         agent = make_agent(
-            agent_id, kind, position,
-            straight_plan(cells, grid.width) if rng.random() < 0.9 else None,
+            agent_id, kind, position, route, goal=None if route is None else cells[-1],
             cursor=cursor, status=status,
             speed=rng.choice([0.0, 0.25, 1.0, 2.0, rng.uniform(0.0, 3.0)]),
             heading=rng.choice([None] + list(Direction) * 3) if kind == "driver" else None,
@@ -401,9 +403,8 @@ def test_columns_step_like_the_per_agent_reference(
         ref = [a for a in ref if a.id not in arrived]
         pop.keep(~np.isin(pop.id, arrived))
         if walker_cells:
-            newcomer = make_agent(
-                next_id, "walker", grid.center(rng.choice(walker_cells)), None
-            )
+            x, y = rng.choice(walker_cells)
+            newcomer = make_agent(next_id, "walker", (x + 0.5, y + 0.5), None)
             next_id += 1
             ref.append(copy.deepcopy(newcomer))
             place(pop, [newcomer])
@@ -424,7 +425,7 @@ def test_columns_step_like_the_per_agent_reference(
 def test_walker_stops_for_active_vehicle_on_road():
     grid = grid_of("s-- rN- s--")
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width)
+        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width), goal=(2, 0)
     )
     vehicle = make_agent(2, "driver", (1.5, 0.5), None, heading=N, speed=1.0)
     assert decisions([walker, vehicle], grid)[1] is Decision.STOP
@@ -433,7 +434,7 @@ def test_walker_stops_for_active_vehicle_on_road():
 def test_walker_proceeds_on_zebra_despite_vehicle():
     grid = grid_of("s-- zN- rN- s--")
     walker = make_agent(
-        1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width)
+        1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width), goal=(3, 0)
     )
     vehicle = make_agent(2, "driver", (2.5, 0.5), None, heading=N, speed=1.0)
     assert decisions([walker, vehicle], grid)[1] is Decision.PROCEED
@@ -445,7 +446,7 @@ def test_walker_proceeds_on_zebra_despite_vehicle():
 def test_walker_on_zebra_replans_around_static_obstacle():
     grid = grid_of("s-- zN- zN- s--")
     walker = make_agent(
-        1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width)
+        1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width), goal=(3, 0)
     )
     wreck = make_agent(2, "driver", (2.5, 0.5), None, status=Status.COLLIDED)
     assert decisions([walker, wreck], grid) == {1: Decision.REPLAN}
@@ -454,7 +455,8 @@ def test_walker_on_zebra_replans_around_static_obstacle():
 def test_walker_replans_for_parked_vehicle_on_route():
     grid = grid_of("s-- s-- pN- s--")
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0)], grid.width)
+        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0)], grid.width),
+        goal=(3, 0)
     )
     parked = make_agent(2, "driver", (2.5, 0.5), None, status=Status.PARKED)
     assert decisions([walker, parked], grid) == {1: Decision.REPLAN}
@@ -463,7 +465,7 @@ def test_walker_replans_for_parked_vehicle_on_route():
 def test_walker_clear_path_proceeds():
     grid = walking_strip()
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)], grid.width)
+        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)], grid.width), goal=(4, 0)
     )
     assert decisions([walker], grid) == {1: Decision.PROCEED}
     # no walker rule reads an active walker, even one on the window
@@ -530,7 +532,8 @@ def test_zebra_right_of_way_pairing():
     grid = grid_of("rE- rE- zE- rE-", "s-- s-- s-- s--")
     driver = eastbound_driver(1, 0, grid, length=4)
     walker = make_agent(
-        2, "walker", (2.5, 0.5), straight_plan([(2, 0), (2, 1)], grid.width), max_speed=1.0
+        2, "walker", (2.5, 0.5), straight_plan([(2, 0), (2, 1)], grid.width),
+        goal=(2, 1), max_speed=1.0
     )
     decided = decisions([driver, walker], grid)
     assert decided[1] in (Decision.YIELD, Decision.DECELERATE)
@@ -543,7 +546,8 @@ def test_zebra_right_of_way_pairing():
 def test_act_stop_keeps_position():
     grid = walking_strip()
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0)], grid.width), speed=1.0
+        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0)], grid.width),
+        goal=(1, 0), speed=1.0
     )
     _, walker = act_once(walker, Decision.STOP, grid)
     assert walker.position == (0.5, 0.5)
@@ -554,7 +558,7 @@ def test_act_unit_speed_advances_one_cell():
     grid = walking_strip()
     walker = make_agent(
         1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)], grid.width),
-        max_speed=1.0,
+        goal=(4, 0), max_speed=1.0,
     )
     _, walker = act_once(walker, Decision.PROCEED, grid)
     assert walker.position == (1.5, 0.5)
@@ -581,7 +585,7 @@ def test_act_heading_follows_turns():
     grid = grid_of("s-- s--", "s-- s--")
     driver = make_agent(
         1, "driver", (0.5, 0.5),
-        straight_plan([(0, 0), (1, 0), (1, 1)], grid.width),
+        straight_plan([(0, 0), (1, 0), (1, 1)], grid.width), goal=(1, 1),
         heading=E, max_speed=2.0, speed=2.0,
     )
     _, driver = act_once(driver, Decision.PROCEED, grid)
@@ -597,7 +601,7 @@ def test_heading_is_a_column_of_direction_codes():
     walker = make_agent(1, "walker", (0.5, 1.5), None)
     route = [(0, 0), (1, 0), (1, 1)]
     driver = make_agent(
-        2, "driver", (0.5, 0.5), straight_plan(route, grid.width),
+        2, "driver", (0.5, 0.5), straight_plan(route, grid.width), goal=route[-1],
         heading=E, max_speed=2.0, speed=2.0,
     )
     pop = population([walker, driver])
@@ -626,7 +630,7 @@ def test_act_replan_swaps_route_before_moving():
     )
     replanned, walker = act_once(walker, Decision.REPLAN, grid, blocked={(1, 0)})
     assert replanned
-    assert (1, 0) not in walker.plan.cells
+    assert (1, 0) not in cells_of(grid, walker.plan)
     assert walker.position == (0.5, 1.5)  # moved along the detour already
 
 
@@ -660,7 +664,7 @@ def test_act_position_stays_on_polyline():
     grid = road_strip()
     cells = [(i, 0) for i in range(grid.width)]
     driver = make_agent(
-        1, "driver", (0.5, 0.5), straight_plan(cells, grid.width),
+        1, "driver", (0.5, 0.5), straight_plan(cells, grid.width), goal=cells[-1],
         heading=E, max_speed=0.7,
     )
     pop = population([driver])
@@ -685,7 +689,7 @@ def test_act_speed_clamped_and_no_teleport(speed, decision):
     grid = walking_strip(12)
     walker = make_agent(
         1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(12)], grid.width),
-        max_speed=1.0, speed=min(speed, 1.0),
+        goal=(11, 0), max_speed=1.0, speed=min(speed, 1.0),
     )
     before = walker.position
     _, walker = act_once(walker, decision, grid)

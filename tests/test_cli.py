@@ -185,7 +185,7 @@ def test_bad_scenario_file_is_config_error(tmp_path, text, message):
     ({"walkers": 0, "driver_rate": 0.5, "sweep": {"walkers": [0, 50]}},
      "sweep.walkers: a run sets population targets"),
     # a generated layout has no parking cell, so no driver parks to reactivate
-    ({"reactivation_prob": 0.1}, "reactivation_prob: the map has no parking cell"),
+    ({"reactivation_prob": 0.1}, "reactivation_prob: the map has no unobstructed parking cell"),
 ], ids=["rate_and_target", "arrivals_sweep_over_walkers", "reactivation_without_parking"])
 def test_an_input_that_changes_nothing_is_config_error(tmp_path, patch, message):
     config = write_config(tmp_path, dict(MINIMAL, **patch))
@@ -379,8 +379,8 @@ def test_a_python_scenario_reactivating_without_parking_is_refused(tmp_path):
     # a generated layout has no parking cell: the run is refused as the
     # scenario file is
     scenario = Scenario(SimConfig(steps=3, drivers=2, reactivation_prob=0.5), LayoutSpec())
-    with pytest.raises(ValueError, match="^reactivation_prob: the map has no parking cell, "
-                                         "so no driver parks$"):
+    with pytest.raises(ValueError, match="^reactivation_prob: the map has no unobstructed "
+                                         "parking cell, so no driver parks$"):
         execute_run(scenario, tmp_path / "out")
     assert not (tmp_path / "out" / "metrics.csv").exists()
 
@@ -448,6 +448,19 @@ def write_parking_strip(tmp_path):
     on the sidewalk cell."""
     (tmp_path / "map.grid").write_text("4 1\ns-- rE- rE- pE-\n")
     (tmp_path / "obs.txt").write_text("0 0\n")
+
+
+def test_a_scenario_reactivating_with_every_parking_cell_obstructed_exits_2(tmp_path):
+    write_parking_strip(tmp_path)
+    (tmp_path / "obs.txt").write_text("0 0\n3 0\n")  # the strip's one parking cell too
+    config = write_config(tmp_path, EVERY_FIELD_GRID)  # reactivation_prob 0.1
+    with pytest.raises(ConfigError, match="^reactivation_prob: the map has no unobstructed"):
+        load_config(config)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["run", "--config", str(config), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("config error: reactivation_prob: ")
+    assert not out.exists()
 
 
 def test_sim_fields_name_every_simconfig_field_once():
@@ -1129,7 +1142,7 @@ def test_a_sweep_its_map_cannot_run_is_refused_before_anything_is_written(
     # a generated layout has no parking cell, so no point may reactivate
     scenario = Scenario(sim, LayoutSpec(), sweep=sweep)
     out = tmp_path / "out"
-    with pytest.raises(ValueError, match="^reactivation_prob: the map has no parking cell"):
+    with pytest.raises(ValueError, match="^reactivation_prob: the map has no unobstructed"):
         execute_sweep(scenario, out, parallel=parallel)
     assert not out.exists()
 

@@ -28,7 +28,7 @@ from gridcity.metrics import (
     render_metrics_csv,
 )
 from helpers import (
-    add_agent, cell_of, grid_of, make_agent, parking_2x2, population, step_counted,
+    add_agent, cell_of, cells_of, grid_of, make_agent, parking_2x2, population, step_counted,
     straight_plan,
 )
 from test_digests import SCENARIOS
@@ -218,7 +218,8 @@ def test_replan_onto_own_goal_cell_retires_walker_same_step(monkeypatch):
     grid = grid_of("s-- s-- s--")
     world = World(grid, SimConfig(steps=1, walkers=0, seed=0))
     walker = make_agent(
-        1, "walker", (1.2, 0.5), straight_plan([(0, 0), (1, 0)], grid.width), max_speed=1.0
+        1, "walker", (1.2, 0.5), straight_plan([(0, 0), (1, 0)], grid.width),
+        goal=(1, 0), max_speed=1.0
     )
     blocker = make_agent(2, "walker", (1.7, 0.5), None, status=Status.COLLIDED)
     blocker.countdown = 5
@@ -234,7 +235,7 @@ def test_replan_onto_own_goal_cell_retires_walker_same_step(monkeypatch):
     monkeypatch.setattr(engine, "detect_collisions", detect_after_acting)
     record = world.step()
     walker = acted[1]
-    assert walker.plan.cells == ((1, 0),)
+    assert cells_of(grid, walker.plan) == ((1, 0),)
     assert walker.cursor == 1
     assert [(e.kind, e.agents) for e in record.events] == [("replan", (1,)), ("goal", (1,))]
     assert list(world.agents) == [2]
@@ -282,7 +283,7 @@ def test_reactivate_unreachable_goal_reports_failure():
     )
     cfg = SimConfig(steps=1, drivers=0, seed=0)
     world = World(grid, cfg)
-    driver = make_agent(7, "driver", grid.center((2, 0)), None, status=Status.PARKED)
+    driver = make_agent(7, "driver", (2.5, 0.5), None, status=Status.PARKED)
     add_agent(world, driver)
     assert world.reactivate(7, (3, 1)) is False
     assert world.agents[7].status is Status.PARKED
@@ -298,11 +299,16 @@ def test_add_refuses_an_id_not_above_the_ids_present():
 
 
 def test_reactivation_on_a_map_without_parking_is_refused():
-    # a generated layout has no parking cell, so no driver would park
+    # a generated layout has no parking cell, and a run drops obstructed
+    # goals: on neither map would a driver park
     config = SimConfig(steps=3, drivers=2, reactivation_prob=0.5)
-    with pytest.raises(ValueError, match="^reactivation_prob: the map has no parking cell, "
-                                         "so no driver parks$"):
-        run(config, small_grid())
+    parking = parking_2x2()
+    for grid in (small_grid(), parking.with_obstacles(parking.parking_cells)):
+        with pytest.raises(ValueError, match="^reactivation_prob: the map has no unobstructed "
+                                             "parking cell, so no driver parks$"):
+            run(config, grid)
+    # one free parking cell is enough
+    World(parking.with_obstacles(parking.parking_cells[1:]), config)
 
 
 def test_reactivate_requires_parked_driver():
@@ -549,7 +555,7 @@ def test_automatic_reactivation_policy():
     grid = grid_of("rE- rE- pE- rE-")
     cfg = SimConfig(steps=1, drivers=0, reactivation_prob=1.0, seed=0)
     world = World(grid, cfg)
-    parked = make_agent(5, "driver", grid.center((2, 0)), None, status=Status.PARKED)
+    parked = make_agent(5, "driver", (2.5, 0.5), None, status=Status.PARKED)
     add_agent(world, parked)
     saw_reactivate = False
     for _ in range(10):
@@ -602,7 +608,7 @@ def test_obstructed_driver_sites_are_dropped():
             world.step()
             for a in world.agents.values():
                 assert a.goal != obstacle
-                assert a.plan is None or obstacle not in a.plan.cells
+                assert a.plan is None or obstacle not in cells_of(grid, a.plan)
     # a run over the obstructed site completes with drivers about
     result = run(cfg, grid.with_obstacles({grid.driver_spawns[0][0]}))
     assert sum(e.kind == "spawn" for e in result.events) >= cfg.drivers

@@ -28,7 +28,7 @@ from gridcity.environment import (
     _decode,
     _token,
 )
-from helpers import grid_of, random_grid
+from helpers import flow_of, grid_of, random_grid
 
 
 # -- cell codec ---------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_ground_chars_bijective():
 def test_token_decode(token, ground, flow):
     grid = GridMap.build([[token]])
     assert grid.ground_at((0, 0)) is ground
-    assert grid.flow_at((0, 0)) == frozenset(flow)
+    assert flow_of(grid, (0, 0)) == frozenset(flow)
     assert serialize_grid(grid) == f"1 1\n{token}\n"
 
 
@@ -99,7 +99,7 @@ def test_direction_encoding_is_consistent():
 
 def test_token_canonical_direction_order():
     grid = GridMap.build([["rWN"]])
-    assert grid.flow_at((0, 0)) == frozenset({Direction.WEST, Direction.NORTH})
+    assert flow_of(grid, (0, 0)) == frozenset({Direction.WEST, Direction.NORTH})
     assert serialize_grid(grid) == "1 1\nrNW\n"
 
 
@@ -110,7 +110,7 @@ def test_parse_minimal_grid():
     grid = grid_of("rN- b--", "s-- zE-")
     assert grid.width == 2 and grid.height == 2
     assert grid.ground_at((0, 0)) is GroundType.ROAD
-    assert grid.flow_at((1, 1)) == frozenset({Direction.EAST})
+    assert flow_of(grid, (1, 1)) == frozenset({Direction.EAST})
 
 
 def test_parse_error_names_position():
@@ -263,7 +263,7 @@ def test_layout_interior_street_has_two_lanes_per_direction():
     # interior vertical corridor sits right of the first block
     x0 = 4 + 15
     y = 4 + 7  # a block row, plain street
-    dirs = [grid.flow_at((x0 + i, y)) for i in range(4)]
+    dirs = [flow_of(grid, (x0 + i, y)) for i in range(4)]
     assert dirs[0] == dirs[1] == frozenset({Direction.SOUTH})
     assert dirs[2] == dirs[3] == frozenset({Direction.NORTH})
 
@@ -273,15 +273,15 @@ def test_layout_road_lanes_single_direction_and_opposing_adjacent():
     for y in range(grid.height):
         for x in range(grid.width):
             if grid.ground_at((x, y)) is GroundType.ROAD:
-                assert len(grid.flow_at((x, y))) == 1
+                assert len(flow_of(grid, (x, y))) == 1
     # opposing halves of every corridor touch at the centerline
     sw, pitch = 4, 19
     for k in range(3):
         x_left = k * pitch + 1  # last southbound lane
         x_right = k * pitch + 2  # first northbound lane
         y = sw + 7
-        assert grid.flow_at((x_left, y)) == frozenset({Direction.SOUTH})
-        assert grid.flow_at((x_right, y)) == frozenset({Direction.NORTH})
+        assert flow_of(grid, (x_left, y)) == frozenset({Direction.SOUTH})
+        assert flow_of(grid, (x_right, y)) == frozenset({Direction.NORTH})
 
 
 def test_layout_turn_cells_advertise_both_lane_directions():
@@ -289,7 +289,7 @@ def test_layout_turn_cells_advertise_both_lane_directions():
     for y in range(grid.height):
         for x in range(grid.width):
             if grid.ground_at((x, y)) in (GroundType.TURN, GroundType.LEFT_TURN):
-                flow = grid.flow_at((x, y))
+                flow = flow_of(grid, (x, y))
                 assert len(flow) == 2
                 axes = {d in (Direction.NORTH, Direction.SOUTH) for d in flow}
                 assert axes == {True, False}
@@ -497,7 +497,7 @@ def test_driver_spawn_sites_are_road_cells_with_flow():
     assert grid.driver_spawns
     for (x, y), heading in grid.driver_spawns:
         assert grid.ground_at((x, y)) is GroundType.ROAD
-        assert heading in grid.flow_at((x, y))
+        assert heading in flow_of(grid, (x, y))
 
 
 def test_driver_exits_on_boundary():
@@ -505,11 +505,6 @@ def test_driver_exits_on_boundary():
     assert grid.driver_exits
     for x, y in grid.driver_exits:
         assert x in (0, grid.width - 1) or y in (0, grid.height - 1)
-
-
-def test_lane_center():
-    grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
-    assert grid.center((3, 7)) == (3.5, 7.5)
 
 
 def test_grid_map_rejects_ragged_rows():

@@ -19,7 +19,7 @@ import random
 
 from gridcity.environment import Direction, LayoutSpec, generate_layout, place_obstacles
 from gridcity.planner import BehaviorProfile, plan
-from helpers import parking_2x2, random_grid, route_actions, traversable_cells
+from helpers import cells_of, flow_of, parking_2x2, random_grid, route_actions, traversable_cells
 
 EXPECTED = "6ae440e2f644b8a6b565fe3d172f07405593b55b7b6dc61126d5db83b9e666a3"
 
@@ -53,7 +53,7 @@ def _queries():
                     blocked.add(goal)  # fails at once, with an empty trace
                 heading = None
                 if kind == "driver" and i % 2:
-                    flow = grid.flow_at(start)
+                    flow = flow_of(grid, start)
                     heading = rng.choice([d for d in Direction if d in flow])
                 label = f"{name}|{kind}|{start}|{goal}|{profile.w!r}|{profile.alpha!r}|{heading!s}"
                 yield label, grid, start, goal, profile, frozenset(blocked), heading
@@ -64,11 +64,12 @@ def _record(lines, label, grid, profile, heading, route, trace):
     if route is None:
         lines.append("no route")
     else:
-        lines.append(repr(route.cells))
+        cells = cells_of(grid, route)
+        lines.append(repr(cells))
         if profile.kind == "walker":
             moves = ["step"] * (len(route) - 1)
         else:
-            moves = [a.value for a in route_actions(grid, route.cells, heading)]
+            moves = [a.value for a in route_actions(grid, cells, heading)]
         lines.append(repr([None] + moves))
         lines.append(f"{route.total_cost!r} {route.risk_total!r} {route.expansions}")
     for step, x, y, g, h, r, f in trace:

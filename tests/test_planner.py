@@ -22,7 +22,6 @@ from gridcity.planner import (
     Action,
     BehaviorProfile,
     Plan,
-    classify_action,
     default_heading,
     plan,
     _MEMO_SIZE,
@@ -30,7 +29,10 @@ from gridcity.planner import (
     _coords,
     _moves,
 )
-from helpers import grid_of, random_grid, random_instance, route_actions, traversable_cells
+from helpers import (
+    cells_of, classify_action, flow_of, grid_of, random_grid, random_instance, route_actions,
+    traversable_cells,
+)
 from oracle import RISKS, oracle_cost
 import reference
 
@@ -123,57 +125,26 @@ def test_classify_from_a_cell_without_flow_is_no_turn():
     assert classify_action(grid, (0, 1), (1, 1), E) is Action.BACKWARD
 
 
-def test_classify_requires_adjacency():
-    grid = grid_of("rN- rN- rN-", "rN- rN- rN-")
-    # the same cell, a diagonal neighbour and a cell two apart
-    for to in ((0, 0), (1, 1), (2, 0)):
-        with pytest.raises(ValueError, match="not 4-adjacent"):
-            classify_action(grid, (0, 0), to, N)
-
-
-def test_classify_refuses_a_cell_off_the_grid():
-    # a flat index of a cell off the grid may wrap onto a cell of the grid
-    grid = generate_layout(LayoutSpec())
-    last = grid.width - 1
-    moves = [
-        ((0, 0), (-1, 0), W), ((last, 0), (last + 1, 0), E),
-        ((0, 0), (0, -1), N), ((0, last), (0, last + 1), S),
-        ((-1, 0), (0, 0), E),
-    ]
-    for frm, to, heading in moves:
-        off = to if grid.in_bounds(frm) else frm
-        with pytest.raises(ValueError, match=re.escape(f"cell {off} lies outside the grid")):
-            classify_action(grid, frm, to, heading)
-
-
 @pytest.mark.parametrize("heading", [5, -1, 4, 1, True, "E"])
 def test_plan_and_classify_action_refuse_a_heading_that_is_no_direction(heading):
     # an int heading would be OR-ed into a driver's start state (5 plans as
-    # EAST, -1 finds no route) and index classify_action's answers (-1 as WEST)
+    # EAST, -1 finds no route)
     grid = generate_layout(LayoutSpec())
     driver = BehaviorProfile("driver", alpha=1.0)
     with pytest.raises(ValueError, match=re.escape(
             f"heading must be a Direction or None, got {heading!r}")):
         plan(grid, (0, 5), (0, 0), driver, heading=heading)
-    with pytest.raises(ValueError, match=re.escape(
-            f"heading must be a Direction, got {heading!r}")):
-        classify_action(grid, (0, 5), (1, 5), heading)
-
-
-def test_classify_action_refuses_no_heading():
-    grid = generate_layout(LayoutSpec())
-    with pytest.raises(ValueError, match="^heading must be a Direction, got None$"):
-        classify_action(grid, (0, 5), (1, 5), None)
 
 
 @pytest.mark.parametrize("read", [
     default_heading,
     lambda grid, cell: grid.ground_at(cell),
-    lambda grid, cell: grid.flow_at(cell),
-], ids=["default_heading", "ground_at", "flow_at"])
+    lambda grid, cell: plan(grid, cell, (0, 5), BehaviorProfile("walker")),
+    lambda grid, cell: plan(grid, (0, 5), cell, BehaviorProfile("walker")),
+], ids=["default_heading", "ground_at", "plan_start", "plan_goal"])
 def test_a_cell_read_refuses_a_cell_off_the_grid(read):
     # (-1, 1) would wrap onto (22, 0), a left-turn cell with flow north, and
-    # (23, 0) onto (0, 1)
+    # (23, 0) onto (0, 1); a plan's other end, (0, 5), lies on the grid
     grid = generate_layout(LayoutSpec())
     assert (grid.width, grid.height) == (23, 23)
     for cell in [(-1, 1), (23, 0), (0, -1), (0, 23)]:
@@ -190,7 +161,7 @@ def test_classify_generated_intersection_truth_table():
         for x in range(grid.width):
             if grid.ground_at((x, y)) not in (GroundType.TURN, GroundType.LEFT_TURN):
                 continue
-            for heading in grid.flow_at((x, y)):
+            for heading in flow_of(grid, (x, y)):
                 _, _, back, clockwise = DIRECTION_TABLE[heading]
                 for d, (dx, dy, _, _) in zip(Direction, DIRECTION_TABLE):
                     to = (x + dx, y + dy)
@@ -198,7 +169,7 @@ def test_classify_generated_intersection_truth_table():
                         continue
                     if d in (heading, Direction(back)):
                         continue
-                    if d not in grid.flow_at(to):
+                    if d not in flow_of(grid, to):
                         continue
                     action = classify_action(grid, (x, y), to, heading)
                     expected = (
@@ -224,8 +195,8 @@ def test_walker_plan_on_uniform_grid():
     route = plan(grid, (0, 0), (7, 7), profile)
     assert route.total_cost == 14.0
     assert len(route) == 15
-    assert route.cells[0] == (0, 0)
-    assert route.cells[-1] == (7, 7)
+    cells = cells_of(grid, route)
+    assert (cells[0], cells[-1]) == ((0, 0), (7, 7))
     assert route.risk_total == 0.0
 
 
@@ -267,11 +238,12 @@ def test_plan_cells_are_adjacent_and_finite():
             continue
         found += 1
         cost = grid.costs(kind)
-        assert route.cells[0] == start
-        assert route.cells[-1] == goal
-        for a, b in zip(route.cells, route.cells[1:]):
+        cells = cells_of(grid, route)
+        assert cells[0] == start
+        assert cells[-1] == goal
+        for a, b in zip(cells, cells[1:]):
             assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-        for cell in route.cells:
+        for cell in cells:
             assert cost[cell[1] * grid.width + cell[0]] != math.inf
     assert found > 5
 
@@ -290,14 +262,12 @@ def test_a_plan_holds_its_cells_as_flat_indices(kind, w):
             continue
         found += 1
         width = grid.width
-        assert route.width == width
-        assert route.cells == tuple((i % width, i // width) for i in route.route)
-        assert route.cells[0] == start
-        assert route.cells[-1] == goal
+        cells = cells_of(grid, route)
+        assert cells[0] == start
+        assert cells[-1] == goal
         assert len(route) == len(route.route)
-        by_hand = array("i", [y * width + x for x, y in route.cells])
-        assert Plan(by_hand, width, route.total_cost, route.risk_total,
-                    route.expansions) == route
+        by_hand = array("i", [y * width + x for x, y in cells])
+        assert Plan(by_hand, route.total_cost, route.risk_total, route.expansions) == route
     assert found > 5
 
 
@@ -414,7 +384,7 @@ def test_high_weight_walker_uses_road_cells_low_weight_avoids():
     start, goal = (5, 4), (36, 37)
     cautious = plan(grid, start, goal, BehaviorProfile(kind="walker", w=1.0))
     reckless = plan(grid, start, goal, BehaviorProfile(kind="walker", w=5.0))
-    road = lambda route: {c for c in route.cells if grid.ground_at(c) in ROAD_FAMILY}
+    road = lambda route: {c for c in cells_of(grid, route) if grid.ground_at(c) in ROAD_FAMILY}
     assert len(road(reckless)) > len(road(cautious))
     assert road(reckless) - road(cautious)
 
@@ -426,8 +396,8 @@ def test_replan_without_blockers_matches_plan():
     grid = uniform_sidewalk(8)
     profile = BehaviorProfile(kind="walker")
     assert (
-        plan(grid, (0, 0), (5, 5), profile, blocked=frozenset()).cells
-        == plan(grid, (0, 0), (5, 5), profile).cells
+        cells_of(grid, plan(grid, (0, 0), (5, 5), profile, blocked=frozenset()))
+        == cells_of(grid, plan(grid, (0, 0), (5, 5), profile))
     )
 
 
@@ -440,11 +410,11 @@ def test_replan_avoids_blocked_cells_or_fails():
     )
     profile = BehaviorProfile(kind="walker")
     base = plan(grid, (0, 0), (4, 0), profile)
-    assert base.cells == ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
+    assert cells_of(grid, base) == ((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
     blocked = {(1, 0), (2, 0), (3, 0)}
     detour = plan(grid, (0, 0), (4, 0), profile, blocked=blocked)
     assert detour is not None
-    assert not blocked & set(detour.cells)
+    assert not blocked & set(cells_of(grid, detour))
     # blocking both corridors leaves no route
     assert plan(grid, (0, 0), (4, 0), profile, blocked=blocked | {(1, 2)}) is None
 
@@ -472,8 +442,9 @@ def test_plan_ignores_blocked_start():
     ring = grid_of("s-- rN-", "tN- tSN", "tE- tW-")
     driver = BehaviorProfile(kind="driver", alpha=5.0)
     route = ((1, 1), (1, 2), (0, 2), (0, 1), (1, 1), (1, 0))
-    assert plan(ring, (1, 1), (1, 0), driver, heading=S).cells == route
-    assert plan(ring, (1, 1), (1, 0), driver, blocked={(1, 1)}, heading=S).cells == route
+    assert cells_of(ring, plan(ring, (1, 1), (1, 0), driver, heading=S)) == route
+    looped = plan(ring, (1, 1), (1, 0), driver, blocked={(1, 1)}, heading=S)
+    assert cells_of(ring, looped) == route
 
 
 def test_obstacle_overlay_shares_layout_tables_not_costs():
@@ -489,12 +460,12 @@ def test_obstacle_overlay_shares_layout_tables_not_costs():
         (driver_start, driver_goal, driver, heading),
     ]
     for start, goal, profile, hd in queries:
-        route = plan(grid, start, goal, profile, heading=hd).cells
+        route = cells_of(grid, plan(grid, start, goal, profile, heading=hd))
         cell = route[len(route) // 2]
         overlay = grid.with_obstacles({cell})
         detour = plan(overlay, start, goal, profile, heading=hd)
-        assert detour is not None and cell not in detour.cells
-        assert plan(grid, start, goal, profile, heading=hd).cells == route
+        assert detour is not None and cell not in cells_of(grid, detour)
+        assert cells_of(grid, plan(grid, start, goal, profile, heading=hd)) == route
         assert _moves(overlay, profile.kind) is _moves(grid, profile.kind)
         assert _coords(overlay) is _coords(grid)
         assert overlay.costs(profile.kind) is not grid.costs(profile.kind)
@@ -541,7 +512,7 @@ def test_a_blocked_query_searches():
         remembered = plan(grid, start, goal, profile, heading=heading)
         size = len(memo)
         # a blocked cell off the route changes nothing but the search
-        off_route = next(c for c in grid.walker_spawns if c not in remembered.cells)
+        off_route = next(c for c in grid.walker_spawns if c not in cells_of(grid, remembered))
         searched = plan(grid, start, goal, profile, blocked={off_route}, heading=heading)
         assert searched == remembered and searched is not remembered
         assert len(memo) == size
@@ -550,14 +521,14 @@ def test_a_blocked_query_searches():
 def test_each_obstacle_overlay_gets_its_own_plans():
     grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1))
     for start, goal, profile, heading in _city_queries(grid):
-        route = plan(grid, start, goal, profile, heading=heading).cells
+        route = cells_of(grid, plan(grid, start, goal, profile, heading=heading))
         off_route = next(c for c in grid.walker_spawns if c not in route)
         overlay_a = grid.with_obstacles({off_route})
         remembered = plan(overlay_a, start, goal, profile, heading=heading)
-        crossed = remembered.cells[len(remembered) // 2]
+        crossed = cells_of(grid, remembered)[len(remembered) // 2]
         overlay_b = grid.with_obstacles({crossed})
         detour = plan(overlay_b, start, goal, profile, heading=heading)
-        assert detour is not None and crossed not in detour.cells
+        assert detour is not None and crossed not in cells_of(grid, detour)
         assert plan(overlay_a, start, goal, profile, heading=heading) == remembered
 
 
@@ -566,7 +537,7 @@ def test_the_memo_holds_one_overlay():
     memo = grid.layout_table("plans", dict)
     queries = _city_queries(grid)
     routes = {c for start, goal, profile, heading in queries
-              for c in plan(grid, start, goal, profile, heading=heading).cells}
+              for c in cells_of(grid, plan(grid, start, goal, profile, heading=heading))}
     off_route = next(c for c in grid.walker_spawns if c not in routes)
     overlay = grid.with_obstacles({off_route})
     found = [plan(overlay, start, goal, profile, heading=heading)
@@ -593,8 +564,8 @@ def test_a_driver_heading_gets_its_own_plan():
     driver = BehaviorProfile(kind="driver", alpha=5.0)
     south = plan(ring, (1, 1), (1, 0), driver, heading=S)
     north = plan(ring, (1, 1), (1, 0), driver, heading=N)
-    assert south.cells == ((1, 1), (1, 2), (0, 2), (0, 1), (1, 1), (1, 0))
-    assert north.cells == ((1, 1), (1, 0))
+    assert cells_of(ring, south) == ((1, 1), (1, 2), (0, 2), (0, 1), (1, 1), (1, 0))
+    assert cells_of(ring, north) == ((1, 1), (1, 0))
     assert plan(ring, (1, 1), (1, 0), driver, heading=S) is south
 
 
@@ -706,7 +677,8 @@ def _kernel_outcome(planner, grid, start, goal, profile, blocked, heading):
         return str(exc)
     if route is None:
         return None, repr(trace)
-    found = (route.cells, repr(route.total_cost), repr(route.risk_total), route.expansions)
+    found = (cells_of(grid, route), repr(route.total_cost), repr(route.risk_total),
+             route.expansions)
     return found, repr(trace)
 
 
@@ -740,7 +712,8 @@ def test_plan_matches_the_reference_kernel(source, seed):
                 free = None
             blocked = set(rng.sample(cells, rng.randint(0, min(len(cells), 6))))
             if free is not None:
-                blocked |= set(rng.sample(free.cells, rng.randint(0, len(free.cells))))
+                on_route = cells_of(grid, free)
+                blocked |= set(rng.sample(on_route, rng.randint(0, len(on_route))))
             if rng.random() < 0.5:
                 blocked |= {(goal[0] + dx, goal[1] + dy) for dx, dy, _, _ in DIRECTION_TABLE}
             if rng.random() < 0.5:
@@ -908,7 +881,7 @@ def test_plan_trace_records_expansions(case):
         assert entered, trace[j]
         headings.append(entered)
     if profile.kind == "driver":
-        actions = set(route_actions(grid, route.cells, heading))
+        actions = set(route_actions(grid, cells_of(grid, route), heading))
         assert {Action.RIGHT_TURN, Action.LEFT_TURN} <= actions
         assert {row[5] for row in trace} == {0.0, 1.0, 2.0, 3.0, 5.0, 20.0}
 
