@@ -3,14 +3,14 @@ rules, and kinematics.
 
 The population is one ``Population``, one row per agent in ascending id
 order: numpy columns for what the array passes read and write, a driver's
-heading among them, and per-row lists of the plans and of the objects
-``plan`` takes (profile, goal).  Floor cells are computed from the positions,
-not stored.  Each step ``decide`` reads the columns, tests each active agent
-against the others near its window (its next few route cells), and picks
-exactly one decision code per active agent (yield, decelerate, stop, replan,
-accelerate, proceed).  ``act`` then applies the codes as array updates and
-moves every agent with a speed from cell center to cell center along its
-plan.  A spawned agent enters as a row of ``Population.extend``;
+heading among them, and per-row lists of the plans and of the profiles
+``plan`` takes; a row's goal is the last cell of its plan.  Floor cells are
+computed from the positions, not stored.  Each step ``decide`` reads the
+columns, tests each active agent against the others near its window (its
+next few route cells), and picks exactly one decision code per active agent
+(yield, decelerate, stop, replan, accelerate, proceed).  ``act`` then applies
+the codes as array updates and moves every agent with a speed from cell
+center to cell center along its plan.  A spawned agent enters as a row of ``Population.extend``;
 ``AgentState`` is the record of one agent that ``Population.snapshot`` gives
 out, never a live copy.
 """
@@ -63,7 +63,6 @@ class AgentState:
     cursor: int  # index of the next plan cell to reach
     status: Status = Status.ACTIVE
     countdown: int = 0
-    goal: Coord | None = None
 
     @property
     def kind(self) -> str:
@@ -95,11 +94,11 @@ class Population:
     the index of the next plan cell to reach; ``heading``, a ``Direction``
     value, -1 for none, as for a walker; ``countdown``; ``max_speed``; and
     ``plan_len``, the length of the row's plan (0 without one).  The other
-    facts ``plan`` takes are kept per row as objects, in three lists:
+    facts ``plan`` takes are kept per row as objects, in two lists:
     ``plans``, each row's ``Plan`` or None, whose flat ``route`` is the one
-    copy of its cells; ``profiles``, the ``BehaviorProfile`` the agent
-    spawned with; and ``goals``, an ``(x, y)`` cell or None.  A row's floor
-    cell is computed from ``x`` and ``y`` where it is needed.
+    copy of its cells and ends on the row's goal; and ``profiles``, the
+    ``BehaviorProfile`` the agent spawned with.  A row's floor cell is
+    computed from ``x`` and ``y`` where it is needed.
     """
 
     _COLUMNS = (
@@ -108,7 +107,7 @@ class Population:
         ("cursor", np.int64), ("heading", np.int8), ("countdown", np.int64),
         ("max_speed", np.float64), ("plan_len", np.int64),
     )
-    _LISTS = ("plans", "profiles", "goals")
+    _LISTS = ("plans", "profiles")
 
     def __init__(self):
         for name, dtype in self._COLUMNS:
@@ -120,13 +119,13 @@ class Population:
         return len(self.id)
 
     def extend(self, rows) -> None:
-        """Append one agent per row ``(id, profile, position, heading, plan,
-        goal)``, in order, as a spawn makes it: active and at rest, with its
+        """Append one agent per row ``(id, profile, position, heading, plan)``,
+        in order, as a spawn makes it: active and at rest, with its
         cursor at 1 and no countdown; a heading is a ``Direction`` or None.
         The ids must ascend past every id present."""
         if not rows:
             return
-        ids, profiles, positions, dirs, plans, goals = zip(*rows)
+        ids, profiles, positions, dirs, plans = zip(*rows)
         last = int(self.id[-1]) if len(self.id) else -math.inf
         if any(b <= a for a, b in zip((last,) + ids, ids)):
             raise ValueError(f"agent ids must ascend past {last}, got {list(ids)}")
@@ -144,7 +143,6 @@ class Population:
             setattr(self, name, column)
         self.plans += [None] * len(rows)
         self.profiles += profiles
-        self.goals += goals
         self._write_plans(slice(n, None), plans)
 
     def _write_plans(self, rows, plans) -> None:
@@ -188,15 +186,13 @@ class Population:
         return self.cells(self.status != Status.ACTIVE.value)
 
     def snapshot(self) -> dict[int, AgentState]:
-        """Every agent as an ``AgentState`` by id, in row order; its profile,
-        plan and goal are the held objects, its heading a ``Direction`` or None."""
+        """Every agent as an ``AgentState`` by id, in row order; its profile
+        and plan are the held objects, its heading a ``Direction`` or None."""
         out = {}
-        for (i, status, x, y, speed, cursor, heading, countdown, profile, route,
-             goal) in zip(
+        for i, status, x, y, speed, cursor, heading, countdown, profile, route in zip(
             self.id.tolist(), self.status.tolist(), self.x.tolist(),
             self.y.tolist(), self.speed.tolist(), self.cursor.tolist(),
-            self.heading.tolist(), self.countdown.tolist(), self.profiles,
-            self.plans, self.goals,
+            self.heading.tolist(), self.countdown.tolist(), self.profiles, self.plans,
         ):
             out[i] = AgentState(
                 id=i,
@@ -208,7 +204,6 @@ class Population:
                 cursor=cursor,
                 status=_STATUSES[status],
                 countdown=countdown,
-                goal=goal,
             )
         return out
 
@@ -364,11 +359,11 @@ def act(
 
     ``codes`` holds one ``Decision`` code per active row, in row order, as
     ``decide`` returns them; it is left unchanged.  A replan plans from the
-    row's cell to its goal around ``pop.blocking_cells()``, taken once and
-    only when some row replans, row after row, with the ``Direction`` of the
-    row's heading code (None for -1); its outcome is a code: a found route
-    replaces the plan and then accelerates a driver or lets a walker proceed,
-    and a failed one (or a row without a goal) keeps the old plan and stops.
+    row's cell to the last cell of its plan around ``pop.blocking_cells()``,
+    taken once and only when some row replans, row after row, with the
+    ``Direction`` of the row's heading code (None for -1); its outcome is a
+    code: a found route replaces the plan and then accelerates a driver or
+    lets a walker proceed, and a failed one keeps the old plan and stops.
     Stop and yield set the speed to 0, decelerate to ``max(0, speed - decel)``,
     accelerate to ``min(max_speed, speed + accel)``, and a walker that
     proceeds moves at ``max_speed``.  The moved rows' ``x``, ``y``,
@@ -383,13 +378,11 @@ def act(
     blocked = pop.blocking_cells() if replans else None
     for i in replans:
         row = int(rows[i])
-        goal = pop.goals[row]
-        route = None
-        if goal is not None:
-            route = plan(
-                grid, pop.coord(row), goal, pop.profiles[row], blocked=blocked,
-                heading=None if pop.heading[row] < 0 else Direction(pop.heading[row]),
-            )
+        y, x = divmod(pop.plans[row].route[-1], grid.width)
+        route = plan(
+            grid, pop.coord(row), (x, y), pop.profiles[row], blocked=blocked,
+            heading=None if pop.heading[row] < 0 else Direction(pop.heading[row]),
+        )
         if route is None:
             codes[i] = Decision.STOP.value
         else:

@@ -2,7 +2,7 @@
 
 ``World`` owns the population as one ``agents.Population``: one row per agent
 in ascending id order, held as numpy columns for the array passes and as
-per-row lists of the plans and of the objects ``plan`` takes.  Each step runs
+per-row lists of the plans and of the profiles ``plan`` takes.  Each step runs
 three phases.  One array pass over the columns (``agents.decide``) senses the
 snapshot of the previous positions and picks one decision code per active
 agent.  ``agents.act`` then applies the codes and moves every agent with a
@@ -12,11 +12,11 @@ parks drivers on parking goals, optionally reactivates parked drivers, and
 spawns replacements, appended in one go; expired and retired rows leave with
 one mask.  Every plan (spawn, replan, reactivation) avoids
 ``Population.blocking_cells()``, the cells of the parked and collided agents;
-a replan hands ``plan`` the stored profile and goal and the ``Direction`` of
-a driver's heading code.  A spawn draws its site, goal and profile from one
-per-kind table and enters the population as a row.  ``World.agents`` is a
-snapshot of ``AgentState`` records built from the population.
-A run is fully determined by (config, seed).
+a replan hands ``plan`` the stored profile, the last cell of the row's plan as
+its goal, and the ``Direction`` of a driver's heading code.  A spawn draws its
+site, goal and profile from one per-kind table and enters the population as
+a row.  ``World.agents`` is a snapshot of ``AgentState`` records built from
+the population.  A run is fully determined by (config, seed).
 """
 from __future__ import annotations
 
@@ -262,8 +262,8 @@ class World:
                                alpha=rng.uniform(*alpha), max_speed=max_speed)
 
     def _spawn(self, kind: str, sites: list, blocked: set) -> tuple | None:
-        """The row ``(id, profile, position, heading, plan, goal)`` of a new
-        ``kind`` agent on a random ``(cell, heading)`` site, with a route around
+        """The row ``(id, profile, position, heading, plan)`` of a new ``kind``
+        agent on a random ``(cell, heading)`` site, with a route around
         ``blocked`` to a random goal; None when 10 draws find no route."""
         goals = self._spawn_table[kind][1]
         if not sites or not goals:
@@ -282,7 +282,7 @@ class World:
                 continue
             self._next_id += 1
             center = (start[0] + 0.5, start[1] + 0.5)
-            return self._next_id - 1, profile, center, heading, route, goal
+            return self._next_id - 1, profile, center, heading, route
         return None
 
     def _log(self, kind: str, rows) -> None:
@@ -340,9 +340,11 @@ class World:
     # -- lifecycle ----------------------------------------------------------
 
     def reactivate(self, driver_id: int, new_goal: Coord) -> bool:
-        """Give a parked driver a fresh goal; False when no route exists.
-        Its ``reactivate`` event joins the events of the step under way, or
-        opens those of the next step when called between steps."""
+        """Give a parked driver a fresh goal; False when no route exists.  A
+        goal off the grid, or one a driver cannot enter, raises ValueError
+        (from ``plan``) and leaves the driver parked.  Its ``reactivate``
+        event joins the events of the step under way, or opens those of the
+        next step when called between steps."""
         pop = self.population
         row = pop.row_of(driver_id)
         if row is None or not pop.driver[row] or pop.status[row] != Status.PARKED.value:
@@ -358,7 +360,6 @@ class World:
             return False
         pop.status[row] = Status.ACTIVE.value
         pop.set_plan(row, route)
-        pop.goals[row] = new_goal
         pop.heading[row] = heading
         pop.speed[row] = 0.0
         self._log("reactivate", slice(row, row + 1))
@@ -408,8 +409,7 @@ class World:
             & (pop.cursor >= pop.plan_len)
         )
         for row, driver in zip(arrived.tolist(), pop.driver[arrived].tolist()):
-            goal = pop.goals[row]
-            if driver and goal is not None and grid.ground_at(goal) is GroundType.PARKING:
+            if driver and grid.ground[pop.plans[row].route[-1]] == GroundType.PARKING:
                 pop.status[row] = Status.PARKED.value
                 pop.speed[row] = 0.0
                 self._log("park", slice(row, row + 1))

@@ -232,9 +232,6 @@ class GridMap:
             raise ValueError(f"cell {coord} lies outside the grid")
         return coord[1] * self.width + coord[0]
 
-    def ground_at(self, coord: Coord) -> GroundType:
-        return GroundType(self.ground[self.index_of(coord)])
-
     def layout_table(self, key, build):
         """The layout's table ``key``, made by ``build()`` on first use.
 

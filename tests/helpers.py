@@ -1,7 +1,7 @@
 """Shared test fixtures: random grids, tiny hand-written maps, a parking
 city, agent and population factories, and a step's population count; and
-the readers only tests need: a plan's cells, a cell's flow and a driver
-move's maneuver."""
+the readers only tests need: a plan's cells, a cell's ground and flow and a
+driver move's maneuver."""
 from __future__ import annotations
 
 import math
@@ -120,6 +120,11 @@ def cells_of(grid: GridMap, plan: Plan) -> tuple:
     return tuple((i % width, i // width) for i in plan.route)
 
 
+def ground_of(grid: GridMap, cell: Coord) -> GroundType:
+    """The ``GroundType`` of a cell, read from its byte in ``grid.ground``."""
+    return GroundType(grid.ground[grid.index_of(cell)])
+
+
 def flow_of(grid: GridMap, cell: Coord) -> frozenset:
     """The Directions of a cell's flow, read from its bit mask in ``grid.flow``."""
     mask = grid.flow[grid.index_of(cell)]
@@ -160,7 +165,6 @@ def make_agent(
     heading=None,
     status: Status = Status.ACTIVE,
     max_speed: float = 2.0,
-    goal=None,
     w: float = 1.0,
     alpha: float = 0.0,
 ) -> AgentState:
@@ -174,7 +178,6 @@ def make_agent(
         plan=plan,
         cursor=cursor,
         status=status,
-        goal=goal,
     )
 
 
@@ -189,7 +192,7 @@ def place(pop: Population, agents) -> Population:
     write each agent's status, speed, cursor and countdown into its row."""
     agents = list(agents)
     rows = slice(len(pop), None)
-    pop.extend([(a.id, a.profile, a.position, a.heading, a.plan, a.goal) for a in agents])
+    pop.extend([(a.id, a.profile, a.position, a.heading, a.plan) for a in agents])
     for name in ("status", "speed", "cursor", "countdown"):
         getattr(pop, name)[rows] = [getattr(a, name) for a in agents]
     return pop

@@ -46,7 +46,7 @@ from gridcity.planner import (
     _classify,
     default_heading,
 )
-from helpers import cell_of, cells_of
+from helpers import cell_of, cells_of, ground_of
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,7 @@ def sense(
     for c in window:
         center = (c[0] + 0.5, c[1] + 0.5)
         centers.append(center)
-        if check_zebras and grid.ground_at(c) is GroundType.ZEBRA:
+        if check_zebras and ground_of(grid, c) is GroundType.ZEBRA:
             zebra_centers.append(center)
     r2 = radius * radius
     y2 = yield_radius * yield_radius
@@ -146,7 +146,7 @@ def sense(
 def react_walker(agent: AgentState, perception: Perception, grid: GridMap) -> Decision:
     """Stop for active vehicles, except on a zebra where the walker has
     right-of-way; replan around inactive blockers; otherwise proceed."""
-    on_zebra = grid.ground_at(cell_of(agent)) is GroundType.ZEBRA
+    on_zebra = ground_of(grid, cell_of(agent)) is GroundType.ZEBRA
     if on_zebra:
         return Decision.REPLAN if perception.blocked_cells else Decision.PROCEED
     if perception.vehicle_conflict:
@@ -188,7 +188,8 @@ def act(
     """Apply the decision's speed update, then advance along the plan.
 
     Returns True when the decision replaced the plan (successful replan).
-    A failed replan leaves the old plan in place and waits this step.
+    A replan plans to the plan's last cell; a failed one leaves the old plan
+    in place and waits this step.
     """
     replanned = False
     if decision in (Decision.STOP, Decision.YIELD):
@@ -201,16 +202,14 @@ def act(
         if agent.kind == "walker":
             agent.speed = agent.profile.max_speed
     elif decision is Decision.REPLAN:
-        new_plan = None
-        if agent.goal is not None:
-            new_plan = planner.plan(
-                grid,
-                cell_of(agent),
-                agent.goal,
-                agent.profile,
-                blocked=blocked,
-                heading=agent.heading,
-            )
+        new_plan = planner.plan(
+            grid,
+            cell_of(agent),
+            cells_of(grid, agent.plan)[-1],
+            agent.profile,
+            blocked=blocked,
+            heading=agent.heading,
+        )
         if new_plan is None:
             agent.speed = 0.0
         else:
@@ -334,11 +333,11 @@ def build_frame(
             continue
         active_walkers += 1
         heatmaps.walker_occupancy[y, x] += 1
-        if grid.ground_at(cell) in ROAD_FAMILY:
+        if ground_of(grid, cell) in ROAD_FAMILY:
             on_road += 1
             heatmaps.jaywalk[y, x] += 1
             before = pre_cells.get(agent.id)
-            if before is not None and grid.ground_at(before) not in ROAD_FAMILY:
+            if before is not None and ground_of(grid, before) not in ROAD_FAMILY:
                 entries.append(agent.id)
     collisions_vv = sum(1 for e in events if e.kind == "collision_vv")
     runovers = sum(1 for e in events if e.kind == "runover")

@@ -17,7 +17,9 @@ from gridcity.cli import SUMMARY_METRICS, Scenario, execute_sweep, load_config, 
 from gridcity.engine import SimConfig, World, detect_collisions, run
 from gridcity.environment import ROAD_FAMILY, GroundType, LayoutSpec, generate_layout
 from gridcity.planner import BehaviorProfile, plan
-from helpers import make_agent, population, random_grid, step_counted, traversable_cells
+from helpers import (
+    ground_of, make_agent, population, random_grid, step_counted, traversable_cells,
+)
 from oracle import oracle_cost
 
 TWO_BLOCKS = LayoutSpec(blocks_x=2, blocks_y=2)
@@ -303,7 +305,7 @@ def test_10_heatmap_layer_semantics():
             (x, y)
             for x in range(x0, x0 + spec.block_side)
             for y in range(y0, y0 + spec.block_side)
-            if grid.ground_at((x, y)) is GroundType.SIDEWALK
+            if ground_of(grid, (x, y)) is GroundType.SIDEWALK
         ]
 
     obstructed_blocks = [(0, 1), (1, 1)]
@@ -352,7 +354,7 @@ def test_10_heatmap_layer_semantics():
         jay = result.heatmaps.jaywalk
         for y in range(grid.height):
             for x in range(grid.width):
-                if jay[y, x] and scene.ground_at((x, y)) not in ROAD_FAMILY:
+                if jay[y, x] and ground_of(scene, (x, y)) not in ROAD_FAMILY:
                     jaywalk_clean = False
     obstructed_mean = sums["obstructed"] / counts["obstructed"]
     clear_mean = sums["clear"] / counts["clear"]

@@ -31,8 +31,8 @@ def test_extend_refuses_ids_that_do_not_ascend():
     pop = population([])
     walker = BehaviorProfile(kind="walker")
     with pytest.raises(ValueError, match="ascend"):
-        pop.extend([(3, walker, (0.5, 0.5), None, None, None),
-                    (2, walker, (1.5, 0.5), None, None, None)])
+        pop.extend([(3, walker, (0.5, 0.5), None, None),
+                    (2, walker, (1.5, 0.5), None, None)])
     assert len(pop) == 0
 
 
@@ -43,9 +43,7 @@ def test_snapshot_returns_each_agent_as_it_went_in():
     agents = []
     for kind in ("walker", "driver"):
         for status in Status:
-            for heading, goal, has_plan in itertools.product(
-                (None, E), (None, (9, 0)), (False, True)
-            ):
+            for heading, has_plan in itertools.product((None, E), (False, True)):
                 agent_id = len(agents) + 1
                 agent = make_agent(
                     agent_id, kind, (agent_id * 0.125, 0.5),
@@ -53,7 +51,6 @@ def test_snapshot_returns_each_agent_as_it_went_in():
                     cursor=agent_id % 3, speed=agent_id * 0.25, heading=heading,
                     status=status, w=float(agent_id), alpha=agent_id * 0.5,
                 )
-                agent.goal = goal
                 agent.countdown = 3 if status is Status.COLLIDED else 0
                 agents.append(agent)
     pop = population(agents)
@@ -75,7 +72,7 @@ def test_snapshot_returns_each_agent_as_it_went_in():
     assert_round_trip(kept)
     newcomer = make_agent(
         len(agents) + 1, "driver", (4.5, 0.5), straight_plan([(4, 0), (5, 0)], grid.width),
-        goal=(5, 0), heading=E, w=2.0,
+        heading=E, w=2.0,
     )
     place(pop, [newcomer])
     assert_round_trip(kept + [newcomer])
@@ -100,7 +97,7 @@ def eastbound_driver(agent_id, x, grid, speed=0.0, length=None):
     length = length if length is not None else grid.width
     cells = [(i, 0) for i in range(int(x), length)]
     agent = make_agent(
-        agent_id, "driver", (x + 0.5, 0.5), straight_plan(cells, grid.width), goal=cells[-1],
+        agent_id, "driver", (x + 0.5, 0.5), straight_plan(cells, grid.width),
         heading=E, speed=speed,
     )
     return agent
@@ -138,7 +135,7 @@ def act_once(agent, decision, grid, blocked=frozenset()):
 def test_sense_empty_world():
     grid = walking_strip()
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(6)], grid.width), goal=(5, 0)
+        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(6)], grid.width)
     )
     assert decisions([walker], grid) == {1: Decision.PROCEED}
     road = road_strip()
@@ -152,11 +149,11 @@ def test_sense_head_on_vehicles_both_in_conflict():
     grid = grid_of("rE- rE- rW- rW-")
     a = make_agent(
         1, "driver", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width),
-        goal=(2, 0), heading=E
+        heading=E
     )
     b = make_agent(
         2, "driver", (1.4, 0.5),
-        straight_plan([(1, 0), (0, 0)], grid.width), goal=(0, 0), heading=Direction.WEST,
+        straight_plan([(1, 0), (0, 0)], grid.width), heading=Direction.WEST,
     )
     # at speed 0 only a conflict in the next cell brakes: each sees the other there
     assert decisions([a, b], grid) == {1: Decision.DECELERATE, 2: Decision.DECELERATE}
@@ -225,7 +222,6 @@ def _random_population(rng: random.Random, grid: GridMap) -> list:
         route = straight_plan(cells, grid.width) if rng.random() < 0.9 else None
         agents.append(make_agent(
             agent_id, rng.choice(["walker", "driver"]), position, route,
-            goal=None if route is None else cells[-1],
             cursor=rng.randint(0, len(cells)), status=status,
             speed=rng.choice([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]),
         ))
@@ -274,7 +270,7 @@ def _moving_population(rng: random.Random, grid: GridMap) -> list:
     over cells its kind may enter.  Each stands on the cell before its cursor,
     at its centre or anywhere inside it, with a zero, fractional or whole
     speed and max speed; cursors run from 0 to past the plan's end, and some
-    agents have no plan, no goal or no heading."""
+    agents have no plan or no heading."""
     moves = [(1, 0), (-1, 0), (0, 1), (0, -1)]
     width = grid.width
     agents = []
@@ -302,15 +298,12 @@ def _moving_population(rng: random.Random, grid: GridMap) -> list:
         status = rng.choice([Status.ACTIVE] * 4 + [Status.PARKED, Status.COLLIDED])
         route = straight_plan(cells, grid.width) if rng.random() < 0.9 else None
         agent = make_agent(
-            agent_id, kind, position, route, goal=None if route is None else cells[-1],
-            cursor=cursor, status=status,
+            agent_id, kind, position, route, cursor=cursor, status=status,
             speed=rng.choice([0.0, 0.25, 1.0, 2.0, rng.uniform(0.0, 3.0)]),
             heading=rng.choice([None] + list(Direction) * 3) if kind == "driver" else None,
             max_speed=rng.choice([1.0, 2.0, rng.uniform(0.1, 2.5)]),
             w=rng.randint(1, 3), alpha=rng.choice([0.0, rng.uniform(0.0, 2.0)]),
         )
-        if rng.random() < 0.1:
-            agent.goal = None
         if status is Status.COLLIDED:
             agent.countdown = rng.randint(1, 5)
         agents.append(agent)
@@ -425,7 +418,7 @@ def test_columns_step_like_the_per_agent_reference(
 def test_walker_stops_for_active_vehicle_on_road():
     grid = grid_of("s-- rN- s--")
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width), goal=(2, 0)
+        1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width)
     )
     vehicle = make_agent(2, "driver", (1.5, 0.5), None, heading=N, speed=1.0)
     assert decisions([walker, vehicle], grid)[1] is Decision.STOP
@@ -434,7 +427,7 @@ def test_walker_stops_for_active_vehicle_on_road():
 def test_walker_proceeds_on_zebra_despite_vehicle():
     grid = grid_of("s-- zN- rN- s--")
     walker = make_agent(
-        1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width), goal=(3, 0)
+        1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width)
     )
     vehicle = make_agent(2, "driver", (2.5, 0.5), None, heading=N, speed=1.0)
     assert decisions([walker, vehicle], grid)[1] is Decision.PROCEED
@@ -446,7 +439,7 @@ def test_walker_proceeds_on_zebra_despite_vehicle():
 def test_walker_on_zebra_replans_around_static_obstacle():
     grid = grid_of("s-- zN- zN- s--")
     walker = make_agent(
-        1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width), goal=(3, 0)
+        1, "walker", (1.5, 0.5), straight_plan([(1, 0), (2, 0), (3, 0)], grid.width)
     )
     wreck = make_agent(2, "driver", (2.5, 0.5), None, status=Status.COLLIDED)
     assert decisions([walker, wreck], grid) == {1: Decision.REPLAN}
@@ -456,7 +449,6 @@ def test_walker_replans_for_parked_vehicle_on_route():
     grid = grid_of("s-- s-- pN- s--")
     walker = make_agent(
         1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0)], grid.width),
-        goal=(3, 0)
     )
     parked = make_agent(2, "driver", (2.5, 0.5), None, status=Status.PARKED)
     assert decisions([walker, parked], grid) == {1: Decision.REPLAN}
@@ -465,7 +457,7 @@ def test_walker_replans_for_parked_vehicle_on_route():
 def test_walker_clear_path_proceeds():
     grid = walking_strip()
     walker = make_agent(
-        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)], grid.width), goal=(4, 0)
+        1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)], grid.width)
     )
     assert decisions([walker], grid) == {1: Decision.PROCEED}
     # no walker rule reads an active walker, even one on the window
@@ -533,7 +525,7 @@ def test_zebra_right_of_way_pairing():
     driver = eastbound_driver(1, 0, grid, length=4)
     walker = make_agent(
         2, "walker", (2.5, 0.5), straight_plan([(2, 0), (2, 1)], grid.width),
-        goal=(2, 1), max_speed=1.0
+        max_speed=1.0
     )
     decided = decisions([driver, walker], grid)
     assert decided[1] in (Decision.YIELD, Decision.DECELERATE)
@@ -547,7 +539,7 @@ def test_act_stop_keeps_position():
     grid = walking_strip()
     walker = make_agent(
         1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0)], grid.width),
-        goal=(1, 0), speed=1.0
+        speed=1.0
     )
     _, walker = act_once(walker, Decision.STOP, grid)
     assert walker.position == (0.5, 0.5)
@@ -558,7 +550,7 @@ def test_act_unit_speed_advances_one_cell():
     grid = walking_strip()
     walker = make_agent(
         1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(5)], grid.width),
-        goal=(4, 0), max_speed=1.0,
+        max_speed=1.0,
     )
     _, walker = act_once(walker, Decision.PROCEED, grid)
     assert walker.position == (1.5, 0.5)
@@ -585,7 +577,7 @@ def test_act_heading_follows_turns():
     grid = grid_of("s-- s--", "s-- s--")
     driver = make_agent(
         1, "driver", (0.5, 0.5),
-        straight_plan([(0, 0), (1, 0), (1, 1)], grid.width), goal=(1, 1),
+        straight_plan([(0, 0), (1, 0), (1, 1)], grid.width),
         heading=E, max_speed=2.0, speed=2.0,
     )
     _, driver = act_once(driver, Decision.PROCEED, grid)
@@ -601,7 +593,7 @@ def test_heading_is_a_column_of_direction_codes():
     walker = make_agent(1, "walker", (0.5, 1.5), None)
     route = [(0, 0), (1, 0), (1, 1)]
     driver = make_agent(
-        2, "driver", (0.5, 0.5), straight_plan(route, grid.width), goal=route[-1],
+        2, "driver", (0.5, 0.5), straight_plan(route, grid.width),
         heading=E, max_speed=2.0, speed=2.0,
     )
     pop = population([walker, driver])
@@ -626,7 +618,7 @@ def test_act_replan_swaps_route_before_moving():
     walker = make_agent(
         1, "walker",
         (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)], grid.width),
-        max_speed=1.0, goal=(4, 0),
+        max_speed=1.0,
     )
     replanned, walker = act_once(walker, Decision.REPLAN, grid, blocked={(1, 0)})
     assert replanned
@@ -638,7 +630,7 @@ def test_act_leaves_the_codes_unchanged():
     grid = grid_of("s-- s-- s--")
     walker = make_agent(
         1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width),
-        max_speed=1.0, goal=(2, 0),
+        max_speed=1.0,
     )
     for blocked in (frozenset(), {(1, 0)}):  # the replan finds a route, then none
         codes = np.array([Decision.REPLAN])
@@ -650,7 +642,7 @@ def test_act_failed_replan_waits_in_place():
     grid = grid_of("s-- s-- s--")
     walker = make_agent(
         1, "walker", (0.5, 0.5), straight_plan([(0, 0), (1, 0), (2, 0)], grid.width),
-        max_speed=1.0, goal=(2, 0),
+        max_speed=1.0,
     )
     old_plan = walker.plan
     replanned, walker = act_once(walker, Decision.REPLAN, grid, blocked={(1, 0)})
@@ -664,7 +656,7 @@ def test_act_position_stays_on_polyline():
     grid = road_strip()
     cells = [(i, 0) for i in range(grid.width)]
     driver = make_agent(
-        1, "driver", (0.5, 0.5), straight_plan(cells, grid.width), goal=cells[-1],
+        1, "driver", (0.5, 0.5), straight_plan(cells, grid.width),
         heading=E, max_speed=0.7,
     )
     pop = population([driver])
@@ -689,7 +681,7 @@ def test_act_speed_clamped_and_no_teleport(speed, decision):
     grid = walking_strip(12)
     walker = make_agent(
         1, "walker", (0.5, 0.5), straight_plan([(i, 0) for i in range(12)], grid.width),
-        goal=(11, 0), max_speed=1.0, speed=min(speed, 1.0),
+        max_speed=1.0, speed=min(speed, 1.0),
     )
     before = walker.position
     _, walker = act_once(walker, decision, grid)

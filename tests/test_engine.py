@@ -28,8 +28,8 @@ from gridcity.metrics import (
     render_metrics_csv,
 )
 from helpers import (
-    add_agent, cell_of, cells_of, grid_of, make_agent, parking_2x2, population, step_counted,
-    straight_plan,
+    add_agent, cell_of, cells_of, grid_of, ground_of, make_agent, parking_2x2, population,
+    step_counted, straight_plan,
 )
 from test_digests import SCENARIOS
 
@@ -219,7 +219,7 @@ def test_replan_onto_own_goal_cell_retires_walker_same_step(monkeypatch):
     world = World(grid, SimConfig(steps=1, walkers=0, seed=0))
     walker = make_agent(
         1, "walker", (1.2, 0.5), straight_plan([(0, 0), (1, 0)], grid.width),
-        goal=(1, 0), max_speed=1.0
+        max_speed=1.0
     )
     blocker = make_agent(2, "walker", (1.7, 0.5), None, status=Status.COLLIDED)
     blocker.countdown = 5
@@ -287,6 +287,21 @@ def test_reactivate_unreachable_goal_reports_failure():
     add_agent(world, driver)
     assert world.reactivate(7, (3, 1)) is False
     assert world.agents[7].status is Status.PARKED
+
+
+def test_reactivate_onto_ground_a_driver_cannot_enter_raises_and_stays_parked():
+    grid = parking_2x2()
+    world = World(grid, SimConfig(steps=1, drivers=0, seed=0))
+    x, y = grid.parking_cells[0]
+    add_agent(world, make_agent(7, "driver", (x + 0.5, y + 0.5), None, status=Status.PARKED))
+    goal = grid.walker_spawns[0]
+    assert ground_of(grid, goal) is GroundType.SIDEWALK
+    with pytest.raises(ValueError, match=re.escape(
+            f"goal {goal} is not traversable for a driver")):
+        world.reactivate(7, goal)
+    assert world.agents[7].status is Status.PARKED
+    assert world.agents[7].plan is None
+    assert not any(e.kind == "reactivate" for e in world.step().events)
 
 
 def test_add_refuses_an_id_not_above_the_ids_present():
@@ -454,6 +469,35 @@ def test_no_step_puts_an_active_agent_on_a_cell_its_kind_cannot_enter(name):
                 world.step_count, int(pop.id[row]), (x, y))
 
 
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_a_row_retires_and_parks_where_its_route_ends(name):
+    # a goal event sits on the center of the route's last cell, one of its
+    # kind's goals, and a park event on that of a parking cell ending a route
+    make_grid, config, _ = SCENARIOS[name]
+    world = World(make_grid(), config)
+    grid = world.grid
+    seen = {"goal": 0, "park": 0}
+    for _ in range(config.steps):
+        pop = world.population
+        ends = {
+            i: (cells_of(grid, route)[-1], "driver" if driver else "walker")
+            for i, route, driver in zip(pop.id.tolist(), pop.plans, pop.driver.tolist())
+            if route is not None
+        }
+        for event in world.step().events:
+            if event.kind not in seen:
+                continue
+            seen[event.kind] += 1
+            (x, y), kind = ends[event.agents[0]]
+            assert (event.x, event.y) == (x + 0.5, y + 0.5), event
+            if event.kind == "goal":
+                assert (x, y) in world._spawn_table[kind][1], event
+            else:
+                assert kind == "driver" and ground_of(grid, (x, y)) is GroundType.PARKING, event
+    assert seen["goal"] > 0
+    assert seen["park"] > 0 or name != "parking_wide_rings"
+
+
 def test_a_lookahead_past_every_route_costs_no_memory():
     # a window slot past the longest plan is past every plan, so a huge
     # lookahead decides as that plan's length does and allocates nothing for it
@@ -607,7 +651,6 @@ def test_obstructed_driver_sites_are_dropped():
         for _ in range(cfg.steps):
             world.step()
             for a in world.agents.values():
-                assert a.goal != obstacle
                 assert a.plan is None or obstacle not in cells_of(grid, a.plan)
     # a run over the obstructed site completes with drivers about
     result = run(cfg, grid.with_obstacles({grid.driver_spawns[0][0]}))

@@ -28,7 +28,7 @@ from gridcity.environment import (
     _decode,
     _token,
 )
-from helpers import flow_of, grid_of, random_grid
+from helpers import flow_of, grid_of, ground_of, random_grid
 
 
 # -- cell codec ---------------------------------------------------------------
@@ -39,7 +39,7 @@ def test_ground_chars_bijective():
     assert sorted(chars) == sorted("rsbpztloh")
     for g in GroundType:
         token = chars[g] + ("N-" if g in FLOW_GROUNDS else "--")
-        assert GridMap.build([[token]]).ground_at((0, 0)) is g
+        assert ground_of(GridMap.build([[token]]), (0, 0)) is g
 
 
 @pytest.mark.parametrize(
@@ -55,7 +55,7 @@ def test_ground_chars_bijective():
 )
 def test_token_decode(token, ground, flow):
     grid = GridMap.build([[token]])
-    assert grid.ground_at((0, 0)) is ground
+    assert ground_of(grid, (0, 0)) is ground
     assert flow_of(grid, (0, 0)) == frozenset(flow)
     assert serialize_grid(grid) == f"1 1\n{token}\n"
 
@@ -109,7 +109,7 @@ def test_token_canonical_direction_order():
 def test_parse_minimal_grid():
     grid = grid_of("rN- b--", "s-- zE-")
     assert grid.width == 2 and grid.height == 2
-    assert grid.ground_at((0, 0)) is GroundType.ROAD
+    assert ground_of(grid, (0, 0)) is GroundType.ROAD
     assert flow_of(grid, (1, 1)) == frozenset({Direction.EAST})
 
 
@@ -272,7 +272,7 @@ def test_layout_road_lanes_single_direction_and_opposing_adjacent():
     grid = generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
     for y in range(grid.height):
         for x in range(grid.width):
-            if grid.ground_at((x, y)) is GroundType.ROAD:
+            if ground_of(grid, (x, y)) is GroundType.ROAD:
                 assert len(flow_of(grid, (x, y))) == 1
     # opposing halves of every corridor touch at the centerline
     sw, pitch = 4, 19
@@ -288,7 +288,7 @@ def test_layout_turn_cells_advertise_both_lane_directions():
     grid = generate_layout(LayoutSpec(blocks_x=1, blocks_y=1, lanes_per_direction=1))
     for y in range(grid.height):
         for x in range(grid.width):
-            if grid.ground_at((x, y)) in (GroundType.TURN, GroundType.LEFT_TURN):
+            if ground_of(grid, (x, y)) in (GroundType.TURN, GroundType.LEFT_TURN):
                 flow = flow_of(grid, (x, y))
                 assert len(flow) == 2
                 axes = {d in (Direction.NORTH, Direction.SOUTH) for d in flow}
@@ -342,7 +342,7 @@ def test_place_obstacles_deterministic_and_on_sidewalks_only():
     b = place_obstacles(grid, 0.1, random.Random(42))
     assert a.obstacles == b.obstacles
     for coord in a.obstacles:
-        assert grid.ground_at(coord) is GroundType.SIDEWALK
+        assert ground_of(grid, coord) is GroundType.SIDEWALK
 
 
 def test_place_obstacles_refuses_more_cells_than_are_free():
@@ -368,7 +368,7 @@ def test_with_obstacles_validation():
         (x, y)
         for y in range(grid.height)
         for x in range(grid.width)
-        if grid.ground_at((x, y)) is GroundType.BUILDING
+        if ground_of(grid, (x, y)) is GroundType.BUILDING
     )
     with pytest.raises(ValueError, match="building"):
         grid.with_obstacles({building})
@@ -428,7 +428,7 @@ def test_ground_mask_marks_the_cells_of_its_ground_types():
     grid = generate_layout(LayoutSpec(blocks_x=2, blocks_y=1))
     for grounds in ((GroundType.ZEBRA,), tuple(ROAD_FAMILY)):
         expected = [
-            grid.ground_at((x, y)) in grounds
+            ground_of(grid, (x, y)) in grounds
             for y in range(grid.height) for x in range(grid.width)
         ]
         assert grid.ground_mask(*grounds).tolist() == expected
@@ -441,7 +441,7 @@ def test_a_cell_is_one_ground_byte_and_one_flow_byte():
         cells = [(x, y) for y in range(grid.height) for x in range(grid.width)]
         for table in (grid.ground, grid.flow):
             assert type(table) is bytes and len(table) == grid.width * grid.height
-        grounds = [grid.ground_at(c) for c in cells]
+        grounds = [ground_of(grid, c) for c in cells]
         assert all(g is GroundType(byte) for g, byte in zip(grounds, grid.ground))
         for kinds in [(g,) for g in GroundType] + [tuple(FLOW_GROUNDS), tuple(ROAD_FAMILY)]:
             mask = grid.ground_mask(*kinds)
@@ -480,14 +480,14 @@ def test_walker_spawn_sites_are_building_adjacent_sidewalks():
         cells = sorted((x, y) for x in range(grid.width) for y in range(grid.height))
         sites = [
             (x, y) for x, y in cells
-            if grid.ground_at((x, y)) is GroundType.SIDEWALK and any(
+            if ground_of(grid, (x, y)) is GroundType.SIDEWALK and any(
                 grid.in_bounds((x + dx, y + dy))
-                and grid.ground_at((x + dx, y + dy)) is GroundType.BUILDING
+                and ground_of(grid, (x + dx, y + dy)) is GroundType.BUILDING
                 for dx, dy, _, _ in DIRECTION_TABLE
             )
         ]
         assert grid.walker_spawns == tuple(sites)
-        parking = [c for c in cells if grid.ground_at(c) is GroundType.PARKING]
+        parking = [c for c in cells if ground_of(grid, c) is GroundType.PARKING]
         assert grid.parking_cells == tuple(parking)
     assert all(grid.walker_spawns and grid.parking_cells for grid in grids[1:4])
 
@@ -496,7 +496,7 @@ def test_driver_spawn_sites_are_road_cells_with_flow():
     grid = generate_layout(LayoutSpec(blocks_x=2, blocks_y=2))
     assert grid.driver_spawns
     for (x, y), heading in grid.driver_spawns:
-        assert grid.ground_at((x, y)) is GroundType.ROAD
+        assert ground_of(grid, (x, y)) is GroundType.ROAD
         assert heading in flow_of(grid, (x, y))
 
 

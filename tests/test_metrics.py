@@ -16,7 +16,7 @@ from gridcity.metrics import (
     render_heatmap_csv,
     render_metrics_csv,
 )
-from helpers import grid_of, make_agent, population
+from helpers import grid_of, ground_of, make_agent, population
 
 
 # -- frame aggregation ----------------------------------------------------------
@@ -137,7 +137,7 @@ def test_jaywalk_layer_nonzero_only_on_road_family():
     for y in range(grid.height):
         for x in range(grid.width):
             if layer[y, x]:
-                assert grid.ground_at((x, y)) in ROAD_FAMILY
+                assert ground_of(grid, (x, y)) in ROAD_FAMILY
 
 
 def test_heatmap_set_tables_have_grid_shape():

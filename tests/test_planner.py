@@ -30,8 +30,8 @@ from gridcity.planner import (
     _moves,
 )
 from helpers import (
-    cells_of, classify_action, flow_of, grid_of, random_grid, random_instance, route_actions,
-    traversable_cells,
+    cells_of, classify_action, flow_of, grid_of, ground_of, random_grid, random_instance,
+    route_actions, traversable_cells,
 )
 from oracle import RISKS, oracle_cost
 import reference
@@ -138,10 +138,10 @@ def test_plan_and_classify_action_refuse_a_heading_that_is_no_direction(heading)
 
 @pytest.mark.parametrize("read", [
     default_heading,
-    lambda grid, cell: grid.ground_at(cell),
+    lambda grid, cell: grid.index_of(cell),
     lambda grid, cell: plan(grid, cell, (0, 5), BehaviorProfile("walker")),
     lambda grid, cell: plan(grid, (0, 5), cell, BehaviorProfile("walker")),
-], ids=["default_heading", "ground_at", "plan_start", "plan_goal"])
+], ids=["default_heading", "index_of", "plan_start", "plan_goal"])
 def test_a_cell_read_refuses_a_cell_off_the_grid(read):
     # (-1, 1) would wrap onto (22, 0), a left-turn cell with flow north, and
     # (23, 0) onto (0, 1); a plan's other end, (0, 5), lies on the grid
@@ -159,7 +159,7 @@ def test_classify_generated_intersection_truth_table():
     checked = 0
     for y in range(grid.height):
         for x in range(grid.width):
-            if grid.ground_at((x, y)) not in (GroundType.TURN, GroundType.LEFT_TURN):
+            if ground_of(grid, (x, y)) not in (GroundType.TURN, GroundType.LEFT_TURN):
                 continue
             for heading in flow_of(grid, (x, y)):
                 _, _, back, clockwise = DIRECTION_TABLE[heading]
@@ -384,7 +384,7 @@ def test_high_weight_walker_uses_road_cells_low_weight_avoids():
     start, goal = (5, 4), (36, 37)
     cautious = plan(grid, start, goal, BehaviorProfile(kind="walker", w=1.0))
     reckless = plan(grid, start, goal, BehaviorProfile(kind="walker", w=5.0))
-    road = lambda route: {c for c in cells_of(grid, route) if grid.ground_at(c) in ROAD_FAMILY}
+    road = lambda route: {c for c in cells_of(grid, route) if ground_of(grid, c) in ROAD_FAMILY}
     assert len(road(reckless)) > len(road(cautious))
     assert road(reckless) - road(cautious)
 
@@ -618,7 +618,7 @@ def test_overlay_on_a_planned_layout_plans_like_a_fresh_one(layout, seed, sidewa
     base = _SHARED_BASES[spec]
     rng = random.Random(seed)
     cells = [(i % base.width, i // base.width) for i in range(len(base.ground))]
-    sidewalks = [c for c in cells if base.ground_at(c) is GroundType.SIDEWALK]
+    sidewalks = [c for c in cells if ground_of(base, c) is GroundType.SIDEWALK]
     roads = [c for c, cost in zip(cells, base.costs("driver")) if cost != math.inf]
     obstacles = set(rng.sample(sidewalks, sidewalk)) | set(rng.sample(roads, road))
     queries = []
@@ -660,7 +660,7 @@ def _kernel_grid(source, rng):
         _KERNEL_LAYOUTS[source] = generate_layout(LayoutSpec(blocks_x=blocks, blocks_y=blocks))
     base = _KERNEL_LAYOUTS[source]
     cells = [(i % base.width, i // base.width) for i in range(len(base.ground))]
-    sidewalks = [c for c in cells if base.ground_at(c) is GroundType.SIDEWALK]
+    sidewalks = [c for c in cells if ground_of(base, c) is GroundType.SIDEWALK]
     roads = [c for c, cost in zip(cells, base.costs("driver")) if cost != math.inf]
     return base.with_obstacles(
         rng.sample(sidewalks, rng.randint(0, 30)) + rng.sample(roads, rng.randint(0, 8))
