@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import functools
 import itertools
+import math
 import numbers
 import os
 import pickle
@@ -438,21 +439,50 @@ def _run_task(scenario: Scenario, point: dict, seed: int, out_dir: str) -> TaskO
 
 
 def _mean_std(values: list) -> tuple[str, str]:
-    # imported here, not with the module: only a sweep's parent writes the
-    # summary, after its workers are done, so no worker loads statistics
-    import statistics
+    """The mean and sample std of the floats ``values`` as ``repr`` text, the
+    std 0.0 for one value and both empty for none.
 
+    Each is the float that ``statistics.fmean`` and ``statistics.stdev``
+    return on Python 3.11 and later: the ``fsum`` over the count, and the
+    correctly rounded square root of the exact sample variance, rounded as
+    ``statistics._float_sqrt_of_frac`` does.  Written out because importing
+    ``statistics`` also loads ``fractions`` and ``decimal`` into the sweep's
+    parent, whose memory counts with its workers', and because Python 3.10's
+    ``stdev`` rounds twice, so the summary's bytes would depend on the
+    Python that wrote them."""
     if not values:
         return "", ""
-    mean = statistics.fmean(values)
-    std = statistics.stdev(values) if len(values) > 1 else 0.0
-    return repr(float(mean)), repr(float(std))
+    k = len(values)
+    mean = math.fsum(values) / k
+    if k == 1:
+        return repr(mean), repr(0.0)
+    # each value is an integer over the largest of their power-of-two
+    # denominators, so the variance is exactly n / m
+    ratios = [v.as_integer_ratio() for v in values]
+    d = max(den for _, den in ratios)
+    ints = [num * (d // den) for num, den in ratios]
+    total = sum(ints)
+    n = k * sum(i * i for i in ints) - total * total
+    m = k * (k - 1) * d * d
+    # n / m scaled by 4**-q to about 109 bits, so its integer root has about
+    # 55; that root's last bit set when inexact (round to odd), then one
+    # rounding to a float
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    std = (root << q) / 1 if q >= 0 else root / (1 << -q)
+    return repr(mean), repr(std)
 
 
 def render_summary_csv(scenario: Scenario, points: list, outcomes: list) -> str:
     """One row per point: its walkers, drivers and obstruction, its count of
     runs that ran, the mean and sample std of each ``SUMMARY_METRICS`` column
-    over those runs, a run without a value (None) left out, and the value of
+    over those runs (``_mean_std``: the floats ``statistics`` gives, without
+    importing it), a run without a value (None) left out, and the value of
     each other sweep axis; a column with no value is empty."""
     others = [name for name in scenario.sweep if name not in _STEM]
     header = [*_STEM, "seeds"] + [

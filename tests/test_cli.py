@@ -26,6 +26,7 @@ from gridcity.cli import (
     ConfigError,
     Scenario,
     _echo_config,
+    _mean_std,
     build_grid,
     effective_config_dict,
     execute_run,
@@ -844,6 +845,29 @@ def test_sweep_summary_bytes_are_pinned(tmp_path):
     )
     execute_sweep(scenario, tmp_path)
     assert (tmp_path / "summary.csv").read_bytes() == PINNED_SUMMARY.encode()
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="Python 3.10's stdev rounds its variance before the root")
+def test_a_summary_mean_and_std_are_those_of_statistics():
+    # seeded lists of 1-10 values: counts, speeds, near-equal values (whose
+    # variance can be 0 or a few ulps) and magnitudes from 1e-20 to 1e26
+    import statistics
+
+    rng = random.Random(57)
+    makers = [
+        lambda: float(rng.randint(0, 300)),
+        lambda: rng.uniform(0, 2),
+        lambda: 1.5 + rng.randint(-3, 3) * 2**-50,
+        lambda: rng.uniform(0, 1) * 10.0 ** rng.randint(-20, 26),
+        lambda: rng.choice((0.5, 1.25, 2.0)),
+    ]
+    for _ in range(10_000):
+        make = rng.choice(makers)
+        values = [make() for _ in range(rng.randint(1, 10))]
+        std = statistics.stdev(values) if len(values) > 1 else 0.0
+        assert _mean_std(values) == (repr(statistics.fmean(values)), repr(std)), values
+    assert _mean_std([]) == ("", "")
 
 
 def test_a_sweep_writes_the_same_bytes_with_one_worker_with_two_and_over_its_grid_file(
@@ -1722,12 +1746,13 @@ def test_a_bad_scenario_file_exits_2_in_one_line(tmp_path, text, prefix):
 
 
 def _heavy_modules_after(code: str, *args: str) -> str:
-    """Which of click, multiprocessing, PyYAML, statistics and traceback a
-    fresh interpreter has loaded after running ``code`` with ``args`` as
-    ``sys.argv[1:]``."""
+    """Which of click, decimal, fractions, multiprocessing, PyYAML,
+    statistics and traceback a fresh interpreter has loaded after running
+    ``code`` with ``args`` as ``sys.argv[1:]``."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    heavy = "{'click', 'multiprocessing', 'yaml', 'statistics', 'traceback'}"
+    heavy = ("{'click', 'decimal', 'fractions', 'multiprocessing', 'yaml', "
+             "'statistics', 'traceback'}")
     code += f"; print(sorted({heavy} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True)
@@ -1747,8 +1772,7 @@ def test_the_python_api_loads_neither_click_nor_yaml():
 
 
 def test_a_run_loads_neither_yaml_nor_statistics(tmp_path):
-    # what a sweep's worker does: config.yaml is written without PyYAML,
-    # statistics is the summary's, which only the sweep's parent writes, and
+    # what a sweep's worker does: config.yaml is written without PyYAML, and
     # traceback is only a failed run's
     code = ("import sys; from gridcity import LayoutSpec, SimConfig; "
             "from gridcity.cli import Scenario, execute_run; "
@@ -1759,12 +1783,12 @@ def test_a_run_loads_neither_yaml_nor_statistics(tmp_path):
 
 
 def test_a_forked_sweep_loads_neither_multiprocessing_nor_click_nor_yaml(tmp_path):
-    # its workers are forked from it and hold a copy of what it imported;
-    # statistics is its summary's, loaded after the workers are done
+    # its workers are forked from it and hold a copy of what it imported, and
+    # its summary is written without statistics, fractions or decimal
     code = ("import sys; from gridcity import LayoutSpec, SimConfig; "
             "from gridcity.cli import Scenario, execute_sweep; "
             "execute_sweep(Scenario(sim=SimConfig(steps=2, walkers=2, drivers=1), "
             "layout=LayoutSpec(), sweep={'walkers': [2, 3]}), sys.argv[1], parallel=2)")
-    assert _heavy_modules_after(code, str(tmp_path / "out")) == "['statistics']\n"
+    assert _heavy_modules_after(code, str(tmp_path / "out")) == "[]\n"
     assert (tmp_path / "out" / "summary.csv").is_file()
     assert len(list((tmp_path / "out").glob("*/seed*/metrics.csv"))) == 2

@@ -389,6 +389,26 @@ def test_high_weight_walker_uses_road_cells_low_weight_avoids():
     assert road(reckless) - road(cautious)
 
 
+def test_a_walkers_road_cells_per_route_rise_with_its_weight():
+    # on the bare city a walker at w <= 2 never leaves its sidewalks and
+    # zebras (the same queries read 0 / 0 / 0.44 road cells per route), so
+    # the obstacles are what make a detour across a lane worth weighing
+    grid = place_obstacles(
+        generate_layout(LayoutSpec(blocks_x=5, blocks_y=5)), 0.05, random.Random(3)
+    )
+    sites = [c for c in grid.walker_spawns if c not in grid.obstacles]
+    rng = random.Random(0)
+    queries = [rng.sample(sites, 2) for _ in range(200)]
+    road = grid.ground_mask(*ROAD_FAMILY)
+    means = []
+    for w in (1.0, 2.0, 3.0):
+        walker = BehaviorProfile(kind="walker", w=w)
+        routes = [plan(grid, start, goal, walker).route for start, goal in queries]
+        means.append(sum(int(road[i]) for route in routes for i in route) / len(routes))
+    # read 2.00 / 3.62 / 5.96
+    assert means[0] < means[1] < means[2]
+
+
 # -- replan ---------------------------------------------------------------------
 
 
